@@ -34,7 +34,6 @@ import numpy as np
 
 from .cluster import ClusterGraph
 from .placement import PlacementPlan
-from .qos import ObjectiveWeights
 from .workload import TaskSpec
 
 LIGHTWEIGHT_ANTS = 5
@@ -63,6 +62,32 @@ _SOFT_RANGES = {
     "tol": (1e-3, 1e-2, set()),
     "l_max": (5, 10, set()),
 }
+
+# Weight presets: the per-term tuning range, and the delay-heavy preset
+# used by the full pipeline.
+WEIGHT_RANGE = (0.2, 0.4)
+PIPELINE_WEIGHTS = (0.5, 0.3, 0.2)
+
+
+@dataclass(frozen=True)
+class ObjectiveWeights:
+    """Weights of (delay, cost, loss) in the weighted objective."""
+
+    delay: float = PIPELINE_WEIGHTS[0]
+    cost: float = PIPELINE_WEIGHTS[1]
+    loss: float = PIPELINE_WEIGHTS[2]
+
+    def validate(self) -> None:
+        total = self.delay + self.cost + self.loss
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"weights must sum to 1, got {total}")
+        trio = (self.delay, self.cost, self.loss)
+        in_range = all(WEIGHT_RANGE[0] <= w <= WEIGHT_RANGE[1] for w in trio)
+        if not in_range and trio != PIPELINE_WEIGHTS:
+            warnings.warn(
+                f"objective weights {trio} outside the usual {WEIGHT_RANGE} band",
+                stacklevel=2,
+            )
 
 
 @dataclass(frozen=True)
@@ -136,9 +161,6 @@ class PheromoneMatrix:
 
     def clamp(self) -> None:
         np.maximum(self.tau, self.floor, out=self.tau)
-
-    def index(self, node_id: str, task_id: str) -> tuple[int, int]:
-        return self.node_ids.index(node_id), self.task_ids.index(task_id)
 
 
 @dataclass(frozen=True)
@@ -243,15 +265,13 @@ def build_problem(
     )
 
 
-def selection_probabilities(
+def selection_weights(
     tau_col: np.ndarray, eta_col: np.ndarray, alpha: float, beta: float, mask: np.ndarray
 ) -> np.ndarray:
-    """Normalized node probabilities for one task over its eligible set."""
-    w = np.where(mask, np.power(tau_col, alpha) * np.power(eta_col, beta), 0.0)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("no eligible node carries positive weight")
-    return w / total
+    """Unnormalized node weights tau^alpha * eta^beta for one task, zero
+    outside its eligible set; an ant picks node i with probability
+    w[i] / w.sum()."""
+    return np.where(mask, np.power(tau_col, alpha) * np.power(eta_col, beta), 0.0)
 
 
 def _solution_from_indices(
@@ -316,11 +336,8 @@ def construct_solution(
         if not mask.any():
             feasible = False
             continue
-        w = np.where(
-            mask,
-            np.power(pheromones.tau[:, j], config.alpha)
-            * np.power(problem.eta[:, j], config.beta),
-            0.0,
+        w = selection_weights(
+            pheromones.tau[:, j], problem.eta[:, j], config.alpha, config.beta, mask
         )
         cum = np.cumsum(w)
         pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))

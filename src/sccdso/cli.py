@@ -73,7 +73,7 @@ def _cmd_run(args) -> int:
     try:
         cfg = experiment.load_experiment_config(args.config)
         cfg = _apply_overrides(cfg, args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -99,7 +99,7 @@ def _cmd_validate(args) -> int:
             experiment._base_workload(cfg, rf=1, seed=0)
         print("config ok")
         return 0
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

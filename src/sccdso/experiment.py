@@ -35,7 +35,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -105,29 +105,38 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise ValueError("experiment config must be a mapping")
+
     def path_of(key):
         p = data.get(key)
         return os.path.join(base_dir, p) if p and not os.path.isabs(p) else p
 
+    def seq(key, default):
+        # tuple() would split a string into characters and reject a number
+        # with a TypeError; name the key instead
+        value = data.get(key, default)
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key} must be a list, got {value!r}")
+        return tuple(value)
+
     cfg = ExperimentConfig(
         cluster_path=path_of("cluster"),
         workload_path=path_of("workload"),
-        schedulers=tuple(data.get("schedulers", ("rf-fd", "rsync", "scc-dso"))),
-        scenarios=tuple(data.get("scenarios", SCENARIOS)),
+        schedulers=seq("schedulers", ("rf-fd", "rsync", "scc-dso")),
+        scenarios=seq("scenarios", SCENARIOS),
         seed=int(data.get("seed", 42)),
         repetitions=int(data.get("repetitions", 50)),
         preset=data.get("preset", "stage7"),
-        block_sizes_mb=tuple(
-            data["block_sizes_mb"]
+        block_sizes_mb=(
+            seq("block_sizes_mb", ())
             if "block_sizes_mb" in data
             else (float(data.get("block_size_mb", 16.0)),)
         ),
-        file_sizes_mb=tuple(data.get("file_sizes_mb", (20, 40, 60, 80, 100))),
-        cluster_sizes=tuple(data.get("cluster_sizes", (10, 20, 30, 40, 50))),
-        replication_factors=tuple(data.get("replication_factors", (1, 2, 3, 4))),
-        straggler_node_counts=tuple(
-            data.get("straggler_node_counts", (60, 70, 80, 90, 100))
-        ),
+        file_sizes_mb=seq("file_sizes_mb", (20, 40, 60, 80, 100)),
+        cluster_sizes=seq("cluster_sizes", (10, 20, 30, 40, 50)),
+        replication_factors=seq("replication_factors", (1, 2, 3, 4)),
+        straggler_node_counts=seq("straggler_node_counts", (60, 70, 80, 90, 100)),
         straggler_fraction=float(data.get("straggler_fraction", 0.1)),
         straggler_slowdown=float(data.get("straggler_slowdown", 4.0)),
         locality_input_mb=float(data.get("locality_input_mb", 1664.0)),
@@ -512,7 +521,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                 "scheduler": scheduler,
                                 "rep": rep,
                                 "seed": seed,
-                                **sim.SimTrace(events=(), metrics=metrics).metrics_dict(),
+                                **asdict(metrics),
                                 "sched_delay": delay,
                                 "sched_cost": cost,
                                 "sched_loss": loss,
@@ -567,9 +576,8 @@ def emit(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> list[str]:
         writer = csv.writer(fh)
         header = [
             "scenario", "cell", "scheduler", "rep", "seed",
-            "completion_time_s", "locality_ratio", "throughput_mbps",
-            "network_mb", "migrations", "prefetches", "tasks",
-            "recovery_latency_s", "sched_delay", "sched_cost", "sched_loss",
+            *(f.name for f in fields(sim.RunMetrics)),
+            "sched_delay", "sched_cost", "sched_loss",
         ]
         writer.writerow(header)
         for run in result.runs:

@@ -57,13 +57,6 @@ class PlacementPlan:
             counts[nodes[0]] += 1
         return dict(counts)
 
-    def f_replica(self) -> dict[str, int]:
-        counts: dict[str, int] = defaultdict(int)
-        for nodes in self.block_to_nodes.values():
-            for n in nodes:
-                counts[n] += 1
-        return dict(counts)
-
     def to_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

@@ -10,9 +10,7 @@ Two models share one job: estimate how long a map task runs on a node.
   prediction touches at most `s_max` stored points.
 
 * LinearModel — the lightweight alternative: an affine map of the task's
-  normalized resource demand, ignoring node features entirely. Its noise
-  term belongs to simulated ground truth, never to predictions, so
-  schedulers stay deterministic.
+  normalized resource demand, ignoring node features entirely.
 
 Fitted models are immutable; share them freely across runs.
 """
@@ -195,7 +193,6 @@ class LinearModel:
 
     slope: float = 0.5
     intercept: float = 0.1
-    noise_std: float = 0.1
 
     def validate(self) -> None:
         # prediction must stay positive over demand in (0, 1]
@@ -208,14 +205,6 @@ class LinearModel:
     def predict_matrix(self, nodes: list[NodeSpec], tasks: list[TaskSpec]) -> np.ndarray:
         row = np.array([self.predict(None, t) for t in tasks])
         return np.tile(row, (len(nodes), 1))
-
-
-def efficiency(model, node: NodeSpec, task: TaskSpec) -> float:
-    """Observed-data-per-second rate under ideal locality: MB / predicted s."""
-    t = model.predict(node, task)
-    if not np.isfinite(t) or t <= 0:
-        raise ValueError(f"non-positive prediction for node {node.id}")
-    return task.block_mb / t
 
 
 @dataclass(frozen=True)

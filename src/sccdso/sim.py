@@ -26,10 +26,9 @@ bit-identical trace.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -91,10 +90,7 @@ class RuntimeConfig:
     q_gamma: float = 0.8
     enable_migration: bool = False
     enable_prefetch: bool = False
-    rq_formula: str = "queue"  # or "scaled"
-    plf_mode: str = "euclidean"  # or "ratio"
     sync_delay_s: float = 0.0  # per non-local access (sequential-sync emulation)
-    exec_noise_std: float = 0.0
     replica_blackout: tuple[str, float] | None = None  # (node id, time)
 
     def validate(self) -> None:
@@ -112,12 +108,8 @@ class RuntimeConfig:
             raise ValueError("epsilon_decay must be in (0, 1]")
         if not 0.0 < self.q_alpha <= 1.0 or not 0.0 <= self.q_gamma < 1.0:
             raise ValueError("q_alpha in (0, 1], q_gamma in [0, 1)")
-        if self.rq_formula not in ("queue", "scaled"):
-            raise ValueError(f"unknown rq_formula: {self.rq_formula}")
-        if self.plf_mode not in ("euclidean", "ratio"):
-            raise ValueError(f"unknown plf_mode: {self.plf_mode}")
-        if self.exec_noise_std < 0 or self.sync_delay_s < 0:
-            raise ValueError("noise and sync delay must be >= 0")
+        if self.sync_delay_s < 0:
+            raise ValueError("sync_delay_s must be >= 0")
 
 
 @dataclass
@@ -153,21 +145,15 @@ def remaining_time(q: QueueState) -> float:
     return rem
 
 
-def resource_quotient(q: QueueState, config: RuntimeConfig, now: float = 0.0, node=None) -> float:
+def resource_quotient(q: QueueState, config: RuntimeConfig) -> float:
     """Queue-delay quotient that flags an overloaded node."""
     block = q.current_block_mb if q.current_block_mb > 0 else (
         q.pending_mb[0] if q.pending_mb else 0.0
     )
-    if config.rq_formula == "queue":
-        rate = q.observed_rate if q.observed_rate > 0 else q.bootstrap_rate
-        if rate <= 0:
-            return math.inf if q.pending_mb else 0.0
-        return q.pending_count * block / (config.rq_scale * rate)
-    # "scaled" alternative: total elapsed time times demand-weighted block
-    # size over the node's raw rate and capacity
-    if node is None:
-        raise ValueError("scaled quotient needs the node spec")
-    return now * (0.5 * block) / (node.cpu_ghz * node.capacity_mb)
+    rate = q.observed_rate if q.observed_rate > 0 else q.bootstrap_rate
+    if rate <= 0:
+        return math.inf if q.pending_mb else 0.0
+    return q.pending_count * block / (config.rq_scale * rate)
 
 
 def should_migrate(
@@ -202,7 +188,6 @@ def prefetch_load_factor(
     util_target: float,
     time_candidate: float,
     time_target: float,
-    mode: str = "euclidean",
 ) -> float:
     """Distance between candidate and target in (utilization, queue time)
     space. Queue times are normalized pairwise to [0, 1] by their sum."""
@@ -211,22 +196,17 @@ def prefetch_load_factor(
     tt = time_target / total if total > 0 else 0.0
     du = util_candidate - util_target
     dt = tc - tt
-    if mode == "euclidean":
-        return math.sqrt(du * du + dt * dt)
-    if mode == "ratio":
-        return math.sqrt(du * du / (dt * dt + 1e-6))
-    raise ValueError(f"unknown plf mode: {mode}")
+    return math.sqrt(du * du + dt * dt)
 
 
 def choose_prefetch_source(
     target_node: str,
-    replica_nodes,
+    replicas,
     states: dict[str, QueueState],
-    mode: str = "euclidean",
 ) -> str:
     """Pick the replica holder with the lowest prefetch load factor
     relative to the target; ties go to the lower node id."""
-    candidates = sorted(replica_nodes)
+    candidates = sorted(replicas)
     if not candidates:
         raise ValueError("no replica nodes to prefetch from")
     tgt = states[target_node]
@@ -235,7 +215,7 @@ def choose_prefetch_source(
     for cand in candidates:
         st = states[cand]
         plf = prefetch_load_factor(
-            st.utilization, tgt.utilization, remaining_time(st), t_t, mode
+            st.utilization, tgt.utilization, remaining_time(st), t_t
         )
         if best is None or plf < best[0] - 1e-15:
             best = (plf, cand)
@@ -309,27 +289,7 @@ class SimTrace:
             fh.write("\n")
 
     def metrics_dict(self) -> dict:
-        m = self.metrics
-        return {
-            "completion_time_s": m.completion_time_s,
-            "locality_ratio": m.locality_ratio,
-            "throughput_mbps": m.throughput_mbps,
-            "network_mb": m.network_mb,
-            "migrations": m.migrations,
-            "prefetches": m.prefetches,
-            "tasks": m.tasks,
-            "recovery_latency_s": m.recovery_latency_s,
-        }
-
-
-def _noise_factor(seed: int, task_id: str, node_id: str, std: float) -> float:
-    if std <= 0:
-        return 1.0
-    digest = hashlib.blake2b(
-        f"{seed}|{task_id}|{node_id}".encode(), digest_size=8
-    ).digest()
-    z = np.random.default_rng(int.from_bytes(digest, "big")).standard_normal()
-    return max(0.1, 1.0 + std * z)
+        return asdict(self.metrics)
 
 
 class _NodeRt:
@@ -537,7 +497,6 @@ def simulate(
     def begin_compute(nid: str, task: TaskSpec, now: float, remote: bool) -> None:
         nonlocal local_exec, remote_exec
         service = true_service_time(rt[nid].spec, task)
-        service *= _noise_factor(seed, task.id, nid, config.exec_noise_std)
         if remote:
             service += config.sync_delay_s
             remote_exec += 1
@@ -587,7 +546,7 @@ def simulate(
             if task.block_id in state.prefetched or task.block_id in state.inflight_prefetch:
                 continue
             src = choose_prefetch_source(
-                nid, reps, {k: s.queue_state(now) for k, s in rt.items()}, config.plf_mode
+                nid, reps, {k: s.queue_state(now) for k, s in rt.items()}
             )
             dur, _ = transfer_seconds(src, nid, task.block_mb, False)
             state.inflight_prefetch[task.block_id] = now + dur
@@ -618,8 +577,7 @@ def simulate(
                 for nid in node_ids
                 if rt[nid].pending
                 and moved_out.get(nid, 0) < config.theta_mig
-                and resource_quotient(states[nid], config, now, rt[nid].spec)
-                > phi[nid]
+                and resource_quotient(states[nid], config) > phi[nid]
             ]
             sources.sort(key=lambda n: (-rem[n], n))
             targets = [

@@ -47,7 +47,6 @@ class DataBlock:
     id: str
     app_id: str
     size_mb: float
-    replica_nodes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,6 @@ class TaskSpec:
     block_mb: float
     resource_demand: float
     compute_gcycles: float
-    deadline_s: float | None = None
 
     def validate(self) -> None:
         if not 0 < self.resource_demand <= 1:
@@ -137,9 +135,6 @@ class Workload:
     tasks: tuple[TaskSpec, ...]
     arrivals: dict[str, float] = field(default_factory=dict)  # task id -> arrival time
     network_load: float = 0.0
-
-    def blocks_by_id(self) -> dict[str, DataBlock]:
-        return {b.id: b for b in self.blocks}
 
 
 def _sample(rng: np.random.Generator, spec: object) -> float:

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from sccdso.aco import AssignmentProblem
 from sccdso.cluster import build_cluster
 from sccdso.workload import Application, partition, tasks_for
 
@@ -64,6 +66,29 @@ class FixedTimer:
         return self.times[node.id]
 
     def predict_matrix(self, nodes, tasks):
-        import numpy as np
-
         return np.array([[self.times[n.id]] * len(tasks) for n in nodes])
+
+
+def array_problem(t_eff, xtra_delay=None, cost=None, src_idx=None, loss_prob=None):
+    """AssignmentProblem built straight from (n, B) arrays, for tests of
+    the colony's per-plan metrics; no cluster, plan or tasks behind it."""
+    t_eff = np.asarray(t_eff, dtype=float)
+    n, b = t_eff.shape
+    return AssignmentProblem(
+        g=None,
+        plan=None,
+        tasks=(),
+        node_ids=tuple(f"n{i}" for i in range(n)),
+        task_ids=tuple(f"t{j}" for j in range(b)),
+        t_pred=t_eff,
+        access=np.zeros((n, b)),
+        t_eff=t_eff,
+        eta=1.0 / np.maximum(t_eff, 1e-12),
+        xtra_delay=np.zeros((n, b)) if xtra_delay is None else np.asarray(xtra_delay, float),
+        cost=np.zeros((n, b)) if cost is None else np.asarray(cost, float),
+        src_idx=np.full((n, b), -1) if src_idx is None else np.asarray(src_idx),
+        demand_mb=np.zeros(b),
+        capacity_mb=np.full(n, np.inf),
+        loss_prob=np.zeros(n) if loss_prob is None else np.asarray(loss_prob, float),
+        candidate_mask=np.ones((n, b), dtype=bool),
+    )

@@ -17,7 +17,8 @@ import pytest
 from sccdso import aco, experiment, placement, predictor as pred, sim
 from sccdso.cli import main as cli_main
 from sccdso.cluster import build_cluster, load_cluster_config, synthetic_cluster_config
-from sccdso.qos import PathEdge, PathNode, SchedulePath, concat, path_cost, path_delay, path_loss
+
+from conftest import array_problem
 
 CLUSTER_50 = os.path.join(os.path.dirname(__file__), "..", "configs", "cluster_50.json")
 CLUSTER_25 = os.path.join(os.path.dirname(__file__), "..", "configs", "cluster_25.json")
@@ -75,44 +76,47 @@ def test_02_constraint_soundness():
 
 
 def test_03_analytic_qos_checks():
+    # the colony's own per-plan metrics, as construct_solution and the
+    # baselines compute them
     rng = np.random.default_rng(0)
     worst_loss_err = 0.0
     for _ in range(1000):
-        probs = rng.uniform(0, 1, size=int(rng.integers(0, 7)))
-        p = SchedulePath(
-            nodes=tuple(PathNode(work_gcycles=1, cpu_ghz=1, loss_prob=x) for x in probs)
-        )
-        closed_form = 1.0 - float(np.prod(1.0 - probs)) if len(probs) else 0.0
-        worst_loss_err = max(worst_loss_err, abs(path_loss(p) - closed_form))
+        n, b = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+        p = rng.uniform(0, 1, size=n)
+        src = rng.integers(-1, n, size=(n, b))  # -1: the task's data is local
+        problem = array_problem(np.ones((n, b)), src_idx=src, loss_prob=p)
+        assign = rng.integers(0, n, size=b)
+        loss = aco._solution_from_indices(problem, assign, True).metrics[2]
+        chosen = src[assign, np.arange(b)]
+        p_src = np.where(chosen >= 0, p[np.maximum(chosen, 0)], 0.0)
+        closed_form = float(np.mean(1.0 - (1.0 - p[assign]) * (1.0 - p_src)))
+        worst_loss_err = max(worst_loss_err, abs(loss - closed_form))
 
     # dyadic magnitudes make float sums associativity-exact, so additivity
-    # under concatenation can be asserted with equality, not tolerance
-    def dyadic_path(seed):
-        r = np.random.default_rng(seed)
-        k = int(r.integers(1, 5))
-        vals = r.integers(1, 2**10, size=(k, 3)) / 2.0**5
-        return SchedulePath(
-            edges=tuple(
-                PathEdge(carried_mb=float(v[0]), bandwidth_mbps=2.0, cost_per_mb=0.25)
-                for v in vals
-            ),
-            nodes=tuple(
-                PathNode(work_gcycles=float(v[1]), cpu_ghz=4.0, cost_per_cycle=2.0**-30)
-                for v in vals
-            ),
-        )
-
+    # over disjoint halves and the delay closed form are asserted with
+    # equality, not tolerance
     exact = True
     for s in range(500):
-        a, b = dyadic_path(2 * s), dyadic_path(2 * s + 1)
-        joined = concat(a, b)
-        exact &= path_delay(joined) == path_delay(a) + path_delay(b)
-        exact &= path_cost(joined) == path_cost(a) + path_cost(b)
+        r = np.random.default_rng(s)
+        n, b = int(r.integers(2, 6)), int(r.integers(2, 9))
+        t_eff, xtra, cost = r.integers(1, 2**10, size=(3, n, b)) / 2.0**5
+        problem = array_problem(t_eff, xtra_delay=xtra, cost=cost)
+        assign = r.integers(0, n, size=b)
+        half = r.random(b) < 0.5
+        metrics = aco._solution_from_indices(problem, assign, True).metrics
+        first = aco._solution_from_indices(problem, np.where(half, assign, -1), True)
+        second = aco._solution_from_indices(problem, np.where(half, -1, assign), True)
+        exact &= metrics[1] == first.metrics[1] + second.metrics[1]
+        cols = np.arange(b)
+        counts = np.bincount(assign, minlength=n)
+        loads = np.bincount(assign, weights=t_eff[assign, cols], minlength=n)
+        exact &= metrics[0] == xtra[assign, cols].sum() + (counts * loads).sum()
     report(
         3,
         worst_loss_err <= 1e-12 and exact,
-        f"loss within {worst_loss_err:.1e} of the closed form on 1000 paths; "
-        f"delay/cost additivity exact on 500 concatenations",
+        f"solver loss within {worst_loss_err:.1e} of the closed form on 1000 plans; "
+        f"cost additivity over disjoint halves and the delay closed form exact "
+        f"on 500 dyadic plans",
     )
 
 

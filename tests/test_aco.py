@@ -7,6 +7,7 @@ from sccdso.aco import (
     AcoConfig,
     AntSolution,
     InfeasibleScheduleError,
+    ObjectiveWeights,
     PheromoneMatrix,
     baseline_rf_fd,
     baseline_round_robin,
@@ -15,7 +16,7 @@ from sccdso.aco import (
     construct_solution,
     greedy_local_solution,
     preallocation_solution,
-    selection_probabilities,
+    selection_weights,
     solve,
     solve_problem,
     update_pheromones_ewma,
@@ -51,22 +52,30 @@ def small_problem(n_nodes=3, n_tasks=4, rf=1, times=None, **cluster_kw):
     return g, plan, tasks, build_problem(g, plan, tasks, timer)
 
 
+def draw_probabilities(tau, eta, alpha, beta, mask):
+    # construct_solution draws node i with probability w[i] / w.sum()
+    w = selection_weights(tau, eta, alpha, beta, mask)
+    return w / w.sum()
+
+
 def test_selection_probabilities_sum_to_one():
     tau = np.array([0.2, 0.5, 0.3])
     eta = np.array([1.0, 2.0, 0.5])
-    p = selection_probabilities(tau, eta, 1.5, 2.5, np.ones(3, dtype=bool))
+    p = draw_probabilities(tau, eta, 1.5, 2.5, np.ones(3, dtype=bool))
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
+    masked = draw_probabilities(tau, eta, 1.5, 2.5, np.array([True, False, True]))
+    assert masked[1] == 0.0 and masked.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_uniform_inputs_give_uniform_choice():
     tau = np.full(3, 0.05)
     eta = np.full(3, 2.0)
-    p = selection_probabilities(tau, eta, 1.0, 2.0, np.ones(3, dtype=bool))
+    p = draw_probabilities(tau, eta, 1.0, 2.0, np.ones(3, dtype=bool))
     assert np.allclose(p, 1 / 3)
 
 
 def test_single_node_gets_probability_one():
-    p = selection_probabilities(
+    p = draw_probabilities(
         np.array([0.05]), np.array([1.3]), 1.0, 2.0, np.ones(1, dtype=bool)
     )
     assert p[0] == pytest.approx(1.0)
@@ -76,8 +85,8 @@ def test_eta_scaling_invariance():
     tau = np.array([0.3, 0.1, 0.6, 0.2])
     eta = np.array([1.0, 2.0, 0.5, 1.5])
     mask = np.ones(4, dtype=bool)
-    p1 = selection_probabilities(tau, eta, 0.8, 1.2, mask)
-    p2 = selection_probabilities(tau, eta * 7.3, 0.8, 1.2, mask)
+    p1 = draw_probabilities(tau, eta, 0.8, 1.2, mask)
+    p2 = draw_probabilities(tau, eta * 7.3, 0.8, 1.2, mask)
     assert np.allclose(p1, p2)
 
 
@@ -315,6 +324,20 @@ def test_config_validation_and_presets():
         s7.validate()  # the evaluated pipeline's constants stay silent
     with pytest.warns(UserWarning):
         AcoConfig(alpha=5.0).validate()
+
+
+def test_objective_rejects_bad_weight_sum():
+    with pytest.raises(ValueError, match="sum to 1"):
+        AcoConfig(weights=ObjectiveWeights(0.5, 0.3, 0.3)).validate()
+
+
+def test_unusual_weights_warn_but_pipeline_preset_does_not():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ObjectiveWeights(0.5, 0.3, 0.2).validate()
+        ObjectiveWeights(0.4, 0.3, 0.3).validate()
+    with pytest.warns(UserWarning):
+        ObjectiveWeights(0.7, 0.2, 0.1).validate()
 
 
 def test_trace_csv_format(tmp_path):

@@ -20,6 +20,10 @@ from sccdso.experiment import (
     emit,
     run_experiment,
 )
+from sccdso.placement import PlacementPlan
+from sccdso.workload import TaskSpec
+
+from conftest import make_cluster
 
 
 def tiny_config(**kw):
@@ -152,6 +156,8 @@ def test_config_from_dict_validation():
         config_from_dict({"scenarios": ["tableau"]})
     cfg = config_from_dict({"schedulers": ["rr"], "repetitions": 1})
     assert cfg.schedulers == ("rr",)
+    with pytest.raises(ValueError, match="mapping"):
+        config_from_dict([])
 
 
 def test_workload_file_drives_replication_sweep(tmp_path):
@@ -185,6 +191,28 @@ def test_block_size_sweep_labels():
     result = run_experiment(cfg)
     cells = {r.cell for r in result.aggregates}
     assert cells == {"20MB/b16", "20MB/b32"}
+
+
+def test_eff_order_local_first_by_predicted_time_then_remote_by_id():
+    g = make_cluster([("a", "r1", 2.0, 200.0), ("b", "r1", 2.0, 200.0)])
+    times = {"t1": 3.0, "t2": 1.0, "t3": 2.0, "t4": 9.0, "t5": 0.5, "t6": 1.0, "t7": 1.0}
+    holder = {"t1": "a", "t2": "a", "t3": "a", "t4": "b", "t5": "b", "t6": "a", "t7": "b"}
+    tasks = [
+        TaskSpec(id=t, block_id=f"blk-{t}", block_mb=64.0, resource_demand=0.5,
+                 compute_gcycles=1.0)
+        for t in times
+    ]
+    plan = PlacementPlan({f"blk-{t}": (n,) for t, n in holder.items()}, strategy="fixed")
+
+    class ByTask:
+        def predict(self, node, task):
+            return times[task.id]
+
+    assignment = {t: "a" for t in times}
+    assignment["t7"] = "b"
+    queues = experiment._eff_order(plan, ByTask(), g, assignment, tasks)
+    # local tasks by ascending predicted time (ties by id), then remote by id
+    assert queues == {"a": ["t2", "t6", "t3", "t1", "t4", "t5"], "b": ["t7"]}
 
 
 def test_sim_trace_exports(tmp_path):
@@ -283,6 +311,24 @@ def test_cli_run_overrides(tmp_path):
 
 def test_cli_run_bad_config_exit_1(tmp_path):
     assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"cluster_sizes": 5}, "cluster_sizes must be a list"),
+        ({"repetitions": None}, "NoneType"),
+        ({"schedulers": "rr"}, "schedulers must be a list"),
+    ],
+    ids=["number-for-list", "null-for-int", "string-for-list"],
+)
+def test_cli_wrong_config_type_is_a_config_error(tmp_path, capsys, bad, message):
+    path = write_config(tmp_path, **bad)
+    for command in ("validate", "run"):
+        assert cli_main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err, err
+        assert "Traceback" not in err
 
 
 def test_cli_oracle_smoke(capsys):

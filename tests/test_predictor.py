@@ -9,7 +9,6 @@ from sccdso.predictor import (
     FeatureRegression,
     KernelModel,
     LinearModel,
-    efficiency,
     fit_feature_regression,
     fit_kernel,
     load_model,
@@ -141,28 +140,6 @@ def test_linear_model_positivity_validation():
         LinearModel(slope=0.5, intercept=0.0).validate()
     with pytest.raises(ValueError):
         LinearModel(slope=-1.0, intercept=0.5).validate()
-
-
-def test_efficiency_division():
-    class Fixed:
-        def predict(self, n, t):
-            return 2.0
-
-    assert efficiency(Fixed(), node(), task(mb=64)) == pytest.approx(32.0)
-    assert efficiency(Fixed(), node(), task(mb=1)) * 1.0 == pytest.approx(0.5)
-
-
-def test_efficiency_halves_when_time_doubles():
-    class Fixed:
-        def __init__(self, t):
-            self.t = t
-
-        def predict(self, n, t):
-            return self.t
-
-    e1 = efficiency(Fixed(2.0), node(), task(mb=64))
-    e2 = efficiency(Fixed(4.0), node(), task(mb=64))
-    assert e2 == pytest.approx(e1 / 2)
 
 
 def test_kernel_predict_touches_each_support_once(monkeypatch):

@@ -273,10 +273,8 @@ def test_plf_argmin_of_distances():
 
 def test_plf_hand_oracle_normalized():
     # utilizations 0.3 vs 0.1; queue times 4 vs 1 normalize to 0.8 / 0.2
-    val = prefetch_load_factor(0.3, 0.1, 4.0, 1.0, mode="euclidean")
+    val = prefetch_load_factor(0.3, 0.1, 4.0, 1.0)
     assert val == pytest.approx(math.sqrt(0.2**2 + 0.6**2))
-    ratio = prefetch_load_factor(0.3, 0.1, 4.0, 1.0, mode="ratio")
-    assert ratio == pytest.approx(math.sqrt(0.2**2 / (0.6**2 + 1e-6)))
 
 
 def test_plf_empty_replicas_error():
@@ -441,8 +439,6 @@ def test_runtime_config_validation():
         RuntimeConfig(theta_mig=0).validate()
     with pytest.raises(ValueError):
         RuntimeConfig(rq_scale=0.9).validate()
-    with pytest.raises(ValueError):
-        RuntimeConfig(plf_mode="manhattan").validate()
 
 
 def test_sync_delay_charged_per_remote_access():
