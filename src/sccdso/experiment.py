@@ -17,7 +17,7 @@ as a failure row; the rest of the experiment proceeds.
 Scheduler pipelines:
 
 * scc-dso       kernel predictor + equalized placement + full colony +
-                runtime migration and prefetching
+                runtime migration
 * scc-dso-lite  linear predictor + equalized placement + 5-ant EWMA colony
                 + the same runtime adaptivity
 * rf-fd         rack-aware placement + reservation first-fit over a linear
@@ -102,6 +102,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown format: {self.format}")
         if self.preset not in ("table1", "stage7"):
             raise ValueError(f"unknown preset: {self.preset}")
+        for name in ("demand", "gcycles_per_mb"):
+            # a malformed spec would otherwise first fail inside every cell
+            try:
+                wl._sample(np.random.default_rng(0), getattr(self, name))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
 
 def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
@@ -280,7 +286,7 @@ def run_pipeline(
         assignment = result.best.assignment
         sched_metrics = result.best.metrics
         queues = _eff_order(plan, model, g, assignment, tasks)
-        runtime = dict(enable_migration=True, enable_prefetch=True)
+        runtime = dict(enable_migration=True)
     elif scheduler == "rf-fd":
         model = cache.regression(cache_key, g, seed=1)
         plan = rack_aware_plan()
@@ -410,17 +416,6 @@ class ExperimentResult:
     aggregates: list[AggregateRow] = field(default_factory=list)
     runs: list[dict] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
-
-    def cell_mean(self, scenario: str, cell: str, scheduler: str, metric: str) -> float:
-        for row in self.aggregates:
-            if (row.scenario, row.cell, row.scheduler, row.metric) == (
-                scenario,
-                cell,
-                scheduler,
-                metric,
-            ):
-                return row.mean
-        raise KeyError((scenario, cell, scheduler, metric))
 
 
 def _default_cluster(cfg: ExperimentConfig) -> dict:

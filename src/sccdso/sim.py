@@ -5,20 +5,13 @@ Ground truth for a task on a node is `block/io + gcycles/cpu` seconds
 first. Fair sharing is snapshot-based: a transfer's rate is fixed when it
 starts, at `min over path links of bandwidth / (active demand flows + 1)`.
 
-Runtime adaptivity, both off by default:
-
-* migration — after each task completion, nodes whose resource quotient
-  exceeds their threshold offer queued tasks to other nodes. A candidate
-  move must satisfy both remaining-time inequalities, project a strictly
-  better completion, and respect the per-node per-round cap. Among valid
-  candidates a decaying epsilon-greedy policy picks, scoring with a small
-  Q table keyed by coarse (source load, target load, locality) buckets.
-
-* prefetching — once a node has worked through the lambda-gate fraction
-  of its queue, upcoming non-local blocks are staged ahead of time from
-  the replica source with the lowest prefetch load factor. Prefetch flows
-  never count against demand flows' fair share, so staging data can only
-  overlap waiting, never lengthen it.
+Runtime adaptivity is migration, off by default: after each task
+completion, nodes whose resource quotient exceeds their threshold offer
+queued tasks to other nodes. A candidate move must satisfy both
+remaining-time inequalities, project a strictly better completion, and
+respect the per-node per-round cap. Among valid candidates a decaying
+epsilon-greedy policy picks, scoring with a small Q table keyed by coarse
+(source load, target load, locality) buckets.
 
 One run is strictly single-threaded; identical inputs and seed give a
 bit-identical trace.
@@ -83,13 +76,11 @@ class RuntimeConfig:
     phi: float = 0.075  # threshold as a fraction of the node's TS_i
     theta_mig: int = 3  # migration cap per node per round
     rq_scale: float = 0.2  # scaling factor in the queue-delay quotient
-    lambda_theta: int = 1  # gate sensitivity
     epsilon_greedy: float = 0.2
     epsilon_decay: float = 0.95
     q_alpha: float = 0.5
     q_gamma: float = 0.8
     enable_migration: bool = False
-    enable_prefetch: bool = False
     sync_delay_s: float = 0.0  # per non-local access (sequential-sync emulation)
     replica_blackout: tuple[str, float] | None = None  # (node id, time)
 
@@ -100,8 +91,6 @@ class RuntimeConfig:
             raise ValueError("theta_mig must be in 1..5")
         if not 0.1 <= self.rq_scale <= 0.3:
             raise ValueError("rq_scale must be in [0.1, 0.3]")
-        if self.lambda_theta < 1:
-            raise ValueError("lambda_theta must be >= 1")
         if not 0.0 <= self.epsilon_greedy <= 1.0:
             raise ValueError("epsilon_greedy must be in [0, 1]")
         if not 0.0 < self.epsilon_decay <= 1.0:
@@ -114,8 +103,8 @@ class RuntimeConfig:
 
 @dataclass
 class QueueState:
-    """Point-in-time view of one node's queue, as the migration and
-    prefetch rules see it."""
+    """Point-in-time view of one node's queue, as the migration rules see
+    it."""
 
     node_id: str
     pending_mb: tuple[float, ...]
@@ -124,7 +113,6 @@ class QueueState:
     observed_rate: float  # mean MB/s over completed tasks, 0 until first
     bootstrap_rate: float  # predictor-derived fallback rate
     throughput_baseline: float  # TS_i: reference per-task service seconds
-    utilization: float  # busy slots / slots
 
     @property
     def pending_count(self) -> int:
@@ -163,63 +151,14 @@ def should_migrate(
     config: RuntimeConfig,
 ) -> bool:
     """Both inequalities, strictly: the target has enough remaining work to
-    hide a prefetch, and the source stays saturated even without this
-    task."""
+    hide the moved task's data fetch, and the source stays saturated even
+    without this task."""
     phi_t = config.phi * target_q.throughput_baseline
     phi_s = config.phi * source_q.throughput_baseline
     return (
         remaining_time(target_q) > phi_t
         and remaining_time(source_q) - predicted_source_time > phi_s
     )
-
-
-def lambda_gate(m: int, n: int, theta: int) -> float:
-    """Queue-completion fraction after which prefetch decisions run."""
-    if n < 1 or m < 1:
-        raise ValueError("m and n must be >= 1")
-    bound = m // n
-    if not 1 <= theta < bound:
-        raise ValueError(f"theta must satisfy 1 <= theta < floor(m/n) = {bound}")
-    return 1.0 - theta * n / m
-
-
-def prefetch_load_factor(
-    util_candidate: float,
-    util_target: float,
-    time_candidate: float,
-    time_target: float,
-) -> float:
-    """Distance between candidate and target in (utilization, queue time)
-    space. Queue times are normalized pairwise to [0, 1] by their sum."""
-    total = time_candidate + time_target
-    tc = time_candidate / total if total > 0 else 0.0
-    tt = time_target / total if total > 0 else 0.0
-    du = util_candidate - util_target
-    dt = tc - tt
-    return math.sqrt(du * du + dt * dt)
-
-
-def choose_prefetch_source(
-    target_node: str,
-    replicas,
-    states: dict[str, QueueState],
-) -> str:
-    """Pick the replica holder with the lowest prefetch load factor
-    relative to the target; ties go to the lower node id."""
-    candidates = sorted(replicas)
-    if not candidates:
-        raise ValueError("no replica nodes to prefetch from")
-    tgt = states[target_node]
-    t_t = remaining_time(tgt)
-    best = None
-    for cand in candidates:
-        st = states[cand]
-        plf = prefetch_load_factor(
-            st.utilization, tgt.utilization, remaining_time(st), t_t
-        )
-        if best is None or plf < best[0] - 1e-15:
-            best = (plf, cand)
-    return best[1]
 
 
 @dataclass(frozen=True)
@@ -250,7 +189,7 @@ def epsilon_greedy_migration(
 @dataclass(frozen=True)
 class SimEvent:
     time: float
-    kind: str  # start / transfer / finish / migrate / prefetch
+    kind: str  # start / transfer / finish / migrate
     task_id: str
     node_id: str
     info: str = ""
@@ -263,7 +202,7 @@ class RunMetrics:
     throughput_mbps: float
     network_mb: float
     migrations: int
-    prefetches: int
+    prefetches: int  # always 0: runs.csv and the benchmark still read the column
     tasks: int
     recovery_latency_s: float = 0.0
 
@@ -297,8 +236,7 @@ class _NodeRt:
 
     __slots__ = (
         "spec", "pending", "running", "completed_count", "rate_sum",
-        "assigned_total", "ts_ref", "bootstrap_rate", "prefetched",
-        "inflight_prefetch",
+        "ts_ref", "bootstrap_rate",
     )
 
     def __init__(self, spec, ts_ref: float, bootstrap_rate: float):
@@ -307,11 +245,8 @@ class _NodeRt:
         self.running: dict[str, tuple[float, float, float]] = {}  # id -> (start, finish, mb)
         self.completed_count = 0
         self.rate_sum = 0.0
-        self.assigned_total = 0
         self.ts_ref = ts_ref
         self.bootstrap_rate = bootstrap_rate
-        self.prefetched: set[str] = set()
-        self.inflight_prefetch: dict[str, float] = {}  # block id -> ready time
 
     def observed_rate(self) -> float:
         return self.rate_sum / self.completed_count if self.completed_count else 0.0
@@ -332,12 +267,7 @@ class _NodeRt:
             observed_rate=self.observed_rate(),
             bootstrap_rate=self.bootstrap_rate,
             throughput_baseline=self.ts_ref,
-            utilization=min(1.0, len(self.running) / self.spec.slots),
         )
-
-    def completion_fraction(self) -> float:
-        total = self.completed_count + len(self.running) + len(self.pending)
-        return self.completed_count / total if total else 1.0
 
 
 def simulate(
@@ -457,21 +387,12 @@ def simulate(
     epsilon = config.epsilon_greedy
     network_mb = 0.0
     migrations = 0
-    prefetches = 0
     local_exec = 0
     remote_exec = 0
     pending_flow_keys: dict[str, list[str]] = {}  # task id -> registered links
-    lam = None
-    if config.enable_prefetch:
-        m_total, n_nodes = len(tasks), len(g.nodes)
-        if m_total // n_nodes > config.lambda_theta:
-            lam = lambda_gate(m_total, n_nodes, config.lambda_theta)
-        else:
-            lam = 0.0  # tiny workloads: the gate would be undefined, keep prefetch on
 
     for nid, q in initial.items():
         state = rt[nid]
-        state.assigned_total = len(q)
         for t in q:
             arrival = workload.arrivals.get(t.id, 0.0)
             if arrival <= 0.0:
@@ -516,11 +437,6 @@ def simulate(
             reps = replicas_of(task.block_id, now)
             if nid in reps:
                 begin_compute(nid, task, now, remote=False)
-            elif task.block_id in state.prefetched:
-                begin_compute(nid, task, now, remote=True)
-            elif task.block_id in state.inflight_prefetch:
-                ready = state.inflight_prefetch[task.block_id]
-                push(ready, "data_ready", nid, task.id)
             else:
                 src = min(
                     reps,
@@ -531,29 +447,6 @@ def simulate(
                 network_mb += task.block_mb
                 events.append(SimEvent(now, "transfer", task.id, nid, f"from={src}"))
                 push(now + dur, "xfer_done", nid, task.id)
-
-    def maybe_prefetch(nid: str, now: float) -> None:
-        nonlocal prefetches, network_mb
-        if not config.enable_prefetch:
-            return
-        state = rt[nid]
-        if state.completion_fraction() <= lam:
-            return
-        for task in state.pending[:1]:
-            reps = replicas_of(task.block_id, now)
-            if nid in reps:
-                continue
-            if task.block_id in state.prefetched or task.block_id in state.inflight_prefetch:
-                continue
-            src = choose_prefetch_source(
-                nid, reps, {k: s.queue_state(now) for k, s in rt.items()}
-            )
-            dur, _ = transfer_seconds(src, nid, task.block_mb, False)
-            state.inflight_prefetch[task.block_id] = now + dur
-            network_mb += task.block_mb
-            prefetches += 1
-            events.append(SimEvent(now, "prefetch", task.id, nid, f"from={src}"))
-            push(now + dur, "prefetch_done", nid, task.block_id)
 
     task_moves: dict[str, int] = {}  # lifetime migration count per task
 
@@ -591,9 +484,6 @@ def simulate(
                 sq = states[src]
                 rate_s = sq.observed_rate or sq.bootstrap_rate
                 for task in rt[src].pending[-8:]:
-                    blk = task.block_id
-                    if blk in rt[src].prefetched or blk in rt[src].inflight_prefetch:
-                        continue  # data already staged here; keep it
                     if task_moves.get(task.id, 0) >= 3:
                         continue
                     t_src = predicted_time(src, task, now)
@@ -609,7 +499,7 @@ def simulate(
                         )
                         if improvement <= 0:
                             continue
-                        local = dst in replicas_of(blk, now)
+                        local = dst in replicas_of(task.block_id, now)
                         sig = (
                             min(3, int(rem[src] / max(sq.throughput_baseline, 1e-9) / 2)),
                             min(3, int(rem[dst] / max(states[dst].throughput_baseline, 1e-9) / 2)),
@@ -641,13 +531,11 @@ def simulate(
             q_table[choice.signature] = old + config.q_alpha * (
                 reward + config.q_gamma * future - old
             )
-            maybe_prefetch(choice.target, now)
             try_start(choice.target, now)
         epsilon *= config.epsilon_decay
 
     for nid in g.node_ids():
         try_start(nid, 0.0)
-        maybe_prefetch(nid, 0.0)
 
     completion = 0.0
     finished: set[str] = set()
@@ -660,11 +548,6 @@ def simulate(
         elif kind == "xfer_done":
             release_flows(pending_flow_keys.pop(ref))
             begin_compute(nid, tasks[ref], now, remote=True)
-        elif kind == "data_ready":
-            begin_compute(nid, tasks[ref], now, remote=True)
-        elif kind == "prefetch_done":
-            state.inflight_prefetch.pop(ref, None)
-            state.prefetched.add(ref)
         elif kind == "task_done":
             start, _, mb = state.running.pop(ref)
             if ref in finished:
@@ -676,7 +559,6 @@ def simulate(
             events.append(SimEvent(now, "finish", ref, nid))
             completion = max(completion, now)
             try_start(nid, now)
-            maybe_prefetch(nid, now)
             migration_round(now)
 
     if len(finished) != len(tasks):
@@ -689,7 +571,7 @@ def simulate(
         throughput_mbps=total_mb / completion if completion > 0 else 0.0,
         network_mb=network_mb,
         migrations=migrations,
-        prefetches=prefetches,
+        prefetches=0,
         tasks=len(tasks),
     )
     return SimTrace(events=tuple(events), metrics=metrics, q_table=q_table)

@@ -287,7 +287,7 @@ def test_08_lightweight_fidelity():
     )
 
 
-def test_09_prefetch_monotonicity():
+def test_09_adaptive_runtime_monotonicity():
     g = build_cluster(load_cluster_config(CLUSTER_25))
     cfg = experiment.ExperimentConfig()
     cache = experiment._PredictorCache()
@@ -298,12 +298,12 @@ def test_09_prefetch_monotonicity():
         w = experiment._single_app_workload(8320, 64, 2, cfg, seed)  # deep queues
         on = experiment.run_pipeline(
             g, w, "rr", seed, cache=cache, cache_key="acc9",
-            runtime_overrides={"enable_prefetch": True, "enable_migration": True},
+            runtime_overrides={"enable_migration": True},
         )
         off = experiment.run_pipeline(g, w, "rr", seed, cache=cache, cache_key="acc9")
         if on.metrics.completion_time_s > off.metrics.completion_time_s + 1e-9:
             regressions += 1
-        if on.metrics.prefetches > 0 or on.metrics.migrations > 0:
+        if on.metrics.migrations > 0:
             engaged += 1
     report(
         9,

@@ -319,8 +319,13 @@ def test_cli_run_bad_config_exit_1(tmp_path):
         ({"cluster_sizes": 5}, "cluster_sizes must be a list"),
         ({"repetitions": None}, "NoneType"),
         ({"schedulers": "rr"}, "schedulers must be a list"),
+        ({"demand": "x"}, "demand: unrecognized distribution spec"),
+        ({"gcycles_per_mb": {"uniform": [1]}}, "gcycles_per_mb:"),
     ],
-    ids=["number-for-list", "null-for-int", "string-for-list"],
+    ids=[
+        "number-for-list", "null-for-int", "string-for-list",
+        "string-for-demand-spec", "short-uniform-spec",
+    ],
 )
 def test_cli_wrong_config_type_is_a_config_error(tmp_path, capsys, bad, message):
     path = write_config(tmp_path, **bad)

@@ -1,4 +1,4 @@
-import math
+import itertools
 
 import numpy as np
 import pytest
@@ -9,11 +9,8 @@ from sccdso.sim import (
     MigrationCandidate,
     QueueState,
     RuntimeConfig,
-    choose_prefetch_source,
     epsilon_greedy_migration,
     inject_stragglers,
-    lambda_gate,
-    prefetch_load_factor,
     remaining_time,
     should_migrate,
     simulate,
@@ -56,7 +53,6 @@ def queue_state(
     rate=0.0,
     bootstrap=10.0,
     ts=1.0,
-    util=0.0,
 ):
     return QueueState(
         node_id=node_id,
@@ -66,7 +62,6 @@ def queue_state(
         observed_rate=rate,
         bootstrap_rate=bootstrap,
         throughput_baseline=ts,
-        utilization=util,
     )
 
 
@@ -249,55 +244,6 @@ def test_migration_cap_per_round_enforced():
             assert c <= cfg.theta_mig, f"cap violated at {e.time} for {node}"
 
 
-# --- prefetch source selection ----------------------------------------------
-
-
-def test_plf_zero_distance_always_chosen():
-    states = {
-        "t": queue_state("t", util=0.4, current_mb=10, progress=0.0, rate=10.0),
-        "same": queue_state("same", util=0.4, current_mb=10, progress=0.0, rate=10.0),
-        "far": queue_state("far", util=0.9, current_mb=100, progress=0.0, rate=5.0),
-    }
-    assert choose_prefetch_source("t", ["same", "far"], states) == "same"
-
-
-def test_plf_argmin_of_distances():
-    # engineered utilizations; queue times zero so distance = |du|
-    states = {
-        "t": queue_state("t", util=0.5),
-        "a": queue_state("a", util=1.0),  # distance 0.5
-        "b": queue_state("b", util=0.7),  # distance 0.2
-    }
-    assert choose_prefetch_source("t", ["a", "b"], states) == "b"
-
-
-def test_plf_hand_oracle_normalized():
-    # utilizations 0.3 vs 0.1; queue times 4 vs 1 normalize to 0.8 / 0.2
-    val = prefetch_load_factor(0.3, 0.1, 4.0, 1.0)
-    assert val == pytest.approx(math.sqrt(0.2**2 + 0.6**2))
-
-
-def test_plf_empty_replicas_error():
-    with pytest.raises(ValueError):
-        choose_prefetch_source("t", [], {"t": queue_state("t")})
-
-
-# --- lambda gate ------------------------------------------------------------
-
-
-def test_lambda_gate_values():
-    assert lambda_gate(26, 5, 1) == pytest.approx(1 - 5 / 26)
-    assert lambda_gate(26, 5, 1) == pytest.approx(0.8077, abs=1e-4)
-    assert lambda_gate(10, 5, 1) == pytest.approx(0.5)
-
-
-def test_lambda_gate_theta_bounds():
-    with pytest.raises(ValueError):
-        lambda_gate(26, 5, 5)  # theta == floor(m/n)
-    with pytest.raises(ValueError):
-        lambda_gate(26, 5, 0)
-
-
 # --- stragglers -------------------------------------------------------------
 
 
@@ -330,7 +276,7 @@ def test_inject_stragglers_validation(two_rack_cluster):
 # --- trace invariants -------------------------------------------------------
 
 
-def run_random_instance(seed, migration=False, prefetch=False):
+def run_random_instance(seed, migration=False):
     g = make_cluster(
         [
             {"id": f"n{i}", "rack": f"r{i % 2}", "cpu_ghz": 1.0 + i, "io_mbps": 100.0 * (i + 1), "slots": 1 + i % 2}
@@ -344,13 +290,13 @@ def run_random_instance(seed, migration=False, prefetch=False):
     rng = np.random.default_rng(seed)
     ids = sorted(g.nodes)
     schedule = {t.id: ids[int(rng.integers(0, 4))] for t in tasks}
-    cfg = RuntimeConfig(enable_migration=migration, enable_prefetch=prefetch)
+    cfg = RuntimeConfig(enable_migration=migration)
     return g, plan, tasks, w, simulate(g, plan, schedule, w, cfg, seed=seed)
 
 
 def test_event_times_non_decreasing_and_single_finish():
     for seed in range(5):
-        _, _, tasks, _, trace = run_random_instance(seed, migration=True, prefetch=True)
+        _, _, tasks, _, trace = run_random_instance(seed, migration=True)
         times = [e.time for e in trace.events]
         assert times == sorted(times)
         finishes = [e.task_id for e in trace.events if e.kind == "finish"]
@@ -358,8 +304,9 @@ def test_event_times_non_decreasing_and_single_finish():
 
 
 def test_conservation_of_transferred_bytes():
-    for seed in range(8):
-        g, plan, tasks, w, trace = run_random_instance(seed)
+    # bytes are conserved with and without the adaptive runtime
+    for migration, seed in itertools.product((False, True), range(8)):
+        g, plan, tasks, w, trace = run_random_instance(seed, migration=migration)
         fetched = 0.0
         finished_at = {}
         for e in trace.events:
@@ -379,8 +326,8 @@ def test_conservation_of_transferred_bytes():
 
 
 def test_bitwise_determinism():
-    _, _, _, _, a = run_random_instance(12, migration=True, prefetch=True)
-    _, _, _, _, b = run_random_instance(12, migration=True, prefetch=True)
+    _, _, _, _, a = run_random_instance(12, migration=True)
+    _, _, _, _, b = run_random_instance(12, migration=True)
     assert a.events == b.events
     assert a.metrics == b.metrics
 
@@ -413,7 +360,7 @@ def test_adaptivity_never_slows_completion():
     # spot check; the acceptance suite sweeps 100 seeded instances
     for seed in range(10):
         *_, plain = run_random_instance(seed)
-        *_, adaptive = run_random_instance(seed, migration=True, prefetch=True)
+        *_, adaptive = run_random_instance(seed, migration=True)
         assert (
             adaptive.metrics.completion_time_s
             <= plain.metrics.completion_time_s + 1e-9
