@@ -195,6 +195,29 @@ class AssignmentProblem:
     candidate_mask: np.ndarray  # (n, B) fan-out-capped eligibility
 
 
+def _route_sum(same_rack, up_a, core_a, core_b, up_b):
+    """Per-hop quantities summed in route order a -> b (uplink of a, core
+    link of a's rack, core link of b's rack, uplink of b). An intra-rack
+    route adds exact zeros for the two core hops, so every sum keeps the
+    order of a hop-by-hop loop; a pre-summed inverse bandwidth would not."""
+    return ((up_a + np.where(same_rack, 0.0, core_a)) + np.where(same_rack, 0.0, core_b)) + up_b
+
+
+def _hop_arrays(links) -> np.ndarray:
+    """(bandwidth, queue delay, cost per MB) rows over `links`."""
+    return np.array(
+        [(l.bandwidth_mbps, l.base_queue_delay_s, l.cost_per_mb) for l in links], dtype=float
+    ).T
+
+
+def _lex_less(a: tuple, b: tuple) -> np.ndarray:
+    """Elementwise lexicographic a < b over equal-length tuples of arrays."""
+    less = a[-1] < b[-1]
+    for x, y in zip(a[-2::-1], b[-2::-1]):
+        less = (x < y) | ((x == y) & less)
+    return less
+
+
 def build_problem(
     g: ClusterGraph,
     plan: PlacementPlan,
@@ -202,48 +225,69 @@ def build_problem(
     predictor,
     l_max: int = 10,
 ) -> AssignmentProblem:
+    """Price every (node, task) cell. A task whose block has a replica on
+    the node is local: compute cost only. Otherwise the task fetches from
+    the replica with the lexicographically smallest (transfer seconds,
+    queueing + tier latency, link cost, source index); transfer seconds
+    sum block MB / bandwidth over the route's links."""
     node_ids = tuple(sorted(g.nodes))
     task_ids = tuple(t.id for t in tasks)
     nodes = [g.node(n) for n in node_ids]
     n, b = len(node_ids), len(tasks)
 
     t_pred = np.asarray(predictor.predict_matrix(nodes, list(tasks)), dtype=float)
-    access = np.zeros((n, b))
-    xtra_delay = np.zeros((n, b))
-    cost = np.zeros((n, b))
-    src_idx = np.full((n, b), -1, dtype=int)
-    idx_of = {nid: i for i, nid in enumerate(node_ids)}
 
-    for j, task in enumerate(tasks):
-        replicas = plan.replicas(task.block_id)
-        for i, nid in enumerate(node_ids):
-            node = nodes[i]
-            compute_cost = node.cost_per_cycle * task.compute_gcycles * 1e9
-            if nid in replicas:
-                cost[i, j] = compute_cost
-                continue
-            best = None  # (transfer_s, queue_extras, transfer_cost, src)
-            for r in replicas:
-                links = g.path_links(nid, r)
-                xfer = sum(task.block_mb / l.bandwidth_mbps for l in links)
-                queue = sum(l.base_queue_delay_s for l in links) + g.tier_latency_s(nid, r)
-                link_cost = sum(l.cost_per_mb * task.block_mb for l in links)
-                cand = (xfer, queue, link_cost, idx_of[r])
-                if best is None or cand < best:
-                    best = cand
-            access[i, j] = best[0]
-            xtra_delay[i, j] = best[1]
-            cost[i, j] = best[2] + compute_cost
-            src_idx[i, j] = best[3]
+    idx_of = {nid: i for i, nid in enumerate(node_ids)}
+    rack_ids = list(g.core_links)
+    rack_of = {r: k for k, r in enumerate(rack_ids)}
+    rack = np.array([rack_of[nd.rack] for nd in nodes], dtype=int)
+    up_bw, up_queue, up_cost = _hop_arrays([g.uplinks[nid] for nid in node_ids])
+    core_bw, core_queue, core_cost = _hop_arrays([g.core_links[r] for r in rack_ids])
+
+    # (B, RF) replica node indices; a shorter replica list repeats its first
+    # holder, a duplicate candidate that changes no minimum
+    replicas = [plan.replicas(t.block_id) for t in tasks]
+    rf = max((len(r) for r in replicas), default=1)
+    src = np.array(
+        [[idx_of[r] for r in reps] + [idx_of[reps[0]]] * (rf - len(reps)) for reps in replicas],
+        dtype=int,
+    ).reshape(b, rf)
+    mb = np.array([t.block_mb for t in tasks], dtype=float).reshape(b, 1)
+    gcycles = np.array([t.compute_gcycles for t in tasks], dtype=float)
+
+    # (n, B, RF): destination node i fetching task j's block from replica k
+    col = (slice(None), None, None)
+    src_rack = rack[src]
+    same = rack[col] == src_rack
+    xfer = _route_sum(
+        same, mb / up_bw[col], mb / core_bw[rack][col], mb / core_bw[src_rack], mb / up_bw[src]
+    )
+    queue = _route_sum(
+        same, up_queue[col], core_queue[rack][col], core_queue[src_rack], up_queue[src]
+    ) + np.where(same, g.intra_rack_latency_s, g.inter_rack_latency_s)
+    link_cost = _route_sum(
+        same, up_cost[col] * mb, core_cost[rack][col] * mb, core_cost[src_rack] * mb,
+        up_cost[src] * mb,
+    )
+    best = (xfer[..., 0], queue[..., 0], link_cost[..., 0], src[:, 0])
+    for k in range(1, rf):
+        cand = (xfer[..., k], queue[..., k], link_cost[..., k], src[:, k])
+        better = _lex_less(cand, best)
+        best = tuple(np.where(better, c, o) for c, o in zip(cand, best))
+
+    local = (src == np.arange(n)[col]).any(axis=2)
+    compute_cost = (np.array([nd.cost_per_cycle for nd in nodes])[:, None] * gcycles) * 1e9
+    access = np.where(local, 0.0, best[0])
+    xtra_delay = np.where(local, 0.0, best[1])
+    cost = np.where(local, compute_cost, best[2] + compute_cost)
+    src_idx = np.where(local, -1, best[3])
 
     t_eff = t_pred + access
     eta = 1.0 / np.maximum(t_eff, 1e-12)
 
     mask = np.zeros((n, b), dtype=bool)
-    k = min(l_max, n)
-    for j in range(b):
-        top = np.argsort(-eta[:, j], kind="stable")[:k]
-        mask[top, j] = True
+    top = np.argsort(-eta, axis=0, kind="stable")[: min(l_max, n)]
+    mask[top, np.arange(b)] = True
 
     return AssignmentProblem(
         g=g,
@@ -266,12 +310,13 @@ def build_problem(
 
 
 def selection_weights(
-    tau_col: np.ndarray, eta_col: np.ndarray, alpha: float, beta: float, mask: np.ndarray
+    tau: np.ndarray, eta: np.ndarray, alpha: float, beta: float
 ) -> np.ndarray:
-    """Unnormalized node weights tau^alpha * eta^beta for one task, zero
-    outside its eligible set; an ant picks node i with probability
-    w[i] / w.sum()."""
-    return np.where(mask, np.power(tau_col, alpha) * np.power(eta_col, beta), 0.0)
+    """Unnormalized weights tau^alpha * eta^beta, elementwise over one
+    task's column or the whole (n, B) matrix; an ant picks node i for task
+    j with probability w[i, j] over the sum of w[:, j] on j's eligible
+    nodes."""
+    return np.power(tau, alpha) * np.power(eta, beta)
 
 
 def _solution_from_indices(
@@ -314,16 +359,16 @@ def _solution_from_indices(
 
 
 def construct_solution(
-    pheromones: PheromoneMatrix,
+    weights: np.ndarray,
     problem: AssignmentProblem,
-    config: AcoConfig,
     rng: np.random.Generator,
 ) -> AntSolution:
-    """One ant: visit tasks in random order, sample a node per task from
-    the pheromone/desirability distribution over capacity-feasible
-    candidates. Runs to completion even when capacity strands a task; the
-    result is then flagged infeasible instead of raising."""
-    n, b = pheromones.tau.shape
+    """One ant: visit tasks in random order, sample a node per task in
+    proportion to `weights` (this iteration's `selection_weights`) over
+    capacity-feasible candidates. Runs to completion even when capacity
+    strands a task; the result is then flagged infeasible instead of
+    raising."""
+    n, b = weights.shape
     order = rng.permutation(b)
     used = np.zeros(n)
     assign = np.full(b, -1, dtype=int)
@@ -336,10 +381,7 @@ def construct_solution(
         if not mask.any():
             feasible = False
             continue
-        w = selection_weights(
-            pheromones.tau[:, j], problem.eta[:, j], config.alpha, config.beta, mask
-        )
-        cum = np.cumsum(w)
+        cum = np.cumsum(np.where(mask, weights[:, j], 0.0))
         pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
         pick = min(pick, n - 1)
         assign[j] = pick
@@ -540,7 +582,9 @@ def solve_problem(
     last_infeasible: AntSolution | None = None
 
     for it in range(1, config.max_iters + 1):
-        sols = [construct_solution(ph, problem, config, rng) for _ in range(ants)]
+        # pheromones change only between iterations
+        weights = selection_weights(ph.tau, problem.eta, config.alpha, config.beta)
+        sols = [construct_solution(weights, problem, rng) for _ in range(ants)]
         if it == 1:
             for elite in (preallocation_solution(problem), greedy_local_solution(problem)):
                 if elite.feasible:

@@ -47,6 +47,27 @@ def features_for(node: NodeSpec, task: TaskSpec) -> np.ndarray:
     return np.array([task.block_mb, node.cpu_ghz, node.mem_gb, node.io_mbps])
 
 
+def _grid(block_mb: np.ndarray, hardware: np.ndarray) -> np.ndarray:
+    """(len(hardware) * len(block_mb), 4) feature rows, node-major, from
+    block sizes and per-node [cpu, mem, io] rows."""
+    grid = np.empty((len(hardware), len(block_mb), 4))
+    grid[:, :, 0] = block_mb
+    grid[:, :, 1:] = hardware[:, None, :]
+    return grid.reshape(-1, 4)
+
+
+def _grid_factors(nodes: list[NodeSpec], tasks: list[TaskSpec]) -> tuple[np.ndarray, np.ndarray]:
+    block_mb = np.array([t.block_mb for t in tasks], dtype=float)
+    hardware = np.array([[n.cpu_ghz, n.mem_gb, n.io_mbps] for n in nodes], dtype=float)
+    return block_mb, hardware.reshape(len(nodes), 3)
+
+
+def feature_grid(nodes: list[NodeSpec], tasks: list[TaskSpec]) -> np.ndarray:
+    """`features_for` of every (node, task) pair, node-major: row
+    i * len(tasks) + j holds node i and task j."""
+    return _grid(*_grid_factors(nodes, tasks))
+
+
 def rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     """exp(-||a - b||^2 / (2 sigma^2)) for row-wise inputs; returns the
     (len(a), len(b)) Gram block."""
@@ -105,11 +126,38 @@ class KernelModel:
         return float(self.predict_features(features_for(node, task))[0])
 
     def predict_matrix(self, nodes: list[NodeSpec], tasks: list[TaskSpec]) -> np.ndarray:
-        """(len(nodes), len(tasks)) prediction matrix in one kernel pass."""
-        feats = np.array(
-            [features_for(n, t) for n in nodes for t in tasks], dtype=float
+        """(len(nodes), len(tasks)) prediction matrix, bitwise equal to
+        `predict_features(feature_grid(nodes, tasks))` but evaluating the
+        kernel only on the grid's distinct rows (hardware tiers times block
+        sizes), which are scattered back.
+
+        A BLAS matrix-vector product sums rows in blocks of four and the
+        trailing one to three rows in another order. So the distinct rows
+        are padded to a multiple of four, and the grid's own trailing rows
+        are evaluated again in the trailing position. (A whole-grid product
+        large enough for several BLAS threads also sums the rows at each
+        thread's chunk edge in another order, so it depended on the thread
+        count; the distinct rows do not reproduce that.)"""
+        block_mb, hardware = _grid_factors(nodes, tasks)
+        n, b = len(nodes), len(tasks)
+        u_hw, i_hw = np.unique(hardware, axis=0, return_inverse=True)
+        u_mb, i_mb = np.unique(block_mb, return_inverse=True)
+        k = len(u_hw) * len(u_mb)
+        head = -(-k // 4) * 4
+        tail = (n * b) % 4
+        if head + tail >= n * b:
+            return self.predict_features(_grid(block_mb, hardware)).reshape(n, b)
+        rows = _grid(u_mb, u_hw)
+        flat = np.arange(n * b - tail, n * b)
+        trailing = np.column_stack([block_mb[flat % b], hardware[flat // b]])
+        pred = self.predict_features(
+            np.concatenate([rows, np.repeat(rows[:1], head - k, axis=0), trailing])
         )
-        return self.predict_features(feats).reshape(len(nodes), len(tasks))
+        out = pred[:k].reshape(len(u_hw), len(u_mb))[
+            i_hw.reshape(-1, 1), i_mb.reshape(1, -1)
+        ].reshape(-1)
+        out[n * b - tail:] = pred[head:]
+        return out.reshape(n, b)
 
 
 def fit_kernel(
@@ -219,9 +267,7 @@ class FeatureRegression:
         return max(float(self.theta[0] + x @ self.theta[1:]), PREDICTION_FLOOR_S)
 
     def predict_matrix(self, nodes: list[NodeSpec], tasks: list[TaskSpec]) -> np.ndarray:
-        feats = np.array(
-            [features_for(n, t) for n in nodes for t in tasks], dtype=float
-        )
+        feats = feature_grid(nodes, tasks)
         pred = self.theta[0] + feats @ self.theta[1:]
         return np.maximum(pred, PREDICTION_FLOOR_S).reshape(len(nodes), len(tasks))
 

@@ -388,7 +388,6 @@ def simulate(
     network_mb = 0.0
     migrations = 0
     local_exec = 0
-    remote_exec = 0
     pending_flow_keys: dict[str, list[str]] = {}  # task id -> registered links
 
     for nid, q in initial.items():
@@ -416,11 +415,10 @@ def simulate(
         return base
 
     def begin_compute(nid: str, task: TaskSpec, now: float, remote: bool) -> None:
-        nonlocal local_exec, remote_exec
+        nonlocal local_exec
         service = true_service_time(rt[nid].spec, task)
         if remote:
             service += config.sync_delay_s
-            remote_exec += 1
         else:
             local_exec += 1
         start = rt[nid].running[task.id][0]
@@ -460,14 +458,22 @@ def simulate(
         # each pick rescans from fresh state; both per-node round caps and a
         # per-task lifetime cap keep churn bounded
         for _ in range(4 * config.theta_mig):
-            states = {nid: rt[nid].queue_state(now) for nid in node_ids}
+            if not any(rt[nid].pending for nid in node_ids):
+                break  # no task left to move
+            # an idle node has no remaining time, so it is neither a
+            # source nor a target
+            states = {
+                nid: rt[nid].queue_state(now)
+                for nid in node_ids
+                if rt[nid].pending or rt[nid].running
+            }
             rem = {nid: remaining_time(st) for nid, st in states.items()}
             phi = {
                 nid: config.phi * st.throughput_baseline for nid, st in states.items()
             }
             sources = [
                 nid
-                for nid in node_ids
+                for nid in states
                 if rt[nid].pending
                 and moved_out.get(nid, 0) < config.theta_mig
                 and resource_quotient(states[nid], config) > phi[nid]
@@ -475,7 +481,7 @@ def simulate(
             sources.sort(key=lambda n: (-rem[n], n))
             targets = [
                 nid
-                for nid in node_ids
+                for nid in states
                 if rem[nid] > phi[nid] and moved_in.get(nid, 0) < config.theta_mig
             ]
             targets.sort(key=lambda n: (rem[n], n))

@@ -53,8 +53,9 @@ def small_problem(n_nodes=3, n_tasks=4, rf=1, times=None, **cluster_kw):
 
 
 def draw_probabilities(tau, eta, alpha, beta, mask):
-    # construct_solution draws node i with probability w[i] / w.sum()
-    w = selection_weights(tau, eta, alpha, beta, mask)
+    # construct_solution draws node i with probability w[i] / w.sum() over
+    # the eligible nodes
+    w = np.where(mask, selection_weights(tau, eta, alpha, beta), 0.0)
     return w / w.sum()
 
 
@@ -65,6 +66,19 @@ def test_selection_probabilities_sum_to_one():
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
     masked = draw_probabilities(tau, eta, 1.5, 2.5, np.array([True, False, True]))
     assert masked[1] == 0.0 and masked.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_selection_weights_of_matrix_equal_its_columns():
+    # the colony evaluates the rule once per iteration on the whole (n, B)
+    # matrix; each column must carry the bits of the one-column evaluation
+    rng = np.random.default_rng(3)
+    tau = rng.uniform(1e-3, 5.0, size=(37, 23))
+    eta = 1.0 / rng.uniform(0.05, 40.0, size=(37, 23))
+    for alpha, beta in ((0.8, 1.2), (1.5, 2.5)):
+        whole = selection_weights(tau, eta, alpha, beta)
+        for j in range(tau.shape[1]):
+            column = selection_weights(tau[:, j], eta[:, j], alpha, beta)
+            assert whole[:, j].tobytes() == column.tobytes()
 
 
 def test_uniform_inputs_give_uniform_choice():
@@ -101,10 +115,11 @@ def test_high_beta_is_greedy_argmin():
         warnings.simplefilter("ignore")
         cfg = quiet_config(beta=50.0, ants=1, max_iters=1)
     ph = PheromoneMatrix.initial(problem.node_ids, problem.task_ids, cfg)
+    weights = selection_weights(ph.tau, problem.eta, cfg.alpha, cfg.beta)
     rng = np.random.default_rng(0)
     argmin_node = problem.node_ids[int(np.argmin(problem.t_eff[:, 0]))]
     hits = sum(
-        construct_solution(ph, problem, cfg, rng).assignment[tasks[0].id] == argmin_node
+        construct_solution(weights, problem, rng).assignment[tasks[0].id] == argmin_node
         for _ in range(1000)
     )
     assert hits >= 990

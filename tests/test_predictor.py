@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sccdso.predictor as predictor_mod
-from sccdso.cluster import NodeSpec
+from sccdso.cluster import NodeSpec, build_cluster, synthetic_cluster_config
 from sccdso.predictor import (
     ExecRecord,
     FeatureRegression,
     KernelModel,
     LinearModel,
     fit_feature_regression,
+    feature_grid,
+    features_for,
     fit_kernel,
     load_model,
     loss_and_gradient,
@@ -200,3 +202,59 @@ def test_feature_regression_recovers_linear_map():
     probe_node, probe_task = node(cpu=2.0), task(mb=40.0)
     expected = 0.02 * 40 + 0.1 * 2.0
     assert reg.predict(probe_node, probe_task) == pytest.approx(expected, abs=0.05)
+
+
+def per_pair_rows(nodes, tasks):
+    return np.array([features_for(n, t) for n in nodes for t in tasks], dtype=float)
+
+
+def grid_cases(rng):
+    """(nodes, tasks) pairs: 1 node, 1 task, both, the four hardware tiers
+    of a synthetic cluster in shuffled subsets, all-distinct hardware, and
+    uniform or mixed block sizes; grid sizes cover every remainder mod 4."""
+    tiered = [n for _, n in sorted(build_cluster(synthetic_cluster_config(30)).nodes.items())]
+    distinct = [
+        node(f"d{i}", cpu=float(rng.uniform(1, 4)), mem=float(rng.uniform(2, 32)),
+             io=float(rng.uniform(50, 400)))
+        for i in range(12)
+    ]
+    for trial in range(60):
+        pool = distinct if trial % 5 == 4 else tiered
+        count = 1 if trial % 6 == 0 else int(rng.integers(1, 21))
+        nodes = [pool[i] for i in rng.permutation(len(pool))[:count]]
+        b = 1 if trial % 7 == 0 else int(rng.integers(1, 26))
+        sizes = [64.0] if trial % 3 == 0 else [64.0, 32.0, 16.0, 5.5]
+        tasks = [task(mb=float(rng.choice(sizes))) for _ in range(b)]
+        yield nodes, tasks
+
+
+def test_feature_grid_is_features_for_of_every_pair():
+    rng = np.random.default_rng(11)
+    for nodes, tasks in grid_cases(rng):
+        assert feature_grid(nodes, tasks).tobytes() == per_pair_rows(nodes, tasks).tobytes()
+
+
+def test_predict_matrix_bitwise_equals_per_pair_rows():
+    # bitwise against predict_features over the per-pair rows, not against
+    # single-row predict, which takes another BLAS path and already differs
+    # in the last bit. 16 supports keep every grid (<= 500 rows) below the
+    # size at which BLAS splits a matrix-vector product across threads.
+    rng = np.random.default_rng(12)
+    records = synth_records(rng, 60, lambda m, c, me, io: 0.5 * m / io + 0.8 / c)
+    models = [
+        fit_kernel(records, epochs=60, s_max=16),
+        fit_kernel([ExecRecord((32.0, 2.0, 8.0, 200.0), 1.7)] * 3),
+        fit_feature_regression(records),
+    ]
+    assert models[1].degenerate and len(models[0].supports) == 16
+    for nodes, tasks in grid_cases(rng):
+        rows = per_pair_rows(nodes, tasks)
+        for model in models:
+            got = model.predict_matrix(nodes, tasks)
+            if isinstance(model, KernelModel):
+                want = model.predict_features(rows).reshape(len(nodes), len(tasks))
+            else:
+                want = np.maximum(model.theta[0] + rows @ model.theta[1:], 1e-3).reshape(
+                    len(nodes), len(tasks)
+                )
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
