@@ -14,7 +14,12 @@ hashing the master seed with those coordinates, so adding a scheduler or a
 cell never perturbs any other cell's randomness. A failed cell is recorded
 as a failure row; the rest of the experiment proceeds.
 
-Scheduler pipelines:
+Scheduler pipelines. `schedule` places the blocks and assigns the tasks,
+returning a `Schedule` that also carries the scheduler's runtime settings;
+`execute` simulates a `Schedule` on a cluster view, optionally overriding
+those settings. `run_pipeline` is one of each. Recovery latency executes
+the base run's `Schedule` again with a replica blackout, so placement and
+assignment run once per repetition.
 
 * scc-dso       kernel predictor + equalized placement + full colony +
                 runtime migration
@@ -237,6 +242,97 @@ def _eff_order(
     return queues
 
 
+@dataclass(frozen=True)
+class Schedule:
+    """One scheduler's decision for one workload: replica plan, task
+    assignment, per-node queue order (None: simulate's local-first default),
+    the predictor that made it, the scheduler's own (delay, cost, loss), and
+    the runtime settings the scheduler runs with."""
+
+    plan: placement.PlacementPlan
+    assignment: dict[str, str]
+    queues: dict[str, list[str]] | None
+    model: object
+    metrics: tuple[float, float, float]
+    runtime: sim.RuntimeConfig
+    seed: int
+
+
+def schedule(
+    g: ClusterGraph,
+    workload: wl.Workload,
+    scheduler: str,
+    seed: int,
+    *,
+    preset: str = "stage7",
+    cache: _PredictorCache | None = None,
+    cache_key: str = "",
+) -> Schedule:
+    """Place the workload's blocks and assign its tasks under one scheduler."""
+    cache = cache or _PredictorCache()
+    tasks = list(workload.tasks)
+    blocks = list(workload.blocks)
+
+    if scheduler in ("scc-dso", "scc-dso-lite"):
+        if scheduler == "scc-dso":
+            model = cache.kernel(cache_key, g, seed=1)
+            variant = "full"
+        else:
+            model = pred.LinearModel()
+            variant = "lightweight"
+        plan = placement.place_heterogeneous(
+            g, blocks, model, workload.apps[0].replication_factor
+        )
+        cfg = aco.AcoConfig.preset(preset, variant=variant)
+        best = aco.solve(tasks, plan, g, model, cfg, seed=seed).best
+        queues = _eff_order(plan, model, g, best.assignment, tasks)
+        return Schedule(
+            plan, best.assignment, queues, model, best.metrics,
+            sim.RuntimeConfig(enable_migration=True), seed,
+        )
+
+    if scheduler == "rf-fd":
+        model = cache.regression(cache_key, g, seed=1)
+        baseline, runtime = aco.baseline_rf_fd, sim.RuntimeConfig()
+    elif scheduler == "rsync":
+        model = cache.regression(cache_key, g, seed=1)
+        baseline = aco.baseline_rsync
+        runtime = sim.RuntimeConfig(sync_delay_s=RSYNC_SYNC_DELAY_S)
+    elif scheduler == "rr":
+        model = pred.LinearModel()
+        baseline, runtime = aco.baseline_round_robin, sim.RuntimeConfig()
+    else:
+        raise ValueError(f"unknown scheduler: {scheduler}")
+    # rack-aware placement, one independently seeded upload client per app
+    rng = np.random.default_rng(seed)
+    node_ids = sorted(g.nodes)
+    mapping: dict[str, tuple[str, ...]] = {}
+    for app in workload.apps:
+        client = node_ids[int(rng.integers(0, len(node_ids)))]
+        app_blocks = [b for b in blocks if b.app_id == app.id]
+        part = placement.place_rack_aware(g, app_blocks, client, rf=app.replication_factor)
+        mapping.update(part.block_to_nodes)
+    plan = placement.PlacementPlan(block_to_nodes=mapping, strategy="rack-aware")
+    sol = baseline(tasks, g, plan, model)
+    return Schedule(plan, sol.assignment, None, model, sol.metrics, runtime, seed)
+
+
+def execute(
+    sched: Schedule, view: ClusterGraph, workload: wl.Workload, **runtime
+) -> sim.SimTrace:
+    """Simulate `sched` on the runtime view `view` (which may differ from
+    the scheduling view, e.g. stragglers injected after scheduling).
+    Keyword arguments override fields of the schedule's RuntimeConfig."""
+    if workload.network_load > 0:
+        view = scale_bandwidth(view, 1.0 - workload.network_load)
+    trace = sim.simulate(
+        view, sched.plan, sched.assignment, workload,
+        replace(sched.runtime, **runtime), seed=sched.seed,
+        queues=sched.queues, predictor=sched.model,
+    )
+    return replace(trace, schedule=sched)
+
+
 def run_pipeline(
     g: ClusterGraph,
     workload: wl.Workload,
@@ -246,79 +342,13 @@ def run_pipeline(
     preset: str = "stage7",
     cache: _PredictorCache | None = None,
     cache_key: str = "",
-    runtime_overrides: dict | None = None,
     sim_cluster: ClusterGraph | None = None,
 ) -> sim.SimTrace:
-    """Place, schedule, and simulate one workload under one scheduler.
-
-    `sim_cluster` lets the runtime view differ from the scheduling view
-    (straggler injection happens after scheduling)."""
-    cache = cache or _PredictorCache()
-    rng = np.random.default_rng(seed)
-    rf = workload.apps[0].replication_factor
-    tasks = list(workload.tasks)
-    blocks = list(workload.blocks)
-    node_ids = sorted(g.nodes)
-    queues: dict[str, list[str]] | None = None
-
-    def rack_aware_plan() -> placement.PlacementPlan:
-        # one independently seeded upload client per app
-        mapping: dict[str, tuple[str, ...]] = {}
-        for app in workload.apps:
-            client = node_ids[int(rng.integers(0, len(node_ids)))]
-            app_blocks = [b for b in blocks if b.app_id == app.id]
-            part = placement.place_rack_aware(
-                g, app_blocks, client, rf=app.replication_factor
-            )
-            mapping.update(part.block_to_nodes)
-        return placement.PlacementPlan(block_to_nodes=mapping, strategy="rack-aware")
-
-    if scheduler in ("scc-dso", "scc-dso-lite"):
-        if scheduler == "scc-dso":
-            model = cache.kernel(cache_key, g, seed=1)
-            variant = "full"
-        else:
-            model = pred.LinearModel()
-            variant = "lightweight"
-        plan = placement.place_heterogeneous(g, blocks, model, rf)
-        cfg = aco.AcoConfig.preset(preset, variant=variant)
-        result = aco.solve(tasks, plan, g, model, cfg, seed=seed)
-        assignment = result.best.assignment
-        sched_metrics = result.best.metrics
-        queues = _eff_order(plan, model, g, assignment, tasks)
-        runtime = dict(enable_migration=True)
-    elif scheduler == "rf-fd":
-        model = cache.regression(cache_key, g, seed=1)
-        plan = rack_aware_plan()
-        sol = aco.baseline_rf_fd(tasks, g, plan, model)
-        assignment, sched_metrics = sol.assignment, sol.metrics
-        runtime = {}
-    elif scheduler == "rsync":
-        model = cache.regression(cache_key, g, seed=1)
-        plan = rack_aware_plan()
-        sol = aco.baseline_rsync(tasks, g, plan, model)
-        assignment, sched_metrics = sol.assignment, sol.metrics
-        runtime = dict(sync_delay_s=RSYNC_SYNC_DELAY_S)
-    elif scheduler == "rr":
-        model = pred.LinearModel()
-        plan = rack_aware_plan()
-        sol = aco.baseline_round_robin(tasks, g, plan, model)
-        assignment, sched_metrics = sol.assignment, sol.metrics
-        runtime = {}
-    else:
-        raise ValueError(f"unknown scheduler: {scheduler}")
-
-    if runtime_overrides:
-        runtime.update(runtime_overrides)
-    rc = sim.RuntimeConfig(**runtime)
-    run_g = sim_cluster if sim_cluster is not None else g
-    if workload.network_load > 0:
-        run_g = scale_bandwidth(run_g, 1.0 - workload.network_load)
-    trace = sim.simulate(
-        run_g, plan, assignment, workload, rc, seed=seed,
-        queues=queues, predictor=model,
+    """Schedule on `g`, then execute on `sim_cluster` (default `g`)."""
+    sched = schedule(
+        g, workload, scheduler, seed, preset=preset, cache=cache, cache_key=cache_key
     )
-    return replace(trace, sched_metrics=sched_metrics)
+    return execute(sched, sim_cluster or g, workload)
 
 
 def _single_app_workload(
@@ -503,12 +533,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                 metrics = replace(
                                     metrics,
                                     recovery_latency_s=_recovery_latency(
-                                        g, workload, scheduler, seed, cfg, cache,
-                                        cache_key, metrics.completion_time_s,
+                                        g, workload, trace.schedule,
+                                        metrics.completion_time_s,
                                     ),
                                 )
                         runs.append(metrics)
-                        delay, cost, loss = trace.sched_metrics or (0.0, 0.0, 0.0)
+                        delay, cost, loss = trace.schedule.metrics
                         result.runs.append(
                             {
                                 "scenario": scenario,
@@ -535,20 +565,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _recovery_latency(
-    g, workload, scheduler, seed, cfg, cache, cache_key, base_completion
-) -> float:
-    """Extra completion time when one node's replicas vanish mid-run."""
+def _recovery_latency(g, workload, sched, base_completion) -> float:
+    """Extra completion time when one node's replicas vanish mid-run, on the
+    same schedule the base run executed."""
     victim = sorted(g.nodes)[0]
-    trace = run_pipeline(
-        g,
-        workload,
-        scheduler,
-        seed,
-        preset=cfg.preset,
-        cache=cache,
-        cache_key=cache_key,
-        runtime_overrides={"replica_blackout": (victim, base_completion / 2.0)},
+    trace = execute(
+        sched, g, workload, replica_blackout=(victim, base_completion / 2.0)
     )
     return max(0.0, trace.metrics.completion_time_s - base_completion)
 

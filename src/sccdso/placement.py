@@ -1,4 +1,4 @@
-"""Block replica placement and locality-aware queue construction.
+"""Block replica placement.
 
 Two strategies place replicas:
 
@@ -12,23 +12,17 @@ Two strategies place replicas:
   then a bounded local-move refinement. Secondary replicas fall back to
   rack-aware tiers relative to the primary. Nodes whose efficiency is
   below 10% of the cluster best are prefiltered out.
-
-`optimize_queues` turns a plan plus a task list into disjoint per-node
-queues: every task lands in exactly one queue (its primary holder first,
-then bounded rebalancing moves), and each queue is ordered so tasks with
-local data and short predicted times run first.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from collections import defaultdict
 
 import numpy as np
 
-from .cluster import ClusterGraph, path_bandwidth
+from .cluster import ClusterGraph
 from .workload import DataBlock, TaskSpec
 
 EFFICIENCY_PREFILTER = 0.1  # relative to the cluster-max efficiency
@@ -271,96 +265,3 @@ def _refine_quotas(
         quotas[src] -= 1
         quotas[best_dst] += 1
     return quotas.astype(int)
-
-
-def access_cost(g: ClusterGraph, plan: PlacementPlan, task: TaskSpec, node_id: str) -> float:
-    """Seconds to make the task's block available on `node_id`: zero when a
-    replica is local, otherwise the fastest replica transfer."""
-    replicas = plan.replicas(task.block_id)
-    if node_id in replicas:
-        return 0.0
-    return min(task.block_mb / path_bandwidth(g, node_id, r) for r in replicas)
-
-
-def locality_ratio(plan: PlacementPlan, assignment: dict[str, str], tasks: list[TaskSpec]) -> float:
-    """Fraction of tasks assigned to a node holding their block."""
-    if not tasks:
-        return 0.0
-    local = sum(
-        1 for t in tasks if plan.is_local(assignment[t.id], t.block_id)
-    )
-    return local / len(tasks)
-
-
-def optimize_queues(
-    plan: PlacementPlan,
-    tasks: list[TaskSpec],
-    time_fn=None,
-    access_time_fn=None,
-) -> dict[str, list[TaskSpec]]:
-    """Build disjoint per-node pre-allocation queues.
-
-    `time_fn(node_id, task)` supplies predicted execution seconds (uniform
-    when omitted); `access_time_fn(node_id, task)` supplies non-local data
-    cost (infinite-locality default: non-holders are never used unless a
-    cost function says they are affordable).
-
-    Every task starts at its primary holder; a bounded rebalance then moves
-    queue-tail tasks toward whichever node lowers the worst predicted
-    finish, preferring replica holders. Each queue is finally ordered by
-    descending locality-over-time, ties by task id.
-    """
-    if time_fn is None:
-        time_fn = lambda node_id, task: 1.0
-
-    all_nodes = sorted({n for v in plan.block_to_nodes.values() for n in v})
-
-    def eff_time(node_id: str, task: TaskSpec) -> float:
-        base = time_fn(node_id, task)
-        if plan.is_local(node_id, task.block_id):
-            return base
-        if access_time_fn is None:
-            return math.inf
-        return base + access_time_fn(node_id, task)
-
-    queues: dict[str, list[TaskSpec]] = {n: [] for n in all_nodes}
-    loads: dict[str, float] = {n: 0.0 for n in all_nodes}
-    for task in tasks:
-        primary = plan.primary(task.block_id)
-        queues[primary].append(task)
-        loads[primary] += time_fn(primary, task)
-
-    # bounded rebalance: pull work off the worst queue while it helps
-    for _ in range(2 * len(tasks)):
-        src = max(all_nodes, key=lambda n: (loads[n], n))
-        best = None  # (new_peak, task_id, dst, task)
-        for task in queues[src]:
-            t_src = eff_time(src, task)
-            for dst in all_nodes:
-                if dst == src:
-                    continue
-                t_dst = eff_time(dst, task)
-                if not math.isfinite(t_dst):
-                    continue
-                new_peak = max(loads[src] - t_src, loads[dst] + t_dst)
-                if new_peak < loads[src] - 1e-12:
-                    cand = (new_peak, task.id, dst, task)
-                    if best is None or cand[:3] < best[:3]:
-                        best = cand
-        if best is None:
-            break
-        _, _, dst, task = best
-        queues[src].remove(task)
-        queues[dst].append(task)
-        loads[src] -= eff_time(src, task)
-        loads[dst] += eff_time(dst, task)
-
-    for node_id, q in queues.items():
-        def sort_key(task: TaskSpec):
-            local = plan.is_local(node_id, task.block_id)
-            t = time_fn(node_id, task)
-            eff = (1.0 if local else 0.0) / max(t, 1e-12)
-            return (-eff, task.id)
-
-        q.sort(key=sort_key)
-    return {n: q for n, q in queues.items() if q}

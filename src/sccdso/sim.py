@@ -22,12 +22,16 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cluster import ClusterGraph, path_bandwidth
 from .placement import PlacementPlan
 from .workload import TaskSpec, Workload
+
+if TYPE_CHECKING:
+    from .experiment import Schedule
 
 
 def true_service_time(node, task: TaskSpec) -> float:
@@ -212,7 +216,7 @@ class SimTrace:
     events: tuple[SimEvent, ...]
     metrics: RunMetrics
     q_table: dict = field(default_factory=dict)
-    sched_metrics: tuple[float, float, float] | None = None  # scheduler's (delay, cost, loss)
+    schedule: Schedule | None = None  # what experiment.execute ran; None from bare simulate
 
     def to_event_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -270,6 +274,28 @@ class _NodeRt:
         )
 
 
+def validate_schedule(
+    g: ClusterGraph, workload: Workload, assignment: dict[str, str]
+) -> None:
+    """Raise unless `assignment` (task id -> node id) covers exactly the
+    workload's tasks, names only known nodes, and keeps every node's summed
+    block data within its capacity."""
+    tasks = {t.id: t for t in workload.tasks}
+    used: dict[str, float] = {}
+    for tid, nid in assignment.items():
+        if tid not in tasks:
+            raise ValueError(f"schedule references unknown task {tid}")
+        g.node(nid)
+        used[nid] = used.get(nid, 0.0) + tasks[tid].block_mb
+    missing = [t for t in tasks if t not in assignment]
+    if missing:
+        raise ValueError(f"schedule does not cover tasks: {missing[:3]}")
+    for nid, mb in used.items():
+        cap = g.node(nid).capacity_mb
+        if mb > cap + 1e-9:
+            raise ValueError(f"schedule puts {mb:g} MB on node {nid}, over its {cap:g} MB capacity")
+
+
 def simulate(
     g: ClusterGraph,
     plan: PlacementPlan,
@@ -280,19 +306,14 @@ def simulate(
     queues: dict[str, list[str]] | None = None,
     predictor=None,
 ) -> SimTrace:
-    """Execute `schedule` (task id -> node id) and return the event trace
-    plus run metrics. Per-node queue order can be supplied via `queues`;
-    by default local tasks run before remote ones, ties by task id."""
+    """Execute `schedule` (task id -> node id), which must pass
+    `validate_schedule`, and return the event trace plus run metrics.
+    Per-node queue order can be supplied via `queues`; by default local
+    tasks run before remote ones, ties by task id."""
     config.validate()
+    validate_schedule(g, workload, schedule)
     predictor = predictor or TrueTimeModel()
     tasks = {t.id: t for t in workload.tasks}
-    for tid, nid in schedule.items():
-        if tid not in tasks:
-            raise ValueError(f"schedule references unknown task {tid}")
-        g.node(nid)
-    missing = [t for t in tasks if t not in schedule]
-    if missing:
-        raise ValueError(f"schedule does not cover tasks: {missing[:3]}")
 
     blackout_node, blackout_time = (None, math.inf)
     if config.replica_blackout is not None:

@@ -296,11 +296,9 @@ def test_09_adaptive_runtime_monotonicity():
     for rep in range(100):
         seed = experiment.derive_seed(42, "monotonic", "25", "rr", rep)
         w = experiment._single_app_workload(8320, 64, 2, cfg, seed)  # deep queues
-        on = experiment.run_pipeline(
-            g, w, "rr", seed, cache=cache, cache_key="acc9",
-            runtime_overrides={"enable_migration": True},
-        )
-        off = experiment.run_pipeline(g, w, "rr", seed, cache=cache, cache_key="acc9")
+        sched = experiment.schedule(g, w, "rr", seed, cache=cache, cache_key="acc9")
+        on = experiment.execute(sched, g, w, enable_migration=True)
+        off = experiment.execute(sched, g, w, enable_migration=False)
         if on.metrics.completion_time_s > off.metrics.completion_time_s + 1e-9:
             regressions += 1
         if on.metrics.migrations > 0:

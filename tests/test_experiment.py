@@ -10,6 +10,7 @@ import pytest
 import sccdso
 from sccdso import experiment
 from sccdso.cli import main as cli_main
+from sccdso.cluster import build_cluster, synthetic_cluster_config
 from sccdso.experiment import (
     AggregateRow,
     ExperimentConfig,
@@ -216,7 +217,6 @@ def test_eff_order_local_first_by_predicted_time_then_remote_by_id():
 
 
 def test_sim_trace_exports(tmp_path):
-    from sccdso.cluster import build_cluster, synthetic_cluster_config
     from sccdso.workload import Application, workload_from_apps
 
     g = build_cluster(synthetic_cluster_config(4))
@@ -253,6 +253,33 @@ def test_recovery_latency_recorded_for_multicopy(tmp_path):
     }
     assert rec["RF1"] == 0.0
     assert rec["RF2"] >= 0.0
+
+
+@pytest.mark.parametrize("scheduler", experiment.SCHEDULERS)
+def test_schedule_is_reproducible_and_reused_for_recovery(scheduler):
+    cfg = tiny_config(
+        scenarios=("throughput-by-replication",),
+        replication_factors=(2,),
+        repetitions=1,
+        schedulers=(scheduler,),
+    )
+    [run] = run_experiment(cfg).runs
+    g = build_cluster(experiment._default_cluster(cfg))
+    w = experiment._base_workload(cfg, 2, run["seed"])
+    cache = experiment._PredictorCache()
+    a, b = (
+        experiment.schedule(g, w, scheduler, run["seed"], cache=cache,
+                            cache_key="throughput-by-replication|RF2")
+        for _ in range(2)
+    )
+    assert a.assignment == b.assignment and a.queues == b.queues
+    assert a.plan.block_to_nodes == b.plan.block_to_nodes
+    assert a.metrics == b.metrics == (run["sched_delay"], run["sched_cost"], run["sched_loss"])
+    # recovery latency is the base run's schedule executed with a blackout
+    base = experiment.execute(a, g, w).metrics.completion_time_s
+    assert base == run["completion_time_s"]
+    blackout = experiment.execute(a, g, w, replica_blackout=(sorted(g.nodes)[0], base / 2.0))
+    assert run["recovery_latency_s"] == max(0.0, blackout.metrics.completion_time_s - base)
 
 
 # --- CLI --------------------------------------------------------------------

@@ -1,19 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sccdso.cluster import build_cluster, path_bandwidth, synthetic_cluster_config
-from sccdso.placement import (
-    access_cost,
-    locality_ratio,
-    optimize_queues,
-    place_heterogeneous,
-    place_rack_aware,
-    place_random,
-)
-from sccdso.workload import Application, partition, tasks_for
+from sccdso.cluster import build_cluster, synthetic_cluster_config
+from sccdso.placement import place_heterogeneous, place_rack_aware
+from sccdso.workload import Application, partition
 
 from conftest import FixedTimer, make_app_tasks, make_cluster
 
@@ -156,139 +148,6 @@ def test_heterogeneous_prefilters_weak_nodes():
     timer = FixedTimer({"fast": 1.0, "crawl": 25.0})  # 4% of best efficiency
     plan = place_heterogeneous(g, blocks, timer, rf=1)
     assert plan.f_primary() == {"fast": 5}
-
-
-def test_access_cost_local_zero(two_rack_cluster):
-    _, blocks, tasks = make_app_tasks(input_mb=64, rf=2)
-    plan = place_rack_aware(two_rack_cluster, blocks, "r1n1", rf=2)
-    assert access_cost(two_rack_cluster, plan, tasks[0], "r1n1") == 0.0
-
-
-def test_access_cost_division():
-    g = make_cluster(
-        [
-            {"id": "a", "rack": "r1", "cpu_ghz": 2.0, "io_mbps": 100, "uplink_mbps": 32},
-            {"id": "b", "rack": "r1", "cpu_ghz": 2.0, "io_mbps": 100, "uplink_mbps": 32},
-            {"id": "c", "rack": "r1", "cpu_ghz": 2.0, "io_mbps": 100, "uplink_mbps": 32},
-        ]
-    )
-    _, blocks, tasks = make_app_tasks(input_mb=64, rf=1)
-    plan = place_rack_aware(g, blocks, "a", rf=1)
-    assert access_cost(g, plan, tasks[0], "b") == pytest.approx(2.0)
-
-
-def test_access_cost_picks_best_replica():
-    g = make_cluster(
-        [
-            {"id": "a", "rack": "r1", "cpu_ghz": 2.0, "io_mbps": 100, "uplink_mbps": 40},
-            {"id": "b", "rack": "r1", "cpu_ghz": 2.0, "io_mbps": 100, "uplink_mbps": 500},
-            {"id": "c", "rack": "r1", "cpu_ghz": 2.0, "io_mbps": 100, "uplink_mbps": 80},
-        ]
-    )
-    _, blocks, tasks = make_app_tasks(input_mb=64, rf=2)
-    plan = place_rack_aware(g, blocks, "a", rf=2)  # replicas on a and b
-    assert set(plan.replicas(blocks[0].id)) == {"a", "b"}
-    # reading from c: replica a reachable at 40 MB/s, replica b at 80
-    # (c's own uplink bottleneck); the faster one wins -> 64/80
-    assert access_cost(g, plan, tasks[0], "c") == pytest.approx(0.8)
-
-
-def test_access_cost_unplaced_block_errors(two_rack_cluster):
-    _, blocks, tasks = make_app_tasks(input_mb=128, rf=1)
-    plan = place_rack_aware(two_rack_cluster, blocks[:1], "r1n1", rf=1)
-    with pytest.raises(KeyError):
-        access_cost(two_rack_cluster, plan, tasks[1], "r1n1")
-
-
-def test_queaccording_disjoint_cover(five_node_cluster):
-    app = Application(id="app0", input_mb=1664, block_size_mb=64, replication_factor=2)
-    blocks = partition(app)
-    tasks = tasks_for(app, blocks)
-    timer = FixedTimer(
-        {"node1": 1 / 3, "node2": 1 / 3, "node3": 1 / 3, "node4": 0.5, "node5": 0.5}
-    )
-    plan = place_heterogeneous(five_node_cluster, blocks, timer, rf=2)
-    queues = optimize_queues(plan, tasks, time_fn=lambda nid, t: timer.times[nid])
-    all_ids = [t.id for q in queues.values() for t in q]
-    assert len(all_ids) == len(tasks)
-    assert len(set(all_ids)) == len(tasks)
-
-
-def test_queue_example_contiguous_ownership(five_node_cluster):
-    app = Application(id="app0", input_mb=1664, block_size_mb=64, replication_factor=2)
-    blocks = partition(app)
-    tasks = tasks_for(app, blocks)
-    timer = FixedTimer(
-        {"node1": 1 / 3, "node2": 1 / 3, "node3": 1 / 3, "node4": 0.5, "node5": 0.5}
-    )
-    plan = place_heterogeneous(five_node_cluster, blocks, timer, rf=2)
-    queues = optimize_queues(plan, tasks, time_fn=lambda nid, t: timer.times[nid])
-    assert {t.id for t in queues["node4"]} == {f"app0/t{k}" for k in range(18, 22)}
-    assert {t.id for t in queues["node5"]} == {f"app0/t{k}" for k in range(22, 26)}
-
-
-def test_queue_forced_partition_two_nodes():
-    g = make_cluster([("a", "r1", 2.0, 200.0), ("b", "r1", 2.0, 200.0)])
-    app = Application(id="app0", input_mb=256, block_size_mb=64, replication_factor=2)
-    blocks = partition(app)
-    tasks = tasks_for(app, blocks)
-    plan = place_rack_aware(g, blocks, "a", rf=2)  # both nodes hold everything
-    queues = optimize_queues(plan, tasks)
-    assert sorted(len(q) for q in queues.values()) == [2, 2]
-    ids = [t.id for q in queues.values() for t in q]
-    assert len(set(ids)) == 4
-
-
-def test_queues_sorted_local_first():
-    g = make_cluster([("a", "r1", 2.0, 200.0), ("b", "r1", 2.0, 200.0)])
-    app = Application(id="app0", input_mb=256, block_size_mb=64, replication_factor=1)
-    blocks = partition(app)
-    tasks = tasks_for(app, blocks)
-    plan = place_rack_aware(g, blocks, "a", rf=1)
-    # allow non-local moves at a visible cost so rebalancing spreads work
-    queues = optimize_queues(
-        plan, tasks, time_fn=lambda nid, t: 1.0, access_time_fn=lambda nid, t: 0.5
-    )
-    for nid, q in queues.items():
-        local_flags = [plan.is_local(nid, t.block_id) for t in q]
-        assert local_flags == sorted(local_flags, reverse=True)
-
-
-def test_heterogeneous_beats_random_locality_over_seeds():
-    g = build_cluster(synthetic_cluster_config(12, rack_size=6))
-    app = Application(id="app0", input_mb=1664, block_size_mb=64, replication_factor=2)
-    blocks = partition(app)
-    tasks = tasks_for(app, blocks)
-    from sccdso.sim import TrueTimeModel
-
-    timer = TrueTimeModel()
-    time_fn = lambda nid, t: timer.predict(g.node(nid), t)
-    access_fn = lambda nid, t: None
-
-    wins = ties = losses = 0
-    for seed in range(100):
-        het = place_heterogeneous(g, blocks, timer, rf=2)
-        rnd = place_random(g, blocks, rf=2, seed=seed)
-
-        def queue_locality(plan):
-            queues = optimize_queues(
-                plan,
-                tasks,
-                time_fn=time_fn,
-                access_time_fn=lambda nid, t: access_cost(g, plan, t, nid),
-            )
-            assignment = {t.id: nid for nid, q in queues.items() for t in q}
-            return locality_ratio(plan, assignment, tasks)
-
-        h, r = queue_locality(het), queue_locality(rnd)
-        if h > r:
-            wins += 1
-        elif h == r:
-            ties += 1
-        else:
-            losses += 1
-    assert losses == 0
-    assert wins + ties == 100
 
 
 def test_plan_csv_export(tmp_path, two_rack_cluster):

@@ -377,6 +377,18 @@ def test_schedule_validation():
         simulate(g, plan, {tasks[0].id: "nope"}, w, RuntimeConfig(), seed=0)
     with pytest.raises(ValueError, match="does not cover"):
         simulate(g, plan, {}, w, RuntimeConfig(), seed=0)
+    # two 64 MB tasks on one node: fits 128 MB of capacity exactly, not 127
+    app, blocks, tasks, w = build_workload(128)
+    for cap, fits in ((128.0, True), (127.0, False)):
+        g = make_cluster([{"id": "a", "rack": "r1", "cpu_ghz": 1.0, "io_mbps": 100.0,
+                           "capacity_mb": cap}])
+        plan = place_rack_aware(g, blocks, "a", rf=1)
+        both = {t.id: "a" for t in tasks}
+        if fits:
+            simulate(g, plan, both, w, RuntimeConfig(), seed=0)
+        else:
+            with pytest.raises(ValueError, match="over its 127 MB capacity"):
+                simulate(g, plan, both, w, RuntimeConfig(), seed=0)
 
 
 def test_runtime_config_validation():
