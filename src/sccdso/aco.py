@@ -15,10 +15,15 @@ Two pheromone regimes:
   rate rho toward 1/T per edge; everything else just evaporates. Paired
   with a reduced colony (5 ants) for cheap per-iteration work.
 
-A floor keeps every pheromone entry positive so no edge ever becomes
-unreachable. Candidate fan-out per task is capped (`l_max`) to prune
-low-desirability nodes on large clusters; capacity-feasible fallback keeps
-the cap from manufacturing infeasibility.
+`AcoConfig` holds the settings the presets and the oracle vary (alpha,
+beta, rho, ants, iterations, regime, objective); the rest of the tuning is
+fixed in module constants. A floor (`TAU_FLOOR`) keeps every pheromone
+entry positive so no edge ever becomes unreachable. Candidate fan-out per
+task is capped (`L_MAX`) to prune low-desirability nodes on large
+clusters; capacity-feasible fallback keeps the cap from manufacturing
+infeasibility. The weighted objective scores (delay, cost, loss) with
+`WEIGHTS`, and the search stops early after `PATIENCE` iterations that
+each improve the best value by less than `TOL` (relatively).
 
 Baselines: reservation-first-fit with a linear-regression load estimate
 (locality-blind), sequential primary-affinity with a per-non-local-access
@@ -27,8 +32,7 @@ synchronization delay, and plain round robin.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,47 +51,13 @@ class InfeasibleScheduleError(RuntimeError):
         self.diagnosis = diagnosis or {}
 
 
-# Documented tuning ranges; values outside them trigger a warning, not an
-# error. The evaluated pipeline's own constants (alpha 0.8, beta 1.2,
-# 5-ant colonies) are accepted silently.
-_SOFT_RANGES = {
-    "alpha": (1.0, 2.0, {0.8}),
-    "beta": (2.0, 3.0, {1.2}),
-    "rho": (0.1, 0.3, set()),
-    "tau0": (0.01, 0.1, set()),
-    "q_const": (100.0, 500.0, set()),
-    "ants": (10, 20, {LIGHTWEIGHT_ANTS}),
-    "max_iters": (20, 50, set()),
-    "tau_floor": (1e-4, 1e-2, set()),
-    "tol": (1e-3, 1e-2, set()),
-    "l_max": (5, 10, set()),
-}
-
-# Weight presets: the per-term tuning range, and the delay-heavy preset
-# used by the full pipeline.
-WEIGHT_RANGE = (0.2, 0.4)
-PIPELINE_WEIGHTS = (0.5, 0.3, 0.2)
-
-
-@dataclass(frozen=True)
-class ObjectiveWeights:
-    """Weights of (delay, cost, loss) in the weighted objective."""
-
-    delay: float = PIPELINE_WEIGHTS[0]
-    cost: float = PIPELINE_WEIGHTS[1]
-    loss: float = PIPELINE_WEIGHTS[2]
-
-    def validate(self) -> None:
-        total = self.delay + self.cost + self.loss
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {total}")
-        trio = (self.delay, self.cost, self.loss)
-        in_range = all(WEIGHT_RANGE[0] <= w <= WEIGHT_RANGE[1] for w in trio)
-        if not in_range and trio != PIPELINE_WEIGHTS:
-            warnings.warn(
-                f"objective weights {trio} outside the usual {WEIGHT_RANGE} band",
-                stacklevel=2,
-            )
+TAU0 = 0.05  # initial pheromone on every edge
+TAU_FLOOR = 1e-3  # no pheromone entry drops below this
+Q_CONST = 100.0  # full-regime deposit is Q_CONST / makespan
+TOL = 5e-3  # relative improvement that resets the stall count
+PATIENCE = 5  # stalled iterations before the early stop
+L_MAX = 10  # candidate nodes per task
+WEIGHTS = (0.5, 0.3, 0.2)  # (delay, cost, loss) in the weighted objective
 
 
 @dataclass(frozen=True)
@@ -95,39 +65,22 @@ class AcoConfig:
     alpha: float = 0.8
     beta: float = 1.2
     rho: float = 0.1
-    tau0: float = 0.05
-    q_const: float = 100.0
     ants: int = 10
     max_iters: int = 20
-    tol: float = 5e-3
-    tau_floor: float = 1e-3
-    weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     variant: str = "full"
     objective: str = "weighted"  # or "makespan"
-    l_max: int = 10
-    patience: int = 5
 
     def validate(self) -> None:
-        if min(self.alpha, self.beta, self.tau0, self.q_const, self.tol) <= 0:
-            raise ValueError("alpha, beta, tau0, q_const, tol must be > 0")
+        if min(self.alpha, self.beta) <= 0:
+            raise ValueError("alpha, beta must be > 0")
         if not 0 < self.rho < 1:
             raise ValueError("rho must be in (0, 1)")
-        if self.ants < 1 or self.max_iters < 1 or self.l_max < 1:
-            raise ValueError("ants, max_iters, l_max must be >= 1")
-        if self.tau_floor <= 0:
-            raise ValueError("tau_floor must be > 0")
+        if self.ants < 1 or self.max_iters < 1:
+            raise ValueError("ants, max_iters must be >= 1")
         if self.variant not in ("full", "lightweight"):
             raise ValueError(f"unknown variant: {self.variant}")
         if self.objective not in ("weighted", "makespan"):
             raise ValueError(f"unknown objective: {self.objective}")
-        self.weights.validate()
-        for name, (lo, hi, extra) in _SOFT_RANGES.items():
-            v = getattr(self, name)
-            if not (lo <= v <= hi) and v not in extra:
-                warnings.warn(
-                    f"AcoConfig.{name}={v} outside the usual range [{lo}, {hi}]",
-                    stacklevel=2,
-                )
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "AcoConfig":
@@ -148,19 +101,17 @@ class PheromoneMatrix:
     node_ids: tuple[str, ...]
     task_ids: tuple[str, ...]
     tau: np.ndarray  # (n_nodes, n_tasks)
-    floor: float
 
     @classmethod
-    def initial(cls, node_ids, task_ids, config: AcoConfig) -> "PheromoneMatrix":
+    def initial(cls, node_ids, task_ids) -> "PheromoneMatrix":
         return cls(
             node_ids=tuple(node_ids),
             task_ids=tuple(task_ids),
-            tau=np.full((len(node_ids), len(task_ids)), config.tau0, dtype=float),
-            floor=config.tau_floor,
+            tau=np.full((len(node_ids), len(task_ids)), TAU0, dtype=float),
         )
 
     def clamp(self) -> None:
-        np.maximum(self.tau, self.floor, out=self.tau)
+        np.maximum(self.tau, TAU_FLOOR, out=self.tau)
 
 
 @dataclass(frozen=True)
@@ -223,7 +174,6 @@ def build_problem(
     plan: PlacementPlan,
     tasks: list[TaskSpec],
     predictor,
-    l_max: int = 10,
 ) -> AssignmentProblem:
     """Price every (node, task) cell. A task whose block has a replica on
     the node is local: compute cost only. Otherwise the task fetches from
@@ -286,7 +236,7 @@ def build_problem(
     eta = 1.0 / np.maximum(t_eff, 1e-12)
 
     mask = np.zeros((n, b), dtype=bool)
-    top = np.argsort(-eta, axis=0, kind="stable")[: min(l_max, n)]
+    top = np.argsort(-eta, axis=0, kind="stable")[: min(L_MAX, n)]
     mask[top, np.arange(b)] = True
 
     return AssignmentProblem(
@@ -399,7 +349,7 @@ def update_pheromones_full(
     for sol in solutions:
         if not sol.feasible or sol.makespan <= 0:
             continue
-        deposit = config.q_const / sol.makespan
+        deposit = Q_CONST / sol.makespan
         for tid, nid in sol.assignment.items():
             pheromones.tau[node_pos[nid], task_pos[tid]] += deposit
     pheromones.clamp()
@@ -489,14 +439,12 @@ def _refine_makespan(
     return _solution_from_indices(problem, assign, True)
 
 
-def _weighted(metrics, refs, weights: ObjectiveWeights) -> float:
+def _weighted(metrics, refs) -> float:
     # Scale by the first iteration's mean per metric: each term is measured
     # in relative units, so a near-constant metric cannot hijack the sum
     # the way a min-max span close to zero would.
     parts = [v / ref if ref > 0 else 0.0 for v, ref in zip(metrics, refs)]
-    return (
-        weights.delay * parts[0] + weights.cost * parts[1] + weights.loss * parts[2]
-    )
+    return WEIGHTS[0] * parts[0] + WEIGHTS[1] * parts[1] + WEIGHTS[2] * parts[2]
 
 
 def solve(
@@ -510,13 +458,13 @@ def solve(
     """Run the colony; returns the best-ever feasible solution and the
     per-iteration convergence trace.
 
-    Early-stops once the best value improves by less than `tol`
-    (relatively) for `patience` consecutive iterations. Raises
+    Early-stops once the best value improves by less than `TOL`
+    (relatively) for `PATIENCE` consecutive iterations. Raises
     InfeasibleScheduleError when no ant ever produced a feasible
     assignment.
     """
     config.validate()
-    problem = build_problem(g, plan, tasks, predictor, l_max=config.l_max)
+    problem = build_problem(g, plan, tasks, predictor)
     return solve_problem(problem, config, seed)
 
 
@@ -569,7 +517,7 @@ def solve_problem(
 ) -> SolveResult:
     config.validate()
     ants = LIGHTWEIGHT_ANTS if config.variant == "lightweight" else config.ants
-    ph = PheromoneMatrix.initial(problem.node_ids, problem.task_ids, config)
+    ph = PheromoneMatrix.initial(problem.node_ids, problem.task_ids)
     rng = np.random.default_rng(seed)
 
     best: AntSolution | None = None
@@ -609,7 +557,7 @@ def solve_problem(
             obj = (
                 s.makespan
                 if config.objective == "makespan"
-                else _weighted(s.metrics, refs, config.weights)
+                else _weighted(s.metrics, refs)
             )
             feas[idx] = replace(s, objective=obj)
             key = (
@@ -641,9 +589,9 @@ def solve_problem(
             val = best.objective if config.objective == "weighted" else best.makespan
             if np.isfinite(prev_val):
                 improvement = (prev_val - val) / max(abs(prev_val), 1e-12)
-                stall = stall + 1 if improvement < config.tol else 0
+                stall = stall + 1 if improvement < TOL else 0
             prev_val = val
-            if stall >= config.patience:
+            if stall >= PATIENCE:
                 converged = it
                 break
 

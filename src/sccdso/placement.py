@@ -87,29 +87,7 @@ def place_rack_aware(
         raise ValueError("replication factor 3 needs at least 2 racks")
 
     load: dict[str, int] = {n: 0 for n in g.nodes}
-    mapping: dict[str, tuple[str, ...]] = {}
-    for block in blocks:
-        chosen = [client.id]
-        if rf >= 2:
-            same_rack = [
-                n for n in g.racks[client.rack] if n not in chosen
-            ]
-            if not same_rack:
-                same_rack = [n for n in g.nodes if n not in chosen]
-            if not same_rack:
-                raise ValueError("not enough nodes for a second replica")
-            chosen.append(_pick_lowest_load(same_rack, load))
-        if rf >= 3:
-            other_rack = [
-                n for n in g.nodes if g.rack_of(n) != client.rack and n not in chosen
-            ]
-            chosen.append(_pick_lowest_load(other_rack, load))
-        while len(chosen) < rf:
-            rest = [n for n in g.nodes if n not in chosen]
-            chosen.append(_pick_lowest_load(rest, load))
-        for n in chosen:
-            load[n] += 1
-        mapping[block.id] = tuple(chosen)
+    mapping = {block.id: _rack_aware_tiers(g, client.id, rf, load) for block in blocks}
     return PlacementPlan(block_to_nodes=mapping, strategy="rack-aware")
 
 
@@ -127,9 +105,12 @@ def place_random(
     return PlacementPlan(block_to_nodes=mapping, strategy="random")
 
 
-def _rack_aware_secondaries(
+def _rack_aware_tiers(
     g: ClusterGraph, primary: str, rf: int, load: dict[str, int]
-) -> list[str]:
+) -> tuple[str, ...]:
+    """`primary`, then a node in its rack, then one in another rack, then
+    the least loaded of the rest, up to `rf` replicas; counts each chosen
+    node in `load`."""
     chosen = [primary]
     if rf >= 2:
         same_rack = [n for n in g.racks[g.rack_of(primary)] if n not in chosen]
@@ -146,7 +127,9 @@ def _rack_aware_secondaries(
     while len(chosen) < rf:
         rest = [n for n in g.nodes if n not in chosen]
         chosen.append(_pick_lowest_load(rest, load))
-    return chosen
+    for n in chosen:
+        load[n] += 1
+    return tuple(chosen)
 
 
 def place_heterogeneous(
@@ -200,15 +183,13 @@ def place_heterogeneous(
                             [cap[n] for n in eligible])
 
     load: dict[str, int] = {n: 0 for n in g.nodes}
-    mapping: dict[str, tuple[str, ...]] = {}
     owner_seq: list[str] = []
     for nid, q in zip(eligible, quotas):
         owner_seq.extend([nid] * int(q))
-    for block, primary in zip(blocks, owner_seq):
-        chosen = _rack_aware_secondaries(g, primary, rf, load)
-        for n in chosen:
-            load[n] += 1
-        mapping[block.id] = tuple(chosen)
+    mapping = {
+        block.id: _rack_aware_tiers(g, primary, rf, load)
+        for block, primary in zip(blocks, owner_seq)
+    }
     return PlacementPlan(block_to_nodes=mapping, strategy="heterogeneous")
 
 

@@ -8,10 +8,15 @@ starts, at `min over path links of bandwidth / (active demand flows + 1)`.
 Runtime adaptivity is migration, off by default: after each task
 completion, nodes whose resource quotient exceeds their threshold offer
 queued tasks to other nodes. A candidate move must satisfy both
-remaining-time inequalities, project a strictly better completion, and
-respect the per-node per-round cap. Among valid candidates a decaying
-epsilon-greedy policy picks, scoring with a small Q table keyed by coarse
-(source load, target load, locality) buckets.
+remaining-time inequalities (threshold `PHI` times the node's reference
+service time), project a strictly better completion, and respect the
+per-round caps of `THETA_MIG` moves out of and into each node. Among
+valid candidates a decaying epsilon-greedy policy picks (`EPSILON`, decay
+`EPSILON_DECAY` per round), scoring with a small Q table (learning rate
+`Q_ALPHA`, discount `Q_GAMMA`) keyed by coarse (source load, target load,
+locality) buckets. `RuntimeConfig` holds only what differs between
+schedulers and runs: migration on or off, the rsync delay per remote
+access, and the recovery blackout.
 
 One run is strictly single-threaded; identical inputs and seed give a
 bit-identical trace.
@@ -75,32 +80,22 @@ def inject_stragglers(
     return replace(g, nodes=nodes)
 
 
+PHI = 0.075  # migration threshold as a fraction of the node's TS_i
+THETA_MIG = 3  # migrations out of, and into, each node per round
+RQ_SCALE = 0.2  # scaling factor in the queue-delay quotient
+EPSILON = 0.2  # initial exploration probability of the migration policy
+EPSILON_DECAY = 0.95  # per-round decay of the exploration probability
+Q_ALPHA = 0.5  # Q-table learning rate
+Q_GAMMA = 0.8  # Q-table discount
+
+
 @dataclass(frozen=True)
 class RuntimeConfig:
-    phi: float = 0.075  # threshold as a fraction of the node's TS_i
-    theta_mig: int = 3  # migration cap per node per round
-    rq_scale: float = 0.2  # scaling factor in the queue-delay quotient
-    epsilon_greedy: float = 0.2
-    epsilon_decay: float = 0.95
-    q_alpha: float = 0.5
-    q_gamma: float = 0.8
     enable_migration: bool = False
     sync_delay_s: float = 0.0  # per non-local access (sequential-sync emulation)
     replica_blackout: tuple[str, float] | None = None  # (node id, time)
 
     def validate(self) -> None:
-        if not 0.05 <= self.phi <= 0.1:
-            raise ValueError("phi must be in [0.05, 0.1]")
-        if not 1 <= self.theta_mig <= 5:
-            raise ValueError("theta_mig must be in 1..5")
-        if not 0.1 <= self.rq_scale <= 0.3:
-            raise ValueError("rq_scale must be in [0.1, 0.3]")
-        if not 0.0 <= self.epsilon_greedy <= 1.0:
-            raise ValueError("epsilon_greedy must be in [0, 1]")
-        if not 0.0 < self.epsilon_decay <= 1.0:
-            raise ValueError("epsilon_decay must be in (0, 1]")
-        if not 0.0 < self.q_alpha <= 1.0 or not 0.0 <= self.q_gamma < 1.0:
-            raise ValueError("q_alpha in (0, 1], q_gamma in [0, 1)")
         if self.sync_delay_s < 0:
             raise ValueError("sync_delay_s must be >= 0")
 
@@ -137,7 +132,7 @@ def remaining_time(q: QueueState) -> float:
     return rem
 
 
-def resource_quotient(q: QueueState, config: RuntimeConfig) -> float:
+def resource_quotient(q: QueueState) -> float:
     """Queue-delay quotient that flags an overloaded node."""
     block = q.current_block_mb if q.current_block_mb > 0 else (
         q.pending_mb[0] if q.pending_mb else 0.0
@@ -145,20 +140,19 @@ def resource_quotient(q: QueueState, config: RuntimeConfig) -> float:
     rate = q.observed_rate if q.observed_rate > 0 else q.bootstrap_rate
     if rate <= 0:
         return math.inf if q.pending_mb else 0.0
-    return q.pending_count * block / (config.rq_scale * rate)
+    return q.pending_count * block / (RQ_SCALE * rate)
 
 
 def should_migrate(
     target_q: QueueState,
     source_q: QueueState,
     predicted_source_time: float,
-    config: RuntimeConfig,
 ) -> bool:
     """Both inequalities, strictly: the target has enough remaining work to
     hide the moved task's data fetch, and the source stays saturated even
     without this task."""
-    phi_t = config.phi * target_q.throughput_baseline
-    phi_s = config.phi * source_q.throughput_baseline
+    phi_t = PHI * target_q.throughput_baseline
+    phi_s = PHI * source_q.throughput_baseline
     return (
         remaining_time(target_q) > phi_t
         and remaining_time(source_q) - predicted_source_time > phi_s
@@ -308,8 +302,9 @@ def simulate(
 ) -> SimTrace:
     """Execute `schedule` (task id -> node id), which must pass
     `validate_schedule`, and return the event trace plus run metrics.
-    Per-node queue order can be supplied via `queues`; by default local
-    tasks run before remote ones, ties by task id."""
+    Per-node queue order can be supplied via `queues`, which must list
+    each node's assigned tasks exactly once; by default local tasks run
+    before remote ones, ties by task id."""
     config.validate()
     validate_schedule(g, workload, schedule)
     predictor = predictor or TrueTimeModel()
@@ -354,16 +349,13 @@ def simulate(
             ts, key=lambda t: (0 if plan.is_local(nid, t.block_id) else 1, t.id)
         )
 
-    initial: dict[str, list[TaskSpec]] = {}
-    if queues is not None:
-        for nid, tids in queues.items():
-            initial[nid] = [tasks[tid] for tid in tids]
-        listed = {t.id for q in initial.values() for t in q}
-        leftovers = [tid for tid in schedule if tid not in listed]
-        for tid in leftovers:
-            initial.setdefault(schedule[tid], []).append(tasks[tid])
-    else:
+    if queues is None:
         initial = {nid: default_order(nid, ts) for nid, ts in by_node.items()}
+    else:
+        for nid in sorted(queues.keys() | by_node.keys()):
+            if sorted(queues.get(nid, [])) != sorted(t.id for t in by_node.get(nid, [])):
+                raise ValueError(f"queue of node {nid} must list each of its assigned tasks once")
+        initial = {nid: [tasks[tid] for tid in tids] for nid, tids in queues.items()}
 
     # --- transfers under snapshot fair share -----------------------------
     demand_flows: dict[str, int] = {}
@@ -405,7 +397,7 @@ def simulate(
     events: list[SimEvent] = []
     rng = np.random.default_rng(seed)
     q_table: dict = {}
-    epsilon = config.epsilon_greedy
+    epsilon = EPSILON
     network_mb = 0.0
     migrations = 0
     local_exec = 0
@@ -478,7 +470,7 @@ def simulate(
         node_ids = g.node_ids()
         # each pick rescans from fresh state; both per-node round caps and a
         # per-task lifetime cap keep churn bounded
-        for _ in range(4 * config.theta_mig):
+        for _ in range(4 * THETA_MIG):
             if not any(rt[nid].pending for nid in node_ids):
                 break  # no task left to move
             # an idle node has no remaining time, so it is neither a
@@ -489,21 +481,19 @@ def simulate(
                 if rt[nid].pending or rt[nid].running
             }
             rem = {nid: remaining_time(st) for nid, st in states.items()}
-            phi = {
-                nid: config.phi * st.throughput_baseline for nid, st in states.items()
-            }
+            phi = {nid: PHI * st.throughput_baseline for nid, st in states.items()}
             sources = [
                 nid
                 for nid in states
                 if rt[nid].pending
-                and moved_out.get(nid, 0) < config.theta_mig
-                and resource_quotient(states[nid], config) > phi[nid]
+                and moved_out.get(nid, 0) < THETA_MIG
+                and resource_quotient(states[nid]) > phi[nid]
             ]
             sources.sort(key=lambda n: (-rem[n], n))
             targets = [
                 nid
                 for nid in states
-                if rem[nid] > phi[nid] and moved_in.get(nid, 0) < config.theta_mig
+                if rem[nid] > phi[nid] and moved_in.get(nid, 0) < THETA_MIG
             ]
             targets.sort(key=lambda n: (rem[n], n))
             candidates: list[MigrationCandidate] = []
@@ -555,11 +545,9 @@ def simulate(
                 (q_table.get(c.signature, 0.0) for c in candidates if c.task_id != choice.task_id),
                 default=0.0,
             )
-            q_table[choice.signature] = old + config.q_alpha * (
-                reward + config.q_gamma * future - old
-            )
+            q_table[choice.signature] = old + Q_ALPHA * (reward + Q_GAMMA * future - old)
             try_start(choice.target, now)
-        epsilon *= config.epsilon_decay
+        epsilon *= EPSILON_DECAY
 
     for nid in g.node_ids():
         try_start(nid, 0.0)

@@ -9,7 +9,6 @@ sweep dominate).
 import json
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -48,25 +47,23 @@ def test_01_oracle_optimality():
 def test_02_constraint_soundness():
     violations = 0
     floor_breaches = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg = aco.AcoConfig(ants=3, max_iters=3, tau_floor=1e-3)
-        for k in range(10_000):
-            problem = experiment.oracle_instance(100_000 + k, max_tasks=5, max_nodes=4)
-            res = aco.solve_problem(problem, cfg, seed=k)
-            sol = res.best
-            if set(sol.assignment) != set(problem.task_ids):
+    cfg = aco.AcoConfig(ants=3, max_iters=3)
+    for k in range(10_000):
+        problem = experiment.oracle_instance(100_000 + k, max_tasks=5, max_nodes=4)
+        res = aco.solve_problem(problem, cfg, seed=k)
+        sol = res.best
+        if set(sol.assignment) != set(problem.task_ids):
+            violations += 1
+        used: dict[str, float] = {}
+        for tid, nid in sol.assignment.items():
+            j = problem.task_ids.index(tid)
+            used[nid] = used.get(nid, 0.0) + float(problem.demand_mb[j])
+        for nid, total in used.items():
+            cap = problem.capacity_mb[problem.node_ids.index(nid)]
+            if total > cap + 1e-9:
                 violations += 1
-            used: dict[str, float] = {}
-            for tid, nid in sol.assignment.items():
-                j = problem.task_ids.index(tid)
-                used[nid] = used.get(nid, 0.0) + float(problem.demand_mb[j])
-            for nid, total in used.items():
-                cap = problem.capacity_mb[problem.node_ids.index(nid)]
-                if total > cap + 1e-9:
-                    violations += 1
-            if (res.pheromones.tau < cfg.tau_floor - 1e-15).any():
-                floor_breaches += 1
+        if (res.pheromones.tau < aco.TAU_FLOOR - 1e-15).any():
+            floor_breaches += 1
     report(
         2,
         violations == 0 and floor_breaches == 0,

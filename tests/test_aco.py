@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -7,8 +5,9 @@ from sccdso.aco import (
     AcoConfig,
     AntSolution,
     InfeasibleScheduleError,
-    ObjectiveWeights,
     PheromoneMatrix,
+    Q_CONST,
+    TAU_FLOOR,
     baseline_rf_fd,
     baseline_round_robin,
     baseline_rsync,
@@ -29,13 +28,6 @@ from sccdso.sim import TrueTimeModel
 from sccdso.workload import Application, partition, tasks_for
 
 from conftest import FixedTimer, make_app_tasks, make_cluster
-
-
-def quiet_config(**kw):
-    # deliberately tiny instances; hush the tuning-range advisories
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return AcoConfig(**kw)
 
 
 def small_problem(n_nodes=3, n_tasks=4, rf=1, times=None, **cluster_kw):
@@ -111,10 +103,8 @@ def test_high_beta_is_greedy_argmin():
         n_tasks=1,
         times=FixedTimer({"n0": 2.0, "n1": 0.5, "n2": 3.0}),
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg = quiet_config(beta=50.0, ants=1, max_iters=1)
-    ph = PheromoneMatrix.initial(problem.node_ids, problem.task_ids, cfg)
+    cfg = AcoConfig(beta=50.0, ants=1, max_iters=1)
+    ph = PheromoneMatrix.initial(problem.node_ids, problem.task_ids)
     weights = selection_weights(ph.tau, problem.eta, cfg.alpha, cfg.beta)
     rng = np.random.default_rng(0)
     argmin_node = problem.node_ids[int(np.argmin(problem.t_eff[:, 0]))]
@@ -127,32 +117,32 @@ def test_high_beta_is_greedy_argmin():
 
 def test_full_update_evaporation_only():
     cfg = AcoConfig(rho=0.1)
-    ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]), floor=1e-3)
+    ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]))
     update_pheromones_full(ph, [], cfg)
     assert ph.tau[0, 0] == pytest.approx(0.9)
 
 
 def test_full_update_deposit_arithmetic():
-    cfg = AcoConfig(rho=0.1, q_const=100.0)
-    ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]), floor=1e-3)
+    cfg = AcoConfig(rho=0.1)
+    ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]))
     sol = AntSolution(
         assignment={"t": "a"}, makespan=50.0, metrics=(0, 0, 0), feasible=True,
         edge_times={"t": 50.0},
     )
     update_pheromones_full(ph, [sol], cfg)
-    assert ph.tau[0, 0] == pytest.approx(0.9 + 2.0)
+    assert ph.tau[0, 0] == pytest.approx(0.9 + Q_CONST / 50.0)
 
 
 def test_pheromone_floor_clamps():
-    cfg = AcoConfig(rho=0.3, tau_floor=1e-3)
-    ph = PheromoneMatrix(("a",), ("t",), np.array([[0.0012]]), floor=1e-3)
+    cfg = AcoConfig(rho=0.3)
+    ph = PheromoneMatrix(("a",), ("t",), np.array([[1.2 * TAU_FLOOR]]))
     update_pheromones_full(ph, [], cfg)
-    assert ph.tau[0, 0] == pytest.approx(1e-3)
+    assert ph.tau[0, 0] == TAU_FLOOR
 
 
 def test_ewma_update_examples():
     cfg = AcoConfig(rho=0.1)
-    ph = PheromoneMatrix(("a", "b"), ("t",), np.array([[1.0], [1.0]]), floor=1e-4)
+    ph = PheromoneMatrix(("a", "b"), ("t",), np.array([[1.0], [1.0]]))
     best = AntSolution(
         assignment={"t": "a"}, makespan=2.0, metrics=(0, 0, 0), feasible=True,
         edge_times={"t": 2.0},
@@ -164,7 +154,7 @@ def test_ewma_update_examples():
 
 def test_ewma_fixed_point_is_inverse_time():
     cfg = AcoConfig(rho=0.1)
-    ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]), floor=1e-6)
+    ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]))
     best = AntSolution(
         assignment={"t": "a"}, makespan=2.0, metrics=(0, 0, 0), feasible=True,
         edge_times={"t": 2.0},
@@ -206,7 +196,7 @@ def test_trace_best_objective_monotone():
 def test_solve_constraints_on_random_instances():
     for s in range(40):
         problem = oracle_instance(7000 + s, max_tasks=6, max_nodes=4)
-        cfg = quiet_config(ants=4, max_iters=5)
+        cfg = AcoConfig(ants=4, max_iters=5)
         res = solve_problem(problem, cfg, seed=s)
         sol = res.best
         assert sol.feasible
@@ -234,7 +224,7 @@ def test_solve_infeasible_raises_with_diagnosis():
     plan = place_rack_aware(g, blocks, "n0", rf=1)
     timer = FixedTimer({"n0": 1.0})
     with pytest.raises(InfeasibleScheduleError) as err:
-        solve(tasks, plan, g, timer, quiet_config(ants=2, max_iters=2), seed=0)
+        solve(tasks, plan, g, timer, AcoConfig(ants=2, max_iters=2), seed=0)
     assert err.value.diagnosis["tasks"] == 4
 
 
@@ -333,31 +323,13 @@ def test_config_validation_and_presets():
     assert (t1.alpha, t1.beta, t1.rho, t1.ants, t1.max_iters) == (1.5, 2.5, 0.2, 20, 50)
     s7 = AcoConfig.preset("stage7")
     assert (s7.alpha, s7.beta, s7.rho) == (0.8, 1.2, 0.1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        t1.validate()
-        s7.validate()  # the evaluated pipeline's constants stay silent
-    with pytest.warns(UserWarning):
-        AcoConfig(alpha=5.0).validate()
-
-
-def test_objective_rejects_bad_weight_sum():
-    with pytest.raises(ValueError, match="sum to 1"):
-        AcoConfig(weights=ObjectiveWeights(0.5, 0.3, 0.3)).validate()
-
-
-def test_unusual_weights_warn_but_pipeline_preset_does_not():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ObjectiveWeights(0.5, 0.3, 0.2).validate()
-        ObjectiveWeights(0.4, 0.3, 0.3).validate()
-    with pytest.warns(UserWarning):
-        ObjectiveWeights(0.7, 0.2, 0.1).validate()
+    with pytest.raises(ValueError):
+        AcoConfig(beta=0.0).validate()
 
 
 def test_trace_csv_format(tmp_path):
     problem = oracle_instance(11, max_tasks=4, max_nodes=3)
-    res = solve_problem(problem, quiet_config(ants=4, max_iters=4), seed=1)
+    res = solve_problem(problem, AcoConfig(ants=4, max_iters=4), seed=1)
     path = tmp_path / "trace.csv"
     write_trace_csv(res.trace, str(path))
     lines = path.read_text().strip().splitlines()

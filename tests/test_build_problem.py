@@ -29,7 +29,7 @@ def _in_order(values):
     return total
 
 
-def reference_build(g, plan, tasks, predictor, l_max=10):
+def reference_build(g, plan, tasks, predictor):
     """The loop `build_problem` used before it was vectorised."""
     node_ids = tuple(sorted(g.nodes))
     nodes = [g.node(n) for n in node_ids]
@@ -68,7 +68,7 @@ def reference_build(g, plan, tasks, predictor, l_max=10):
     eta = 1.0 / np.maximum(t_eff, 1e-12)
 
     mask = np.zeros((n, b), dtype=bool)
-    k = min(l_max, n)
+    k = min(aco.L_MAX, n)
     for j in range(b):
         top = np.argsort(-eta[:, j], kind="stable")[:k]
         mask[top, j] = True
@@ -128,13 +128,12 @@ def test_build_problem_matches_reference_loop(n_racks):
     for seed in range(40):
         g, plan, tasks = random_instance(seed, n_racks)
         assert {len(plan.replicas(t.block_id)) for t in tasks} <= {1, 2, 3, 4}
-        for l_max in (3, 10):
-            got = aco.build_problem(g, plan, tasks, TrueTimeModel(), l_max=l_max)
-            want = reference_build(g, plan, tasks, TrueTimeModel(), l_max=l_max)
-            for name, ref in want.items():
-                arr = getattr(got, name)
-                assert arr.dtype == ref.dtype and arr.shape == ref.shape, (seed, name)
-                assert arr.tobytes() == ref.tobytes(), (seed, name)
+        got = aco.build_problem(g, plan, tasks, TrueTimeModel())
+        want = reference_build(g, plan, tasks, TrueTimeModel())
+        for name, ref in want.items():
+            arr = getattr(got, name)
+            assert arr.dtype == ref.dtype and arr.shape == ref.shape, (seed, name)
+            assert arr.tobytes() == ref.tobytes(), (seed, name)
 
 
 def test_reference_instances_exercise_every_pricing_term():

@@ -149,13 +149,11 @@ def test_delay_and_cost_additive_under_concat(spec_a, spec_b):
 
 
 def test_objective_convexity_points():
-    w = aco.ObjectiveWeights(0.5, 0.3, 0.2)
-    assert aco._weighted((1.0, 1.0, 1.0), (1, 1, 1), w) == pytest.approx(1.0)
-    assert aco._weighted((0.0, 0.0, 0.0), (1, 1, 1), w) == 0.0
+    assert aco._weighted((1.0, 1.0, 1.0), (1, 1, 1)) == pytest.approx(1.0)
+    assert aco._weighted((0.0, 0.0, 0.0), (1, 1, 1)) == 0.0
 
 
 def test_objective_monotone_in_each_metric():
-    w = aco.ObjectiveWeights(0.5, 0.3, 0.2)
-    base = aco._weighted((0.4, 0.4, 0.4), (1, 1, 1), w)
+    base = aco._weighted((0.4, 0.4, 0.4), (1, 1, 1))
     for bump in ((0.5, 0.4, 0.4), (0.4, 0.5, 0.4), (0.4, 0.4, 0.5)):
-        assert aco._weighted(bump, (1, 1, 1), w) > base
+        assert aco._weighted(bump, (1, 1, 1)) > base

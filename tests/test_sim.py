@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from sccdso.placement import place_rack_aware, place_random
 from sccdso.sim import (
+    PHI,
+    Q_GAMMA,
+    THETA_MIG,
     MigrationCandidate,
     QueueState,
     RuntimeConfig,
@@ -161,25 +164,23 @@ def test_remaining_time_bootstraps_before_first_completion():
 
 
 def test_should_migrate_cases():
-    cfg = RuntimeConfig(phi=0.075)
     idle = queue_state(ts=10.0)
-    assert not should_migrate(idle, idle, 0.0, cfg)
+    assert not should_migrate(idle, idle, 0.0)
 
-    phi = 0.075 * 10.0
+    phi = PHI * 10.0
     busy_target = queue_state(current_mb=10 * phi, progress=0.0, rate=1.0, ts=10.0)
     busy_source = queue_state(
         pending=(5 * phi + 2.0,), current_mb=0.0, rate=1.0, ts=10.0
     )
     # R(target)=10phi > phi and R(source)-T = 5phi+2-2 = 5phi > phi
-    assert should_migrate(busy_target, busy_source, 2.0, cfg)
+    assert should_migrate(busy_target, busy_source, 2.0)
 
 
 def test_should_migrate_boundary_is_strict():
-    cfg = RuntimeConfig(phi=0.075)
-    phi = 0.075 * 10.0
+    phi = PHI * 10.0
     exactly_phi = queue_state(current_mb=phi, progress=0.0, rate=1.0, ts=10.0)
     deep_source = queue_state(pending=(100.0,), rate=1.0, ts=10.0)
-    assert not should_migrate(exactly_phi, deep_source, 0.0, cfg)
+    assert not should_migrate(exactly_phi, deep_source, 0.0)
 
 
 # --- epsilon-greedy policy --------------------------------------------------
@@ -218,30 +219,34 @@ def test_empty_candidates_yield_none():
 
 
 def test_migration_cap_per_round_enforced():
-    # one overloaded slow node, several eager targets, cap of 1
+    # deep queues (10 tasks per one-slot node) with one node slowed 4x
+    # after scheduling: the slow node sheds work and the others take it
     g = make_cluster(
         [
-            {"id": "slow", "rack": "r1", "cpu_ghz": 0.2, "io_mbps": 20.0, "slots": 1},
-            {"id": "f1", "rack": "r1", "cpu_ghz": 4.0, "io_mbps": 400.0, "slots": 1},
-            {"id": "f2", "rack": "r2", "cpu_ghz": 4.0, "io_mbps": 400.0, "slots": 1},
+            {"id": f"n{i}", "rack": f"r{i % 2}", "cpu_ghz": 2.0, "io_mbps": 200.0, "slots": 1}
+            for i in range(6)
         ]
     )
-    app, blocks, tasks, w = build_workload(512, rf=3, gcycles_per_mb=0.2)
-    plan = place_rack_aware(g, blocks, "slow", rf=3)
-    schedule = {t.id: "slow" for t in tasks[:6]}
-    schedule.update({t.id: "f1" for t in tasks[6:7]})
-    schedule.update({t.id: "f2" for t in tasks[7:]})
-    cfg = RuntimeConfig(enable_migration=True, theta_mig=1)
-    trace = simulate(g, plan, schedule, w, cfg, seed=3)
-    moves = [e for e in trace.events if e.kind == "migrate"]
-    by_round: dict[float, dict[str, int]] = {}
-    for e in moves:
-        src = e.info.split("=")[1]
-        counts = by_round.setdefault(e.time, {})
-        counts[src] = counts.get(src, 0) + 1
-        counts[e.node_id] = counts.get(e.node_id, 0) + 1
-        for node, c in counts.items():
-            assert c <= cfg.theta_mig, f"cap violated at {e.time} for {node}"
+    app, blocks, tasks, w = build_workload(60 * 64, rf=2)
+    plan = place_random(g, blocks, rf=2, seed=0)
+    schedule = {t.id: f"n{k % 6}" for k, t in enumerate(tasks)}
+    view = inject_stragglers(g, 0.2, 4.0, seed=0)
+    trace = simulate(view, plan, schedule, w, RuntimeConfig(enable_migration=True), seed=0)
+    assert trace.metrics.migrations > 0
+    # a round is the migrations that follow one finish event
+    rounds, out_, in_ = [], {}, {}
+    for e in trace.events:
+        if e.kind == "finish":
+            rounds.append((out_, in_))
+            out_, in_ = {}, {}
+        elif e.kind == "migrate":
+            src = e.info.split("=")[1]
+            out_[src] = out_.get(src, 0) + 1
+            in_[e.node_id] = in_.get(e.node_id, 0) + 1
+    rounds.append((out_, in_))
+    peak_out = max(max(o.values(), default=0) for o, _ in rounds)
+    peak_in = max(max(i.values(), default=0) for _, i in rounds)
+    assert peak_out == THETA_MIG and peak_in == THETA_MIG
 
 
 # --- stragglers -------------------------------------------------------------
@@ -332,6 +337,57 @@ def test_bitwise_determinism():
     assert a.metrics == b.metrics
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    n_nodes=st.integers(2, 7),
+    n_racks=st.integers(1, 3),
+    n_tasks=st.integers(1, 24),
+    rf=st.integers(1, 3),
+    arrival_rate=st.floats(0.2, 20.0),
+    slow_frac=st.sampled_from([0.0, 0.25, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+def test_simulate_fuzz_invariants(n_nodes, n_racks, n_tasks, rf, arrival_rate, slow_frac, seed):
+    # two-tier cluster, Poisson arrivals, a replica blackout, stragglers and
+    # migration on: every task finishes once, no task starts before it
+    # arrives, time never runs backwards and fetched bytes add up
+    rng = np.random.default_rng(seed)
+    g = make_cluster(
+        [
+            {
+                "id": f"n{i}", "rack": f"r{i % n_racks}",
+                "cpu_ghz": float(rng.uniform(1.0, 4.0)),
+                "io_mbps": float(rng.uniform(50.0, 400.0)),
+                "slots": int(rng.integers(1, 3)),
+                "uplink_mbps": float(rng.choice([50.0, 125.0, 500.0])),
+            }
+            for i in range(n_nodes)
+        ],
+        intra_ms=1.0,
+        inter_ms=5.0,
+    )
+    rf = min(rf, n_nodes)
+    app, blocks, tasks, _ = build_workload(n_tasks * 64, rf=rf)
+    arrivals = dict(zip((t.id for t in tasks), np.cumsum(rng.exponential(1 / arrival_rate, n_tasks))))
+    w = Workload(apps=(app,), blocks=tuple(blocks), tasks=tuple(tasks), arrivals=arrivals)
+    plan = place_random(g, blocks, rf=rf, seed=seed)
+    ids = sorted(g.nodes)
+    schedule = {t.id: ids[int(rng.integers(0, n_nodes))] for t in tasks}
+    view = inject_stragglers(g, slow_frac, 4.0, seed)
+    blackout = (ids[int(rng.integers(0, n_nodes))], float(rng.uniform(0.0, n_tasks)))
+    cfg = RuntimeConfig(enable_migration=True, replica_blackout=blackout)
+    trace = simulate(view, plan, schedule, w, cfg, seed=seed)
+
+    finishes = [e.task_id for e in trace.events if e.kind == "finish"]
+    assert sorted(finishes) == sorted(t.id for t in tasks)
+    times = [e.time for e in trace.events]
+    assert times == sorted(times)
+    assert all(e.time >= arrivals[e.task_id] for e in trace.events if e.kind == "start")
+    mb = {t.id: t.block_mb for t in tasks}
+    fetched = sum(mb[e.task_id] for e in trace.events if e.kind == "transfer")
+    assert trace.metrics.network_mb == fetched
+
+
 def test_locality_ratio_counts_replica_holders():
     g = make_cluster(
         [
@@ -350,8 +406,7 @@ def test_locality_ratio_counts_replica_holders():
 def test_q_table_stays_bounded():
     for seed in range(6):
         _, _, _, _, trace = run_random_instance(seed, migration=True)
-        cfg = RuntimeConfig()
-        bound = 1.0 / (1.0 - cfg.q_gamma) + 1e-9
+        bound = 1.0 / (1.0 - Q_GAMMA) + 1e-9
         for v in trace.q_table.values():
             assert abs(v) <= bound
 
@@ -389,15 +444,25 @@ def test_schedule_validation():
         else:
             with pytest.raises(ValueError, match="over its 127 MB capacity"):
                 simulate(g, plan, both, w, RuntimeConfig(), seed=0)
+    # a queue must list exactly its node's assigned tasks, each once
+    g = make_cluster([("a", "r1", 1.0, 100.0), ("b", "r1", 1.0, 100.0)])
+    plan = place_rack_aware(g, blocks, "a", rf=1)
+    split = {tasks[0].id: "a", tasks[1].id: "b"}
+    simulate(g, plan, split, w, RuntimeConfig(), seed=0,
+             queues={"a": [tasks[0].id], "b": [tasks[1].id]})
+    for queues in (
+        {"a": [tasks[0].id, tasks[1].id], "b": []},  # a task on another node's queue
+        {"a": [tasks[0].id, tasks[0].id], "b": [tasks[1].id]},  # listed twice
+        {"a": [tasks[0].id]},  # left out
+    ):
+        with pytest.raises(ValueError, match="queue of node"):
+            simulate(g, plan, split, w, RuntimeConfig(), seed=0, queues=queues)
 
 
 def test_runtime_config_validation():
-    with pytest.raises(ValueError):
-        RuntimeConfig(phi=0.2).validate()
-    with pytest.raises(ValueError):
-        RuntimeConfig(theta_mig=0).validate()
-    with pytest.raises(ValueError):
-        RuntimeConfig(rq_scale=0.9).validate()
+    RuntimeConfig(sync_delay_s=0.0).validate()
+    with pytest.raises(ValueError, match="sync_delay_s"):
+        RuntimeConfig(sync_delay_s=-0.1).validate()
 
 
 def test_sync_delay_charged_per_remote_access():
