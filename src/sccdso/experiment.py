@@ -107,57 +107,66 @@ class ExperimentConfig:
             raise ValueError(f"unknown format: {self.format}")
         if self.preset not in ("table1", "stage7"):
             raise ValueError(f"unknown preset: {self.preset}")
-        for name in ("demand", "gcycles_per_mb"):
-            # a malformed spec would otherwise first fail inside every cell
+
+        def check(key: str, build) -> None:
             try:
-                wl._sample(np.random.default_rng(0), getattr(self, name))
+                build()
             except (ValueError, TypeError) as exc:
-                raise ValueError(f"{name}: {exc}") from None
+                raise ValueError(f"{key}: {exc}") from None
+
+        # the checks the cells run, so that a bad value is a config error
+        # here and not a failure of every cell (or, for a cluster size, of
+        # the whole run)
+        for name in ("demand", "gcycles_per_mb"):
+            check(name, lambda: wl._sample(np.random.default_rng(0), getattr(self, name)))
+        for size in self.file_sizes_mb:
+            check("file_sizes_mb", lambda: wl.Application(str(size), size).validate())
+        for rf in self.replication_factors:
+            check(
+                "replication_factors",
+                lambda: wl.Application(f"RF{rf}", 1.0, replication_factor=rf).validate(),
+            )
+        for key in ("cluster_sizes", "straggler_node_counts"):
+            for n in getattr(self, key):
+                check(key, lambda: synthetic_cluster_config(n))
+        check(
+            "network_load",
+            lambda: wl.WorkloadProfile((wl.AppProfile(),), network_load=self.network_load).validate(),
+        )
+        check("straggler_fraction", lambda: sim.check_stragglers(fraction=self.straggler_fraction))
+        check("straggler_slowdown", lambda: sim.check_stragglers(slowdown=self.straggler_slowdown))
+
+
+_PATH_KEYS = {"cluster_path": "cluster", "workload_path": "workload"}
 
 
 def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
+    """Build and validate a config; an absent key keeps the field's default.
+    The `cluster` and `workload` paths are relative to `base_dir`, and a
+    scalar `block_size_mb` stands for a one-element `block_sizes_mb`."""
     if not isinstance(data, dict):
         raise ValueError("experiment config must be a mapping")
-
-    def path_of(key):
-        p = data.get(key)
-        return os.path.join(base_dir, p) if p and not os.path.isabs(p) else p
-
-    def seq(key, default):
-        # tuple() would split a string into characters and reject a number
-        # with a TypeError; name the key instead
-        value = data.get(key, default)
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{key} must be a list, got {value!r}")
-        return tuple(value)
-
-    cfg = ExperimentConfig(
-        cluster_path=path_of("cluster"),
-        workload_path=path_of("workload"),
-        schedulers=seq("schedulers", ("rf-fd", "rsync", "scc-dso")),
-        scenarios=seq("scenarios", SCENARIOS),
-        seed=int(data.get("seed", 42)),
-        repetitions=int(data.get("repetitions", 50)),
-        preset=data.get("preset", "stage7"),
-        block_sizes_mb=(
-            seq("block_sizes_mb", ())
-            if "block_sizes_mb" in data
-            else (float(data.get("block_size_mb", 16.0)),)
-        ),
-        file_sizes_mb=seq("file_sizes_mb", (20, 40, 60, 80, 100)),
-        cluster_sizes=seq("cluster_sizes", (10, 20, 30, 40, 50)),
-        replication_factors=seq("replication_factors", (1, 2, 3, 4)),
-        straggler_node_counts=seq("straggler_node_counts", (60, 70, 80, 90, 100)),
-        straggler_fraction=float(data.get("straggler_fraction", 0.1)),
-        straggler_slowdown=float(data.get("straggler_slowdown", 4.0)),
-        locality_input_mb=float(data.get("locality_input_mb", 1664.0)),
-        locality_block_mb=float(data.get("locality_block_mb", 64.0)),
-        demand=data.get("demand", {"uniform": [0.3, 0.8]}),
-        gcycles_per_mb=data.get("gcycles_per_mb", {"uniform": [0.06, 0.1]}),
-        network_load=float(data.get("network_load", 0.0)),
-        out_dir=data.get("out_dir", "results"),
-        format=data.get("format", "csv"),
-    )
+    values = {}
+    for f in fields(ExperimentConfig):
+        key = _PATH_KEYS.get(f.name, f.name)
+        if key not in data:
+            continue
+        value = data[key]
+        if f.name in _PATH_KEYS:
+            if value and not os.path.isabs(value):
+                value = os.path.join(base_dir, value)
+        elif isinstance(f.default, tuple):
+            # tuple() would split a string into characters and reject a
+            # number with a TypeError; name the key instead
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {value!r}")
+            value = tuple(value)
+        elif isinstance(f.default, (int, float)):
+            value = type(f.default)(value)
+        values[f.name] = value
+    if "block_sizes_mb" not in data and "block_size_mb" in data:
+        values["block_sizes_mb"] = (float(data["block_size_mb"]),)
+    cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
 

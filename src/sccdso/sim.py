@@ -8,9 +8,13 @@ starts, at `min over path links of bandwidth / (active demand flows + 1)`.
 Runtime adaptivity is migration, off by default: after each task
 completion, nodes whose resource quotient exceeds their threshold offer
 queued tasks to other nodes. A candidate move must satisfy both
-remaining-time inequalities (threshold `PHI` times the node's reference
-service time), project a strictly better completion, and respect the
-per-round caps of `THETA_MIG` moves out of and into each node. Among
+remaining-time inequalities, strictly: the target's remaining time, and
+the source's less the task's predicted time, must each exceed the node's
+threshold (`PHI` times its reference service time). It must also project a
+strictly better completion and respect the per-round caps of `THETA_MIG`
+moves out of and into each node. A node's rate (observed mean MB/s, the
+predictor's bootstrap rate until its first completion), remaining time,
+quotient and threshold are each defined once, on its runtime state. Among
 valid candidates a decaying epsilon-greedy policy picks (`EPSILON`, decay
 `EPSILON_DECAY` per round), scoring with a small Q table (learning rate
 `Q_ALPHA`, discount `Q_GAMMA`) keyed by coarse (source load, target load,
@@ -54,15 +58,21 @@ class TrueTimeModel:
         return np.array([[true_service_time(n, t) for t in tasks] for n in nodes])
 
 
+def check_stragglers(fraction: float = 0.0, slowdown: float = math.inf) -> None:
+    """Raise unless `fraction` is in [0, 1) and `slowdown` is > 1; an
+    omitted argument passes."""
+    if not 0.0 <= fraction < 1.0:
+        raise ValueError("fraction must be in [0, 1)")
+    if slowdown <= 1.0:
+        raise ValueError("slowdown must be > 1")
+
+
 def inject_stragglers(
     g: ClusterGraph, fraction: float, slowdown: float, seed: int
 ) -> ClusterGraph:
     """Return a cluster view where a seeded node subset runs `slowdown`
     times slower on both compute and I/O."""
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError("fraction must be in [0, 1)")
-    if slowdown <= 1.0:
-        raise ValueError("slowdown must be > 1")
+    check_stragglers(fraction, slowdown)
     ids = sorted(g.nodes)
     count = int(round(fraction * len(ids)))
     if count == 0:
@@ -100,72 +110,12 @@ class RuntimeConfig:
             raise ValueError("sync_delay_s must be >= 0")
 
 
-@dataclass
-class QueueState:
-    """Point-in-time view of one node's queue, as the migration rules see
-    it."""
-
-    node_id: str
-    pending_mb: tuple[float, ...]
-    current_block_mb: float  # 0 when idle
-    current_progress: float  # rho in [0, 1]
-    observed_rate: float  # mean MB/s over completed tasks, 0 until first
-    bootstrap_rate: float  # predictor-derived fallback rate
-    throughput_baseline: float  # TS_i: reference per-task service seconds
-
-    @property
-    def pending_count(self) -> int:
-        return len(self.pending_mb)
-
-
-def remaining_time(q: QueueState) -> float:
-    """Estimated seconds until the queue drains: unfinished share of the
-    running block plus all pending blocks, at the node's observed rate
-    (predictor bootstrap until the first completion)."""
-    if q.current_block_mb <= 0 and not q.pending_mb:
-        return 0.0
-    rate = q.observed_rate if q.observed_rate > 0 else q.bootstrap_rate
-    if rate <= 0:
-        return math.inf
-    rem = q.current_block_mb * (1.0 - q.current_progress) / rate
-    rem += sum(q.pending_mb) / rate
-    return rem
-
-
-def resource_quotient(q: QueueState) -> float:
-    """Queue-delay quotient that flags an overloaded node."""
-    block = q.current_block_mb if q.current_block_mb > 0 else (
-        q.pending_mb[0] if q.pending_mb else 0.0
-    )
-    rate = q.observed_rate if q.observed_rate > 0 else q.bootstrap_rate
-    if rate <= 0:
-        return math.inf if q.pending_mb else 0.0
-    return q.pending_count * block / (RQ_SCALE * rate)
-
-
-def should_migrate(
-    target_q: QueueState,
-    source_q: QueueState,
-    predicted_source_time: float,
-) -> bool:
-    """Both inequalities, strictly: the target has enough remaining work to
-    hide the moved task's data fetch, and the source stays saturated even
-    without this task."""
-    phi_t = PHI * target_q.throughput_baseline
-    phi_s = PHI * source_q.throughput_baseline
-    return (
-        remaining_time(target_q) > phi_t
-        and remaining_time(source_q) - predicted_source_time > phi_s
-    )
-
-
 @dataclass(frozen=True)
 class MigrationCandidate:
     task_id: str
     source: str
     target: str
     improvement_s: float
-    local_at_target: bool
     signature: tuple  # coarse Q-table key
 
 
@@ -176,12 +126,13 @@ def epsilon_greedy_migration(
     rng: np.random.Generator,
 ) -> MigrationCandidate | None:
     """Explore uniformly with probability epsilon, otherwise exploit the
-    highest-valued signature. Deterministic tie-break by candidate order."""
+    highest-valued signature; `max` keeps the first of equally valued
+    candidates, so ties go to candidate order."""
     if not candidates:
         return None
     if rng.random() < epsilon:
         return candidates[int(rng.integers(0, len(candidates)))]
-    return max(candidates, key=lambda c: (q_table.get(c.signature, 0.0), -candidates.index(c)))
+    return max(candidates, key=lambda c: q_table.get(c.signature, 0.0))
 
 
 @dataclass(frozen=True)
@@ -230,7 +181,9 @@ class SimTrace:
 
 
 class _NodeRt:
-    """Mutable per-node runtime state inside one simulation."""
+    """Mutable per-node runtime state inside one simulation, and the
+    per-node quantities the migration rule reads from it: rate, remaining
+    time, queue-delay quotient and threshold."""
 
     __slots__ = (
         "spec", "pending", "running", "completed_count", "rate_sum",
@@ -246,26 +199,42 @@ class _NodeRt:
         self.ts_ref = ts_ref
         self.bootstrap_rate = bootstrap_rate
 
-    def observed_rate(self) -> float:
-        return self.rate_sum / self.completed_count if self.completed_count else 0.0
+    def rate(self) -> float:
+        """MB/s: the mean over completed tasks, or the predictor-derived
+        bootstrap rate until the first completion."""
+        observed = self.rate_sum / self.completed_count if self.completed_count else 0.0
+        return observed if observed > 0 else self.bootstrap_rate
 
-    def queue_state(self, now: float) -> QueueState:
-        cur_mb = 0.0
-        prog = 0.0
-        if self.running:
-            spans = [(f - s, max(0.0, min(1.0, (now - s) / (f - s) if f > s else 1.0)), mb)
-                     for s, f, mb in self.running.values()]
-            cur_mb = sum(mb for _, _, mb in spans)
-            prog = sum(p * mb for _, p, mb in spans) / cur_mb if cur_mb > 0 else 0.0
-        return QueueState(
-            node_id=self.spec.id,
-            pending_mb=tuple(t.block_mb for t in self.pending),
-            current_block_mb=cur_mb,
-            current_progress=prog,
-            observed_rate=self.observed_rate(),
-            bootstrap_rate=self.bootstrap_rate,
-            throughput_baseline=self.ts_ref,
-        )
+    def remaining(self, now: float) -> float:
+        """Estimated seconds until the queue drains: the unfinished share of
+        the running blocks plus all pending blocks, at `rate()`."""
+        spans = [(max(0.0, min(1.0, (now - s) / (f - s) if f > s else 1.0)), mb)
+                 for s, f, mb in self.running.values()]
+        cur_mb = sum(mb for _, mb in spans)
+        if cur_mb <= 0 and not self.pending:
+            return 0.0
+        rate = self.rate()
+        if rate <= 0:
+            return math.inf
+        prog = sum(p * mb for p, mb in spans) / cur_mb if cur_mb > 0 else 0.0
+        rem = cur_mb * (1.0 - prog) / rate
+        rem += sum(t.block_mb for t in self.pending) / rate
+        return rem
+
+    def quotient(self) -> float:
+        """Queue-delay quotient that flags an overloaded node: pending tasks
+        times the running (else the next) block, over `RQ_SCALE * rate()`."""
+        cur_mb = sum(mb for _, _, mb in self.running.values())
+        block = cur_mb if cur_mb > 0 else (self.pending[0].block_mb if self.pending else 0.0)
+        rate = self.rate()
+        if rate <= 0:
+            return math.inf if self.pending else 0.0
+        return len(self.pending) * block / (RQ_SCALE * rate)
+
+    def exceeds_threshold(self, seconds: float) -> bool:
+        """The migration threshold, strictly: more than `PHI` times the
+        node's reference service time."""
+        return seconds > PHI * self.ts_ref
 
 
 def validate_schedule(
@@ -475,37 +444,34 @@ def simulate(
                 break  # no task left to move
             # an idle node has no remaining time, so it is neither a
             # source nor a target
-            states = {
-                nid: rt[nid].queue_state(now)
+            rem = {
+                nid: rt[nid].remaining(now)
                 for nid in node_ids
                 if rt[nid].pending or rt[nid].running
             }
-            rem = {nid: remaining_time(st) for nid, st in states.items()}
-            phi = {nid: PHI * st.throughput_baseline for nid, st in states.items()}
             sources = [
                 nid
-                for nid in states
+                for nid in rem
                 if rt[nid].pending
                 and moved_out.get(nid, 0) < THETA_MIG
-                and resource_quotient(states[nid]) > phi[nid]
+                and rt[nid].exceeds_threshold(rt[nid].quotient())
             ]
             sources.sort(key=lambda n: (-rem[n], n))
             targets = [
                 nid
-                for nid in states
-                if rem[nid] > phi[nid] and moved_in.get(nid, 0) < THETA_MIG
+                for nid in rem
+                if rt[nid].exceeds_threshold(rem[nid]) and moved_in.get(nid, 0) < THETA_MIG
             ]
             targets.sort(key=lambda n: (rem[n], n))
             candidates: list[MigrationCandidate] = []
             for src in sources[:3]:
-                sq = states[src]
-                rate_s = sq.observed_rate or sq.bootstrap_rate
+                rate_s = rt[src].rate()
                 for task in rt[src].pending[-8:]:
                     if task_moves.get(task.id, 0) >= 3:
                         continue
                     t_src = predicted_time(src, task, now)
-                    if rem[src] - t_src <= phi[src]:
-                        continue  # second migration inequality
+                    if not rt[src].exceeds_threshold(rem[src] - t_src):
+                        continue  # the source must stay saturated without the task
                     for dst in targets[:10]:
                         if dst == src:
                             continue
@@ -518,13 +484,11 @@ def simulate(
                             continue
                         local = dst in replicas_of(task.block_id, now)
                         sig = (
-                            min(3, int(rem[src] / max(sq.throughput_baseline, 1e-9) / 2)),
-                            min(3, int(rem[dst] / max(states[dst].throughput_baseline, 1e-9) / 2)),
+                            min(3, int(rem[src] / max(rt[src].ts_ref, 1e-9) / 2)),
+                            min(3, int(rem[dst] / max(rt[dst].ts_ref, 1e-9) / 2)),
                             local,
                         )
-                        candidates.append(
-                            MigrationCandidate(task.id, src, dst, improvement, local, sig)
-                        )
+                        candidates.append(MigrationCandidate(task.id, src, dst, improvement, sig))
             candidates.sort(key=lambda c: (c.task_id, c.target))
             choice = epsilon_greedy_migration(candidates, q_table, epsilon, rng)
             if choice is None:

@@ -161,6 +161,19 @@ def test_config_from_dict_validation():
         config_from_dict([])
 
 
+def test_config_from_dict_defaults_paths_and_legacy_block_size(tmp_path):
+    assert config_from_dict({}) == ExperimentConfig()
+    cfg = config_from_dict(
+        {"cluster": "c.json", "workload": str(tmp_path / "w.json"), "block_size_mb": 32},
+        base_dir=str(tmp_path),
+    )
+    assert cfg.cluster_path == os.path.join(str(tmp_path), "c.json")
+    assert cfg.workload_path == str(tmp_path / "w.json")
+    assert cfg.block_sizes_mb == (32.0,)
+    both = {"block_size_mb": 32, "block_sizes_mb": [8, 16]}
+    assert config_from_dict(both).block_sizes_mb == (8, 16)
+
+
 def test_workload_file_drives_replication_sweep(tmp_path):
     jobs = tmp_path / "jobs.json"
     jobs.write_text(
@@ -348,10 +361,19 @@ def test_cli_run_bad_config_exit_1(tmp_path):
         ({"schedulers": "rr"}, "schedulers must be a list"),
         ({"demand": "x"}, "demand: unrecognized distribution spec"),
         ({"gcycles_per_mb": {"uniform": [1]}}, "gcycles_per_mb:"),
+        ({"straggler_fraction": 1.5}, "straggler_fraction: fraction must be in [0, 1)"),
+        ({"straggler_slowdown": 0.5}, "straggler_slowdown: slowdown must be > 1"),
+        ({"replication_factors": [5]}, "replication_factors: app RF5: replication_factor"),
+        ({"file_sizes_mb": [-5]}, "file_sizes_mb: app -5: input_mb must be > 0"),
+        ({"network_load": 1.0}, "network_load: network_load must be in [0, 1)"),
+        ({"cluster_sizes": [0]}, "cluster_sizes: n_nodes must be >= 1"),
     ],
     ids=[
         "number-for-list", "null-for-int", "string-for-list",
         "string-for-demand-spec", "short-uniform-spec",
+        "straggler-fraction-above-1", "straggler-slowdown-below-1",
+        "replication-factor-above-4", "negative-file-size",
+        "network-load-of-1", "empty-cluster",
     ],
 )
 def test_cli_wrong_config_type_is_a_config_error(tmp_path, capsys, bad, message):

@@ -10,16 +10,14 @@ from sccdso.sim import (
     Q_GAMMA,
     THETA_MIG,
     MigrationCandidate,
-    QueueState,
     RuntimeConfig,
+    _NodeRt,
     epsilon_greedy_migration,
     inject_stragglers,
-    remaining_time,
-    should_migrate,
     simulate,
     true_service_time,
 )
-from sccdso.workload import Application, Workload, partition, tasks_for
+from sccdso.workload import Application, TaskSpec, Workload, partition, tasks_for
 
 from conftest import make_cluster
 
@@ -48,24 +46,17 @@ def build_workload(input_mb, block_mb=64, rf=1, gcycles_per_mb=0.05, demand=0.5)
     )
 
 
-def queue_state(
-    node_id="n",
-    pending=(),
-    current_mb=0.0,
-    progress=0.0,
-    rate=0.0,
-    bootstrap=10.0,
-    ts=1.0,
-):
-    return QueueState(
-        node_id=node_id,
-        pending_mb=tuple(pending),
-        current_block_mb=current_mb,
-        current_progress=progress,
-        observed_rate=rate,
-        bootstrap_rate=bootstrap,
-        throughput_baseline=ts,
-    )
+def node_rt(pending=(), running=None, rate=0.0, bootstrap=10.0, ts=1.0):
+    """The per-node runtime state that `migration_round` reads: blocks of
+    `pending` MB queued, `running` = (start, finish, MB) of one running
+    block, and `rate` > 0 observed over one completed task."""
+    state = _NodeRt(None, ts, bootstrap)
+    state.pending = [TaskSpec(f"p{i}", f"b{i}", mb, 0.5, 1.0) for i, mb in enumerate(pending)]
+    if running is not None:
+        state.running["r"] = running
+    if rate > 0:
+        state.completed_count, state.rate_sum = 1, rate
+    return state
 
 
 # --- core execution -------------------------------------------------------
@@ -145,42 +136,48 @@ def test_fair_share_splits_link_bandwidth():
 
 
 def test_remaining_time_empty_queue():
-    assert remaining_time(queue_state()) == 0.0
+    assert node_rt().remaining(0.0) == 0.0
 
 
 def test_remaining_time_running_block():
-    q = queue_state(current_mb=64, progress=0.5, rate=16.0)
-    assert remaining_time(q) == pytest.approx(2.0)
+    q = node_rt(running=(0.0, 8.0, 64.0), rate=16.0)  # half done at t=4
+    assert q.remaining(4.0) == pytest.approx(2.0)
 
 
 def test_remaining_time_adds_pending():
-    q = queue_state(pending=(32.0,), current_mb=64, progress=0.5, rate=16.0)
-    assert remaining_time(q) == pytest.approx(4.0)
+    q = node_rt(pending=(32.0,), running=(0.0, 8.0, 64.0), rate=16.0)
+    assert q.remaining(4.0) == pytest.approx(4.0)
 
 
 def test_remaining_time_bootstraps_before_first_completion():
-    q = queue_state(pending=(50.0,), rate=0.0, bootstrap=25.0)
-    assert remaining_time(q) == pytest.approx(2.0)
+    q = node_rt(pending=(50.0,), rate=0.0, bootstrap=25.0)
+    assert q.remaining(0.0) == pytest.approx(2.0)
+
+
+# The two migration inequalities as `migration_round` checks them: the
+# target's remaining time, and the source's less the moved task's predicted
+# time, must each exceed the node's threshold.
 
 
 def test_should_migrate_cases():
-    idle = queue_state(ts=10.0)
-    assert not should_migrate(idle, idle, 0.0)
+    idle = node_rt(ts=10.0)
+    assert not idle.exceeds_threshold(idle.remaining(0.0))
 
     phi = PHI * 10.0
-    busy_target = queue_state(current_mb=10 * phi, progress=0.0, rate=1.0, ts=10.0)
-    busy_source = queue_state(
-        pending=(5 * phi + 2.0,), current_mb=0.0, rate=1.0, ts=10.0
-    )
+    busy_target = node_rt(running=(0.0, 1.0, 10 * phi), rate=1.0, ts=10.0)
+    busy_source = node_rt(pending=(5 * phi + 2.0,), rate=1.0, ts=10.0)
     # R(target)=10phi > phi and R(source)-T = 5phi+2-2 = 5phi > phi
-    assert should_migrate(busy_target, busy_source, 2.0)
+    assert busy_target.exceeds_threshold(busy_target.remaining(0.0))
+    assert busy_source.exceeds_threshold(busy_source.remaining(0.0) - 2.0)
 
 
 def test_should_migrate_boundary_is_strict():
     phi = PHI * 10.0
-    exactly_phi = queue_state(current_mb=phi, progress=0.0, rate=1.0, ts=10.0)
-    deep_source = queue_state(pending=(100.0,), rate=1.0, ts=10.0)
-    assert not should_migrate(exactly_phi, deep_source, 0.0)
+    exactly_phi = node_rt(running=(0.0, 1.0, phi), rate=1.0, ts=10.0)
+    deep_source = node_rt(pending=(100.0,), rate=1.0, ts=10.0)
+    assert exactly_phi.remaining(0.0) == phi
+    assert not exactly_phi.exceeds_threshold(exactly_phi.remaining(0.0))
+    assert deep_source.exceeds_threshold(deep_source.remaining(0.0) - 0.0)
 
 
 # --- epsilon-greedy policy --------------------------------------------------
@@ -188,7 +185,7 @@ def test_should_migrate_boundary_is_strict():
 
 def candidates(k):
     return [
-        MigrationCandidate(f"t{i}", "s", f"d{i}", 1.0, True, ("sig", i))
+        MigrationCandidate(f"t{i}", "s", f"d{i}", 1.0, ("sig", i))
         for i in range(k)
     ]
 
@@ -199,6 +196,10 @@ def test_epsilon_zero_exploits_argmax():
     rng = np.random.default_rng(0)
     for _ in range(50):
         assert epsilon_greedy_migration(cands, q, 0.0, rng).task_id == "t2"
+    # a tie on the top value goes to the first candidate in list order
+    tied = {("sig", 3): 5.0, ("sig", 1): 5.0}
+    assert epsilon_greedy_migration(cands, tied, 0.0, rng).task_id == "t1"
+    assert epsilon_greedy_migration(cands, {}, 0.0, rng).task_id == "t0"
 
 
 def test_epsilon_one_is_uniform_chi_squared():
