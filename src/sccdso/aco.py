@@ -7,6 +7,16 @@ pheromone^alpha * desirability^beta over the eligible set; desirability is
 the inverse of predicted execution time with the data-access cost folded
 in, so locality and speed ride the same signal.
 
+An iteration builds its ants together (`construct_colony`): every ant's
+task order and draws are taken from the generator up front, then all ants
+step through their t-th task at once over (ants, n) arrays, and
+`_solution_from_indices` scores the (ants, B) assignment matrix in one
+pass. The result is bit-for-bit the per-ant loop's (`construct_solution`,
+ant after ant on the same generator): each sum keeps the loop's order.
+The one exception is a stranded task (no node has room), which the
+per-ant loop skips without a draw; an iteration where any ant strands
+rewinds the generator and runs `construct_solution` per ant.
+
 Two pheromone regimes:
 
 * full — every feasible ant deposits Q / makespan on the edges it used,
@@ -32,7 +42,7 @@ synchronization delay, and plain round robin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,6 +131,9 @@ class AntSolution:
     metrics: tuple[float, float, float]  # raw (delay, cost, loss)
     feasible: bool
     edge_times: dict[str, float]  # task id -> effective time at its node
+    # (B,) index into the problem's node_ids per task, -1 when unassigned;
+    # the same plan as `assignment`, which equality compares
+    node_index: np.ndarray = field(compare=False, repr=False)
     objective: float = float("nan")
 
 
@@ -271,41 +284,50 @@ def selection_weights(
 
 def _solution_from_indices(
     problem: AssignmentProblem, assign: np.ndarray, feasible: bool
-) -> AntSolution:
-    n = len(problem.node_ids)
+) -> list[AntSolution]:
+    """Score each row of an (ants, B) node-index matrix (-1: unassigned).
+    Every total adds its terms in task order from 0.0, as a task-by-task
+    loop would: `np.add.at` for node loads, a running `cumsum` for delay,
+    cost and loss (`np.sum` adds pairwise and moves last bits). Unassigned
+    tasks add exact zeros."""
+    ants, b = assign.shape
     assigned = assign >= 0
-    loads = np.zeros(n)
-    counts = np.zeros(n)
-    delay = cost = loss_sum = 0.0
-    assignment: dict[str, str] = {}
-    edge_times: dict[str, float] = {}
-    for j, i in enumerate(assign):
-        if i < 0:
-            continue
-        loads[i] += problem.t_eff[i, j]
-        counts[i] += 1
-        delay += problem.xtra_delay[i, j]
-        cost += problem.cost[i, j]
-        survive = 1.0 - problem.loss_prob[i]
-        if problem.src_idx[i, j] >= 0:
-            survive *= 1.0 - problem.loss_prob[problem.src_idx[i, j]]
-        loss_sum += 1.0 - survive
-        tid = problem.task_ids[j]
-        assignment[tid] = problem.node_ids[i]
-        edge_times[tid] = float(problem.t_eff[i, j])
-    # Each task's latency is dominated by its node's backlog (the workload
-    # at the node over its capacity), so the plan delay sums every node's
-    # drain time once per task served there, plus fetch-path extras.
-    delay += float((counts * loads).sum())
-    count = max(int(assigned.sum()), 1)
-    makespan = float(loads.max()) if assigned.any() else float("inf")
-    return AntSolution(
-        assignment=assignment,
-        makespan=makespan,
-        metrics=(float(delay), float(cost), loss_sum / count),
-        feasible=feasible and bool(assigned.all()),
-        edge_times=edge_times,
-    )
+    nodes = np.where(assigned, assign, 0)
+    cols = np.arange(b)
+    rows = np.arange(ants)[:, None]
+    t_eff = np.where(assigned, problem.t_eff[nodes, cols], 0.0)
+    loads = np.zeros((ants, len(problem.node_ids)))
+    counts = np.zeros_like(loads)
+    np.add.at(loads, (rows, nodes), t_eff)
+    np.add.at(counts, (rows, nodes), assigned)
+    lp = problem.loss_prob
+    src = problem.src_idx[nodes, cols]
+    survive = 1.0 - lp[nodes]
+    survive = np.where(src >= 0, survive * (1.0 - lp[src]), survive)
+    # (delay, cost, loss) terms behind a column of 0.0, the loop's start
+    terms = np.zeros((3, ants, b + 1))
+    terms[:, :, 1:] = problem.xtra_delay[nodes, cols], problem.cost[nodes, cols], 1.0 - survive
+    terms[:, :, 1:][:, ~assigned] = 0.0
+    delay, cost, loss = terms.cumsum(axis=2)[:, :, -1]
+    sols = []
+    for a in range(ants):
+        js = np.flatnonzero(assigned[a])
+        tids = [problem.task_ids[j] for j in js.tolist()]
+        count = len(js)
+        # Each task's latency is dominated by its node's backlog (the
+        # workload at the node over its capacity), so the plan delay sums
+        # every node's drain time once per task served there, plus
+        # fetch-path extras.
+        plan_delay = delay[a] + float((counts[a] * loads[a]).sum())
+        sols.append(AntSolution(
+            assignment=dict(zip(tids, [problem.node_ids[i] for i in assign[a, js].tolist()])),
+            makespan=float(loads[a].max()) if count else float("inf"),
+            metrics=(float(plan_delay), float(cost[a]), loss[a] / count if count else 0.0),
+            feasible=feasible and count == b,
+            edge_times=dict(zip(tids, t_eff[a, js].tolist())),
+            node_index=assign[a].copy(),
+        ))
+    return sols
 
 
 def construct_solution(
@@ -317,7 +339,7 @@ def construct_solution(
     proportion to `weights` (this iteration's `selection_weights`) over
     capacity-feasible candidates. Runs to completion even when capacity
     strands a task; the result is then flagged infeasible instead of
-    raising."""
+    raising. `construct_colony` falls back to it when an ant strands."""
     n, b = weights.shape
     order = rng.permutation(b)
     used = np.zeros(n)
@@ -336,7 +358,53 @@ def construct_solution(
         pick = min(pick, n - 1)
         assign[j] = pick
         used[pick] += problem.demand_mb[j]
-    return _solution_from_indices(problem, assign, feasible)
+    return _solution_from_indices(problem, assign[None], feasible)[0]
+
+
+def construct_colony(
+    weights: np.ndarray,
+    problem: AssignmentProblem,
+    rng: np.random.Generator,
+    ants: int,
+) -> list[AntSolution]:
+    """One iteration's ants, stepped together over (ants, n) arrays; each
+    equals the `construct_solution` call it replaces, and `rng` ends in
+    the same state. Each ant's permutation and then its B draws are taken
+    up front, in ant order: the stream the per-ant calls read while no
+    task strands. A stranded task takes no draw, so an iteration in which
+    any ant strands restores the generator and reruns as per-ant calls."""
+    n, b = weights.shape
+    state = rng.bit_generator.state
+    orders = np.empty((ants, b), dtype=int)
+    draws = np.empty((ants, b))
+    for a in range(ants):
+        orders[a] = rng.permutation(b)
+        draws[a] = rng.random(b)
+    # row j: task j's column, contiguous for the per-step gathers
+    task_weights = np.ascontiguousarray(weights.T)
+    task_candidates = np.ascontiguousarray(problem.candidate_mask.T)
+    room = problem.capacity_mb + 1e-9
+    rows = np.arange(ants)
+    used = np.zeros((ants, n))
+    assign = np.empty((ants, b), dtype=int)
+    for s in range(b):
+        js = orders[:, s]
+        demand = problem.demand_mb[js]
+        fits = used + demand[:, None] <= room
+        mask = task_candidates[js] & fits
+        empty = ~mask.any(axis=1)
+        if empty.any():
+            mask[empty] = fits[empty]  # fan-out cap must not manufacture infeasibility
+            if not mask[empty].any(axis=1).all():
+                rng.bit_generator.state = state
+                return [construct_solution(weights, problem, rng) for _ in range(ants)]
+        cum = np.cumsum(np.where(mask, task_weights[js], 0.0), axis=1)
+        # the count of cum <= x is searchsorted(cum, x, side="right"), as
+        # cum never decreases
+        pick = np.minimum((cum <= draws[:, s, None] * cum[:, -1:]).sum(axis=1), n - 1)
+        assign[rows, js] = pick
+        used[rows, pick] += demand
+    return _solution_from_indices(problem, assign, True)
 
 
 def update_pheromones_full(
@@ -344,14 +412,11 @@ def update_pheromones_full(
 ) -> None:
     """Evaporate, then deposit Q/makespan along every feasible ant's edges."""
     pheromones.tau *= 1.0 - config.rho
-    node_pos = {nid: i for i, nid in enumerate(pheromones.node_ids)}
-    task_pos = {tid: j for j, tid in enumerate(pheromones.task_ids)}
+    cols = np.arange(len(pheromones.task_ids))
     for sol in solutions:
         if not sol.feasible or sol.makespan <= 0:
             continue
-        deposit = Q_CONST / sol.makespan
-        for tid, nid in sol.assignment.items():
-            pheromones.tau[node_pos[nid], task_pos[tid]] += deposit
+        pheromones.tau[sol.node_index, cols] += Q_CONST / sol.makespan
     pheromones.clamp()
 
 
@@ -363,11 +428,9 @@ def update_pheromones_ewma(
     reinforced entry to exactly 1/T."""
     pheromones.tau *= 1.0 - config.rho
     if best is not None and best.feasible:
-        node_pos = {nid: i for i, nid in enumerate(pheromones.node_ids)}
-        task_pos = {tid: j for j, tid in enumerate(pheromones.task_ids)}
-        for tid, nid in best.assignment.items():
-            delta = 1.0 / max(best.edge_times[tid], 1e-12)
-            pheromones.tau[node_pos[nid], task_pos[tid]] += config.rho * delta
+        times = np.array([best.edge_times[tid] for tid in pheromones.task_ids])
+        delta = 1.0 / np.maximum(times, 1e-12)
+        pheromones.tau[best.node_index, np.arange(len(times))] += config.rho * delta
     pheromones.clamp()
 
 
@@ -394,12 +457,8 @@ def _refine_makespan(
 ) -> AntSolution:
     """Bounded hill climb: repeatedly move one task off the most loaded
     node while that strictly lowers the makespan and respects capacity."""
-    pos = {nid: i for i, nid in enumerate(problem.node_ids)}
-    tpos = {tid: j for j, tid in enumerate(problem.task_ids)}
     n = len(problem.node_ids)
-    assign = np.full(len(problem.task_ids), -1, dtype=int)
-    for tid, nid in sol.assignment.items():
-        assign[tpos[tid]] = pos[nid]
+    assign = sol.node_index.copy()
     if (assign < 0).any():
         return sol
     loads = np.zeros(n)
@@ -436,7 +495,7 @@ def _refine_makespan(
         improved_any = True
     if not improved_any:
         return sol
-    return _solution_from_indices(problem, assign, True)
+    return _solution_from_indices(problem, assign[None], True)[0]
 
 
 def _weighted(metrics, refs) -> float:
@@ -532,7 +591,7 @@ def solve_problem(
     for it in range(1, config.max_iters + 1):
         # pheromones change only between iterations
         weights = selection_weights(ph.tau, problem.eta, config.alpha, config.beta)
-        sols = [construct_solution(weights, problem, rng) for _ in range(ants)]
+        sols = construct_colony(weights, problem, rng, ants)
         if it == 1:
             for elite in (preallocation_solution(problem), greedy_local_solution(problem)):
                 if elite.feasible:
@@ -635,7 +694,7 @@ def _assignment_solution(problem: AssignmentProblem, assign: np.ndarray) -> AntS
             continue
         used[i] += problem.demand_mb[j]
     within = within and bool(np.all(used <= problem.capacity_mb + 1e-9))
-    return _solution_from_indices(problem, assign, within)
+    return _solution_from_indices(problem, assign[None], within)[0]
 
 
 def baseline_round_robin(

@@ -118,7 +118,14 @@ class ExperimentConfig:
         # here and not a failure of every cell (or, for a cluster size, of
         # the whole run)
         for name in ("demand", "gcycles_per_mb"):
-            check(name, lambda: wl._sample(np.random.default_rng(0), getattr(self, name)))
+            check(name, lambda: [
+                wl.Application(f"{name}={v:g}", 1.0, **{name: v}).validate()
+                for v in wl.parse_spec(getattr(self, name))[1]
+            ])
+        check(
+            "locality_input_mb",
+            lambda: wl.Application("locality", self.locality_input_mb).validate(),
+        )
         for size in self.file_sizes_mb:
             check("file_sizes_mb", lambda: wl.Application(str(size), size).validate())
         for rf in self.replication_factors:

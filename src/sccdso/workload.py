@@ -137,18 +137,33 @@ class Workload:
     network_load: float = 0.0
 
 
-def _sample(rng: np.random.Generator, spec: object) -> float:
+def parse_spec(spec: object) -> tuple[str, list[float]]:
+    """A distribution spec as (kind, values): ("fixed", [v]), ("uniform",
+    [lo, hi]) or ("choice", [v1, v2, ...]). The values bound every value
+    the spec can yield."""
     if isinstance(spec, (int, float)):
-        return float(spec)
+        return "fixed", [float(spec)]
     if isinstance(spec, dict):
         if "fixed" in spec:
-            return float(spec["fixed"])
+            return "fixed", [float(spec["fixed"])]
         if "uniform" in spec:
             lo, hi = spec["uniform"]
-            return float(rng.uniform(lo, hi))
+            return "uniform", [float(lo), float(hi)]
         if "choice" in spec:
-            return float(rng.choice(list(spec["choice"])))
+            values = [float(v) for v in spec["choice"]]
+            if not values:
+                raise ValueError("choice lists no values")
+            return "choice", values
     raise ValueError(f"unrecognized distribution spec: {spec!r}")
+
+
+def _sample(rng: np.random.Generator, spec: object) -> float:
+    kind, values = parse_spec(spec)
+    if kind == "uniform":
+        return float(rng.uniform(*values))
+    if kind == "choice":
+        return float(rng.choice(values))
+    return values[0]
 
 
 def generate_workload(seed: int, profile: WorkloadProfile) -> Workload:

@@ -83,7 +83,7 @@ def test_03_analytic_qos_checks():
         src = rng.integers(-1, n, size=(n, b))  # -1: the task's data is local
         problem = array_problem(np.ones((n, b)), src_idx=src, loss_prob=p)
         assign = rng.integers(0, n, size=b)
-        loss = aco._solution_from_indices(problem, assign, True).metrics[2]
+        loss = aco._solution_from_indices(problem, assign[None], True)[0].metrics[2]
         chosen = src[assign, np.arange(b)]
         p_src = np.where(chosen >= 0, p[np.maximum(chosen, 0)], 0.0)
         closed_form = float(np.mean(1.0 - (1.0 - p[assign]) * (1.0 - p_src)))
@@ -100,9 +100,9 @@ def test_03_analytic_qos_checks():
         problem = array_problem(t_eff, xtra_delay=xtra, cost=cost)
         assign = r.integers(0, n, size=b)
         half = r.random(b) < 0.5
-        metrics = aco._solution_from_indices(problem, assign, True).metrics
-        first = aco._solution_from_indices(problem, np.where(half, assign, -1), True)
-        second = aco._solution_from_indices(problem, np.where(half, -1, assign), True)
+        metrics = aco._solution_from_indices(problem, assign[None], True)[0].metrics
+        first = aco._solution_from_indices(problem, np.where(half, assign, -1)[None], True)[0]
+        second = aco._solution_from_indices(problem, np.where(half, -1, assign)[None], True)[0]
         exact &= metrics[1] == first.metrics[1] + second.metrics[1]
         cols = np.arange(b)
         counts = np.bincount(assign, minlength=n)

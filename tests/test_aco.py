@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sccdso.aco import (
+    L_MAX,
     AcoConfig,
     AntSolution,
     InfeasibleScheduleError,
@@ -12,6 +15,7 @@ from sccdso.aco import (
     baseline_round_robin,
     baseline_rsync,
     build_problem,
+    construct_colony,
     construct_solution,
     greedy_local_solution,
     preallocation_solution,
@@ -27,7 +31,7 @@ from sccdso.placement import place_rack_aware
 from sccdso.sim import TrueTimeModel
 from sccdso.workload import Application, partition, tasks_for
 
-from conftest import FixedTimer, make_app_tasks, make_cluster
+from conftest import FixedTimer, array_problem, make_app_tasks, make_cluster
 
 
 def small_problem(n_nodes=3, n_tasks=4, rf=1, times=None, **cluster_kw):
@@ -115,6 +119,185 @@ def test_high_beta_is_greedy_argmin():
     assert hits >= 990
 
 
+def scalar_ant(weights, problem, rng):
+    """Reference ant: one task at a time, each total summed by a Python
+    loop in task order; every ant of `construct_colony` must equal it."""
+    n, b = weights.shape
+    order = rng.permutation(b)
+    used = np.zeros(n)
+    assign = np.full(b, -1, dtype=int)
+    feasible = True
+    for j in order:
+        fits = used + problem.demand_mb[j] <= problem.capacity_mb + 1e-9
+        mask = problem.candidate_mask[:, j] & fits
+        if not mask.any():
+            mask = fits
+        if not mask.any():
+            feasible = False
+            continue
+        cum = np.cumsum(np.where(mask, weights[:, j], 0.0))
+        pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        pick = min(pick, n - 1)
+        assign[j] = pick
+        used[pick] += problem.demand_mb[j]
+    loads = np.zeros(n)
+    counts = np.zeros(n)
+    delay = cost = loss_sum = 0.0
+    assignment, edge_times = {}, {}
+    for j, i in enumerate(assign):
+        if i < 0:
+            continue
+        loads[i] += problem.t_eff[i, j]
+        counts[i] += 1
+        delay += problem.xtra_delay[i, j]
+        cost += problem.cost[i, j]
+        survive = 1.0 - problem.loss_prob[i]
+        if problem.src_idx[i, j] >= 0:
+            survive *= 1.0 - problem.loss_prob[problem.src_idx[i, j]]
+        loss_sum += 1.0 - survive
+        assignment[problem.task_ids[j]] = problem.node_ids[i]
+        edge_times[problem.task_ids[j]] = float(problem.t_eff[i, j])
+    delay += float((counts * loads).sum())
+    assigned = assign >= 0
+    return AntSolution(
+        assignment=assignment,
+        makespan=float(loads.max()) if assigned.any() else float("inf"),
+        metrics=(float(delay), float(cost), loss_sum / max(int(assigned.sum()), 1)),
+        feasible=feasible and bool(assigned.all()),
+        edge_times=edge_times,
+        node_index=assign,
+    )
+
+
+def random_problem(seed, n, b, slots=None, slow=0.0):
+    """Dense random instance: top-L_MAX candidate masks by desirability,
+    replica sources on half the cells, unequal demands; `slots` caps each
+    node at about that many mean-sized tasks (None: no cap). A share `slow`
+    of the tasks run a thousand times slower on every node."""
+    rng = np.random.default_rng(seed)
+    # node speed dominates, so tasks share most of their candidates
+    t_eff = rng.uniform(0.5, 20.0, size=(n, 1)) * rng.uniform(1.0, 1.5, size=(n, b))
+    t_eff[:, rng.random(b) < slow] *= 1000.0
+    src = np.where(rng.random((n, b)) < 0.5, rng.integers(0, n, size=(n, b)), -1)
+    problem = array_problem(
+        t_eff,
+        xtra_delay=rng.uniform(0.0, 0.3, size=(n, b)),
+        cost=rng.uniform(0.1, 9.0, size=(n, b)),
+        src_idx=src,
+        loss_prob=rng.uniform(0.0, 0.02, size=n),
+    )
+    demand = rng.choice([16.0, 32.0, 48.0, 64.0], size=b)
+    capacity = (
+        np.full(n, np.inf) if slots is None
+        else rng.uniform(0.8, 1.2, size=n) * slots * demand.mean()
+    )
+    mask = np.zeros((n, b), dtype=bool)
+    top = np.argsort(-problem.eta, axis=0, kind="stable")[: min(L_MAX, n)]
+    mask[top, np.arange(b)] = True
+    return replace(problem, demand_mb=demand, capacity_mb=capacity, candidate_mask=mask)
+
+
+def assert_colony_matches_scalar(weights, problem, seed, ants=10):
+    batch_rng = np.random.default_rng(seed)
+    scalar_rng = np.random.default_rng(seed)
+    batch = construct_colony(weights, problem, batch_rng, ants)
+    scalar = [scalar_ant(weights, problem, scalar_rng) for _ in range(ants)]
+    assert batch == scalar
+    for got, want in zip(batch, scalar):
+        assert type(got.makespan) is type(want.makespan)
+        assert [type(m) for m in got.metrics] == [type(m) for m in want.metrics]
+        assert got.node_index.tolist() == want.node_index.tolist()
+    assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+    return batch
+
+
+def test_colony_equals_scalar_ants_on_random_instances():
+    for seed in range(6):
+        size = np.random.default_rng(100 + seed)
+        n, b = int(size.integers(30, 61)), int(size.integers(50, 209))
+        problem = random_problem(seed, n, b)
+        tau = size.uniform(TAU_FLOOR, 2.0, size=(n, b))
+        for alpha, beta in ((0.8, 1.2), (1.5, 2.5)):
+            weights = selection_weights(tau, problem.eta, alpha, beta)
+            assert_colony_matches_scalar(weights, problem, seed)
+
+
+def test_colony_equals_scalar_ants_on_every_oracle_shape():
+    shapes = {}
+    seed = 0
+    while len(shapes) < 21:  # 2-4 nodes x 2-8 tasks
+        problem = oracle_instance(seed)
+        shapes.setdefault(problem.t_eff.shape, problem)
+        seed += 1
+    cfg = AcoConfig.preset("table1")
+    for k, problem in enumerate(shapes.values()):
+        ph = PheromoneMatrix.initial(problem.node_ids, problem.task_ids)
+        weights = selection_weights(ph.tau, problem.eta, cfg.alpha, cfg.beta)
+        assert_colony_matches_scalar(weights, problem, k, ants=cfg.ants)
+
+
+def test_colony_equals_scalar_ants_when_weights_underflow():
+    # beta = 120 on tasks a thousand times slower drives tau^alpha * eta^beta
+    # to 0.0, so no node weighs anything for them and each of their picks
+    # falls on the boundary of the cumulative sum
+    problem = random_problem(7, 40, 120, slow=0.3)
+    tau = np.full(problem.t_eff.shape, TAU_FLOOR)
+    weights = selection_weights(tau, problem.eta, 1.5, 120.0)
+    zero = (weights == 0.0).all(axis=0)
+    assert zero.any() and not zero.all()
+    assert_colony_matches_scalar(weights, problem, 7)
+
+
+def test_colony_equals_scalar_ants_when_candidates_fill_up():
+    # two mean-sized tasks per node: the top-L_MAX candidates fill long
+    # before the last task, which then draws from every node that fits
+    problem = random_problem(8, 40, 60, slots=2.6)
+    weights = selection_weights(np.full(problem.t_eff.shape, 0.05), problem.eta, 0.8, 1.2)
+    batch = assert_colony_matches_scalar(weights, problem, 8)
+    assert all(s.feasible for s in batch)
+    assert any(
+        not problem.candidate_mask[i, j]
+        for s in batch for j, i in enumerate(s.node_index)
+    )
+
+
+def test_colony_equals_scalar_ants_when_a_task_strands():
+    # about one mean-sized task of room per node for 1.1 tasks per node:
+    # ants strand tasks, and the iteration reruns ant by ant
+    problem = random_problem(9, 30, 33, slots=1.0)
+    weights = selection_weights(np.full(problem.t_eff.shape, 0.05), problem.eta, 0.8, 1.2)
+    batch = assert_colony_matches_scalar(weights, problem, 9)
+    assert not all(s.feasible for s in batch)
+
+
+def deposit_reference(tau, solutions, rho, ewma=False):
+    """Per-edge pheromone loop over each solution's assignment dict."""
+    tau = tau * (1.0 - rho)
+    for sol in solutions:
+        for tid, nid in sol.assignment.items():
+            i, j = int(nid[1:]), int(tid[1:])
+            if ewma:
+                tau[i, j] += rho * (1.0 / max(sol.edge_times[tid], 1e-12))
+            else:
+                tau[i, j] += Q_CONST / sol.makespan
+    return np.maximum(tau, TAU_FLOOR)
+
+
+def test_deposits_equal_per_edge_loops():
+    problem = random_problem(10, 45, 150)
+    rng = np.random.default_rng(10)
+    tau = rng.uniform(TAU_FLOOR, 2.0, size=problem.t_eff.shape)
+    weights = selection_weights(tau, problem.eta, 0.8, 1.2)
+    sols = construct_colony(weights, problem, rng, 8)
+    cfg = AcoConfig(rho=0.2)
+    ph = PheromoneMatrix(problem.node_ids, problem.task_ids, tau.copy())
+    update_pheromones_full(ph, sols, cfg)
+    assert ph.tau.tobytes() == deposit_reference(tau, sols, cfg.rho).tobytes()
+    ph = PheromoneMatrix(problem.node_ids, problem.task_ids, tau.copy())
+    update_pheromones_ewma(ph, sols[3], cfg)
+    assert ph.tau.tobytes() == deposit_reference(tau, sols[3:4], cfg.rho, ewma=True).tobytes()
+
+
 def test_full_update_evaporation_only():
     cfg = AcoConfig(rho=0.1)
     ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]))
@@ -127,7 +310,7 @@ def test_full_update_deposit_arithmetic():
     ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]))
     sol = AntSolution(
         assignment={"t": "a"}, makespan=50.0, metrics=(0, 0, 0), feasible=True,
-        edge_times={"t": 50.0},
+        edge_times={"t": 50.0}, node_index=np.array([0]),
     )
     update_pheromones_full(ph, [sol], cfg)
     assert ph.tau[0, 0] == pytest.approx(0.9 + Q_CONST / 50.0)
@@ -145,7 +328,7 @@ def test_ewma_update_examples():
     ph = PheromoneMatrix(("a", "b"), ("t",), np.array([[1.0], [1.0]]))
     best = AntSolution(
         assignment={"t": "a"}, makespan=2.0, metrics=(0, 0, 0), feasible=True,
-        edge_times={"t": 2.0},
+        edge_times={"t": 2.0}, node_index=np.array([0]),
     )
     update_pheromones_ewma(ph, best, cfg)
     assert ph.tau[0, 0] == pytest.approx(0.95)  # (1-rho) + rho/T
@@ -157,7 +340,7 @@ def test_ewma_fixed_point_is_inverse_time():
     ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]))
     best = AntSolution(
         assignment={"t": "a"}, makespan=2.0, metrics=(0, 0, 0), feasible=True,
-        edge_times={"t": 2.0},
+        edge_times={"t": 2.0}, node_index=np.array([0]),
     )
     for _ in range(300):
         update_pheromones_ewma(ph, best, cfg)

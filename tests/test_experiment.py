@@ -367,13 +367,20 @@ def test_cli_run_bad_config_exit_1(tmp_path):
         ({"file_sizes_mb": [-5]}, "file_sizes_mb: app -5: input_mb must be > 0"),
         ({"network_load": 1.0}, "network_load: network_load must be in [0, 1)"),
         ({"cluster_sizes": [0]}, "cluster_sizes: n_nodes must be >= 1"),
+        ({"locality_input_mb": -5}, "locality_input_mb: app locality: input_mb must be > 0"),
+        ({"demand": 1.5}, "demand: app demand=1.5: demand must be in (0, 1]"),
+        ({"demand": {"uniform": [0.5, 1.5]}}, "demand: app demand=1.5: demand must be"),
+        ({"gcycles_per_mb": -1}, "gcycles_per_mb: app gcycles_per_mb=-1: gcycles_per_mb must"),
+        ({"gcycles_per_mb": {"choice": [0.1, 0]}}, "gcycles_per_mb: app gcycles_per_mb=0:"),
     ],
     ids=[
         "number-for-list", "null-for-int", "string-for-list",
         "string-for-demand-spec", "short-uniform-spec",
         "straggler-fraction-above-1", "straggler-slowdown-below-1",
         "replication-factor-above-4", "negative-file-size",
-        "network-load-of-1", "empty-cluster",
+        "network-load-of-1", "empty-cluster", "negative-locality-input",
+        "demand-above-1", "uniform-demand-above-1", "negative-gcycles",
+        "zero-gcycles-choice",
     ],
 )
 def test_cli_wrong_config_type_is_a_config_error(tmp_path, capsys, bad, message):

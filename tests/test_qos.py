@@ -2,8 +2,8 @@
 
 `aco.build_problem` prices every (node, task) cell: fetch-path extras
 (queueing plus tier latency), link plus compute cost, and the replica
-source the task reads from. `aco._solution_from_indices` turns an
-assignment into the plan's raw (delay, cost, loss), and `aco._weighted`
+source the task reads from. `aco._solution_from_indices` turns each
+assignment row into the plan's raw (delay, cost, loss), and `aco._weighted`
 blends them into the weighted objective.
 """
 
@@ -19,7 +19,7 @@ from conftest import FixedTimer, array_problem, make_cluster
 
 
 def metrics(problem, assign):
-    return aco._solution_from_indices(problem, np.asarray(assign), True).metrics
+    return aco._solution_from_indices(problem, np.array([assign], dtype=int), True)[0].metrics
 
 
 def one_block_problem(block_mb=64.0, node_kw=None, **cluster_kw):
