@@ -337,7 +337,8 @@ def construct_solution(
 ) -> AntSolution:
     """One ant: visit tasks in random order, sample a node per task in
     proportion to `weights` (this iteration's `selection_weights`) over
-    capacity-feasible candidates. Runs to completion even when capacity
+    capacity-feasible candidates, uniformly where all their weights
+    underflow to 0.0. Runs to completion even when capacity
     strands a task; the result is then flagged infeasible instead of
     raising. `construct_colony` falls back to it when an ant strands."""
     n, b = weights.shape
@@ -354,6 +355,8 @@ def construct_solution(
             feasible = False
             continue
         cum = np.cumsum(np.where(mask, weights[:, j], 0.0))
+        if cum[-1] <= 0:
+            cum = np.cumsum(mask)  # every weight underflowed: draw uniformly
         pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
         pick = min(pick, n - 1)
         assign[j] = pick
@@ -384,6 +387,8 @@ def construct_colony(
     task_weights = np.ascontiguousarray(weights.T)
     task_candidates = np.ascontiguousarray(problem.candidate_mask.T)
     room = problem.capacity_mb + 1e-9
+    # eligible weights can sum to 0.0 only where some weight underflowed
+    underflow = not weights.all()
     rows = np.arange(ants)
     used = np.zeros((ants, n))
     assign = np.empty((ants, b), dtype=int)
@@ -399,6 +404,9 @@ def construct_colony(
                 rng.bit_generator.state = state
                 return [construct_solution(weights, problem, rng) for _ in range(ants)]
         cum = np.cumsum(np.where(mask, task_weights[js], 0.0), axis=1)
+        if underflow:
+            zero = cum[:, -1] <= 0
+            cum[zero] = np.cumsum(mask[zero], axis=1)  # every weight underflowed: draw uniformly
         # the count of cum <= x is searchsorted(cum, x, side="right"), as
         # cum never decreases
         pick = np.minimum((cum <= draws[:, s, None] * cum[:, -1:]).sum(axis=1), n - 1)

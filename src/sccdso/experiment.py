@@ -271,7 +271,6 @@ class Schedule:
     model: object
     metrics: tuple[float, float, float]
     runtime: sim.RuntimeConfig
-    seed: int
 
 
 def schedule(
@@ -304,7 +303,7 @@ def schedule(
         queues = _eff_order(plan, model, g, best.assignment, tasks)
         return Schedule(
             plan, best.assignment, queues, model, best.metrics,
-            sim.RuntimeConfig(enable_migration=True), seed,
+            sim.RuntimeConfig(enable_migration=True),
         )
 
     if scheduler == "rf-fd":
@@ -330,7 +329,7 @@ def schedule(
         mapping.update(part.block_to_nodes)
     plan = placement.PlacementPlan(block_to_nodes=mapping, strategy="rack-aware")
     sol = baseline(tasks, g, plan, model)
-    return Schedule(plan, sol.assignment, None, model, sol.metrics, runtime, seed)
+    return Schedule(plan, sol.assignment, None, model, sol.metrics, runtime)
 
 
 def execute(
@@ -343,8 +342,7 @@ def execute(
         view = scale_bandwidth(view, 1.0 - workload.network_load)
     trace = sim.simulate(
         view, sched.plan, sched.assignment, workload,
-        replace(sched.runtime, **runtime), seed=sched.seed,
-        queues=sched.queues, predictor=sched.model,
+        replace(sched.runtime, **runtime), queues=sched.queues, predictor=sched.model,
     )
     return replace(trace, schedule=sched)
 

@@ -6,31 +6,35 @@ first. Fair sharing is snapshot-based: a transfer's rate is fixed when it
 starts, at `min over path links of bandwidth / (active demand flows + 1)`.
 
 Runtime adaptivity is migration, off by default: after each task
-completion, nodes whose resource quotient exceeds their threshold offer
-queued tasks to other nodes. A candidate move must satisfy both
-remaining-time inequalities, strictly: the target's remaining time, and
-the source's less the task's predicted time, must each exceed the node's
-threshold (`PHI` times its reference service time). It must also project a
-strictly better completion and respect the per-round caps of `THETA_MIG`
-moves out of and into each node. A node's rate (observed mean MB/s, the
-predictor's bootstrap rate until its first completion), remaining time,
-quotient and threshold are each defined once, on its runtime state. Among
-valid candidates a decaying epsilon-greedy policy picks (`EPSILON`, decay
-`EPSILON_DECAY` per round), scoring with a small Q table (learning rate
-`Q_ALPHA`, discount `Q_GAMMA`) keyed by coarse (source load, target load,
-locality) buckets. `RuntimeConfig` holds only what differs between
-schedulers and runs: migration on or off, the rsync delay per remote
-access, and the recovery blackout.
+completion, a round of up to `4 * THETA_MIG` picks moves queued tasks off
+overloaded nodes. A source is a node whose resource quotient exceeds its
+threshold (`PHI` times its reference service time) and that has moved
+fewer than `THETA_MIG` tasks out this round; a target is a node whose
+remaining time exceeds its threshold and that has taken fewer than
+`THETA_MIG` tasks in. Each pick looks at the 3 sources with the most
+remaining time, the last 8 pending tasks of each, and the 10 targets with
+the least remaining time; a task that has already moved 3 times stays put.
+A candidate move must leave the source's remaining time, less the task's
+predicted time, strictly above the source's threshold, and it must project
+a strictly positive improvement: the later of the two nodes' remaining
+times, before minus after. Greedy is the pick rule: the candidate with the
+largest improvement moves, the first in (task id, target) order on a tie,
+and the round ends when no candidate is left. A node's rate (observed mean
+MB/s, the predictor's bootstrap rate until its first completion),
+remaining time, quotient and threshold are each defined once, on its
+runtime state. `RuntimeConfig` holds only what differs between schedulers
+and runs: migration on or off, the rsync delay per remote access, and the
+recovery blackout.
 
-One run is strictly single-threaded; identical inputs and seed give a
-bit-identical trace.
+One run is strictly single-threaded and draws no random numbers;
+identical inputs give a bit-identical trace.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -93,10 +97,6 @@ def inject_stragglers(
 PHI = 0.075  # migration threshold as a fraction of the node's TS_i
 THETA_MIG = 3  # migrations out of, and into, each node per round
 RQ_SCALE = 0.2  # scaling factor in the queue-delay quotient
-EPSILON = 0.2  # initial exploration probability of the migration policy
-EPSILON_DECAY = 0.95  # per-round decay of the exploration probability
-Q_ALPHA = 0.5  # Q-table learning rate
-Q_GAMMA = 0.8  # Q-table discount
 
 
 @dataclass(frozen=True)
@@ -108,31 +108,6 @@ class RuntimeConfig:
     def validate(self) -> None:
         if self.sync_delay_s < 0:
             raise ValueError("sync_delay_s must be >= 0")
-
-
-@dataclass(frozen=True)
-class MigrationCandidate:
-    task_id: str
-    source: str
-    target: str
-    improvement_s: float
-    signature: tuple  # coarse Q-table key
-
-
-def epsilon_greedy_migration(
-    candidates: list[MigrationCandidate],
-    q_table: dict,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> MigrationCandidate | None:
-    """Explore uniformly with probability epsilon, otherwise exploit the
-    highest-valued signature; `max` keeps the first of equally valued
-    candidates, so ties go to candidate order."""
-    if not candidates:
-        return None
-    if rng.random() < epsilon:
-        return candidates[int(rng.integers(0, len(candidates)))]
-    return max(candidates, key=lambda c: q_table.get(c.signature, 0.0))
 
 
 @dataclass(frozen=True)
@@ -160,7 +135,6 @@ class RunMetrics:
 class SimTrace:
     events: tuple[SimEvent, ...]
     metrics: RunMetrics
-    q_table: dict = field(default_factory=dict)
     schedule: Schedule | None = None  # what experiment.execute ran; None from bare simulate
 
     def to_event_csv(self, path: str) -> None:
@@ -265,7 +239,6 @@ def simulate(
     schedule: dict[str, str],
     workload: Workload,
     config: RuntimeConfig,
-    seed: int,
     queues: dict[str, list[str]] | None = None,
     predictor=None,
 ) -> SimTrace:
@@ -364,9 +337,6 @@ def simulate(
         seq += 1
 
     events: list[SimEvent] = []
-    rng = np.random.default_rng(seed)
-    q_table: dict = {}
-    epsilon = EPSILON
     network_mb = 0.0
     migrations = 0
     local_exec = 0
@@ -431,7 +401,7 @@ def simulate(
     task_moves: dict[str, int] = {}  # lifetime migration count per task
 
     def migration_round(now: float) -> None:
-        nonlocal migrations, epsilon
+        nonlocal migrations
         if not config.enable_migration:
             return
         moved_out: dict[str, int] = {}
@@ -463,7 +433,9 @@ def simulate(
                 if rt[nid].exceeds_threshold(rem[nid]) and moved_in.get(nid, 0) < THETA_MIG
             ]
             targets.sort(key=lambda n: (rem[n], n))
-            candidates: list[MigrationCandidate] = []
+            # (-improvement, task id, target, source): the least is the
+            # largest improvement, the first in (task id, target) order on a tie
+            candidates: list[tuple[float, str, str, str]] = []
             for src in sources[:3]:
                 rate_s = rt[src].rate()
                 for task in rt[src].pending[-8:]:
@@ -482,36 +454,19 @@ def simulate(
                         )
                         if improvement <= 0:
                             continue
-                        local = dst in replicas_of(task.block_id, now)
-                        sig = (
-                            min(3, int(rem[src] / max(rt[src].ts_ref, 1e-9) / 2)),
-                            min(3, int(rem[dst] / max(rt[dst].ts_ref, 1e-9) / 2)),
-                            local,
-                        )
-                        candidates.append(MigrationCandidate(task.id, src, dst, improvement, sig))
-            candidates.sort(key=lambda c: (c.task_id, c.target))
-            choice = epsilon_greedy_migration(candidates, q_table, epsilon, rng)
-            if choice is None:
+                        candidates.append((-improvement, task.id, dst, src))
+            if not candidates:
                 break
-            task = tasks[choice.task_id]
-            rt[choice.source].pending.remove(task)
-            rt[choice.target].pending.append(task)
-            moved_out[choice.source] = moved_out.get(choice.source, 0) + 1
-            moved_in[choice.target] = moved_in.get(choice.target, 0) + 1
-            task_moves[choice.task_id] = task_moves.get(choice.task_id, 0) + 1
+            _, tid, dst, src = min(candidates)
+            task = tasks[tid]
+            rt[src].pending.remove(task)
+            rt[dst].pending.append(task)
+            moved_out[src] = moved_out.get(src, 0) + 1
+            moved_in[dst] = moved_in.get(dst, 0) + 1
+            task_moves[tid] = task_moves.get(tid, 0) + 1
             migrations += 1
-            events.append(
-                SimEvent(now, "migrate", task.id, choice.target, f"from={choice.source}")
-            )
-            reward = max(-1.0, min(1.0, choice.improvement_s / max(rt[choice.source].ts_ref, 1e-9)))
-            old = q_table.get(choice.signature, 0.0)
-            future = max(
-                (q_table.get(c.signature, 0.0) for c in candidates if c.task_id != choice.task_id),
-                default=0.0,
-            )
-            q_table[choice.signature] = old + Q_ALPHA * (reward + Q_GAMMA * future - old)
-            try_start(choice.target, now)
-        epsilon *= EPSILON_DECAY
+            events.append(SimEvent(now, "migrate", tid, dst, f"from={src}"))
+            try_start(dst, now)
 
     for nid in g.node_ids():
         try_start(nid, 0.0)
@@ -553,4 +508,4 @@ def simulate(
         prefetches=0,
         tasks=len(tasks),
     )
-    return SimTrace(events=tuple(events), metrics=metrics, q_table=q_table)
+    return SimTrace(events=tuple(events), metrics=metrics)

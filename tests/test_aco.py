@@ -136,6 +136,8 @@ def scalar_ant(weights, problem, rng):
             feasible = False
             continue
         cum = np.cumsum(np.where(mask, weights[:, j], 0.0))
+        if cum[-1] <= 0:
+            cum = np.cumsum(mask)
         pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
         pick = min(pick, n - 1)
         assign[j] = pick
@@ -236,16 +238,32 @@ def test_colony_equals_scalar_ants_on_every_oracle_shape():
         assert_colony_matches_scalar(weights, problem, k, ants=cfg.ants)
 
 
+def underflow_weights(problem):
+    tau = np.full(problem.t_eff.shape, TAU_FLOOR)
+    return selection_weights(tau, problem.eta, 1.5, 120.0)
+
+
 def test_colony_equals_scalar_ants_when_weights_underflow():
     # beta = 120 on tasks a thousand times slower drives tau^alpha * eta^beta
     # to 0.0, so no node weighs anything for them and each of their picks
-    # falls on the boundary of the cumulative sum
+    # is uniform over the eligible nodes
     problem = random_problem(7, 40, 120, slow=0.3)
-    tau = np.full(problem.t_eff.shape, TAU_FLOOR)
-    weights = selection_weights(tau, problem.eta, 1.5, 120.0)
+    weights = underflow_weights(problem)
     zero = (weights == 0.0).all(axis=0)
     assert zero.any() and not zero.all()
     assert_colony_matches_scalar(weights, problem, 7)
+
+
+def test_zero_weight_picks_respect_capacity():
+    # the underflow instance with about six tasks of room per node: a pick
+    # over zero total weight must still land on an eligible node that fits
+    problem = random_problem(7, 40, 120, slots=6, slow=0.3)
+    batch = assert_colony_matches_scalar(underflow_weights(problem), problem, 7)
+    assert all(s.feasible for s in batch)
+    for s in batch:
+        used = np.zeros(len(problem.node_ids))
+        np.add.at(used, s.node_index, problem.demand_mb)
+        assert (used <= problem.capacity_mb + 1e-9).all()
 
 
 def test_colony_equals_scalar_ants_when_candidates_fill_up():

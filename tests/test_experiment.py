@@ -1,8 +1,10 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from sccdso.placement import PlacementPlan
 from sccdso.workload import TaskSpec
 
 from conftest import make_cluster
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def tiny_config(**kw):
@@ -293,6 +297,28 @@ def test_schedule_is_reproducible_and_reused_for_recovery(scheduler):
     assert base == run["completion_time_s"]
     blackout = experiment.execute(a, g, w, replica_blackout=(sorted(g.nodes)[0], base / 2.0))
     assert run["recovery_latency_s"] == max(0.0, blackout.metrics.completion_time_s - base)
+
+
+def test_shipped_deep_queue_config_migrates():
+    # the scenario named after migration must migrate in every adaptive run
+    path = REPO / "configs" / "experiment_deep_queue.json"
+    cfg = replace(
+        experiment.load_experiment_config(str(path)),
+        repetitions=1, schedulers=("scc-dso", "scc-dso-lite"),
+    )
+    result = run_experiment(cfg)
+    assert not result.failures
+    assert [r["scheduler"] for r in result.runs] == ["scc-dso", "scc-dso-lite"]
+    assert all(r["migrations"] > 0 for r in result.runs)
+
+
+def test_readme_python_blocks_run(monkeypatch):
+    # README's python blocks, joined in order, run against the package
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert blocks
+    monkeypatch.syspath_prepend(str(REPO / "src"))
+    exec(compile("".join(blocks), "README.md", "exec"), {})
 
 
 # --- CLI --------------------------------------------------------------------

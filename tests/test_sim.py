@@ -1,18 +1,16 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sccdso.placement import place_rack_aware, place_random
+from sccdso.placement import PlacementPlan, place_rack_aware, place_random
 from sccdso.sim import (
     PHI,
-    Q_GAMMA,
     THETA_MIG,
-    MigrationCandidate,
     RuntimeConfig,
     _NodeRt,
-    epsilon_greedy_migration,
     inject_stragglers,
     simulate,
     true_service_time,
@@ -70,7 +68,7 @@ def test_serial_execution_on_one_slot_node():
     app, blocks, tasks, w = build_workload(128, gcycles_per_mb=1.0 / 64)
     plan = place_rack_aware(g, blocks, "n0", rf=1)
     schedule = {t.id: "n0" for t in tasks}
-    trace = simulate(g, plan, schedule, w, RuntimeConfig(), seed=0)
+    trace = simulate(g, plan, schedule, w, RuntimeConfig())
     assert trace.metrics.completion_time_s == pytest.approx(4.0)
     assert trace.metrics.network_mb == 0.0
     assert not [e for e in trace.events if e.kind == "transfer"]
@@ -88,7 +86,7 @@ def test_parallel_nodes_take_the_max():
     schedule = {tasks[0].id: "a", tasks[1].id: "b"}
     ta = true_service_time(g.node("a"), tasks[0])
     tb = true_service_time(g.node("b"), tasks[1])
-    trace = simulate(g, plan, schedule, w, RuntimeConfig(), seed=0)
+    trace = simulate(g, plan, schedule, w, RuntimeConfig())
     assert trace.metrics.completion_time_s == pytest.approx(max(ta, tb))
 
 
@@ -102,8 +100,8 @@ def test_remote_task_pays_transfer_before_compute():
     )
     app, blocks, tasks, w = build_workload(64, gcycles_per_mb=1.0 / 64)
     plan = place_rack_aware(g, blocks, "a", rf=1)
-    local = simulate(g, plan, {tasks[0].id: "a"}, w, RuntimeConfig(), seed=0)
-    remote = simulate(g, plan, {tasks[0].id: "b"}, w, RuntimeConfig(), seed=0)
+    local = simulate(g, plan, {tasks[0].id: "a"}, w, RuntimeConfig())
+    remote = simulate(g, plan, {tasks[0].id: "b"}, w, RuntimeConfig())
     # the 64 MB @ 32 MB/s fetch is added serially ahead of execution
     assert remote.metrics.completion_time_s == pytest.approx(
         local.metrics.completion_time_s + 2.0
@@ -125,7 +123,7 @@ def test_fair_share_splits_link_bandwidth():
     app, blocks, tasks, w = build_workload(128, gcycles_per_mb=0.001)
     plan = place_rack_aware(g, blocks, "src", rf=1)
     trace = simulate(
-        g, plan, {tasks[0].id: "w1", tasks[1].id: "w2"}, w, RuntimeConfig(), seed=0
+        g, plan, {tasks[0].id: "w1", tasks[1].id: "w2"}, w, RuntimeConfig()
     )
     finishes = [e.time for e in trace.events if e.kind == "finish"]
     # second transfer started while the first was active: 64/(32/2) = 4 s
@@ -180,43 +178,46 @@ def test_should_migrate_boundary_is_strict():
     assert deep_source.exceeds_threshold(deep_source.remaining(0.0) - 0.0)
 
 
-# --- epsilon-greedy policy --------------------------------------------------
+# --- the greedy migration pick ------------------------------------------------
 
 
-def candidates(k):
-    return [
-        MigrationCandidate(f"t{i}", "s", f"d{i}", 1.0, ("sig", i))
-        for i in range(k)
-    ]
+def hand_built(nodes, home, block_mb=None):
+    """One-rack cluster of `nodes` (id, cpu_ghz, io_mbps), one slot each,
+    and len(`home`) tasks of 64 MB (`block_mb`: task index -> MB), task k
+    queued on and stored at home[k]."""
+    g = make_cluster(
+        [{"id": nid, "rack": "r1", "cpu_ghz": cpu, "io_mbps": io, "slots": 1} for nid, cpu, io in nodes],
+        intra_ms=1.0,
+    )
+    app, blocks, tasks, _ = build_workload(len(home) * 64)
+    for k, mb in (block_mb or {}).items():
+        tasks[k] = replace(tasks[k], block_mb=mb)
+    w = Workload(apps=(app,), blocks=tuple(blocks), tasks=tuple(tasks), arrivals={t.id: 0.0 for t in tasks})
+    plan = PlacementPlan({t.block_id: (nid,) for t, nid in zip(tasks, home)}, "hand")
+    schedule = {t.id: nid for t, nid in zip(tasks, home)}
+    return simulate(g, plan, schedule, w, RuntimeConfig(enable_migration=True))
 
 
-def test_epsilon_zero_exploits_argmax():
-    cands = candidates(4)
-    q = {("sig", 2): 5.0, ("sig", 0): 1.0}
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        assert epsilon_greedy_migration(cands, q, 0.0, rng).task_id == "t2"
-    # a tie on the top value goes to the first candidate in list order
-    tied = {("sig", 3): 5.0, ("sig", 1): 5.0}
-    assert epsilon_greedy_migration(cands, tied, 0.0, rng).task_id == "t1"
-    assert epsilon_greedy_migration(cands, {}, 0.0, rng).task_id == "t0"
+def test_greedy_pick_moves_the_largest_improvement():
+    # t0-t5 queue on the slow node s, two tasks each on a and b. When a and
+    # b finish their first task, every move off s drains t_k's block at s's
+    # rate, so the 128 MB t5 improves most; (t1, a) comes first in (task
+    # id, target) order, a ties with b and wins by target id
+    trace = hand_built(
+        [("s", 0.5, 50.0), ("a", 2.0, 200.0), ("b", 2.0, 200.0)],
+        ["s"] * 6 + ["a", "a", "b", "b"],
+        block_mb={5: 128.0},
+    )
+    first = next(e for e in trace.events if e.kind == "migrate")
+    assert (first.task_id, first.node_id, first.info) == ("app0/t5", "a", "from=s")
 
 
-def test_epsilon_one_is_uniform_chi_squared():
-    cands = candidates(5)
-    rng = np.random.default_rng(1)
-    counts = np.zeros(5)
-    n = 10_000
-    for _ in range(n):
-        choice = epsilon_greedy_migration(cands, {}, 1.0, rng)
-        counts[int(choice.task_id[1])] += 1
-    expected = n / 5
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    assert chi2 < 18.47  # chi-square 99.9% critical value, 4 dof
-
-
-def test_empty_candidates_yield_none():
-    assert epsilon_greedy_migration([], {}, 0.5, np.random.default_rng(0)) is None
+def test_no_valid_candidate_moves_nothing():
+    # two equal nodes with equal local queues: both are sources and targets
+    # after every finish, but each move would lengthen the later queue
+    trace = hand_built([("a", 2.0, 200.0), ("b", 2.0, 200.0)], ["a", "b"] * 5)
+    assert trace.metrics.migrations == 0
+    assert not [e for e in trace.events if e.kind == "migrate"]
 
 
 def test_migration_cap_per_round_enforced():
@@ -232,7 +233,7 @@ def test_migration_cap_per_round_enforced():
     plan = place_random(g, blocks, rf=2, seed=0)
     schedule = {t.id: f"n{k % 6}" for k, t in enumerate(tasks)}
     view = inject_stragglers(g, 0.2, 4.0, seed=0)
-    trace = simulate(view, plan, schedule, w, RuntimeConfig(enable_migration=True), seed=0)
+    trace = simulate(view, plan, schedule, w, RuntimeConfig(enable_migration=True))
     assert trace.metrics.migrations > 0
     # a round is the migrations that follow one finish event
     rounds, out_, in_ = [], {}, {}
@@ -263,10 +264,10 @@ def test_straggler_doubles_local_task_time():
     )
     app, blocks, tasks, w = build_workload(64, gcycles_per_mb=1.0 / 64)
     plan = place_rack_aware(g, blocks, "n0", rf=1)
-    base = simulate(g, plan, {tasks[0].id: "n0"}, w, RuntimeConfig(), seed=0)
+    base = simulate(g, plan, {tasks[0].id: "n0"}, w, RuntimeConfig())
     slowed = inject_stragglers(g, 0.6, 2.0, seed=1)  # the single node slows
     assert slowed.node("n0").cpu_ghz == pytest.approx(0.5)
-    hit = simulate(slowed, plan, {tasks[0].id: "n0"}, w, RuntimeConfig(), seed=0)
+    hit = simulate(slowed, plan, {tasks[0].id: "n0"}, w, RuntimeConfig())
     assert hit.metrics.completion_time_s == pytest.approx(
         2 * base.metrics.completion_time_s
     )
@@ -297,7 +298,7 @@ def run_random_instance(seed, migration=False):
     ids = sorted(g.nodes)
     schedule = {t.id: ids[int(rng.integers(0, 4))] for t in tasks}
     cfg = RuntimeConfig(enable_migration=migration)
-    return g, plan, tasks, w, simulate(g, plan, schedule, w, cfg, seed=seed)
+    return g, plan, tasks, w, simulate(g, plan, schedule, w, cfg)
 
 
 def test_event_times_non_decreasing_and_single_finish():
@@ -377,7 +378,7 @@ def test_simulate_fuzz_invariants(n_nodes, n_racks, n_tasks, rf, arrival_rate, s
     view = inject_stragglers(g, slow_frac, 4.0, seed)
     blackout = (ids[int(rng.integers(0, n_nodes))], float(rng.uniform(0.0, n_tasks)))
     cfg = RuntimeConfig(enable_migration=True, replica_blackout=blackout)
-    trace = simulate(view, plan, schedule, w, cfg, seed=seed)
+    trace = simulate(view, plan, schedule, w, cfg)
 
     finishes = [e.task_id for e in trace.events if e.kind == "finish"]
     assert sorted(finishes) == sorted(t.id for t in tasks)
@@ -399,17 +400,9 @@ def test_locality_ratio_counts_replica_holders():
     app, blocks, tasks, w = build_workload(128, rf=1)
     plan = place_rack_aware(g, blocks, "a", rf=1)
     trace = simulate(
-        g, plan, {tasks[0].id: "a", tasks[1].id: "b"}, w, RuntimeConfig(), seed=0
+        g, plan, {tasks[0].id: "a", tasks[1].id: "b"}, w, RuntimeConfig()
     )
     assert trace.metrics.locality_ratio == pytest.approx(0.5)
-
-
-def test_q_table_stays_bounded():
-    for seed in range(6):
-        _, _, _, _, trace = run_random_instance(seed, migration=True)
-        bound = 1.0 / (1.0 - Q_GAMMA) + 1e-9
-        for v in trace.q_table.values():
-            assert abs(v) <= bound
 
 
 def test_adaptivity_never_slows_completion():
@@ -428,11 +421,11 @@ def test_schedule_validation():
     app, blocks, tasks, w = build_workload(64)
     plan = place_rack_aware(g, blocks, "a", rf=1)
     with pytest.raises(ValueError, match="unknown task"):
-        simulate(g, plan, {"ghost": "a"}, w, RuntimeConfig(), seed=0)
+        simulate(g, plan, {"ghost": "a"}, w, RuntimeConfig())
     with pytest.raises(KeyError):
-        simulate(g, plan, {tasks[0].id: "nope"}, w, RuntimeConfig(), seed=0)
+        simulate(g, plan, {tasks[0].id: "nope"}, w, RuntimeConfig())
     with pytest.raises(ValueError, match="does not cover"):
-        simulate(g, plan, {}, w, RuntimeConfig(), seed=0)
+        simulate(g, plan, {}, w, RuntimeConfig())
     # two 64 MB tasks on one node: fits 128 MB of capacity exactly, not 127
     app, blocks, tasks, w = build_workload(128)
     for cap, fits in ((128.0, True), (127.0, False)):
@@ -441,15 +434,15 @@ def test_schedule_validation():
         plan = place_rack_aware(g, blocks, "a", rf=1)
         both = {t.id: "a" for t in tasks}
         if fits:
-            simulate(g, plan, both, w, RuntimeConfig(), seed=0)
+            simulate(g, plan, both, w, RuntimeConfig())
         else:
             with pytest.raises(ValueError, match="over its 127 MB capacity"):
-                simulate(g, plan, both, w, RuntimeConfig(), seed=0)
+                simulate(g, plan, both, w, RuntimeConfig())
     # a queue must list exactly its node's assigned tasks, each once
     g = make_cluster([("a", "r1", 1.0, 100.0), ("b", "r1", 1.0, 100.0)])
     plan = place_rack_aware(g, blocks, "a", rf=1)
     split = {tasks[0].id: "a", tasks[1].id: "b"}
-    simulate(g, plan, split, w, RuntimeConfig(), seed=0,
+    simulate(g, plan, split, w, RuntimeConfig(),
              queues={"a": [tasks[0].id], "b": [tasks[1].id]})
     for queues in (
         {"a": [tasks[0].id, tasks[1].id], "b": []},  # a task on another node's queue
@@ -457,7 +450,7 @@ def test_schedule_validation():
         {"a": [tasks[0].id]},  # left out
     ):
         with pytest.raises(ValueError, match="queue of node"):
-            simulate(g, plan, split, w, RuntimeConfig(), seed=0, queues=queues)
+            simulate(g, plan, split, w, RuntimeConfig(), queues=queues)
 
 
 def test_runtime_config_validation():
@@ -475,9 +468,9 @@ def test_sync_delay_charged_per_remote_access():
     )
     app, blocks, tasks, w = build_workload(64, gcycles_per_mb=1.0 / 64)
     plan = place_rack_aware(g, blocks, "a", rf=1)
-    plain = simulate(g, plan, {tasks[0].id: "b"}, w, RuntimeConfig(), seed=0)
+    plain = simulate(g, plan, {tasks[0].id: "b"}, w, RuntimeConfig())
     synced = simulate(
-        g, plan, {tasks[0].id: "b"}, w, RuntimeConfig(sync_delay_s=0.25), seed=0
+        g, plan, {tasks[0].id: "b"}, w, RuntimeConfig(sync_delay_s=0.25)
     )
     assert synced.metrics.completion_time_s == pytest.approx(
         plain.metrics.completion_time_s + 0.25
@@ -494,8 +487,8 @@ def test_replica_blackout_forces_remote_reads():
     app, blocks, tasks, w = build_workload(256, rf=2, gcycles_per_mb=1.0 / 64)
     plan = place_rack_aware(g, blocks, "a", rf=2)
     schedule = {t.id: "a" for t in tasks}
-    base = simulate(g, plan, schedule, w, RuntimeConfig(), seed=0)
+    base = simulate(g, plan, schedule, w, RuntimeConfig())
     cfg = RuntimeConfig(replica_blackout=("a", base.metrics.completion_time_s / 2))
-    hit = simulate(g, plan, schedule, w, cfg, seed=0)
+    hit = simulate(g, plan, schedule, w, cfg)
     assert hit.metrics.completion_time_s >= base.metrics.completion_time_s
     assert hit.metrics.network_mb > 0  # late tasks must fetch from b
