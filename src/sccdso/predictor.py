@@ -12,13 +12,17 @@ Two models share one job: estimate how long a map task runs on a node.
 * LinearModel — the lightweight alternative: an affine map of the task's
   normalized resource demand, ignoring node features entirely.
 
-Fitted models are immutable; share them freely across runs.
+Fitted models are immutable; share them freely across runs. A fitted
+KernelModel memoizes `predict` on the exact feature row it reads, so each
+distinct (block MB, cpu, mem, io) row costs one kernel evaluation per
+model; the memo is not part of the model's value (equality, repr), and
+`dataclasses.replace` starts the new model with an empty one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,6 +112,10 @@ class KernelModel:
     scaler_std: np.ndarray  # (4,)
     degenerate: bool = False
     loss_history: tuple[float, ...] = ()
+    # feature row -> predict's result; callers ask for few distinct rows
+    _memo: dict[tuple[float, float, float, float], float] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def _standardize(self, feats: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(feats) - self.scaler_mean) / self.scaler_std
@@ -123,7 +131,13 @@ class KernelModel:
         return np.maximum(pred, PREDICTION_FLOOR_S)
 
     def predict(self, node: NodeSpec, task: TaskSpec) -> float:
-        return float(self.predict_features(features_for(node, task))[0])
+        """`predict_features` of the one row `features_for(node, task)`,
+        computed once per distinct row."""
+        key = (task.block_mb, node.cpu_ghz, node.mem_gb, node.io_mbps)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = float(self.predict_features(features_for(node, task))[0])
+        return hit
 
     def predict_matrix(self, nodes: list[NodeSpec], tasks: list[TaskSpec]) -> np.ndarray:
         """(len(nodes), len(tasks)) prediction matrix, bitwise equal to

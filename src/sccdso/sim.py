@@ -22,9 +22,14 @@ largest improvement moves, the first in (task id, target) order on a tie,
 and the round ends when no candidate is left. A node's rate (observed mean
 MB/s, the predictor's bootstrap rate until its first completion),
 remaining time, quotient and threshold are each defined once, on its
-runtime state. `RuntimeConfig` holds only what differs between schedulers
-and runs: migration on or off, the rsync delay per remote access, and the
-recovery blackout.
+runtime state. `now` is fixed within a round, so a round first checks that
+some task is pending, then computes each node's remaining time and source
+test once per round, and after a move refreshes them only for the two
+nodes the move touched. `SimTrace.runtime_counts` counts the rounds, the
+picks that scored candidates, the candidates scored and the moves.
+`RuntimeConfig` holds only what differs between schedulers and runs:
+migration on or off, the rsync delay per remote access, and the recovery
+blackout.
 
 One run is strictly single-threaded and draws no random numbers;
 identical inputs give a bit-identical trace.
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -136,6 +141,10 @@ class SimTrace:
     events: tuple[SimEvent, ...]
     metrics: RunMetrics
     schedule: Schedule | None = None  # what experiment.execute ran; None from bare simulate
+    # migration decisions, kept out of `metrics` so runs.csv keeps its
+    # columns: rounds run (one per completion), picks that scored
+    # candidates, (task, target) candidates scored, and moves made
+    runtime_counts: dict[str, int] = field(default_factory=dict)
 
     def to_event_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -338,7 +347,6 @@ def simulate(
 
     events: list[SimEvent] = []
     network_mb = 0.0
-    migrations = 0
     local_exec = 0
     pending_flow_keys: dict[str, list[str]] = {}  # task id -> registered links
 
@@ -399,33 +407,41 @@ def simulate(
                 push(now + dur, "xfer_done", nid, task.id)
 
     task_moves: dict[str, int] = {}  # lifetime migration count per task
+    counts = dict.fromkeys(("rounds", "picks", "candidates", "moves"), 0)
 
     def migration_round(now: float) -> None:
-        nonlocal migrations
         if not config.enable_migration:
             return
+        counts["rounds"] += 1
+        node_ids = g.node_ids()
+        if not any(rt[nid].pending for nid in node_ids):
+            return  # no task to move: skip the per-node scan
+        # `now` is fixed for the round, so a node's remaining time and its
+        # source test change only when a move touches it. An idle node has
+        # no remaining time, so it is neither a source nor a target.
+        rem: dict[str, float] = {}
+        hot: dict[str, bool] = {}  # pending and quotient over threshold
+
+        def refresh(nid: str) -> None:
+            state = rt[nid]
+            if state.pending or state.running:
+                rem[nid] = state.remaining(now)
+                hot[nid] = bool(state.pending) and state.exceeds_threshold(state.quotient())
+            else:
+                rem.pop(nid, None)
+                hot.pop(nid, None)
+
+        for nid in node_ids:
+            refresh(nid)
         moved_out: dict[str, int] = {}
         moved_in: dict[str, int] = {}
-        node_ids = g.node_ids()
-        # each pick rescans from fresh state; both per-node round caps and a
-        # per-task lifetime cap keep churn bounded
+        # both per-node round caps and a per-task lifetime cap keep churn
+        # bounded
         for _ in range(4 * THETA_MIG):
             if not any(rt[nid].pending for nid in node_ids):
                 break  # no task left to move
-            # an idle node has no remaining time, so it is neither a
-            # source nor a target
-            rem = {
-                nid: rt[nid].remaining(now)
-                for nid in node_ids
-                if rt[nid].pending or rt[nid].running
-            }
-            sources = [
-                nid
-                for nid in rem
-                if rt[nid].pending
-                and moved_out.get(nid, 0) < THETA_MIG
-                and rt[nid].exceeds_threshold(rt[nid].quotient())
-            ]
+            counts["picks"] += 1
+            sources = [nid for nid in rem if hot[nid] and moved_out.get(nid, 0) < THETA_MIG]
             sources.sort(key=lambda n: (-rem[n], n))
             targets = [
                 nid
@@ -433,25 +449,27 @@ def simulate(
                 if rt[nid].exceeds_threshold(rem[nid]) and moved_in.get(nid, 0) < THETA_MIG
             ]
             targets.sort(key=lambda n: (rem[n], n))
+            targets = targets[:10]
             # (-improvement, task id, target, source): the least is the
             # largest improvement, the first in (task id, target) order on a tie
             candidates: list[tuple[float, str, str, str]] = []
             for src in sources[:3]:
                 rate_s = rt[src].rate()
+                rem_s = rem[src]
                 for task in rt[src].pending[-8:]:
                     if task_moves.get(task.id, 0) >= 3:
                         continue
                     t_src = predicted_time(src, task, now)
-                    if not rt[src].exceeds_threshold(rem[src] - t_src):
+                    if not rt[src].exceeds_threshold(rem_s - t_src):
                         continue  # the source must stay saturated without the task
-                    for dst in targets[:10]:
+                    drop = task.block_mb / rate_s if rate_s > 0 else 0.0
+                    counts["candidates"] += len(targets) - (src in targets)
+                    for dst in targets:
                         if dst == src:
                             continue
+                        rem_d = rem[dst]
                         t_dst = predicted_time(dst, task, now)
-                        drop = task.block_mb / rate_s if rate_s > 0 else 0.0
-                        improvement = max(rem[src], rem[dst]) - max(
-                            rem[src] - drop, rem[dst] + t_dst
-                        )
+                        improvement = max(rem_s, rem_d) - max(rem_s - drop, rem_d + t_dst)
                         if improvement <= 0:
                             continue
                         candidates.append((-improvement, task.id, dst, src))
@@ -464,9 +482,11 @@ def simulate(
             moved_out[src] = moved_out.get(src, 0) + 1
             moved_in[dst] = moved_in.get(dst, 0) + 1
             task_moves[tid] = task_moves.get(tid, 0) + 1
-            migrations += 1
+            counts["moves"] += 1
             events.append(SimEvent(now, "migrate", tid, dst, f"from={src}"))
             try_start(dst, now)
+            refresh(src)
+            refresh(dst)
 
     for nid in g.node_ids():
         try_start(nid, 0.0)
@@ -504,8 +524,8 @@ def simulate(
         locality_ratio=local_exec / len(tasks) if tasks else 0.0,
         throughput_mbps=total_mb / completion if completion > 0 else 0.0,
         network_mb=network_mb,
-        migrations=migrations,
+        migrations=counts["moves"],
         prefetches=0,
         tasks=len(tasks),
     )
-    return SimTrace(events=tuple(events), metrics=metrics)
+    return SimTrace(events=tuple(events), metrics=metrics, runtime_counts=counts)

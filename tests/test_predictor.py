@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -163,6 +165,53 @@ def test_kernel_predict_touches_each_support_once(monkeypatch):
     counted["pairs"] = 0
     LinearModel().predict(node(), task())
     assert counted["pairs"] == 0  # constant-time path, no kernel work
+
+
+def count_kernel_pairs(monkeypatch):
+    """Patch `rbf_kernel` to count the (row, support) pairs it evaluates."""
+    counted = {"pairs": 0}
+    real = predictor_mod.rbf_kernel
+
+    def counting(a, b, sigma):
+        out = real(a, b, sigma)
+        counted["pairs"] += out.size
+        return out
+
+    monkeypatch.setattr(predictor_mod, "rbf_kernel", counting)
+    return counted
+
+
+def memo_grid():
+    nodes = [node(f"n{i}", cpu=c, mem=m, io=io)
+             for i, (c, m, io) in enumerate([(1.0, 4.0, 80.0), (2.0, 8.0, 200.0), (3.5, 16.0, 350.0)])]
+    tasks = [task(mb=mb) for mb in (5.5, 16.0, 32.0, 64.0)]
+    return [(n, t) for n in nodes for t in tasks]
+
+
+def test_kernel_predict_memo_is_bitwise_the_one_row_kernel(monkeypatch):
+    rng = np.random.default_rng(13)
+    records = synth_records(rng, 40, lambda m, c, me, io: 0.5 * m / io + 0.8 / c)
+    model = fit_kernel(records, epochs=50)
+    want = [float(model.predict_features(features_for(n, t))[0]) for n, t in memo_grid()]
+    first = [model.predict(n, t) for n, t in memo_grid()]
+    counted = count_kernel_pairs(monkeypatch)
+    again = [model.predict(n, t) for n, t in memo_grid()]
+    assert np.array(first).tobytes() == np.array(want).tobytes()
+    assert np.array(again).tobytes() == np.array(want).tobytes()
+    assert counted["pairs"] == 0  # a repeated row does no kernel work
+
+
+def test_kernel_predict_memo_belongs_to_one_model():
+    rng = np.random.default_rng(14)
+    a = fit_kernel(synth_records(rng, 40, lambda m, c, me, io: 0.5 * m / io), epochs=50)
+    b = fit_kernel(synth_records(rng, 40, lambda m, c, me, io: 2.0 * m / io), epochs=50)
+    n, t = node(), task()
+    assert a.predict(n, t) != b.predict(n, t)
+    assert b.predict(n, t) == float(b.predict_features(features_for(n, t))[0])
+    shifted = replace(a, bias=a.bias + 1.0)
+    assert shifted.predict(n, t) == float(shifted.predict_features(features_for(n, t))[0])
+    assert shifted.predict(n, t) > a.predict(n, t)
+    assert repr(a) == repr(replace(a))  # the memo is not part of the model's value
 
 
 def test_support_set_capped_by_reservoir():

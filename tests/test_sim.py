@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -220,9 +221,9 @@ def test_no_valid_candidate_moves_nothing():
     assert not [e for e in trace.events if e.kind == "migrate"]
 
 
-def test_migration_cap_per_round_enforced():
-    # deep queues (10 tasks per one-slot node) with one node slowed 4x
-    # after scheduling: the slow node sheds work and the others take it
+def deep_queue_case():
+    """Deep queues (10 tasks per one-slot node) with one node slowed 4x
+    after scheduling: the slow node sheds work and the others take it."""
     g = make_cluster(
         [
             {"id": f"n{i}", "rack": f"r{i % 2}", "cpu_ghz": 2.0, "io_mbps": 200.0, "slots": 1}
@@ -233,7 +234,34 @@ def test_migration_cap_per_round_enforced():
     plan = place_random(g, blocks, rf=2, seed=0)
     schedule = {t.id: f"n{k % 6}" for k, t in enumerate(tasks)}
     view = inject_stragglers(g, 0.2, 4.0, seed=0)
-    trace = simulate(view, plan, schedule, w, RuntimeConfig(enable_migration=True))
+    return view, plan, schedule, w, RuntimeConfig(enable_migration=True)
+
+
+def arrivals_blackout_case():
+    """Eight nodes in two racks with one or two slots, 48 tasks at RF 2
+    arriving as a Poisson stream at 4 per second, a quarter of the nodes 4x
+    slow, and node n3's replicas lost at t = 5 s."""
+    g = make_cluster(
+        [
+            {"id": f"n{i}", "rack": f"r{i % 2}", "cpu_ghz": 1.0 + 0.5 * (i % 3),
+             "io_mbps": 100.0 + 50.0 * (i % 4), "slots": 1 + i % 2}
+            for i in range(8)
+        ],
+        intra_ms=1.0,
+        inter_ms=5.0,
+    )
+    app, blocks, tasks, _ = build_workload(48 * 64, rf=2)
+    rng = np.random.default_rng(11)
+    arrivals = dict(zip((t.id for t in tasks), np.cumsum(rng.exponential(0.25, len(tasks))).tolist()))
+    w = Workload(apps=(app,), blocks=tuple(blocks), tasks=tuple(tasks), arrivals=arrivals)
+    plan = place_random(g, blocks, rf=2, seed=3)
+    schedule = {t.id: f"n{(3 * k) % 8 // 2}" for k, t in enumerate(tasks)}
+    view = inject_stragglers(g, 0.25, 4.0, seed=2)
+    return view, plan, schedule, w, RuntimeConfig(enable_migration=True, replica_blackout=("n3", 5.0))
+
+
+def test_migration_cap_per_round_enforced():
+    trace = simulate(*deep_queue_case())
     assert trace.metrics.migrations > 0
     # a round is the migrations that follow one finish event
     rounds, out_, in_ = [], {}, {}
@@ -249,6 +277,60 @@ def test_migration_cap_per_round_enforced():
     peak_out = max(max(o.values(), default=0) for o, _ in rounds)
     peak_in = max(max(i.values(), default=0) for _, i in rounds)
     assert peak_out == THETA_MIG and peak_in == THETA_MIG
+
+
+def sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "case, events_sha, metrics_sha",
+    [
+        (deep_queue_case, "99780ac4169a131c", "ba87ad7339019349"),
+        (arrivals_blackout_case, "f4d361c185069314", "0a4ac8a44530fea5"),
+    ],
+)
+def test_adaptive_trace_is_pinned(case, events_sha, metrics_sha):
+    # the ground-truth model is pure-Python arithmetic, so these hashes do
+    # not depend on the host's BLAS; a change to the runtime that is meant
+    # to keep outputs must keep them
+    trace = simulate(*case())
+    assert trace.metrics.migrations > 0
+    assert (sha(trace.events), sha(trace.metrics)) == (events_sha, metrics_sha)
+
+
+def test_round_without_pending_tasks_reads_no_node_state(monkeypatch):
+    # one task per one-slot node: no task ever waits, so every round must
+    # stop at its pending check before scanning any node's remaining time
+    g = make_cluster(
+        [{"id": f"n{i}", "rack": f"r{i % 2}", "cpu_ghz": 1.0 + i, "io_mbps": 100.0, "slots": 1}
+         for i in range(4)]
+    )
+    app, blocks, tasks, w = build_workload(4 * 64, rf=2)
+    plan = place_random(g, blocks, rf=2, seed=0)
+    schedule = {t.id: f"n{k}" for k, t in enumerate(tasks)}
+    calls = {"remaining": 0}
+    real = _NodeRt.remaining
+
+    def counting(self, now):
+        calls["remaining"] += 1
+        return real(self, now)
+
+    monkeypatch.setattr(_NodeRt, "remaining", counting)
+    trace = simulate(g, plan, schedule, w, RuntimeConfig(enable_migration=True))
+    assert trace.runtime_counts["rounds"] == 4 and trace.runtime_counts["picks"] == 0
+    assert calls["remaining"] == 0
+
+
+def test_runtime_counts_explain_the_run():
+    view, plan, schedule, w, cfg = deep_queue_case()
+    trace = simulate(view, plan, schedule, w, cfg)
+    on = trace.runtime_counts
+    assert on["moves"] == trace.metrics.migrations > 0
+    assert on["rounds"] == len(w.tasks)  # one round per completion
+    assert on["moves"] <= on["picks"] <= on["candidates"]
+    off = simulate(view, plan, schedule, w, RuntimeConfig()).runtime_counts
+    assert off == dict.fromkeys(("rounds", "picks", "candidates", "moves"), 0)
 
 
 # --- stragglers -------------------------------------------------------------
