@@ -5,28 +5,26 @@ Ground truth for a task on a node is `block/io + gcycles/cpu` seconds
 first. Fair sharing is snapshot-based: a transfer's rate is fixed when it
 starts, at `min over path links of bandwidth / (active demand flows + 1)`.
 
-Runtime adaptivity is migration, off by default: after each task
-completion, a round of up to `4 * THETA_MIG` picks moves queued tasks off
-overloaded nodes. A source is a node whose resource quotient exceeds its
-threshold (`PHI` times its reference service time) and that has moved
-fewer than `THETA_MIG` tasks out this round; a target is a node whose
-remaining time exceeds its threshold and that has taken fewer than
-`THETA_MIG` tasks in. Each pick looks at the 3 sources with the most
-remaining time, the last 8 pending tasks of each, and the 10 targets with
-the least remaining time; a task that has already moved 3 times stays put.
-A candidate move must leave the source's remaining time, less the task's
-predicted time, strictly above the source's threshold, and it must project
-a strictly positive improvement: the later of the two nodes' remaining
-times, before minus after. Greedy is the pick rule: the candidate with the
-largest improvement moves, the first in (task id, target) order on a tie,
-and the round ends when no candidate is left. A node's rate (observed mean
-MB/s, the predictor's bootstrap rate until its first completion),
-remaining time, quotient and threshold are each defined once, on its
-runtime state. `now` is fixed within a round, so a round first checks that
-some task is pending, then computes each node's remaining time and source
-test once per round, and after a move refreshes them only for the two
-nodes the move touched. `SimTrace.runtime_counts` counts the rounds, the
-picks that scored candidates, the candidates scored and the moves.
+Runtime adaptivity is migration by work stealing (Blumofe & Leiserson,
+JACM 1999), off by default: idle capacity pulls queued work. After each
+task completion, a round makes up to `4 * THETA_MIG` picks. A thief is a
+node with a free slot, no pending task, and fewer than `THETA_MIG` tasks
+taken this round. The victims are the 3 nodes with pending tasks and the
+most remaining time; the candidates are the last 8 pending tasks of each,
+except a task that has already moved 3 times. A pick moves the (task,
+thief) pair with the largest gain, the victim's remaining time less the
+task's predicted time on the thief, when that gain is positive; a tie goes
+to the first pair in (task id, thief) order. The stolen task starts on the
+thief at once, so no task moves twice in a round. The round ends when no
+pair gains. A node's rate (observed mean MB/s, the predictor's bootstrap
+rate until its first completion) and remaining time are each defined once,
+on its runtime state. `now` is fixed within a round, so a round first
+checks that some task is pending and some node can steal, computes a
+victim's remaining time at most once, and recomputes it only after a steal
+takes from it. `SimTrace.runtime_counts` counts the rounds, the picks that
+scored candidates, the (task, thief) candidates scored, the moves, and the
+rejections by rule: `capped` (tasks skipped at the lifetime cap) and
+`no_gain` (pairs whose gain was not positive).
 `RuntimeConfig` holds only what differs between schedulers and runs:
 migration on or off, the rsync delay per remote access, and the recovery
 blackout.
@@ -99,9 +97,7 @@ def inject_stragglers(
     return replace(g, nodes=nodes)
 
 
-PHI = 0.075  # migration threshold as a fraction of the node's TS_i
-THETA_MIG = 3  # migrations out of, and into, each node per round
-RQ_SCALE = 0.2  # scaling factor in the queue-delay quotient
+THETA_MIG = 3  # tasks each thief may take per round
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,8 @@ class SimTrace:
     schedule: Schedule | None = None  # what experiment.execute ran; None from bare simulate
     # migration decisions, kept out of `metrics` so runs.csv keeps its
     # columns: rounds run (one per completion), picks that scored
-    # candidates, (task, target) candidates scored, and moves made
+    # candidates, (task, thief) candidates scored, moves made, tasks skipped
+    # at the lifetime cap, and candidates whose gain was not positive
     runtime_counts: dict[str, int] = field(default_factory=dict)
 
     def to_event_csv(self, path: str) -> None:
@@ -165,21 +162,17 @@ class SimTrace:
 
 class _NodeRt:
     """Mutable per-node runtime state inside one simulation, and the
-    per-node quantities the migration rule reads from it: rate, remaining
-    time, queue-delay quotient and threshold."""
+    per-node quantities the migration rule reads from it: rate and
+    remaining time."""
 
-    __slots__ = (
-        "spec", "pending", "running", "completed_count", "rate_sum",
-        "ts_ref", "bootstrap_rate",
-    )
+    __slots__ = ("spec", "pending", "running", "completed_count", "rate_sum", "bootstrap_rate")
 
-    def __init__(self, spec, ts_ref: float, bootstrap_rate: float):
+    def __init__(self, spec, bootstrap_rate: float):
         self.spec = spec
         self.pending: list[TaskSpec] = []
         self.running: dict[str, tuple[float, float, float]] = {}  # id -> (start, finish, mb)
         self.completed_count = 0
         self.rate_sum = 0.0
-        self.ts_ref = ts_ref
         self.bootstrap_rate = bootstrap_rate
 
     def rate(self) -> float:
@@ -203,21 +196,6 @@ class _NodeRt:
         rem = cur_mb * (1.0 - prog) / rate
         rem += sum(t.block_mb for t in self.pending) / rate
         return rem
-
-    def quotient(self) -> float:
-        """Queue-delay quotient that flags an overloaded node: pending tasks
-        times the running (else the next) block, over `RQ_SCALE * rate()`."""
-        cur_mb = sum(mb for _, _, mb in self.running.values())
-        block = cur_mb if cur_mb > 0 else (self.pending[0].block_mb if self.pending else 0.0)
-        rate = self.rate()
-        if rate <= 0:
-            return math.inf if self.pending else 0.0
-        return len(self.pending) * block / (RQ_SCALE * rate)
-
-    def exceeds_threshold(self, seconds: float) -> bool:
-        """The migration threshold, strictly: more than `PHI` times the
-        node's reference service time."""
-        return seconds > PHI * self.ts_ref
 
 
 def validate_schedule(
@@ -275,25 +253,14 @@ def simulate(
     by_node: dict[str, list[TaskSpec]] = {}
     for tid, nid in schedule.items():
         by_node.setdefault(nid, []).append(tasks[tid])
-    global_ts = None
     rt: dict[str, _NodeRt] = {}
     for nid in g.node_ids():
         spec = g.node(nid)
         assigned = by_node.get(nid, [])
-        preds = [predictor.predict(spec, t) for t in assigned]
-        ts_ref = float(np.mean(preds)) if preds else 0.0
-        if ts_ref > 0 and global_ts is None:
-            global_ts = ts_ref
-        boot = (
-            float(np.mean([t.block_mb for t in assigned])) / ts_ref
-            if assigned and ts_ref > 0
-            else spec.io_mbps
-        )
-        rt[nid] = _NodeRt(spec, ts_ref, boot)
-    fallback_ts = global_ts or 1.0
-    for state in rt.values():
-        if state.ts_ref <= 0:
-            state.ts_ref = fallback_ts
+        # bootstrap rate: mean block over mean predicted time of the node's tasks
+        ts = float(np.mean([predictor.predict(spec, t) for t in assigned])) if assigned else 0.0
+        boot = float(np.mean([t.block_mb for t in assigned])) / ts if ts > 0 else spec.io_mbps
+        rt[nid] = _NodeRt(spec, boot)
 
     def default_order(nid: str, ts: list[TaskSpec]) -> list[TaskSpec]:
         return sorted(
@@ -407,7 +374,7 @@ def simulate(
                 push(now + dur, "xfer_done", nid, task.id)
 
     task_moves: dict[str, int] = {}  # lifetime migration count per task
-    counts = dict.fromkeys(("rounds", "picks", "candidates", "moves"), 0)
+    counts = dict.fromkeys(("rounds", "picks", "candidates", "moves", "capped", "no_gain"), 0)
 
     def migration_round(now: float) -> None:
         if not config.enable_migration:
@@ -415,78 +382,53 @@ def simulate(
         counts["rounds"] += 1
         node_ids = g.node_ids()
         if not any(rt[nid].pending for nid in node_ids):
-            return  # no task to move: skip the per-node scan
-        # `now` is fixed for the round, so a node's remaining time and its
-        # source test change only when a move touches it. An idle node has
-        # no remaining time, so it is neither a source nor a target.
+            return  # nothing to steal: skip the per-node scan
+        # `try_start` fills every free slot from the pending queue, so a node
+        # with a free slot holds no pending task: thieves are never victims,
+        # and a stolen task starts at once. `now` is fixed for the round, so
+        # a victim's remaining time changes only when a steal takes from it.
         rem: dict[str, float] = {}
-        hot: dict[str, bool] = {}  # pending and quotient over threshold
-
-        def refresh(nid: str) -> None:
-            state = rt[nid]
-            if state.pending or state.running:
-                rem[nid] = state.remaining(now)
-                hot[nid] = bool(state.pending) and state.exceeds_threshold(state.quotient())
-            else:
-                rem.pop(nid, None)
-                hot.pop(nid, None)
-
-        for nid in node_ids:
-            refresh(nid)
-        moved_out: dict[str, int] = {}
-        moved_in: dict[str, int] = {}
-        # both per-node round caps and a per-task lifetime cap keep churn
-        # bounded
+        taken: dict[str, int] = {}
         for _ in range(4 * THETA_MIG):
-            if not any(rt[nid].pending for nid in node_ids):
-                break  # no task left to move
-            counts["picks"] += 1
-            sources = [nid for nid in rem if hot[nid] and moved_out.get(nid, 0) < THETA_MIG]
-            sources.sort(key=lambda n: (-rem[n], n))
-            targets = [
+            thieves = [
                 nid
-                for nid in rem
-                if rt[nid].exceeds_threshold(rem[nid]) and moved_in.get(nid, 0) < THETA_MIG
+                for nid in node_ids
+                if len(rt[nid].running) < rt[nid].spec.slots and taken.get(nid, 0) < THETA_MIG
             ]
-            targets.sort(key=lambda n: (rem[n], n))
-            targets = targets[:10]
-            # (-improvement, task id, target, source): the least is the
-            # largest improvement, the first in (task id, target) order on a tie
+            loaded = [nid for nid in node_ids if rt[nid].pending]
+            if not thieves or not loaded:
+                break
+            for nid in loaded:
+                if nid not in rem:
+                    rem[nid] = rt[nid].remaining(now)
+            counts["picks"] += 1
+            # (-gain, task id, thief, victim): the least is the largest gain,
+            # the first in (task id, thief) order on a tie
             candidates: list[tuple[float, str, str, str]] = []
-            for src in sources[:3]:
-                rate_s = rt[src].rate()
-                rem_s = rem[src]
+            for src in sorted(loaded, key=lambda n: (-rem[n], n))[:3]:
                 for task in rt[src].pending[-8:]:
                     if task_moves.get(task.id, 0) >= 3:
+                        counts["capped"] += 1
                         continue
-                    t_src = predicted_time(src, task, now)
-                    if not rt[src].exceeds_threshold(rem_s - t_src):
-                        continue  # the source must stay saturated without the task
-                    drop = task.block_mb / rate_s if rate_s > 0 else 0.0
-                    counts["candidates"] += len(targets) - (src in targets)
-                    for dst in targets:
-                        if dst == src:
-                            continue
-                        rem_d = rem[dst]
-                        t_dst = predicted_time(dst, task, now)
-                        improvement = max(rem_s, rem_d) - max(rem_s - drop, rem_d + t_dst)
-                        if improvement <= 0:
-                            continue
-                        candidates.append((-improvement, task.id, dst, src))
+                    counts["candidates"] += len(thieves)
+                    for dst in thieves:
+                        gain = rem[src] - predicted_time(dst, task, now)
+                        if gain > 0:
+                            candidates.append((-gain, task.id, dst, src))
+                        else:
+                            counts["no_gain"] += 1
             if not candidates:
                 break
             _, tid, dst, src = min(candidates)
             task = tasks[tid]
             rt[src].pending.remove(task)
             rt[dst].pending.append(task)
-            moved_out[src] = moved_out.get(src, 0) + 1
-            moved_in[dst] = moved_in.get(dst, 0) + 1
+            taken[dst] = taken.get(dst, 0) + 1
             task_moves[tid] = task_moves.get(tid, 0) + 1
             counts["moves"] += 1
             events.append(SimEvent(now, "migrate", tid, dst, f"from={src}"))
             try_start(dst, now)
-            refresh(src)
-            refresh(dst)
+            del rem[src]  # recomputed at the next pick if it still has pending tasks
 
     for nid in g.node_ids():
         try_start(nid, 0.0)

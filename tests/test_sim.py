@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from sccdso.placement import PlacementPlan, place_rack_aware, place_random
 from sccdso.sim import (
-    PHI,
     THETA_MIG,
     RuntimeConfig,
     _NodeRt,
@@ -45,11 +44,11 @@ def build_workload(input_mb, block_mb=64, rf=1, gcycles_per_mb=0.05, demand=0.5)
     )
 
 
-def node_rt(pending=(), running=None, rate=0.0, bootstrap=10.0, ts=1.0):
+def node_rt(pending=(), running=None, rate=0.0, bootstrap=10.0):
     """The per-node runtime state that `migration_round` reads: blocks of
     `pending` MB queued, `running` = (start, finish, MB) of one running
     block, and `rate` > 0 observed over one completed task."""
-    state = _NodeRt(None, ts, bootstrap)
+    state = _NodeRt(None, bootstrap)
     state.pending = [TaskSpec(f"p{i}", f"b{i}", mb, 0.5, 1.0) for i, mb in enumerate(pending)]
     if running is not None:
         state.running["r"] = running
@@ -153,41 +152,17 @@ def test_remaining_time_bootstraps_before_first_completion():
     assert q.remaining(0.0) == pytest.approx(2.0)
 
 
-# The two migration inequalities as `migration_round` checks them: the
-# target's remaining time, and the source's less the moved task's predicted
-# time, must each exceed the node's threshold.
+# --- the steal pick ------------------------------------------------------
 
 
-def test_should_migrate_cases():
-    idle = node_rt(ts=10.0)
-    assert not idle.exceeds_threshold(idle.remaining(0.0))
-
-    phi = PHI * 10.0
-    busy_target = node_rt(running=(0.0, 1.0, 10 * phi), rate=1.0, ts=10.0)
-    busy_source = node_rt(pending=(5 * phi + 2.0,), rate=1.0, ts=10.0)
-    # R(target)=10phi > phi and R(source)-T = 5phi+2-2 = 5phi > phi
-    assert busy_target.exceeds_threshold(busy_target.remaining(0.0))
-    assert busy_source.exceeds_threshold(busy_source.remaining(0.0) - 2.0)
-
-
-def test_should_migrate_boundary_is_strict():
-    phi = PHI * 10.0
-    exactly_phi = node_rt(running=(0.0, 1.0, phi), rate=1.0, ts=10.0)
-    deep_source = node_rt(pending=(100.0,), rate=1.0, ts=10.0)
-    assert exactly_phi.remaining(0.0) == phi
-    assert not exactly_phi.exceeds_threshold(exactly_phi.remaining(0.0))
-    assert deep_source.exceeds_threshold(deep_source.remaining(0.0) - 0.0)
-
-
-# --- the greedy migration pick ------------------------------------------------
-
-
-def hand_built(nodes, home, block_mb=None):
-    """One-rack cluster of `nodes` (id, cpu_ghz, io_mbps), one slot each,
-    and len(`home`) tasks of 64 MB (`block_mb`: task index -> MB), task k
-    queued on and stored at home[k]."""
+def hand_built(nodes, home, block_mb=None, slots=None, migration=True):
+    """One-rack cluster of `nodes` (id, cpu_ghz, io_mbps), one slot each
+    unless `slots` (node id -> slots) says otherwise, and len(`home`) tasks
+    of 64 MB (`block_mb`: task index -> MB), task k queued on and stored at
+    home[k]."""
     g = make_cluster(
-        [{"id": nid, "rack": "r1", "cpu_ghz": cpu, "io_mbps": io, "slots": 1} for nid, cpu, io in nodes],
+        [{"id": nid, "rack": "r1", "cpu_ghz": cpu, "io_mbps": io, "slots": (slots or {}).get(nid, 1)}
+         for nid, cpu, io in nodes],
         intra_ms=1.0,
     )
     app, blocks, tasks, _ = build_workload(len(home) * 64)
@@ -196,26 +171,40 @@ def hand_built(nodes, home, block_mb=None):
     w = Workload(apps=(app,), blocks=tuple(blocks), tasks=tuple(tasks), arrivals={t.id: 0.0 for t in tasks})
     plan = PlacementPlan({t.block_id: (nid,) for t, nid in zip(tasks, home)}, "hand")
     schedule = {t.id: nid for t, nid in zip(tasks, home)}
-    return simulate(g, plan, schedule, w, RuntimeConfig(enable_migration=True))
+    return simulate(g, plan, schedule, w, RuntimeConfig(enable_migration=migration))
+
+
+def test_idle_node_steals_from_a_loaded_one():
+    # six tasks queue on a slow one-slot node with a 4x faster empty node
+    # beside it: the idle node is the fastest relief and must take work
+    nodes, home = [("s", 0.5, 50.0), ("f", 2.0, 200.0)], ["s"] * 6
+    on = hand_built(nodes, home)
+    off = hand_built(nodes, home, migration=False)
+    assert off.metrics.completion_time_s == pytest.approx(46.08)
+    assert on.metrics.migrations >= 1
+    assert on.metrics.completion_time_s < off.metrics.completion_time_s
+    assert {e.node_id for e in on.events if e.kind == "migrate"} == {"f"}
 
 
 def test_greedy_pick_moves_the_largest_improvement():
-    # t0-t5 queue on the slow node s, two tasks each on a and b. When a and
-    # b finish their first task, every move off s drains t_k's block at s's
-    # rate, so the 128 MB t5 improves most; (t1, a) comes first in (task
-    # id, target) order, a ties with b and wins by target id
+    # t0-t5 queue on the slow node s, with the 32 MB t5 smallest; a and b are
+    # idle and equal. When t0 finishes, t5 has the least predicted time on
+    # either thief, so the largest gain, and the tie between the thieves
+    # goes to a; then b takes t2, the first of the equal t2-t4 by task id
     trace = hand_built(
         [("s", 0.5, 50.0), ("a", 2.0, 200.0), ("b", 2.0, 200.0)],
-        ["s"] * 6 + ["a", "a", "b", "b"],
-        block_mb={5: 128.0},
+        ["s"] * 6,
+        block_mb={5: 32.0},
     )
-    first = next(e for e in trace.events if e.kind == "migrate")
-    assert (first.task_id, first.node_id, first.info) == ("app0/t5", "a", "from=s")
+    first_finish = next(e.time for e in trace.events if e.kind == "finish")
+    steals = [(e.task_id, e.node_id, e.info) for e in trace.events
+              if e.kind == "migrate" and e.time == first_finish]
+    assert steals == [("app0/t5", "a", "from=s"), ("app0/t2", "b", "from=s")]
 
 
 def test_no_valid_candidate_moves_nothing():
-    # two equal nodes with equal local queues: both are sources and targets
-    # after every finish, but each move would lengthen the later queue
+    # two equal nodes with equal local queues drain together: neither is
+    # ever idle while the other still has a pending task
     trace = hand_built([("a", 2.0, 200.0), ("b", 2.0, 200.0)], ["a", "b"] * 5)
     assert trace.metrics.migrations == 0
     assert not [e for e in trace.events if e.kind == "migrate"]
@@ -261,22 +250,21 @@ def arrivals_blackout_case():
 
 
 def test_migration_cap_per_round_enforced():
-    trace = simulate(*deep_queue_case())
-    assert trace.metrics.migrations > 0
+    # a six-slot thief beside a deep slow queue has the slots to take more,
+    # so the per-thief cap is what stops it
+    trace = hand_built(
+        [("s", 0.5, 50.0), ("f", 2.0, 200.0)], ["s"] * 12, slots={"f": 6}
+    )
     # a round is the migrations that follow one finish event
-    rounds, out_, in_ = [], {}, {}
+    rounds, taken = [], {}
     for e in trace.events:
         if e.kind == "finish":
-            rounds.append((out_, in_))
-            out_, in_ = {}, {}
+            rounds.append(taken)
+            taken = {}
         elif e.kind == "migrate":
-            src = e.info.split("=")[1]
-            out_[src] = out_.get(src, 0) + 1
-            in_[e.node_id] = in_.get(e.node_id, 0) + 1
-    rounds.append((out_, in_))
-    peak_out = max(max(o.values(), default=0) for o, _ in rounds)
-    peak_in = max(max(i.values(), default=0) for _, i in rounds)
-    assert peak_out == THETA_MIG and peak_in == THETA_MIG
+            taken[e.node_id] = taken.get(e.node_id, 0) + 1
+    rounds.append(taken)
+    assert max(max(t.values(), default=0) for t in rounds) == THETA_MIG
 
 
 def sha(obj) -> str:
@@ -286,9 +274,10 @@ def sha(obj) -> str:
 @pytest.mark.parametrize(
     "case, events_sha, metrics_sha",
     [
-        (deep_queue_case, "99780ac4169a131c", "ba87ad7339019349"),
-        (arrivals_blackout_case, "f4d361c185069314", "0a4ac8a44530fea5"),
+        (deep_queue_case, "528c5a876bf4f306", "d84f3d5b3c68a545"),
+        (arrivals_blackout_case, "df6d8fbf109a7bf3", "df380eec3f0cfff4"),
     ],
+    ids=["deep_queue_case", "arrivals_blackout_case"],
 )
 def test_adaptive_trace_is_pinned(case, events_sha, metrics_sha):
     # the ground-truth model is pure-Python arithmetic, so these hashes do
@@ -296,6 +285,7 @@ def test_adaptive_trace_is_pinned(case, events_sha, metrics_sha):
     # to keep outputs must keep them
     trace = simulate(*case())
     assert trace.metrics.migrations > 0
+    check_steals(trace)
     assert (sha(trace.events), sha(trace.metrics)) == (events_sha, metrics_sha)
 
 
@@ -329,8 +319,9 @@ def test_runtime_counts_explain_the_run():
     assert on["moves"] == trace.metrics.migrations > 0
     assert on["rounds"] == len(w.tasks)  # one round per completion
     assert on["moves"] <= on["picks"] <= on["candidates"]
+    assert on["no_gain"] <= on["candidates"]
     off = simulate(view, plan, schedule, w, RuntimeConfig()).runtime_counts
-    assert off == dict.fromkeys(("rounds", "picks", "candidates", "moves"), 0)
+    assert off == dict.fromkeys(("rounds", "picks", "candidates", "moves", "capped", "no_gain"), 0)
 
 
 # --- stragglers -------------------------------------------------------------
@@ -434,7 +425,8 @@ def test_bitwise_determinism():
 def test_simulate_fuzz_invariants(n_nodes, n_racks, n_tasks, rf, arrival_rate, slow_frac, seed):
     # two-tier cluster, Poisson arrivals, a replica blackout, stragglers and
     # migration on: every task finishes once, no task starts before it
-    # arrives, time never runs backwards and fetched bytes add up
+    # arrives, time never runs backwards, fetched bytes add up, and every
+    # steal starts its task on the thief at once, which was idle
     rng = np.random.default_rng(seed)
     g = make_cluster(
         [
@@ -470,6 +462,20 @@ def test_simulate_fuzz_invariants(n_nodes, n_racks, n_tasks, rf, arrival_rate, s
     mb = {t.id: t.block_mb for t in tasks}
     fetched = sum(mb[e.task_id] for e in trace.events if e.kind == "transfer")
     assert trace.metrics.network_mb == fetched
+    check_steals(trace)
+
+
+def check_steals(trace):
+    """Every `migrate` event is matched by a `start` of the same task on the
+    same node at the same time, so the thief had a free slot and the task
+    could not move again in that round; no task moves more than 3 times."""
+    starts = {(e.time, e.task_id, e.node_id) for e in trace.events if e.kind == "start"}
+    moves = [e for e in trace.events if e.kind == "migrate"]
+    assert all((e.time, e.task_id, e.node_id) in starts for e in moves)
+    per_task = {}
+    for e in moves:
+        per_task[e.task_id] = per_task.get(e.task_id, 0) + 1
+    assert max(per_task.values(), default=0) <= 3
 
 
 def test_locality_ratio_counts_replica_holders():
