@@ -5,7 +5,10 @@ makespan as the tiebreak) or the pure min-max makespan. Ants build
 complete assignments task by task, sampling nodes in proportion to
 pheromone^alpha * desirability^beta over the eligible set; desirability is
 the inverse of predicted execution time with the data-access cost folded
-in, so locality and speed ride the same signal.
+in, so locality and speed ride the same signal. A remote cell fetches from
+its cheapest replica at the price in the cluster's path table
+(`ClusterGraph.paths`), the price the simulator charges an uncontended
+transfer.
 
 An iteration builds its ants together (`construct_colony`): every ant's
 task order and draws are taken from the generator up front, then all ants
@@ -159,29 +162,6 @@ class AssignmentProblem:
     candidate_mask: np.ndarray  # (n, B) fan-out-capped eligibility
 
 
-def _route_sum(same_rack, up_a, core_a, core_b, up_b):
-    """Per-hop quantities summed in route order a -> b (uplink of a, core
-    link of a's rack, core link of b's rack, uplink of b). An intra-rack
-    route adds exact zeros for the two core hops, so every sum keeps the
-    order of a hop-by-hop loop; a pre-summed inverse bandwidth would not."""
-    return ((up_a + np.where(same_rack, 0.0, core_a)) + np.where(same_rack, 0.0, core_b)) + up_b
-
-
-def _hop_arrays(links) -> np.ndarray:
-    """(bandwidth, queue delay, cost per MB) rows over `links`."""
-    return np.array(
-        [(l.bandwidth_mbps, l.base_queue_delay_s, l.cost_per_mb) for l in links], dtype=float
-    ).T
-
-
-def _lex_less(a: tuple, b: tuple) -> np.ndarray:
-    """Elementwise lexicographic a < b over equal-length tuples of arrays."""
-    less = a[-1] < b[-1]
-    for x, y in zip(a[-2::-1], b[-2::-1]):
-        less = (x < y) | ((x == y) & less)
-    return less
-
-
 def build_problem(
     g: ClusterGraph,
     plan: PlacementPlan,
@@ -190,60 +170,38 @@ def build_problem(
 ) -> AssignmentProblem:
     """Price every (node, task) cell. A task whose block has a replica on
     the node is local: compute cost only. Otherwise the task fetches from
-    the replica with the lexicographically smallest (transfer seconds,
-    queueing + tier latency, link cost, source index); transfer seconds
-    sum block MB / bandwidth over the route's links."""
-    node_ids = tuple(sorted(g.nodes))
+    the replica with the least fetch seconds in `g.paths` (transfer plus
+    extras), the lowest node index on a tie; `access` holds that fetch's
+    transfer seconds and `xtra_delay` its extras."""
+    paths = g.paths
+    node_ids = paths.node_ids
     task_ids = tuple(t.id for t in tasks)
     nodes = [g.node(n) for n in node_ids]
     n, b = len(node_ids), len(tasks)
 
     t_pred = np.asarray(predictor.predict_matrix(nodes, list(tasks)), dtype=float)
 
-    idx_of = {nid: i for i, nid in enumerate(node_ids)}
-    rack_ids = list(g.core_links)
-    rack_of = {r: k for k, r in enumerate(rack_ids)}
-    rack = np.array([rack_of[nd.rack] for nd in nodes], dtype=int)
-    up_bw, up_queue, up_cost = _hop_arrays([g.uplinks[nid] for nid in node_ids])
-    core_bw, core_queue, core_cost = _hop_arrays([g.core_links[r] for r in rack_ids])
-
-    # (B, RF) replica node indices; a shorter replica list repeats its first
+    # (B, RF) replica node indices in ascending order, so the first least
+    # price is the lowest index; a shorter replica list repeats its first
     # holder, a duplicate candidate that changes no minimum
-    replicas = [plan.replicas(t.block_id) for t in tasks]
+    replicas = [sorted(paths.index[r] for r in plan.replicas(t.block_id)) for t in tasks]
     rf = max((len(r) for r in replicas), default=1)
-    src = np.array(
-        [[idx_of[r] for r in reps] + [idx_of[reps[0]]] * (rf - len(reps)) for reps in replicas],
-        dtype=int,
-    ).reshape(b, rf)
-    mb = np.array([t.block_mb for t in tasks], dtype=float).reshape(b, 1)
+    src = np.array([reps + reps[:1] * (rf - len(reps)) for reps in replicas], dtype=int)
+    src = src.reshape(b, rf)
+    mb = np.array([t.block_mb for t in tasks], dtype=float)
     gcycles = np.array([t.compute_gcycles for t in tasks], dtype=float)
 
-    # (n, B, RF): destination node i fetching task j's block from replica k
-    col = (slice(None), None, None)
-    src_rack = rack[src]
-    same = rack[col] == src_rack
-    xfer = _route_sum(
-        same, mb / up_bw[col], mb / core_bw[rack][col], mb / core_bw[src_rack], mb / up_bw[src]
-    )
-    queue = _route_sum(
-        same, up_queue[col], core_queue[rack][col], core_queue[src_rack], up_queue[src]
-    ) + np.where(same, g.intra_rack_latency_s, g.inter_rack_latency_s)
-    link_cost = _route_sum(
-        same, up_cost[col] * mb, core_cost[rack][col] * mb, core_cost[src_rack] * mb,
-        up_cost[src] * mb,
-    )
-    best = (xfer[..., 0], queue[..., 0], link_cost[..., 0], src[:, 0])
-    for k in range(1, rf):
-        cand = (xfer[..., k], queue[..., k], link_cost[..., k], src[:, k])
-        better = _lex_less(cand, best)
-        best = tuple(np.where(better, c, o) for c, o in zip(cand, best))
+    # (n, B): the replica each destination node i fetches task j's block from
+    price = mb[:, None] / paths.bandwidth[:, src] + paths.extras_s[:, src]
+    best = src[np.arange(b), price.argmin(axis=2)]
+    rows = np.arange(n)[:, None]
 
-    local = (src == np.arange(n)[col]).any(axis=2)
+    local = (src == rows[..., None]).any(axis=2)
     compute_cost = (np.array([nd.cost_per_cycle for nd in nodes])[:, None] * gcycles) * 1e9
-    access = np.where(local, 0.0, best[0])
-    xtra_delay = np.where(local, 0.0, best[1])
-    cost = np.where(local, compute_cost, best[2] + compute_cost)
-    src_idx = np.where(local, -1, best[3])
+    access = np.where(local, 0.0, mb / paths.bandwidth[rows, best])
+    xtra_delay = np.where(local, 0.0, paths.extras_s[rows, best])
+    cost = np.where(local, compute_cost, paths.cost_per_mb[rows, best] * mb + compute_cost)
+    src_idx = np.where(local, -1, best)
 
     t_eff = t_pred + access
     eta = 1.0 / np.maximum(t_eff, 1e-12)
@@ -265,7 +223,7 @@ def build_problem(
         xtra_delay=xtra_delay,
         cost=cost,
         src_idx=src_idx,
-        demand_mb=np.array([t.block_mb for t in tasks]),
+        demand_mb=mb,
         capacity_mb=np.array([nd.capacity_mb for nd in nodes]),
         loss_prob=np.array([nd.loss_prob for nd in nodes]),
         candidate_mask=mask,

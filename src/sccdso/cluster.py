@@ -9,17 +9,24 @@ Bandwidth fields are in MB/s throughout (config files may specify Gbps and
 get converted: 1 Gbps == 125 MB/s). Latency tiers are local / intra-rack /
 inter-rack, defaulting to 0 ms / 5 ms / 15 ms and overridable per config.
 
+A route's price is defined once, in `PathTable` (`ClusterGraph.paths`):
+fetching `mb` from node src to node dst takes `mb / bandwidth + extras_s`
+seconds, the route's bottleneck plus its link queue delays and tier
+latency, and costs `mb * cost_per_mb`. The colony, the steal rule and the
+simulator all read it; the simulator adds only per-link fair sharing.
+
 A built ClusterGraph is immutable; derive modified views (e.g. slowed-down
-nodes) by rebuilding rather than mutating.
+nodes) by rebuilding rather than mutating. Each view builds its own table.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
-LOCAL_BANDWIDTH_MBPS = math.inf  # sentinel for same-node "transfers"
+import numpy as np
 
 DEFAULT_INTRA_RACK_LATENCY_S = 0.005
 DEFAULT_INTER_RACK_LATENCY_S = 0.015
@@ -102,14 +109,6 @@ class ClusterGraph:
             return "local"
         return "intra" if self.rack_of(a) == self.rack_of(b) else "inter"
 
-    def tier_latency_s(self, a: str, b: str) -> float:
-        tier = self.tier(a, b)
-        if tier == "local":
-            return 0.0
-        if tier == "intra":
-            return self.intra_rack_latency_s
-        return self.inter_rack_latency_s
-
     def path_links(self, a: str, b: str) -> list[LinkSpec]:
         """Links on the unique tiered route a -> b (empty when a == b)."""
         tier = self.tier(a, b)
@@ -124,17 +123,74 @@ class ClusterGraph:
             self.uplinks[b],
         ]
 
+    @cached_property
+    def paths(self) -> PathTable:
+        """The fetch price of every node pair, built on first use."""
+        return PathTable.build(self)
 
-def path_bandwidth(g: ClusterGraph, a: str, b: str) -> float:
-    """Bottleneck bandwidth (MB/s) of the tiered route a -> b.
 
-    Same-node access returns the `LOCAL_BANDWIDTH_MBPS` infinity sentinel:
-    no transfer is needed.
-    """
-    links = g.path_links(a, b)
-    if not links:
-        return LOCAL_BANDWIDTH_MBPS
-    return min(l.bandwidth_mbps for l in links)
+@dataclass(frozen=True, eq=False)
+class PathTable:
+    """Fetch prices over (dst, src) node-index pairs, nodes in sorted-id
+    order. A fetch of `mb` MB takes `mb / bandwidth + extras_s` seconds and
+    costs `mb * cost_per_mb`; on the diagonal (a local read) both are 0.
+    A route sum adds the two uplinks' terms and, on an inter-rack route, the
+    two core links' terms, each pair on its own, so (a, b) and (b, a) give
+    the same float. The (n, n) arrays are built in place: a large cluster
+    keeps its table for the graph's life, and few transients keep the
+    build's peak memory down."""
+
+    node_ids: tuple[str, ...]
+    index: dict[str, int]
+    bandwidth: np.ndarray  # (n, n) bottleneck MB/s of the route, inf on the diagonal
+    extras_s: np.ndarray  # (n, n) link queue delays plus tier latency
+    cost_per_mb: np.ndarray  # (n, n) summed link cost per MB
+
+    @classmethod
+    def build(cls, g: ClusterGraph) -> PathTable:
+        node_ids = tuple(sorted(g.nodes))
+        rack_ix = {r: k for k, r in enumerate(g.racks)}
+        rack = np.array([rack_ix[g.nodes[nid].rack] for nid in node_ids])
+        same = rack[:, None] == rack[None, :]
+
+        def hops(attr):
+            # a link attribute at both ends of every route: (dst uplink, src
+            # uplink, dst rack's core link, src rack's core link)
+            up = np.array([getattr(g.uplinks[nid], attr) for nid in node_ids], dtype=float)
+            core = np.array(
+                [getattr(g.core_links[g.nodes[nid].rack], attr) for nid in node_ids], dtype=float
+            )
+            return up[:, None], up[None, :], core[:, None], core[None, :]
+
+        def route_sum(attr):
+            # the core links count on inter-rack routes only
+            up_a, up_b, core_a, core_b = hops(attr)
+            total = core_a + core_b
+            total[same] = 0.0
+            total += up_a + up_b
+            return total
+
+        up_a, up_b, core_a, core_b = hops("bandwidth_mbps")
+        bandwidth = np.minimum(core_a, core_b)
+        bandwidth[same] = np.inf
+        np.minimum(bandwidth, np.minimum(up_a, up_b), out=bandwidth)
+        extras = route_sum("base_queue_delay_s")
+        extras += np.where(same, g.intra_rack_latency_s, g.inter_rack_latency_s)
+        cost = route_sum("cost_per_mb")
+        np.fill_diagonal(bandwidth, np.inf)
+        np.fill_diagonal(extras, 0.0)
+        np.fill_diagonal(cost, 0.0)
+        for table in (bandwidth, extras, cost):
+            table.flags.writeable = False  # shared by every reader of the graph
+        return cls(node_ids, {nid: i for i, nid in enumerate(node_ids)}, bandwidth, extras, cost)
+
+    def extras(self, dst: str, src: str) -> float:
+        return float(self.extras_s[self.index[dst], self.index[src]])
+
+    def seconds(self, dst: str, src: str, mb: float) -> float:
+        """Uncontended seconds to fetch `mb` MB from `src` to `dst`."""
+        i, j = self.index[dst], self.index[src]
+        return float(mb / self.bandwidth[i, j] + self.extras_s[i, j])
 
 
 def build_cluster(config: dict) -> ClusterGraph:

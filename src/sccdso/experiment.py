@@ -236,38 +236,14 @@ class _PredictorCache:
         return self._models[k]
 
 
-def _eff_order(
-    plan: placement.PlacementPlan, model, g: ClusterGraph,
-    assignment: dict, tasks: list[wl.TaskSpec],
-) -> dict[str, list[str]]:
-    """Per-node queue order: descending locality-over-predicted-time,
-    ties by task id."""
-    by_id = {t.id: t for t in tasks}
-    queues: dict[str, list[str]] = {}
-    for tid, nid in assignment.items():
-        queues.setdefault(nid, []).append(tid)
-    for nid, tids in queues.items():
-        node = g.node(nid)
-
-        def eff(tid: str) -> float:
-            task = by_id[tid]
-            local = 1.0 if plan.is_local(nid, task.block_id) else 0.0
-            return local / max(model.predict(node, task), 1e-12)
-
-        tids.sort(key=lambda tid: (-eff(tid), tid))
-    return queues
-
-
 @dataclass(frozen=True)
 class Schedule:
     """One scheduler's decision for one workload: replica plan, task
-    assignment, per-node queue order (None: simulate's local-first default),
-    the predictor that made it, the scheduler's own (delay, cost, loss), and
-    the runtime settings the scheduler runs with."""
+    assignment, the predictor that made it, the scheduler's own (delay,
+    cost, loss), and the runtime settings the scheduler runs with."""
 
     plan: placement.PlacementPlan
     assignment: dict[str, str]
-    queues: dict[str, list[str]] | None
     model: object
     metrics: tuple[float, float, float]
     runtime: sim.RuntimeConfig
@@ -300,10 +276,8 @@ def schedule(
         )
         cfg = aco.AcoConfig.preset(preset, variant=variant)
         best = aco.solve(tasks, plan, g, model, cfg, seed=seed).best
-        queues = _eff_order(plan, model, g, best.assignment, tasks)
         return Schedule(
-            plan, best.assignment, queues, model, best.metrics,
-            sim.RuntimeConfig(enable_migration=True),
+            plan, best.assignment, model, best.metrics, sim.RuntimeConfig(enable_migration=True)
         )
 
     if scheduler == "rf-fd":
@@ -329,7 +303,7 @@ def schedule(
         mapping.update(part.block_to_nodes)
     plan = placement.PlacementPlan(block_to_nodes=mapping, strategy="rack-aware")
     sol = baseline(tasks, g, plan, model)
-    return Schedule(plan, sol.assignment, None, model, sol.metrics, runtime)
+    return Schedule(plan, sol.assignment, model, sol.metrics, runtime)
 
 
 def execute(
@@ -342,7 +316,7 @@ def execute(
         view = scale_bandwidth(view, 1.0 - workload.network_load)
     trace = sim.simulate(
         view, sched.plan, sched.assignment, workload,
-        replace(sched.runtime, **runtime), queues=sched.queues, predictor=sched.model,
+        replace(sched.runtime, **runtime), predictor=sched.model,
     )
     return replace(trace, schedule=sched)
 

@@ -2,29 +2,33 @@
 
 Ground truth for a task on a node is `block/io + gcycles/cpu` seconds
 (local read plus compute); remote data pays a fair-share network transfer
-first. Fair sharing is snapshot-based: a transfer's rate is fixed when it
-starts, at `min over path links of bandwidth / (active demand flows + 1)`.
+first, from the replica with the least contended fetch time. Fair sharing
+is snapshot-based: a transfer's rate is fixed when it starts, at `min over
+path links of bandwidth / (active demand flows + 1)`, and it adds the
+route's extras (link queue delays plus tier latency) from the cluster's
+path table. With no other flow on its links, a fetch costs exactly the
+table's price, the one the colony and the steal rule read.
 
 Runtime adaptivity is migration by work stealing (Blumofe & Leiserson,
 JACM 1999), off by default: idle capacity pulls queued work. After each
 task completion, a round makes up to `4 * THETA_MIG` picks. A thief is a
 node with a free slot, no pending task, and fewer than `THETA_MIG` tasks
 taken this round. The victims are the 3 nodes with pending tasks and the
-most remaining time; the candidates are the last 8 pending tasks of each,
-except a task that has already moved 3 times. A pick moves the (task,
-thief) pair with the largest gain, the victim's remaining time less the
-task's predicted time on the thief, when that gain is positive; a tie goes
-to the first pair in (task id, thief) order. The stolen task starts on the
-thief at once, so no task moves twice in a round. The round ends when no
-pair gains. A node's rate (observed mean MB/s, the predictor's bootstrap
-rate until its first completion) and remaining time are each defined once,
-on its runtime state. `now` is fixed within a round, so a round first
+most remaining time; the candidates are the last 8 pending tasks of each.
+A pick moves the (task, thief) pair with the largest gain, the victim's
+remaining time less the task's predicted time on the thief (its predicted
+service plus, when the thief holds no replica, the least path-table fetch
+price over the replicas), when that gain is positive; a tie goes to the
+first pair in (task id, thief) order. The stolen task starts on the thief
+at once, so no task moves twice. The round ends when no pair gains.
+A node's rate (observed mean MB/s, the predictor's bootstrap rate until
+its first completion) and remaining time are each defined once, on its
+runtime state. `now` is fixed within a round, so a round first
 checks that some task is pending and some node can steal, computes a
 victim's remaining time at most once, and recomputes it only after a steal
 takes from it. `SimTrace.runtime_counts` counts the rounds, the picks that
-scored candidates, the (task, thief) candidates scored, the moves, and the
-rejections by rule: `capped` (tasks skipped at the lifetime cap) and
-`no_gain` (pairs whose gain was not positive).
+scored candidates, the (task, thief) candidates scored, the moves, and
+`no_gain`, the pairs whose gain was not positive.
 `RuntimeConfig` holds only what differs between schedulers and runs:
 migration on or off, the rsync delay per remote access, and the recovery
 blackout.
@@ -42,7 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cluster import ClusterGraph, path_bandwidth
+from .cluster import ClusterGraph
 from .placement import PlacementPlan
 from .workload import TaskSpec, Workload
 
@@ -139,8 +143,8 @@ class SimTrace:
     schedule: Schedule | None = None  # what experiment.execute ran; None from bare simulate
     # migration decisions, kept out of `metrics` so runs.csv keeps its
     # columns: rounds run (one per completion), picks that scored
-    # candidates, (task, thief) candidates scored, moves made, tasks skipped
-    # at the lifetime cap, and candidates whose gain was not positive
+    # candidates, (task, thief) candidates scored, moves made, and
+    # candidates whose gain was not positive
     runtime_counts: dict[str, int] = field(default_factory=dict)
 
     def to_event_csv(self, path: str) -> None:
@@ -226,14 +230,12 @@ def simulate(
     schedule: dict[str, str],
     workload: Workload,
     config: RuntimeConfig,
-    queues: dict[str, list[str]] | None = None,
     predictor=None,
 ) -> SimTrace:
     """Execute `schedule` (task id -> node id), which must pass
     `validate_schedule`, and return the event trace plus run metrics.
-    Per-node queue order can be supplied via `queues`, which must list
-    each node's assigned tasks exactly once; by default local tasks run
-    before remote ones, ties by task id."""
+    Each node runs its local tasks before its remote ones, ties by task
+    id."""
     config.validate()
     validate_schedule(g, workload, schedule)
     predictor = predictor or TrueTimeModel()
@@ -262,42 +264,23 @@ def simulate(
         boot = float(np.mean([t.block_mb for t in assigned])) / ts if ts > 0 else spec.io_mbps
         rt[nid] = _NodeRt(spec, boot)
 
-    def default_order(nid: str, ts: list[TaskSpec]) -> list[TaskSpec]:
-        return sorted(
-            ts, key=lambda t: (0 if plan.is_local(nid, t.block_id) else 1, t.id)
-        )
-
-    if queues is None:
-        initial = {nid: default_order(nid, ts) for nid, ts in by_node.items()}
-    else:
-        for nid in sorted(queues.keys() | by_node.keys()):
-            if sorted(queues.get(nid, [])) != sorted(t.id for t in by_node.get(nid, [])):
-                raise ValueError(f"queue of node {nid} must list each of its assigned tasks once")
-        initial = {nid: [tasks[tid] for tid in tids] for nid, tids in queues.items()}
-
     # --- transfers under snapshot fair share -----------------------------
-    demand_flows: dict[str, int] = {}
+    paths = g.paths
+    demand_flows: dict[tuple[str, str], int] = {}  # link endpoints -> active flows
 
-    def link_keys(a: str, b: str) -> list[str]:
-        keys = []
-        for l in g.path_links(a, b):
-            keys.append(f"{l.endpoints[0]}->{l.endpoints[1]}")
-        return keys
-
-    def transfer_seconds(src: str, dst: str, mb: float, register: bool) -> tuple[float, list[str]]:
+    def transfer_seconds(src: str, dst: str, mb: float, register: bool) -> tuple[float, list]:
+        """Seconds to fetch `mb` MB from src to dst: the bottleneck of each
+        link's bandwidth shared by its active flows and this one, plus the
+        route's extras from `paths`; with no other flow, the table's price."""
         links = g.path_links(dst, src)
-        keys = link_keys(dst, src)
-        rate = min(
-            l.bandwidth_mbps / (demand_flows.get(k, 0) + 1)
-            for l, k in zip(links, keys)
-        )
-        extra = sum(l.base_queue_delay_s for l in links) + g.tier_latency_s(dst, src)
+        keys = [l.endpoints for l in links]
+        rate = min(l.bandwidth_mbps / (demand_flows.get(k, 0) + 1) for l, k in zip(links, keys))
         if register:
             for k in keys:
                 demand_flows[k] = demand_flows.get(k, 0) + 1
-        return mb / rate + extra, keys
+        return mb / rate + paths.extras(dst, src), keys
 
-    def release_flows(keys: list[str]) -> None:
+    def release_flows(keys: list) -> None:
         for k in keys:
             demand_flows[k] -= 1
             if demand_flows[k] <= 0:
@@ -315,11 +298,12 @@ def simulate(
     events: list[SimEvent] = []
     network_mb = 0.0
     local_exec = 0
-    pending_flow_keys: dict[str, list[str]] = {}  # task id -> registered links
+    pending_flow_keys: dict[str, list] = {}  # task id -> registered links
 
-    for nid, q in initial.items():
+    for nid, ts in by_node.items():
         state = rt[nid]
-        for t in q:
+        # local tasks first, then remote ones, ties by task id
+        for t in sorted(ts, key=lambda t: (not plan.is_local(nid, t.block_id), t.id)):
             arrival = workload.arrivals.get(t.id, 0.0)
             if arrival <= 0.0:
                 state.pending.append(t)
@@ -336,8 +320,7 @@ def simulate(
         base = predictor.predict(rt[nid].spec, task)
         reps = replicas_of(task.block_id, now)
         if nid not in reps:
-            bw = max(path_bandwidth(g, nid, r) for r in reps)
-            base += task.block_mb / bw
+            base += min(paths.seconds(nid, r, task.block_mb) for r in reps)
         _pt_cache[key] = base
         return base
 
@@ -365,7 +348,7 @@ def simulate(
             else:
                 src = min(
                     reps,
-                    key=lambda r: (transfer_seconds(nid, r, task.block_mb, False)[0], r),
+                    key=lambda r: (transfer_seconds(r, nid, task.block_mb, False)[0], r),
                 )
                 dur, keys = transfer_seconds(src, nid, task.block_mb, True)
                 pending_flow_keys[task.id] = keys
@@ -373,8 +356,7 @@ def simulate(
                 events.append(SimEvent(now, "transfer", task.id, nid, f"from={src}"))
                 push(now + dur, "xfer_done", nid, task.id)
 
-    task_moves: dict[str, int] = {}  # lifetime migration count per task
-    counts = dict.fromkeys(("rounds", "picks", "candidates", "moves", "capped", "no_gain"), 0)
+    counts = dict.fromkeys(("rounds", "picks", "candidates", "moves", "no_gain"), 0)
 
     def migration_round(now: float) -> None:
         if not config.enable_migration:
@@ -407,9 +389,6 @@ def simulate(
             candidates: list[tuple[float, str, str, str]] = []
             for src in sorted(loaded, key=lambda n: (-rem[n], n))[:3]:
                 for task in rt[src].pending[-8:]:
-                    if task_moves.get(task.id, 0) >= 3:
-                        counts["capped"] += 1
-                        continue
                     counts["candidates"] += len(thieves)
                     for dst in thieves:
                         gain = rem[src] - predicted_time(dst, task, now)
@@ -424,7 +403,6 @@ def simulate(
             rt[src].pending.remove(task)
             rt[dst].pending.append(task)
             taken[dst] = taken.get(dst, 0) + 1
-            task_moves[tid] = task_moves.get(tid, 0) + 1
             counts["moves"] += 1
             events.append(SimEvent(now, "migrate", tid, dst, f"from={src}"))
             try_start(dst, now)

@@ -1,5 +1,5 @@
 """`aco.build_problem` prices cells with numpy arrays; it must give the
-same bytes as the tasks x nodes x replicas loop it replaced.
+same bytes as a tasks x nodes x replicas loop over the tiered route's links.
 
 The shipped configs have zero link cost and zero link queue delay, so
 outputs of whole runs cannot see those terms; these instances set both,
@@ -20,17 +20,19 @@ from conftest import make_cluster
 BANDWIDTHS = (75.0, 125.0, 300.0)  # few values, so replica ties happen
 
 
-def _in_order(values):
-    # left-to-right float sum, as built-in sum() does up to Python 3.11,
-    # the interpreter the loop ran on (3.12 made sum() compensated)
-    total = 0
-    for v in values:
-        total = total + v
-    return total
+def _route_sum(links, attr):
+    # the two uplinks, then the two core links of an inter-rack route: the
+    # order that reads the same from either end
+    ends = getattr(links[0], attr) + getattr(links[-1], attr)
+    if len(links) == 2:
+        return ends
+    return ends + (getattr(links[1], attr) + getattr(links[2], attr))
 
 
 def reference_build(g, plan, tasks, predictor):
-    """The loop `build_problem` used before it was vectorised."""
+    """A fetch takes the route's bottleneck transfer time plus its queue
+    delays and tier latency, from the replica with the least such time,
+    the lowest node index on a tie."""
     node_ids = tuple(sorted(g.nodes))
     nodes = [g.node(n) for n in node_ids]
     n, b = len(node_ids), len(tasks)
@@ -41,6 +43,7 @@ def reference_build(g, plan, tasks, predictor):
     cost = np.zeros((n, b))
     src_idx = np.full((n, b), -1, dtype=int)
     idx_of = {nid: i for i, nid in enumerate(node_ids)}
+    latency = {"intra": g.intra_rack_latency_s, "inter": g.inter_rack_latency_s}
 
     for j, task in enumerate(tasks):
         replicas = plan.replicas(task.block_id)
@@ -50,19 +53,17 @@ def reference_build(g, plan, tasks, predictor):
             if nid in replicas:
                 cost[i, j] = compute_cost
                 continue
-            best = None  # (transfer_s, queue_extras, transfer_cost, src)
+            best = None  # (fetch seconds, src, transfer seconds, extras, link cost)
             for r in replicas:
                 links = g.path_links(nid, r)
-                xfer = _in_order(task.block_mb / l.bandwidth_mbps for l in links)
-                queue = _in_order(l.base_queue_delay_s for l in links) + g.tier_latency_s(nid, r)
-                link_cost = _in_order(l.cost_per_mb * task.block_mb for l in links)
-                cand = (xfer, queue, link_cost, idx_of[r])
-                if best is None or cand < best:
+                xfer = task.block_mb / min(l.bandwidth_mbps for l in links)
+                extras = _route_sum(links, "base_queue_delay_s") + latency[g.tier(nid, r)]
+                link_cost = _route_sum(links, "cost_per_mb") * task.block_mb
+                cand = (xfer + extras, idx_of[r], xfer, extras, link_cost)
+                if best is None or cand[:2] < best[:2]:
                     best = cand
-            access[i, j] = best[0]
-            xtra_delay[i, j] = best[1]
-            cost[i, j] = best[2] + compute_cost
-            src_idx[i, j] = best[3]
+            _, src_idx[i, j], access[i, j], xtra_delay[i, j], link_cost = best
+            cost[i, j] = link_cost + compute_cost
 
     t_eff = t_pred + access
     eta = 1.0 / np.maximum(t_eff, 1e-12)
@@ -138,7 +139,7 @@ def test_build_problem_matches_reference_loop(n_racks):
 
 def test_reference_instances_exercise_every_pricing_term():
     # remote cells on priced, queued links, inter-rack routes, and replica
-    # choices decided past the transfer time
+    # choices decided by node index between equal fetch prices
     priced = queued = inter = ties = 0
     for seed in range(40):
         g, plan, tasks = random_instance(seed, 2)
@@ -150,9 +151,7 @@ def test_reference_instances_exercise_every_pricing_term():
         for i, j in zip(*np.nonzero(p.src_idx >= 0)):
             dst = p.node_ids[i]
             inter += g.tier(dst, p.node_ids[p.src_idx[i, j]]) == "inter"
-            xfers = [
-                sum(tasks[j].block_mb / l.bandwidth_mbps for l in g.path_links(dst, r))
-                for r in plan.replicas(tasks[j].block_id)
-            ]
-            ties += xfers.count(min(xfers)) > 1
+            prices = [g.paths.seconds(dst, r, tasks[j].block_mb)
+                      for r in plan.replicas(tasks[j].block_id)]
+            ties += prices.count(min(prices)) > 1
     assert min(priced, queued, inter, ties) > 100

@@ -1,14 +1,14 @@
 import math
 import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from sccdso.cluster import (
-    LOCAL_BANDWIDTH_MBPS,
     build_cluster,
     load_cluster_config,
-    path_bandwidth,
     scale_bandwidth,
     synthetic_cluster_config,
 )
@@ -18,6 +18,12 @@ from conftest import make_cluster
 CLUSTER_50 = os.path.join(os.path.dirname(__file__), "..", "configs", "cluster_50.json")
 
 
+def bw(g, a, b):
+    """Bottleneck MB/s of the route a -> b in the cluster's path table."""
+    p = g.paths
+    return p.bandwidth[p.index[a], p.index[b]]
+
+
 def test_two_by_two_construction(two_rack_cluster):
     g = two_rack_cluster
     assert len(g.nodes) == 4
@@ -25,7 +31,7 @@ def test_two_by_two_construction(two_rack_cluster):
     ids = g.node_ids()
     for a in ids:
         for b in ids:
-            assert path_bandwidth(g, a, b) > 0
+            assert bw(g, a, b) > 0
 
 
 def test_reference_profile_counts():
@@ -55,8 +61,10 @@ def test_nonpositive_capacity_rejected():
 
 
 def test_same_node_is_local_sentinel(two_rack_cluster):
-    assert path_bandwidth(two_rack_cluster, "r1n1", "r1n1") == LOCAL_BANDWIDTH_MBPS
-    assert math.isinf(path_bandwidth(two_rack_cluster, "r1n1", "r1n1"))
+    p = two_rack_cluster.paths
+    assert math.isinf(bw(two_rack_cluster, "r1n1", "r1n1"))
+    assert p.seconds("r1n1", "r1n1", 64.0) == 0.0
+    assert (p.extras_s.diagonal() == 0).all() and (p.cost_per_mb.diagonal() == 0).all()
 
 
 def test_bottleneck_is_min_over_links():
@@ -68,7 +76,7 @@ def test_bottleneck_is_min_over_links():
         ],
         rack_core_mbps={"ra": 40, "rb": 80},
     )
-    assert path_bandwidth(g, "a", "b") == 40
+    assert bw(g, "a", "b") == 40
 
 
 def test_gigabit_converts_to_125_mbps():
@@ -79,17 +87,54 @@ def test_gigabit_converts_to_125_mbps():
         bw=None,
         link_bandwidth_gbps=1.0,
     )
-    assert path_bandwidth(g, "a", "b") == pytest.approx(expected)
+    assert bw(g, "a", "b") == pytest.approx(expected)
     assert expected == 125.0
 
 
 @given(st.integers(min_value=2, max_value=30), st.data())
-def test_path_bandwidth_symmetry(n, data):
-    g = build_cluster(synthetic_cluster_config(n, rack_size=4))
-    ids = g.node_ids()
-    a = data.draw(st.sampled_from(ids))
-    b = data.draw(st.sampled_from(ids))
-    assert path_bandwidth(g, a, b) == path_bandwidth(g, b, a)
+def test_path_table_symmetry(n, data):
+    # per-link queue delays and costs differ, so a sum taken in route order
+    # from one end would differ in the last bits from the other end's
+    rng = np.random.default_rng(n)
+    cfg = synthetic_cluster_config(n, rack_size=4)
+    for node in cfg["nodes"]:
+        node["uplink_mbps"] = float(rng.choice([75.0, 125.0, 300.0]))
+    g = build_cluster(cfg)
+    g = replace(g, uplinks={
+        nid: replace(l, base_queue_delay_s=float(rng.uniform(0, 0.01)),
+                     cost_per_mb=float(rng.uniform(0, 0.1)))
+        for nid, l in g.uplinks.items()
+    })
+    p = g.paths
+    for table in (p.bandwidth, p.extras_s, p.cost_per_mb):
+        assert (table == table.T).all()
+    a, b = (data.draw(st.sampled_from(g.node_ids())) for _ in range(2))
+    assert p.seconds(a, b, 64.0) == p.seconds(b, a, 64.0)
+
+
+def test_path_table_prices_the_route_links():
+    # bottleneck, queue delays plus tier latency, and cost over the links of
+    # the tiered route, on a cluster where every link differs
+    g = make_cluster(
+        [{"id": f"n{i}", "rack": f"r{i % 3}", "cpu_ghz": 2.0, "io_mbps": 100.0,
+          "uplink_mbps": 50.0 + 25.0 * i} for i in range(7)],
+        intra_ms=1.0, inter_ms=7.0, link_queue_delay_ms=0.5, link_cost_per_mb=0.01,
+        rack_core_mbps={"r0": 60.0, "r2": 400.0},
+    )
+    p = g.paths
+    for a in g.node_ids():
+        for b in g.node_ids():
+            links = g.path_links(a, b)
+            i, j = p.index[a], p.index[b]
+            if not links:
+                assert math.isinf(p.bandwidth[i, j]) and p.extras_s[i, j] == 0.0
+                continue
+            latency = g.intra_rack_latency_s if g.tier(a, b) == "intra" else g.inter_rack_latency_s
+            assert p.bandwidth[i, j] == min(l.bandwidth_mbps for l in links)
+            assert p.extras_s[i, j] == pytest.approx(
+                sum(l.base_queue_delay_s for l in links) + latency, abs=1e-15)
+            assert p.cost_per_mb[i, j] == pytest.approx(sum(l.cost_per_mb for l in links))
+            assert p.seconds(a, b, 64.0) == 64.0 / p.bandwidth[i, j] + p.extras_s[i, j]
 
 
 @given(st.data())
@@ -98,24 +143,28 @@ def test_min_composition_over_tiered_paths(data):
     ids = g.node_ids()
     a, b, c = (data.draw(st.sampled_from(ids)) for _ in range(3))
     # the tiered route a->c never goes below the weakest hop of a->b->c
-    assert path_bandwidth(g, a, c) >= min(
-        path_bandwidth(g, a, b), path_bandwidth(g, b, c)
-    ) - 1e-9
+    assert bw(g, a, c) >= min(bw(g, a, b), bw(g, b, c)) - 1e-9
 
 
-def test_tier_latency_is_one_of_three(two_rack_cluster):
-    g = two_rack_cluster
-    seen = {
-        g.tier_latency_s(a, b) for a in g.node_ids() for b in g.node_ids()
-    }
-    assert seen <= {0.0, g.intra_rack_latency_s, g.inter_rack_latency_s}
-    assert g.tier_latency_s("r1n1", "r1n1") == 0.0
+def test_tier_latency_is_one_of_three():
+    # zero link queue delay: a route's extras are its tier latency alone,
+    # and none on the zero-latency diagonal
+    g = make_cluster(
+        [("r1n1", "r1", 2.0, 200.0), ("r1n2", "r1", 2.0, 200.0), ("r2n1", "r2", 2.0, 200.0)],
+        intra_ms=5.0, inter_ms=15.0,
+    )
+    p = g.paths
+    assert set(p.extras_s.ravel().tolist()) == {0.0, 0.005, 0.015}
+    assert p.extras("r1n1", "r1n1") == 0.0
+    assert p.extras("r1n1", "r1n2") == g.intra_rack_latency_s
+    assert p.extras("r1n1", "r2n1") == g.inter_rack_latency_s
 
 
 def test_scale_bandwidth_view(two_rack_cluster):
     g = scale_bandwidth(two_rack_cluster, 0.5)
-    assert path_bandwidth(g, "r1n1", "r1n2") == pytest.approx(62.5)
-    # original untouched
-    assert path_bandwidth(two_rack_cluster, "r1n1", "r1n2") == pytest.approx(125.0)
+    assert bw(g, "r1n1", "r1n2") == pytest.approx(62.5)
+    # original untouched, its table built for it alone
+    assert bw(two_rack_cluster, "r1n1", "r1n2") == pytest.approx(125.0)
+    assert g.paths is not two_rack_cluster.paths
     with pytest.raises(ValueError):
         scale_bandwidth(two_rack_cluster, 0.0)

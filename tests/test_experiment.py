@@ -23,10 +23,7 @@ from sccdso.experiment import (
     emit,
     run_experiment,
 )
-from sccdso.placement import PlacementPlan
-from sccdso.workload import TaskSpec
 
-from conftest import make_cluster
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -211,28 +208,6 @@ def test_block_size_sweep_labels():
     assert cells == {"20MB/b16", "20MB/b32"}
 
 
-def test_eff_order_local_first_by_predicted_time_then_remote_by_id():
-    g = make_cluster([("a", "r1", 2.0, 200.0), ("b", "r1", 2.0, 200.0)])
-    times = {"t1": 3.0, "t2": 1.0, "t3": 2.0, "t4": 9.0, "t5": 0.5, "t6": 1.0, "t7": 1.0}
-    holder = {"t1": "a", "t2": "a", "t3": "a", "t4": "b", "t5": "b", "t6": "a", "t7": "b"}
-    tasks = [
-        TaskSpec(id=t, block_id=f"blk-{t}", block_mb=64.0, resource_demand=0.5,
-                 compute_gcycles=1.0)
-        for t in times
-    ]
-    plan = PlacementPlan({f"blk-{t}": (n,) for t, n in holder.items()}, strategy="fixed")
-
-    class ByTask:
-        def predict(self, node, task):
-            return times[task.id]
-
-    assignment = {t: "a" for t in times}
-    assignment["t7"] = "b"
-    queues = experiment._eff_order(plan, ByTask(), g, assignment, tasks)
-    # local tasks by ascending predicted time (ties by id), then remote by id
-    assert queues == {"a": ["t2", "t6", "t3", "t1", "t4", "t5"], "b": ["t7"]}
-
-
 def test_sim_trace_exports(tmp_path):
     from sccdso.workload import Application, workload_from_apps
 
@@ -289,7 +264,7 @@ def test_schedule_is_reproducible_and_reused_for_recovery(scheduler):
                             cache_key="throughput-by-replication|RF2")
         for _ in range(2)
     )
-    assert a.assignment == b.assignment and a.queues == b.queues
+    assert a.assignment == b.assignment
     assert a.plan.block_to_nodes == b.plan.block_to_nodes
     assert a.metrics == b.metrics == (run["sched_delay"], run["sched_cost"], run["sched_loss"])
     # recovery latency is the base run's schedule executed with a blackout

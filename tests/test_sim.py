@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sccdso.aco import build_problem
 from sccdso.placement import PlacementPlan, place_rack_aware, place_random
 from sccdso.sim import (
     THETA_MIG,
     RuntimeConfig,
+    TrueTimeModel,
     _NodeRt,
     inject_stragglers,
     simulate,
@@ -130,6 +132,27 @@ def test_fair_share_splits_link_bandwidth():
     assert max(finishes) >= 4.0
 
 
+@pytest.mark.parametrize("dst", ["b", "c"], ids=["intra-rack", "inter-rack"])
+def test_colony_prices_a_fetch_as_the_simulator_charges_it(dst):
+    # one 64 MB fetch over 125 MB/s links with 5 ms / 15 ms rack latency:
+    # the colony's access plus extras is the gap between the transfer and
+    # the compute in the simulated run (0.517 s and 0.527 s)
+    g = make_cluster(
+        [("a", "r0", 1.0, 64.0), ("b", "r0", 1.0, 64.0), ("c", "r1", 1.0, 64.0)],
+        intra_ms=5.0, inter_ms=15.0,
+    )
+    app, blocks, tasks, w = build_workload(64, gcycles_per_mb=1.0 / 64)
+    plan = place_rack_aware(g, blocks, "a", rf=1)
+    problem = build_problem(g, plan, tasks, TrueTimeModel())
+    i = problem.node_ids.index(dst)
+    price = problem.access[i, 0] + problem.xtra_delay[i, 0]
+    trace = simulate(g, plan, {tasks[0].id: dst}, w, RuntimeConfig())
+    sent = next(e.time for e in trace.events if e.kind == "transfer")
+    gap = trace.metrics.completion_time_s - sent - true_service_time(g.node(dst), tasks[0])
+    assert abs(price - gap) < 1e-12
+    assert price == pytest.approx(0.517 if dst == "b" else 0.527)
+
+
 # --- queue estimates ------------------------------------------------------
 
 
@@ -200,6 +223,22 @@ def test_greedy_pick_moves_the_largest_improvement():
     steals = [(e.task_id, e.node_id, e.info) for e in trace.events
               if e.kind == "migrate" and e.time == first_finish]
     assert steals == [("app0/t5", "a", "from=s"), ("app0/t2", "b", "from=s")]
+
+
+def test_steal_prefers_a_thief_in_the_victims_rack():
+    # two idle, equally fast thieves: a in the other rack has the lower id,
+    # but b shares the slow victim's rack, so its fetch is 10 ms cheaper
+    g = make_cluster(
+        [{"id": nid, "rack": rack, "cpu_ghz": cpu, "io_mbps": io, "slots": 1}
+         for nid, rack, cpu, io in (("a", "r0", 2.0, 200.0), ("b", "r1", 2.0, 200.0),
+                                    ("s", "r1", 0.5, 50.0))],
+        intra_ms=5.0, inter_ms=15.0,
+    )
+    app, blocks, tasks, w = build_workload(6 * 64)
+    plan = PlacementPlan({blk.id: ("s",) for blk in blocks}, "hand")
+    trace = simulate(g, plan, {t.id: "s" for t in tasks}, w, RuntimeConfig(enable_migration=True))
+    steals = [(e.node_id, e.info) for e in trace.events if e.kind == "migrate"]
+    assert steals[0] == ("b", "from=s")
 
 
 def test_no_valid_candidate_moves_nothing():
@@ -275,7 +314,7 @@ def sha(obj) -> str:
     "case, events_sha, metrics_sha",
     [
         (deep_queue_case, "528c5a876bf4f306", "d84f3d5b3c68a545"),
-        (arrivals_blackout_case, "df6d8fbf109a7bf3", "df380eec3f0cfff4"),
+        (arrivals_blackout_case, "dc6e5640e4e6e193", "e501f7bc19f332d4"),
     ],
     ids=["deep_queue_case", "arrivals_blackout_case"],
 )
@@ -321,7 +360,7 @@ def test_runtime_counts_explain_the_run():
     assert on["moves"] <= on["picks"] <= on["candidates"]
     assert on["no_gain"] <= on["candidates"]
     off = simulate(view, plan, schedule, w, RuntimeConfig()).runtime_counts
-    assert off == dict.fromkeys(("rounds", "picks", "candidates", "moves", "capped", "no_gain"), 0)
+    assert off == dict.fromkeys(("rounds", "picks", "candidates", "moves", "no_gain"), 0)
 
 
 # --- stragglers -------------------------------------------------------------
@@ -467,15 +506,13 @@ def test_simulate_fuzz_invariants(n_nodes, n_racks, n_tasks, rf, arrival_rate, s
 
 def check_steals(trace):
     """Every `migrate` event is matched by a `start` of the same task on the
-    same node at the same time, so the thief had a free slot and the task
-    could not move again in that round; no task moves more than 3 times."""
+    same node at the same time, so the thief had a free slot and the task,
+    no longer pending, can never move again: no task moves twice."""
     starts = {(e.time, e.task_id, e.node_id) for e in trace.events if e.kind == "start"}
     moves = [e for e in trace.events if e.kind == "migrate"]
     assert all((e.time, e.task_id, e.node_id) in starts for e in moves)
-    per_task = {}
-    for e in moves:
-        per_task[e.task_id] = per_task.get(e.task_id, 0) + 1
-    assert max(per_task.values(), default=0) <= 3
+    moved = [e.task_id for e in moves]
+    assert len(moved) == len(set(moved))
 
 
 def test_locality_ratio_counts_replica_holders():
@@ -526,19 +563,6 @@ def test_schedule_validation():
         else:
             with pytest.raises(ValueError, match="over its 127 MB capacity"):
                 simulate(g, plan, both, w, RuntimeConfig())
-    # a queue must list exactly its node's assigned tasks, each once
-    g = make_cluster([("a", "r1", 1.0, 100.0), ("b", "r1", 1.0, 100.0)])
-    plan = place_rack_aware(g, blocks, "a", rf=1)
-    split = {tasks[0].id: "a", tasks[1].id: "b"}
-    simulate(g, plan, split, w, RuntimeConfig(),
-             queues={"a": [tasks[0].id], "b": [tasks[1].id]})
-    for queues in (
-        {"a": [tasks[0].id, tasks[1].id], "b": []},  # a task on another node's queue
-        {"a": [tasks[0].id, tasks[0].id], "b": [tasks[1].id]},  # listed twice
-        {"a": [tasks[0].id]},  # left out
-    ):
-        with pytest.raises(ValueError, match="queue of node"):
-            simulate(g, plan, split, w, RuntimeConfig(), queues=queues)
 
 
 def test_runtime_config_validation():
