@@ -133,7 +133,6 @@ class AntSolution:
     makespan: float
     metrics: tuple[float, float, float]  # raw (delay, cost, loss)
     feasible: bool
-    edge_times: dict[str, float]  # task id -> effective time at its node
     # (B,) index into the problem's node_ids per task, -1 when unassigned;
     # the same plan as `assignment`, which equality compares
     node_index: np.ndarray = field(compare=False, repr=False)
@@ -282,7 +281,6 @@ def _solution_from_indices(
             makespan=float(loads[a].max()) if count else float("inf"),
             metrics=(float(plan_delay), float(cost[a]), loss[a] / count if count else 0.0),
             feasible=feasible and count == b,
-            edge_times=dict(zip(tids, t_eff[a, js].tolist())),
             node_index=assign[a].copy(),
         ))
     return sols
@@ -387,16 +385,17 @@ def update_pheromones_full(
 
 
 def update_pheromones_ewma(
-    pheromones: PheromoneMatrix, best: AntSolution, config: AcoConfig
+    pheromones: PheromoneMatrix, best: AntSolution, t_eff: np.ndarray, config: AcoConfig
 ) -> None:
     """Evaporate everywhere; nudge only the best assignment's edges toward
-    1/T at rate rho. Repeated application with a fixed best converges each
+    1/T at rate rho, T the edge's effective time in `t_eff` (the problem's
+    (n, B) table). Repeated application with a fixed best converges each
     reinforced entry to exactly 1/T."""
     pheromones.tau *= 1.0 - config.rho
     if best is not None and best.feasible:
-        times = np.array([best.edge_times[tid] for tid in pheromones.task_ids])
-        delta = 1.0 / np.maximum(times, 1e-12)
-        pheromones.tau[best.node_index, np.arange(len(times))] += config.rho * delta
+        cols = np.arange(len(pheromones.task_ids))
+        delta = 1.0 / np.maximum(t_eff[best.node_index, cols], 1e-12)
+        pheromones.tau[best.node_index, cols] += config.rho * delta
     pheromones.clamp()
 
 
@@ -605,7 +604,7 @@ def solve_problem(
         )
 
         if config.variant == "lightweight":
-            update_pheromones_ewma(ph, best, config)
+            update_pheromones_ewma(ph, best, problem.t_eff, config)
         else:
             # best-ever rides along as an elitist depositor
             update_pheromones_full(ph, feas + ([best] if best else []), config)

@@ -16,7 +16,9 @@ latency, and costs `mb * cost_per_mb`. The colony, the steal rule and the
 simulator all read it; the simulator adds only per-link fair sharing.
 
 A built ClusterGraph is immutable; derive modified views (e.g. slowed-down
-nodes) by rebuilding rather than mutating. Each view builds its own table.
+nodes) by rebuilding rather than mutating. A view that changes links
+(`scale_bandwidth`) builds its own table; one that changes only node
+speeds (`sim.inject_stragglers`) keeps its parent's.
 """
 
 from __future__ import annotations

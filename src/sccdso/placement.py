@@ -149,9 +149,9 @@ def place_heterogeneous(
         resource_demand=0.5,
         compute_gcycles=max(ref_mb * 0.08, 1e-6),
     )
+    column = predictor.predict_matrix([g.node(nid) for nid in node_ids], [ref_task])[:, 0]
     times = {}
-    for nid in node_ids:
-        t = predictor.predict(g.node(nid), ref_task)
+    for nid, t in zip(node_ids, column.tolist()):
         if not np.isfinite(t) or t <= 0:
             raise ValueError(f"predictor returned invalid time for node {nid}")
         times[nid] = t

@@ -12,17 +12,23 @@ Two models share one job: estimate how long a map task runs on a node.
 * LinearModel — the lightweight alternative: an affine map of the task's
   normalized resource demand, ignoring node features entirely.
 
-Fitted models are immutable; share them freely across runs. A fitted
-KernelModel memoizes `predict` on the exact feature row it reads, so each
-distinct (block MB, cpu, mem, io) row costs one kernel evaluation per
-model; the memo is not part of the model's value (equality, repr), and
-`dataclasses.replace` starts the new model with an empty one.
+Fitted models are immutable; share them freely across runs.
+
+A prediction has one definition: `predict_matrix(nodes, tasks)`, the
+(nodes x tasks) table of predicted seconds. `predict(node, task)` is its
+one cell, and the colony, the placement and the simulator all read
+tables. A feature-based model evaluates only the grid's distinct rows
+(hardware tiers times block sizes) and scatters them back, so each row's
+prediction must not depend on the rows batched with it. Its products
+therefore use `np.einsum`, which sums each output in its own fixed
+order, not `@`: a BLAS product sums a row in another order depending on
+its position in the batch and on the thread count.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,35 +57,31 @@ def features_for(node: NodeSpec, task: TaskSpec) -> np.ndarray:
     return np.array([task.block_mb, node.cpu_ghz, node.mem_gb, node.io_mbps])
 
 
-def _grid(block_mb: np.ndarray, hardware: np.ndarray) -> np.ndarray:
-    """(len(hardware) * len(block_mb), 4) feature rows, node-major, from
-    block sizes and per-node [cpu, mem, io] rows."""
-    grid = np.empty((len(hardware), len(block_mb), 4))
-    grid[:, :, 0] = block_mb
-    grid[:, :, 1:] = hardware[:, None, :]
-    return grid.reshape(-1, 4)
-
-
-def _grid_factors(nodes: list[NodeSpec], tasks: list[TaskSpec]) -> tuple[np.ndarray, np.ndarray]:
-    block_mb = np.array([t.block_mb for t in tasks], dtype=float)
-    hardware = np.array([[n.cpu_ghz, n.mem_gb, n.io_mbps] for n in nodes], dtype=float)
-    return block_mb, hardware.reshape(len(nodes), 3)
-
-
-def feature_grid(nodes: list[NodeSpec], tasks: list[TaskSpec]) -> np.ndarray:
-    """`features_for` of every (node, task) pair, node-major: row
-    i * len(tasks) + j holds node i and task j."""
-    return _grid(*_grid_factors(nodes, tasks))
+def _distinct_rows_table(
+    predict_features, nodes: list[NodeSpec], tasks: list[TaskSpec]
+) -> np.ndarray:
+    """(len(nodes), len(tasks)) table of `predict_features` over the
+    feature row of every (node, task) pair, evaluated once per distinct
+    row (hardware tier times block size) and scattered back."""
+    hardware: dict[tuple[float, float, float], int] = {}
+    i_hw = [hardware.setdefault((n.cpu_ghz, n.mem_gb, n.io_mbps), len(hardware)) for n in nodes]
+    block_mb: dict[float, int] = {}
+    i_mb = [block_mb.setdefault(t.block_mb, len(block_mb)) for t in tasks]
+    rows = np.empty((len(hardware), len(block_mb), 4))
+    rows[:, :, 0] = list(block_mb)
+    rows[:, :, 1:] = np.array(list(hardware), dtype=float).reshape(len(hardware), 1, 3)
+    pred = predict_features(rows.reshape(-1, 4)).reshape(len(hardware), len(block_mb))
+    return pred[np.ix_(i_hw, i_mb)]
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     """exp(-||a - b||^2 / (2 sigma^2)) for row-wise inputs; returns the
-    (len(a), len(b)) Gram block."""
+    (len(a), len(b)) Gram block, each row a function of its row of `a`."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
     sq = (
         np.sum(a * a, axis=1)[:, None]
-        - 2.0 * (a @ b.T)
+        - 2.0 * np.einsum("ik,jk->ij", a, b)
         + np.sum(b * b, axis=1)[None, :]
     )
     np.maximum(sq, 0.0, out=sq)
@@ -112,10 +114,6 @@ class KernelModel:
     scaler_std: np.ndarray  # (4,)
     degenerate: bool = False
     loss_history: tuple[float, ...] = ()
-    # feature row -> predict's result; callers ask for few distinct rows
-    _memo: dict[tuple[float, float, float, float], float] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     def _standardize(self, feats: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(feats) - self.scaler_mean) / self.scaler_std
@@ -127,51 +125,14 @@ class KernelModel:
             pred = np.full(len(x), self.bias)
         else:
             gram = rbf_kernel(x, self.supports, self.sigma)
-            pred = gram @ self.coeffs + self.bias
+            pred = np.einsum("ij,j->i", gram, self.coeffs) + self.bias
         return np.maximum(pred, PREDICTION_FLOOR_S)
 
     def predict(self, node: NodeSpec, task: TaskSpec) -> float:
-        """`predict_features` of the one row `features_for(node, task)`,
-        computed once per distinct row."""
-        key = (task.block_mb, node.cpu_ghz, node.mem_gb, node.io_mbps)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = float(self.predict_features(features_for(node, task))[0])
-        return hit
+        return float(self.predict_matrix([node], [task])[0, 0])
 
     def predict_matrix(self, nodes: list[NodeSpec], tasks: list[TaskSpec]) -> np.ndarray:
-        """(len(nodes), len(tasks)) prediction matrix, bitwise equal to
-        `predict_features(feature_grid(nodes, tasks))` but evaluating the
-        kernel only on the grid's distinct rows (hardware tiers times block
-        sizes), which are scattered back.
-
-        A BLAS matrix-vector product sums rows in blocks of four and the
-        trailing one to three rows in another order. So the distinct rows
-        are padded to a multiple of four, and the grid's own trailing rows
-        are evaluated again in the trailing position. (A whole-grid product
-        large enough for several BLAS threads also sums the rows at each
-        thread's chunk edge in another order, so it depended on the thread
-        count; the distinct rows do not reproduce that.)"""
-        block_mb, hardware = _grid_factors(nodes, tasks)
-        n, b = len(nodes), len(tasks)
-        u_hw, i_hw = np.unique(hardware, axis=0, return_inverse=True)
-        u_mb, i_mb = np.unique(block_mb, return_inverse=True)
-        k = len(u_hw) * len(u_mb)
-        head = -(-k // 4) * 4
-        tail = (n * b) % 4
-        if head + tail >= n * b:
-            return self.predict_features(_grid(block_mb, hardware)).reshape(n, b)
-        rows = _grid(u_mb, u_hw)
-        flat = np.arange(n * b - tail, n * b)
-        trailing = np.column_stack([block_mb[flat % b], hardware[flat // b]])
-        pred = self.predict_features(
-            np.concatenate([rows, np.repeat(rows[:1], head - k, axis=0), trailing])
-        )
-        out = pred[:k].reshape(len(u_hw), len(u_mb))[
-            i_hw.reshape(-1, 1), i_mb.reshape(1, -1)
-        ].reshape(-1)
-        out[n * b - tail:] = pred[head:]
-        return out.reshape(n, b)
+        return _distinct_rows_table(self.predict_features, nodes, tasks)
 
 
 def fit_kernel(
@@ -262,10 +223,11 @@ class LinearModel:
             raise ValueError("linear model must predict > 0 on (0, 1]")
 
     def predict(self, node: NodeSpec, task: TaskSpec) -> float:
-        return max(self.slope * task.resource_demand + self.intercept, PREDICTION_FLOOR_S)
+        return float(self.predict_matrix([node], [task])[0, 0])
 
     def predict_matrix(self, nodes: list[NodeSpec], tasks: list[TaskSpec]) -> np.ndarray:
-        row = np.array([self.predict(None, t) for t in tasks])
+        demand = np.array([t.resource_demand for t in tasks], dtype=float)
+        row = np.maximum(self.slope * demand + self.intercept, PREDICTION_FLOOR_S)
         return np.tile(row, (len(nodes), 1))
 
 
@@ -276,14 +238,16 @@ class FeatureRegression:
 
     theta: np.ndarray  # (5,) — intercept first
 
+    def predict_features(self, feats: np.ndarray) -> np.ndarray:
+        """Predict seconds for one or more raw feature rows."""
+        pred = self.theta[0] + np.einsum("ij,j->i", np.atleast_2d(feats), self.theta[1:])
+        return np.maximum(pred, PREDICTION_FLOOR_S)
+
     def predict(self, node: NodeSpec, task: TaskSpec) -> float:
-        x = features_for(node, task)
-        return max(float(self.theta[0] + x @ self.theta[1:]), PREDICTION_FLOOR_S)
+        return float(self.predict_matrix([node], [task])[0, 0])
 
     def predict_matrix(self, nodes: list[NodeSpec], tasks: list[TaskSpec]) -> np.ndarray:
-        feats = feature_grid(nodes, tasks)
-        pred = self.theta[0] + feats @ self.theta[1:]
-        return np.maximum(pred, PREDICTION_FLOOR_S).reshape(len(nodes), len(tasks))
+        return _distinct_rows_table(self.predict_features, nodes, tasks)
 
 
 def fit_feature_regression(records: list[ExecRecord]) -> FeatureRegression:

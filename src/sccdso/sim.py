@@ -33,6 +33,10 @@ scored candidates, the (task, thief) candidates scored, the moves, and
 migration on or off, the rsync delay per remote access, and the recovery
 blackout.
 
+Every prediction a run reads, the bootstrap rates and the steal rule's
+predicted times, is a cell of one `predictor.predict_matrix` table over
+the run's cluster view and the workload's tasks.
+
 One run is strictly single-threaded and draws no random numbers;
 identical inputs give a bit-identical trace.
 """
@@ -63,7 +67,7 @@ class TrueTimeModel:
     """Predictor-shaped wrapper around the ground-truth service time."""
 
     def predict(self, node, task: TaskSpec) -> float:
-        return true_service_time(node, task)
+        return float(self.predict_matrix([node], [task])[0, 0])
 
     def predict_matrix(self, nodes, tasks) -> np.ndarray:
         return np.array([[true_service_time(n, t) for t in tasks] for n in nodes])
@@ -98,7 +102,9 @@ def inject_stragglers(
         )
         for nid, n in g.nodes.items()
     }
-    return replace(g, nodes=nodes)
+    view = replace(g, nodes=nodes)
+    view.__dict__["paths"] = g.paths  # node speeds do not price a fetch
+    return view
 
 
 THETA_MIG = 3  # tasks each thief may take per round
@@ -252,6 +258,12 @@ def simulate(
         return reps
 
     # --- node state ------------------------------------------------------
+    # the run's one prediction table: (node, task) in sorted-id, workload order
+    row = {nid: i for i, nid in enumerate(g.node_ids())}
+    col = {t.id: j for j, t in enumerate(workload.tasks)}
+    t_pred = np.asarray(
+        predictor.predict_matrix([g.node(nid) for nid in row], list(workload.tasks)), dtype=float
+    )
     by_node: dict[str, list[TaskSpec]] = {}
     for tid, nid in schedule.items():
         by_node.setdefault(nid, []).append(tasks[tid])
@@ -260,7 +272,7 @@ def simulate(
         spec = g.node(nid)
         assigned = by_node.get(nid, [])
         # bootstrap rate: mean block over mean predicted time of the node's tasks
-        ts = float(np.mean([predictor.predict(spec, t) for t in assigned])) if assigned else 0.0
+        ts = float(np.mean(t_pred[row[nid], [col[t.id] for t in assigned]])) if assigned else 0.0
         boot = float(np.mean([t.block_mb for t in assigned])) / ts if ts > 0 else spec.io_mbps
         rt[nid] = _NodeRt(spec, boot)
 
@@ -317,7 +329,7 @@ def simulate(
         hit = _pt_cache.get(key)
         if hit is not None:
             return hit
-        base = predictor.predict(rt[nid].spec, task)
+        base = float(t_pred[row[nid], col[task.id]])
         reps = replicas_of(task.block_id, now)
         if nid not in reps:
             base += min(paths.seconds(nid, r, task.block_mb) for r in reps)

@@ -145,7 +145,7 @@ def scalar_ant(weights, problem, rng):
     loads = np.zeros(n)
     counts = np.zeros(n)
     delay = cost = loss_sum = 0.0
-    assignment, edge_times = {}, {}
+    assignment = {}
     for j, i in enumerate(assign):
         if i < 0:
             continue
@@ -158,7 +158,6 @@ def scalar_ant(weights, problem, rng):
             survive *= 1.0 - problem.loss_prob[problem.src_idx[i, j]]
         loss_sum += 1.0 - survive
         assignment[problem.task_ids[j]] = problem.node_ids[i]
-        edge_times[problem.task_ids[j]] = float(problem.t_eff[i, j])
     delay += float((counts * loads).sum())
     assigned = assign >= 0
     return AntSolution(
@@ -166,7 +165,6 @@ def scalar_ant(weights, problem, rng):
         makespan=float(loads.max()) if assigned.any() else float("inf"),
         metrics=(float(delay), float(cost), loss_sum / max(int(assigned.sum()), 1)),
         feasible=feasible and bool(assigned.all()),
-        edge_times=edge_times,
         node_index=assign,
     )
 
@@ -288,14 +286,15 @@ def test_colony_equals_scalar_ants_when_a_task_strands():
     assert not all(s.feasible for s in batch)
 
 
-def deposit_reference(tau, solutions, rho, ewma=False):
-    """Per-edge pheromone loop over each solution's assignment dict."""
+def deposit_reference(tau, solutions, rho, t_eff=None):
+    """Per-edge pheromone loop over each solution's assignment dict; with
+    `t_eff`, the EWMA deposit of 1/T at rate rho."""
     tau = tau * (1.0 - rho)
     for sol in solutions:
         for tid, nid in sol.assignment.items():
             i, j = int(nid[1:]), int(tid[1:])
-            if ewma:
-                tau[i, j] += rho * (1.0 / max(sol.edge_times[tid], 1e-12))
+            if t_eff is not None:
+                tau[i, j] += rho * (1.0 / max(float(t_eff[i, j]), 1e-12))
             else:
                 tau[i, j] += Q_CONST / sol.makespan
     return np.maximum(tau, TAU_FLOOR)
@@ -312,8 +311,8 @@ def test_deposits_equal_per_edge_loops():
     update_pheromones_full(ph, sols, cfg)
     assert ph.tau.tobytes() == deposit_reference(tau, sols, cfg.rho).tobytes()
     ph = PheromoneMatrix(problem.node_ids, problem.task_ids, tau.copy())
-    update_pheromones_ewma(ph, sols[3], cfg)
-    assert ph.tau.tobytes() == deposit_reference(tau, sols[3:4], cfg.rho, ewma=True).tobytes()
+    update_pheromones_ewma(ph, sols[3], problem.t_eff, cfg)
+    assert ph.tau.tobytes() == deposit_reference(tau, sols[3:4], cfg.rho, problem.t_eff).tobytes()
 
 
 def test_full_update_evaporation_only():
@@ -328,7 +327,7 @@ def test_full_update_deposit_arithmetic():
     ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]))
     sol = AntSolution(
         assignment={"t": "a"}, makespan=50.0, metrics=(0, 0, 0), feasible=True,
-        edge_times={"t": 50.0}, node_index=np.array([0]),
+        node_index=np.array([0]),
     )
     update_pheromones_full(ph, [sol], cfg)
     assert ph.tau[0, 0] == pytest.approx(0.9 + Q_CONST / 50.0)
@@ -346,9 +345,9 @@ def test_ewma_update_examples():
     ph = PheromoneMatrix(("a", "b"), ("t",), np.array([[1.0], [1.0]]))
     best = AntSolution(
         assignment={"t": "a"}, makespan=2.0, metrics=(0, 0, 0), feasible=True,
-        edge_times={"t": 2.0}, node_index=np.array([0]),
+        node_index=np.array([0]),
     )
-    update_pheromones_ewma(ph, best, cfg)
+    update_pheromones_ewma(ph, best, np.array([[2.0], [2.0]]), cfg)
     assert ph.tau[0, 0] == pytest.approx(0.95)  # (1-rho) + rho/T
     assert ph.tau[1, 0] == pytest.approx(0.90)  # evaporation only
 
@@ -358,10 +357,10 @@ def test_ewma_fixed_point_is_inverse_time():
     ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]))
     best = AntSolution(
         assignment={"t": "a"}, makespan=2.0, metrics=(0, 0, 0), feasible=True,
-        edge_times={"t": 2.0}, node_index=np.array([0]),
+        node_index=np.array([0]),
     )
     for _ in range(300):
-        update_pheromones_ewma(ph, best, cfg)
+        update_pheromones_ewma(ph, best, np.array([[2.0]]), cfg)
     assert ph.tau[0, 0] == pytest.approx(0.5, abs=1e-6)
 
 

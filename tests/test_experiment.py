@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sccdso
-from sccdso import experiment
+from sccdso import aco, experiment
 from sccdso.cli import main as cli_main
 from sccdso.cluster import build_cluster, synthetic_cluster_config
 from sccdso.experiment import (
@@ -285,6 +285,35 @@ def test_shipped_deep_queue_config_migrates():
     assert not result.failures
     assert [r["scheduler"] for r in result.runs] == ["scc-dso", "scc-dso-lite"]
     assert all(r["migrations"] > 0 for r in result.runs)
+
+
+def test_runtime_table_matches_the_colonys_on_unslowed_nodes():
+    # one prediction per (node, task): the table the simulator reads on the
+    # straggler view repeats the colony's rows, bitwise, for every node the
+    # view did not slow
+    path = REPO / "configs" / "experiment_deep_queue.json"
+    cfg = experiment.load_experiment_config(str(path))
+    cell, cluster_cfg, make_workload, straggle = next(
+        experiment._cells_for(cfg, "straggler-completion")
+    )
+    g = build_cluster(cluster_cfg)
+    seed = derive_seed(cfg.seed, "straggler-completion", cell, "scc-dso", 0)
+    w = make_workload(seed)
+    sched = experiment.schedule(g, w, "scc-dso", seed, preset=cfg.preset)
+    tables = []
+
+    class Recording:
+        def predict_matrix(self, nodes, tasks):
+            tables.append(sched.model.predict_matrix(nodes, tasks))
+            return tables[-1]
+
+    view = straggle(g, seed)
+    trace = experiment.execute(replace(sched, model=Recording()), view, w)
+    assert trace.metrics.migrations > 0 and len(tables) == 1
+    t_pred = aco.build_problem(g, sched.plan, list(w.tasks), sched.model).t_pred
+    kept = [i for i, nid in enumerate(g.node_ids()) if view.node(nid) is g.node(nid)]
+    assert 0 < len(kept) < len(g.nodes)
+    assert tables[0][kept].tobytes() == t_pred[kept].tobytes()
 
 
 def test_readme_python_blocks_run(monkeypatch):

@@ -1,18 +1,17 @@
-from dataclasses import replace
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import sccdso.predictor as predictor_mod
-from sccdso.cluster import NodeSpec, build_cluster, synthetic_cluster_config
+from sccdso.cluster import NodeSpec, build_cluster, load_cluster_config, synthetic_cluster_config
 from sccdso.predictor import (
     ExecRecord,
     FeatureRegression,
     KernelModel,
     LinearModel,
     fit_feature_regression,
-    feature_grid,
     features_for,
     fit_kernel,
     load_model,
@@ -20,7 +19,10 @@ from sccdso.predictor import (
     rbf_kernel,
     save_model,
 )
+from sccdso.sim import TrueTimeModel
 from sccdso.workload import TaskSpec
+
+CLUSTER_100 = os.path.join(os.path.dirname(__file__), "..", "configs", "cluster_100.json")
 
 
 def node(nid="n", cpu=2.0, mem=8.0, io=200.0):
@@ -167,53 +169,6 @@ def test_kernel_predict_touches_each_support_once(monkeypatch):
     assert counted["pairs"] == 0  # constant-time path, no kernel work
 
 
-def count_kernel_pairs(monkeypatch):
-    """Patch `rbf_kernel` to count the (row, support) pairs it evaluates."""
-    counted = {"pairs": 0}
-    real = predictor_mod.rbf_kernel
-
-    def counting(a, b, sigma):
-        out = real(a, b, sigma)
-        counted["pairs"] += out.size
-        return out
-
-    monkeypatch.setattr(predictor_mod, "rbf_kernel", counting)
-    return counted
-
-
-def memo_grid():
-    nodes = [node(f"n{i}", cpu=c, mem=m, io=io)
-             for i, (c, m, io) in enumerate([(1.0, 4.0, 80.0), (2.0, 8.0, 200.0), (3.5, 16.0, 350.0)])]
-    tasks = [task(mb=mb) for mb in (5.5, 16.0, 32.0, 64.0)]
-    return [(n, t) for n in nodes for t in tasks]
-
-
-def test_kernel_predict_memo_is_bitwise_the_one_row_kernel(monkeypatch):
-    rng = np.random.default_rng(13)
-    records = synth_records(rng, 40, lambda m, c, me, io: 0.5 * m / io + 0.8 / c)
-    model = fit_kernel(records, epochs=50)
-    want = [float(model.predict_features(features_for(n, t))[0]) for n, t in memo_grid()]
-    first = [model.predict(n, t) for n, t in memo_grid()]
-    counted = count_kernel_pairs(monkeypatch)
-    again = [model.predict(n, t) for n, t in memo_grid()]
-    assert np.array(first).tobytes() == np.array(want).tobytes()
-    assert np.array(again).tobytes() == np.array(want).tobytes()
-    assert counted["pairs"] == 0  # a repeated row does no kernel work
-
-
-def test_kernel_predict_memo_belongs_to_one_model():
-    rng = np.random.default_rng(14)
-    a = fit_kernel(synth_records(rng, 40, lambda m, c, me, io: 0.5 * m / io), epochs=50)
-    b = fit_kernel(synth_records(rng, 40, lambda m, c, me, io: 2.0 * m / io), epochs=50)
-    n, t = node(), task()
-    assert a.predict(n, t) != b.predict(n, t)
-    assert b.predict(n, t) == float(b.predict_features(features_for(n, t))[0])
-    shifted = replace(a, bias=a.bias + 1.0)
-    assert shifted.predict(n, t) == float(shifted.predict_features(features_for(n, t))[0])
-    assert shifted.predict(n, t) > a.predict(n, t)
-    assert repr(a) == repr(replace(a))  # the memo is not part of the model's value
-
-
 def test_support_set_capped_by_reservoir():
     rng = np.random.default_rng(6)
     records = synth_records(rng, 300, lambda m, c, me, io: 0.5 * m / io)
@@ -277,17 +232,11 @@ def grid_cases(rng):
         yield nodes, tasks
 
 
-def test_feature_grid_is_features_for_of_every_pair():
-    rng = np.random.default_rng(11)
-    for nodes, tasks in grid_cases(rng):
-        assert feature_grid(nodes, tasks).tobytes() == per_pair_rows(nodes, tasks).tobytes()
-
-
 def test_predict_matrix_bitwise_equals_per_pair_rows():
-    # bitwise against predict_features over the per-pair rows, not against
-    # single-row predict, which takes another BLAS path and already differs
-    # in the last bit. 16 supports keep every grid (<= 500 rows) below the
-    # size at which BLAS splits a matrix-vector product across threads.
+    # bitwise against predict_features over the per-pair rows, and for the
+    # regression against a BLAS product over them; every grid (<= 500 rows)
+    # stays below the size at which BLAS splits a matrix-vector product
+    # across threads.
     rng = np.random.default_rng(12)
     records = synth_records(rng, 60, lambda m, c, me, io: 0.5 * m / io + 0.8 / c)
     models = [
@@ -307,3 +256,30 @@ def test_predict_matrix_bitwise_equals_per_pair_rows():
                     len(nodes), len(tasks)
                 )
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_predict_is_one_cell_of_the_table():
+    # one definition: predict(n, t) is its table cell, and a sub-grid's
+    # table is the matching block of the full one, bitwise, for every
+    # model, over the mixed grids and the 100-node shipped cluster
+    rng = np.random.default_rng(15)
+    records = synth_records(rng, 60, lambda m, c, me, io: 0.5 * m / io + 0.8 / c)
+    models = [
+        fit_kernel(records, epochs=60),
+        fit_kernel([ExecRecord((32.0, 2.0, 8.0, 200.0), 1.7)] * 3),
+        fit_feature_regression(records),
+        LinearModel(),
+        TrueTimeModel(),
+    ]
+    assert models[1].degenerate
+    g = build_cluster(load_cluster_config(CLUSTER_100))
+    shipped = ([g.node(n) for n in g.node_ids()], [task(mb=(64.0, 32.0)[k % 2]) for k in range(30)])
+    for nodes, tasks in [*grid_cases(rng), shipped]:
+        sub_n = sorted(rng.permutation(len(nodes))[: max(1, len(nodes) // 2)].tolist())
+        sub_t = rng.permutation(len(tasks))[: max(1, len(tasks) // 2)].tolist()
+        for model in models:
+            table = model.predict_matrix(nodes, tasks)
+            cells = np.array([[model.predict(n, t) for t in tasks] for n in nodes])
+            assert cells.tobytes() == table.tobytes()
+            sub = model.predict_matrix([nodes[i] for i in sub_n], [tasks[j] for j in sub_t])
+            assert sub.tobytes() == table[np.ix_(sub_n, sub_t)].tobytes()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sccdso.aco import build_problem
+from sccdso.cluster import PathTable, build_cluster, scale_bandwidth, synthetic_cluster_config
 from sccdso.placement import PlacementPlan, place_rack_aware, place_random
 from sccdso.sim import (
     THETA_MIG,
@@ -328,6 +329,32 @@ def test_adaptive_trace_is_pinned(case, events_sha, metrics_sha):
     assert (sha(trace.events), sha(trace.metrics)) == (events_sha, metrics_sha)
 
 
+class CountingModel:
+    """Predictor wrapper that counts its `predict` and `predict_matrix` calls."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = {"predict": 0, "predict_matrix": 0}
+
+    def predict(self, node, task):
+        self.calls["predict"] += 1
+        return self.model.predict(node, task)
+
+    def predict_matrix(self, nodes, tasks):
+        self.calls["predict_matrix"] += 1
+        return self.model.predict_matrix(nodes, tasks)
+
+
+@pytest.mark.parametrize("case", [deep_queue_case, arrivals_blackout_case])
+def test_simulate_reads_one_prediction_table(case):
+    # the bootstrap rates and every steal's predicted time read one table
+    counted = CountingModel(TrueTimeModel())
+    trace = simulate(*case(), predictor=counted)
+    assert trace.metrics.migrations > 0
+    assert counted.calls == {"predict": 0, "predict_matrix": 1}
+    assert trace == simulate(*case())
+
+
 def test_round_without_pending_tasks_reads_no_node_state(monkeypatch):
     # one task per one-slot node: no task ever waits, so every round must
     # stop at its pending check before scanning any node's remaining time
@@ -383,6 +410,19 @@ def test_straggler_doubles_local_task_time():
     assert hit.metrics.completion_time_s == pytest.approx(
         2 * base.metrics.completion_time_s
     )
+
+
+def test_straggler_view_keeps_its_parents_path_table():
+    # slowing nodes changes no link, so the view reuses the parent's fetch
+    # prices, which equal a fresh build; scaling the links rebuilds them
+    g = build_cluster(synthetic_cluster_config(20))
+    view = inject_stragglers(g, 0.2, 4.0, seed=5)
+    assert view.nodes != g.nodes
+    assert view.paths is g.paths
+    fresh = PathTable.build(view)
+    for name in ("bandwidth", "extras_s", "cost_per_mb"):
+        assert getattr(fresh, name).tobytes() == getattr(g.paths, name).tobytes()
+    assert scale_bandwidth(g, 0.5).paths is not g.paths
 
 
 def test_inject_stragglers_validation(two_rack_cluster):
