@@ -10,15 +10,19 @@ its cheapest replica at the price in the cluster's path table
 (`ClusterGraph.paths`), the price the simulator charges an uncontended
 transfer.
 
-An iteration builds its ants together (`construct_colony`): every ant's
-task order and draws are taken from the generator up front, then all ants
-step through their t-th task at once over (ants, n) arrays, and
-`_solution_from_indices` scores the (ants, B) assignment matrix in one
-pass. The result is bit-for-bit the per-ant loop's (`construct_solution`,
-ant after ant on the same generator): each sum keeps the loop's order.
-The one exception is a stranded task (no node has room), which the
-per-ant loop skips without a draw; an iteration where any ant strands
-rewinds the generator and runs `construct_solution` per ant.
+An iteration works on its ants as one (ants, B) node-index matrix.
+`construct_colony` builds the rows together: every ant's task order and
+draws are taken from the generator up front, then all ants step through
+their t-th task at once over (ants, n) arrays. The rows are bit-for-bit
+the per-ant loop's (`construct_solution`, ant after ant on the same
+generator). The one exception is a stranded task (no node has room),
+which the per-ant loop skips without a draw; an iteration where any ant
+strands rewinds the generator and builds its rows ant by ant.
+`score_rows` then prices every row at once, and it is the one definition
+of a plan's makespan, delay, cost and loss: each total keeps a
+task-by-task loop's order of addition. The objective, the trace, the
+best pick and the full-regime deposit read those arrays; an
+`AntSolution` is built only for the winner and for the baselines.
 
 Two pheromone regimes:
 
@@ -239,14 +243,14 @@ def selection_weights(
     return np.power(tau, alpha) * np.power(eta, beta)
 
 
-def _solution_from_indices(
-    problem: AssignmentProblem, assign: np.ndarray, feasible: bool
-) -> list[AntSolution]:
-    """Score each row of an (ants, B) node-index matrix (-1: unassigned).
-    Every total adds its terms in task order from 0.0, as a task-by-task
-    loop would: `np.add.at` for node loads, a running `cumsum` for delay,
-    cost and loss (`np.sum` adds pairwise and moves last bits). Unassigned
-    tasks add exact zeros."""
+def score_rows(problem: AssignmentProblem, assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Price each row of an (ants, B) node-index matrix (-1: unassigned):
+    its makespan, the most loaded node's total t_eff (inf when nothing is
+    assigned), and its raw (delay, cost, loss) as a (3, ants) array. Every
+    total adds its terms in task order from 0.0, as a task-by-task loop
+    would: `np.add.at` for node loads, a running `cumsum` for delay, cost
+    and loss (`np.sum` adds pairwise and moves last bits). Unassigned tasks
+    add exact zeros, and loss is the mean over assigned tasks."""
     ants, b = assign.shape
     assigned = assign >= 0
     nodes = np.where(assigned, assign, 0)
@@ -265,38 +269,46 @@ def _solution_from_indices(
     terms = np.zeros((3, ants, b + 1))
     terms[:, :, 1:] = problem.xtra_delay[nodes, cols], problem.cost[nodes, cols], 1.0 - survive
     terms[:, :, 1:][:, ~assigned] = 0.0
-    delay, cost, loss = terms.cumsum(axis=2)[:, :, -1]
+    metrics = terms.cumsum(axis=2)[:, :, -1]
+    # Each task's latency is dominated by its node's backlog (the workload
+    # at the node over its capacity), so the plan delay sums every node's
+    # drain time once per task served there, plus fetch-path extras.
+    metrics[0] += (counts * loads).sum(axis=1)
+    count = assigned.sum(axis=1)
+    metrics[2] = np.where(count > 0, metrics[2] / np.maximum(count, 1), 0.0)
+    makespan = np.where(count > 0, loads.max(axis=1), np.inf)
+    return makespan, metrics
+
+
+def _solution_from_indices(
+    problem: AssignmentProblem, assign: np.ndarray, feasible: bool
+) -> list[AntSolution]:
+    """One `AntSolution` per row of `score_rows`; a row is feasible when
+    `feasible` holds and it assigns every task."""
+    makespan, metrics = score_rows(problem, assign)
     sols = []
-    for a in range(ants):
-        js = np.flatnonzero(assigned[a])
-        tids = [problem.task_ids[j] for j in js.tolist()]
-        count = len(js)
-        # Each task's latency is dominated by its node's backlog (the
-        # workload at the node over its capacity), so the plan delay sums
-        # every node's drain time once per task served there, plus
-        # fetch-path extras.
-        plan_delay = delay[a] + float((counts[a] * loads[a]).sum())
+    # loss stays a numpy float, as run rows repr the scheduler's metrics
+    for a, row in enumerate(assign.tolist()):
+        js = [j for j, i in enumerate(row) if i >= 0]
         sols.append(AntSolution(
-            assignment=dict(zip(tids, [problem.node_ids[i] for i in assign[a, js].tolist()])),
-            makespan=float(loads[a].max()) if count else float("inf"),
-            metrics=(float(plan_delay), float(cost[a]), loss[a] / count if count else 0.0),
-            feasible=feasible and count == b,
+            assignment={problem.task_ids[j]: problem.node_ids[row[j]] for j in js},
+            makespan=float(makespan[a]),
+            metrics=(float(metrics[0, a]), float(metrics[1, a]), metrics[2, a] if js else 0.0),
+            feasible=feasible and len(js) == len(row),
             node_index=assign[a].copy(),
         ))
     return sols
 
 
-def construct_solution(
-    weights: np.ndarray,
-    problem: AssignmentProblem,
-    rng: np.random.Generator,
-) -> AntSolution:
+def _ant_row(
+    weights: np.ndarray, problem: AssignmentProblem, rng: np.random.Generator
+) -> tuple[np.ndarray, bool]:
     """One ant: visit tasks in random order, sample a node per task in
     proportion to `weights` (this iteration's `selection_weights`) over
     capacity-feasible candidates, uniformly where all their weights
-    underflow to 0.0. Runs to completion even when capacity
-    strands a task; the result is then flagged infeasible instead of
-    raising. `construct_colony` falls back to it when an ant strands."""
+    underflow to 0.0. Runs to completion even when capacity strands a
+    task; the row then holds -1 there and is flagged infeasible instead
+    of raising."""
     n, b = weights.shape
     order = rng.permutation(b)
     used = np.zeros(n)
@@ -317,6 +329,17 @@ def construct_solution(
         pick = min(pick, n - 1)
         assign[j] = pick
         used[pick] += problem.demand_mb[j]
+    return assign, feasible
+
+
+def construct_solution(
+    weights: np.ndarray,
+    problem: AssignmentProblem,
+    rng: np.random.Generator,
+) -> AntSolution:
+    """One ant (`_ant_row`) as a scored solution; `construct_colony` builds
+    the same rows for a whole iteration."""
+    assign, feasible = _ant_row(weights, problem, rng)
     return _solution_from_indices(problem, assign[None], feasible)[0]
 
 
@@ -325,13 +348,14 @@ def construct_colony(
     problem: AssignmentProblem,
     rng: np.random.Generator,
     ants: int,
-) -> list[AntSolution]:
-    """One iteration's ants, stepped together over (ants, n) arrays; each
-    equals the `construct_solution` call it replaces, and `rng` ends in
-    the same state. Each ant's permutation and then its B draws are taken
-    up front, in ant order: the stream the per-ant calls read while no
-    task strands. A stranded task takes no draw, so an iteration in which
-    any ant strands restores the generator and reruns as per-ant calls."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """One iteration's ants, stepped together over (ants, n) arrays: the
+    (ants, B) node-index matrix and each ant's feasible flag. Row a equals
+    the a-th `_ant_row` call on the same generator, and `rng` ends in the
+    same state. Each ant's permutation and then its B draws are taken up
+    front, in ant order: the stream the per-ant calls read while no task
+    strands. A stranded task takes no draw, so an iteration in which any
+    ant strands restores the generator and builds its rows ant by ant."""
     n, b = weights.shape
     state = rng.bit_generator.state
     orders = np.empty((ants, b), dtype=int)
@@ -358,7 +382,8 @@ def construct_colony(
             mask[empty] = fits[empty]  # fan-out cap must not manufacture infeasibility
             if not mask[empty].any(axis=1).all():
                 rng.bit_generator.state = state
-                return [construct_solution(weights, problem, rng) for _ in range(ants)]
+                built, flags = zip(*(_ant_row(weights, problem, rng) for _ in range(ants)))
+                return np.array(built), np.array(flags)
         cum = np.cumsum(np.where(mask, task_weights[js], 0.0), axis=1)
         if underflow:
             zero = cum[:, -1] <= 0
@@ -368,34 +393,36 @@ def construct_colony(
         pick = np.minimum((cum <= draws[:, s, None] * cum[:, -1:]).sum(axis=1), n - 1)
         assign[rows, js] = pick
         used[rows, pick] += demand
-    return _solution_from_indices(problem, assign, True)
+    return assign, np.ones(ants, dtype=bool)
 
 
 def update_pheromones_full(
-    pheromones: PheromoneMatrix, solutions: list[AntSolution], config: AcoConfig
+    pheromones: PheromoneMatrix, assign: np.ndarray, makespan: np.ndarray, config: AcoConfig
 ) -> None:
-    """Evaporate, then deposit Q/makespan along every feasible ant's edges."""
+    """Evaporate, then deposit Q/makespan along the edges of every row of
+    `assign`, the (k, B) node-index rows of feasible plans, with their (k,)
+    makespans. One `np.add.at` adds the deposits edge by edge in row
+    order, as a loop over the rows would."""
     pheromones.tau *= 1.0 - config.rho
+    keep = makespan > 0
     cols = np.arange(len(pheromones.task_ids))
-    for sol in solutions:
-        if not sol.feasible or sol.makespan <= 0:
-            continue
-        pheromones.tau[sol.node_index, cols] += Q_CONST / sol.makespan
+    np.add.at(pheromones.tau, (assign[keep], cols), (Q_CONST / makespan[keep])[:, None])
     pheromones.clamp()
 
 
 def update_pheromones_ewma(
-    pheromones: PheromoneMatrix, best: AntSolution, t_eff: np.ndarray, config: AcoConfig
+    pheromones: PheromoneMatrix, best: np.ndarray | None, t_eff: np.ndarray, config: AcoConfig
 ) -> None:
-    """Evaporate everywhere; nudge only the best assignment's edges toward
-    1/T at rate rho, T the edge's effective time in `t_eff` (the problem's
-    (n, B) table). Repeated application with a fixed best converges each
+    """Evaporate everywhere; nudge only the best plan's edges (`best`, its
+    (B,) node-index row, None before any feasible plan) toward 1/T at rate
+    rho, T the edge's effective time in `t_eff` (the problem's (n, B)
+    table). Repeated application with a fixed best converges each
     reinforced entry to exactly 1/T."""
     pheromones.tau *= 1.0 - config.rho
-    if best is not None and best.feasible:
+    if best is not None:
         cols = np.arange(len(pheromones.task_ids))
-        delta = 1.0 / np.maximum(t_eff[best.node_index, cols], 1e-12)
-        pheromones.tau[best.node_index, cols] += config.rho * delta
+        delta = 1.0 / np.maximum(t_eff[best, cols], 1e-12)
+        pheromones.tau[best, cols] += config.rho * delta
     pheromones.clamp()
 
 
@@ -414,24 +441,27 @@ class SolveResult:
     trace: tuple[TraceRow, ...]
     iterations: int
     converged_iteration: int | None  # iteration at which early stop fired
+    ants: int  # ants constructed, iterations x colony size
+    feasible_ants: int  # feasible among them; elites and refined rows not counted
+    refine_moves: int  # task moves made by the makespan hill climb
     pheromones: PheromoneMatrix | None = None  # final trail state
 
 
 def _refine_makespan(
-    problem: AssignmentProblem, sol: AntSolution, max_rounds: int = 64
-) -> AntSolution:
-    """Bounded hill climb: repeatedly move one task off the most loaded
-    node while that strictly lowers the makespan and respects capacity."""
+    problem: AssignmentProblem, assign: np.ndarray, max_rounds: int = 64
+) -> tuple[np.ndarray, int]:
+    """Bounded hill climb on a complete node-index row: repeatedly move one
+    task off the most loaded node while that strictly lowers the makespan
+    and respects capacity. Returns the climbed row (a copy) and the number
+    of moves."""
     n = len(problem.node_ids)
-    assign = sol.node_index.copy()
-    if (assign < 0).any():
-        return sol
+    assign = assign.copy()
     loads = np.zeros(n)
     used = np.zeros(n)
     for j, i in enumerate(assign):
         loads[i] += problem.t_eff[i, j]
         used[i] += problem.demand_mb[j]
-    improved_any = False
+    moves = 0
     for _ in range(max_rounds):
         src = int(np.argmax(loads))
         best = None  # (new_makespan, j, dst)
@@ -457,17 +487,15 @@ def _refine_makespan(
         loads[dst] += problem.t_eff[dst, j]
         used[dst] += problem.demand_mb[j]
         assign[j] = dst
-        improved_any = True
-    if not improved_any:
-        return sol
-    return _solution_from_indices(problem, assign[None], True)[0]
+        moves += 1
+    return assign, moves
 
 
-def _weighted(metrics, refs) -> float:
+def _weighted(metrics: np.ndarray, refs) -> np.ndarray:
     # Scale by the first iteration's mean per metric: each term is measured
     # in relative units, so a near-constant metric cannot hijack the sum
     # the way a min-max span close to zero would.
-    parts = [v / ref if ref > 0 else 0.0 for v, ref in zip(metrics, refs)]
+    parts = [m / ref if ref > 0 else np.zeros_like(m) for m, ref in zip(metrics, refs)]
     return WEIGHTS[0] * parts[0] + WEIGHTS[1] * parts[1] + WEIGHTS[2] * parts[2]
 
 
@@ -492,20 +520,28 @@ def solve(
     return solve_problem(problem, config, seed)
 
 
-def preallocation_solution(problem: AssignmentProblem) -> AntSolution:
+def fits_capacity(problem: AssignmentProblem, assign: np.ndarray) -> bool:
+    """Whether a (B,) node-index row assigns every task within every
+    node's capacity."""
+    if (assign < 0).any():
+        return False
+    used = np.zeros(len(problem.node_ids))
+    np.add.at(used, assign, problem.demand_mb)
+    return bool(np.all(used <= problem.capacity_mb + 1e-9))
+
+
+def preallocation_row(problem: AssignmentProblem) -> np.ndarray:
     """The balanced pre-allocation list: every task on its block's primary
-    owner. Used to seed the colony's first iteration."""
+    owner. Seeds the colony's first iteration."""
     pos = {nid: i for i, nid in enumerate(problem.node_ids)}
-    assign = np.array(
-        [pos[problem.plan.primary(t.block_id)] for t in problem.tasks], dtype=int
-    )
-    return _assignment_solution(problem, assign)
+    return np.array([pos[problem.plan.primary(t.block_id)] for t in problem.tasks], dtype=int)
 
 
-def greedy_local_solution(problem: AssignmentProblem) -> AntSolution:
+def greedy_local_row(problem: AssignmentProblem) -> np.ndarray:
     """Longest-task-first over replica holders: keep every task local while
     leveling per-node load; fall back to the globally least-loaded node
-    only when a holder cannot take the data. Second colony seed."""
+    only when a holder cannot take the data. Second colony seed; -1 from
+    the first task no node can take."""
     pos = {nid: i for i, nid in enumerate(problem.node_ids)}
     n = len(problem.node_ids)
     loads = np.zeros(n)
@@ -528,12 +564,40 @@ def greedy_local_solution(problem: AssignmentProblem) -> AntSolution:
                 if used[i] + problem.demand_mb[j] <= problem.capacity_mb[i] + 1e-9
             ]
         if not fits:
-            return _assignment_solution(problem, assign)  # infeasible
+            return assign  # infeasible
         i = min(fits, key=lambda i: (loads[i] + problem.t_eff[i, j], i))
         assign[j] = i
         loads[i] += problem.t_eff[i, j]
         used[i] += problem.demand_mb[j]
-    return _assignment_solution(problem, assign)
+    return assign
+
+
+def _tie_order(problem: AssignmentProblem) -> tuple[np.ndarray, np.ndarray]:
+    """(task indices in task-id order, each node index's rank in node-id
+    order). A row taken in that task order, with its node indices replaced
+    by their ranks, compares as the sorted (task id, node id) list of its
+    assignment; task-id order is not index order ("t10" < "t2")."""
+    def positions(ids):
+        return sorted(range(len(ids)), key=ids.__getitem__)
+
+    rank = np.empty(len(problem.node_ids), dtype=int)
+    rank[positions(problem.node_ids)] = np.arange(len(problem.node_ids))
+    return np.array(positions(problem.task_ids), dtype=int), rank
+
+
+def _pick_best(
+    assign: np.ndarray, objective: np.ndarray, makespan: np.ndarray, tie_order
+) -> tuple[int, tuple]:
+    """The row of (k, B) `assign` with the least (objective, makespan,
+    sorted (task id, node id) list), and that key. Only the rows tied on
+    objective and makespan are ranked by assignment."""
+    task_order, node_rank = tie_order
+    tied = np.flatnonzero(objective == objective.min())
+    tied = tied[makespan[tied] == makespan[tied].min()]
+    ranked = [node_rank[assign[k, task_order]].tolist() for k in tied]
+    r = min(range(len(tied)), key=ranked.__getitem__)
+    k = int(tied[r])
+    return k, (float(objective[k]), float(makespan[k]), ranked[r])
 
 
 def solve_problem(
@@ -541,101 +605,105 @@ def solve_problem(
 ) -> SolveResult:
     config.validate()
     ants = LIGHTWEIGHT_ANTS if config.variant == "lightweight" else config.ants
+    by_makespan = config.objective == "makespan"
     ph = PheromoneMatrix.initial(problem.node_ids, problem.task_ids)
     rng = np.random.default_rng(seed)
+    tie_order = _tie_order(problem)
 
-    best: AntSolution | None = None
     best_key: tuple | None = None
+    best_row: np.ndarray | None = None
+    best_makespan = best_objective = float("inf")
     refs = None
     trace: list[TraceRow] = []
     prev_val = float("inf")
     stall = 0
     converged = None
-    last_infeasible: AntSolution | None = None
+    stranded_assigned = 0  # tasks the first ant placed, in the last all-infeasible iteration
+    feasible_ants = refine_moves = 0
 
     for it in range(1, config.max_iters + 1):
         # pheromones change only between iterations
         weights = selection_weights(ph.tau, problem.eta, config.alpha, config.beta)
-        sols = construct_colony(weights, problem, rng, ants)
+        assign, feasible = construct_colony(weights, problem, rng, ants)
+        feasible_ants += int(feasible.sum())
         if it == 1:
-            for elite in (preallocation_solution(problem), greedy_local_solution(problem)):
-                if elite.feasible:
-                    sols.append(elite)
-        if config.objective == "makespan":
-            iter_best = min(
-                (s for s in sols if s.feasible),
-                key=lambda s: s.makespan,
-                default=None,
-            )
-            if iter_best is not None:
-                refined = _refine_makespan(problem, iter_best)
-                if refined is not iter_best:
-                    sols.append(refined)
-        feas = [s for s in sols if s.feasible]
-        if not feas and sols:
-            last_infeasible = sols[0]
-        if refs is None and feas:
-            cols = list(zip(*(s.metrics for s in feas)))
-            refs = [float(np.mean(c)) for c in cols]
-        for idx, s in enumerate(feas):
-            obj = (
-                s.makespan
-                if config.objective == "makespan"
-                else _weighted(s.metrics, refs)
-            )
-            feas[idx] = replace(s, objective=obj)
-            key = (
-                (s.makespan, tuple(sorted(s.assignment.items())))
-                if config.objective == "makespan"
-                else (obj, s.makespan, tuple(sorted(s.assignment.items())))
-            )
+            elites = [r for r in (preallocation_row(problem), greedy_local_row(problem))
+                      if fits_capacity(problem, r)]
+            if elites:
+                assign = np.vstack([assign, *elites])
+                feasible = np.concatenate([feasible, np.ones(len(elites), dtype=bool)])
+        makespan, metrics = score_rows(problem, assign)
+        if by_makespan and feasible.any():
+            fi = np.flatnonzero(feasible)
+            refined, moves = _refine_makespan(problem, assign[fi[np.argmin(makespan[fi])]])
+            if moves:
+                refine_moves += moves
+                mk, m = score_rows(problem, refined[None])
+                assign = np.vstack([assign, refined])
+                feasible = np.append(feasible, True)
+                makespan = np.concatenate([makespan, mk])
+                metrics = np.concatenate([metrics, m], axis=1)
+        if not feasible.all():
+            if not feasible.any():
+                stranded_assigned = int((assign[0] >= 0).sum())
+            assign, makespan, metrics = assign[feasible], makespan[feasible], metrics[:, feasible]
+        n_feas = len(assign)
+        if n_feas:
+            if refs is None:
+                refs = [float(np.mean(m)) for m in metrics]
+            obj = makespan if by_makespan else _weighted(metrics, refs)
+            k, key = _pick_best(assign, obj, makespan, tie_order)
             if best_key is None or key < best_key:
-                best_key, best = key, feas[idx]
+                best_key, best_row = key, assign[k]
+                best_objective, best_makespan = key[:2]
 
-        mean_mk = float(np.mean([s.makespan for s in feas])) if feas else float("inf")
         trace.append(
             TraceRow(
                 iteration=it,
-                best_objective=best.objective if best else float("inf"),
-                best_makespan=best.makespan if best else float("inf"),
-                mean_makespan=mean_mk,
-                feasible_ants=len(feas),
+                best_objective=best_objective,
+                best_makespan=best_makespan,
+                mean_makespan=float(np.mean(makespan)) if n_feas else float("inf"),
+                feasible_ants=n_feas,
             )
         )
 
         if config.variant == "lightweight":
-            update_pheromones_ewma(ph, best, problem.t_eff, config)
+            update_pheromones_ewma(ph, best_row, problem.t_eff, config)
         else:
-            # best-ever rides along as an elitist depositor
-            update_pheromones_full(ph, feas + ([best] if best else []), config)
+            if best_row is not None:
+                # best-ever rides along as an elitist depositor
+                assign = np.vstack([assign, best_row])
+                makespan = np.append(makespan, best_makespan)
+            update_pheromones_full(ph, assign, makespan, config)
 
-        if best is not None:
-            val = best.objective if config.objective == "weighted" else best.makespan
+        if best_row is not None:
             if np.isfinite(prev_val):
-                improvement = (prev_val - val) / max(abs(prev_val), 1e-12)
+                improvement = (prev_val - best_objective) / max(abs(prev_val), 1e-12)
                 stall = stall + 1 if improvement < TOL else 0
-            prev_val = val
+            prev_val = best_objective
             if stall >= PATIENCE:
                 converged = it
                 break
 
-    if best is None:
-        diag = {}
-        if last_infeasible is not None:
-            diag = {
-                "assigned": len(last_infeasible.assignment),
+    if best_row is None:
+        raise InfeasibleScheduleError(
+            "no feasible assignment found within the iteration budget",
+            {
+                "assigned": stranded_assigned,
                 "tasks": len(problem.task_ids),
                 "total_demand_mb": float(problem.demand_mb.sum()),
                 "total_capacity_mb": float(problem.capacity_mb.sum()),
-            }
-        raise InfeasibleScheduleError(
-            "no feasible assignment found within the iteration budget", diag
+            },
         )
+    best = _solution_from_indices(problem, best_row[None], True)[0]
     return SolveResult(
-        best=best,
+        best=replace(best, objective=best_objective),
         trace=tuple(trace),
         iterations=len(trace),
         converged_iteration=converged,
+        ants=len(trace) * ants,
+        feasible_ants=feasible_ants,
+        refine_moves=refine_moves,
         pheromones=ph,
     )
 
@@ -651,15 +719,7 @@ def write_trace_csv(trace: tuple[TraceRow, ...], path: str) -> None:
 
 
 def _assignment_solution(problem: AssignmentProblem, assign: np.ndarray) -> AntSolution:
-    within = True
-    used = np.zeros(len(problem.node_ids))
-    for j, i in enumerate(assign):
-        if i < 0:
-            within = False
-            continue
-        used[i] += problem.demand_mb[j]
-    within = within and bool(np.all(used <= problem.capacity_mb + 1e-9))
-    return _solution_from_indices(problem, assign[None], within)[0]
+    return _solution_from_indices(problem, assign[None], fits_capacity(problem, assign))[0]
 
 
 def baseline_round_robin(

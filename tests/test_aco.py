@@ -5,20 +5,27 @@ import pytest
 
 from sccdso.aco import (
     L_MAX,
+    LIGHTWEIGHT_ANTS,
     AcoConfig,
     AntSolution,
     InfeasibleScheduleError,
     PheromoneMatrix,
     Q_CONST,
     TAU_FLOOR,
+    _pick_best,
+    _solution_from_indices,
+    _tie_order,
+    _weighted,
     baseline_rf_fd,
     baseline_round_robin,
     baseline_rsync,
     build_problem,
     construct_colony,
     construct_solution,
-    greedy_local_solution,
-    preallocation_solution,
+    fits_capacity,
+    greedy_local_row,
+    preallocation_row,
+    score_rows,
     selection_weights,
     solve,
     solve_problem,
@@ -32,6 +39,7 @@ from sccdso.sim import TrueTimeModel
 from sccdso.workload import Application, partition, tasks_for
 
 from conftest import FixedTimer, array_problem, make_app_tasks, make_cluster
+from test_solver_pin import pipeline_problem
 
 
 def small_problem(n_nodes=3, n_tasks=4, rf=1, times=None, **cluster_kw):
@@ -198,17 +206,23 @@ def random_problem(seed, n, b, slots=None, slow=0.0):
 
 
 def assert_colony_matches_scalar(weights, problem, seed, ants=10):
-    batch_rng = np.random.default_rng(seed)
-    scalar_rng = np.random.default_rng(seed)
-    batch = construct_colony(weights, problem, batch_rng, ants)
+    """The colony's rows and flags equal `construct_solution`'s ants on the
+    same generator, and `score_rows` prices them as `scalar_ant`'s loop
+    does, bit for bit. Returns the colony's (rows, flags)."""
+    batch_rng, ant_rng, scalar_rng = (np.random.default_rng(seed) for _ in range(3))
+    assign, feasible = construct_colony(weights, problem, batch_rng, ants)
+    per_ant = [construct_solution(weights, problem, ant_rng) for _ in range(ants)]
     scalar = [scalar_ant(weights, problem, scalar_rng) for _ in range(ants)]
-    assert batch == scalar
-    for got, want in zip(batch, scalar):
-        assert type(got.makespan) is type(want.makespan)
-        assert [type(m) for m in got.metrics] == [type(m) for m in want.metrics]
-        assert got.node_index.tolist() == want.node_index.tolist()
+    assert assign.tolist() == [s.node_index.tolist() for s in per_ant]
+    assert feasible.tolist() == [s.feasible for s in per_ant]
+    assert per_ant == scalar
+    makespan, metrics = score_rows(problem, assign)
+    for a, want in enumerate(scalar):
+        assert [makespan[a], *metrics[:, a]] == [want.makespan, *want.metrics]
+        assert [type(m) for m in per_ant[a].metrics] == [type(m) for m in want.metrics]
     assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
-    return batch
+    assert ant_rng.bit_generator.state == scalar_rng.bit_generator.state
+    return assign, feasible
 
 
 def test_colony_equals_scalar_ants_on_random_instances():
@@ -256,11 +270,11 @@ def test_zero_weight_picks_respect_capacity():
     # the underflow instance with about six tasks of room per node: a pick
     # over zero total weight must still land on an eligible node that fits
     problem = random_problem(7, 40, 120, slots=6, slow=0.3)
-    batch = assert_colony_matches_scalar(underflow_weights(problem), problem, 7)
-    assert all(s.feasible for s in batch)
-    for s in batch:
+    assign, feasible = assert_colony_matches_scalar(underflow_weights(problem), problem, 7)
+    assert feasible.all()
+    for row in assign:
         used = np.zeros(len(problem.node_ids))
-        np.add.at(used, s.node_index, problem.demand_mb)
+        np.add.at(used, row, problem.demand_mb)
         assert (used <= problem.capacity_mb + 1e-9).all()
 
 
@@ -269,11 +283,11 @@ def test_colony_equals_scalar_ants_when_candidates_fill_up():
     # before the last task, which then draws from every node that fits
     problem = random_problem(8, 40, 60, slots=2.6)
     weights = selection_weights(np.full(problem.t_eff.shape, 0.05), problem.eta, 0.8, 1.2)
-    batch = assert_colony_matches_scalar(weights, problem, 8)
-    assert all(s.feasible for s in batch)
+    assign, feasible = assert_colony_matches_scalar(weights, problem, 8)
+    assert feasible.all()
     assert any(
         not problem.candidate_mask[i, j]
-        for s in batch for j, i in enumerate(s.node_index)
+        for row in assign for j, i in enumerate(row)
     )
 
 
@@ -282,21 +296,22 @@ def test_colony_equals_scalar_ants_when_a_task_strands():
     # ants strand tasks, and the iteration reruns ant by ant
     problem = random_problem(9, 30, 33, slots=1.0)
     weights = selection_weights(np.full(problem.t_eff.shape, 0.05), problem.eta, 0.8, 1.2)
-    batch = assert_colony_matches_scalar(weights, problem, 9)
-    assert not all(s.feasible for s in batch)
+    assign, feasible = assert_colony_matches_scalar(weights, problem, 9)
+    assert not feasible.all()
+    assert ((assign < 0).any(axis=1) == ~feasible).all()
 
 
-def deposit_reference(tau, solutions, rho, t_eff=None):
-    """Per-edge pheromone loop over each solution's assignment dict; with
-    `t_eff`, the EWMA deposit of 1/T at rate rho."""
+def deposit_reference(tau, rows, rho, makespan=None, t_eff=None):
+    """Per-edge pheromone loop over the rows in order: Q / makespan on each
+    edge of a row with a positive makespan, or with `t_eff` the EWMA
+    deposit of 1/T at rate rho."""
     tau = tau * (1.0 - rho)
-    for sol in solutions:
-        for tid, nid in sol.assignment.items():
-            i, j = int(nid[1:]), int(tid[1:])
+    for k, row in enumerate(rows):
+        for j, i in enumerate(row.tolist()):
             if t_eff is not None:
                 tau[i, j] += rho * (1.0 / max(float(t_eff[i, j]), 1e-12))
-            else:
-                tau[i, j] += Q_CONST / sol.makespan
+            elif makespan[k] > 0:
+                tau[i, j] += Q_CONST / makespan[k]
     return np.maximum(tau, TAU_FLOOR)
 
 
@@ -305,49 +320,57 @@ def test_deposits_equal_per_edge_loops():
     rng = np.random.default_rng(10)
     tau = rng.uniform(TAU_FLOOR, 2.0, size=problem.t_eff.shape)
     weights = selection_weights(tau, problem.eta, 0.8, 1.2)
-    sols = construct_colony(weights, problem, rng, 8)
+    assign, _ = construct_colony(weights, problem, rng, 8)
+    makespan, _ = score_rows(problem, assign)
+    # best-ever rides along after the ants, so each of its edges takes a
+    # second deposit; a row with makespan 0.0 deposits nothing
+    k = int(np.argmin(makespan))
+    rows = np.vstack([assign, assign[k], assign[0]])
+    mks = np.append(makespan, [makespan[k], 0.0])
+    hits = np.zeros(tau.shape, dtype=int)
+    np.add.at(hits, (rows[:-1], np.arange(150)), 1)
+    assert hits.max() >= 4  # several ants and best-ever share an edge
     cfg = AcoConfig(rho=0.2)
     ph = PheromoneMatrix(problem.node_ids, problem.task_ids, tau.copy())
-    update_pheromones_full(ph, sols, cfg)
-    assert ph.tau.tobytes() == deposit_reference(tau, sols, cfg.rho).tobytes()
+    update_pheromones_full(ph, rows, mks, cfg)
+    assert ph.tau.tobytes() == deposit_reference(tau, rows, cfg.rho, mks).tobytes()
+    # the loop this replaced: one fancy-index add per solution, in order
+    sequential = tau * (1.0 - cfg.rho)
+    for row, mk in zip(rows, mks):
+        if mk > 0:
+            sequential[row, np.arange(150)] += Q_CONST / mk
+    assert ph.tau.tobytes() == np.maximum(sequential, TAU_FLOOR).tobytes()
     ph = PheromoneMatrix(problem.node_ids, problem.task_ids, tau.copy())
-    update_pheromones_ewma(ph, sols[3], problem.t_eff, cfg)
-    assert ph.tau.tobytes() == deposit_reference(tau, sols[3:4], cfg.rho, problem.t_eff).tobytes()
+    update_pheromones_ewma(ph, assign[3], problem.t_eff, cfg)
+    want = deposit_reference(tau, assign[3:4], cfg.rho, t_eff=problem.t_eff)
+    assert ph.tau.tobytes() == want.tobytes()
 
 
 def test_full_update_evaporation_only():
     cfg = AcoConfig(rho=0.1)
     ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]))
-    update_pheromones_full(ph, [], cfg)
+    update_pheromones_full(ph, np.empty((0, 1), dtype=int), np.empty(0), cfg)
     assert ph.tau[0, 0] == pytest.approx(0.9)
 
 
 def test_full_update_deposit_arithmetic():
     cfg = AcoConfig(rho=0.1)
     ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]))
-    sol = AntSolution(
-        assignment={"t": "a"}, makespan=50.0, metrics=(0, 0, 0), feasible=True,
-        node_index=np.array([0]),
-    )
-    update_pheromones_full(ph, [sol], cfg)
+    update_pheromones_full(ph, np.array([[0]]), np.array([50.0]), cfg)
     assert ph.tau[0, 0] == pytest.approx(0.9 + Q_CONST / 50.0)
 
 
 def test_pheromone_floor_clamps():
     cfg = AcoConfig(rho=0.3)
     ph = PheromoneMatrix(("a",), ("t",), np.array([[1.2 * TAU_FLOOR]]))
-    update_pheromones_full(ph, [], cfg)
+    update_pheromones_full(ph, np.empty((0, 1), dtype=int), np.empty(0), cfg)
     assert ph.tau[0, 0] == TAU_FLOOR
 
 
 def test_ewma_update_examples():
     cfg = AcoConfig(rho=0.1)
     ph = PheromoneMatrix(("a", "b"), ("t",), np.array([[1.0], [1.0]]))
-    best = AntSolution(
-        assignment={"t": "a"}, makespan=2.0, metrics=(0, 0, 0), feasible=True,
-        node_index=np.array([0]),
-    )
-    update_pheromones_ewma(ph, best, np.array([[2.0], [2.0]]), cfg)
+    update_pheromones_ewma(ph, np.array([0]), np.array([[2.0], [2.0]]), cfg)
     assert ph.tau[0, 0] == pytest.approx(0.95)  # (1-rho) + rho/T
     assert ph.tau[1, 0] == pytest.approx(0.90)  # evaporation only
 
@@ -355,12 +378,8 @@ def test_ewma_update_examples():
 def test_ewma_fixed_point_is_inverse_time():
     cfg = AcoConfig(rho=0.1)
     ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]))
-    best = AntSolution(
-        assignment={"t": "a"}, makespan=2.0, metrics=(0, 0, 0), feasible=True,
-        node_index=np.array([0]),
-    )
     for _ in range(300):
-        update_pheromones_ewma(ph, best, np.array([[2.0]]), cfg)
+        update_pheromones_ewma(ph, np.array([0]), np.array([[2.0]]), cfg)
     assert ph.tau[0, 0] == pytest.approx(0.5, abs=1e-6)
 
 
@@ -451,14 +470,56 @@ def test_lightweight_uses_five_ants_and_converges():
     assert res.converged_iteration is not None
 
 
+def test_solve_counts_ants_and_refine_moves():
+    _, _, _, problem = small_problem(n_nodes=4, n_tasks=8, rf=1)
+    for variant, colony in (("lightweight", LIGHTWEIGHT_ANTS), ("full", 10)):
+        res = solve_problem(problem, AcoConfig.preset("stage7", variant=variant), seed=4)
+        assert res.ants == res.iterations * colony
+        assert res.feasible_ants == res.ants  # no capacity binds
+        assert res.refine_moves == 0  # only the makespan objective climbs
+    # ants strand on a capacity-tight instance; the trace also counts elites
+    res = solve_problem(pipeline_problem(tight=True), AcoConfig.preset("stage7"), seed=0)
+    assert res.ants == res.iterations * 10
+    assert 0 < res.feasible_ants < res.ants
+    assert res.feasible_ants <= sum(r.feasible_ants for r in res.trace)
+    cfg = AcoConfig.preset("table1", objective="makespan")
+    moves = [solve_problem(oracle_instance(1000 + s), cfg, seed=s).refine_moves for s in range(10)]
+    assert any(moves)
+
+
+@pytest.mark.parametrize("n_nodes, want", [(2, "a"), (12, "a")])
+def test_ties_go_to_the_smaller_sorted_assignment(n_nodes, want):
+    # twelve equal tasks, ids "t0".."t11": task-id order ("t10" < "t2") is
+    # not index order, nor, on twelve nodes, is node-id order. Rows a and b
+    # swap the nodes of t2 and t10, so they tie on every metric; in task-id
+    # order they first differ at t10, where a's node id is the smaller
+    problem = array_problem(np.ones((n_nodes, 12)), cost=np.ones((n_nodes, 12)))
+    a = np.arange(12) * n_nodes // 12
+    if n_nodes == 2:
+        a[[2, 10]] = 1, 0  # a: t2 -> n1, t10 -> n0; by index b looks smaller
+    b = a.copy()
+    b[[2, 10]] = a[[10, 2]]
+    rows = np.array([b, a])
+    sols = _solution_from_indices(problem, rows, True)
+    makespan, metrics = score_rows(problem, rows)
+    assert makespan[0] == makespan[1] and (metrics[:, 0] == metrics[:, 1]).all()
+    objective = _weighted(metrics, [float(np.mean(m)) for m in metrics])
+    k, key = _pick_best(rows, objective, makespan, _tie_order(problem))
+    assert "ba"[k] == want
+    reference = min(range(2), key=lambda r: tuple(sorted(sols[r].assignment.items())))
+    assert k == reference
+    assert key[:2] == (objective[k], makespan[k])
+
+
 def test_elite_seeds_are_feasible_and_local():
     problem = oracle_instance(42, max_tasks=6, max_nodes=4)
-    pre = preallocation_solution(problem)
-    greedy = greedy_local_solution(problem)
-    assert pre.feasible and greedy.feasible
-    for tid, nid in pre.assignment.items():
-        task = next(t for t in problem.tasks if t.id == tid)
-        assert nid == problem.plan.primary(task.block_id)
+    pre = preallocation_row(problem)
+    greedy = greedy_local_row(problem)
+    assert fits_capacity(problem, pre) and fits_capacity(problem, greedy)
+    for task, i in zip(problem.tasks, pre):
+        assert problem.node_ids[i] == problem.plan.primary(task.block_id)
+    for task, i in zip(problem.tasks, greedy):
+        assert problem.node_ids[i] in problem.plan.replicas(task.block_id)
 
 
 def test_round_robin_splits_evenly():
