@@ -11,14 +11,15 @@ its cheapest replica at the price in the cluster's path table
 transfer.
 
 An iteration works on its ants as one (ants, B) node-index matrix.
-`construct_colony` builds the rows together: every ant's task order and
-draws are taken from the generator up front, then all ants step through
-their t-th task at once over (ants, n) arrays. The rows are bit-for-bit
-the per-ant loop's (`construct_solution`, ant after ant on the same
-generator). The one exception is a stranded task (no node has room),
-which the per-ant loop skips without a draw; an iteration where any ant
-strands rewinds the generator and builds its rows ant by ant.
-`score_rows` then prices every row at once, and it is the one definition
+`construct_colony` takes every pick of the iteration in one pass: every
+ant's task order and draws come from the generator up front, and each
+draw becomes a pick over its task's cumulative candidate weights, which
+are fixed for the iteration. The rows are bit-for-bit the per-ant loop's
+(`construct_solution`, ant after ant on the same generator) as long as
+no node comes near its capacity, so that every `fits` check the loop
+makes holds. When an ant's final loads leave no room for the largest
+demand, the iteration rewinds the generator and builds its rows ant by
+ant. `score_rows` then prices every row at once, and it is the one definition
 of a plan's makespan, delay, cost and loss: each total keeps a
 task-by-task loop's order of addition. The objective, the trace, the
 best pick and the full-regime deposit read those arrays; an
@@ -349,13 +350,18 @@ def construct_colony(
     rng: np.random.Generator,
     ants: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One iteration's ants, stepped together over (ants, n) arrays: the
-    (ants, B) node-index matrix and each ant's feasible flag. Row a equals
-    the a-th `_ant_row` call on the same generator, and `rng` ends in the
-    same state. Each ant's permutation and then its B draws are taken up
-    front, in ant order: the stream the per-ant calls read while no task
-    strands. A stranded task takes no draw, so an iteration in which any
-    ant strands restores the generator and builds its rows ant by ant."""
+    """One iteration's ants, all picks at once: the (ants, B) node-index
+    matrix and each ant's feasible flag. Row a equals the a-th `_ant_row`
+    call on the same generator, and `rng` ends in the same state. Each
+    ant's permutation and then its B draws are taken up front, in ant
+    order, and each draw is turned into a pick over its task's candidate
+    column. That is the per-ant loop's pick whenever every `fits` check it
+    makes holds: then the mask is the candidate column, and a pick depends
+    on the task's weights and the ant's draw, not on the order of steps.
+    Loads only grow (a float sum of non-negative terms never falls), so
+    the checks all held if each ant's final loads, summed in its step
+    order as the loop sums them, still fit the largest demand. Otherwise
+    the generator is restored and the rows are built ant by ant."""
     n, b = weights.shape
     state = rng.bit_generator.state
     orders = np.empty((ants, b), dtype=int)
@@ -363,37 +369,26 @@ def construct_colony(
     for a in range(ants):
         orders[a] = rng.permutation(b)
         draws[a] = rng.random(b)
-    # row j: task j's column, contiguous for the per-step gathers
-    task_weights = np.ascontiguousarray(weights.T)
-    task_candidates = np.ascontiguousarray(problem.candidate_mask.T)
-    room = problem.capacity_mb + 1e-9
-    # eligible weights can sum to 0.0 only where some weight underflowed
-    underflow = not weights.all()
-    rows = np.arange(ants)
+    # row j: task j's cumulative candidate weights, uniform over the
+    # candidates where every weight underflowed to 0.0
+    candidates = problem.candidate_mask.T
+    cum = np.cumsum(np.where(candidates, weights.T, 0.0), axis=1)
+    zero = cum[:, -1] <= 0
+    cum[zero] = np.cumsum(candidates[zero], axis=1)
+    # x[a, j]: ant a's draw for task j, scaled to j's total; the count of
+    # cum <= x is searchsorted(cum, x, side="right"), as cum never decreases
+    rows = np.arange(ants)[:, None]
+    x = np.empty((ants, b))
+    x[rows, orders] = draws
+    x *= cum[:, -1]
+    assign = np.minimum(np.count_nonzero(cum <= x[..., None], axis=2), n - 1)
     used = np.zeros((ants, n))
-    assign = np.empty((ants, b), dtype=int)
-    for s in range(b):
-        js = orders[:, s]
-        demand = problem.demand_mb[js]
-        fits = used + demand[:, None] <= room
-        mask = task_candidates[js] & fits
-        empty = ~mask.any(axis=1)
-        if empty.any():
-            mask[empty] = fits[empty]  # fan-out cap must not manufacture infeasibility
-            if not mask[empty].any(axis=1).all():
-                rng.bit_generator.state = state
-                built, flags = zip(*(_ant_row(weights, problem, rng) for _ in range(ants)))
-                return np.array(built), np.array(flags)
-        cum = np.cumsum(np.where(mask, task_weights[js], 0.0), axis=1)
-        if underflow:
-            zero = cum[:, -1] <= 0
-            cum[zero] = np.cumsum(mask[zero], axis=1)  # every weight underflowed: draw uniformly
-        # the count of cum <= x is searchsorted(cum, x, side="right"), as
-        # cum never decreases
-        pick = np.minimum((cum <= draws[:, s, None] * cum[:, -1:]).sum(axis=1), n - 1)
-        assign[rows, js] = pick
-        used[rows, pick] += demand
-    return assign, np.ones(ants, dtype=bool)
+    np.add.at(used, (rows, np.take_along_axis(assign, orders, axis=1)), problem.demand_mb[orders])
+    if (used + problem.demand_mb.max(initial=0.0) <= problem.capacity_mb + 1e-9).all():
+        return assign, np.ones(ants, dtype=bool)
+    rng.bit_generator.state = state
+    built, flags = zip(*(_ant_row(weights, problem, rng) for _ in range(ants)))
+    return np.array(built), np.array(flags)
 
 
 def update_pheromones_full(

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sccdso import aco
 from sccdso.aco import (
     L_MAX,
     LIGHTWEIGHT_ANTS,
@@ -33,8 +34,9 @@ from sccdso.aco import (
     update_pheromones_full,
     write_trace_csv,
 )
+from sccdso.cluster import build_cluster, synthetic_cluster_config
 from sccdso.experiment import brute_force_makespan, oracle_instance
-from sccdso.placement import place_rack_aware
+from sccdso.placement import place_rack_aware, place_random
 from sccdso.sim import TrueTimeModel
 from sccdso.workload import Application, partition, tasks_for
 
@@ -299,6 +301,68 @@ def test_colony_equals_scalar_ants_when_a_task_strands():
     assign, feasible = assert_colony_matches_scalar(weights, problem, 9)
     assert not feasible.all()
     assert ((assign < 0).any(axis=1) == ~feasible).all()
+
+
+def rebuilt_ants(monkeypatch, run):
+    """`run()`'s value and the `_ant_row` calls it made: the ants an
+    iteration rebuilt one by one after its capacity guard failed."""
+    calls = []
+    ant_row = aco._ant_row
+    with monkeypatch.context() as m:
+        m.setattr(aco, "_ant_row", lambda *args: calls.append(args) or ant_row(*args))
+        value = run()
+    return value, len(calls)
+
+
+def test_capacity_guard_boundary(monkeypatch):
+    # room for the most loaded ant's final load plus the largest demand:
+    # every fits check held, so no ant is rebuilt; 1 MB less, a check could
+    # have failed, so the whole iteration is rebuilt ant by ant (none did
+    # here: the rows stay those of the uncapped colony)
+    n, ants = 30, 10
+    problem = random_problem(11, n, 120)
+    weights = selection_weights(np.full(problem.t_eff.shape, 0.05), problem.eta, 0.8, 1.2)
+    free, _ = construct_colony(weights, problem, np.random.default_rng(11), ants)
+    used = np.zeros((ants, n))
+    np.add.at(used, (np.arange(ants)[:, None], free), problem.demand_mb)
+    room = used.max() + problem.demand_mb.max()
+    for capacity, rebuilt in ((room, 0), (room - 1.0, ants)):
+        capped = replace(problem, capacity_mb=np.full(n, capacity))
+        rng = np.random.default_rng(11)
+        (assign, _), calls = rebuilt_ants(
+            monkeypatch, lambda: construct_colony(weights, capped, rng, ants))
+        assert calls == rebuilt
+        assert assign.tolist() == free.tolist()
+        assert_colony_matches_scalar(weights, capped, 11, ants)
+
+
+def benchmark_problem(n_nodes, seed=3):
+    """The benchmark's pipeline shape: 208 x 64 MB tasks at RF 2 on
+    `n_nodes` synthetic nodes, with the nodes' own capacities."""
+    g = build_cluster(synthetic_cluster_config(n_nodes))
+    app = Application(id="app0", input_mb=208 * 64, block_size_mb=64, replication_factor=2)
+    blocks = partition(app)
+    plan = place_random(g, blocks, 2, seed=seed)
+    return build_problem(g, plan, tasks_for(app, blocks), TrueTimeModel())
+
+
+@pytest.mark.parametrize("n_nodes", [200, 20])
+def test_benchmark_shapes_take_every_pick_at_once(n_nodes, monkeypatch):
+    # large-cluster (about 1 task per node) and deep-queue (about 10): no
+    # iteration of a solve is rebuilt ant by ant, on the first trails or
+    # on the trails a solve leaves, and the picks still equal the loop's
+    problem = benchmark_problem(n_nodes)
+    for preset in ("stage7", "table1"):  # 10 and 20 ants
+        cfg = AcoConfig.preset(preset)
+        ants = cfg.ants
+        result, calls = rebuilt_ants(monkeypatch, lambda: solve_problem(problem, cfg, n_nodes))
+        assert calls == 0
+        for tau in (np.full(problem.t_eff.shape, aco.TAU0), result.pheromones.tau):
+            weights = selection_weights(tau, problem.eta, cfg.alpha, cfg.beta)
+            rng = np.random.default_rng(ants)
+            _, calls = rebuilt_ants(monkeypatch, lambda: construct_colony(weights, problem, rng, ants))
+            assert calls == 0
+            assert_colony_matches_scalar(weights, problem, ants, ants)
 
 
 def deposit_reference(tau, rows, rho, makespan=None, t_eff=None):
