@@ -34,10 +34,10 @@ def main() -> int:
             w = experiment._single_app_workload(1664, 64, 2, cfg, seed)
             view = sim.inject_stragglers(g, args.fraction, args.slowdown, seed)
             ours = experiment.run_pipeline(
-                g, w, "scc-dso", seed=seed, cache=cache, cache_key=f"s{n}", sim_cluster=view
+                g, w, "scc-dso", seed=seed, cache=cache, sim_cluster=view
             )
             base = experiment.run_pipeline(
-                g, w, "rf-fd", seed=seed, cache=cache, cache_key=f"s{n}", sim_cluster=view
+                g, w, "rf-fd", seed=seed, cache=cache, sim_cluster=view
             )
             wins += ours.metrics.completion_time_s < base.metrics.completion_time_s
         print(f"{n} nodes: {wins}/{args.seeds} wins")

@@ -113,6 +113,9 @@ def _cmd_oracle(args) -> int:
             preset=args.preset,
             ratio_bound=args.ratio_bound,
         )
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # noqa: BLE001
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

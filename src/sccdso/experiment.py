@@ -21,6 +21,11 @@ those settings. `run_pipeline` is one of each. Recovery latency executes
 the base run's `Schedule` again with a replica blackout, so placement and
 assignment run once per repetition.
 
+Fitted predictors are cached for one `run_experiment` call, keyed by the
+fit's seed and the per-node hardware (cpu_ghz, mem_gb, io_mbps) it is
+trained on, so the cells that share a cluster's hardware share its kernel
+and regression, and both models of a cluster are fitted on one history.
+
 * scc-dso       kernel predictor + equalized placement + full colony +
                 runtime migration
 * scc-dso-lite  linear predictor + equalized placement + 5-ant EWMA colony
@@ -220,20 +225,36 @@ def _history(g: ClusterGraph, seed: int, n: int = HISTORY_RECORDS) -> list[pred.
 
 
 class _PredictorCache:
+    """The models one run fits, each fitted once.
+
+    A fit reads only its seed and each node's (cpu_ghz, mem_gb, io_mbps) in
+    sorted-id order, since `_history` reads nothing else of the cluster, so
+    that is the key: two clusters built apart with equal hardware share a
+    model, and a cluster's kernel and regression share one history. The
+    cache lives as long as its instance (one `run_experiment` call, or one
+    caller's); the fits resolve `pred.fit_kernel` and
+    `pred.fit_feature_regression` through the module when they run."""
+
     def __init__(self):
         self._models = {}
+        self._histories = {}
 
-    def kernel(self, key: str, g: ClusterGraph, seed: int) -> pred.KernelModel:
-        k = ("kernel", key)
-        if k not in self._models:
-            self._models[k] = pred.fit_kernel(_history(g, seed), epochs=300)
-        return self._models[k]
+    def _model(self, kind: str, g: ClusterGraph, seed: int, fit):
+        hardware = tuple((n.cpu_ghz, n.mem_gb, n.io_mbps) for _, n in sorted(g.nodes.items()))
+        key = (kind, seed, hardware)
+        if key not in self._models:
+            if (seed, hardware) not in self._histories:
+                self._histories[seed, hardware] = _history(g, seed)
+            self._models[key] = fit(self._histories[seed, hardware])
+        return self._models[key]
 
-    def regression(self, key: str, g: ClusterGraph, seed: int) -> pred.FeatureRegression:
-        k = ("linreg", key)
-        if k not in self._models:
-            self._models[k] = pred.fit_feature_regression(_history(g, seed))
-        return self._models[k]
+    # the leading positional parameter of kernel() and regression() is a
+    # label the cache ignores; the benchmark's set-up still passes one
+    def kernel(self, _label, g: ClusterGraph, seed: int) -> pred.KernelModel:
+        return self._model("kernel", g, seed, lambda h: pred.fit_kernel(h, epochs=300))
+
+    def regression(self, _label, g: ClusterGraph, seed: int) -> pred.FeatureRegression:
+        return self._model("linreg", g, seed, pred.fit_feature_regression)
 
 
 @dataclass(frozen=True)
@@ -257,7 +278,6 @@ def schedule(
     *,
     preset: str = "stage7",
     cache: _PredictorCache | None = None,
-    cache_key: str = "",
 ) -> Schedule:
     """Place the workload's blocks and assign its tasks under one scheduler."""
     cache = cache or _PredictorCache()
@@ -266,7 +286,7 @@ def schedule(
 
     if scheduler in ("scc-dso", "scc-dso-lite"):
         if scheduler == "scc-dso":
-            model = cache.kernel(cache_key, g, seed=1)
+            model = cache.kernel("", g, seed=1)
             variant = "full"
         else:
             model = pred.LinearModel()
@@ -281,10 +301,10 @@ def schedule(
         )
 
     if scheduler == "rf-fd":
-        model = cache.regression(cache_key, g, seed=1)
+        model = cache.regression("", g, seed=1)
         baseline, runtime = aco.baseline_rf_fd, sim.RuntimeConfig()
     elif scheduler == "rsync":
-        model = cache.regression(cache_key, g, seed=1)
+        model = cache.regression("", g, seed=1)
         baseline = aco.baseline_rsync
         runtime = sim.RuntimeConfig(sync_delay_s=RSYNC_SYNC_DELAY_S)
     elif scheduler == "rr":
@@ -329,13 +349,10 @@ def run_pipeline(
     *,
     preset: str = "stage7",
     cache: _PredictorCache | None = None,
-    cache_key: str = "",
     sim_cluster: ClusterGraph | None = None,
 ) -> sim.SimTrace:
     """Schedule on `g`, then execute on `sim_cluster` (default `g`)."""
-    sched = schedule(
-        g, workload, scheduler, seed, preset=preset, cache=cache, cache_key=cache_key
-    )
+    sched = schedule(g, workload, scheduler, seed, preset=preset, cache=cache)
     return execute(sched, sim_cluster or g, workload)
 
 
@@ -496,7 +513,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for scenario in cfg.scenarios:
         for cell, cluster_cfg, make_workload, straggle in _cells_for(cfg, scenario):
             g = build_cluster(cluster_cfg)
-            cache_key = f"{scenario}|{cell}"
             for scheduler in cfg.schedulers:
                 runs: list[sim.RunMetrics] = []
                 try:
@@ -511,7 +527,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                             seed,
                             preset=cfg.preset,
                             cache=cache,
-                            cache_key=cache_key,
                             sim_cluster=sim_view,
                         )
                         metrics = trace.metrics
@@ -745,6 +760,12 @@ def run_oracle_suite(
     ratio_bound: float = 1.05,
 ) -> dict:
     """Head-to-head against exhaustive enumeration on small instances."""
+    if seeds < 1:
+        raise ValueError("seeds must be >= 1")
+    if max_tasks < 2:
+        raise ValueError("max_tasks must be >= 2")
+    if max_nodes < 2:
+        raise ValueError("max_nodes must be >= 2")
     cfg = aco.AcoConfig.preset(preset, objective="makespan")
     hits = 0
     worst = 1.0

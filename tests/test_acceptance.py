@@ -185,7 +185,7 @@ def test_05_single_copy_headline():
                 seed = experiment.derive_seed(42, "completion-by-file-size", f"{size}MB", scheduler, rep)
                 w = experiment._single_app_workload(size, 16.0, 1, cfg, seed)
                 trace = experiment.run_pipeline(
-                    g, w, scheduler, seed, cache=cache, cache_key="acc5"
+                    g, w, scheduler, seed, cache=cache
                 )
                 vals.append(trace.metrics.completion_time_s)
             means[scheduler] = float(np.mean(vals))
@@ -217,7 +217,7 @@ def test_06_locality_band():
                 seed = experiment.derive_seed(42, "locality-by-cluster-size", str(n), scheduler, rep)
                 w = experiment._single_app_workload(1664, 64, 2, cfg, seed)
                 trace = experiment.run_pipeline(
-                    g, w, scheduler, seed, cache=cache, cache_key=f"acc6-{n}"
+                    g, w, scheduler, seed, cache=cache
                 )
                 vals.append(trace.metrics.locality_ratio)
             loc[scheduler] = float(np.mean(vals))
@@ -240,10 +240,10 @@ def test_07_straggler_dominance():
             w = experiment._single_app_workload(1664, 64, 2, cfg, seed)
             view = sim.inject_stragglers(g, 0.1, 4.0, seed)
             ours = experiment.run_pipeline(
-                g, w, "scc-dso", seed, cache=cache, cache_key=f"acc7-{n}", sim_cluster=view
+                g, w, "scc-dso", seed, cache=cache, sim_cluster=view
             )
             base = experiment.run_pipeline(
-                g, w, "rf-fd", seed, cache=cache, cache_key=f"acc7-{n}", sim_cluster=view
+                g, w, "rf-fd", seed, cache=cache, sim_cluster=view
             )
             wins += ours.metrics.completion_time_s < base.metrics.completion_time_s
         ok &= wins >= 90
@@ -260,8 +260,8 @@ def test_08_lightweight_fidelity():
     for rep in range(20):
         seed = experiment.derive_seed(42, "lightweight", "25", "pair", rep)
         w = experiment._single_app_workload(1664, 64, 2, cfg, seed)
-        full = experiment.run_pipeline(g, w, "scc-dso", seed, cache=cache, cache_key="acc8")
-        lite = experiment.run_pipeline(g, w, "scc-dso-lite", seed, cache=cache, cache_key="acc8")
+        full = experiment.run_pipeline(g, w, "scc-dso", seed, cache=cache)
+        lite = experiment.run_pipeline(g, w, "scc-dso-lite", seed, cache=cache)
         full_loc.append(full.metrics.locality_ratio)
         lite_loc.append(lite.metrics.locality_ratio)
 
@@ -293,7 +293,7 @@ def test_09_adaptive_runtime_monotonicity():
     for rep in range(100):
         seed = experiment.derive_seed(42, "monotonic", "25", "rr", rep)
         w = experiment._single_app_workload(8320, 64, 2, cfg, seed)  # deep queues
-        sched = experiment.schedule(g, w, "rr", seed, cache=cache, cache_key="acc9")
+        sched = experiment.schedule(g, w, "rr", seed, cache=cache)
         on = experiment.execute(sched, g, w, enable_migration=True)
         off = experiment.execute(sched, g, w, enable_migration=False)
         if on.metrics.completion_time_s > off.metrics.completion_time_s + 1e-9:

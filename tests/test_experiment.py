@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import sccdso
-from sccdso import aco, experiment
+from sccdso import aco, experiment, predictor as pred
 from sccdso.cli import main as cli_main
-from sccdso.cluster import build_cluster, synthetic_cluster_config
+from sccdso.cluster import build_cluster, load_cluster_config, synthetic_cluster_config
 from sccdso.experiment import (
     AggregateRow,
     ExperimentConfig,
@@ -260,8 +260,7 @@ def test_schedule_is_reproducible_and_reused_for_recovery(scheduler):
     w = experiment._base_workload(cfg, 2, run["seed"])
     cache = experiment._PredictorCache()
     a, b = (
-        experiment.schedule(g, w, scheduler, run["seed"], cache=cache,
-                            cache_key="throughput-by-replication|RF2")
+        experiment.schedule(g, w, scheduler, run["seed"], cache=cache)
         for _ in range(2)
     )
     assert a.assignment == b.assignment
@@ -272,6 +271,93 @@ def test_schedule_is_reproducible_and_reused_for_recovery(scheduler):
     assert base == run["completion_time_s"]
     blackout = experiment.execute(a, g, w, replica_blackout=(sorted(g.nodes)[0], base / 2.0))
     assert run["recovery_latency_s"] == max(0.0, blackout.metrics.completion_time_s - base)
+
+
+CLUSTER_50 = str(REPO / "configs" / "cluster_50.json")
+
+
+def test_predictor_cache_shares_models_across_equal_hardware():
+    # built apart, from the shipped file and from the generator, with equal
+    # hardware: one kernel and one regression serve both, whatever label
+    # the caller passes
+    shipped = build_cluster(load_cluster_config(CLUSTER_50))
+    generated = build_cluster(synthetic_cluster_config(50))
+    assert shipped is not generated
+    cache = experiment._PredictorCache()
+    assert cache.kernel("a", shipped, seed=1) is cache.kernel("b", generated, seed=1)
+    assert cache.regression("a", shipped, seed=1) is cache.regression("b", generated, seed=1)
+
+
+def test_predictor_cache_refits_for_other_hardware_or_seed():
+    g = build_cluster(synthetic_cluster_config(50))
+    faster = synthetic_cluster_config(50)
+    faster["nodes"][0]["cpu_ghz"] += 0.5
+    faster = build_cluster(faster)
+    cache = experiment._PredictorCache()
+    model = cache.kernel("", g, seed=1)
+    for other in (cache.kernel("", faster, seed=1), cache.kernel("", g, seed=2)):
+        assert other is not model
+        assert other.supports.tobytes() != model.supports.tobytes()
+    assert cache.regression("", faster, seed=1) is not cache.regression("", g, seed=1)
+
+
+def test_predictor_cache_fits_both_models_on_one_history(monkeypatch):
+    calls = []
+    history = experiment._history
+
+    def spy(g, seed):
+        calls.append(seed)
+        return history(g, seed)
+
+    monkeypatch.setattr(experiment, "_history", spy)
+    g = build_cluster(synthetic_cluster_config(20))
+    cache = experiment._PredictorCache()
+    for _ in range(2):
+        cache.kernel("", g, seed=1)
+        cache.regression("", g, seed=1)
+    assert calls == [1]
+
+
+def test_run_experiment_fits_once_per_distinct_hardware(monkeypatch):
+    fits = {"kernel": 0, "linreg": 0}
+    fit_kernel, fit_regression = pred.fit_kernel, pred.fit_feature_regression
+
+    def kernel_spy(*args, **kwargs):
+        fits["kernel"] += 1
+        return fit_kernel(*args, **kwargs)
+
+    def regression_spy(*args, **kwargs):
+        fits["linreg"] += 1
+        return fit_regression(*args, **kwargs)
+
+    # the module attributes, as the benchmark's tracer wraps them
+    monkeypatch.setattr(pred, "fit_kernel", kernel_spy)
+    monkeypatch.setattr(pred, "fit_feature_regression", regression_spy)
+    cfg = tiny_config(
+        cluster_path=CLUSTER_50,
+        schedulers=("scc-dso", "rf-fd"),
+        scenarios=("completion-by-file-size", "locality-by-cluster-size",
+                   "throughput-by-replication"),
+        repetitions=1,
+        file_sizes_mb=(20, 40),
+        cluster_sizes=(10, 50),
+        replication_factors=(1,),
+    )
+    result = run_experiment(cfg)
+    assert not result.failures
+    assert len({(r["scenario"], r["cell"]) for r in result.runs}) == 5
+    # five cells on two hardware sets: the shipped 50-node file equals the
+    # generated 50-node cluster
+    assert fits == {"kernel": 2, "linreg": 2}
+
+
+def test_cached_kernel_equals_a_fresh_fit():
+    g = build_cluster(load_cluster_config(CLUSTER_50))
+    cached = experiment._PredictorCache().kernel("", g, seed=1)
+    fresh = pred.fit_kernel(experiment._history(g, 1), epochs=300)
+    assert cached.coeffs.tobytes() == fresh.coeffs.tobytes()
+    assert cached.supports.tobytes() == fresh.supports.tobytes()
+    assert cached.bias == fresh.bias
 
 
 def test_shipped_deep_queue_config_migrates():
@@ -429,6 +515,23 @@ def test_cli_oracle_smoke(capsys):
     out = capsys.readouterr().out
     assert "instances within" in out
     assert code in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seeds", "0", "seeds must be >= 1"),
+        ("--max-tasks", "1", "max_tasks must be >= 2"),
+        ("--max-nodes", "1", "max_nodes must be >= 2"),
+    ],
+)
+def test_cli_oracle_rejects_bad_sizes(capsys, flag, value, message):
+    args = {"--seeds": "3", "--max-tasks": "4", "--max-nodes": "3", flag: value}
+    code = cli_main(["oracle", *(x for kv in args.items() for x in kv)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("config error:") and message in captured.err, captured.err
+    assert "instances within" not in captured.out
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
