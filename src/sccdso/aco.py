@@ -13,17 +13,18 @@ transfer.
 An iteration works on its ants as one (ants, B) node-index matrix.
 `construct_colony` takes every pick of the iteration in one pass: every
 ant's task order and draws come from the generator up front, and each
-draw becomes a pick over its task's cumulative candidate weights, which
-are fixed for the iteration. The rows are bit-for-bit the per-ant loop's
-(`construct_solution`, ant after ant on the same generator) as long as
-no node comes near its capacity, so that every `fits` check the loop
-makes holds. When an ant's final loads leave no room for the largest
-demand, the iteration rewinds the generator and builds its rows ant by
-ant. `score_rows` then prices every row at once, and it is the one definition
-of a plan's makespan, delay, cost and loss: each total keeps a
-task-by-task loop's order of addition. The objective, the trace, the
-best pick and the full-regime deposit read those arrays; an
-`AntSolution` is built only for the winner and for the baselines.
+draw becomes a pick over its task's cumulative weights at its k =
+min(L_MAX, n) candidates, which are fixed for the iteration. The rows
+are bit-for-bit the per-ant loop's (`construct_solution`, ant after ant
+on the same generator) as long as no node comes near its capacity, so
+that every `fits` check the loop makes holds. When an ant's final
+loads leave no room for the largest demand, the iteration rewinds the
+generator and builds its rows ant by ant. `score_rows` then prices
+every row at once, and it is the one definition of a plan's makespan,
+delay, cost and loss: each total keeps a task-by-task loop's order of
+addition. The objective, the trace, the best pick and the full-regime
+deposit read those arrays; an `AntSolution` is built only for the
+winner and for the baselines.
 
 Two pheromone regimes:
 
@@ -51,6 +52,7 @@ synchronization delay, and plain round robin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -146,7 +148,12 @@ class AntSolution:
 
 @dataclass(frozen=True)
 class AssignmentProblem:
-    """Everything an ant needs, precomputed as dense arrays."""
+    """Everything an ant needs, precomputed as dense arrays.
+
+    Every column of `candidate_mask` holds exactly min(L_MAX, n)
+    candidates, as `build_problem` makes it; the colony's picks rely only
+    on every column holding the same number (a mask of all True also
+    serves)."""
 
     g: ClusterGraph
     plan: PlacementPlan
@@ -165,6 +172,15 @@ class AssignmentProblem:
     loss_prob: np.ndarray  # (n,)
     candidate_mask: np.ndarray  # (n, B) fan-out-capped eligibility
 
+    @cached_property
+    def candidates(self) -> np.ndarray:
+        """(B, k) node indices of each task's candidates, ascending; k is
+        the candidates per column. Derived from `candidate_mask` on first
+        use, once per problem."""
+        b = len(self.task_ids)
+        k = int(self.candidate_mask[:, 0].sum()) if b else 0
+        return np.nonzero(self.candidate_mask.T)[1].reshape(b, k)
+
 
 def build_problem(
     g: ClusterGraph,
@@ -176,7 +192,10 @@ def build_problem(
     the node is local: compute cost only. Otherwise the task fetches from
     the replica with the least fetch seconds in `g.paths` (transfer plus
     extras), the lowest node index on a tie; `access` holds that fetch's
-    transfer seconds and `xtra_delay` its extras."""
+    transfer seconds and `xtra_delay` its extras. Each task's candidates
+    are its min(L_MAX, n) nodes of highest eta, the lowest node index
+    first on a tie, as a stable sort ranks them; `np.partition` finds the
+    k-th value, so no column is fully sorted."""
     paths = g.paths
     node_ids = paths.node_ids
     task_ids = tuple(t.id for t in tasks)
@@ -195,24 +214,48 @@ def build_problem(
     mb = np.array([t.block_mb for t in tasks], dtype=float)
     gcycles = np.array([t.compute_gcycles for t in tasks], dtype=float)
 
-    # (n, B): the replica each destination node i fetches task j's block from
-    price = mb[:, None] / paths.bandwidth[:, src] + paths.extras_s[:, src]
-    best = src[np.arange(b), price.argmin(axis=2)]
-    rows = np.arange(n)[:, None]
+    # (n, B): the replica each destination node i fetches task j's block
+    # from. A strict `<` over the replica columns keeps the first least
+    # price, as argmin would; the chosen route's terms are then read from
+    # the path tables by flat (dst, src) index, which allocates less than
+    # carrying every term through the comparison.
+    def price(s):
+        return mb / paths.bandwidth[:, s] + paths.extras_s[:, s]
 
-    local = (src == rows[..., None]).any(axis=2)
+    best = np.broadcast_to(src[:, 0], (n, b))
+    least = price(src[:, 0])
+    for r in range(1, rf):
+        p = price(src[:, r])
+        best = np.where(p < least, src[:, r], best)
+        least = np.minimum(least, p)
+    route = np.arange(n)[:, None] * n + best
+    xfer = mb / paths.bandwidth.take(route)
+    extras = paths.extras_s.take(route)
+    per_mb = paths.cost_per_mb.take(route)
+    local = np.zeros((n, b), dtype=bool)
+    local[src, np.arange(b)[:, None]] = True
+
     compute_cost = (np.array([nd.cost_per_cycle for nd in nodes])[:, None] * gcycles) * 1e9
-    access = np.where(local, 0.0, mb / paths.bandwidth[rows, best])
-    xtra_delay = np.where(local, 0.0, paths.extras_s[rows, best])
-    cost = np.where(local, compute_cost, paths.cost_per_mb[rows, best] * mb + compute_cost)
+    access = np.where(local, 0.0, xfer)
+    xtra_delay = np.where(local, 0.0, extras)
+    cost = np.where(local, compute_cost, per_mb * mb + compute_cost)
     src_idx = np.where(local, -1, best)
 
     t_eff = t_pred + access
     eta = 1.0 / np.maximum(t_eff, 1e-12)
 
-    mask = np.zeros((n, b), dtype=bool)
-    top = np.argsort(-eta, axis=0, kind="stable")[: min(L_MAX, n)]
-    mask[top, np.arange(b)] = True
+    # each column's top k by eta, ties to the lowest node index, as a stable
+    # argsort of -eta ranks them: all values past the k-th, then the first
+    # ties at the k-th until k are taken; with k = n, every node
+    k = min(L_MAX, n)
+    if k == n:
+        mask = np.ones((n, b), dtype=bool)
+    else:
+        neg = -eta
+        kth = np.partition(neg, k - 1, axis=0)[k - 1]
+        above = neg < kth
+        tied = neg == kth
+        mask = above | (tied & (np.cumsum(tied, axis=0) <= k - above.sum(axis=0)))
 
     return AssignmentProblem(
         g=g,
@@ -354,10 +397,14 @@ def construct_colony(
     matrix and each ant's feasible flag. Row a equals the a-th `_ant_row`
     call on the same generator, and `rng` ends in the same state. Each
     ant's permutation and then its B draws are taken up front, in ant
-    order, and each draw is turned into a pick over its task's candidate
-    column. That is the per-ant loop's pick whenever every `fits` check it
-    makes holds: then the mask is the candidate column, and a pick depends
-    on the task's weights and the ant's draw, not on the order of steps.
+    order, and each draw is turned into a pick over its task's row of
+    `problem.candidates`, k = min(L_MAX, n) nodes, not all n: the count of
+    candidate cumulative weights at or below the draw indexes that row,
+    and a count of k maps to node n - 1, where the per-ant loop's clip of
+    a full-row count puts it. That is the per-ant loop's pick whenever
+    every `fits` check it makes holds: then the mask is the candidate
+    column, and a pick depends on the task's weights and the ant's draw,
+    not on the order of steps.
     Loads only grow (a float sum of non-negative terms never falls), so
     the checks all held if each ant's final loads, summed in its step
     order as the loop sums them, still fit the largest demand. Otherwise
@@ -369,19 +416,26 @@ def construct_colony(
     for a in range(ants):
         orders[a] = rng.permutation(b)
         draws[a] = rng.random(b)
-    # row j: task j's cumulative candidate weights, uniform over the
-    # candidates where every weight underflowed to 0.0
-    candidates = problem.candidate_mask.T
-    cum = np.cumsum(np.where(candidates, weights.T, 0.0), axis=1)
+    # row j: task j's cumulative weights at its k candidates, uniform where
+    # every weight underflowed to 0.0. They are the masked full-row cumsum
+    # at those nodes bit for bit, as adding 0.0 is exact.
+    cand = problem.candidates
+    k = cand.shape[1]
+    cols = np.arange(b)
+    cum = np.cumsum(weights[cand, cols[:, None]], axis=1)
     zero = cum[:, -1] <= 0
-    cum[zero] = np.cumsum(candidates[zero], axis=1)
-    # x[a, j]: ant a's draw for task j, scaled to j's total; the count of
-    # cum <= x is searchsorted(cum, x, side="right"), as cum never decreases
+    cum[zero] = np.arange(1, k + 1)
+    # x[a, j]: ant a's draw for task j, scaled to j's total. The count of
+    # cum <= x is searchsorted(cum, x, side="right"), as cum never
+    # decreases; a count c < k picks candidate c, the node the full row's
+    # count reaches, since every weight before it is 0.0, and a count of k
+    # picks node n - 1, where the full row's count of n is clipped
     rows = np.arange(ants)[:, None]
     x = np.empty((ants, b))
     x[rows, orders] = draws
     x *= cum[:, -1]
-    assign = np.minimum(np.count_nonzero(cum <= x[..., None], axis=2), n - 1)
+    picks = np.concatenate([cand, np.full((b, 1), n - 1)], axis=1)
+    assign = picks[cols, np.count_nonzero(cum <= x[..., None], axis=2)]
     used = np.zeros((ants, n))
     np.add.at(used, (rows, np.take_along_axis(assign, orders, axis=1)), problem.demand_mb[orders])
     if (used + problem.demand_mb.max(initial=0.0) <= problem.capacity_mb + 1e-9).all():
@@ -747,21 +801,18 @@ def baseline_rf_fd(
     used = np.zeros(n)
     assign = np.full(len(tasks), -1, dtype=int)
     for j in range(len(tasks)):
-        placed = False
-        for i in range(n):
-            if used[i] + problem.demand_mb[j] > problem.capacity_mb[i] + 1e-9:
-                continue
-            if loads[i] + t_est[i, j] <= threshold:
-                assign[j] = i
-                placed = True
-                break
-        if not placed:
-            fits = np.where(used + problem.demand_mb[j] <= problem.capacity_mb + 1e-9)[0]
-            if len(fits) == 0:
+        fits = used + problem.demand_mb[j] <= problem.capacity_mb + 1e-9
+        ok = fits & (loads + t_est[:, j] <= threshold)
+        first = int(ok.argmax())  # the first True, when there is one
+        if ok[first]:
+            assign[j] = first
+        else:
+            room = np.flatnonzero(fits)
+            if len(room) == 0:
                 raise InfeasibleScheduleError(
                     f"capacity exhausted while placing task {tasks[j].id}"
                 )
-            assign[j] = int(fits[np.argmin(loads[fits])])
+            assign[j] = int(room[np.argmin(loads[room])])
         loads[assign[j]] += t_est[assign[j], j]
         used[assign[j]] += problem.demand_mb[j]
     return _assignment_solution(problem, assign)

@@ -766,6 +766,8 @@ def run_oracle_suite(
         raise ValueError("max_tasks must be >= 2")
     if max_nodes < 2:
         raise ValueError("max_nodes must be >= 2")
+    if not (math.isfinite(ratio_bound) and ratio_bound >= 1.0):
+        raise ValueError("ratio_bound must be a finite number >= 1")
     cfg = aco.AcoConfig.preset(preset, objective="makespan")
     hits = 0
     worst = 1.0

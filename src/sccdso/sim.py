@@ -35,7 +35,14 @@ blackout.
 
 Every prediction a run reads, the bootstrap rates and the steal rule's
 predicted times, is a cell of one `predictor.predict_matrix` table over
-the run's cluster view and the workload's tasks.
+the run's cluster view and the workload's tasks. Only a steal round reads
+them, so the table is built on first read, in a steal round only, and a
+node's bootstrap rate on the round's first read of it: a run without
+migration, or whose rounds never find a pending task, predicts nothing.
+The rest of a run costs what its events cost: a count of pending tasks
+lets a round return at once when nothing is queued, and a fetch prices
+each replica once, on routes composed from per-node (uplink, rack core
+link) data built once per run.
 
 One run is strictly single-threaded and draws no random numbers;
 identical inputs give a bit-identical trace.
@@ -173,23 +180,32 @@ class SimTrace:
 class _NodeRt:
     """Mutable per-node runtime state inside one simulation, and the
     per-node quantities the migration rule reads from it: rate and
-    remaining time."""
+    remaining time. `bootstrap` is a zero-argument callable giving the
+    predictor-derived rate; it is called at most once, on the first read
+    of the rate before any completion, so a run that never asks pays no
+    prediction."""
 
-    __slots__ = ("spec", "pending", "running", "completed_count", "rate_sum", "bootstrap_rate")
+    __slots__ = ("spec", "pending", "running", "completed_count", "rate_sum", "_bootstrap",
+                 "_bootstrap_rate")
 
-    def __init__(self, spec, bootstrap_rate: float):
+    def __init__(self, spec, bootstrap):
         self.spec = spec
         self.pending: list[TaskSpec] = []
         self.running: dict[str, tuple[float, float, float]] = {}  # id -> (start, finish, mb)
         self.completed_count = 0
         self.rate_sum = 0.0
-        self.bootstrap_rate = bootstrap_rate
+        self._bootstrap = bootstrap
+        self._bootstrap_rate: float | None = None
 
     def rate(self) -> float:
         """MB/s: the mean over completed tasks, or the predictor-derived
         bootstrap rate until the first completion."""
         observed = self.rate_sum / self.completed_count if self.completed_count else 0.0
-        return observed if observed > 0 else self.bootstrap_rate
+        if observed > 0:
+            return observed
+        if self._bootstrap_rate is None:
+            self._bootstrap_rate = self._bootstrap()
+        return self._bootstrap_rate
 
     def remaining(self, now: float) -> float:
         """Estimated seconds until the queue drains: the unfinished share of
@@ -258,39 +274,58 @@ def simulate(
         return reps
 
     # --- node state ------------------------------------------------------
-    # the run's one prediction table: (node, task) in sorted-id, workload order
-    row = {nid: i for i, nid in enumerate(g.node_ids())}
+    node_ids = g.node_ids()
+    row = {nid: i for i, nid in enumerate(node_ids)}
     col = {t.id: j for j, t in enumerate(workload.tasks)}
-    t_pred = np.asarray(
-        predictor.predict_matrix([g.node(nid) for nid in row], list(workload.tasks)), dtype=float
-    )
+    table: np.ndarray | None = None
+
+    def t_pred() -> np.ndarray:
+        """The run's one prediction table, (node, task) in sorted-id and
+        workload order, built on first read."""
+        nonlocal table
+        if table is None:
+            table = np.asarray(
+                predictor.predict_matrix([g.node(nid) for nid in node_ids], list(workload.tasks)),
+                dtype=float,
+            )
+        return table
+
+    def bootstrap_rate(nid: str, assigned: list[TaskSpec]) -> float:
+        """Mean block over mean predicted time of the node's tasks."""
+        ts = float(np.mean(t_pred()[row[nid], [col[t.id] for t in assigned]])) if assigned else 0.0
+        if ts > 0:
+            return float(np.mean([t.block_mb for t in assigned])) / ts
+        return g.node(nid).io_mbps
+
     by_node: dict[str, list[TaskSpec]] = {}
     for tid, nid in schedule.items():
         by_node.setdefault(nid, []).append(tasks[tid])
-    rt: dict[str, _NodeRt] = {}
-    for nid in g.node_ids():
-        spec = g.node(nid)
-        assigned = by_node.get(nid, [])
-        # bootstrap rate: mean block over mean predicted time of the node's tasks
-        ts = float(np.mean(t_pred[row[nid], [col[t.id] for t in assigned]])) if assigned else 0.0
-        boot = float(np.mean([t.block_mb for t in assigned])) / ts if ts > 0 else spec.io_mbps
-        rt[nid] = _NodeRt(spec, boot)
+    rt = {
+        nid: _NodeRt(g.node(nid), lambda nid=nid: bootstrap_rate(nid, by_node.get(nid, [])))
+        for nid in node_ids
+    }
 
     # --- transfers under snapshot fair share -----------------------------
     paths = g.paths
     demand_flows: dict[tuple[str, str], int] = {}  # link endpoints -> active flows
+    # each node's (uplink, rack core link) as (endpoints, MB/s), and its rack:
+    # a route is the two uplinks, plus both core links between racks
+    hops = {}
+    for nid in node_ids:
+        rack = g.rack_of(nid)
+        up, core = g.uplinks[nid], g.core_links[rack]
+        hops[nid] = (up.endpoints, up.bandwidth_mbps), (core.endpoints, core.bandwidth_mbps), rack
 
-    def transfer_seconds(src: str, dst: str, mb: float, register: bool) -> tuple[float, list]:
-        """Seconds to fetch `mb` MB from src to dst: the bottleneck of each
-        link's bandwidth shared by its active flows and this one, plus the
-        route's extras from `paths`; with no other flow, the table's price."""
-        links = g.path_links(dst, src)
-        keys = [l.endpoints for l in links]
-        rate = min(l.bandwidth_mbps / (demand_flows.get(k, 0) + 1) for l, k in zip(links, keys))
-        if register:
-            for k in keys:
-                demand_flows[k] = demand_flows.get(k, 0) + 1
-        return mb / rate + paths.extras(dst, src), keys
+    def transfer(src: str, dst: str, mb: float) -> tuple[float, str, tuple]:
+        """(seconds, src, route links) to fetch `mb` MB from src to dst: the
+        bottleneck of each link's bandwidth shared by its active flows and
+        this one, plus the route's extras from `paths`; with no other flow,
+        the table's price."""
+        up_d, core_d, rack_d = hops[dst]
+        up_s, core_s, rack_s = hops[src]
+        links = (up_d, up_s) if rack_d == rack_s else (up_d, core_d, core_s, up_s)
+        rate = min(bw / (demand_flows.get(k, 0) + 1) for k, bw in links)
+        return mb / rate + paths.extras(dst, src), src, links
 
     def release_flows(keys: list) -> None:
         for k in keys:
@@ -310,6 +345,7 @@ def simulate(
     events: list[SimEvent] = []
     network_mb = 0.0
     local_exec = 0
+    queued = 0  # pending tasks over all nodes
     pending_flow_keys: dict[str, list] = {}  # task id -> registered links
 
     for nid, ts in by_node.items():
@@ -319,6 +355,7 @@ def simulate(
             arrival = workload.arrivals.get(t.id, 0.0)
             if arrival <= 0.0:
                 state.pending.append(t)
+                queued += 1
             else:
                 push(arrival, "arrival", nid, t.id)
 
@@ -329,7 +366,7 @@ def simulate(
         hit = _pt_cache.get(key)
         if hit is not None:
             return hit
-        base = float(t_pred[row[nid], col[task.id]])
+        base = float(t_pred()[row[nid], col[task.id]])
         reps = replicas_of(task.block_id, now)
         if nid not in reps:
             base += min(paths.seconds(nid, r, task.block_mb) for r in reps)
@@ -348,21 +385,22 @@ def simulate(
         push(now + service, "task_done", nid, task.id)
 
     def try_start(nid: str, now: float) -> None:
-        nonlocal network_mb
+        nonlocal network_mb, queued
         state = rt[nid]
         while state.pending and len(state.running) < state.spec.slots:
             task = state.pending.pop(0)
+            queued -= 1
             state.running[task.id] = (now, math.inf, task.block_mb)
             events.append(SimEvent(now, "start", task.id, nid))
             reps = replicas_of(task.block_id, now)
             if nid in reps:
                 begin_compute(nid, task, now, remote=False)
             else:
-                src = min(
-                    reps,
-                    key=lambda r: (transfer_seconds(r, nid, task.block_mb, False)[0], r),
-                )
-                dur, keys = transfer_seconds(src, nid, task.block_mb, True)
+                # the least (seconds, replica id), each replica priced once
+                dur, src, links = min(transfer(r, nid, task.block_mb) for r in reps)
+                keys = [k for k, _ in links]
+                for k in keys:
+                    demand_flows[k] = demand_flows.get(k, 0) + 1
                 pending_flow_keys[task.id] = keys
                 network_mb += task.block_mb
                 events.append(SimEvent(now, "transfer", task.id, nid, f"from={src}"))
@@ -374,8 +412,7 @@ def simulate(
         if not config.enable_migration:
             return
         counts["rounds"] += 1
-        node_ids = g.node_ids()
-        if not any(rt[nid].pending for nid in node_ids):
+        if not queued:
             return  # nothing to steal: skip the per-node scan
         # `try_start` fills every free slot from the pending queue, so a node
         # with a free slot holds no pending task: thieves are never victims,
@@ -420,7 +457,7 @@ def simulate(
             try_start(dst, now)
             del rem[src]  # recomputed at the next pick if it still has pending tasks
 
-    for nid in g.node_ids():
+    for nid in node_ids:
         try_start(nid, 0.0)
 
     completion = 0.0
@@ -430,6 +467,7 @@ def simulate(
         state = rt[nid]
         if kind == "arrival":
             state.pending.append(tasks[ref])
+            queued += 1
             try_start(nid, now)
         elif kind == "xfer_done":
             release_flows(pending_flow_keys.pop(ref))

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sccdso.aco import (
     InfeasibleScheduleError,
     PheromoneMatrix,
     Q_CONST,
+    TAU0,
     TAU_FLOOR,
     _pick_best,
     _solution_from_indices,
@@ -179,14 +181,17 @@ def scalar_ant(weights, problem, rng):
     )
 
 
-def random_problem(seed, n, b, slots=None, slow=0.0):
+def random_problem(seed, n, b, slots=None, slow=0.0, ties=False):
     """Dense random instance: top-L_MAX candidate masks by desirability,
     replica sources on half the cells, unequal demands; `slots` caps each
     node at about that many mean-sized tasks (None: no cap). A share `slow`
-    of the tasks run a thousand times slower on every node."""
+    of the tasks run a thousand times slower on every node. With `ties`,
+    times are rounded up to a multiple of 4 s, so many nodes tie on eta."""
     rng = np.random.default_rng(seed)
     # node speed dominates, so tasks share most of their candidates
     t_eff = rng.uniform(0.5, 20.0, size=(n, 1)) * rng.uniform(1.0, 1.5, size=(n, b))
+    if ties:
+        t_eff = np.ceil(t_eff / 4.0) * 4.0
     t_eff[:, rng.random(b) < slow] *= 1000.0
     src = np.where(rng.random((n, b)) < 0.5, rng.integers(0, n, size=(n, b)), -1)
     problem = array_problem(
@@ -227,15 +232,61 @@ def assert_colony_matches_scalar(weights, problem, seed, ants=10):
     return assign, feasible
 
 
+def ties_at_the_cap(problem):
+    """Columns where a node outside the candidate mask ties the last one in."""
+    kth = np.sort(problem.eta, axis=0)[-L_MAX]
+    return int(((problem.eta == kth) & ~problem.candidate_mask).any(axis=0).sum())
+
+
 def test_colony_equals_scalar_ants_on_random_instances():
+    # n > L_MAX throughout; the tied instances put equal weights across the
+    # candidate boundary and inside each candidate table
+    tied_columns = 0
     for seed in range(6):
         size = np.random.default_rng(100 + seed)
         n, b = int(size.integers(30, 61)), int(size.integers(50, 209))
-        problem = random_problem(seed, n, b)
         tau = size.uniform(TAU_FLOOR, 2.0, size=(n, b))
-        for alpha, beta in ((0.8, 1.2), (1.5, 2.5)):
-            weights = selection_weights(tau, problem.eta, alpha, beta)
-            assert_colony_matches_scalar(weights, problem, seed)
+        for ties in (False, True):
+            problem = random_problem(seed, n, b, ties=ties)
+            tied_columns += ties * ties_at_the_cap(problem)
+            pheromone = np.full((n, b), TAU0) if ties else tau
+            for alpha, beta in ((0.8, 1.2), (1.5, 2.5)):
+                weights = selection_weights(pheromone, problem.eta, alpha, beta)
+                assert_colony_matches_scalar(weights, problem, seed)
+    assert tied_columns > 100
+
+
+class EdgeDraws:
+    """Generator stub: tasks in index order, and every draw
+    np.nextafter(1, 0), the largest float below 1."""
+
+    def __init__(self):
+        self.bit_generator = SimpleNamespace(state=None)
+
+    def permutation(self, b):
+        return np.arange(b)
+
+    def random(self, size=None):
+        top = np.nextafter(1.0, 0.0)
+        return top if size is None else np.full(size, top)
+
+
+def test_a_draw_at_the_total_picks_the_last_node():
+    # every weight is the least subnormal, so a draw just below 1 scales to
+    # exactly the column total: the full-row count is n, clipped to node
+    # n - 1, and the candidate count is k, which must map there too, though
+    # node n - 1 is no candidate
+    n, b = 30, 12
+    t_eff = np.tile(np.arange(1.0, n + 1.0)[:, None], (1, b))  # node 0 fastest
+    problem = array_problem(t_eff)
+    mask = np.zeros((n, b), dtype=bool)
+    mask[:L_MAX] = True
+    problem = replace(problem, candidate_mask=mask)
+    weights = np.full((n, b), np.nextafter(0.0, 1.0))
+    assign, feasible = construct_colony(weights, problem, EdgeDraws(), 3)
+    row, ok = aco._ant_row(weights, problem, EdgeDraws())
+    assert (assign == n - 1).all() and feasible.all()
+    assert (row == n - 1).all() and ok
 
 
 def test_colony_equals_scalar_ants_on_every_oracle_shape():
@@ -617,6 +668,87 @@ def test_rf_fd_fills_first_node_to_capacity():
     sol = baseline_rf_fd(tasks, g, plan, timer, reservation_headroom=float("inf"))
     nodes = [sol.assignment[t.id] for t in tasks]
     assert nodes == ["n0", "n0", "n1", "n1"]  # first two exhaust n0's 128 MB
+
+
+def reference_rf_fd(problem, reservation_headroom=1.25):
+    """`baseline_rf_fd`'s pick as the scalar loop it replaced: walk nodes in
+    index order for the first that fits and stays under the threshold, else
+    the least loaded node that fits. Returns (node-index row, fallbacks
+    taken); raises InfeasibleScheduleError when no node fits a task."""
+    n, b = problem.t_pred.shape
+    t_est = problem.t_pred
+    threshold = float(t_est.mean(axis=0).sum()) / n * reservation_headroom
+    loads, used = np.zeros(n), np.zeros(n)
+    assign = np.full(b, -1, dtype=int)
+    fallbacks = 0
+    for j in range(b):
+        placed = False
+        for i in range(n):
+            if used[i] + problem.demand_mb[j] > problem.capacity_mb[i] + 1e-9:
+                continue
+            if loads[i] + t_est[i, j] <= threshold:
+                assign[j] = i
+                placed = True
+                break
+        if not placed:
+            fallbacks += 1
+            fits = np.where(used + problem.demand_mb[j] <= problem.capacity_mb + 1e-9)[0]
+            if len(fits) == 0:
+                raise InfeasibleScheduleError(f"capacity exhausted while placing task {j}")
+            assign[j] = int(fits[np.argmin(loads[fits])])
+        loads[assign[j]] += t_est[assign[j], j]
+        used[assign[j]] += problem.demand_mb[j]
+    return assign, fallbacks
+
+
+@pytest.mark.parametrize("headroom", [1.25, 1.0, 3.0])
+def test_rf_fd_equals_scalar_first_fit_on_200_nodes(headroom):
+    g = build_cluster(synthetic_cluster_config(200))
+    _, blocks, tasks = make_app_tasks(input_mb=208 * 64, rf=2)
+    plan = place_random(g, blocks, rf=2, seed=4)
+    model = TrueTimeModel()
+    sol = baseline_rf_fd(tasks, g, plan, model, reservation_headroom=headroom)
+    want, _ = reference_rf_fd(build_problem(g, plan, tasks, model), headroom)
+    assert sol.node_index.tolist() == want.tolist()
+
+
+def test_rf_fd_threshold_admits_a_load_equal_to_it():
+    # four equal nodes, eight 1 s tasks, headroom 1: the threshold is 2 s,
+    # and a node's second task brings its load to exactly 2 s
+    g, plan, tasks, problem = small_problem(n_nodes=4, n_tasks=8, rf=1)
+    timer = FixedTimer({f"n{i}": 1.0 for i in range(4)})
+    sol = baseline_rf_fd(tasks, g, plan, timer, reservation_headroom=1.0)
+    want, fallbacks = reference_rf_fd(problem, 1.0)
+    assert sol.node_index.tolist() == want.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert fallbacks == 0
+
+
+def test_rf_fd_equals_scalar_first_fit_when_capacity_binds():
+    # 12 nodes with room for one to three 64 MB blocks: the threshold turns
+    # nodes away, the fallback places tasks, and 25 blocks exceed the room
+    nodes = [
+        {"id": f"n{i:02d}", "rack": f"r{i % 3}", "cpu_ghz": 1.0 + i % 3, "io_mbps": 200.0,
+         "capacity_mb": 64.0 * (1 + i % 3)}
+        for i in range(12)
+    ]
+    g = make_cluster(nodes)
+    model = TrueTimeModel()
+    fallbacks = 0
+    for blocks_n in (12, 20, 24):
+        _, blocks, tasks = make_app_tasks(input_mb=blocks_n * 64, rf=1)
+        plan = place_random(g, blocks, rf=1, seed=blocks_n)
+        for headroom in (1.0, 1.25):
+            want, taken = reference_rf_fd(build_problem(g, plan, tasks, model), headroom)
+            sol = baseline_rf_fd(tasks, g, plan, model, reservation_headroom=headroom)
+            assert sol.node_index.tolist() == want.tolist()
+            fallbacks += taken
+    assert fallbacks > 0
+    _, blocks, tasks = make_app_tasks(input_mb=25 * 64, rf=1)
+    plan = place_random(g, blocks, rf=1, seed=25)
+    with pytest.raises(InfeasibleScheduleError):
+        reference_rf_fd(build_problem(g, plan, tasks, model))
+    with pytest.raises(InfeasibleScheduleError, match="capacity exhausted"):
+        baseline_rf_fd(tasks, g, plan, model)
 
 
 def test_rsync_equals_rf_fd_on_single_node():

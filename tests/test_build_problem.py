@@ -82,9 +82,9 @@ def reference_build(g, plan, tasks, predictor):
     )
 
 
-def random_instance(seed, n_racks):
+def random_instance(seed, n_racks, nodes=(4, 12)):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, 13))
+    n = int(rng.integers(nodes[0], nodes[1] + 1))
     racks = [f"r{k}" for k in range(n_racks)]
     nodes = []
     for i in range(n):
@@ -155,3 +155,21 @@ def test_reference_instances_exercise_every_pricing_term():
                       for r in plan.replicas(tasks[j].block_id)]
             ties += prices.count(min(prices)) > 1
     assert min(priced, queued, inter, ties) > 100
+
+
+@pytest.mark.parametrize("n_racks", [1, 2, 3])
+def test_candidate_mask_breaks_ties_at_the_cap_by_node_index(n_racks):
+    # 11-40 nodes from three cpu and three io values: many nodes tie on eta,
+    # also across the L_MAX boundary, where the lowest node index must win
+    # as in the reference's stable argsort
+    boundary_ties = 0
+    for seed in range(40):
+        g, plan, tasks = random_instance(1000 + seed, n_racks, nodes=(11, 40))
+        got = aco.build_problem(g, plan, tasks, TrueTimeModel())
+        want = reference_build(g, plan, tasks, TrueTimeModel())
+        for name, ref in want.items():
+            assert getattr(got, name).tobytes() == ref.tobytes(), (seed, name)
+        assert (got.candidate_mask.sum(axis=0) == aco.L_MAX).all()
+        kth = np.sort(got.eta, axis=0)[-aco.L_MAX]
+        boundary_ties += int(((got.eta == kth) & ~got.candidate_mask).any(axis=0).sum())
+    assert boundary_ties > 100

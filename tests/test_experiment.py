@@ -523,6 +523,9 @@ def test_cli_oracle_smoke(capsys):
         ("--seeds", "0", "seeds must be >= 1"),
         ("--max-tasks", "1", "max_tasks must be >= 2"),
         ("--max-nodes", "1", "max_nodes must be >= 2"),
+        ("--ratio-bound", "0", "ratio_bound must be a finite number >= 1"),
+        ("--ratio-bound", "0.5", "ratio_bound must be a finite number >= 1"),
+        ("--ratio-bound", "nan", "ratio_bound must be a finite number >= 1"),
     ],
 )
 def test_cli_oracle_rejects_bad_sizes(capsys, flag, value, message):

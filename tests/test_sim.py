@@ -51,7 +51,7 @@ def node_rt(pending=(), running=None, rate=0.0, bootstrap=10.0):
     """The per-node runtime state that `migration_round` reads: blocks of
     `pending` MB queued, `running` = (start, finish, MB) of one running
     block, and `rate` > 0 observed over one completed task."""
-    state = _NodeRt(None, bootstrap)
+    state = _NodeRt(None, lambda: bootstrap)
     state.pending = [TaskSpec(f"p{i}", f"b{i}", mb, 0.5, 1.0) for i, mb in enumerate(pending)]
     if running is not None:
         state.running["r"] = running
@@ -353,6 +353,51 @@ def test_simulate_reads_one_prediction_table(case):
     assert trace.metrics.migrations > 0
     assert counted.calls == {"predict": 0, "predict_matrix": 1}
     assert trace == simulate(*case())
+
+
+def test_prediction_table_is_built_only_for_a_steal_round():
+    # the table and the bootstrap rates are read only by a steal round: a
+    # run without migration, or whose rounds never find a pending task,
+    # asks for no prediction
+    for case in (deep_queue_case, arrivals_blackout_case):
+        view, plan, schedule, w, _ = case()
+        off = CountingModel(TrueTimeModel())
+        trace = simulate(view, plan, schedule, w, RuntimeConfig(), predictor=off)
+        assert off.calls["predict_matrix"] == 0
+        assert trace == simulate(view, plan, schedule, w, RuntimeConfig())
+    # one task per one-slot node: rounds run, but none has a pending task
+    g = make_cluster(
+        [{"id": f"n{i}", "rack": f"r{i % 2}", "cpu_ghz": 1.0 + i, "io_mbps": 100.0, "slots": 1}
+         for i in range(4)]
+    )
+    app, blocks, tasks, w = build_workload(4 * 64, rf=2)
+    plan = place_random(g, blocks, rf=2, seed=0)
+    schedule = {t.id: f"n{k}" for k, t in enumerate(tasks)}
+    idle = CountingModel(TrueTimeModel())
+    trace = simulate(g, plan, schedule, w, RuntimeConfig(enable_migration=True), predictor=idle)
+    assert trace.runtime_counts["rounds"] == 4
+    assert idle.calls["predict_matrix"] == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), migration=st.booleans())
+def test_prediction_table_built_at_most_once_per_run(seed, migration):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    g = make_cluster(
+        [{"id": f"n{i}", "rack": f"r{i % 2}", "cpu_ghz": float(rng.choice([0.5, 1.0, 2.0])),
+          "io_mbps": float(rng.choice([50.0, 100.0, 200.0])), "slots": int(rng.integers(1, 3))}
+         for i in range(n)]
+    )
+    app, blocks, tasks, w = build_workload(int(rng.integers(1, 25)) * 64, rf=2)
+    plan = place_random(g, blocks, rf=2, seed=seed)
+    schedule = {t.id: f"n{int(rng.integers(0, n))}" for t in tasks}
+    counted = CountingModel(TrueTimeModel())
+    cfg = RuntimeConfig(enable_migration=migration)
+    trace = simulate(g, plan, schedule, w, cfg, predictor=counted)
+    assert counted.calls["predict_matrix"] <= int(migration)
+    assert counted.calls["predict_matrix"] <= int(trace.runtime_counts.get("picks", 0) > 0)
+    assert trace == simulate(g, plan, schedule, w, cfg)
 
 
 def test_round_without_pending_tasks_reads_no_node_state(monkeypatch):
