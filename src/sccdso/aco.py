@@ -11,20 +11,22 @@ its cheapest replica at the price in the cluster's path table
 transfer.
 
 An iteration works on its ants as one (ants, B) node-index matrix.
-`construct_colony` takes every pick of the iteration in one pass: every
-ant's task order and draws come from the generator up front, and each
-draw becomes a pick over its task's cumulative weights at its k =
-min(L_MAX, n) candidates, which are fixed for the iteration. The rows
-are bit-for-bit the per-ant loop's (`construct_solution`, ant after ant
-on the same generator) as long as no node comes near its capacity, so
-that every `fits` check the loop makes holds. When an ant's final
-loads leave no room for the largest demand, the iteration rewinds the
-generator and builds its rows ant by ant. `score_rows` then prices
-every row at once, and it is the one definition of a plan's makespan,
-delay, cost and loss: each total keeps a task-by-task loop's order of
-addition. The objective, the trace, the best pick and the full-regime
-deposit read those arrays; an `AntSolution` is built only for the
-winner and for the baselines.
+`construct_colony` takes the iteration's task orders and draws in two
+generator calls, then every pick in one pass: each draw, scaled to its
+task's total weight at its k = min(L_MAX, n) candidates and kept below
+that total, picks a candidate of positive weight. Pheromones change only
+between iterations, so the candidates' cumulative weights are fixed for
+the iteration. Those picks are the ones an ant walking its order one
+task at a time (`_ant_row`) makes from the same draws as long as no node
+comes near its capacity, so that every `fits` check the walk makes
+holds. When an ant's final loads leave no room for the largest demand,
+the iteration builds its rows with `_ant_row` from the same orders and
+draws. `score_rows` then prices every row at once, and it is the one
+definition of a plan's makespan, delay, cost and loss: each total keeps
+a task-by-task loop's order of addition. The objective, the trace, the
+best pick (the first row of least (objective, makespan)) and the
+full-regime deposit read those arrays; an `AntSolution` is built only
+for the winner and for the baselines.
 
 Two pheromone regimes:
 
@@ -345,20 +347,21 @@ def _solution_from_indices(
 
 
 def _ant_row(
-    weights: np.ndarray, problem: AssignmentProblem, rng: np.random.Generator
+    weights: np.ndarray, problem: AssignmentProblem, order: np.ndarray, draws: np.ndarray
 ) -> tuple[np.ndarray, bool]:
-    """One ant: visit tasks in random order, sample a node per task in
-    proportion to `weights` (this iteration's `selection_weights`) over
-    capacity-feasible candidates, uniformly where all their weights
-    underflow to 0.0. Runs to completion even when capacity strands a
+    """One ant: visit the tasks in `order`, and at step s pick a node for
+    task order[s] with draw draws[s] in [0, 1), in proportion to `weights`
+    (this iteration's `selection_weights`) over capacity-feasible
+    candidates, uniformly where all their weights underflow to 0.0. The
+    scaled draw is kept below the total, so the pick is an eligible node
+    of positive weight. Runs to completion even when capacity strands a
     task; the row then holds -1 there and is flagged infeasible instead
     of raising."""
     n, b = weights.shape
-    order = rng.permutation(b)
     used = np.zeros(n)
     assign = np.full(b, -1, dtype=int)
     feasible = True
-    for j in order:
+    for j, u in zip(order, draws):
         fits = used + problem.demand_mb[j] <= problem.capacity_mb + 1e-9
         mask = problem.candidate_mask[:, j] & fits
         if not mask.any():
@@ -369,11 +372,17 @@ def _ant_row(
         cum = np.cumsum(np.where(mask, weights[:, j], 0.0))
         if cum[-1] <= 0:
             cum = np.cumsum(mask)  # every weight underflowed: draw uniformly
-        pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        pick = min(pick, n - 1)
+        x = np.minimum(u * cum[-1], np.nextafter(cum[-1], 0.0))
+        pick = int(np.searchsorted(cum, x, side="right"))
         assign[j] = pick
         used[pick] += problem.demand_mb[j]
     return assign, feasible
+
+
+def _draws(rng: np.random.Generator, ants: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """An iteration's (ants, B) task orders, one permutation per row, and
+    its (ants, B) draws in [0, 1), the draw of row a's step s in [a, s]."""
+    return rng.permuted(np.tile(np.arange(b), (ants, 1)), axis=1), rng.random((ants, b))
 
 
 def construct_solution(
@@ -381,9 +390,10 @@ def construct_solution(
     problem: AssignmentProblem,
     rng: np.random.Generator,
 ) -> AntSolution:
-    """One ant (`_ant_row`) as a scored solution; `construct_colony` builds
-    the same rows for a whole iteration."""
-    assign, feasible = _ant_row(weights, problem, rng)
+    """One ant (`_ant_row`) as a scored solution, its order and draws
+    taken as `construct_colony` takes a one-ant iteration's."""
+    orders, draws = _draws(rng, 1, weights.shape[1])
+    assign, feasible = _ant_row(weights, problem, orders[0], draws[0])
     return _solution_from_indices(problem, assign[None], feasible)[0]
 
 
@@ -394,28 +404,19 @@ def construct_colony(
     ants: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One iteration's ants, all picks at once: the (ants, B) node-index
-    matrix and each ant's feasible flag. Row a equals the a-th `_ant_row`
-    call on the same generator, and `rng` ends in the same state. Each
-    ant's permutation and then its B draws are taken up front, in ant
-    order, and each draw is turned into a pick over its task's row of
-    `problem.candidates`, k = min(L_MAX, n) nodes, not all n: the count of
-    candidate cumulative weights at or below the draw indexes that row,
-    and a count of k maps to node n - 1, where the per-ant loop's clip of
-    a full-row count puts it. That is the per-ant loop's pick whenever
-    every `fits` check it makes holds: then the mask is the candidate
-    column, and a pick depends on the task's weights and the ant's draw,
-    not on the order of steps.
+    matrix and each ant's feasible flag. The orders and draws come from
+    `_draws`, and each draw becomes a pick over its task's row of
+    `problem.candidates`, k = min(L_MAX, n) nodes, not all n. Row a is
+    `_ant_row` on row a of the orders and draws whenever every `fits`
+    check that walk makes holds: then its mask is the candidate column,
+    and a pick depends on the task's weights and the ant's draw, not on
+    the order of steps.
     Loads only grow (a float sum of non-negative terms never falls), so
     the checks all held if each ant's final loads, summed in its step
-    order as the loop sums them, still fit the largest demand. Otherwise
-    the generator is restored and the rows are built ant by ant."""
+    order as the walk sums them, still fit the largest demand. Otherwise
+    the rows are built with `_ant_row` from the same orders and draws."""
     n, b = weights.shape
-    state = rng.bit_generator.state
-    orders = np.empty((ants, b), dtype=int)
-    draws = np.empty((ants, b))
-    for a in range(ants):
-        orders[a] = rng.permutation(b)
-        draws[a] = rng.random(b)
+    orders, draws = _draws(rng, ants, b)
     # row j: task j's cumulative weights at its k candidates, uniform where
     # every weight underflowed to 0.0. They are the masked full-row cumsum
     # at those nodes bit for bit, as adding 0.0 is exact.
@@ -423,25 +424,24 @@ def construct_colony(
     k = cand.shape[1]
     cols = np.arange(b)
     cum = np.cumsum(weights[cand, cols[:, None]], axis=1)
-    zero = cum[:, -1] <= 0
-    cum[zero] = np.arange(1, k + 1)
-    # x[a, j]: ant a's draw for task j, scaled to j's total. The count of
-    # cum <= x is searchsorted(cum, x, side="right"), as cum never
-    # decreases; a count c < k picks candidate c, the node the full row's
-    # count reaches, since every weight before it is 0.0, and a count of k
-    # picks node n - 1, where the full row's count of n is clipped
+    cum[cum[:, -1] <= 0] = np.arange(1, k + 1)
+    total = cum[:, -1]
+    # x[a, j]: ant a's draw for task j, scaled to j's total and kept below
+    # it. The count of cum <= x is searchsorted(cum, x, side="right"), as
+    # cum never decreases; it is below k, and candidate c of that count is
+    # the node the full row's count reaches, since every weight before it
+    # is 0.0
     rows = np.arange(ants)[:, None]
     x = np.empty((ants, b))
     x[rows, orders] = draws
-    x *= cum[:, -1]
-    picks = np.concatenate([cand, np.full((b, 1), n - 1)], axis=1)
-    assign = picks[cols, np.count_nonzero(cum <= x[..., None], axis=2)]
+    x *= total
+    np.minimum(x, np.nextafter(total, 0.0), out=x)
+    assign = cand[cols, np.count_nonzero(cum <= x[..., None], axis=2)]
     used = np.zeros((ants, n))
     np.add.at(used, (rows, np.take_along_axis(assign, orders, axis=1)), problem.demand_mb[orders])
     if (used + problem.demand_mb.max(initial=0.0) <= problem.capacity_mb + 1e-9).all():
         return assign, np.ones(ants, dtype=bool)
-    rng.bit_generator.state = state
-    built, flags = zip(*(_ant_row(weights, problem, rng) for _ in range(ants)))
+    built, flags = zip(*(_ant_row(weights, problem, o, d) for o, d in zip(orders, draws)))
     return np.array(built), np.array(flags)
 
 
@@ -621,34 +621,6 @@ def greedy_local_row(problem: AssignmentProblem) -> np.ndarray:
     return assign
 
 
-def _tie_order(problem: AssignmentProblem) -> tuple[np.ndarray, np.ndarray]:
-    """(task indices in task-id order, each node index's rank in node-id
-    order). A row taken in that task order, with its node indices replaced
-    by their ranks, compares as the sorted (task id, node id) list of its
-    assignment; task-id order is not index order ("t10" < "t2")."""
-    def positions(ids):
-        return sorted(range(len(ids)), key=ids.__getitem__)
-
-    rank = np.empty(len(problem.node_ids), dtype=int)
-    rank[positions(problem.node_ids)] = np.arange(len(problem.node_ids))
-    return np.array(positions(problem.task_ids), dtype=int), rank
-
-
-def _pick_best(
-    assign: np.ndarray, objective: np.ndarray, makespan: np.ndarray, tie_order
-) -> tuple[int, tuple]:
-    """The row of (k, B) `assign` with the least (objective, makespan,
-    sorted (task id, node id) list), and that key. Only the rows tied on
-    objective and makespan are ranked by assignment."""
-    task_order, node_rank = tie_order
-    tied = np.flatnonzero(objective == objective.min())
-    tied = tied[makespan[tied] == makespan[tied].min()]
-    ranked = [node_rank[assign[k, task_order]].tolist() for k in tied]
-    r = min(range(len(tied)), key=ranked.__getitem__)
-    k = int(tied[r])
-    return k, (float(objective[k]), float(makespan[k]), ranked[r])
-
-
 def solve_problem(
     problem: AssignmentProblem, config: AcoConfig, seed: int
 ) -> SolveResult:
@@ -657,9 +629,7 @@ def solve_problem(
     by_makespan = config.objective == "makespan"
     ph = PheromoneMatrix.initial(problem.node_ids, problem.task_ids)
     rng = np.random.default_rng(seed)
-    tie_order = _tie_order(problem)
 
-    best_key: tuple | None = None
     best_row: np.ndarray | None = None
     best_makespan = best_objective = float("inf")
     refs = None
@@ -701,10 +671,13 @@ def solve_problem(
             if refs is None:
                 refs = [float(np.mean(m)) for m in metrics]
             obj = makespan if by_makespan else _weighted(metrics, refs)
-            k, key = _pick_best(assign, obj, makespan, tie_order)
-            if best_key is None or key < best_key:
-                best_key, best_row = key, assign[k]
-                best_objective, best_makespan = key[:2]
+            # the first row of least (objective, makespan); a later
+            # iteration replaces the best only with a strictly smaller one
+            k = np.lexsort((makespan, obj))[0]
+            key = (float(obj[k]), float(makespan[k]))
+            if key < (best_objective, best_makespan):
+                best_row = assign[k]
+                best_objective, best_makespan = key
 
         trace.append(
             TraceRow(

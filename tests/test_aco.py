@@ -15,9 +15,7 @@ from sccdso.aco import (
     Q_CONST,
     TAU0,
     TAU_FLOOR,
-    _pick_best,
     _solution_from_indices,
-    _tie_order,
     _weighted,
     baseline_rf_fd,
     baseline_round_robin,
@@ -131,15 +129,15 @@ def test_high_beta_is_greedy_argmin():
     assert hits >= 990
 
 
-def scalar_ant(weights, problem, rng):
-    """Reference ant: one task at a time, each total summed by a Python
-    loop in task order; every ant of `construct_colony` must equal it."""
+def scalar_ant(weights, problem, order, draws):
+    """Reference ant on one row of an iteration's orders and draws: one
+    task at a time, each total summed by a Python loop in task order;
+    every ant of `construct_colony` must equal it."""
     n, b = weights.shape
-    order = rng.permutation(b)
     used = np.zeros(n)
     assign = np.full(b, -1, dtype=int)
     feasible = True
-    for j in order:
+    for j, u in zip(order, draws):
         fits = used + problem.demand_mb[j] <= problem.capacity_mb + 1e-9
         mask = problem.candidate_mask[:, j] & fits
         if not mask.any():
@@ -150,8 +148,8 @@ def scalar_ant(weights, problem, rng):
         cum = np.cumsum(np.where(mask, weights[:, j], 0.0))
         if cum[-1] <= 0:
             cum = np.cumsum(mask)
-        pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        pick = min(pick, n - 1)
+        top = np.nextafter(cum[-1], 0.0)  # the largest float below the total
+        pick = int(np.searchsorted(cum, min(u * cum[-1], top), side="right"))
         assign[j] = pick
         used[pick] += problem.demand_mb[j]
     loads = np.zeros(n)
@@ -212,14 +210,28 @@ def random_problem(seed, n, b, slots=None, slow=0.0, ties=False):
     return replace(problem, demand_mb=demand, capacity_mb=capacity, candidate_mask=mask)
 
 
+def twin_draws(seed, ants, b):
+    """A generator seeded like the colony's, and the (ants, B) orders and
+    draws it yields when drawn the colony's way: every order in one call,
+    then every draw in one."""
+    rng = np.random.default_rng(seed)
+    orders = rng.permuted(np.tile(np.arange(b), (ants, 1)), axis=1)
+    return rng, orders, rng.random((ants, b))
+
+
 def assert_colony_matches_scalar(weights, problem, seed, ants=10):
-    """The colony's rows and flags equal `construct_solution`'s ants on the
-    same generator, and `score_rows` prices them as `scalar_ant`'s loop
-    does, bit for bit. Returns the colony's (rows, flags)."""
-    batch_rng, ant_rng, scalar_rng = (np.random.default_rng(seed) for _ in range(3))
+    """The colony's rows and flags equal `_ant_row`'s ants on a twin
+    generator's orders and draws, and `score_rows` prices them as
+    `scalar_ant`'s loop does, bit for bit. Returns the colony's (rows,
+    flags)."""
+    batch_rng = np.random.default_rng(seed)
     assign, feasible = construct_colony(weights, problem, batch_rng, ants)
-    per_ant = [construct_solution(weights, problem, ant_rng) for _ in range(ants)]
-    scalar = [scalar_ant(weights, problem, scalar_rng) for _ in range(ants)]
+    twin, orders, draws = twin_draws(seed, ants, weights.shape[1])
+    per_ant = [
+        _solution_from_indices(problem, row[None], ok)[0]
+        for row, ok in (aco._ant_row(weights, problem, o, d) for o, d in zip(orders, draws))
+    ]
+    scalar = [scalar_ant(weights, problem, o, d) for o, d in zip(orders, draws)]
     assert assign.tolist() == [s.node_index.tolist() for s in per_ant]
     assert feasible.tolist() == [s.feasible for s in per_ant]
     assert per_ant == scalar
@@ -227,9 +239,19 @@ def assert_colony_matches_scalar(weights, problem, seed, ants=10):
     for a, want in enumerate(scalar):
         assert [makespan[a], *metrics[:, a]] == [want.makespan, *want.metrics]
         assert [type(m) for m in per_ant[a].metrics] == [type(m) for m in want.metrics]
-    assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
-    assert ant_rng.bit_generator.state == scalar_rng.bit_generator.state
+    assert batch_rng.bit_generator.state == twin.bit_generator.state
     return assign, feasible
+
+
+def test_construct_solution_is_a_one_ant_colony():
+    problem = random_problem(12, 40, 90, slots=3.0)
+    weights = selection_weights(np.full(problem.t_eff.shape, TAU0), problem.eta, 0.8, 1.2)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        sol = construct_solution(weights, problem, rng)
+        assign, feasible = assert_colony_matches_scalar(weights, problem, seed, ants=1)
+        assert sol.node_index.tolist() == assign[0].tolist() and sol.feasible == feasible[0]
+        assert rng.bit_generator.state == twin_draws(seed, 1, 90)[0].bit_generator.state
 
 
 def ties_at_the_cap(problem):
@@ -260,22 +282,17 @@ class EdgeDraws:
     """Generator stub: tasks in index order, and every draw
     np.nextafter(1, 0), the largest float below 1."""
 
-    def __init__(self):
-        self.bit_generator = SimpleNamespace(state=None)
+    def permuted(self, orders, axis):
+        return orders
 
-    def permutation(self, b):
-        return np.arange(b)
-
-    def random(self, size=None):
-        top = np.nextafter(1.0, 0.0)
-        return top if size is None else np.full(size, top)
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
 
 
-def test_a_draw_at_the_total_picks_the_last_node():
+def test_a_draw_at_the_total_picks_the_last_candidate():
     # every weight is the least subnormal, so a draw just below 1 scales to
-    # exactly the column total: the full-row count is n, clipped to node
-    # n - 1, and the candidate count is k, which must map there too, though
-    # node n - 1 is no candidate
+    # exactly the column total; kept below it, the draw picks the last
+    # candidate, node L_MAX - 1, and never node n - 1, which is no candidate
     n, b = 30, 12
     t_eff = np.tile(np.arange(1.0, n + 1.0)[:, None], (1, b))  # node 0 fastest
     problem = array_problem(t_eff)
@@ -284,9 +301,34 @@ def test_a_draw_at_the_total_picks_the_last_node():
     problem = replace(problem, candidate_mask=mask)
     weights = np.full((n, b), np.nextafter(0.0, 1.0))
     assign, feasible = construct_colony(weights, problem, EdgeDraws(), 3)
-    row, ok = aco._ant_row(weights, problem, EdgeDraws())
-    assert (assign == n - 1).all() and feasible.all()
-    assert (row == n - 1).all() and ok
+    row, ok = aco._ant_row(weights, problem, np.arange(b), EdgeDraws().random(b))
+    assert (assign == L_MAX - 1).all() and feasible.all()
+    assert (row == L_MAX - 1).all() and ok
+
+
+def test_subnormal_totals_keep_picks_on_candidates_that_fit():
+    # 40 tasks of 10 MB on 12 nodes whose candidates are nodes 0-9; node 11
+    # holds 15 MB. Every weight is three least subnormals, so each column
+    # total is subnormal and a draw near 1 scales to the total itself: no
+    # pick may then leave the candidates, and no ant flagged feasible may
+    # overfill a node
+    n, b = 12, 40
+    problem = array_problem(np.ones((n, b)))
+    mask = np.zeros((n, b), dtype=bool)
+    mask[:10] = True
+    capacity = np.full(n, 1000.0)
+    capacity[11] = 15.0
+    problem = replace(
+        problem, candidate_mask=mask, demand_mb=np.full(b, 10.0), capacity_mb=capacity)
+    weights = np.full((n, b), 3 * np.nextafter(0.0, 1.0))
+    rng = np.random.default_rng(19)
+    rows, flags = zip(*(construct_colony(weights, problem, rng, 10) for _ in range(5)))
+    ants = [construct_solution(weights, problem, rng) for _ in range(200)]
+    rows = np.vstack([*rows, *(s.node_index for s in ants)])
+    flags = np.concatenate([*flags, [s.feasible for s in ants]])
+    assert flags.all()
+    assert (rows < 10).all()
+    assert all(fits_capacity(problem, row) for row in rows)
 
 
 def test_colony_equals_scalar_ants_on_every_oracle_shape():
@@ -602,28 +644,36 @@ def test_solve_counts_ants_and_refine_moves():
     assert any(moves)
 
 
-@pytest.mark.parametrize("n_nodes, want", [(2, "a"), (12, "a")])
-def test_ties_go_to_the_smaller_sorted_assignment(n_nodes, want):
-    # twelve equal tasks, ids "t0".."t11": task-id order ("t10" < "t2") is
-    # not index order, nor, on twelve nodes, is node-id order. Rows a and b
-    # swap the nodes of t2 and t10, so they tie on every metric; in task-id
-    # order they first differ at t10, where a's node id is the smaller
-    problem = array_problem(np.ones((n_nodes, 12)), cost=np.ones((n_nodes, 12)))
-    a = np.arange(12) * n_nodes // 12
-    if n_nodes == 2:
-        a[[2, 10]] = 1, 0  # a: t2 -> n1, t10 -> n0; by index b looks smaller
+@pytest.mark.parametrize("first", ["ab", "ba"])
+def test_exact_ties_keep_the_earlier_row(first, monkeypatch):
+    # twelve equal tasks on two nodes; rows a and b swap the nodes of t2 and
+    # t10, so they tie on every metric. The first iteration's colony is the
+    # two rows in the order `first`, the second's the other row alone: the
+    # earlier row wins the first iteration, and the exact tie in the second
+    # keeps it. Both elite rows put every task on n0, which is worse.
+    problem = array_problem(np.ones((2, 12)), cost=np.ones((2, 12)))
+    problem = replace(
+        problem,
+        plan=SimpleNamespace(primary=lambda block: "n0", replicas=lambda block: ("n0",)),
+        tasks=tuple(SimpleNamespace(block_id=f"b{j}") for j in range(12)),
+    )
+    a = np.arange(12) * 2 // 12
     b = a.copy()
     b[[2, 10]] = a[[10, 2]]
-    rows = np.array([b, a])
-    sols = _solution_from_indices(problem, rows, True)
-    makespan, metrics = score_rows(problem, rows)
+    rows = {"a": a, "b": b}
+    colonies = iter([np.array([rows[first[0]], rows[first[1]]]), rows[first[1]][None]])
+
+    def colony(weights, problem, rng, ants):
+        assign = next(colonies)
+        return assign, np.ones(len(assign), dtype=bool)
+
+    monkeypatch.setattr(aco, "construct_colony", colony)
+    res = solve_problem(problem, AcoConfig(max_iters=2), seed=0)
+    makespan, metrics = score_rows(problem, np.array([a, b]))
     assert makespan[0] == makespan[1] and (metrics[:, 0] == metrics[:, 1]).all()
-    objective = _weighted(metrics, [float(np.mean(m)) for m in metrics])
-    k, key = _pick_best(rows, objective, makespan, _tie_order(problem))
-    assert "ba"[k] == want
-    reference = min(range(2), key=lambda r: tuple(sorted(sols[r].assignment.items())))
-    assert k == reference
-    assert key[:2] == (objective[k], makespan[k])
+    assert res.iterations == 2
+    assert res.best.node_index.tolist() == rows[first[0]].tolist()
+    assert res.trace[0].best_objective == res.trace[1].best_objective
 
 
 def test_elite_seeds_are_feasible_and_local():
