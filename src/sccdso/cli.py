@@ -123,8 +123,16 @@ def _cmd_oracle(args) -> int:
         f"{summary['within_bound']}/{summary['instances']} instances within "
         f"{summary['ratio_bound']:.2f}x of the exhaustive optimum "
         f"(worst ratio {summary['worst_ratio']:.4f}, "
-        f"{summary['elapsed_s']:.1f}s)"
+        f"{summary['elapsed_s']:.2f}s: brute force {summary['brute_force_s']:.2f}s, "
+        f"colony {summary['colony_s']:.2f}s)"
     )
+    if summary["below_optimum"]:
+        print(
+            f"runtime failure: {summary['below_optimum']} colony makespan(s) below "
+            "the exhaustive optimum; the exact search is wrong",
+            file=sys.stderr,
+        )
+        return 2
     return 0 if summary["within_bound"] >= 0.95 * summary["instances"] else 2
 
 

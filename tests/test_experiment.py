@@ -514,6 +514,7 @@ def test_cli_oracle_smoke(capsys):
     )
     out = capsys.readouterr().out
     assert "instances within" in out
+    assert "brute force" in out and "colony" in out
     assert code in (0, 2)
 
 
