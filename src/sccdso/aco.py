@@ -21,12 +21,13 @@ task at a time (`_ant_row`) makes from the same draws as long as no node
 comes near its capacity, so that every `fits` check the walk makes
 holds. When an ant's final loads leave no room for the largest demand,
 the iteration builds its rows with `_ant_row` from the same orders and
-draws. `score_rows` then prices every row at once, and it is the one
-definition of a plan's makespan, delay, cost and loss: each total keeps
-a task-by-task loop's order of addition. The objective, the trace, the
-best pick (the first row of least (objective, makespan)) and the
-full-regime deposit read those arrays; an `AntSolution` is built only
-for the winner and for the baselines.
+draws. `score_rows` then prices every row at once: it gathers each
+row's cells from the problem's tables and hands them to `score_cells`,
+the one definition of a plan's makespan, delay, cost and loss, in which
+each total keeps a task-by-task loop's order of addition. The
+objective, the trace, the best pick (the first row of least (objective,
+makespan)) and the full-regime deposit read those arrays; an
+`AntSolution` is built only for the winner and for the baselines.
 
 Two pheromone regimes:
 
@@ -48,7 +49,13 @@ each improve the best value by less than `TOL` (relatively).
 
 Baselines: reservation-first-fit with a linear-regression load estimate
 (locality-blind), sequential primary-affinity with a per-non-local-access
-synchronization delay, and plain round robin.
+synchronization delay, and plain round robin. A baseline scores one plan,
+so it prices only that plan's B cells: `price_cells`, the per-cell
+arithmetic `build_problem` runs on the full (n, B) grid, at (assign[j],
+j), then `score_cells`, the scorer behind `score_rows`. It never builds
+an `AssignmentProblem`. Its only (n, B) array is the predictor's table
+(`predict_table`), the one form a prediction takes: reservation-first-fit
+reads all of it, rsync and round robin their B cells.
 """
 
 from __future__ import annotations
@@ -184,65 +191,82 @@ class AssignmentProblem:
         return np.nonzero(self.candidate_mask.T)[1].reshape(b, k)
 
 
-def build_problem(
+def predict_table(g: ClusterGraph, tasks: list[TaskSpec], predictor) -> np.ndarray:
+    """The predictor's (n, B) table of execution seconds, nodes in the
+    path table's (sorted-id) order."""
+    nodes = [g.node(nid) for nid in g.paths.node_ids]
+    return np.asarray(predictor.predict_matrix(nodes, list(tasks)), dtype=float)
+
+
+def price_cells(
     g: ClusterGraph,
     plan: PlacementPlan,
     tasks: list[TaskSpec],
-    predictor,
-) -> AssignmentProblem:
-    """Price every (node, task) cell. A task whose block has a replica on
-    the node is local: compute cost only. Otherwise the task fetches from
-    the replica with the least fetch seconds in `g.paths` (transfer plus
-    extras), the lowest node index on a tie; `access` holds that fetch's
-    transfer seconds and `xtra_delay` its extras. Each task's candidates
-    are its min(L_MAX, n) nodes of highest eta, the lowest node index
-    first on a tie, as a stable sort ranks them; `np.partition` finds the
-    k-th value, so no column is fully sorted."""
+    i: np.ndarray,
+    j: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Price the cells (node i, task j) of two index arrays that broadcast
+    together; `build_problem` passes the full grid, a baseline the B cells
+    of its plan. Returns each cell's (access, xtra_delay, cost, src_idx)
+    in the broadcast shape. A task whose block has a replica on the node
+    is local: compute cost only, and src_idx -1. Otherwise the task
+    fetches from the replica with the least fetch seconds in `g.paths`
+    (transfer plus extras), the lowest node index on a tie; `access` holds
+    that fetch's transfer seconds and `xtra_delay` its extras. Each value
+    depends on its own cell alone, so any cells give the full grid's bits."""
     paths = g.paths
-    node_ids = paths.node_ids
-    task_ids = tuple(t.id for t in tasks)
-    nodes = [g.node(n) for n in node_ids]
-    n, b = len(node_ids), len(tasks)
-
-    t_pred = np.asarray(predictor.predict_matrix(nodes, list(tasks)), dtype=float)
-
+    n = len(paths.node_ids)
     # (B, RF) replica node indices in ascending order, so the first least
     # price is the lowest index; a shorter replica list repeats its first
     # holder, a duplicate candidate that changes no minimum
     replicas = [sorted(paths.index[r] for r in plan.replicas(t.block_id)) for t in tasks]
     rf = max((len(r) for r in replicas), default=1)
     src = np.array([reps + reps[:1] * (rf - len(reps)) for reps in replicas], dtype=int)
-    src = src.reshape(b, rf)
-    mb = np.array([t.block_mb for t in tasks], dtype=float)
-    gcycles = np.array([t.compute_gcycles for t in tasks], dtype=float)
+    src = src.reshape(len(tasks), rf)[j]
+    mb = np.array([t.block_mb for t in tasks], dtype=float)[j]
+    gcycles = np.array([t.compute_gcycles for t in tasks], dtype=float)[j]
+    per_cycle = np.array([g.node(nid).cost_per_cycle for nid in paths.node_ids])[i]
 
-    # (n, B): the replica each destination node i fetches task j's block
-    # from. A strict `<` over the replica columns keeps the first least
-    # price, as argmin would; the chosen route's terms are then read from
-    # the path tables by flat (dst, src) index, which allocates less than
-    # carrying every term through the comparison.
-    def price(s):
-        return mb / paths.bandwidth[:, s] + paths.extras_s[:, s]
-
-    best = np.broadcast_to(src[:, 0], (n, b))
-    least = price(src[:, 0])
+    # each cell's route to its first replica, then a strict `<` over the
+    # other replicas keeps the first least price, as argmin would; routes
+    # are flat (dst, src) indices into the path tables, which allocates
+    # less than carrying every term through the comparison
+    base = i * n
+    route = base + src[..., 0]
+    least = mb / paths.bandwidth.take(route) + paths.extras_s.take(route)
+    local = src[..., 0] == i
     for r in range(1, rf):
-        p = price(src[:, r])
-        best = np.where(p < least, src[:, r], best)
+        alt = base + src[..., r]
+        p = mb / paths.bandwidth.take(alt) + paths.extras_s.take(alt)
+        route = np.where(p < least, alt, route)
         least = np.minimum(least, p)
-    route = np.arange(n)[:, None] * n + best
-    xfer = mb / paths.bandwidth.take(route)
-    extras = paths.extras_s.take(route)
-    per_mb = paths.cost_per_mb.take(route)
-    local = np.zeros((n, b), dtype=bool)
-    local[src, np.arange(b)[:, None]] = True
+        local |= src[..., r] == i
 
-    compute_cost = (np.array([nd.cost_per_cycle for nd in nodes])[:, None] * gcycles) * 1e9
-    access = np.where(local, 0.0, xfer)
-    xtra_delay = np.where(local, 0.0, extras)
-    cost = np.where(local, compute_cost, per_mb * mb + compute_cost)
-    src_idx = np.where(local, -1, best)
+    compute_cost = (per_cycle * gcycles) * 1e9
+    access = np.where(local, 0.0, mb / paths.bandwidth.take(route))
+    xtra_delay = np.where(local, 0.0, paths.extras_s.take(route))
+    cost = np.where(local, compute_cost, paths.cost_per_mb.take(route) * mb + compute_cost)
+    return access, xtra_delay, cost, np.where(local, -1, route - base)
 
+
+def build_problem(
+    g: ClusterGraph,
+    plan: PlacementPlan,
+    tasks: list[TaskSpec],
+    predictor,
+) -> AssignmentProblem:
+    """Price every (node, task) cell (`price_cells` on the full grid). Each
+    task's candidates are its min(L_MAX, n) nodes of highest eta, the
+    lowest node index first on a tie, as a stable sort ranks them;
+    `np.partition` finds the k-th value, so no column is fully sorted."""
+    node_ids = g.paths.node_ids
+    nodes = [g.node(n) for n in node_ids]
+    n, b = len(node_ids), len(tasks)
+
+    t_pred = predict_table(g, tasks, predictor)
+    access, xtra_delay, cost, src_idx = price_cells(
+        g, plan, tasks, np.arange(n)[:, None], np.arange(b)
+    )
     t_eff = t_pred + access
     eta = 1.0 / np.maximum(t_eff, 1e-12)
 
@@ -264,7 +288,7 @@ def build_problem(
         plan=plan,
         tasks=tuple(tasks),
         node_ids=node_ids,
-        task_ids=task_ids,
+        task_ids=tuple(t.id for t in tasks),
         t_pred=t_pred,
         access=access,
         t_eff=t_eff,
@@ -272,7 +296,7 @@ def build_problem(
         xtra_delay=xtra_delay,
         cost=cost,
         src_idx=src_idx,
-        demand_mb=mb,
+        demand_mb=np.array([t.block_mb for t in tasks], dtype=float),
         capacity_mb=np.array([nd.capacity_mb for nd in nodes]),
         loss_prob=np.array([nd.loss_prob for nd in nodes]),
         candidate_mask=mask,
@@ -290,30 +314,49 @@ def selection_weights(
 
 
 def score_rows(problem: AssignmentProblem, assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Price each row of an (ants, B) node-index matrix (-1: unassigned):
-    its makespan, the most loaded node's total t_eff (inf when nothing is
-    assigned), and its raw (delay, cost, loss) as a (3, ants) array. Every
-    total adds its terms in task order from 0.0, as a task-by-task loop
-    would: `np.add.at` for node loads, a running `cumsum` for delay, cost
-    and loss (`np.sum` adds pairwise and moves last bits). Unassigned tasks
-    add exact zeros, and loss is the mean over assigned tasks."""
-    ants, b = assign.shape
+    """Price each row of an (ants, B) node-index matrix (-1: unassigned)
+    with `score_cells`, its cells gathered from the problem's tables."""
     assigned = assign >= 0
     nodes = np.where(assigned, assign, 0)
-    cols = np.arange(b)
+    cols = np.arange(assign.shape[1])
+    return score_cells(
+        nodes, assigned, problem.t_eff[nodes, cols], problem.xtra_delay[nodes, cols],
+        problem.cost[nodes, cols], problem.src_idx[nodes, cols], problem.loss_prob,
+    )
+
+
+def score_cells(
+    nodes: np.ndarray,
+    assigned: np.ndarray,
+    t_eff: np.ndarray,
+    xtra_delay: np.ndarray,
+    cost: np.ndarray,
+    src_idx: np.ndarray,
+    loss_prob: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one definition of a plan's makespan, delay, cost and loss. Each
+    argument but `loss_prob` (n,) is (ants, B): task j of row a runs on
+    node nodes[a, j] when assigned[a, j], and the cell arrays hold that
+    cell's t_eff, xtra_delay, cost and src_idx (values at unassigned tasks
+    are ignored). Returns each row's makespan, the most loaded node's
+    total t_eff (inf when nothing is assigned), and its raw (delay, cost,
+    loss) as a (3, ants) array. Every total adds its terms in task order
+    from 0.0, as a task-by-task loop would: `np.add.at` for node loads, a
+    running `cumsum` for delay, cost and loss (`np.sum` adds pairwise and
+    moves last bits). Unassigned tasks add exact zeros, and loss is the
+    mean over assigned tasks."""
+    ants, b = nodes.shape
     rows = np.arange(ants)[:, None]
-    t_eff = np.where(assigned, problem.t_eff[nodes, cols], 0.0)
-    loads = np.zeros((ants, len(problem.node_ids)))
+    t_eff = np.where(assigned, t_eff, 0.0)
+    loads = np.zeros((ants, len(loss_prob)))
     counts = np.zeros_like(loads)
     np.add.at(loads, (rows, nodes), t_eff)
     np.add.at(counts, (rows, nodes), assigned)
-    lp = problem.loss_prob
-    src = problem.src_idx[nodes, cols]
-    survive = 1.0 - lp[nodes]
-    survive = np.where(src >= 0, survive * (1.0 - lp[src]), survive)
+    survive = 1.0 - loss_prob[nodes]
+    survive = np.where(src_idx >= 0, survive * (1.0 - loss_prob[src_idx]), survive)
     # (delay, cost, loss) terms behind a column of 0.0, the loop's start
     terms = np.zeros((3, ants, b + 1))
-    terms[:, :, 1:] = problem.xtra_delay[nodes, cols], problem.cost[nodes, cols], 1.0 - survive
+    terms[:, :, 1:] = xtra_delay, cost, 1.0 - survive
     terms[:, :, 1:][:, ~assigned] = 0.0
     metrics = terms.cumsum(axis=2)[:, :, -1]
     # Each task's latency is dominated by its node's backlog (the workload
@@ -332,12 +375,23 @@ def _solution_from_indices(
     """One `AntSolution` per row of `score_rows`; a row is feasible when
     `feasible` holds and it assigns every task."""
     makespan, metrics = score_rows(problem, assign)
+    return _solutions(problem.node_ids, problem.task_ids, assign, makespan, metrics, feasible)
+
+
+def _solutions(
+    node_ids: tuple[str, ...],
+    task_ids: tuple[str, ...],
+    assign: np.ndarray,
+    makespan: np.ndarray,
+    metrics: np.ndarray,
+    feasible: bool,
+) -> list[AntSolution]:
     sols = []
     # loss stays a numpy float, as run rows repr the scheduler's metrics
     for a, row in enumerate(assign.tolist()):
         js = [j for j, i in enumerate(row) if i >= 0]
         sols.append(AntSolution(
-            assignment={problem.task_ids[j]: problem.node_ids[row[j]] for j in js},
+            assignment={task_ids[j]: node_ids[row[j]] for j in js},
             makespan=float(makespan[a]),
             metrics=(float(metrics[0, a]), float(metrics[1, a]), metrics[2, a] if js else 0.0),
             feasible=feasible and len(js) == len(row),
@@ -572,11 +626,15 @@ def solve(
 def fits_capacity(problem: AssignmentProblem, assign: np.ndarray) -> bool:
     """Whether a (B,) node-index row assigns every task within every
     node's capacity."""
+    return _fits(assign, problem.demand_mb, problem.capacity_mb)
+
+
+def _fits(assign: np.ndarray, demand_mb: np.ndarray, capacity_mb: np.ndarray) -> bool:
     if (assign < 0).any():
         return False
-    used = np.zeros(len(problem.node_ids))
-    np.add.at(used, assign, problem.demand_mb)
-    return bool(np.all(used <= problem.capacity_mb + 1e-9))
+    used = np.zeros(len(capacity_mb))
+    np.add.at(used, assign, demand_mb)
+    return bool(np.all(used <= capacity_mb + 1e-9))
 
 
 def preallocation_row(problem: AssignmentProblem) -> np.ndarray:
@@ -590,34 +648,30 @@ def greedy_local_row(problem: AssignmentProblem) -> np.ndarray:
     """Longest-task-first over replica holders: keep every task local while
     leveling per-node load; fall back to the globally least-loaded node
     only when a holder cannot take the data. Second colony seed; -1 from
-    the first task no node can take."""
+    the first task no node can take. A task's length is its least t_eff
+    over all nodes, ties in task order; the walk adds Python floats, the
+    float64 sums numpy would add."""
     pos = {nid: i for i, nid in enumerate(problem.node_ids)}
     n = len(problem.node_ids)
-    loads = np.zeros(n)
-    used = np.zeros(n)
+    t_eff = problem.t_eff
+    demand = problem.demand_mb.tolist()
+    room = (problem.capacity_mb + 1e-9).tolist()
+    loads = [0.0] * n
+    used = [0.0] * n
     assign = np.full(len(problem.tasks), -1, dtype=int)
-    order = sorted(
-        range(len(problem.tasks)),
-        key=lambda j: (-float(problem.t_eff[:, j].min()), j),
-    )
-    for j in order:
-        task = problem.tasks[j]
-        holders = [pos[r] for r in problem.plan.replicas(task.block_id)]
-        fits = [
-            i for i in holders
-            if used[i] + problem.demand_mb[j] <= problem.capacity_mb[i] + 1e-9
-        ]
+    shortest = t_eff.min(axis=0).tolist()
+    for j in sorted(range(len(problem.tasks)), key=lambda j: -shortest[j]):
+        d = demand[j]
+        holders = [pos[r] for r in problem.plan.replicas(problem.tasks[j].block_id)]
+        fits = [i for i in holders if used[i] + d <= room[i]]
         if not fits:
-            fits = [
-                i for i in range(n)
-                if used[i] + problem.demand_mb[j] <= problem.capacity_mb[i] + 1e-9
-            ]
+            fits = [i for i in range(n) if used[i] + d <= room[i]]
         if not fits:
             return assign  # infeasible
-        i = min(fits, key=lambda i: (loads[i] + problem.t_eff[i, j], i))
+        i = min(fits, key=lambda i: (loads[i] + t_eff.item(i, j), i))
         assign[j] = i
-        loads[i] += problem.t_eff[i, j]
-        used[i] += problem.demand_mb[j]
+        loads[i] += t_eff.item(i, j)
+        used[i] += d
     return assign
 
 
@@ -740,18 +794,42 @@ def write_trace_csv(trace: tuple[TraceRow, ...], path: str) -> None:
             )
 
 
-def _assignment_solution(problem: AssignmentProblem, assign: np.ndarray) -> AntSolution:
-    return _solution_from_indices(problem, assign[None], fits_capacity(problem, assign))[0]
+def _plan_solution(
+    g: ClusterGraph,
+    plan: PlacementPlan,
+    tasks: list[TaskSpec],
+    t_pred: np.ndarray,
+    assign: np.ndarray,
+) -> AntSolution:
+    """A baseline's complete (B,) node-index row as a scored solution, priced at its
+    B cells alone: `price_cells` at (assign[j], j), t_pred read from the
+    predictor's (n, B) table, then `score_cells`. The bits are those of
+    `_solution_from_indices` on the row of `build_problem`'s full grid,
+    feasible when the row fits capacity."""
+    nodes = [g.node(nid) for nid in g.paths.node_ids]
+    cols = np.arange(len(tasks))
+    access, xtra_delay, cost, src_idx = price_cells(g, plan, tasks, assign, cols)
+    row = assign[None]
+    makespan, metrics = score_cells(
+        row, np.ones(row.shape, dtype=bool), (t_pred[assign, cols] + access)[None],
+        xtra_delay[None], cost[None], src_idx[None],
+        np.array([nd.loss_prob for nd in nodes]),
+    )
+    feasible = _fits(
+        assign, np.array([t.block_mb for t in tasks], dtype=float),
+        np.array([nd.capacity_mb for nd in nodes]),
+    )
+    return _solutions(
+        g.paths.node_ids, tuple(t.id for t in tasks), row, makespan, metrics, feasible
+    )[0]
 
 
 def baseline_round_robin(
     tasks: list[TaskSpec], g: ClusterGraph, plan: PlacementPlan, predictor
 ) -> AntSolution:
     """Neutral control: task k on node k mod n, node order by id."""
-    problem = build_problem(g, plan, tasks, predictor)
-    n = len(problem.node_ids)
-    assign = np.array([j % n for j in range(len(tasks))], dtype=int)
-    return _assignment_solution(problem, assign)
+    assign = np.arange(len(tasks)) % len(g.nodes)
+    return _plan_solution(g, plan, tasks, predict_table(g, tasks, predictor), assign)
 
 
 def baseline_rf_fd(
@@ -765,16 +843,17 @@ def baseline_rf_fd(
     whose capacity fits and whose estimated load stays under the
     reservation threshold (mean fair-share load times the headroom).
     Estimated loads feed back into later picks. Locality-blind."""
-    problem = build_problem(g, plan, tasks, predictor)
-    n = len(problem.node_ids)
-    t_est = problem.t_pred  # regression estimate, no locality signal
+    t_est = predict_table(g, tasks, predictor)  # regression estimate, no locality signal
+    n = len(t_est)
+    demand_mb = np.array([t.block_mb for t in tasks], dtype=float)
+    capacity_mb = np.array([g.node(nid).capacity_mb for nid in g.paths.node_ids])
     fair = float(t_est.mean(axis=0).sum()) / n
     threshold = fair * reservation_headroom
     loads = np.zeros(n)
     used = np.zeros(n)
     assign = np.full(len(tasks), -1, dtype=int)
     for j in range(len(tasks)):
-        fits = used + problem.demand_mb[j] <= problem.capacity_mb + 1e-9
+        fits = used + demand_mb[j] <= capacity_mb + 1e-9
         ok = fits & (loads + t_est[:, j] <= threshold)
         first = int(ok.argmax())  # the first True, when there is one
         if ok[first]:
@@ -787,8 +866,8 @@ def baseline_rf_fd(
                 )
             assign[j] = int(room[np.argmin(loads[room])])
         loads[assign[j]] += t_est[assign[j], j]
-        used[assign[j]] += problem.demand_mb[j]
-    return _assignment_solution(problem, assign)
+        used[assign[j]] += demand_mb[j]
+    return _plan_solution(g, plan, tasks, t_est, assign)
 
 
 def baseline_rsync(
@@ -802,21 +881,22 @@ def baseline_rsync(
     primary holder until that queue is `affinity_depth` deep, then spills
     round-robin to the remaining nodes (those accesses become non-local and
     pay the synchronization delay in simulation)."""
-    problem = build_problem(g, plan, tasks, predictor)
-    n = len(problem.node_ids)
+    node_ids = g.paths.node_ids
+    n = len(node_ids)
     if affinity_depth is None:
         affinity_depth = max(1, (2 * len(tasks) + n - 1) // n)
-    pos = {nid: i for i, nid in enumerate(problem.node_ids)}
-    depth = np.zeros(n, dtype=int)
-    used = np.zeros(n)
+    # Python floats in the loop: the same sums and tests as float64 arrays
+    capacity_mb = [g.node(nid).capacity_mb for nid in node_ids]
+    depth = [0] * n
+    used = [0.0] * n
     assign = np.full(len(tasks), -1, dtype=int)
     spill = 0
     for j, task in enumerate(tasks):
-        primary = pos[plan.primary(task.block_id)]
+        primary = g.paths.index[plan.primary(task.block_id)]
         i = primary
         ok = (
             depth[i] < affinity_depth
-            and used[i] + problem.demand_mb[j] <= problem.capacity_mb[i] + 1e-9
+            and used[i] + task.block_mb <= capacity_mb[i] + 1e-9
         )
         if not ok:
             chosen = -1
@@ -824,7 +904,7 @@ def baseline_rsync(
             for _ in range(n):
                 cand = spill % n
                 spill += 1
-                if used[cand] + problem.demand_mb[j] > problem.capacity_mb[cand] + 1e-9:
+                if used[cand] + task.block_mb > capacity_mb[cand] + 1e-9:
                     continue
                 if fallback < 0:
                     fallback = cand
@@ -838,5 +918,5 @@ def baseline_rsync(
                 )
         assign[j] = i
         depth[i] += 1
-        used[i] += problem.demand_mb[j]
-    return _assignment_solution(problem, assign)
+        used[i] += task.block_mb
+    return _plan_solution(g, plan, tasks, predict_table(g, tasks, predictor), assign)

@@ -9,6 +9,7 @@ single-rack clusters, and mix replication factors 1-4 in one task list.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sccdso import aco
 from sccdso.placement import PlacementPlan
@@ -173,3 +174,28 @@ def test_candidate_mask_breaks_ties_at_the_cap_by_node_index(n_racks):
         kth = np.sort(got.eta, axis=0)[-aco.L_MAX]
         boundary_ties += int(((got.eta == kth) & ~got.candidate_mask).any(axis=0).sum())
     assert boundary_ties > 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 39),
+    n_racks=st.integers(1, 3),
+    cells=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                             st.floats(0, 1, exclude_max=True)), max_size=40),
+    grid=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+)
+def test_price_cells_equals_build_problem_tables(seed, n_racks, cells, grid):
+    # any cells, in any order, repeated or not, and a broadcast (k, 1) x (m,)
+    # block: each priced cell carries the full grid's bits
+    g, plan, tasks = random_instance(seed, n_racks)
+    p = aco.build_problem(g, plan, tasks, TrueTimeModel())
+    n, b = p.t_pred.shape
+    i = np.array([int(u * n) for u, _ in cells], dtype=int)
+    j = np.array([int(v * b) for _, v in cells], dtype=int)
+    block = (np.arange(grid[0])[:, None] * 7 % n, np.arange(grid[1]) * 5 % b)
+    for i, j in ((i, j), block):
+        got = aco.price_cells(g, plan, tasks, i, j)
+        want = (p.access[i, j], p.xtra_delay[i, j], p.cost[i, j], p.src_idx[i, j])
+        for a, w in zip(got, want):
+            assert a.dtype == w.dtype and a.shape == w.shape
+            assert a.tobytes() == w.tobytes()
