@@ -34,7 +34,7 @@ def main() -> int:
         ("full", sim.TrueTimeModel()),
         ("lightweight", predictor.LinearModel()),
     ):
-        plan = placement.place_heterogeneous(g, list(w.blocks), model, 2)
+        plan = placement.place_heterogeneous(g, list(w.blocks), model, {app.id: 2})
         cfg = aco.AcoConfig.preset("stage7", variant=variant)
         res = aco.solve(list(w.tasks), plan, g, model, cfg, seed=args.seed)
         path = os.path.join(args.out, f"trace_{variant}.csv")

@@ -292,7 +292,7 @@ def schedule(
             model = pred.LinearModel()
             variant = "lightweight"
         plan = placement.place_heterogeneous(
-            g, blocks, model, workload.apps[0].replication_factor
+            g, blocks, model, {app.id: app.replication_factor for app in workload.apps}
         )
         cfg = aco.AcoConfig.preset(preset, variant=variant)
         best = aco.solve(tasks, plan, g, model, cfg, seed=seed).best

@@ -6,17 +6,23 @@ Two strategies place replicas:
   second on a different node in the same rack, third in a different rack,
   extras wherever load is lowest. Blind to node capability.
 
-* heterogeneous — primary replicas are apportioned so that each node's
-  predicted total work is equalized: a node twice as fast owns twice the
-  blocks. Largest-remainder apportionment over predicted per-block rates,
-  then a bounded local-move refinement. Secondary replicas fall back to
-  rack-aware tiers relative to the primary. Nodes whose efficiency is
-  below 10% of the cluster best are prefiltered out.
+* heterogeneous — primary replicas go, one block at a time, to the node
+  where that block would finish first: the node whose predicted total
+  (quota + 1) x per-block time is least, ties to the lower node id. A node
+  stops taking primaries at its primary cap, its capacity over the mean
+  block size (at least 1). For identical blocks on nodes of different
+  speeds this takes the b least finish times, so the largest predicted
+  total is the exact min-max (Dessouky, Lageweg, Lenstra & van de Velde,
+  "Scheduling identical jobs on uniform parallel machines", 1990).
+  Secondary replicas fall back to rack-aware tiers relative to the
+  primary, at each block's own app's replication factor.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass
 from collections import defaultdict
 
@@ -24,8 +30,6 @@ import numpy as np
 
 from .cluster import ClusterGraph
 from .workload import DataBlock, TaskSpec
-
-EFFICIENCY_PREFILTER = 0.1  # relative to the cluster-max efficiency
 
 
 @dataclass(frozen=True)
@@ -61,12 +65,13 @@ class PlacementPlan:
 
 
 def _validate_placement(
-    g: ClusterGraph, blocks: list[DataBlock], rf: int
+    g: ClusterGraph, blocks: list[DataBlock], *rfs: int
 ) -> None:
-    if rf < 1:
-        raise ValueError("replication factor must be >= 1")
-    if rf > len(g.nodes):
-        raise ValueError(f"replication factor {rf} exceeds node count {len(g.nodes)}")
+    for rf in rfs:
+        if rf < 1:
+            raise ValueError("replication factor must be >= 1")
+        if rf > len(g.nodes):
+            raise ValueError(f"replication factor {rf} exceeds node count {len(g.nodes)}")
     if not blocks:
         raise ValueError("no blocks to place")
 
@@ -133,12 +138,17 @@ def _rack_aware_tiers(
 
 
 def place_heterogeneous(
-    g: ClusterGraph, blocks: list[DataBlock], predictor, rf: int
+    g: ClusterGraph, blocks: list[DataBlock], predictor, rf: Mapping[str, int]
 ) -> PlacementPlan:
-    """Equalized primary ownership: node i receives primaries in proportion
-    to its predicted per-block rate, so predicted totals T_i * f(i) match
-    within rounding. Blocks are handed out contiguously in block order."""
-    _validate_placement(g, blocks, rf)
+    """Earliest-finish primary ownership: each block goes to the node where
+    it would finish first (least predicted total with one more block), ties
+    to the lower node id, skipping nodes at their primary cap. The largest
+    predicted total T_i * f(i) is the exact min-max over all quotas within
+    the caps. Primaries are handed out contiguously in block order; `rf`
+    maps each app id to its replication factor, so a block gets
+    `rf[block.app_id]` replicas."""
+    rfs = [rf[block.app_id] for block in blocks]
+    _validate_placement(g, blocks, *set(rfs))
 
     node_ids = sorted(g.nodes)
     ref_mb = float(np.mean([b.size_mb for b in blocks]))
@@ -150,99 +160,42 @@ def place_heterogeneous(
         compute_gcycles=max(ref_mb * 0.08, 1e-6),
     )
     column = predictor.predict_matrix([g.node(nid) for nid in node_ids], [ref_task])[:, 0]
-    times = {}
-    for nid, t in zip(node_ids, column.tolist()):
+    times = column.tolist()
+    for nid, t in zip(node_ids, times):
         if not np.isfinite(t) or t <= 0:
             raise ValueError(f"predictor returned invalid time for node {nid}")
-        times[nid] = t
-    eff = {nid: ref_mb / times[nid] for nid in node_ids}
-    best = max(eff.values())
-    eligible = [nid for nid in node_ids if eff[nid] / best >= EFFICIENCY_PREFILTER]
-    if not eligible:
-        raise ValueError("all nodes prefiltered by the efficiency threshold")
-    if rf > len(eligible):
-        # keep enough nodes around to host every replica tier
-        extras = sorted(
-            (n for n in node_ids if n not in eligible),
-            key=lambda n: (-eff[n], n),
-        )
-        eligible = sorted(eligible + extras[: rf - len(eligible)])
-
-    rates = np.array([1.0 / times[nid] for nid in eligible])
-    b_total = len(blocks)
-    quotas = _largest_remainder(rates, b_total)
-
     # capacity in primaries: a node cannot own more data than it can accept
-    cap = {
-        nid: max(1, int(g.node(nid).capacity_mb // max(ref_mb, 1e-9)))
-        for nid in eligible
-    }
-    quotas = _cap_quotas(quotas, [cap[n] for n in eligible], b_total)
-
-    quotas = _refine_quotas(quotas, np.array([times[n] for n in eligible]),
-                            [cap[n] for n in eligible])
+    caps = [
+        max(1, int(g.node(nid).capacity_mb // max(ref_mb, 1e-9))) for nid in node_ids
+    ]
+    quotas = _earliest_finish_quotas(times, caps, len(blocks))
 
     load: dict[str, int] = {n: 0 for n in g.nodes}
     owner_seq: list[str] = []
-    for nid, q in zip(eligible, quotas):
-        owner_seq.extend([nid] * int(q))
+    for nid, q in zip(node_ids, quotas):
+        owner_seq.extend([nid] * q)
     mapping = {
-        block.id: _rack_aware_tiers(g, primary, rf, load)
-        for block, primary in zip(blocks, owner_seq)
+        block.id: _rack_aware_tiers(g, primary, block_rf, load)
+        for block, primary, block_rf in zip(blocks, owner_seq, rfs)
     }
     return PlacementPlan(block_to_nodes=mapping, strategy="heterogeneous")
 
 
-def _largest_remainder(rates: np.ndarray, total: int) -> np.ndarray:
-    shares = rates / rates.sum() * total
-    floors = np.floor(shares).astype(int)
-    short = total - int(floors.sum())
-    # hand leftovers to the largest fractional parts; index breaks ties
-    order = sorted(range(len(rates)), key=lambda i: (-(shares[i] - floors[i]), i))
-    for i in order[:short]:
-        floors[i] += 1
-    return floors
-
-
-def _cap_quotas(quotas: np.ndarray, caps: list[int], total: int) -> np.ndarray:
-    quotas = quotas.copy()
+def _earliest_finish_quotas(
+    per_block_s: list[float], caps: list[int], total: int
+) -> list[int]:
+    """Pop the least next finish time (quota + 1) * per_block_s[i], ties to
+    the lower index, `total` times; a node leaves the heap at its cap. The
+    pops are the `total` least of all k * per_block_s[i] (k <= caps[i]),
+    so no split within the caps has a lower peak."""
+    if sum(caps) < total:
+        raise ValueError("cluster capacity cannot hold all primaries")
+    quotas = [0] * len(per_block_s)
+    heap = [(t, i) for i, t in enumerate(per_block_s)]
+    heapq.heapify(heap)
     for _ in range(total):
-        over = [i for i in range(len(quotas)) if quotas[i] > caps[i]]
-        if not over:
-            break
-        i = over[0]
-        spare = [j for j in range(len(quotas)) if quotas[j] < caps[j]]
-        if not spare:
-            raise ValueError("cluster capacity cannot hold all primaries")
-        j = min(spare, key=lambda k: quotas[k] / max(caps[k], 1))
-        quotas[i] -= 1
-        quotas[j] += 1
+        _, i = heapq.heappop(heap)
+        quotas[i] += 1
+        if quotas[i] < caps[i]:
+            heapq.heappush(heap, ((quotas[i] + 1) * per_block_s[i], i))
     return quotas
-
-
-def _refine_quotas(
-    quotas: np.ndarray, per_block_s: np.ndarray, caps: list[int]
-) -> np.ndarray:
-    """Bounded local moves: shift one block from the slowest-finishing node
-    to another while that strictly lowers the maximum predicted total."""
-    quotas = quotas.astype(float)
-    for _ in range(int(quotas.sum())):
-        totals = quotas * per_block_s
-        src = int(np.argmax(totals))
-        if quotas[src] == 0:
-            break
-        best_dst, best_peak = -1, totals[src]
-        for dst in range(len(quotas)):
-            if dst == src or quotas[dst] + 1 > caps[dst]:
-                continue
-            moved = totals.copy()
-            moved[src] -= per_block_s[src]
-            moved[dst] += per_block_s[dst]
-            peak = moved.max()
-            if peak < best_peak - 1e-12:
-                best_peak, best_dst = peak, dst
-        if best_dst < 0:
-            break
-        quotas[src] -= 1
-        quotas[best_dst] += 1
-    return quotas.astype(int)

@@ -267,7 +267,9 @@ def test_08_lightweight_fidelity():
         lite_loc.append(lite.metrics.locality_ratio)
 
         model = pred.LinearModel()
-        plan = placement.place_heterogeneous(g, list(w.blocks), model, 2)
+        plan = placement.place_heterogeneous(
+            g, list(w.blocks), model, {a.id: a.replication_factor for a in w.apps}
+        )
         res = aco.solve(
             list(w.tasks), plan, g, model,
             aco.AcoConfig.preset("stage7", variant="lightweight"), seed=seed,

@@ -276,6 +276,21 @@ def test_schedule_is_reproducible_and_reused_for_recovery(scheduler):
 CLUSTER_50 = str(REPO / "configs" / "cluster_50.json")
 
 
+@pytest.mark.parametrize("scheduler", experiment.SCHEDULERS)
+def test_every_block_gets_its_own_apps_replication_factor(scheduler):
+    # jobs_example.json mixes apps at RF 2 and RF 3
+    from sccdso.workload import load_job_profiles, workload_from_apps
+
+    g = build_cluster(load_cluster_config(CLUSTER_50))
+    w = workload_from_apps(load_job_profiles(str(REPO / "configs" / "jobs_example.json")))
+    rf = {app.id: app.replication_factor for app in w.apps}
+    assert sorted(set(rf.values())) == [2, 3]
+    plan = experiment.schedule(g, w, scheduler, seed=3).plan
+    for block in w.blocks:
+        replicas = plan.replicas(block.id)
+        assert len(replicas) == len(set(replicas)) == rf[block.app_id]
+
+
 def test_predictor_cache_shares_models_across_equal_hardware():
     # built apart, from the shipped file and from the generator, with equal
     # hardware: one kernel and one regression serve both, whatever label

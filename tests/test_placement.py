@@ -67,36 +67,24 @@ def test_heterogeneous_identical_nodes_split_evenly():
     app = Application(id="app0", input_mb=640, block_size_mb=64, replication_factor=1)
     blocks = partition(app)
     timer = FixedTimer({"a": 1.0, "b": 1.0})
-    plan = place_heterogeneous(g, blocks, timer, rf=1)
+    plan = place_heterogeneous(g, blocks, timer, rf={"app0": 1})
     assert plan.f_primary() == {"a": 5, "b": 5}
 
 
-def exhaustive_minmax(per_block_s, total):
-    """Oracle: enumerate all quota splits, return the best max node total."""
+def exhaustive_minmax(per_block_s, total, caps=None):
+    """Oracle: enumerate every quota split within the caps, return the
+    least max node total."""
     n = len(per_block_s)
-
-    def rec(i, left):
-        if i == n - 1:
-            return (left * per_block_s[i],)
-        best = None
-        for q in range(left + 1):
-            rest = rec(i + 1, left - q)
-            for tail in [rest] if isinstance(rest, tuple) else rest:
-                pass
-            cand = max(q * per_block_s[i], max(rec(i + 1, left - q)))
-            if best is None or cand < best:
-                best = cand
-        return (best,)
-
-    # simple recursive enumeration over quota vectors
+    caps = caps or [total] * n
     best = math.inf
 
     def walk(i, left, cur_max):
         nonlocal best
         if i == n - 1:
-            best = min(best, max(cur_max, left * per_block_s[i]))
+            if left <= caps[i]:
+                best = min(best, max(cur_max, left * per_block_s[i]))
             return
-        for q in range(left + 1):
+        for q in range(min(left, caps[i]) + 1):
             m = max(cur_max, q * per_block_s[i])
             if m < best:
                 walk(i + 1, left - q, m)
@@ -105,12 +93,46 @@ def exhaustive_minmax(per_block_s, total):
     return best
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_heterogeneous_quotas_reach_exact_minmax(data):
+    n = data.draw(st.integers(2, 5))
+    # a small set of times forces ties; free floats cover the rest
+    time = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 3.0]), st.floats(0.01, 100.0))
+    times = data.draw(st.lists(time, min_size=n, max_size=n))
+    caps = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    total = data.draw(st.integers(1, sum(caps)))
+    ids = [f"n{i}" for i in range(n)]
+    g = make_cluster([
+        {"id": nid, "rack": "r1", "cpu_ghz": 2.0, "io_mbps": 200.0, "capacity_mb": cap * 64.0}
+        for nid, cap in zip(ids, caps)
+    ])
+    _, blocks, _ = make_app_tasks(input_mb=total * 64, rf=1)
+    plan = place_heterogeneous(g, blocks, FixedTimer(dict(zip(ids, times))), rf={"app0": 1})
+    f = plan.f_primary()
+    quotas = [f.get(nid, 0) for nid in ids]
+    assert sum(quotas) == total
+    assert all(q <= cap for q, cap in zip(quotas, caps))
+    peak = max(q * t for q, t in zip(quotas, times))
+    assert peak == exhaustive_minmax(times, total, caps)
+
+
+def test_heterogeneous_does_not_stop_at_a_tied_peak():
+    # two slow nodes tie at the peak of a proportional split; only the
+    # fast node should own blocks
+    g = make_cluster([(nid, "r1", 2.0, 200.0) for nid in ("a", "b", "c")])
+    _, blocks, _ = make_app_tasks(input_mb=8 * 64, rf=1)
+    timer = FixedTimer({"a": 3.0, "b": 1 / 3, "c": 3.0})
+    plan = place_heterogeneous(g, blocks, timer, rf={"app0": 1})
+    assert plan.f_primary() == {"b": 8}
+
+
 def test_heterogeneous_two_to_one_rates():
     g = make_cluster([("a", "r1", 2.0, 200.0), ("b", "r1", 2.0, 200.0)])
     app = Application(id="app0", input_mb=9 * 64, block_size_mb=64, replication_factor=1)
     blocks = partition(app)
     timer = FixedTimer({"a": 0.5, "b": 1.0})  # node a twice as fast
-    plan = place_heterogeneous(g, blocks, timer, rf=1)
+    plan = place_heterogeneous(g, blocks, timer, rf={"app0": 1})
     f = plan.f_primary()
     assert f == {"a": 6, "b": 3}
     # cross-check against the exhaustive min-max oracle
@@ -124,7 +146,7 @@ def test_heterogeneous_26_blocks_over_5_nodes(five_node_cluster):
     timer = FixedTimer(
         {"node1": 1 / 3, "node2": 1 / 3, "node3": 1 / 3, "node4": 0.5, "node5": 0.5}
     )
-    plan = place_heterogeneous(five_node_cluster, blocks, timer, rf=2)
+    plan = place_heterogeneous(five_node_cluster, blocks, timer, rf={"app0": 2})
     f = plan.f_primary()
     assert f == {"node1": 6, "node2": 6, "node3": 6, "node4": 4, "node5": 4}
     # ownership is contiguous in block order
@@ -137,17 +159,20 @@ def test_heterogeneous_homogeneous_balance_property():
     app = Application(id="app0", input_mb=23 * 16, block_size_mb=16, replication_factor=1)
     blocks = partition(app)
     timer = FixedTimer({f"n{i}": 1.0 for i in range(7)})
-    plan = place_heterogeneous(g, blocks, timer, rf=1)
+    plan = place_heterogeneous(g, blocks, timer, rf={"app0": 1})
     counts = [plan.f_primary().get(f"n{i}", 0) for i in range(7)]
     assert max(counts) - min(counts) <= 1
 
 
-def test_heterogeneous_prefilters_weak_nodes():
+def test_heterogeneous_slow_node_owns_a_block_only_when_it_finishes_first():
+    # crawl's first block finishes at 25 s: before fast's 26th, not its 5th;
+    # the tie at 25 s goes to the lower node id
     g = make_cluster([("fast", "r1", 3.0, 400.0), ("crawl", "r1", 0.1, 10.0)])
-    _, blocks, _ = make_app_tasks(input_mb=320, rf=1)
-    timer = FixedTimer({"fast": 1.0, "crawl": 25.0})  # 4% of best efficiency
-    plan = place_heterogeneous(g, blocks, timer, rf=1)
-    assert plan.f_primary() == {"fast": 5}
+    timer = FixedTimer({"fast": 1.0, "crawl": 25.0})
+    for n_blocks, expected in ((5, {"fast": 5}), (30, {"crawl": 1, "fast": 29})):
+        _, blocks, _ = make_app_tasks(input_mb=n_blocks * 64, rf=1)
+        plan = place_heterogeneous(g, blocks, timer, rf={"app0": 1})
+        assert plan.f_primary() == expected
 
 
 def test_plan_csv_export(tmp_path, two_rack_cluster):
