@@ -34,8 +34,9 @@ Two pheromone regimes:
 * full — every feasible ant deposits Q / makespan on the edges it used,
   after global evaporation.
 * lightweight (EWMA) — only the best-so-far assignment is reinforced, at
-  rate rho toward 1/T per edge; everything else just evaporates. Paired
-  with a reduced colony (5 ants) for cheap per-iteration work.
+  rate rho toward 1/T per edge; everything else just evaporates. Its
+  presets set a reduced colony (`LIGHTWEIGHT_ANTS`, 5) for cheap
+  per-iteration work.
 
 `AcoConfig` holds the settings the presets and the oracle vary (alpha,
 beta, rho, ants, iterations, regime, objective); the rest of the tuning is
@@ -65,11 +66,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .cluster import ClusterGraph
+from .cluster import CAPACITY_SLACK_MB, ClusterGraph
 from .placement import PlacementPlan
 from .workload import TaskSpec
 
 LIGHTWEIGHT_ANTS = 5
+# the AcoConfig fields each named preset sets
+PRESETS = {
+    "table1": dict(alpha=1.5, beta=2.5, rho=0.2, ants=20, max_iters=50),
+    "stage7": dict(alpha=0.8, beta=1.2, rho=0.1),
+}
 
 
 class InfeasibleScheduleError(RuntimeError):
@@ -113,12 +119,13 @@ class AcoConfig:
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "AcoConfig":
-        if name == "table1":
-            base = dict(alpha=1.5, beta=2.5, rho=0.2, ants=20, max_iters=50)
-        elif name == "stage7":
-            base = dict(alpha=0.8, beta=1.2, rho=0.1)
-        else:
+        """The named preset; the lightweight variant runs LIGHTWEIGHT_ANTS
+        ants unless `ants` is given."""
+        if name not in PRESETS:
             raise ValueError(f"unknown preset: {name}")
+        base = dict(PRESETS[name])
+        if overrides.get("variant") == "lightweight":
+            base["ants"] = LIGHTWEIGHT_ANTS
         base.update(overrides)
         cfg = cls(**base)
         cfg.validate()
@@ -416,7 +423,7 @@ def _ant_row(
     assign = np.full(b, -1, dtype=int)
     feasible = True
     for j, u in zip(order, draws):
-        fits = used + problem.demand_mb[j] <= problem.capacity_mb + 1e-9
+        fits = used + problem.demand_mb[j] <= problem.capacity_mb + CAPACITY_SLACK_MB
         mask = problem.candidate_mask[:, j] & fits
         if not mask.any():
             mask = fits  # fan-out cap must not manufacture infeasibility
@@ -493,7 +500,8 @@ def construct_colony(
     assign = cand[cols, np.count_nonzero(cum <= x[..., None], axis=2)]
     used = np.zeros((ants, n))
     np.add.at(used, (rows, np.take_along_axis(assign, orders, axis=1)), problem.demand_mb[orders])
-    if (used + problem.demand_mb.max(initial=0.0) <= problem.capacity_mb + 1e-9).all():
+    room = problem.capacity_mb + CAPACITY_SLACK_MB
+    if (used + problem.demand_mb.max(initial=0.0) <= room).all():
         return assign, np.ones(ants, dtype=bool)
     built, flags = zip(*(_ant_row(weights, problem, o, d) for o, d in zip(orders, draws)))
     return np.array(built), np.array(flags)
@@ -573,7 +581,7 @@ def _refine_makespan(
             for dst in range(n):
                 if dst == src:
                     continue
-                if used[dst] + problem.demand_mb[j] > problem.capacity_mb[dst] + 1e-9:
+                if used[dst] + problem.demand_mb[j] > problem.capacity_mb[dst] + CAPACITY_SLACK_MB:
                     continue
                 new_mk = max(
                     others,
@@ -634,7 +642,7 @@ def _fits(assign: np.ndarray, demand_mb: np.ndarray, capacity_mb: np.ndarray) ->
         return False
     used = np.zeros(len(capacity_mb))
     np.add.at(used, assign, demand_mb)
-    return bool(np.all(used <= capacity_mb + 1e-9))
+    return bool(np.all(used <= capacity_mb + CAPACITY_SLACK_MB))
 
 
 def preallocation_row(problem: AssignmentProblem) -> np.ndarray:
@@ -655,7 +663,7 @@ def greedy_local_row(problem: AssignmentProblem) -> np.ndarray:
     n = len(problem.node_ids)
     t_eff = problem.t_eff
     demand = problem.demand_mb.tolist()
-    room = (problem.capacity_mb + 1e-9).tolist()
+    room = (problem.capacity_mb + CAPACITY_SLACK_MB).tolist()
     loads = [0.0] * n
     used = [0.0] * n
     assign = np.full(len(problem.tasks), -1, dtype=int)
@@ -679,7 +687,6 @@ def solve_problem(
     problem: AssignmentProblem, config: AcoConfig, seed: int
 ) -> SolveResult:
     config.validate()
-    ants = LIGHTWEIGHT_ANTS if config.variant == "lightweight" else config.ants
     by_makespan = config.objective == "makespan"
     ph = PheromoneMatrix.initial(problem.node_ids, problem.task_ids)
     rng = np.random.default_rng(seed)
@@ -697,7 +704,7 @@ def solve_problem(
     for it in range(1, config.max_iters + 1):
         # pheromones change only between iterations
         weights = selection_weights(ph.tau, problem.eta, config.alpha, config.beta)
-        assign, feasible = construct_colony(weights, problem, rng, ants)
+        assign, feasible = construct_colony(weights, problem, rng, config.ants)
         feasible_ants += int(feasible.sum())
         if it == 1:
             elites = [r for r in (preallocation_row(problem), greedy_local_row(problem))
@@ -777,7 +784,7 @@ def solve_problem(
         trace=tuple(trace),
         iterations=len(trace),
         converged_iteration=converged,
-        ants=len(trace) * ants,
+        ants=len(trace) * config.ants,
         feasible_ants=feasible_ants,
         refine_moves=refine_moves,
         pheromones=ph,
@@ -853,7 +860,7 @@ def baseline_rf_fd(
     used = np.zeros(n)
     assign = np.full(len(tasks), -1, dtype=int)
     for j in range(len(tasks)):
-        fits = used + demand_mb[j] <= capacity_mb + 1e-9
+        fits = used + demand_mb[j] <= capacity_mb + CAPACITY_SLACK_MB
         ok = fits & (loads + t_est[:, j] <= threshold)
         first = int(ok.argmax())  # the first True, when there is one
         if ok[first]:
@@ -896,7 +903,7 @@ def baseline_rsync(
         i = primary
         ok = (
             depth[i] < affinity_depth
-            and used[i] + task.block_mb <= capacity_mb[i] + 1e-9
+            and used[i] + task.block_mb <= capacity_mb[i] + CAPACITY_SLACK_MB
         )
         if not ok:
             chosen = -1
@@ -904,7 +911,7 @@ def baseline_rsync(
             for _ in range(n):
                 cand = spill % n
                 spill += 1
-                if used[cand] + task.block_mb > capacity_mb[cand] + 1e-9:
+                if used[cand] + task.block_mb > capacity_mb[cand] + CAPACITY_SLACK_MB:
                     continue
                 if fallback < 0:
                     fallback = cand

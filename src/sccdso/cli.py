@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
-from . import experiment
-from .cluster import build_cluster, load_cluster_config
+from . import aco, experiment
+
+# what loading a config raises on a bad file or value (a JSON syntax error
+# is a ValueError)
+_CONFIG_ERRORS = (OSError, ValueError, TypeError, KeyError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the configured experiment sweeps")
     run.add_argument("--config", required=True)
-    run.add_argument("--preset", choices=("table1", "stage7"))
+    run.add_argument("--preset", choices=tuple(aco.PRESETS))
     run.add_argument(
         "--schedulers",
         help="comma-separated subset of: " + ",".join(experiment.SCHEDULERS),
@@ -44,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--max-tasks", type=int, default=8)
     orc.add_argument("--max-nodes", type=int, default=4)
     orc.add_argument("--seeds", type=int, default=100)
-    orc.add_argument("--preset", choices=("table1", "stage7"), default="table1")
+    orc.add_argument("--preset", choices=tuple(aco.PRESETS), default="table1")
     orc.add_argument("--ratio-bound", type=float, default=1.05)
     return parser
 
@@ -73,7 +75,7 @@ def _cmd_run(args) -> int:
     try:
         cfg = experiment.load_experiment_config(args.config)
         cfg = _apply_overrides(cfg, args)
-    except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -92,16 +94,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        cfg = experiment.load_experiment_config(args.config)
-        if cfg.cluster_path:
-            build_cluster(load_cluster_config(cfg.cluster_path))
-        if cfg.workload_path:
-            experiment._base_workload(cfg, rf=1, seed=0)
-        print("config ok")
-        return 0
-    except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
+        experiment.load_experiment_config(args.config)
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    print("config ok")
+    return 0
 
 
 def _cmd_oracle(args) -> int:

@@ -33,6 +33,9 @@ import numpy as np
 DEFAULT_INTRA_RACK_LATENCY_S = 0.005
 DEFAULT_INTER_RACK_LATENCY_S = 0.015
 GBPS_TO_MBPS = 125.0  # 1 Gbps = 1000/8 MB/s
+# what every capacity check lets a node's summed MB exceed capacity_mb by,
+# so that float rounding in the sum never rejects a plan that fits
+CAPACITY_SLACK_MB = 1e-9
 
 
 @dataclass(frozen=True)

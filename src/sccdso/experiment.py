@@ -46,11 +46,13 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import aco, placement, predictor as pred, sim, workload as wl
 from .cluster import (
+    CAPACITY_SLACK_MB,
     ClusterGraph,
     build_cluster,
     load_cluster_config,
@@ -110,7 +112,7 @@ class ExperimentConfig:
             raise ValueError("block sizes must be > 0")
         if self.format not in ("csv", "json", "md"):
             raise ValueError(f"unknown format: {self.format}")
-        if self.preset not in ("table1", "stage7"):
+        if self.preset not in aco.PRESETS:
             raise ValueError(f"unknown preset: {self.preset}")
 
         def check(key: str, build) -> None:
@@ -184,9 +186,17 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
+    """`config_from_dict` on the file, then the cluster and the workload the
+    config names, built as the cells build them, so that a bad file is a
+    config error here and not a failure of the run or of every cell."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return config_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
+    cfg = config_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
+    if cfg.cluster_path:
+        build_cluster(load_cluster_config(cfg.cluster_path))
+    if cfg.workload_path:
+        _workload_source(cfg)(0, 1)
+    return cfg
 
 
 def derive_seed(master: int, scenario: str, cell: str, scheduler: str, rep: int) -> int:
@@ -375,25 +385,34 @@ def _single_app_workload(
     return wl.generate_workload(seed, profile)
 
 
-def _base_workload(cfg: ExperimentConfig, rf: int, seed: int) -> wl.Workload:
-    """Workload for the non-size-sweep scenarios: the configured workload
-    file when present (job profiles or a generator profile), otherwise the
-    built-in single-app reference; the cell's replication factor always
-    wins."""
+def _workload_source(cfg: ExperimentConfig):
+    """The (seed, rf) -> Workload builder of the scenarios that do not sweep
+    file size: the configured workload file when present, job profiles or a
+    generator profile, read here once; otherwise the built-in single-app
+    reference. The cell's replication factor replaces every app's, which
+    changes no block, task or arrival."""
     if not cfg.workload_path:
-        return _single_app_workload(
+        return lambda seed, rf: _single_app_workload(
             cfg.locality_input_mb, cfg.locality_block_mb, rf, cfg, seed
         )
     with open(cfg.workload_path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if isinstance(data, dict) and "jobs" in data or isinstance(data, list):
-        apps = wl.load_job_profiles(cfg.workload_path)
-        apps = [replace(a, replication_factor=rf) for a in apps]
-        return wl.workload_from_apps(apps, network_load=cfg.network_load)
-    profile = wl.profile_from_dict(data)
-    generated = wl.generate_workload(seed, profile)
-    apps = [replace(a, replication_factor=rf) for a in generated.apps]
-    return wl.workload_from_apps(apps, network_load=generated.network_load)
+    profile = jobs = None
+    if isinstance(data, dict) and "jobs" not in data:
+        if cfg.network_load:
+            raise ValueError(
+                "network_load and workload: the workload file is a generator "
+                "profile, whose own network_load applies; set network_load there"
+            )
+        profile = wl.profile_from_dict(data)
+    else:
+        jobs = wl.workload_from_apps(wl.apps_from_jobs(data), network_load=cfg.network_load)
+
+    def source(seed: int, rf: int) -> wl.Workload:
+        w = jobs if profile is None else wl.generate_workload(seed, profile)
+        return replace(w, apps=tuple(replace(a, replication_factor=rf) for a in w.apps))
+
+    return source
 
 
 # --- aggregation ----------------------------------------------------------
@@ -467,41 +486,23 @@ def _cells_for(cfg: ExperimentConfig, scenario: str):
         for block_mb in cfg.block_sizes_mb:
             for size in cfg.file_sizes_mb:
                 label = f"{size:g}MB" + (f"/b{block_mb:g}" if sweep_blocks else "")
-                yield (
-                    label,
-                    cluster_cfg,
-                    lambda seed, size=size, block_mb=block_mb: _single_app_workload(
-                        size, block_mb, 1, cfg, seed
-                    ),
-                    None,
-                )
-    elif scenario == "locality-by-cluster-size":
+                build = partial(_single_app_workload, size, block_mb, 1, cfg)
+                yield label, cluster_cfg, build, None
+        return
+    source = _workload_source(cfg)
+    if scenario == "locality-by-cluster-size":
         for n in cfg.cluster_sizes:
-            yield (
-                f"{n}",
-                synthetic_cluster_config(n),
-                lambda seed: _base_workload(cfg, 2, seed),
-                None,
-            )
+            yield f"{n}", synthetic_cluster_config(n), partial(source, rf=2), None
     elif scenario == "throughput-by-replication":
         cluster_cfg = _default_cluster(cfg)
         for rf in cfg.replication_factors:
-            yield (
-                f"RF{rf}",
-                cluster_cfg,
-                lambda seed, rf=rf: _base_workload(cfg, rf, seed),
-                None,
-            )
+            yield f"RF{rf}", cluster_cfg, partial(source, rf=rf), None
     elif scenario == "straggler-completion":
+        def straggle(g, seed):
+            return sim.inject_stragglers(g, cfg.straggler_fraction, cfg.straggler_slowdown, seed)
+
         for n in cfg.straggler_node_counts:
-            yield (
-                f"{n}",
-                synthetic_cluster_config(n),
-                lambda seed: _base_workload(cfg, 2, seed),
-                lambda g, seed: sim.inject_stragglers(
-                    g, cfg.straggler_fraction, cfg.straggler_slowdown, seed
-                ),
-            )
+            yield f"{n}", synthetic_cluster_config(n), partial(source, rf=2), straggle
     else:
         raise ValueError(f"unknown scenario: {scenario}")
 
@@ -700,8 +701,8 @@ def brute_force_makespan(problem: aco.AssignmentProblem) -> float:
 
     The search adds one task at a time, in task order, to every surviving
     prefix on every node, with one broadcast add per level. A prefix is
-    dropped when some node's used MB exceeds `capacity_mb + 1e-9` or when
-    its largest load exceeds the makespan of `_greedy_makespan`'s list
+    dropped when some node's used MB exceeds `capacity_mb + CAPACITY_SLACK_MB`
+    or when its largest load exceeds the makespan of `_greedy_makespan`'s list
     schedule. The pruning is exact:
 
     * each per-node sum adds its terms in task order from 0.0, and every
@@ -720,7 +721,7 @@ def brute_force_makespan(problem: aco.AssignmentProblem) -> float:
     Memory follows the prefixes that survive, not the n^b assignments.
     """
     n = len(problem.node_ids)
-    limit = problem.capacity_mb + 1e-9
+    limit = problem.capacity_mb + CAPACITY_SLACK_MB
     bound = _greedy_makespan(problem)
     nodes = np.arange(n)
     state = np.zeros((1, 2, n))  # per prefix: loads, used MB
@@ -743,7 +744,7 @@ def _greedy_makespan(problem: aco.AssignmentProblem) -> float:
     Its sums and capacity test are `brute_force_makespan`'s, in Python
     floats, so its row is one the search keeps."""
     t_eff = problem.t_eff.tolist()
-    limit = (problem.capacity_mb + 1e-9).tolist()
+    limit = (problem.capacity_mb + CAPACITY_SLACK_MB).tolist()
     loads = [0.0] * len(limit)
     used = [0.0] * len(limit)
     for j, demand in enumerate(problem.demand_mb.tolist()):

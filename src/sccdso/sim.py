@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cluster import ClusterGraph
+from .cluster import CAPACITY_SLACK_MB, ClusterGraph
 from .placement import PlacementPlan
 from .workload import TaskSpec, Workload
 
@@ -242,7 +242,7 @@ def validate_schedule(
         raise ValueError(f"schedule does not cover tasks: {missing[:3]}")
     for nid, mb in used.items():
         cap = g.node(nid).capacity_mb
-        if mb > cap + 1e-9:
+        if mb > cap + CAPACITY_SLACK_MB:
             raise ValueError(f"schedule puts {mb:g} MB on node {nid}, over its {cap:g} MB capacity")
 
 

@@ -11,9 +11,8 @@ always yields the same apps, blocks, and tasks.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -167,48 +166,29 @@ def _sample(rng: np.random.Generator, spec: object) -> float:
 
 
 def generate_workload(seed: int, profile: WorkloadProfile) -> Workload:
-    """Materialize a seeded synthetic workload from a profile."""
+    """Materialize a seeded synthetic workload from a profile: each app's
+    draws in app order, then one inter-arrival draw per task in task order."""
     profile.validate()
     rng = np.random.default_rng(seed)
     apps: list[Application] = []
-    idx = 0
     for group in profile.apps:
         for _ in range(group.count):
-            app = Application(
-                id=f"app{idx}",
+            apps.append(Application(
+                id=f"app{len(apps)}",
                 input_mb=_sample(rng, group.input_mb),
                 block_size_mb=float(group.block_size_mb),
                 replication_factor=int(group.replication_factor),
                 gcycles_per_mb=_sample(rng, group.gcycles_per_mb),
                 demand=_sample(rng, group.demand),
-            )
-            app.validate()
-            apps.append(app)
-            idx += 1
-
-    blocks: list[DataBlock] = []
-    tasks: list[TaskSpec] = []
-    for app in apps:
-        app_blocks = partition(app)
-        blocks.extend(app_blocks)
-        tasks.extend(tasks_for(app, app_blocks))
-
-    arrivals: dict[str, float] = {}
+            ))
+    workload = workload_from_apps(apps, network_load=profile.network_load)
     if profile.arrival_rate_per_s > 0:
-        t = 0.0
-        for task in tasks:
+        arrivals, t = {}, 0.0
+        for task in workload.tasks:
             t += rng.exponential(1.0 / profile.arrival_rate_per_s)
             arrivals[task.id] = t
-    else:
-        arrivals = {task.id: 0.0 for task in tasks}
-
-    return Workload(
-        apps=tuple(apps),
-        blocks=tuple(blocks),
-        tasks=tuple(tasks),
-        arrivals=arrivals,
-        network_load=profile.network_load,
-    )
+        workload = replace(workload, arrivals=arrivals)
+    return workload
 
 
 def profile_from_dict(data: dict) -> WorkloadProfile:
@@ -232,19 +212,15 @@ def profile_from_dict(data: dict) -> WorkloadProfile:
     return profile
 
 
-def load_workload_profile(path: str) -> WorkloadProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return profile_from_dict(json.load(fh))
-
-
-def load_job_profiles(path: str) -> list[Application]:
-    """Ingest JSON job profiles: one object per app with input_mb,
-    block_size_mb, replication, and demand fields."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def apps_from_jobs(data: dict | list) -> list[Application]:
+    """Ingest JSON job profiles, `{"jobs": [...]}` or a bare list: one
+    object per app with input_mb, block_size_mb, replication, and demand
+    fields."""
     jobs = data["jobs"] if isinstance(data, dict) else data
     apps = []
     for i, job in enumerate(jobs):
+        if "input_mb" not in job:
+            raise ValueError(f"job {i}: input_mb is required")
         app = Application(
             id=str(job.get("id", f"job{i}")),
             input_mb=float(job["input_mb"]),
@@ -256,11 +232,12 @@ def load_job_profiles(path: str) -> list[Application]:
         app.validate()
         apps.append(app)
     if not apps:
-        raise ValueError(f"no job profiles found in {path}")
+        raise ValueError("the job profiles list no jobs")
     return apps
 
 
 def workload_from_apps(apps: list[Application], network_load: float = 0.0) -> Workload:
+    """The apps' blocks and tasks, in app order, every task arriving at 0."""
     blocks: list[DataBlock] = []
     tasks: list[TaskSpec] = []
     for app in apps:

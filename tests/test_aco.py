@@ -834,6 +834,17 @@ def test_config_validation_and_presets():
         AcoConfig(beta=0.0).validate()
 
 
+def test_lightweight_preset_sets_the_ants_it_runs():
+    _, _, _, problem = small_problem(n_nodes=4, n_tasks=8, rf=1)
+    for overrides, colony in (({}, LIGHTWEIGHT_ANTS), ({"ants": 7}, 7)):
+        cfg = AcoConfig.preset("table1", variant="lightweight", **overrides)
+        assert cfg.ants == colony
+        res = solve_problem(problem, cfg, seed=4)
+        assert res.ants == res.iterations * colony
+    with pytest.raises(ValueError, match="unknown preset"):
+        AcoConfig.preset("stage8")
+
+
 def test_trace_csv_format(tmp_path):
     problem = oracle_instance(11, max_tasks=4, max_nodes=3)
     res = solve_problem(problem, AcoConfig(ants=4, max_iters=4), seed=1)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sccdso
-from sccdso import aco, experiment, predictor as pred
+from sccdso import aco, experiment, predictor as pred, workload as wl
 from sccdso.cli import main as cli_main
 from sccdso.cluster import build_cluster, load_cluster_config, synthetic_cluster_config
 from sccdso.experiment import (
@@ -196,6 +196,51 @@ def test_workload_file_drives_replication_sweep(tmp_path):
     assert all(run["tasks"] == 4 for run in result.runs)
 
 
+def test_generator_profile_arrivals_reach_the_run(tmp_path):
+    # tasks arrive tens of seconds apart, far beyond a 64 MB task's run
+    data = {"apps": [{"input_mb": 192, "block_size_mb": 64}], "arrival_rate_per_s": 0.1}
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(data))
+    cfg = tiny_config(
+        scenarios=("throughput-by-replication",),
+        replication_factors=(1,),
+        schedulers=("rr", "scc-dso"),
+        workload_path=str(path),
+    )
+    result = run_experiment(cfg)
+    assert not result.failures and result.runs
+    profile = wl.profile_from_dict(data)
+    for run in result.runs:
+        last = max(wl.generate_workload(run["seed"], profile).arrivals.values())
+        assert run["completion_time_s"] >= last > 0
+
+
+def test_workload_file_is_read_once_per_scenario(tmp_path, monkeypatch):
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text('{"jobs": [{"input_mb": 128, "replication": 2}]}')
+    reads = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(jobs):
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    cfg = tiny_config(
+        scenarios=("locality-by-cluster-size", "throughput-by-replication"),
+        cluster_sizes=(4,),
+        replication_factors=(1, 2),
+        repetitions=2,
+        schedulers=("rr", "rsync"),
+        workload_path=str(jobs),
+    )
+    result = run_experiment(cfg)
+    assert not result.failures
+    assert len(result.runs) == 12
+    assert len(reads) == 2
+
+
 def test_block_size_sweep_labels():
     cfg = tiny_config(
         block_sizes_mb=(16.0, 32.0),
@@ -257,7 +302,7 @@ def test_schedule_is_reproducible_and_reused_for_recovery(scheduler):
     )
     [run] = run_experiment(cfg).runs
     g = build_cluster(experiment._default_cluster(cfg))
-    w = experiment._base_workload(cfg, 2, run["seed"])
+    w = experiment._workload_source(cfg)(run["seed"], 2)
     cache = experiment._PredictorCache()
     a, b = (
         experiment.schedule(g, w, scheduler, run["seed"], cache=cache)
@@ -279,10 +324,11 @@ CLUSTER_50 = str(REPO / "configs" / "cluster_50.json")
 @pytest.mark.parametrize("scheduler", experiment.SCHEDULERS)
 def test_every_block_gets_its_own_apps_replication_factor(scheduler):
     # jobs_example.json mixes apps at RF 2 and RF 3
-    from sccdso.workload import load_job_profiles, workload_from_apps
+    from sccdso.workload import apps_from_jobs, workload_from_apps
 
     g = build_cluster(load_cluster_config(CLUSTER_50))
-    w = workload_from_apps(load_job_profiles(str(REPO / "configs" / "jobs_example.json")))
+    jobs = json.loads((REPO / "configs" / "jobs_example.json").read_text())
+    w = workload_from_apps(apps_from_jobs(jobs))
     rf = {app.id: app.replication_factor for app in w.apps}
     assert sorted(set(rf.values())) == [2, 3]
     plan = experiment.schedule(g, w, scheduler, seed=3).plan
@@ -482,6 +528,46 @@ def test_cli_run_overrides(tmp_path):
 
 def test_cli_run_bad_config_exit_1(tmp_path):
     assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "key, content, message",
+    [
+        ("cluster", None, "No such file"),
+        ("workload", None, "No such file"),
+        ("workload", '{"jobs": [{"block_size_mb": 64}]}', "job 0: input_mb is required"),
+    ],
+    ids=["missing-cluster-file", "missing-workload-file", "job-without-input-mb"],
+)
+def test_cli_checks_the_input_files_at_load(tmp_path, capsys, key, content, message):
+    target = tmp_path / f"{key}-file.json"
+    if content is not None:
+        target.write_text(content)
+    path = write_config(tmp_path, **{key: str(target)})
+    for command in ("validate", "run"):
+        assert cli_main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err, err
+
+
+def test_config_network_load_conflicts_with_a_generator_profile(tmp_path, capsys):
+    profile = tmp_path / "profile.json"
+    profile.write_text('{"apps": [{"input_mb": 128}], "network_load": 0.1}')
+    path = write_config(tmp_path, workload=str(profile), network_load=0.2)
+    for command in ("validate", "run"):
+        assert cli_main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: network_load and workload:"), err
+    # the profile's own value applies when the config sets none
+    cfg = experiment.load_experiment_config(write_config(tmp_path, workload=str(profile)))
+    assert experiment._workload_source(cfg)(0, 1).network_load == 0.1
+    # a job-profile file takes the config's
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text('{"jobs": [{"input_mb": 128}]}')
+    cfg = experiment.load_experiment_config(
+        write_config(tmp_path, workload=str(jobs), network_load=0.2)
+    )
+    assert experiment._workload_source(cfg)(0, 1).network_load == 0.2
 
 
 @pytest.mark.parametrize(

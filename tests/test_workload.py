@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -7,8 +8,8 @@ from sccdso.workload import (
     Application,
     AppProfile,
     WorkloadProfile,
+    apps_from_jobs,
     generate_workload,
-    load_job_profiles,
     partition,
     profile_from_dict,
     tasks_for,
@@ -118,26 +119,22 @@ def test_profile_from_dict_and_arrivals():
 
 
 def test_profile_file_roundtrip(tmp_path):
-    from sccdso.workload import load_workload_profile
-
     path = tmp_path / "profile.json"
     path.write_text(
         '{"apps": [{"count": 2, "input_mb": {"uniform": [64, 256]},'
         ' "replication_factor": 2}], "network_load": 0.2}'
     )
-    profile = load_workload_profile(str(path))
+    profile = profile_from_dict(json.loads(path.read_text()))
     w = generate_workload(seed=5, profile=profile)
     assert len(w.apps) == 2
     assert all(a.replication_factor == 2 for a in w.apps)
     assert w.network_load == 0.2
 
 
-def test_job_profile_ingestion(tmp_path):
-    path = tmp_path / "jobs.json"
-    path.write_text(
-        '{"jobs": [{"input_mb": 100, "block_size_mb": 64, "replication": 2, "demand": 0.7}]}'
+def test_job_profile_ingestion():
+    apps = apps_from_jobs(
+        {"jobs": [{"input_mb": 100, "block_size_mb": 64, "replication": 2, "demand": 0.7}]}
     )
-    apps = load_job_profiles(str(path))
     assert len(apps) == 1
     assert apps[0].replication_factor == 2
     assert apps[0].demand == 0.7
