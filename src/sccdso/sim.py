@@ -23,26 +23,46 @@ first pair in (task id, thief) order. The stolen task starts on the thief
 at once, so no task moves twice. The round ends when no pair gains.
 A node's rate (observed mean MB/s, the predictor's bootstrap rate until
 its first completion) and remaining time are each defined once, on its
-runtime state. `now` is fixed within a round, so a round first
-checks that some task is pending and some node can steal, computes a
-victim's remaining time at most once, and recomputes it only after a steal
-takes from it. `SimTrace.runtime_counts` counts the rounds, the picks that
-scored candidates, the (task, thief) candidates scored, the moves, and
+runtime state, which keeps the sums that depend only on its queue, its
+running set and its rate until one of them changes; the remaining time
+then makes one pass over the running set, with no intermediate list.
+`SimTrace.runtime_counts` counts the rounds, the picks that scored
+candidates, the (task, thief) candidates scored, the moves, and
 `no_gain`, the pairs whose gain was not positive.
 `RuntimeConfig` holds only what differs between schedulers and runs:
 migration on or off, the rsync delay per remote access, and the recovery
 blackout.
+
+A round costs what it decides. The engine keeps two sets up to date
+wherever a queue or a running set changes: the nodes with a free slot and
+the nodes with a pending task. A round with either set empty returns at
+once and reads no node state; otherwise the thieves are read from the
+first set and the victims from the second. `now` is fixed within a round,
+so a victim's remaining time changes only when a steal takes from it. A
+victim enters the round's ranking at an upper bound on its remaining time
+(its running blocks counted whole) and is ranked by its exact time only
+once it reaches the top 3; the bound is never below the exact time, so
+the top 3 are those of an exact ranking. A pick scores every (candidate,
+thief) pair at once as one numpy array: the candidates sorted by task id
+are the rows, the thieves in node-id order the columns, and the move is
+the first largest positive gain in row-major order, which is the (task
+id, thief) tie order. A predicted time is gathered from one (node, task)
+array priced from the prediction table and the path table's
+`bandwidth`/`extras_s` arrays with the same `mb / bw + extras` arithmetic
+as a single fetch price; a node's row is priced for every task at its
+first pick as a thief, and all rows are priced afresh once the blackout
+changes which replicas are readable.
 
 Every prediction a run reads, the bootstrap rates and the steal rule's
 predicted times, is a cell of one `predictor.predict_matrix` table over
 the run's cluster view and the workload's tasks. Only a steal round reads
 them, so the table is built on first read, in a steal round only, and a
 node's bootstrap rate on the round's first read of it: a run without
-migration, or whose rounds never find a pending task, predicts nothing.
-The rest of a run costs what its events cost: a count of pending tasks
-lets a round return at once when nothing is queued, and a fetch prices
-each replica once, on routes composed from per-node (uplink, rack core
-link) data built once per run.
+migration, or whose rounds never find both a pending task and a free
+slot, predicts nothing.
+The rest of a run costs what its events cost: a fetch prices each replica
+once, on routes composed from per-node (uplink, rack core link) data built
+once per run.
 
 One run is strictly single-threaded and draws no random numbers;
 identical inputs give a bit-identical trace.
@@ -50,8 +70,10 @@ identical inputs give a bit-identical trace.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
+import operator
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -177,16 +199,24 @@ class SimTrace:
         return asdict(self.metrics)
 
 
+_RUNNING_MB = operator.itemgetter(2)  # of a running entry (start, finish, MB)
+_BLOCK_MB = operator.attrgetter("block_mb")
+
+
 class _NodeRt:
     """Mutable per-node runtime state inside one simulation, and the
     per-node quantities the migration rule reads from it: rate and
     remaining time. `bootstrap` is a zero-argument callable giving the
     predictor-derived rate; it is called at most once, on the first read
     of the rate before any completion, so a run that never asks pays no
-    prediction."""
+    prediction. The queue, the running set and the rate change only
+    through `queue`, `take` (whose caller starts the task at once or queues
+    it elsewhere) and `finish`, so the parts of the remaining time that
+    depend on them alone are kept until one of these runs; a running
+    entry's finish time enters only the done share, read afresh."""
 
     __slots__ = ("spec", "pending", "running", "completed_count", "rate_sum", "_bootstrap",
-                 "_bootstrap_rate")
+                 "_bootstrap_rate", "_drain")
 
     def __init__(self, spec, bootstrap):
         self.spec = spec
@@ -196,6 +226,24 @@ class _NodeRt:
         self.rate_sum = 0.0
         self._bootstrap = bootstrap
         self._bootstrap_rate: float | None = None
+        # (running MB, rate, pending seconds), or None until next read
+        self._drain: tuple[float, float, float] | None = None
+
+    def queue(self, task: TaskSpec) -> None:
+        self.pending.append(task)
+        self._drain = None
+
+    def take(self, i: int = 0) -> TaskSpec:
+        """Remove and return the `i`-th pending task."""
+        self._drain = None
+        return self.pending.pop(i)
+
+    def finish(self, task_id: str, now: float) -> None:
+        """Drop a running task done at `now` and add its MB/s to the rate."""
+        start, _, mb = self.running.pop(task_id)
+        self.completed_count += 1
+        self.rate_sum += mb / max(now - start, 1e-12)
+        self._drain = None
 
     def rate(self) -> float:
         """MB/s: the mean over completed tasks, or the predictor-derived
@@ -207,21 +255,85 @@ class _NodeRt:
             self._bootstrap_rate = self._bootstrap()
         return self._bootstrap_rate
 
+    def _drain_parts(self) -> tuple[float, float, float]:
+        """Compute and keep (running MB, rate, pending seconds): (0, 0.0, 0.0)
+        for an idle node and (0, 0.0, inf) at no rate, so that `remaining`
+        returns the third."""
+        # sums stay `sum()`, whose float result (compensated from Python
+        # 3.12) a hand-written loop would not match
+        cur_mb = sum(map(_RUNNING_MB, self.running.values()))
+        if cur_mb <= 0 and not self.pending:
+            self._drain = (0, 0.0, 0.0)
+        elif (rate := self.rate()) <= 0:
+            self._drain = (0, 0.0, math.inf)
+        else:
+            self._drain = (cur_mb, rate, sum(map(_BLOCK_MB, self.pending)) / rate)
+        return self._drain
+
     def remaining(self, now: float) -> float:
         """Estimated seconds until the queue drains: the unfinished share of
-        the running blocks plus all pending blocks, at `rate()`."""
-        spans = [(max(0.0, min(1.0, (now - s) / (f - s) if f > s else 1.0)), mb)
-                 for s, f, mb in self.running.values()]
-        cur_mb = sum(mb for _, mb in spans)
-        if cur_mb <= 0 and not self.pending:
-            return 0.0
-        rate = self.rate()
-        if rate <= 0:
-            return math.inf
-        prog = sum(p * mb for p, mb in spans) / cur_mb if cur_mb > 0 else 0.0
-        rem = cur_mb * (1.0 - prog) / rate
-        rem += sum(t.block_mb for t in self.pending) / rate
+        the running blocks plus all pending blocks, at `rate()`. One pass
+        over the running set, with no intermediate list."""
+        cur_mb, rate, rem = self._drain or self._drain_parts()
+        if cur_mb > 0:
+            # the share of [start, finish] elapsed at `now`, clamped to [0, 1]
+            done = sum((1.0 if now >= f else (now - s) / (f - s) if now > s else 0.0) * mb
+                       for s, f, mb in self.running.values())
+            rem = cur_mb * (1.0 - done / cur_mb) / rate + rem
         return rem
+
+    def remaining_bound(self) -> float:
+        """An upper bound on `remaining(now)` at every `now`, as floats: the
+        running blocks counted whole. `remaining` scales the running MB by
+        one less the done share, at most 1, and rounding is monotone, so
+        each step it takes is at most the bound's."""
+        cur_mb, rate, rem = self._drain or self._drain_parts()
+        if cur_mb > 0:
+            rem = cur_mb / rate + rem
+        return rem
+
+
+def pick_steal(rem: np.ndarray, pred: np.ndarray) -> tuple[tuple[int, int] | None, int]:
+    """One steal pick. `pred[i, k]` is the predicted seconds of candidate
+    task i on thief k, rows in task-id order and columns in node-id order,
+    and `rem[i]` the remaining time of the node task i is queued on; a
+    cell's gain is `rem[i] - pred[i, k]`. Returns the (row, column) of the
+    largest positive gain, the first in row-major order on a tie, which is
+    the least (task id, thief); or None when no gain is positive. Also
+    returns the count of cells whose gain is not positive."""
+    gain = rem[:, None] - pred
+    np.fmax(gain, 0.0, out=gain)  # a gain that is not positive (or NaN) reads 0
+    positive = int(np.count_nonzero(gain))
+    if not positive:
+        return None, gain.size
+    return divmod(int(gain.argmax()), gain.shape[1]), gain.size - positive
+
+
+class _StealTimes:
+    """Predicted seconds of each task on each node as the steal rule reads
+    them, (node, task) in the prediction table's order: the table's
+    prediction plus the least path-table fetch price over the task's
+    readable replicas, a replica on the node itself costing 0 (the path
+    table's diagonal is an infinite bandwidth and no extras). `replicas`
+    holds the path-table rows of each task's readable replicas, (replica,
+    task), padded to one count with the first. A node's row is priced for
+    every task at once, on its first read."""
+
+    def __init__(self, table: np.ndarray, paths, replicas: np.ndarray, block_mb: np.ndarray):
+        self.table, self.paths, self.replicas, self.block_mb = table, paths, replicas, block_mb
+        self.times = np.empty_like(table)
+        self.priced: set[int] = set()
+
+    def gather(self, nodes: list[int], cols: np.ndarray) -> np.ndarray:
+        """(task, node) times of the tasks in columns `cols` on the nodes in
+        rows `nodes`."""
+        for i in nodes:
+            if i not in self.priced:
+                fetch = self.block_mb / self.paths.bandwidth[i].take(self.replicas)
+                fetch += self.paths.extras_s[i].take(self.replicas)
+                self.times[i] = self.table[i] + fetch.min(axis=0)
+                self.priced.add(i)
+        return self.times[nodes, cols[:, None]]
 
 
 def validate_schedule(
@@ -345,8 +457,13 @@ def simulate(
     events: list[SimEvent] = []
     network_mb = 0.0
     local_exec = 0
-    queued = 0  # pending tasks over all nodes
     pending_flow_keys: dict[str, list] = {}  # task id -> registered links
+    # every change to a queue or a running set ends in `try_start`, which
+    # updates both sets, except a steal's on its victim, which the round
+    # updates itself; a node with a free slot holds no pending task, since
+    # the start loop fills every free slot first
+    free: set[str] = set()  # nodes with a free slot: the thieves
+    loaded: set[str] = set()  # nodes with a pending task: the victims
 
     for nid, ts in by_node.items():
         state = rt[nid]
@@ -354,24 +471,30 @@ def simulate(
         for t in sorted(ts, key=lambda t: (not plan.is_local(nid, t.block_id), t.id)):
             arrival = workload.arrivals.get(t.id, 0.0)
             if arrival <= 0.0:
-                state.pending.append(t)
-                queued += 1
+                state.queue(t)
             else:
                 push(arrival, "arrival", nid, t.id)
 
-    _pt_cache: dict[tuple, float] = {}
+    # the steal rule's predicted times, built on the first pick and again
+    # once the blackout changes which replicas are readable: (after the
+    # blackout, the times)
+    steal_times: tuple[bool, _StealTimes] | None = None
 
-    def predicted_time(nid: str, task: TaskSpec, now: float) -> float:
-        key = (nid, task.id, now >= blackout_time)
-        hit = _pt_cache.get(key)
-        if hit is not None:
-            return hit
-        base = float(t_pred()[row[nid], col[task.id]])
-        reps = replicas_of(task.block_id, now)
-        if nid not in reps:
-            base += min(paths.seconds(nid, r, task.block_mb) for r in reps)
-        _pt_cache[key] = base
-        return base
+    def predicted_times(thieves: list[int], cols: np.ndarray, now: float) -> np.ndarray:
+        """(candidate, thief) predicted seconds of the tasks in table columns
+        `cols` on the nodes in table rows `thieves`."""
+        nonlocal steal_times
+        after = now >= blackout_time
+        if steal_times is None or steal_times[0] != after:
+            reps = [[row[r] for r in replicas_of(t.block_id, now)] for t in workload.tasks]
+            width = max(map(len, reps))
+            steal_times = after, _StealTimes(
+                t_pred(),
+                paths,
+                np.array([r + r[:1] * (width - len(r)) for r in reps]).T.copy(),
+                np.array([t.block_mb for t in workload.tasks]),
+            )
+        return steal_times[1].gather(thieves, cols)
 
     def begin_compute(nid: str, task: TaskSpec, now: float, remote: bool) -> None:
         nonlocal local_exec
@@ -385,11 +508,10 @@ def simulate(
         push(now + service, "task_done", nid, task.id)
 
     def try_start(nid: str, now: float) -> None:
-        nonlocal network_mb, queued
+        nonlocal network_mb
         state = rt[nid]
         while state.pending and len(state.running) < state.spec.slots:
-            task = state.pending.pop(0)
-            queued -= 1
+            task = state.take()
             state.running[task.id] = (now, math.inf, task.block_mb)
             events.append(SimEvent(now, "start", task.id, nid))
             reps = replicas_of(task.block_id, now)
@@ -405,6 +527,15 @@ def simulate(
                 network_mb += task.block_mb
                 events.append(SimEvent(now, "transfer", task.id, nid, f"from={src}"))
                 push(now + dur, "xfer_done", nid, task.id)
+        if state.pending:
+            loaded.add(nid)
+            free.discard(nid)
+        else:
+            loaded.discard(nid)
+            if len(state.running) < state.spec.slots:
+                free.add(nid)
+            else:
+                free.discard(nid)
 
     counts = dict.fromkeys(("rounds", "picks", "candidates", "moves", "no_gain"), 0)
 
@@ -412,50 +543,61 @@ def simulate(
         if not config.enable_migration:
             return
         counts["rounds"] += 1
-        if not queued:
-            return  # nothing to steal: skip the per-node scan
-        # `try_start` fills every free slot from the pending queue, so a node
-        # with a free slot holds no pending task: thieves are never victims,
-        # and a stolen task starts at once. `now` is fixed for the round, so
-        # a victim's remaining time changes only when a steal takes from it.
-        rem: dict[str, float] = {}
+        if not loaded or not free:
+            return  # no victim or no thief: read no node state
+        # thieves are never victims, and a stolen task starts at once. `now`
+        # is fixed for the round, so a victim's remaining time changes only
+        # when a steal takes from it. `ranked` holds (-remaining time, node,
+        # exact) for every victim, least first; an entry starts from the
+        # node's `remaining_bound` and is made exact once it reaches the top
+        # 3. A bound is never below the exact time, so the top 3 are those
+        # of a ranking by exact times, ties by node id included. A steal's
+        # victim is ranked again at the next pick if it still has pending
+        # tasks.
+        ranked = sorted((-rt[nid].remaining_bound(), nid, False) for nid in loaded)
         taken: dict[str, int] = {}
+        src = None
         for _ in range(4 * THETA_MIG):
-            thieves = [
-                nid
-                for nid in node_ids
-                if len(rt[nid].running) < rt[nid].spec.slots and taken.get(nid, 0) < THETA_MIG
-            ]
-            loaded = [nid for nid in node_ids if rt[nid].pending]
+            thieves = sorted(nid for nid in free if taken.get(nid, 0) < THETA_MIG)
             if not thieves or not loaded:
                 break
-            for nid in loaded:
-                if nid not in rem:
-                    rem[nid] = rt[nid].remaining(now)
+            if src in loaded:
+                bisect.insort(ranked, (-rt[src].remaining_bound(), src, False))
+            k = 0
+            while k < min(3, len(ranked)):
+                if ranked[k][2]:
+                    k += 1
+                else:
+                    nid = ranked.pop(k)[1]
+                    bisect.insort(ranked, (-rt[nid].remaining(now), nid, True))
             counts["picks"] += 1
-            # (-gain, task id, thief, victim): the least is the largest gain,
-            # the first in (task id, thief) order on a tie
-            candidates: list[tuple[float, str, str, str]] = []
-            for src in sorted(loaded, key=lambda n: (-rem[n], n))[:3]:
-                for task in rt[src].pending[-8:]:
-                    counts["candidates"] += len(thieves)
-                    for dst in thieves:
-                        gain = rem[src] - predicted_time(dst, task, now)
-                        if gain > 0:
-                            candidates.append((-gain, task.id, dst, src))
-                        else:
-                            counts["no_gain"] += 1
-            if not candidates:
+            # one row per candidate, the last 8 pending tasks of each of the 3
+            # victims, in task-id order: (task id, table column, victim's
+            # remaining time, victim, index in its queue)
+            cands = []
+            for neg, nid, _ in ranked[:3]:
+                queue = rt[nid].pending
+                cands += [(queue[i].id, col[queue[i].id], -neg, nid, i)
+                          for i in range(max(0, len(queue) - 8), len(queue))]
+            cands.sort()
+            _, cols, rems, _, _ = zip(*cands)
+            pred = predicted_times([row[nid] for nid in thieves], np.array(cols), now)
+            pick, no_gain = pick_steal(np.array(rems), pred)
+            counts["candidates"] += pred.size
+            counts["no_gain"] += no_gain
+            if pick is None:
                 break
-            _, tid, dst, src = min(candidates)
-            task = tasks[tid]
-            rt[src].pending.remove(task)
-            rt[dst].pending.append(task)
+            _, _, rem_src, src, i = cands[pick[0]]
+            dst = thieves[pick[1]]
+            ranked.remove((-rem_src, src, True))
+            task = rt[src].take(i)
+            if not rt[src].pending:
+                loaded.discard(src)
+            rt[dst].queue(task)
             taken[dst] = taken.get(dst, 0) + 1
             counts["moves"] += 1
-            events.append(SimEvent(now, "migrate", tid, dst, f"from={src}"))
+            events.append(SimEvent(now, "migrate", task.id, dst, f"from={src}"))
             try_start(dst, now)
-            del rem[src]  # recomputed at the next pick if it still has pending tasks
 
     for nid in node_ids:
         try_start(nid, 0.0)
@@ -466,20 +608,16 @@ def simulate(
         now, _, kind, nid, ref = heapq.heappop(heap)
         state = rt[nid]
         if kind == "arrival":
-            state.pending.append(tasks[ref])
-            queued += 1
+            state.queue(tasks[ref])
             try_start(nid, now)
         elif kind == "xfer_done":
             release_flows(pending_flow_keys.pop(ref))
             begin_compute(nid, tasks[ref], now, remote=True)
         elif kind == "task_done":
-            start, _, mb = state.running.pop(ref)
+            state.finish(ref, now)
             if ref in finished:
                 raise RuntimeError(f"task {ref} finished twice")
             finished.add(ref)
-            duration = max(now - start, 1e-12)
-            state.completed_count += 1
-            state.rate_sum += mb / duration
             events.append(SimEvent(now, "finish", ref, nid))
             completion = max(completion, now)
             try_start(nid, now)

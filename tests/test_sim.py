@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from sccdso.sim import (
     TrueTimeModel,
     _NodeRt,
     inject_stragglers,
+    pick_steal,
     simulate,
     true_service_time,
 )
@@ -176,6 +178,24 @@ def test_remaining_time_bootstraps_before_first_completion():
     assert q.remaining(0.0) == pytest.approx(2.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    running=st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0) | st.just(math.inf),
+                               st.floats(0.0, 256.0)), max_size=4),
+    pending=st.lists(st.floats(0.0, 256.0), max_size=10),
+    rate=st.floats(0.0, 500.0),
+    now=st.floats(0.0, 20.0),
+)
+def test_remaining_bound_is_never_below_the_remaining_time(running, pending, rate, now):
+    # the bound a round ranks victims by must hold in floats, not only in
+    # real arithmetic, or a victim could be ranked below where it belongs
+    q = node_rt(pending=pending, rate=rate)
+    for k, (start, span, mb) in enumerate(running):
+        start = min(start, now)
+        q.running[f"r{k}"] = (start, start + span, mb)
+    assert q.remaining(now) <= q.remaining_bound()
+
+
 # --- the steal pick ------------------------------------------------------
 
 
@@ -312,21 +332,24 @@ def sha(obj) -> str:
 
 
 @pytest.mark.parametrize(
-    "case, events_sha, metrics_sha",
+    "case, events_sha, metrics_sha, runtime_counts",
     [
-        (deep_queue_case, "528c5a876bf4f306", "d84f3d5b3c68a545"),
-        (arrivals_blackout_case, "dc6e5640e4e6e193", "e501f7bc19f332d4"),
+        (deep_queue_case, "528c5a876bf4f306", "d84f3d5b3c68a545",
+         {"rounds": 60, "picks": 6, "candidates": 22, "moves": 6, "no_gain": 0}),
+        (arrivals_blackout_case, "dc6e5640e4e6e193", "e501f7bc19f332d4",
+         {"rounds": 48, "picks": 27, "candidates": 188, "moves": 26, "no_gain": 9}),
     ],
     ids=["deep_queue_case", "arrivals_blackout_case"],
 )
-def test_adaptive_trace_is_pinned(case, events_sha, metrics_sha):
+def test_adaptive_trace_is_pinned(case, events_sha, metrics_sha, runtime_counts):
     # the ground-truth model is pure-Python arithmetic, so these hashes do
     # not depend on the host's BLAS; a change to the runtime that is meant
-    # to keep outputs must keep them
+    # to keep outputs must keep them, and the decision counts with them
     trace = simulate(*case())
     assert trace.metrics.migrations > 0
     check_steals(trace)
     assert (sha(trace.events), sha(trace.metrics)) == (events_sha, metrics_sha)
+    assert trace.runtime_counts == runtime_counts
 
 
 class CountingModel:
@@ -421,6 +444,67 @@ def test_round_without_pending_tasks_reads_no_node_state(monkeypatch):
     trace = simulate(g, plan, schedule, w, RuntimeConfig(enable_migration=True))
     assert trace.runtime_counts["rounds"] == 4 and trace.runtime_counts["picks"] == 0
     assert calls["remaining"] == 0
+
+
+def test_round_without_a_free_slot_reads_no_node_state(monkeypatch):
+    # two equal one-slot nodes drain equal local queues in lockstep: every
+    # round has queued tasks but no free slot, or a free slot but nothing
+    # queued, so none may rank a victim or score a pick
+    calls = {"remaining": 0}
+    real = _NodeRt.remaining
+
+    def counting(self, now):
+        calls["remaining"] += 1
+        return real(self, now)
+
+    monkeypatch.setattr(_NodeRt, "remaining", counting)
+    trace = hand_built([("a", 2.0, 200.0), ("b", 2.0, 200.0)], ["a", "b"] * 5)
+    assert trace.runtime_counts["rounds"] == 10 and trace.runtime_counts["picks"] == 0
+    assert calls["remaining"] == 0
+
+
+def scalar_pick(victims, thieves, pred):
+    """The steal pick as a loop over every (task, thief) pair: the least
+    (-gain, task id, thief, victim) over the positive gains, or None, and
+    the count of pairs whose gain is not positive."""
+    moves, no_gain = [], 0
+    for rem, victim, task_ids in victims:
+        for tid in task_ids:
+            for thief in thieves:
+                gain = rem - pred[tid, thief]
+                if gain > 0:
+                    moves.append((-gain, tid, thief, victim))
+                else:
+                    no_gain += 1
+    return (min(moves) if moves else None), no_gain
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pick_steal_matches_a_scalar_loop(data):
+    # few distinct values force equal gains, non-positive ones and an
+    # infinite remaining time; ids like n10 < n2 and app0/t10 < app0/t2
+    # order as strings, as node and task ids do
+    thieves = sorted(data.draw(st.sets(st.sampled_from([f"n{i}" for i in range(12)]),
+                                       min_size=1, max_size=6)))
+    queues = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    ids = iter(data.draw(st.permutations([f"app0/t{i}" for i in range(24)])))
+    victims = [(data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, math.inf])), f"v{k}",
+                [next(ids) for _ in range(size)]) for k, size in enumerate(queues)]
+    pred = {(tid, thief): data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+            for _, _, task_ids in victims for tid in task_ids for thief in thieves}
+    rows = sorted((tid, rem, victim) for rem, victim, task_ids in victims for tid in task_ids)
+    pick, no_gain = pick_steal(
+        np.array([rem for _, rem, _ in rows]),
+        np.array([[pred[tid, thief] for thief in thieves] for tid, _, _ in rows]),
+    )
+    best, expected_no_gain = scalar_pick(victims, thieves, pred)
+    assert no_gain == expected_no_gain
+    if best is None:
+        assert pick is None
+    else:
+        tid, _, victim = rows[pick[0]]
+        assert (tid, thieves[pick[1]], victim) == best[1:]
 
 
 def test_runtime_counts_explain_the_run():
