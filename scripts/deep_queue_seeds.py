@@ -16,17 +16,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from sccdso import experiment, sim, workload as wl  # noqa: E402
+from sccdso import experiment, sim  # noqa: E402
 from sccdso.cluster import build_cluster, synthetic_cluster_config  # noqa: E402
-
-PROFILE = wl.WorkloadProfile(apps=(wl.AppProfile(
-    count=1,
-    input_mb=208 * 64.0,
-    block_size_mb=64.0,
-    replication_factor=2,
-    demand={"uniform": [0.3, 0.8]},
-    gcycles_per_mb={"uniform": [0.06, 0.1]},
-),))
 
 
 def main() -> int:
@@ -37,12 +28,13 @@ def main() -> int:
     schedulers = args.schedulers.split(",")
 
     g = build_cluster(synthetic_cluster_config(20))
+    cfg = experiment.ExperimentConfig()
     cache = experiment._PredictorCache()
     print("rep  seed                  " + "".join(f"{s:>14}" for s in schedulers))
     totals = dict.fromkeys(schedulers, 0.0)
     for r in range(args.seeds):
         seed = experiment.derive_seed(101, "deep-queue-straggler", "rep", "", r)
-        w = wl.generate_workload(seed, PROFILE)
+        w = experiment._single_app_workload(208 * 64.0, 64.0, 2, cfg, seed)
         view = sim.inject_stragglers(g, 0.2, 4.0, seed)
         row = []
         for s in schedulers:

@@ -20,19 +20,8 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from sccdso import experiment, sim, workload as wl  # noqa: E402
+from sccdso import experiment, sim  # noqa: E402
 from sccdso.cluster import build_cluster, synthetic_cluster_config  # noqa: E402
-
-
-def profile(tasks: int) -> wl.WorkloadProfile:
-    return wl.WorkloadProfile(apps=(wl.AppProfile(
-        count=1,
-        input_mb=tasks * 64.0,
-        block_size_mb=64.0,
-        replication_factor=2,
-        demand={"uniform": [0.3, 0.8]},
-        gcycles_per_mb={"uniform": [0.06, 0.1]},
-    ),))
 
 
 def main() -> int:
@@ -44,7 +33,9 @@ def main() -> int:
     args = parser.parse_args()
 
     g = build_cluster(synthetic_cluster_config(args.nodes))
-    w = wl.generate_workload(args.seed, profile(args.tasks))
+    w = experiment._single_app_workload(
+        args.tasks * 64.0, 64.0, 2, experiment.ExperimentConfig(), args.seed
+    )
     view = sim.inject_stragglers(g, args.stragglers, 4.0, args.seed)
 
     t0 = time.perf_counter()

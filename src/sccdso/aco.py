@@ -55,8 +55,11 @@ so it prices only that plan's B cells: `price_cells`, the per-cell
 arithmetic `build_problem` runs on the full (n, B) grid, at (assign[j],
 j), then `score_cells`, the scorer behind `score_rows`. It never builds
 an `AssignmentProblem`. Its only (n, B) array is the predictor's table
-(`predict_table`), the one form a prediction takes: reservation-first-fit
-reads all of it, rsync and round robin their B cells.
+(`predictor.predict_table`, which `build_problem` reads too):
+reservation-first-fit reads all of it, rsync and round robin their B
+cells. A remote cell's replica is `PathTable.cheapest_fetch`'s, as in
+the simulator's steal rule. The trail is a plain (n, B) array, TAU0 at
+the start; `SolveResult.pheromones` is its final state.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ import numpy as np
 
 from .cluster import CAPACITY_SLACK_MB, ClusterGraph
 from .placement import PlacementPlan
+from .predictor import predict_table
 from .workload import TaskSpec
 
 LIGHTWEIGHT_ANTS = 5
@@ -132,24 +136,6 @@ class AcoConfig:
         return cfg
 
 
-@dataclass
-class PheromoneMatrix:
-    node_ids: tuple[str, ...]
-    task_ids: tuple[str, ...]
-    tau: np.ndarray  # (n_nodes, n_tasks)
-
-    @classmethod
-    def initial(cls, node_ids, task_ids) -> "PheromoneMatrix":
-        return cls(
-            node_ids=tuple(node_ids),
-            task_ids=tuple(task_ids),
-            tau=np.full((len(node_ids), len(task_ids)), TAU0, dtype=float),
-        )
-
-    def clamp(self) -> None:
-        np.maximum(self.tau, TAU_FLOOR, out=self.tau)
-
-
 @dataclass(frozen=True)
 class AntSolution:
     assignment: dict[str, str]  # task id -> node id
@@ -198,13 +184,6 @@ class AssignmentProblem:
         return np.nonzero(self.candidate_mask.T)[1].reshape(b, k)
 
 
-def predict_table(g: ClusterGraph, tasks: list[TaskSpec], predictor) -> np.ndarray:
-    """The predictor's (n, B) table of execution seconds, nodes in the
-    path table's (sorted-id) order."""
-    nodes = [g.node(nid) for nid in g.paths.node_ids]
-    return np.asarray(predictor.predict_matrix(nodes, list(tasks)), dtype=float)
-
-
 def price_cells(
     g: ClusterGraph,
     plan: PlacementPlan,
@@ -217,43 +196,24 @@ def price_cells(
     of its plan. Returns each cell's (access, xtra_delay, cost, src_idx)
     in the broadcast shape. A task whose block has a replica on the node
     is local: compute cost only, and src_idx -1. Otherwise the task
-    fetches from the replica with the least fetch seconds in `g.paths`
-    (transfer plus extras), the lowest node index on a tie; `access` holds
-    that fetch's transfer seconds and `xtra_delay` its extras. Each value
-    depends on its own cell alone, so any cells give the full grid's bits."""
+    fetches from its cheapest replica (`PathTable.cheapest_fetch`);
+    `access` holds that fetch's transfer seconds and `xtra_delay` its
+    extras, which add up to its price. A local replica is the cheapest, on
+    the path table's diagonal, whose bandwidth is inf and whose extras and
+    cost are 0, so the same arithmetic gives a local cell its zeros. Each
+    value depends on its own cell alone, so any cells give the full grid's
+    bits."""
     paths = g.paths
-    n = len(paths.node_ids)
-    # (B, RF) replica node indices in ascending order, so the first least
-    # price is the lowest index; a shorter replica list repeats its first
-    # holder, a duplicate candidate that changes no minimum
-    replicas = [sorted(paths.index[r] for r in plan.replicas(t.block_id)) for t in tasks]
-    rf = max((len(r) for r in replicas), default=1)
-    src = np.array([reps + reps[:1] * (rf - len(reps)) for reps in replicas], dtype=int)
-    src = src.reshape(len(tasks), rf)[j]
     mb = np.array([t.block_mb for t in tasks], dtype=float)[j]
     gcycles = np.array([t.compute_gcycles for t in tasks], dtype=float)[j]
     per_cycle = np.array([g.node(nid).cost_per_cycle for nid in paths.node_ids])[i]
-
-    # each cell's route to its first replica, then a strict `<` over the
-    # other replicas keeps the first least price, as argmin would; routes
-    # are flat (dst, src) indices into the path tables, which allocates
-    # less than carrying every term through the comparison
-    base = i * n
-    route = base + src[..., 0]
-    least = mb / paths.bandwidth.take(route) + paths.extras_s.take(route)
-    local = src[..., 0] == i
-    for r in range(1, rf):
-        alt = base + src[..., r]
-        p = mb / paths.bandwidth.take(alt) + paths.extras_s.take(alt)
-        route = np.where(p < least, alt, route)
-        least = np.minimum(least, p)
-        local |= src[..., r] == i
-
-    compute_cost = (per_cycle * gcycles) * 1e9
-    access = np.where(local, 0.0, mb / paths.bandwidth.take(route))
-    xtra_delay = np.where(local, 0.0, paths.extras_s.take(route))
-    cost = np.where(local, compute_cost, paths.cost_per_mb.take(route) * mb + compute_cost)
-    return access, xtra_delay, cost, np.where(local, -1, route - base)
+    replicas = paths.replica_index(plan.replicas(t.block_id) for t in tasks)[j]
+    _, src = paths.cheapest_fetch(i, replicas, mb)
+    route = i * len(paths.node_ids) + src
+    access = mb / paths.bandwidth.take(route)
+    xtra_delay = paths.extras_s.take(route)
+    cost = paths.cost_per_mb.take(route) * mb + (per_cycle * gcycles) * 1e9
+    return access, xtra_delay, cost, np.where(src == i, -1, src)
 
 
 def build_problem(
@@ -508,33 +468,35 @@ def construct_colony(
 
 
 def update_pheromones_full(
-    pheromones: PheromoneMatrix, assign: np.ndarray, makespan: np.ndarray, config: AcoConfig
+    tau: np.ndarray, assign: np.ndarray, makespan: np.ndarray, config: AcoConfig
 ) -> None:
-    """Evaporate, then deposit Q/makespan along the edges of every row of
-    `assign`, the (k, B) node-index rows of feasible plans, with their (k,)
-    makespans. One `np.add.at` adds the deposits edge by edge in row
-    order, as a loop over the rows would."""
-    pheromones.tau *= 1.0 - config.rho
+    """Evaporate the (n, B) trail `tau` in place, then deposit Q/makespan
+    along the edges of every row of `assign`, the (k, B) node-index rows of
+    feasible plans, with their (k,) makespans, and floor it at TAU_FLOOR.
+    One `np.add.at` adds the deposits edge by edge in row order, as a loop
+    over the rows would."""
+    tau *= 1.0 - config.rho
     keep = makespan > 0
-    cols = np.arange(len(pheromones.task_ids))
-    np.add.at(pheromones.tau, (assign[keep], cols), (Q_CONST / makespan[keep])[:, None])
-    pheromones.clamp()
+    cols = np.arange(tau.shape[1])
+    np.add.at(tau, (assign[keep], cols), (Q_CONST / makespan[keep])[:, None])
+    np.maximum(tau, TAU_FLOOR, out=tau)
 
 
 def update_pheromones_ewma(
-    pheromones: PheromoneMatrix, best: np.ndarray | None, t_eff: np.ndarray, config: AcoConfig
+    tau: np.ndarray, best: np.ndarray | None, t_eff: np.ndarray, config: AcoConfig
 ) -> None:
-    """Evaporate everywhere; nudge only the best plan's edges (`best`, its
-    (B,) node-index row, None before any feasible plan) toward 1/T at rate
-    rho, T the edge's effective time in `t_eff` (the problem's (n, B)
-    table). Repeated application with a fixed best converges each
-    reinforced entry to exactly 1/T."""
-    pheromones.tau *= 1.0 - config.rho
+    """Evaporate the (n, B) trail `tau` in place everywhere; nudge only the
+    best plan's edges (`best`, its (B,) node-index row, None before any
+    feasible plan) toward 1/T at rate rho, T the edge's effective time in
+    `t_eff` (the problem's (n, B) table); floor it at TAU_FLOOR. Repeated
+    application with a fixed best converges each reinforced entry to
+    exactly 1/T."""
+    tau *= 1.0 - config.rho
     if best is not None:
-        cols = np.arange(len(pheromones.task_ids))
+        cols = np.arange(tau.shape[1])
         delta = 1.0 / np.maximum(t_eff[best, cols], 1e-12)
-        pheromones.tau[best, cols] += config.rho * delta
-    pheromones.clamp()
+        tau[best, cols] += config.rho * delta
+    np.maximum(tau, TAU_FLOOR, out=tau)
 
 
 @dataclass(frozen=True)
@@ -555,7 +517,7 @@ class SolveResult:
     ants: int  # ants constructed, iterations x colony size
     feasible_ants: int  # feasible among them; elites and refined rows not counted
     refine_moves: int  # task moves made by the makespan hill climb
-    pheromones: PheromoneMatrix | None = None  # final trail state
+    pheromones: np.ndarray | None = None  # final (n, B) trail
 
 
 def _refine_makespan(
@@ -631,13 +593,9 @@ def solve(
     return solve_problem(problem, config, seed)
 
 
-def fits_capacity(problem: AssignmentProblem, assign: np.ndarray) -> bool:
-    """Whether a (B,) node-index row assigns every task within every
-    node's capacity."""
-    return _fits(assign, problem.demand_mb, problem.capacity_mb)
-
-
 def _fits(assign: np.ndarray, demand_mb: np.ndarray, capacity_mb: np.ndarray) -> bool:
+    """Whether a (B,) node-index row assigns every task, task j's
+    `demand_mb[j]` summed on its node within that node's `capacity_mb`."""
     if (assign < 0).any():
         return False
     used = np.zeros(len(capacity_mb))
@@ -688,7 +646,7 @@ def solve_problem(
 ) -> SolveResult:
     config.validate()
     by_makespan = config.objective == "makespan"
-    ph = PheromoneMatrix.initial(problem.node_ids, problem.task_ids)
+    tau = np.full(problem.t_eff.shape, TAU0)
     rng = np.random.default_rng(seed)
 
     best_row: np.ndarray | None = None
@@ -703,12 +661,12 @@ def solve_problem(
 
     for it in range(1, config.max_iters + 1):
         # pheromones change only between iterations
-        weights = selection_weights(ph.tau, problem.eta, config.alpha, config.beta)
+        weights = selection_weights(tau, problem.eta, config.alpha, config.beta)
         assign, feasible = construct_colony(weights, problem, rng, config.ants)
         feasible_ants += int(feasible.sum())
         if it == 1:
             elites = [r for r in (preallocation_row(problem), greedy_local_row(problem))
-                      if fits_capacity(problem, r)]
+                      if _fits(r, problem.demand_mb, problem.capacity_mb)]
             if elites:
                 assign = np.vstack([assign, *elites])
                 feasible = np.concatenate([feasible, np.ones(len(elites), dtype=bool)])
@@ -751,13 +709,13 @@ def solve_problem(
         )
 
         if config.variant == "lightweight":
-            update_pheromones_ewma(ph, best_row, problem.t_eff, config)
+            update_pheromones_ewma(tau, best_row, problem.t_eff, config)
         else:
             if best_row is not None:
                 # best-ever rides along as an elitist depositor
                 assign = np.vstack([assign, best_row])
                 makespan = np.append(makespan, best_makespan)
-            update_pheromones_full(ph, assign, makespan, config)
+            update_pheromones_full(tau, assign, makespan, config)
 
         if best_row is not None:
             if np.isfinite(prev_val):
@@ -787,7 +745,7 @@ def solve_problem(
         ants=len(trace) * config.ants,
         feasible_ants=feasible_ants,
         refine_moves=refine_moves,
-        pheromones=ph,
+        pheromones=tau,
     )
 
 

@@ -13,7 +13,8 @@ A route's price is defined once, in `PathTable` (`ClusterGraph.paths`):
 fetching `mb` from node src to node dst takes `mb / bandwidth + extras_s`
 seconds, the route's bottleneck plus its link queue delays and tier
 latency, and costs `mb * cost_per_mb`. The colony, the steal rule and the
-simulator all read it; the simulator adds only per-link fair sharing.
+simulator all read it, the first two through its cheapest-replica rule
+(`cheapest_fetch`); the simulator adds only per-link fair sharing.
 
 A built ClusterGraph is immutable; derive modified views (e.g. slowed-down
 nodes) by rebuilding rather than mutating. A view that changes links
@@ -139,9 +140,11 @@ class PathTable:
     """Fetch prices over (dst, src) node-index pairs, nodes in sorted-id
     order. A fetch of `mb` MB takes `mb / bandwidth + extras_s` seconds and
     costs `mb * cost_per_mb`; on the diagonal (a local read) both are 0.
-    A route sum adds the two uplinks' terms and, on an inter-rack route, the
-    two core links' terms, each pair on its own, so (a, b) and (b, a) give
-    the same float. The (n, n) arrays are built in place: a large cluster
+    A replicated block is fetched from its cheapest replica, one rule
+    (`cheapest_fetch`) over the rows `replica_index` builds. A route sum
+    adds the two uplinks' terms and, on an inter-rack route, the two core
+    links' terms, each pair on its own, so (a, b) and (b, a) give the same
+    float. The (n, n) arrays are built in place: a large cluster
     keeps its table for the graph's life, and few transients keep the
     build's peak memory down."""
 
@@ -188,6 +191,36 @@ class PathTable:
         for table in (bandwidth, extras, cost):
             table.flags.writeable = False  # shared by every reader of the graph
         return cls(node_ids, {nid: i for i, nid in enumerate(node_ids)}, bandwidth, extras, cost)
+
+    def replica_index(self, replicas) -> np.ndarray:
+        """(len(replicas), RF) indices of each entry's replica node ids,
+        ascending, RF the longest entry's count; a shorter entry repeats its
+        first (least) index, a duplicate that changes no minimum."""
+        rows = [sorted(self.index[r] for r in reps) for reps in replicas]
+        rf = max(map(len, rows), default=1)
+        return np.array([r + r[:1] * (rf - len(r)) for r in rows], dtype=int).reshape(len(rows), rf)
+
+    def cheapest_fetch(
+        self, dst: np.ndarray, replicas: np.ndarray, mb: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The one cheapest-replica rule. `dst` holds destination indices,
+        `replicas` a (..., RF) array of `replica_index` rows and `mb` each
+        row's block MB, broadcast together with `replicas[..., 0]`. Returns
+        the least fetch seconds `mb / bandwidth + extras_s` over the
+        replicas and the replica that gives it, the first least, so the
+        lowest node index on a tie. A replica on the destination costs 0,
+        and every other replica more (as `mb` > 0), so it is the route."""
+        n = len(self.node_ids)
+        base = dst * n
+        # flat (dst, src) routes; a strict `<` keeps the first least price
+        route = base + replicas[..., 0]
+        least = mb / self.bandwidth.take(route) + self.extras_s.take(route)
+        for r in range(1, replicas.shape[-1]):
+            alt = base + replicas[..., r]
+            price = mb / self.bandwidth.take(alt) + self.extras_s.take(alt)
+            route = np.where(price < least, alt, route)
+            least = np.minimum(least, price)
+        return least, route - base
 
     def extras(self, dst: str, src: str) -> float:
         return float(self.extras_s[self.index[dst], self.index[src]])

@@ -175,6 +175,11 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{key} must be a list, got {value!r}")
             value = tuple(value)
+        elif isinstance(f.default, int) and (
+            isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+        ):
+            # int() would truncate 2.5 to 2 and read true as 1
+            raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
         elif isinstance(f.default, (int, float)):
             value = type(f.default)(value)
         values[f.name] = value

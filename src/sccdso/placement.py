@@ -29,6 +29,7 @@ from collections import defaultdict
 import numpy as np
 
 from .cluster import ClusterGraph
+from .predictor import predict_table
 from .workload import DataBlock, TaskSpec
 
 
@@ -159,8 +160,7 @@ def place_heterogeneous(
         resource_demand=0.5,
         compute_gcycles=max(ref_mb * 0.08, 1e-6),
     )
-    column = predictor.predict_matrix([g.node(nid) for nid in node_ids], [ref_task])[:, 0]
-    times = column.tolist()
+    times = predict_table(g, [ref_task], predictor)[:, 0].tolist()
     for nid, t in zip(node_ids, times):
         if not np.isfinite(t) or t <= 0:
             raise ValueError(f"predictor returned invalid time for node {nid}")

@@ -16,8 +16,9 @@ Fitted models are immutable; share them freely across runs.
 
 A prediction has one definition: `predict_matrix(nodes, tasks)`, the
 (nodes x tasks) table of predicted seconds. `predict(node, task)` is its
-one cell, and the colony, the placement and the simulator all read
-tables. A feature-based model evaluates only the grid's distinct rows
+one cell. The colony, the baselines, the placement and the simulator read
+it through `predict_table`, the table over a cluster's sorted nodes. A
+feature-based model evaluates only the grid's distinct rows
 (hardware tiers times block sizes) and scatters them back, so each row's
 prediction must not depend on the rows batched with it. Its products
 therefore use `np.einsum`, which sums each output in its own fixed
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import NodeSpec
+from .cluster import ClusterGraph, NodeSpec
 from .workload import TaskSpec
 
 PREDICTION_FLOOR_S = 1e-3
@@ -55,6 +56,14 @@ class ExecRecord:
 
 def features_for(node: NodeSpec, task: TaskSpec) -> np.ndarray:
     return np.array([task.block_mb, node.cpu_ghz, node.mem_gb, node.io_mbps])
+
+
+def predict_table(g: ClusterGraph, tasks, model) -> np.ndarray:
+    """`model`'s (n, B) table of execution seconds as a float array, rows
+    the nodes of `g` in sorted-id order (the path table's), columns
+    `tasks` in order."""
+    nodes = [g.node(nid) for nid in g.node_ids()]
+    return np.asarray(model.predict_matrix(nodes, list(tasks)), dtype=float)
 
 
 def _distinct_rows_table(

@@ -47,15 +47,15 @@ thief) pair at once as one numpy array: the candidates sorted by task id
 are the rows, the thieves in node-id order the columns, and the move is
 the first largest positive gain in row-major order, which is the (task
 id, thief) tie order. A predicted time is gathered from one (node, task)
-array priced from the prediction table and the path table's
-`bandwidth`/`extras_s` arrays with the same `mb / bw + extras` arithmetic
-as a single fetch price; a node's row is priced for every task at its
-first pick as a thief, and all rows are priced afresh once the blackout
-changes which replicas are readable.
+array: the prediction table's cell plus the path table's cheapest fetch
+over the readable replicas (`PathTable.cheapest_fetch`, the rule the
+colony prices a remote cell by). A node's row is priced for every task at
+its first pick as a thief, and all rows are priced afresh once the
+blackout changes which replicas are readable.
 
 Every prediction a run reads, the bootstrap rates and the steal rule's
-predicted times, is a cell of one `predictor.predict_matrix` table over
-the run's cluster view and the workload's tasks. Only a steal round reads
+predicted times, is a cell of one `predictor.predict_table` over the
+run's cluster view and the workload's tasks. Only a steal round reads
 them, so the table is built on first read, in a steal round only, and a
 node's bootstrap rate on the round's first read of it: a run without
 migration, or whose rounds never find both a pending task and a free
@@ -75,12 +75,13 @@ import heapq
 import math
 import operator
 from dataclasses import asdict, dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .cluster import CAPACITY_SLACK_MB, ClusterGraph
 from .placement import PlacementPlan
+from .predictor import predict_table
 from .workload import TaskSpec, Workload
 
 if TYPE_CHECKING:
@@ -150,8 +151,7 @@ class RuntimeConfig:
             raise ValueError("sync_delay_s must be >= 0")
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     time: float
     kind: str  # start / transfer / finish / migrate
     task_id: str
@@ -312,12 +312,11 @@ def pick_steal(rem: np.ndarray, pred: np.ndarray) -> tuple[tuple[int, int] | Non
 class _StealTimes:
     """Predicted seconds of each task on each node as the steal rule reads
     them, (node, task) in the prediction table's order: the table's
-    prediction plus the least path-table fetch price over the task's
-    readable replicas, a replica on the node itself costing 0 (the path
-    table's diagonal is an infinite bandwidth and no extras). `replicas`
-    holds the path-table rows of each task's readable replicas, (replica,
-    task), padded to one count with the first. A node's row is priced for
-    every task at once, on its first read."""
+    prediction plus the path table's cheapest fetch over the task's
+    readable replicas, a replica on the node itself costing 0. `replicas`
+    holds each task's row of `PathTable.replica_index` over its readable
+    replicas. A node's row is priced for every task at once, on its first
+    read."""
 
     def __init__(self, table: np.ndarray, paths, replicas: np.ndarray, block_mb: np.ndarray):
         self.table, self.paths, self.replicas, self.block_mb = table, paths, replicas, block_mb
@@ -329,9 +328,8 @@ class _StealTimes:
         rows `nodes`."""
         for i in nodes:
             if i not in self.priced:
-                fetch = self.block_mb / self.paths.bandwidth[i].take(self.replicas)
-                fetch += self.paths.extras_s[i].take(self.replicas)
-                self.times[i] = self.table[i] + fetch.min(axis=0)
+                fetch, _ = self.paths.cheapest_fetch(i, self.replicas, self.block_mb)
+                self.times[i] = self.table[i] + fetch
                 self.priced.add(i)
         return self.times[nodes, cols[:, None]]
 
@@ -392,14 +390,10 @@ def simulate(
     table: np.ndarray | None = None
 
     def t_pred() -> np.ndarray:
-        """The run's one prediction table, (node, task) in sorted-id and
-        workload order, built on first read."""
+        """The run's one prediction table, built on first read."""
         nonlocal table
         if table is None:
-            table = np.asarray(
-                predictor.predict_matrix([g.node(nid) for nid in node_ids], list(workload.tasks)),
-                dtype=float,
-            )
+            table = predict_table(g, workload.tasks, predictor)
         return table
 
     def bootstrap_rate(nid: str, assigned: list[TaskSpec]) -> float:
@@ -486,12 +480,10 @@ def simulate(
         nonlocal steal_times
         after = now >= blackout_time
         if steal_times is None or steal_times[0] != after:
-            reps = [[row[r] for r in replicas_of(t.block_id, now)] for t in workload.tasks]
-            width = max(map(len, reps))
             steal_times = after, _StealTimes(
                 t_pred(),
                 paths,
-                np.array([r + r[:1] * (width - len(r)) for r in reps]).T.copy(),
+                paths.replica_index(replicas_of(t.block_id, now) for t in workload.tasks),
                 np.array([t.block_mb for t in workload.tasks]),
             )
         return steal_times[1].gather(thieves, cols)

@@ -63,7 +63,7 @@ def test_02_constraint_soundness():
             cap = problem.capacity_mb[problem.node_ids.index(nid)]
             if total > cap + 1e-9:
                 violations += 1
-        if (res.pheromones.tau < aco.TAU_FLOOR - 1e-15).any():
+        if (res.pheromones < aco.TAU_FLOOR - 1e-15).any():
             floor_breaches += 1
     report(
         2,

@@ -11,7 +11,6 @@ from sccdso.aco import (
     AcoConfig,
     AntSolution,
     InfeasibleScheduleError,
-    PheromoneMatrix,
     Q_CONST,
     TAU0,
     TAU_FLOOR,
@@ -23,7 +22,6 @@ from sccdso.aco import (
     build_problem,
     construct_colony,
     construct_solution,
-    fits_capacity,
     greedy_local_row,
     preallocation_row,
     score_rows,
@@ -118,8 +116,7 @@ def test_high_beta_is_greedy_argmin():
         times=FixedTimer({"n0": 2.0, "n1": 0.5, "n2": 3.0}),
     )
     cfg = AcoConfig(beta=50.0, ants=1, max_iters=1)
-    ph = PheromoneMatrix.initial(problem.node_ids, problem.task_ids)
-    weights = selection_weights(ph.tau, problem.eta, cfg.alpha, cfg.beta)
+    weights = selection_weights(np.full((3, 1), TAU0), problem.eta, cfg.alpha, cfg.beta)
     rng = np.random.default_rng(0)
     argmin_node = problem.node_ids[int(np.argmin(problem.t_eff[:, 0]))]
     hits = sum(
@@ -328,7 +325,7 @@ def test_subnormal_totals_keep_picks_on_candidates_that_fit():
     flags = np.concatenate([*flags, [s.feasible for s in ants]])
     assert flags.all()
     assert (rows < 10).all()
-    assert all(fits_capacity(problem, row) for row in rows)
+    assert all(aco._fits(row, problem.demand_mb, problem.capacity_mb) for row in rows)
 
 
 def test_colony_equals_scalar_ants_on_every_oracle_shape():
@@ -340,8 +337,8 @@ def test_colony_equals_scalar_ants_on_every_oracle_shape():
         seed += 1
     cfg = AcoConfig.preset("table1")
     for k, problem in enumerate(shapes.values()):
-        ph = PheromoneMatrix.initial(problem.node_ids, problem.task_ids)
-        weights = selection_weights(ph.tau, problem.eta, cfg.alpha, cfg.beta)
+        weights = selection_weights(
+            np.full(problem.t_eff.shape, TAU0), problem.eta, cfg.alpha, cfg.beta)
         assert_colony_matches_scalar(weights, problem, k, ants=cfg.ants)
 
 
@@ -450,7 +447,7 @@ def test_benchmark_shapes_take_every_pick_at_once(n_nodes, monkeypatch):
         ants = cfg.ants
         result, calls = rebuilt_ants(monkeypatch, lambda: solve_problem(problem, cfg, n_nodes))
         assert calls == 0
-        for tau in (np.full(problem.t_eff.shape, aco.TAU0), result.pheromones.tau):
+        for tau in (np.full(problem.t_eff.shape, aco.TAU0), result.pheromones):
             weights = selection_weights(tau, problem.eta, cfg.alpha, cfg.beta)
             rng = np.random.default_rng(ants)
             _, calls = rebuilt_ants(monkeypatch, lambda: construct_colony(weights, problem, rng, ants))
@@ -488,56 +485,56 @@ def test_deposits_equal_per_edge_loops():
     np.add.at(hits, (rows[:-1], np.arange(150)), 1)
     assert hits.max() >= 4  # several ants and best-ever share an edge
     cfg = AcoConfig(rho=0.2)
-    ph = PheromoneMatrix(problem.node_ids, problem.task_ids, tau.copy())
+    ph = tau.copy()
     update_pheromones_full(ph, rows, mks, cfg)
-    assert ph.tau.tobytes() == deposit_reference(tau, rows, cfg.rho, mks).tobytes()
+    assert ph.tobytes() == deposit_reference(tau, rows, cfg.rho, mks).tobytes()
     # the loop this replaced: one fancy-index add per solution, in order
     sequential = tau * (1.0 - cfg.rho)
     for row, mk in zip(rows, mks):
         if mk > 0:
             sequential[row, np.arange(150)] += Q_CONST / mk
-    assert ph.tau.tobytes() == np.maximum(sequential, TAU_FLOOR).tobytes()
-    ph = PheromoneMatrix(problem.node_ids, problem.task_ids, tau.copy())
+    assert ph.tobytes() == np.maximum(sequential, TAU_FLOOR).tobytes()
+    ph = tau.copy()
     update_pheromones_ewma(ph, assign[3], problem.t_eff, cfg)
     want = deposit_reference(tau, assign[3:4], cfg.rho, t_eff=problem.t_eff)
-    assert ph.tau.tobytes() == want.tobytes()
+    assert ph.tobytes() == want.tobytes()
 
 
 def test_full_update_evaporation_only():
     cfg = AcoConfig(rho=0.1)
-    ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]))
+    ph = np.array([[1.0]])
     update_pheromones_full(ph, np.empty((0, 1), dtype=int), np.empty(0), cfg)
-    assert ph.tau[0, 0] == pytest.approx(0.9)
+    assert ph[0, 0] == pytest.approx(0.9)
 
 
 def test_full_update_deposit_arithmetic():
     cfg = AcoConfig(rho=0.1)
-    ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]))
+    ph = np.array([[1.0]])
     update_pheromones_full(ph, np.array([[0]]), np.array([50.0]), cfg)
-    assert ph.tau[0, 0] == pytest.approx(0.9 + Q_CONST / 50.0)
+    assert ph[0, 0] == pytest.approx(0.9 + Q_CONST / 50.0)
 
 
 def test_pheromone_floor_clamps():
     cfg = AcoConfig(rho=0.3)
-    ph = PheromoneMatrix(("a",), ("t",), np.array([[1.2 * TAU_FLOOR]]))
+    ph = np.array([[1.2 * TAU_FLOOR]])
     update_pheromones_full(ph, np.empty((0, 1), dtype=int), np.empty(0), cfg)
-    assert ph.tau[0, 0] == TAU_FLOOR
+    assert ph[0, 0] == TAU_FLOOR
 
 
 def test_ewma_update_examples():
     cfg = AcoConfig(rho=0.1)
-    ph = PheromoneMatrix(("a", "b"), ("t",), np.array([[1.0], [1.0]]))
+    ph = np.array([[1.0], [1.0]])
     update_pheromones_ewma(ph, np.array([0]), np.array([[2.0], [2.0]]), cfg)
-    assert ph.tau[0, 0] == pytest.approx(0.95)  # (1-rho) + rho/T
-    assert ph.tau[1, 0] == pytest.approx(0.90)  # evaporation only
+    assert ph[0, 0] == pytest.approx(0.95)  # (1-rho) + rho/T
+    assert ph[1, 0] == pytest.approx(0.90)  # evaporation only
 
 
 def test_ewma_fixed_point_is_inverse_time():
     cfg = AcoConfig(rho=0.1)
-    ph = PheromoneMatrix(("a",), ("t",), np.array([[1.0]]))
+    ph = np.array([[1.0]])
     for _ in range(300):
         update_pheromones_ewma(ph, np.array([0]), np.array([[2.0]]), cfg)
-    assert ph.tau[0, 0] == pytest.approx(0.5, abs=1e-6)
+    assert ph[0, 0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_solve_two_tasks_two_identical_nodes():
@@ -680,7 +677,8 @@ def test_elite_seeds_are_feasible_and_local():
     problem = oracle_instance(42, max_tasks=6, max_nodes=4)
     pre = preallocation_row(problem)
     greedy = greedy_local_row(problem)
-    assert fits_capacity(problem, pre) and fits_capacity(problem, greedy)
+    for row in (pre, greedy):
+        assert aco._fits(row, problem.demand_mb, problem.capacity_mb)
     for task, i in zip(problem.tasks, pre):
         assert problem.node_ids[i] == problem.plan.primary(task.block_id)
     for task, i in zip(problem.tasks, greedy):

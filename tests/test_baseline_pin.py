@@ -125,7 +125,7 @@ def test_baselines_equal_their_row_on_the_full_grid():
                 problem = aco.build_problem(g, plan, tasks, predictor)
                 row = got.node_index
                 want = aco._solution_from_indices(
-                    problem, row[None], aco.fits_capacity(problem, row))[0]
+                    problem, row[None], aco._fits(row, problem.demand_mb, problem.capacity_mb))[0]
                 assert record(got) == record(want)
                 assert row.dtype == want.node_index.dtype
 

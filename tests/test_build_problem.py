@@ -199,3 +199,18 @@ def test_price_cells_equals_build_problem_tables(seed, n_racks, cells, grid):
         for a, w in zip(got, want):
             assert a.dtype == w.dtype and a.shape == w.shape
             assert a.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n_racks", [1, 2, 3])
+def test_colony_and_steal_rule_price_a_fetch_alike(n_racks):
+    # every cell's access + xtra_delay, the colony's fetch, is the path
+    # table's cheapest fetch bit for bit, the price the steal rule adds
+    for seed in range(40):
+        g, plan, tasks = random_instance(seed, n_racks)
+        p = aco.build_problem(g, plan, tasks, TrueTimeModel())
+        replicas = g.paths.replica_index(plan.replicas(t.block_id) for t in tasks)
+        mb = np.array([t.block_mb for t in tasks])
+        for i in range(len(p.node_ids)):
+            price, src = g.paths.cheapest_fetch(i, replicas, mb)
+            assert (p.access[i] + p.xtra_delay[i]).tobytes() == price.tobytes(), seed
+            assert (p.src_idx[i] == np.where(src == i, -1, src)).all(), seed

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sccdso.cluster import (
     build_cluster,
@@ -168,3 +168,63 @@ def test_scale_bandwidth_view(two_rack_cluster):
     assert g.paths is not two_rack_cluster.paths
     with pytest.raises(ValueError):
         scale_bandwidth(two_rack_cluster, 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cheapest_fetch_equals_a_loop_over_replicas(data):
+    # few bandwidths, one queue delay on every link and both latencies, so
+    # equal prices are common; some tasks are forced onto two replicas of
+    # one price from a node, and a shorter replica list is padded
+    draw = data.draw
+    n = draw(st.integers(2, 12), label="nodes")
+    n_racks = draw(st.integers(1, min(3, n)), label="racks")
+    speeds = st.sampled_from([75.0, 125.0, 300.0])
+    g = make_cluster(
+        [{"id": f"n{i:02d}", "rack": f"r{i % n_racks}", "cpu_ghz": 2.0, "io_mbps": 100.0,
+          "uplink_mbps": draw(speeds)} for i in range(n)],
+        racks=[f"r{k}" for k in range(n_racks)],
+        bw=draw(speeds),
+        intra_ms=draw(st.sampled_from([0.0, 1.0, 5.0])),
+        inter_ms=draw(st.sampled_from([5.0, 15.0])),
+        link_queue_delay_ms=draw(st.sampled_from([0.0, 0.5, 2.0])),
+    )
+    p = g.paths
+    ids = list(p.node_ids)
+    replicas, mbs = [], []
+    for _ in range(draw(st.integers(1, 8), label="tasks")):
+        mb = draw(st.sampled_from([64.0, 37.3, 5.5]))
+        reps = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=min(3, n), unique=True))
+        if draw(st.booleans()):
+            dst = draw(st.sampled_from(ids))
+            by_price = {}
+            for r in ids:
+                if r != dst:
+                    by_price.setdefault(p.seconds(dst, r, mb), []).append(r)
+            tied = [rs for rs in by_price.values() if len(rs) > 1]
+            if tied:
+                reps = draw(st.sampled_from(tied))[:2]
+        replicas.append(tuple(reps))
+        mbs.append(mb)
+
+    index = p.replica_index(replicas)
+    assert index.shape == (len(replicas), max(map(len, replicas)))
+    for row, reps in zip(index.tolist(), replicas):
+        want = sorted(p.index[r] for r in reps)
+        assert row == want + want[:1] * (len(row) - len(want))
+
+    price, src = p.cheapest_fetch(np.arange(n)[:, None], index, np.array(mbs))
+    assert price.shape == src.shape == (n, len(replicas))
+    for i, dst in enumerate(ids):
+        for j, (reps, mb) in enumerate(zip(replicas, mbs)):
+            prices = {p.index[r]: p.seconds(dst, r, mb) for r in reps}
+            least = min(prices.values())
+            assert price[i, j].tobytes() == np.float64(least).tobytes()
+            assert src[i, j] == min(k for k, v in prices.items() if v == least)
+            if dst in reps:
+                assert price[i, j] == 0.0 and src[i, j] == i
+    # the same rule on one cell at a time, as the steal rule calls it
+    for i in range(n):
+        row_price, row_src = p.cheapest_fetch(i, index, np.array(mbs))
+        assert row_price.tobytes() == price[i].tobytes()
+        assert (row_src == src[i]).all()

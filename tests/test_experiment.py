@@ -158,6 +158,14 @@ def test_config_from_dict_validation():
         config_from_dict({"scenarios": ["tableau"]})
     cfg = config_from_dict({"schedulers": ["rr"], "repetitions": 1})
     assert cfg.schedulers == ("rr",)
+    # an integer field takes no fraction and no bool, which int() would
+    # truncate to 2 reps, seed 1 and 1 rep
+    for bad, shown in (({"repetitions": 2.5}, "2.5"), ({"seed": 1.9}, "1.9"),
+                       ({"repetitions": True}, "true")):
+        key = next(iter(bad))
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {shown}$"):
+            config_from_dict(bad)
+    assert config_from_dict({"repetitions": 2.0, "seed": 7}).repetitions == 2
     with pytest.raises(ValueError, match="mapping"):
         config_from_dict([])
 
@@ -589,6 +597,9 @@ def test_config_network_load_conflicts_with_a_generator_profile(tmp_path, capsys
         ({"demand": {"uniform": [0.5, 1.5]}}, "demand: app demand=1.5: demand must be"),
         ({"gcycles_per_mb": -1}, "gcycles_per_mb: app gcycles_per_mb=-1: gcycles_per_mb must"),
         ({"gcycles_per_mb": {"choice": [0.1, 0]}}, "gcycles_per_mb: app gcycles_per_mb=0:"),
+        ({"repetitions": 2.5}, "repetitions must be an integer, got 2.5"),
+        ({"seed": 1.9}, "seed must be an integer, got 1.9"),
+        ({"repetitions": True}, "repetitions must be an integer, got true"),
     ],
     ids=[
         "number-for-list", "null-for-int", "string-for-list",
@@ -597,7 +608,8 @@ def test_config_network_load_conflicts_with_a_generator_profile(tmp_path, capsys
         "replication-factor-above-4", "negative-file-size",
         "network-load-of-1", "empty-cluster", "negative-locality-input",
         "demand-above-1", "uniform-demand-above-1", "negative-gcycles",
-        "zero-gcycles-choice",
+        "zero-gcycles-choice", "fractional-repetitions", "fractional-seed",
+        "bool-repetitions",
     ],
 )
 def test_cli_wrong_config_type_is_a_config_error(tmp_path, capsys, bad, message):

@@ -61,7 +61,7 @@ def digest(result: aco.SolveResult) -> str:
         ),
         result.iterations,
         result.converged_iteration,
-        hashlib.sha256(result.pheromones.tau.tobytes()).hexdigest(),
+        hashlib.sha256(result.pheromones.tobytes()).hexdigest(),
     )
     return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
 
