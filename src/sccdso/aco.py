@@ -10,24 +10,27 @@ its cheapest replica at the price in the cluster's path table
 (`ClusterGraph.paths`), the price the simulator charges an uncontended
 transfer.
 
-An iteration works on its ants as one (ants, B) node-index matrix.
-`construct_colony` takes the iteration's task orders and draws in two
-generator calls, then every pick in one pass: each draw, scaled to its
-task's total weight at its k = min(L_MAX, n) candidates and kept below
-that total, picks a candidate of positive weight. Pheromones change only
-between iterations, so the candidates' cumulative weights are fixed for
-the iteration. Those picks are the ones an ant walking its order one
-task at a time (`_ant_row`) makes from the same draws as long as no node
-comes near its capacity, so that every `fits` check the walk makes
-holds. When an ant's final loads leave no room for the largest demand,
-the iteration builds its rows with `_ant_row` from the same orders and
-draws. `score_rows` then prices every row at once: it gathers each
-row's cells from the problem's tables and hands them to `score_cells`,
-the one definition of a plan's makespan, delay, cost and loss, in which
-each total keeps a task-by-task loop's order of addition. The
-objective, the trace, the best pick (the first row of least (objective,
-makespan)) and the full-regime deposit read those arrays; an
-`AntSolution` is built only for the winner and for the baselines.
+An iteration works on its ants as one (ants, B) node-index matrix and
+reads only what its picks read. Pheromones change only between
+iterations, so `iteration_weights` evaluates `selection_weights` once per
+iteration, on each task's k = min(L_MAX, n) candidate cells (B x k
+cells, not n x B); a task's weights at all n nodes are computed only at
+a step where none of its candidates fits. `construct_colony` takes the
+iteration's task orders and draws in two generator calls, then every
+pick in one pass: each draw, scaled to its task's total candidate weight
+and kept below it, picks a candidate of positive weight. Those picks
+are the ones an ant walking its order one task at a time (`_ant_row`)
+makes from the same draws as long as no node comes near its capacity,
+so that every `fits` check the walk makes holds. When an ant's final
+loads leave no room for the largest demand, the iteration builds its
+rows with `_ant_row` from the same orders and draws. `score_rows` then
+prices every row at once: it gathers each row's cells from the
+problem's tables and hands them to `score_cells`, the one definition of
+a plan's makespan, delay, cost and loss, in which each total keeps a
+task-by-task loop's order of addition (per-node totals by `_row_sums`).
+The objective, the trace, the best pick (the first row of least
+(objective, makespan)) and the full-regime deposit read those arrays;
+an `AntSolution` is built only for the winner and for the baselines.
 
 Two pheromone regimes:
 
@@ -64,8 +67,10 @@ the start; `SolveResult.pheromones` is its final state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -273,11 +278,50 @@ def build_problem(
 def selection_weights(
     tau: np.ndarray, eta: np.ndarray, alpha: float, beta: float
 ) -> np.ndarray:
-    """Unnormalized weights tau^alpha * eta^beta, elementwise over one
-    task's column or the whole (n, B) matrix; an ant picks node i for task
-    j with probability w[i, j] over the sum of w[:, j] on j's eligible
-    nodes."""
+    """Unnormalized weights tau^alpha * eta^beta, elementwise over any
+    cells: one task's column, the (B, k) candidate cells or the whole
+    (n, B) matrix, each cell with the bits of the others; an ant picks
+    node i for task j with probability w[i, j] over the sum of w[:, j] on
+    j's eligible nodes."""
     return np.power(tau, alpha) * np.power(eta, beta)
+
+
+class Weights(NamedTuple):
+    """An iteration's selection weights, where its picks read them: `cand`
+    (B, k) holds task j's weights at its row of `problem.candidates`, and
+    `column(j)` gives task j's weights at all n nodes, called only at a
+    step where none of j's candidates fits."""
+
+    cand: np.ndarray
+    column: Callable[[int], np.ndarray]
+
+
+def iteration_weights(
+    tau: np.ndarray, problem: AssignmentProblem, alpha: float, beta: float
+) -> Weights:
+    """`selection_weights` of the (n, B) trail `tau` and the problem's eta,
+    on the candidate cells gathered as (B, k), and lazily by column, from
+    `tau` as it is when the column is read, so before the iteration's
+    pheromone update; no (n, B) weight matrix is built."""
+    cand = problem.candidates
+    cols = np.arange(len(cand))[:, None]
+    eta = problem.eta
+    return Weights(
+        selection_weights(tau[cand, cols], eta[cand, cols], alpha, beta),
+        lambda j: selection_weights(tau[:, j], eta[:, j], alpha, beta),
+    )
+
+
+def _row_sums(nodes: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(R, n) per-row node totals of (R, B) node indices and values: entry
+    [r, i] adds values[r, j] over the j with nodes[r, j] == i, in column
+    order from 0.0, the bits `np.add.at` leaves on zeros. One `np.bincount`
+    over r * n + node."""
+    r = len(nodes)
+    flat = (np.arange(r)[:, None] * n + nodes).ravel()
+    # an empty input comes back as int64 zeros
+    sums = np.bincount(flat, weights=values.ravel(), minlength=r * n)
+    return sums.astype(float, copy=False).reshape(r, n)
 
 
 def score_rows(problem: AssignmentProblem, assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,17 +352,14 @@ def score_cells(
     are ignored). Returns each row's makespan, the most loaded node's
     total t_eff (inf when nothing is assigned), and its raw (delay, cost,
     loss) as a (3, ants) array. Every total adds its terms in task order
-    from 0.0, as a task-by-task loop would: `np.add.at` for node loads, a
+    from 0.0, as a task-by-task loop would: `_row_sums` for node loads, a
     running `cumsum` for delay, cost and loss (`np.sum` adds pairwise and
     moves last bits). Unassigned tasks add exact zeros, and loss is the
     mean over assigned tasks."""
     ants, b = nodes.shape
-    rows = np.arange(ants)[:, None]
-    t_eff = np.where(assigned, t_eff, 0.0)
-    loads = np.zeros((ants, len(loss_prob)))
-    counts = np.zeros_like(loads)
-    np.add.at(loads, (rows, nodes), t_eff)
-    np.add.at(counts, (rows, nodes), assigned)
+    n = len(loss_prob)
+    loads = _row_sums(nodes, np.where(assigned, t_eff, 0.0), n)
+    counts = _row_sums(nodes, assigned, n)
     survive = 1.0 - loss_prob[nodes]
     survive = np.where(src_idx >= 0, survive * (1.0 - loss_prob[src_idx]), survive)
     # (delay, cost, loss) terms behind a column of 0.0, the loop's start
@@ -368,36 +409,63 @@ def _solutions(
 
 
 def _ant_row(
-    weights: np.ndarray, problem: AssignmentProblem, order: np.ndarray, draws: np.ndarray
+    weights: Weights, problem: AssignmentProblem, order: np.ndarray, draws: np.ndarray
 ) -> tuple[np.ndarray, bool]:
     """One ant: visit the tasks in `order`, and at step s pick a node for
-    task order[s] with draw draws[s] in [0, 1), in proportion to `weights`
-    (this iteration's `selection_weights`) over capacity-feasible
-    candidates, uniformly where all their weights underflow to 0.0. The
-    scaled draw is kept below the total, so the pick is an eligible node
-    of positive weight. Runs to completion even when capacity strands a
-    task; the row then holds -1 there and is flagged infeasible instead
-    of raising."""
-    n, b = weights.shape
-    used = np.zeros(n)
-    assign = np.full(b, -1, dtype=int)
+    task order[s] with draw draws[s] in [0, 1), in proportion to this
+    iteration's `weights` over capacity-feasible nodes, uniformly where all
+    their weights underflow to 0.0. A step picks among the task's k
+    candidates with `weights.cand`, reading `construct_colony`'s
+    cumulative weights when all of them fit; only when none of them fits
+    does it weigh all n nodes with `weights.column`, so that the fan-out
+    cap does not manufacture infeasibility. Each pick is that of a cumsum
+    over all n nodes with the ineligible weights zeroed, since adding 0.0
+    is exact. The scaled draw is kept below the total, so the pick is an
+    eligible node of positive weight. Runs to completion even when
+    capacity strands a task; the row then holds -1 there and is flagged
+    infeasible instead of raising."""
+    cand = problem.candidates
+    cums = _cumulative_weights(weights.cand)
+    every = np.arange(len(problem.node_ids))
+    room = problem.capacity_mb + CAPACITY_SLACK_MB
+    cand_room = room[cand]
+    used = np.zeros(len(every))
+    assign = np.full(len(cand), -1, dtype=int)
     feasible = True
-    for j, u in zip(order, draws):
-        fits = used + problem.demand_mb[j] <= problem.capacity_mb + CAPACITY_SLACK_MB
-        mask = problem.candidate_mask[:, j] & fits
-        if not mask.any():
-            mask = fits  # fan-out cap must not manufacture infeasibility
-        if not mask.any():
-            feasible = False
-            continue
-        cum = np.cumsum(np.where(mask, weights[:, j], 0.0))
-        if cum[-1] <= 0:
-            cum = np.cumsum(mask)  # every weight underflowed: draw uniformly
-        x = np.minimum(u * cum[-1], np.nextafter(cum[-1], 0.0))
-        pick = int(np.searchsorted(cum, x, side="right"))
+    demand = problem.demand_mb.tolist()
+    for j, u in zip(order.tolist(), draws.tolist()):
+        nodes = cand[j]
+        fits = used[nodes] + demand[j] <= cand_room[j]
+        if fits.all():
+            cum = cums[j]
+        else:
+            if fits.any():
+                w = weights.cand[j]
+            else:
+                nodes = every
+                fits = used + demand[j] <= room
+                if not fits.any():
+                    feasible = False
+                    continue
+                w = weights.column(j)
+            cum = np.cumsum(np.where(fits, w, 0.0))
+            if cum[-1] <= 0:
+                cum = np.cumsum(fits)  # every weight underflowed: draw uniformly
+        total = float(cum[-1])
+        x = min(u * total, math.nextafter(total, 0.0))
+        pick = int(nodes[cum.searchsorted(x, side="right")])
         assign[j] = pick
-        used[pick] += problem.demand_mb[j]
+        used[pick] += demand[j]
     return assign, feasible
+
+
+def _cumulative_weights(cand_weights: np.ndarray) -> np.ndarray:
+    """(B, k): row j is task j's running sum of its candidates' weights,
+    or 1..k where every weight underflowed to 0.0 (a uniform draw); the
+    cumsum a pick reads when all of the task's candidates fit."""
+    cum = np.cumsum(cand_weights, axis=1)
+    cum[cum[:, -1] <= 0] = np.arange(1, cand_weights.shape[1] + 1)
+    return cum
 
 
 def _draws(rng: np.random.Generator, ants: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -407,19 +475,19 @@ def _draws(rng: np.random.Generator, ants: int, b: int) -> tuple[np.ndarray, np.
 
 
 def construct_solution(
-    weights: np.ndarray,
+    weights: Weights,
     problem: AssignmentProblem,
     rng: np.random.Generator,
 ) -> AntSolution:
     """One ant (`_ant_row`) as a scored solution, its order and draws
     taken as `construct_colony` takes a one-ant iteration's."""
-    orders, draws = _draws(rng, 1, weights.shape[1])
+    orders, draws = _draws(rng, 1, len(problem.task_ids))
     assign, feasible = _ant_row(weights, problem, orders[0], draws[0])
     return _solution_from_indices(problem, assign[None], feasible)[0]
 
 
 def construct_colony(
-    weights: np.ndarray,
+    weights: Weights,
     problem: AssignmentProblem,
     rng: np.random.Generator,
     ants: int,
@@ -427,39 +495,33 @@ def construct_colony(
     """One iteration's ants, all picks at once: the (ants, B) node-index
     matrix and each ant's feasible flag. The orders and draws come from
     `_draws`, and each draw becomes a pick over its task's row of
-    `problem.candidates`, k = min(L_MAX, n) nodes, not all n. Row a is
-    `_ant_row` on row a of the orders and draws whenever every `fits`
-    check that walk makes holds: then its mask is the candidate column,
-    and a pick depends on the task's weights and the ant's draw, not on
-    the order of steps.
+    `problem.candidates` with the weights `weights.cand`, k = min(L_MAX,
+    n) nodes, not all n. Row a is `_ant_row` on row a of the orders and
+    draws whenever every `fits` check that walk makes holds: then every
+    candidate fits at each step, and a pick depends on the task's weights
+    and the ant's draw, not on the order of steps.
     Loads only grow (a float sum of non-negative terms never falls), so
     the checks all held if each ant's final loads, summed in its step
     order as the walk sums them, still fit the largest demand. Otherwise
     the rows are built with `_ant_row` from the same orders and draws."""
-    n, b = weights.shape
-    orders, draws = _draws(rng, ants, b)
-    # row j: task j's cumulative weights at its k candidates, uniform where
-    # every weight underflowed to 0.0. They are the masked full-row cumsum
-    # at those nodes bit for bit, as adding 0.0 is exact.
     cand = problem.candidates
-    k = cand.shape[1]
-    cols = np.arange(b)
-    cum = np.cumsum(weights[cand, cols[:, None]], axis=1)
-    cum[cum[:, -1] <= 0] = np.arange(1, k + 1)
+    b = len(cand)
+    orders, draws = _draws(rng, ants, b)
+    cum = _cumulative_weights(weights.cand)
     total = cum[:, -1]
     # x[a, j]: ant a's draw for task j, scaled to j's total and kept below
     # it. The count of cum <= x is searchsorted(cum, x, side="right"), as
-    # cum never decreases; it is below k, and candidate c of that count is
-    # the node the full row's count reaches, since every weight before it
-    # is 0.0
+    # cum never decreases; it is below k
     rows = np.arange(ants)[:, None]
     x = np.empty((ants, b))
     x[rows, orders] = draws
     x *= total
     np.minimum(x, np.nextafter(total, 0.0), out=x)
-    assign = cand[cols, np.count_nonzero(cum <= x[..., None], axis=2)]
-    used = np.zeros((ants, n))
-    np.add.at(used, (rows, np.take_along_axis(assign, orders, axis=1)), problem.demand_mb[orders])
+    assign = cand[np.arange(b), np.count_nonzero(cum <= x[..., None], axis=2)]
+    used = _row_sums(
+        np.take_along_axis(assign, orders, axis=1), problem.demand_mb[orders],
+        len(problem.node_ids),
+    )
     room = problem.capacity_mb + CAPACITY_SLACK_MB
     if (used + problem.demand_mb.max(initial=0.0) <= room).all():
         return assign, np.ones(ants, dtype=bool)
@@ -598,8 +660,7 @@ def _fits(assign: np.ndarray, demand_mb: np.ndarray, capacity_mb: np.ndarray) ->
     `demand_mb[j]` summed on its node within that node's `capacity_mb`."""
     if (assign < 0).any():
         return False
-    used = np.zeros(len(capacity_mb))
-    np.add.at(used, assign, demand_mb)
+    used = _row_sums(assign[None], demand_mb[None], len(capacity_mb))[0]
     return bool(np.all(used <= capacity_mb + CAPACITY_SLACK_MB))
 
 
@@ -661,7 +722,7 @@ def solve_problem(
 
     for it in range(1, config.max_iters + 1):
         # pheromones change only between iterations
-        weights = selection_weights(tau, problem.eta, config.alpha, config.beta)
+        weights = iteration_weights(tau, problem, config.alpha, config.beta)
         assign, feasible = construct_colony(weights, problem, rng, config.ants)
         feasible_ants += int(feasible.sum())
         if it == 1:

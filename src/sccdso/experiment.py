@@ -47,6 +47,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -154,18 +155,33 @@ class ExperimentConfig:
 _PATH_KEYS = {"cluster_path": "cluster", "workload_path": "workload"}
 
 
+def _json_number(key: str, value, kind: type):
+    """`value` of config key `key` as a `kind` (int or float). A bool, a
+    string or, for an int, a number with a fractional part is a config
+    error that names the key, where int() would truncate 2.5 to 2, read
+    true as 1 and "7" as 7."""
+    if not wl.is_number(value) or kind is int and not float(value).is_integer():
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {what}, got {json.dumps(value)}")
+    return kind(value)
+
+
 def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     """Build and validate a config; an absent key keeps the field's default.
     The `cluster` and `workload` paths are relative to `base_dir`, and a
-    scalar `block_size_mb` stands for a one-element `block_sizes_mb`."""
+    scalar `block_size_mb` stands for a one-element `block_sizes_mb`. A
+    numeric field, or an element of a numeric list, must be a JSON number;
+    the float lists keep their elements as written."""
     if not isinstance(data, dict):
         raise ValueError("experiment config must be a mapping")
+    hints = get_type_hints(ExperimentConfig)
     values = {}
     for f in fields(ExperimentConfig):
         key = _PATH_KEYS.get(f.name, f.name)
         if key not in data:
             continue
         value = data[key]
+        hint = hints[f.name]
         if f.name in _PATH_KEYS:
             if value and not os.path.isabs(value):
                 value = os.path.join(base_dir, value)
@@ -174,17 +190,17 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
             # number with a TypeError; name the key instead
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{key} must be a list, got {value!r}")
+            kind = get_args(hint)[0]
+            if kind in (int, float):
+                checked = [_json_number(f"{key}[{i}]", x, kind) for i, x in enumerate(value)]
+                if kind is int:
+                    value = checked
             value = tuple(value)
-        elif isinstance(f.default, int) and (
-            isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
-        ):
-            # int() would truncate 2.5 to 2 and read true as 1
-            raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
-        elif isinstance(f.default, (int, float)):
-            value = type(f.default)(value)
+        elif hint in (int, float):
+            value = _json_number(key, value, hint)
         values[f.name] = value
     if "block_sizes_mb" not in data and "block_size_mb" in data:
-        values["block_sizes_mb"] = (float(data["block_size_mb"]),)
+        values["block_sizes_mb"] = (_json_number("block_size_mb", data["block_size_mb"], float),)
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg

@@ -136,20 +136,33 @@ class Workload:
     network_load: float = 0.0
 
 
+def is_number(value: object) -> bool:
+    """Whether a value read from JSON is a number: an int or a float, not a
+    bool, which Python counts as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _spec_values(values) -> list[float]:
+    bad = [v for v in values if not is_number(v)]
+    if bad:
+        raise ValueError(f"spec values must be numbers, got {bad[0]!r}")
+    return [float(v) for v in values]
+
+
 def parse_spec(spec: object) -> tuple[str, list[float]]:
     """A distribution spec as (kind, values): ("fixed", [v]), ("uniform",
     [lo, hi]) or ("choice", [v1, v2, ...]). The values bound every value
-    the spec can yield."""
-    if isinstance(spec, (int, float)):
+    the spec can yield; each must be a number, not a bool or a string."""
+    if is_number(spec):
         return "fixed", [float(spec)]
     if isinstance(spec, dict):
         if "fixed" in spec:
-            return "fixed", [float(spec["fixed"])]
+            return "fixed", _spec_values([spec["fixed"]])
         if "uniform" in spec:
             lo, hi = spec["uniform"]
-            return "uniform", [float(lo), float(hi)]
+            return "uniform", _spec_values([lo, hi])
         if "choice" in spec:
-            values = [float(v) for v in spec["choice"]]
+            values = _spec_values(spec["choice"])
             if not values:
                 raise ValueError("choice lists no values")
             return "choice", values

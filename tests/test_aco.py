@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sccdso import aco
 from sccdso.aco import (
@@ -23,6 +24,7 @@ from sccdso.aco import (
     construct_colony,
     construct_solution,
     greedy_local_row,
+    iteration_weights,
     preallocation_row,
     score_rows,
     selection_weights,
@@ -73,8 +75,9 @@ def test_selection_probabilities_sum_to_one():
 
 
 def test_selection_weights_of_matrix_equal_its_columns():
-    # the colony evaluates the rule once per iteration on the whole (n, B)
-    # matrix; each column must carry the bits of the one-column evaluation
+    # the colony evaluates the rule on the candidate cells, and on one
+    # task's column at a step where no candidate fits; each column must
+    # carry the bits of the whole (n, B) matrix's evaluation
     rng = np.random.default_rng(3)
     tau = rng.uniform(1e-3, 5.0, size=(37, 23))
     eta = 1.0 / rng.uniform(0.05, 40.0, size=(37, 23))
@@ -83,6 +86,30 @@ def test_selection_weights_of_matrix_equal_its_columns():
         for j in range(tau.shape[1]):
             column = selection_weights(tau[:, j], eta[:, j], alpha, beta)
             assert whole[:, j].tobytes() == column.tobytes()
+
+
+def test_iteration_weights_equal_the_grid_at_every_cell():
+    # the colony's weights, gathered at the (B, k) candidate cells and
+    # taken column by column, carry the bits of the (n, B) grid's; unlike
+    # the solver pins this holds on any host, as np.power is elementwise
+    for seed, (n, b) in enumerate([(37, 23), (12, 208), (200, 64), (3, 5)]):
+        problem = random_problem(seed, n, b)
+        tau = np.random.default_rng(seed).uniform(TAU_FLOOR, 5.0, size=(n, b))
+        cand, cols = problem.candidates, np.arange(b)[:, None]
+        for alpha, beta in ((0.8, 1.2), (1.5, 2.5), (1.5, 120.0)):
+            whole = selection_weights(tau, problem.eta, alpha, beta)
+            weights = iteration_weights(tau, problem, alpha, beta)
+            assert weights.cand.shape == (b, min(L_MAX, n))
+            assert weights.cand.tobytes() == whole[cand, cols].tobytes()
+            for j in range(b):
+                assert weights.column(j).tobytes() == whole[:, j].tobytes()
+
+
+def grid(weights, problem):
+    """An (n, B) weight matrix as an iteration hands it to the colony: its
+    cells at each task's candidates, and its columns."""
+    cand = problem.candidates
+    return aco.Weights(weights[cand, np.arange(len(cand))[:, None]], lambda j: weights[:, j])
 
 
 def test_uniform_inputs_give_uniform_choice():
@@ -120,23 +147,30 @@ def test_high_beta_is_greedy_argmin():
     rng = np.random.default_rng(0)
     argmin_node = problem.node_ids[int(np.argmin(problem.t_eff[:, 0]))]
     hits = sum(
-        construct_solution(weights, problem, rng).assignment[tasks[0].id] == argmin_node
+        construct_solution(grid(weights, problem), problem, rng).assignment[tasks[0].id]
+        == argmin_node
         for _ in range(1000)
     )
     assert hits >= 990
 
 
-def scalar_ant(weights, problem, order, draws):
-    """Reference ant on one row of an iteration's orders and draws: one
-    task at a time, each total summed by a Python loop in task order;
-    every ant of `construct_colony` must equal it."""
+def scalar_ant(weights, problem, order, draws, branches=None):
+    """Reference ant on one row of an iteration's orders and draws and the
+    (n, B) weight matrix: one task at a time, each pick over all n nodes,
+    each total summed by a Python loop in task order; every ant of
+    `construct_colony` must equal it. `branches`, a set, collects the
+    kinds of step taken: "candidate" (some candidate fits), "fallback"
+    (only a non-candidate fits), "stranded" (no node fits) and "uniform"
+    (every eligible weight is 0.0)."""
     n, b = weights.shape
     used = np.zeros(n)
     assign = np.full(b, -1, dtype=int)
     feasible = True
+    seen = set() if branches is None else branches
     for j, u in zip(order, draws):
         fits = used + problem.demand_mb[j] <= problem.capacity_mb + 1e-9
         mask = problem.candidate_mask[:, j] & fits
+        seen.add("candidate" if mask.any() else "fallback" if fits.any() else "stranded")
         if not mask.any():
             mask = fits
         if not mask.any():
@@ -144,6 +178,7 @@ def scalar_ant(weights, problem, order, draws):
             continue
         cum = np.cumsum(np.where(mask, weights[:, j], 0.0))
         if cum[-1] <= 0:
+            seen.add("uniform")
             cum = np.cumsum(mask)
         top = np.nextafter(cum[-1], 0.0)  # the largest float below the total
         pick = int(np.searchsorted(cum, min(u * cum[-1], top), side="right"))
@@ -217,16 +252,17 @@ def twin_draws(seed, ants, b):
 
 
 def assert_colony_matches_scalar(weights, problem, seed, ants=10):
-    """The colony's rows and flags equal `_ant_row`'s ants on a twin
-    generator's orders and draws, and `score_rows` prices them as
-    `scalar_ant`'s loop does, bit for bit. Returns the colony's (rows,
-    flags)."""
+    """On the (n, B) weight matrix `weights`, the colony's rows and flags
+    equal `_ant_row`'s ants on a twin generator's orders and draws, and
+    `score_rows` prices them as `scalar_ant`'s loop does, bit for bit.
+    Returns the colony's (rows, flags)."""
+    cells = grid(weights, problem)
     batch_rng = np.random.default_rng(seed)
-    assign, feasible = construct_colony(weights, problem, batch_rng, ants)
+    assign, feasible = construct_colony(cells, problem, batch_rng, ants)
     twin, orders, draws = twin_draws(seed, ants, weights.shape[1])
     per_ant = [
         _solution_from_indices(problem, row[None], ok)[0]
-        for row, ok in (aco._ant_row(weights, problem, o, d) for o, d in zip(orders, draws))
+        for row, ok in (aco._ant_row(cells, problem, o, d) for o, d in zip(orders, draws))
     ]
     scalar = [scalar_ant(weights, problem, o, d) for o, d in zip(orders, draws)]
     assert assign.tolist() == [s.node_index.tolist() for s in per_ant]
@@ -245,7 +281,7 @@ def test_construct_solution_is_a_one_ant_colony():
     weights = selection_weights(np.full(problem.t_eff.shape, TAU0), problem.eta, 0.8, 1.2)
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        sol = construct_solution(weights, problem, rng)
+        sol = construct_solution(grid(weights, problem), problem, rng)
         assign, feasible = assert_colony_matches_scalar(weights, problem, seed, ants=1)
         assert sol.node_index.tolist() == assign[0].tolist() and sol.feasible == feasible[0]
         assert rng.bit_generator.state == twin_draws(seed, 1, 90)[0].bit_generator.state
@@ -296,7 +332,7 @@ def test_a_draw_at_the_total_picks_the_last_candidate():
     mask = np.zeros((n, b), dtype=bool)
     mask[:L_MAX] = True
     problem = replace(problem, candidate_mask=mask)
-    weights = np.full((n, b), np.nextafter(0.0, 1.0))
+    weights = grid(np.full((n, b), np.nextafter(0.0, 1.0)), problem)
     assign, feasible = construct_colony(weights, problem, EdgeDraws(), 3)
     row, ok = aco._ant_row(weights, problem, np.arange(b), EdgeDraws().random(b))
     assert (assign == L_MAX - 1).all() and feasible.all()
@@ -317,7 +353,7 @@ def test_subnormal_totals_keep_picks_on_candidates_that_fit():
     capacity[11] = 15.0
     problem = replace(
         problem, candidate_mask=mask, demand_mb=np.full(b, 10.0), capacity_mb=capacity)
-    weights = np.full((n, b), 3 * np.nextafter(0.0, 1.0))
+    weights = grid(np.full((n, b), 3 * np.nextafter(0.0, 1.0)), problem)
     rng = np.random.default_rng(19)
     rows, flags = zip(*(construct_colony(weights, problem, rng, 10) for _ in range(5)))
     ants = [construct_solution(weights, problem, rng) for _ in range(200)]
@@ -393,6 +429,27 @@ def test_colony_equals_scalar_ants_when_a_task_strands():
     assert ((assign < 0).any(axis=1) == ~feasible).all()
 
 
+def test_ant_row_walks_k_candidates_like_the_full_width_loop():
+    # `_ant_row` reads a task's k candidates, and all n nodes only at a
+    # step where none of them fits; on tight problems its ants equal the
+    # full-width reference walk at every kind of step
+    branches = set()
+    cases = (
+        (random_problem(8, 40, 60, slots=2.6), None),  # candidates fill up
+        (random_problem(9, 30, 33, slots=1.0), None),  # tasks strand
+        (random_problem(7, 40, 120, slots=6, slow=0.3), underflow_weights),
+    )
+    for seed, (problem, weigh) in enumerate(cases):
+        tau = np.full(problem.t_eff.shape, TAU0)
+        weights = weigh(problem) if weigh else selection_weights(tau, problem.eta, 0.8, 1.2)
+        _, orders, draws = twin_draws(seed, 10, weights.shape[1])
+        for order, row_draws in zip(orders, draws):
+            row, ok = aco._ant_row(grid(weights, problem), problem, order, row_draws)
+            want = scalar_ant(weights, problem, order, row_draws, branches)
+            assert row.tolist() == want.node_index.tolist() and ok == want.feasible
+    assert branches == {"candidate", "fallback", "stranded", "uniform"}
+
+
 def rebuilt_ants(monkeypatch, run):
     """`run()`'s value and the `_ant_row` calls it made: the ants an
     iteration rebuilt one by one after its capacity guard failed."""
@@ -412,7 +469,7 @@ def test_capacity_guard_boundary(monkeypatch):
     n, ants = 30, 10
     problem = random_problem(11, n, 120)
     weights = selection_weights(np.full(problem.t_eff.shape, 0.05), problem.eta, 0.8, 1.2)
-    free, _ = construct_colony(weights, problem, np.random.default_rng(11), ants)
+    free, _ = construct_colony(grid(weights, problem), problem, np.random.default_rng(11), ants)
     used = np.zeros((ants, n))
     np.add.at(used, (np.arange(ants)[:, None], free), problem.demand_mb)
     room = used.max() + problem.demand_mb.max()
@@ -420,7 +477,7 @@ def test_capacity_guard_boundary(monkeypatch):
         capped = replace(problem, capacity_mb=np.full(n, capacity))
         rng = np.random.default_rng(11)
         (assign, _), calls = rebuilt_ants(
-            monkeypatch, lambda: construct_colony(weights, capped, rng, ants))
+            monkeypatch, lambda: construct_colony(grid(weights, capped), capped, rng, ants))
         assert calls == rebuilt
         assert assign.tolist() == free.tolist()
         assert_colony_matches_scalar(weights, capped, 11, ants)
@@ -448,11 +505,38 @@ def test_benchmark_shapes_take_every_pick_at_once(n_nodes, monkeypatch):
         result, calls = rebuilt_ants(monkeypatch, lambda: solve_problem(problem, cfg, n_nodes))
         assert calls == 0
         for tau in (np.full(problem.t_eff.shape, aco.TAU0), result.pheromones):
-            weights = selection_weights(tau, problem.eta, cfg.alpha, cfg.beta)
+            weights = iteration_weights(tau, problem, cfg.alpha, cfg.beta)
             rng = np.random.default_rng(ants)
             _, calls = rebuilt_ants(monkeypatch, lambda: construct_colony(weights, problem, rng, ants))
             assert calls == 0
-            assert_colony_matches_scalar(weights, problem, ants, ants)
+            whole = selection_weights(tau, problem.eta, cfg.alpha, cfg.beta)
+            assert_colony_matches_scalar(whole, problem, ants, ants)
+
+
+def test_an_iteration_weighs_only_the_cells_its_picks_read(monkeypatch):
+    # large-cluster's shape, where the capacity guard holds: each iteration
+    # weighs the (B, k) candidate cells once and never the (n, B) grid; on
+    # a tight problem, whose ants are rebuilt one by one, a step where no
+    # candidate fits weighs its one (n,) column
+    shapes = []
+    weigh = aco.selection_weights
+
+    def spy(tau, eta, alpha, beta):
+        shapes.append(np.shape(tau))
+        return weigh(tau, eta, alpha, beta)
+
+    monkeypatch.setattr(aco, "selection_weights", spy)
+    problem = benchmark_problem(200)
+    result, calls = rebuilt_ants(
+        monkeypatch, lambda: solve_problem(problem, AcoConfig.preset("stage7"), 5))
+    assert calls == 0
+    assert shapes == [(208, L_MAX)] * result.iterations
+    shapes.clear()
+    tight = pipeline_problem(tight=True)
+    n, b = tight.t_eff.shape
+    _, calls = rebuilt_ants(monkeypatch, lambda: solve_problem(tight, AcoConfig.preset("stage7"), 0))
+    assert calls > 0
+    assert (b, L_MAX) in shapes and (n,) in shapes and (n, b) not in shapes
 
 
 def deposit_reference(tau, rows, rho, makespan=None, t_eff=None):
@@ -473,8 +557,7 @@ def test_deposits_equal_per_edge_loops():
     problem = random_problem(10, 45, 150)
     rng = np.random.default_rng(10)
     tau = rng.uniform(TAU_FLOOR, 2.0, size=problem.t_eff.shape)
-    weights = selection_weights(tau, problem.eta, 0.8, 1.2)
-    assign, _ = construct_colony(weights, problem, rng, 8)
+    assign, _ = construct_colony(iteration_weights(tau, problem, 0.8, 1.2), problem, rng, 8)
     makespan, _ = score_rows(problem, assign)
     # best-ever rides along after the ants, so each of its edges takes a
     # second deposit; a row with makespan 0.0 deposits nothing
@@ -498,6 +581,33 @@ def test_deposits_equal_per_edge_loops():
     update_pheromones_ewma(ph, assign[3], problem.t_eff, cfg)
     want = deposit_reference(tau, assign[3:4], cfg.rho, t_eff=problem.t_eff)
     assert ph.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(0, 5),
+    n=st.integers(1, 8),
+    cells=st.lists(
+        st.tuples(st.integers(0, 7), st.booleans(), st.floats(-1e290, 1e290)), max_size=30),
+)
+def test_row_sums_equal_add_at(rows, n, cells):
+    # one bincount over row * n + node carries the bits of np.add.at onto
+    # zeros: each node's total adds its cells in column order from 0.0. An
+    # unassigned cell adds 0.0 at node 0, as `score_cells` passes it; row r
+    # holds the cells rotated by r, so rows differ
+    b = len(cells)
+    node = np.array([c[0] for c in cells], dtype=int)
+    assigned = np.array([c[1] for c in cells], dtype=bool)
+    value = np.array([c[2] for c in cells], dtype=float)
+    pick = (np.arange(b) + np.arange(rows)[:, None]) % max(b, 1)
+    assigned = assigned[pick]
+    nodes = np.where(assigned, node[pick] % n, 0)
+    for values in (np.where(assigned, value[pick], 0.0), assigned):
+        want = np.zeros((rows, n))
+        np.add.at(want, (np.arange(rows)[:, None], nodes), values)
+        got = aco._row_sums(nodes, values, n)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_full_update_evaporation_only():

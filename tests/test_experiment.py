@@ -170,6 +170,46 @@ def test_config_from_dict_validation():
         config_from_dict([])
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"locality_block_mb": True}, "locality_block_mb must be a number, got true"),
+        ({"network_load": False}, "network_load must be a number, got false"),
+        ({"seed": "7"}, 'seed must be an integer, got "7"'),
+        ({"repetitions": "2.5"}, 'repetitions must be an integer, got "2.5"'),
+        ({"file_sizes_mb": [True, "20"]}, "file_sizes_mb[0] must be a number, got true"),
+        ({"file_sizes_mb": [20, "20"]}, 'file_sizes_mb[1] must be a number, got "20"'),
+        ({"cluster_sizes": [10, 2.5]}, "cluster_sizes[1] must be an integer, got 2.5"),
+        ({"block_size_mb": "16"}, 'block_size_mb must be a number, got "16"'),
+        ({"demand": True}, "demand: unrecognized distribution spec: True"),
+        ({"gcycles_per_mb": {"uniform": [True, 0.1]}},
+         "gcycles_per_mb: spec values must be numbers, got True"),
+        ({"demand": {"choice": [0.5, "0.6"]}}, "demand: spec values must be numbers, got '0.6'"),
+    ],
+    ids=["bool-float", "bool-load", "string-int", "string-fraction", "bool-in-list",
+         "string-in-list", "fraction-in-int-list", "string-legacy-block", "bool-spec",
+         "bool-in-uniform-spec", "string-in-choice-spec"],
+)
+def test_config_numbers_must_be_json_numbers(tmp_path, capsys, bad, message):
+    # float() and int() would read true as 1.0 and "7" as 7, and a bool or
+    # a string in a list failed later with a TypeError that named no key;
+    # a distribution spec read true as a fixed 1.0
+    with pytest.raises(ValueError) as err:
+        config_from_dict(bad)
+    assert str(err.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert cli_main(["validate", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["experiment_default", "experiment_deep_queue", "experiment_jobs"])
+def test_shipped_configs_validate(name, capsys):
+    path = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    assert cli_main(["validate", "--config", str(path)]) == 0
+    assert "config ok" in capsys.readouterr().out
+
+
 def test_config_from_dict_defaults_paths_and_legacy_block_size(tmp_path):
     assert config_from_dict({}) == ExperimentConfig()
     cfg = config_from_dict(
@@ -582,7 +622,7 @@ def test_config_network_load_conflicts_with_a_generator_profile(tmp_path, capsys
     "bad, message",
     [
         ({"cluster_sizes": 5}, "cluster_sizes must be a list"),
-        ({"repetitions": None}, "NoneType"),
+        ({"repetitions": None}, "repetitions must be an integer, got null"),
         ({"schedulers": "rr"}, "schedulers must be a list"),
         ({"demand": "x"}, "demand: unrecognized distribution spec"),
         ({"gcycles_per_mb": {"uniform": [1]}}, "gcycles_per_mb:"),
