@@ -36,7 +36,8 @@ def main() -> int:
     ):
         plan = placement.place_heterogeneous(g, list(w.blocks), model, {app.id: 2})
         cfg = aco.AcoConfig.preset("stage7", variant=variant)
-        res = aco.solve(list(w.tasks), plan, g, model, cfg, seed=args.seed)
+        problem = aco.build_problem(g, plan, list(w.tasks), model)
+        res = aco.solve_problem(problem, cfg, seed=args.seed)
         path = os.path.join(args.out, f"trace_{variant}.csv")
         aco.write_trace_csv(res.trace, path)
         print(

@@ -5,7 +5,8 @@ The input is the deep-queue-straggler profile scaled up: `--nodes` synthetic
 nodes, `--tasks` x 64 MB blocks at RF 2, and a `--stragglers` fraction of
 the nodes 4x slow after scheduling, all from `--seed`. Prints the seconds of
 `experiment.schedule` and of `experiment.execute` (one `sim.simulate`), the
-run's `runtime_counts`, its completion time, and a sha256 of
+process's peak resident set in MB (`ru_maxrss`, which Linux reports in KiB),
+the run's `runtime_counts`, its completion time, and a sha256 of
 `repr((events, metrics))`, so two checkouts can be compared on the digest.
 
 Usage:
@@ -15,6 +16,7 @@ Usage:
 import argparse
 import hashlib
 import os
+import resource
 import sys
 import time
 
@@ -48,6 +50,7 @@ def main() -> int:
     print(f"nodes {args.nodes}  tasks {len(w.tasks)}  stragglers {args.stragglers}  seed {args.seed}")
     print(f"schedule_s {t1 - t0:.3f}")
     print(f"simulate_s {t2 - t1:.3f}")
+    print(f"peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")
     print("runtime_counts " + " ".join(f"{k}={v}" for k, v in trace.runtime_counts.items()))
     print(f"completion_s {trace.metrics.completion_time_s!r}")
     print(f"digest {digest}")

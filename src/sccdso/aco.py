@@ -63,13 +63,16 @@ reservation-first-fit reads all of it, rsync and round robin their B
 cells. A remote cell's replica is `PathTable.cheapest_fetch`'s, as in
 the simulator's steal rule. The trail is a plain (n, B) array, TAU0 at
 the start; `SolveResult.pheromones` is its final state.
+
+A caller solves in two steps: `build_problem` prices the grid into an
+`AssignmentProblem` of the tables the solver reads, and `solve_problem`
+runs the colony on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -155,21 +158,20 @@ class AntSolution:
 
 @dataclass(frozen=True)
 class AssignmentProblem:
-    """Everything an ant needs, precomputed as dense arrays.
-
-    Every column of `candidate_mask` holds exactly min(L_MAX, n)
-    candidates, as `build_problem` makes it; the colony's picks rely only
-    on every column holding the same number (a mask of all True also
+    """The tables the solver reads, as dense arrays, and `t_pred`, which
+    the benchmark's tracer reads. `build_problem` keeps nothing else: the
+    fetch's transfer seconds are folded into `t_eff`, and the candidate
+    mask into `candidates`. Every row of `candidates` holds the same
+    number k of nodes, min(L_MAX, n) as `build_problem` makes it; the
+    colony's picks rely on that alone (a table of every node also
     serves)."""
 
-    g: ClusterGraph
     plan: PlacementPlan
     tasks: tuple[TaskSpec, ...]
     node_ids: tuple[str, ...]
     task_ids: tuple[str, ...]
     t_pred: np.ndarray  # (n, B) predicted execution seconds
-    access: np.ndarray  # (n, B) data-access seconds
-    t_eff: np.ndarray  # t_pred + access
+    t_eff: np.ndarray  # (n, B) t_pred + the fetch's transfer seconds
     eta: np.ndarray  # 1 / t_eff
     xtra_delay: np.ndarray  # (n, B) queueing + latency extras of the fetch path
     cost: np.ndarray  # (n, B) per-assignment cost contribution
@@ -177,16 +179,7 @@ class AssignmentProblem:
     demand_mb: np.ndarray  # (B,)
     capacity_mb: np.ndarray  # (n,)
     loss_prob: np.ndarray  # (n,)
-    candidate_mask: np.ndarray  # (n, B) fan-out-capped eligibility
-
-    @cached_property
-    def candidates(self) -> np.ndarray:
-        """(B, k) node indices of each task's candidates, ascending; k is
-        the candidates per column. Derived from `candidate_mask` on first
-        use, once per problem."""
-        b = len(self.task_ids)
-        k = int(self.candidate_mask[:, 0].sum()) if b else 0
-        return np.nonzero(self.candidate_mask.T)[1].reshape(b, k)
+    candidates: np.ndarray  # (B, k) each task's candidate node indices, ascending
 
 
 def price_cells(
@@ -229,8 +222,10 @@ def build_problem(
 ) -> AssignmentProblem:
     """Price every (node, task) cell (`price_cells` on the full grid). Each
     task's candidates are its min(L_MAX, n) nodes of highest eta, the
-    lowest node index first on a tie, as a stable sort ranks them;
-    `np.partition` finds the k-th value, so no column is fully sorted."""
+    lowest node index first on a tie, as a stable sort ranks them, listed
+    in ascending node order; `np.partition` finds the k-th value, so no
+    column is fully sorted. The transfer seconds and the candidate mask
+    are freed on return."""
     node_ids = g.paths.node_ids
     nodes = [g.node(n) for n in node_ids]
     n, b = len(node_ids), len(tasks)
@@ -239,30 +234,32 @@ def build_problem(
     access, xtra_delay, cost, src_idx = price_cells(
         g, plan, tasks, np.arange(n)[:, None], np.arange(b)
     )
-    t_eff = t_pred + access
-    eta = 1.0 / np.maximum(t_eff, 1e-12)
+    # t_eff and eta are made in the buffers they are made from, which the
+    # problem does not keep
+    t_eff = np.add(t_pred, access, out=access)
+    eta = np.maximum(t_eff, 1e-12)
+    np.divide(1.0, eta, out=eta)
 
     # each column's top k by eta, ties to the lowest node index, as a stable
-    # argsort of -eta ranks them: all values past the k-th, then the first
-    # ties at the k-th until k are taken; with k = n, every node
+    # argsort of -eta ranks them: all values above the k-th largest, then
+    # the first ties at it until k are taken; with k = n, every node
     k = min(L_MAX, n)
     if k == n:
-        mask = np.ones((n, b), dtype=bool)
+        candidates = np.tile(np.arange(n), (b, 1))
     else:
-        neg = -eta
-        kth = np.partition(neg, k - 1, axis=0)[k - 1]
-        above = neg < kth
-        tied = neg == kth
+        # a copy of the row, so that the partitioned table is freed
+        kth = np.partition(eta, n - k, axis=0)[n - k].copy()
+        above = eta > kth
+        tied = eta == kth
         mask = above | (tied & (np.cumsum(tied, axis=0) <= k - above.sum(axis=0)))
+        candidates = np.nonzero(mask.T)[1].reshape(b, k)
 
     return AssignmentProblem(
-        g=g,
         plan=plan,
         tasks=tuple(tasks),
         node_ids=node_ids,
         task_ids=tuple(t.id for t in tasks),
         t_pred=t_pred,
-        access=access,
         t_eff=t_eff,
         eta=eta,
         xtra_delay=xtra_delay,
@@ -271,7 +268,7 @@ def build_problem(
         demand_mb=np.array([t.block_mb for t in tasks], dtype=float),
         capacity_mb=np.array([nd.capacity_mb for nd in nodes]),
         loss_prob=np.array([nd.loss_prob for nd in nodes]),
-        candidate_mask=mask,
+        candidates=candidates,
     )
 
 
@@ -634,27 +631,6 @@ def _weighted(metrics: np.ndarray, refs) -> np.ndarray:
     return WEIGHTS[0] * parts[0] + WEIGHTS[1] * parts[1] + WEIGHTS[2] * parts[2]
 
 
-def solve(
-    tasks: list[TaskSpec],
-    plan: PlacementPlan,
-    g: ClusterGraph,
-    predictor,
-    config: AcoConfig,
-    seed: int,
-) -> SolveResult:
-    """Run the colony; returns the best-ever feasible solution and the
-    per-iteration convergence trace.
-
-    Early-stops once the best value improves by less than `TOL`
-    (relatively) for `PATIENCE` consecutive iterations. Raises
-    InfeasibleScheduleError when no ant ever produced a feasible
-    assignment.
-    """
-    config.validate()
-    problem = build_problem(g, plan, tasks, predictor)
-    return solve_problem(problem, config, seed)
-
-
 def _fits(assign: np.ndarray, demand_mb: np.ndarray, capacity_mb: np.ndarray) -> bool:
     """Whether a (B,) node-index row assigns every task, task j's
     `demand_mb[j]` summed on its node within that node's `capacity_mb`."""
@@ -705,6 +681,14 @@ def greedy_local_row(problem: AssignmentProblem) -> np.ndarray:
 def solve_problem(
     problem: AssignmentProblem, config: AcoConfig, seed: int
 ) -> SolveResult:
+    """Run the colony on `problem`; returns the best-ever feasible solution
+    and the per-iteration convergence trace.
+
+    Early-stops once the best value improves by less than `TOL`
+    (relatively) for `PATIENCE` consecutive iterations. Raises
+    InfeasibleScheduleError when no ant ever produced a feasible
+    assignment.
+    """
     config.validate()
     by_makespan = config.objective == "makespan"
     tau = np.full(problem.t_eff.shape, TAU0)

@@ -170,8 +170,10 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     """Build and validate a config; an absent key keeps the field's default.
     The `cluster` and `workload` paths are relative to `base_dir`, and a
     scalar `block_size_mb` stands for a one-element `block_sizes_mb`. A
-    numeric field, or an element of a numeric list, must be a JSON number;
-    the float lists keep their elements as written."""
+    numeric field, or an element of a numeric list, must be a JSON number,
+    and a path or a name (`cluster`, `workload`, `out_dir`, `format`,
+    `preset`) a JSON string; the float lists keep their elements as
+    written."""
     if not isinstance(data, dict):
         raise ValueError("experiment config must be a mapping")
     hints = get_type_hints(ExperimentConfig)
@@ -182,8 +184,10 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
             continue
         value = data[key]
         hint = hints[f.name]
-        if f.name in _PATH_KEYS:
-            if value and not os.path.isabs(value):
+        if f.name in _PATH_KEYS or hint is str:
+            if not isinstance(value, str):
+                raise ValueError(f"{key} must be a string, got {json.dumps(value)}")
+            if f.name in _PATH_KEYS and value and not os.path.isabs(value):
                 value = os.path.join(base_dir, value)
         elif isinstance(f.default, tuple):
             # tuple() would split a string into characters and reject a
@@ -326,7 +330,7 @@ def schedule(
             g, blocks, model, {app.id: app.replication_factor for app in workload.apps}
         )
         cfg = aco.AcoConfig.preset(preset, variant=variant)
-        best = aco.solve(tasks, plan, g, model, cfg, seed=seed).best
+        best = aco.solve_problem(aco.build_problem(g, plan, tasks, model), cfg, seed).best
         return Schedule(
             plan, best.assignment, model, best.metrics, sim.RuntimeConfig(enable_migration=True)
         )

@@ -20,11 +20,9 @@ Two strategies place replicas:
 
 from __future__ import annotations
 
-import csv
 import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass
-from collections import defaultdict
 
 import numpy as np
 
@@ -49,20 +47,6 @@ class PlacementPlan:
 
     def is_local(self, node_id: str, block_id: str) -> bool:
         return node_id in self.replicas(block_id)
-
-    def f_primary(self) -> dict[str, int]:
-        counts: dict[str, int] = defaultdict(int)
-        for nodes in self.block_to_nodes.values():
-            counts[nodes[0]] += 1
-        return dict(counts)
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            rf = max(len(v) for v in self.block_to_nodes.values())
-            writer.writerow(["block_id"] + [f"replica{i + 1}" for i in range(rf)])
-            for block_id in sorted(self.block_to_nodes):
-                writer.writerow([block_id, *self.block_to_nodes[block_id]])
 
 
 def _validate_placement(

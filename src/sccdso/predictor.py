@@ -28,7 +28,6 @@ its position in the batch and on the thread count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,11 +225,6 @@ class LinearModel:
     slope: float = 0.5
     intercept: float = 0.1
 
-    def validate(self) -> None:
-        # prediction must stay positive over demand in (0, 1]
-        if self.intercept <= 0 or self.slope + self.intercept <= 0:
-            raise ValueError("linear model must predict > 0 on (0, 1]")
-
     def predict(self, node: NodeSpec, task: TaskSpec) -> float:
         return float(self.predict_matrix([node], [task])[0, 0])
 
@@ -267,33 +261,3 @@ def fit_feature_regression(records: list[ExecRecord]) -> FeatureRegression:
     design = np.column_stack([np.ones(len(records)), feats])
     theta, *_ = np.linalg.lstsq(design, targets, rcond=None)
     return FeatureRegression(theta=theta)
-
-
-def save_model(model: KernelModel, path: str) -> None:
-    payload = {
-        "supports": model.supports.tolist(),
-        "coeffs": model.coeffs.tolist(),
-        "bias": model.bias,
-        "sigma": model.sigma,
-        "learning_rate": model.learning_rate,
-        "scaler_mean": model.scaler_mean.tolist(),
-        "scaler_std": model.scaler_std.tolist(),
-        "degenerate": model.degenerate,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_model(path: str) -> KernelModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return KernelModel(
-        supports=np.array(payload["supports"], dtype=float).reshape(-1, 4),
-        coeffs=np.array(payload["coeffs"], dtype=float),
-        bias=float(payload["bias"]),
-        sigma=float(payload["sigma"]),
-        learning_rate=float(payload["learning_rate"]),
-        scaler_mean=np.array(payload["scaler_mean"], dtype=float),
-        scaler_std=np.array(payload["scaler_std"], dtype=float),
-        degenerate=bool(payload["degenerate"]),
-    )

@@ -182,19 +182,6 @@ class SimTrace:
     # candidates whose gain was not positive
     runtime_counts: dict[str, int] = field(default_factory=dict)
 
-    def to_event_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("time,kind,task,node,info\n")
-            for e in self.events:
-                fh.write(f"{e.time:.9g},{e.kind},{e.task_id},{e.node_id},{e.info}\n")
-
-    def to_metrics_json(self, path: str) -> None:
-        import json
-
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.metrics_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     def metrics_dict(self) -> dict:
         return asdict(self.metrics)
 

@@ -71,17 +71,16 @@ class FixedTimer:
 
 def array_problem(t_eff, xtra_delay=None, cost=None, src_idx=None, loss_prob=None):
     """AssignmentProblem built straight from (n, B) arrays, for tests of
-    the colony's per-plan metrics; no cluster, plan or tasks behind it."""
+    the colony's per-plan metrics; no cluster, plan or tasks behind it,
+    and every node a candidate of every task."""
     t_eff = np.asarray(t_eff, dtype=float)
     n, b = t_eff.shape
     return AssignmentProblem(
-        g=None,
         plan=None,
         tasks=(),
         node_ids=tuple(f"n{i}" for i in range(n)),
         task_ids=tuple(f"t{j}" for j in range(b)),
         t_pred=t_eff,
-        access=np.zeros((n, b)),
         t_eff=t_eff,
         eta=1.0 / np.maximum(t_eff, 1e-12),
         xtra_delay=np.zeros((n, b)) if xtra_delay is None else np.asarray(xtra_delay, float),
@@ -90,5 +89,5 @@ def array_problem(t_eff, xtra_delay=None, cost=None, src_idx=None, loss_prob=Non
         demand_mb=np.zeros(b),
         capacity_mb=np.full(n, np.inf),
         loss_prob=np.zeros(n) if loss_prob is None else np.asarray(loss_prob, float),
-        candidate_mask=np.ones((n, b), dtype=bool),
+        candidates=np.tile(np.arange(n), (b, 1)),
     )

@@ -270,8 +270,8 @@ def test_08_lightweight_fidelity():
         plan = placement.place_heterogeneous(
             g, list(w.blocks), model, {a.id: a.replication_factor for a in w.apps}
         )
-        res = aco.solve(
-            list(w.tasks), plan, g, model,
+        res = aco.solve_problem(
+            aco.build_problem(g, plan, list(w.tasks), model),
             aco.AcoConfig.preset("stage7", variant="lightweight"), seed=seed,
         )
         converged_ok &= (

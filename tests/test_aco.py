@@ -28,7 +28,6 @@ from sccdso.aco import (
     preallocation_row,
     score_rows,
     selection_weights,
-    solve,
     solve_problem,
     update_pheromones_ewma,
     update_pheromones_full,
@@ -37,6 +36,7 @@ from sccdso.aco import (
 from sccdso.cluster import build_cluster, synthetic_cluster_config
 from sccdso.experiment import brute_force_makespan, oracle_instance
 from sccdso.placement import place_rack_aware, place_random
+from sccdso.predictor import predict_table
 from sccdso.sim import TrueTimeModel
 from sccdso.workload import Application, partition, tasks_for
 
@@ -167,9 +167,10 @@ def scalar_ant(weights, problem, order, draws, branches=None):
     assign = np.full(b, -1, dtype=int)
     feasible = True
     seen = set() if branches is None else branches
+    chosen = candidate_grid(problem)
     for j, u in zip(order, draws):
         fits = used + problem.demand_mb[j] <= problem.capacity_mb + 1e-9
-        mask = problem.candidate_mask[:, j] & fits
+        mask = chosen[:, j] & fits
         seen.add("candidate" if mask.any() else "fallback" if fits.any() else "stranded")
         if not mask.any():
             mask = fits
@@ -211,8 +212,15 @@ def scalar_ant(weights, problem, order, draws, branches=None):
     )
 
 
+def candidate_grid(problem):
+    """(n, B): whether node i is one of task j's `problem.candidates`."""
+    chosen = np.zeros(problem.t_eff.shape, dtype=bool)
+    chosen[problem.candidates, np.arange(len(problem.candidates))[:, None]] = True
+    return chosen
+
+
 def random_problem(seed, n, b, slots=None, slow=0.0, ties=False):
-    """Dense random instance: top-L_MAX candidate masks by desirability,
+    """Dense random instance: top-L_MAX candidates by desirability,
     replica sources on half the cells, unequal demands; `slots` caps each
     node at about that many mean-sized tasks (None: no cap). A share `slow`
     of the tasks run a thousand times slower on every node. With `ties`,
@@ -236,10 +244,9 @@ def random_problem(seed, n, b, slots=None, slow=0.0, ties=False):
         np.full(n, np.inf) if slots is None
         else rng.uniform(0.8, 1.2, size=n) * slots * demand.mean()
     )
-    mask = np.zeros((n, b), dtype=bool)
     top = np.argsort(-problem.eta, axis=0, kind="stable")[: min(L_MAX, n)]
-    mask[top, np.arange(b)] = True
-    return replace(problem, demand_mb=demand, capacity_mb=capacity, candidate_mask=mask)
+    return replace(
+        problem, demand_mb=demand, capacity_mb=capacity, candidates=np.sort(top.T, axis=1))
 
 
 def twin_draws(seed, ants, b):
@@ -288,9 +295,9 @@ def test_construct_solution_is_a_one_ant_colony():
 
 
 def ties_at_the_cap(problem):
-    """Columns where a node outside the candidate mask ties the last one in."""
+    """Columns where a node outside the candidates ties the last one in."""
     kth = np.sort(problem.eta, axis=0)[-L_MAX]
-    return int(((problem.eta == kth) & ~problem.candidate_mask).any(axis=0).sum())
+    return int(((problem.eta == kth) & ~candidate_grid(problem)).any(axis=0).sum())
 
 
 def test_colony_equals_scalar_ants_on_random_instances():
@@ -328,10 +335,7 @@ def test_a_draw_at_the_total_picks_the_last_candidate():
     # candidate, node L_MAX - 1, and never node n - 1, which is no candidate
     n, b = 30, 12
     t_eff = np.tile(np.arange(1.0, n + 1.0)[:, None], (1, b))  # node 0 fastest
-    problem = array_problem(t_eff)
-    mask = np.zeros((n, b), dtype=bool)
-    mask[:L_MAX] = True
-    problem = replace(problem, candidate_mask=mask)
+    problem = replace(array_problem(t_eff), candidates=np.tile(np.arange(L_MAX), (b, 1)))
     weights = grid(np.full((n, b), np.nextafter(0.0, 1.0)), problem)
     assign, feasible = construct_colony(weights, problem, EdgeDraws(), 3)
     row, ok = aco._ant_row(weights, problem, np.arange(b), EdgeDraws().random(b))
@@ -346,13 +350,11 @@ def test_subnormal_totals_keep_picks_on_candidates_that_fit():
     # pick may then leave the candidates, and no ant flagged feasible may
     # overfill a node
     n, b = 12, 40
-    problem = array_problem(np.ones((n, b)))
-    mask = np.zeros((n, b), dtype=bool)
-    mask[:10] = True
     capacity = np.full(n, 1000.0)
     capacity[11] = 15.0
     problem = replace(
-        problem, candidate_mask=mask, demand_mb=np.full(b, 10.0), capacity_mb=capacity)
+        array_problem(np.ones((n, b))), candidates=np.tile(np.arange(10), (b, 1)),
+        demand_mb=np.full(b, 10.0), capacity_mb=capacity)
     weights = grid(np.full((n, b), 3 * np.nextafter(0.0, 1.0)), problem)
     rng = np.random.default_rng(19)
     rows, flags = zip(*(construct_colony(weights, problem, rng, 10) for _ in range(5)))
@@ -413,10 +415,7 @@ def test_colony_equals_scalar_ants_when_candidates_fill_up():
     weights = selection_weights(np.full(problem.t_eff.shape, 0.05), problem.eta, 0.8, 1.2)
     assign, feasible = assert_colony_matches_scalar(weights, problem, 8)
     assert feasible.all()
-    assert any(
-        not problem.candidate_mask[i, j]
-        for row in assign for j, i in enumerate(row)
-    )
+    assert (~candidate_grid(problem)[assign, np.arange(assign.shape[1])]).any()
 
 
 def test_colony_equals_scalar_ants_when_a_task_strands():
@@ -651,7 +650,7 @@ def test_solve_two_tasks_two_identical_nodes():
     g, plan, tasks, _ = small_problem(n_nodes=2, n_tasks=2, rf=2)
     timer = FixedTimer({"n0": 1.5, "n1": 1.5})
     cfg = AcoConfig.preset("stage7", objective="makespan")
-    res = solve(tasks, plan, g, timer, cfg, seed=0)
+    res = solve_problem(build_problem(g, plan, tasks, timer), cfg, seed=0)
     assert res.best.makespan == pytest.approx(1.5)  # one task per node
     assert set(res.best.assignment.values()) == {"n0", "n1"}
 
@@ -660,8 +659,8 @@ def test_solve_deterministic_given_seed():
     g, plan, tasks, _ = small_problem(n_nodes=3, n_tasks=5, rf=1)
     timer = FixedTimer({"n0": 1.0, "n1": 2.0, "n2": 0.5})
     cfg = AcoConfig.preset("stage7")
-    a = solve(tasks, plan, g, timer, cfg, seed=11)
-    b = solve(tasks, plan, g, timer, cfg, seed=11)
+    a = solve_problem(build_problem(g, plan, tasks, timer), cfg, seed=11)
+    b = solve_problem(build_problem(g, plan, tasks, timer), cfg, seed=11)
     assert a.best.assignment == b.best.assignment
     assert a.trace == b.trace
 
@@ -707,7 +706,7 @@ def test_solve_infeasible_raises_with_diagnosis():
     plan = place_rack_aware(g, blocks, "n0", rf=1)
     timer = FixedTimer({"n0": 1.0})
     with pytest.raises(InfeasibleScheduleError) as err:
-        solve(tasks, plan, g, timer, AcoConfig(ants=2, max_iters=2), seed=0)
+        solve_problem(build_problem(g, plan, tasks, timer), AcoConfig(ants=2, max_iters=2), seed=0)
     assert err.value.diagnosis["tasks"] == 4
 
 
@@ -729,7 +728,7 @@ def test_lightweight_uses_five_ants_and_converges():
     g, plan, tasks, _ = small_problem(n_nodes=4, n_tasks=8, rf=1)
     timer = FixedTimer({f"n{i}": 1.0 + 0.3 * i for i in range(4)})
     cfg = AcoConfig.preset("stage7", variant="lightweight", max_iters=30)
-    res = solve(tasks, plan, g, timer, cfg, seed=2)
+    res = solve_problem(build_problem(g, plan, tasks, timer), cfg, seed=2)
     assert res.best.feasible
     assert res.converged_iteration is not None
 
@@ -828,13 +827,15 @@ def test_rf_fd_fills_first_node_to_capacity():
     assert nodes == ["n0", "n0", "n1", "n1"]  # first two exhaust n0's 128 MB
 
 
-def reference_rf_fd(problem, reservation_headroom=1.25):
+def reference_rf_fd(g, tasks, model, reservation_headroom=1.25):
     """`baseline_rf_fd`'s pick as the scalar loop it replaced: walk nodes in
     index order for the first that fits and stays under the threshold, else
     the least loaded node that fits. Returns (node-index row, fallbacks
     taken); raises InfeasibleScheduleError when no node fits a task."""
-    n, b = problem.t_pred.shape
-    t_est = problem.t_pred
+    t_est = predict_table(g, tasks, model)
+    n, b = t_est.shape
+    demand_mb = [t.block_mb for t in tasks]
+    capacity_mb = np.array([g.node(nid).capacity_mb for nid in g.node_ids()])
     threshold = float(t_est.mean(axis=0).sum()) / n * reservation_headroom
     loads, used = np.zeros(n), np.zeros(n)
     assign = np.full(b, -1, dtype=int)
@@ -842,7 +843,7 @@ def reference_rf_fd(problem, reservation_headroom=1.25):
     for j in range(b):
         placed = False
         for i in range(n):
-            if used[i] + problem.demand_mb[j] > problem.capacity_mb[i] + 1e-9:
+            if used[i] + demand_mb[j] > capacity_mb[i] + 1e-9:
                 continue
             if loads[i] + t_est[i, j] <= threshold:
                 assign[j] = i
@@ -850,12 +851,12 @@ def reference_rf_fd(problem, reservation_headroom=1.25):
                 break
         if not placed:
             fallbacks += 1
-            fits = np.where(used + problem.demand_mb[j] <= problem.capacity_mb + 1e-9)[0]
+            fits = np.where(used + demand_mb[j] <= capacity_mb + 1e-9)[0]
             if len(fits) == 0:
                 raise InfeasibleScheduleError(f"capacity exhausted while placing task {j}")
             assign[j] = int(fits[np.argmin(loads[fits])])
         loads[assign[j]] += t_est[assign[j], j]
-        used[assign[j]] += problem.demand_mb[j]
+        used[assign[j]] += demand_mb[j]
     return assign, fallbacks
 
 
@@ -866,17 +867,17 @@ def test_rf_fd_equals_scalar_first_fit_on_200_nodes(headroom):
     plan = place_random(g, blocks, rf=2, seed=4)
     model = TrueTimeModel()
     sol = baseline_rf_fd(tasks, g, plan, model, reservation_headroom=headroom)
-    want, _ = reference_rf_fd(build_problem(g, plan, tasks, model), headroom)
+    want, _ = reference_rf_fd(g, tasks, model, headroom)
     assert sol.node_index.tolist() == want.tolist()
 
 
 def test_rf_fd_threshold_admits_a_load_equal_to_it():
     # four equal nodes, eight 1 s tasks, headroom 1: the threshold is 2 s,
     # and a node's second task brings its load to exactly 2 s
-    g, plan, tasks, problem = small_problem(n_nodes=4, n_tasks=8, rf=1)
+    g, plan, tasks, _ = small_problem(n_nodes=4, n_tasks=8, rf=1)
     timer = FixedTimer({f"n{i}": 1.0 for i in range(4)})
     sol = baseline_rf_fd(tasks, g, plan, timer, reservation_headroom=1.0)
-    want, fallbacks = reference_rf_fd(problem, 1.0)
+    want, fallbacks = reference_rf_fd(g, tasks, timer, 1.0)
     assert sol.node_index.tolist() == want.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
     assert fallbacks == 0
 
@@ -896,7 +897,7 @@ def test_rf_fd_equals_scalar_first_fit_when_capacity_binds():
         _, blocks, tasks = make_app_tasks(input_mb=blocks_n * 64, rf=1)
         plan = place_random(g, blocks, rf=1, seed=blocks_n)
         for headroom in (1.0, 1.25):
-            want, taken = reference_rf_fd(build_problem(g, plan, tasks, model), headroom)
+            want, taken = reference_rf_fd(g, tasks, model, headroom)
             sol = baseline_rf_fd(tasks, g, plan, model, reservation_headroom=headroom)
             assert sol.node_index.tolist() == want.tolist()
             fallbacks += taken
@@ -904,7 +905,7 @@ def test_rf_fd_equals_scalar_first_fit_when_capacity_binds():
     _, blocks, tasks = make_app_tasks(input_mb=25 * 64, rf=1)
     plan = place_random(g, blocks, rf=1, seed=25)
     with pytest.raises(InfeasibleScheduleError):
-        reference_rf_fd(build_problem(g, plan, tasks, model))
+        reference_rf_fd(g, tasks, model)
     with pytest.raises(InfeasibleScheduleError, match="capacity exhausted"):
         baseline_rf_fd(tasks, g, plan, model)
 

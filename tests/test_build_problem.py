@@ -69,18 +69,24 @@ def reference_build(g, plan, tasks, predictor):
     t_eff = t_pred + access
     eta = 1.0 / np.maximum(t_eff, 1e-12)
 
-    mask = np.zeros((n, b), dtype=bool)
     k = min(aco.L_MAX, n)
+    candidates = np.zeros((b, k), dtype=int)
     for j in range(b):
-        top = np.argsort(-eta[:, j], kind="stable")[:k]
-        mask[top, j] = True
+        candidates[j] = np.sort(np.argsort(-eta[:, j], kind="stable")[:k])
 
     return dict(
         t_pred=t_pred, access=access, t_eff=t_eff, eta=eta, xtra_delay=xtra_delay,
         cost=cost, src_idx=src_idx, demand_mb=np.array([t.block_mb for t in tasks]),
         capacity_mb=np.array([nd.capacity_mb for nd in nodes]),
-        loss_prob=np.array([nd.loss_prob for nd in nodes]), candidate_mask=mask,
+        loss_prob=np.array([nd.loss_prob for nd in nodes]), candidates=candidates,
     )
+
+
+def grid_access(g, plan, tasks):
+    """The (n, B) transfer seconds of every cell, which `build_problem`
+    folds into t_eff: `price_cells` on the full grid."""
+    n, b = len(g.nodes), len(tasks)
+    return aco.price_cells(g, plan, tasks, np.arange(n)[:, None], np.arange(b))[0]
 
 
 def random_instance(seed, n_racks, nodes=(4, 12)):
@@ -132,8 +138,9 @@ def test_build_problem_matches_reference_loop(n_racks):
         assert {len(plan.replicas(t.block_id)) for t in tasks} <= {1, 2, 3, 4}
         got = aco.build_problem(g, plan, tasks, TrueTimeModel())
         want = reference_build(g, plan, tasks, TrueTimeModel())
+        access = grid_access(g, plan, tasks)
         for name, ref in want.items():
-            arr = getattr(got, name)
+            arr = access if name == "access" else getattr(got, name)
             assert arr.dtype == ref.dtype and arr.shape == ref.shape, (seed, name)
             assert arr.tobytes() == ref.tobytes(), (seed, name)
 
@@ -168,11 +175,15 @@ def test_candidate_mask_breaks_ties_at_the_cap_by_node_index(n_racks):
         g, plan, tasks = random_instance(1000 + seed, n_racks, nodes=(11, 40))
         got = aco.build_problem(g, plan, tasks, TrueTimeModel())
         want = reference_build(g, plan, tasks, TrueTimeModel())
+        access = grid_access(g, plan, tasks)
         for name, ref in want.items():
-            assert getattr(got, name).tobytes() == ref.tobytes(), (seed, name)
-        assert (got.candidate_mask.sum(axis=0) == aco.L_MAX).all()
+            arr = access if name == "access" else getattr(got, name)
+            assert arr.tobytes() == ref.tobytes(), (seed, name)
+        assert got.candidates.shape == (len(tasks), aco.L_MAX)
         kth = np.sort(got.eta, axis=0)[-aco.L_MAX]
-        boundary_ties += int(((got.eta == kth) & ~got.candidate_mask).any(axis=0).sum())
+        chosen = np.zeros(got.eta.shape, dtype=bool)
+        chosen[got.candidates, np.arange(len(tasks))[:, None]] = True
+        boundary_ties += int(((got.eta == kth) & ~chosen).any(axis=0).sum())
     assert boundary_ties > 100
 
 
@@ -189,13 +200,14 @@ def test_price_cells_equals_build_problem_tables(seed, n_racks, cells, grid):
     # block: each priced cell carries the full grid's bits
     g, plan, tasks = random_instance(seed, n_racks)
     p = aco.build_problem(g, plan, tasks, TrueTimeModel())
-    n, b = p.t_pred.shape
+    access = grid_access(g, plan, tasks)
+    n, b = access.shape
     i = np.array([int(u * n) for u, _ in cells], dtype=int)
     j = np.array([int(v * b) for _, v in cells], dtype=int)
     block = (np.arange(grid[0])[:, None] * 7 % n, np.arange(grid[1]) * 5 % b)
     for i, j in ((i, j), block):
         got = aco.price_cells(g, plan, tasks, i, j)
-        want = (p.access[i, j], p.xtra_delay[i, j], p.cost[i, j], p.src_idx[i, j])
+        want = (access[i, j], p.xtra_delay[i, j], p.cost[i, j], p.src_idx[i, j])
         for a, w in zip(got, want):
             assert a.dtype == w.dtype and a.shape == w.shape
             assert a.tobytes() == w.tobytes()
@@ -208,9 +220,10 @@ def test_colony_and_steal_rule_price_a_fetch_alike(n_racks):
     for seed in range(40):
         g, plan, tasks = random_instance(seed, n_racks)
         p = aco.build_problem(g, plan, tasks, TrueTimeModel())
+        access = grid_access(g, plan, tasks)
         replicas = g.paths.replica_index(plan.replicas(t.block_id) for t in tasks)
         mb = np.array([t.block_mb for t in tasks])
         for i in range(len(p.node_ids)):
             price, src = g.paths.cheapest_fetch(i, replicas, mb)
-            assert (p.access[i] + p.xtra_delay[i]).tobytes() == price.tobytes(), seed
+            assert (access[i] + p.xtra_delay[i]).tobytes() == price.tobytes(), seed
             assert (p.src_idx[i] == np.where(src == i, -1, src)).all(), seed

@@ -185,15 +185,23 @@ def test_config_from_dict_validation():
         ({"gcycles_per_mb": {"uniform": [True, 0.1]}},
          "gcycles_per_mb: spec values must be numbers, got True"),
         ({"demand": {"choice": [0.5, "0.6"]}}, "demand: spec values must be numbers, got '0.6'"),
+        ({"out_dir": 5}, "out_dir must be a string, got 5"),
+        ({"cluster": 5}, "cluster must be a string, got 5"),
+        ({"workload": ["a"]}, 'workload must be a string, got ["a"]'),
+        ({"format": None}, "format must be a string, got null"),
+        ({"preset": True}, "preset must be a string, got true"),
     ],
     ids=["bool-float", "bool-load", "string-int", "string-fraction", "bool-in-list",
          "string-in-list", "fraction-in-int-list", "string-legacy-block", "bool-spec",
-         "bool-in-uniform-spec", "string-in-choice-spec"],
+         "bool-in-uniform-spec", "string-in-choice-spec", "number-out-dir",
+         "number-cluster", "list-workload", "null-format", "bool-preset"],
 )
 def test_config_numbers_must_be_json_numbers(tmp_path, capsys, bad, message):
     # float() and int() would read true as 1.0 and "7" as 7, and a bool or
     # a string in a list failed later with a TypeError that named no key;
-    # a distribution spec read true as a fixed 1.0
+    # a distribution spec read true as a fixed 1.0. A path or a name must
+    # be a string: a number out_dir was accepted, and a number cluster
+    # failed with an os.path TypeError that named no key
     with pytest.raises(ValueError) as err:
         config_from_dict(bad)
     assert str(err.value) == message
@@ -299,26 +307,6 @@ def test_block_size_sweep_labels():
     result = run_experiment(cfg)
     cells = {r.cell for r in result.aggregates}
     assert cells == {"20MB/b16", "20MB/b32"}
-
-
-def test_sim_trace_exports(tmp_path):
-    from sccdso.workload import Application, workload_from_apps
-
-    g = build_cluster(synthetic_cluster_config(4))
-    w = workload_from_apps(
-        [Application(id="app0", input_mb=128, block_size_mb=64, replication_factor=2)]
-    )
-    trace = experiment.run_pipeline(g, w, "rr", seed=5)
-    csv_path = tmp_path / "events.csv"
-    json_path = tmp_path / "metrics.json"
-    trace.to_event_csv(str(csv_path))
-    trace.to_metrics_json(str(json_path))
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "time,kind,task,node,info"
-    assert len(lines) > 1
-    payload = json.loads(json_path.read_text())
-    assert payload["tasks"] == 2
-    assert "completion_time_s" in payload
 
 
 def test_recovery_latency_recorded_for_multicopy(tmp_path):
@@ -505,7 +493,7 @@ def test_runtime_table_matches_the_colonys_on_unslowed_nodes():
     view = straggle(g, seed)
     trace = experiment.execute(replace(sched, model=Recording()), view, w)
     assert trace.metrics.migrations > 0 and len(tables) == 1
-    t_pred = aco.build_problem(g, sched.plan, list(w.tasks), sched.model).t_pred
+    t_pred = pred.predict_table(g, w.tasks, sched.model)
     kept = [i for i, nid in enumerate(g.node_ids()) if view.node(nid) is g.node(nid)]
     assert 0 < len(kept) < len(g.nodes)
     assert tables[0][kept].tobytes() == t_pred[kept].tobytes()

@@ -14,10 +14,8 @@ from sccdso.predictor import (
     fit_feature_regression,
     features_for,
     fit_kernel,
-    load_model,
     loss_and_gradient,
     rbf_kernel,
-    save_model,
 )
 from sccdso.sim import TrueTimeModel
 from sccdso.workload import TaskSpec
@@ -135,17 +133,9 @@ def test_faster_cpu_predicts_lower_time():
 
 def test_linear_model_noiseless_prediction():
     model = LinearModel()
-    model.validate()
     assert model.predict(node(), task(demand=0.6)) == pytest.approx(0.40)
     # affine and deterministic
     assert model.predict(node(), task(demand=0.6)) == model.predict(None, task(demand=0.6))
-
-
-def test_linear_model_positivity_validation():
-    with pytest.raises(ValueError):
-        LinearModel(slope=0.5, intercept=0.0).validate()
-    with pytest.raises(ValueError):
-        LinearModel(slope=-1.0, intercept=0.5).validate()
 
 
 def test_kernel_predict_touches_each_support_once(monkeypatch):
@@ -185,17 +175,6 @@ def test_fit_input_validation():
         fit_kernel(records, learning_rate=0.5)
     with pytest.raises(ValueError):
         fit_kernel(records, sigma=0.0)
-
-
-def test_save_load_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    records = synth_records(rng, 50, lambda m, c, me, io: 0.5 * m / io)
-    model = fit_kernel(records, epochs=100)
-    path = tmp_path / "model.json"
-    save_model(model, str(path))
-    loaded = load_model(str(path))
-    probe = task(mb=48.0)
-    assert loaded.predict(node(), probe) == pytest.approx(model.predict(node(), probe))
 
 
 def test_feature_regression_recovers_linear_map():

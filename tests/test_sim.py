@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sccdso.aco import build_problem
+from sccdso.aco import price_cells
 from sccdso.cluster import PathTable, build_cluster, scale_bandwidth, synthetic_cluster_config
 from sccdso.placement import PlacementPlan, place_rack_aware, place_random
 from sccdso.sim import (
@@ -138,7 +138,7 @@ def test_fair_share_splits_link_bandwidth():
 @pytest.mark.parametrize("dst", ["b", "c"], ids=["intra-rack", "inter-rack"])
 def test_colony_prices_a_fetch_as_the_simulator_charges_it(dst):
     # one 64 MB fetch over 125 MB/s links with 5 ms / 15 ms rack latency:
-    # the colony's access plus extras is the gap between the transfer and
+    # the colony's price, `price_cells`' access plus extras, is the gap between the transfer and
     # the compute in the simulated run (0.517 s and 0.527 s)
     g = make_cluster(
         [("a", "r0", 1.0, 64.0), ("b", "r0", 1.0, 64.0), ("c", "r1", 1.0, 64.0)],
@@ -146,9 +146,9 @@ def test_colony_prices_a_fetch_as_the_simulator_charges_it(dst):
     )
     app, blocks, tasks, w = build_workload(64, gcycles_per_mb=1.0 / 64)
     plan = place_rack_aware(g, blocks, "a", rf=1)
-    problem = build_problem(g, plan, tasks, TrueTimeModel())
-    i = problem.node_ids.index(dst)
-    price = problem.access[i, 0] + problem.xtra_delay[i, 0]
+    i = np.array([g.paths.index[dst]])
+    access, xtra_delay, _, _ = price_cells(g, plan, tasks, i, np.zeros(1, dtype=int))
+    price = access[0] + xtra_delay[0]
     trace = simulate(g, plan, {tasks[0].id: dst}, w, RuntimeConfig())
     sent = next(e.time for e in trace.events if e.kind == "transfer")
     gap = trace.metrics.completion_time_s - sent - true_service_time(g.node(dst), tasks[0])
