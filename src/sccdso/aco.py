@@ -23,14 +23,28 @@ are the ones an ant walking its order one task at a time (`_ant_row`)
 makes from the same draws as long as no node comes near its capacity,
 so that every `fits` check the walk makes holds. When an ant's final
 loads leave no room for the largest demand, the iteration builds its
-rows with `_ant_row` from the same orders and draws. `score_rows` then
-prices every row at once: it gathers each row's cells from the
-problem's tables and hands them to `score_cells`, the one definition of
-a plan's makespan, delay, cost and loss, in which each total keeps a
-task-by-task loop's order of addition (per-node totals by `_row_sums`).
+rows with `_ant_row` from the same orders and draws.
+
+What an iteration then computes from its rows (its ants, and in the
+first iteration the elite seed rows) depends on the objective:
+
+* weighted — `score_rows` prices every row at once: it gathers each
+  row's cells from the problem's tables and hands them to `score_cells`,
+  the one definition of a plan's delay, cost and loss, in which each
+  total keeps a task-by-task loop's order of addition (per-node totals by
+  `_row_sums`). The first iteration's feasible rows set the scale of each
+  metric in the objective.
+* makespan — the objective reads node loads alone, so `score_makespans`
+  gathers each row's t_eff cells only and computes no delay, cost or
+  loss. Both scorers take a row's makespan from `_node_loads`, so it has
+  one definition and the same bits under either objective. The
+  iteration's best feasible row is then hill-climbed (`_refine_makespan`,
+  on Python floats), and a climbed row that moved joins the rows.
+
 The objective, the trace, the best pick (the first row of least
 (objective, makespan)) and the full-regime deposit read those arrays;
-an `AntSolution` is built only for the winner and for the baselines.
+an `AntSolution`, with the full (delay, cost, loss) of `score_rows`, is
+built only for the winner and for the baselines.
 
 Two pheromone regimes:
 
@@ -72,6 +86,7 @@ runs the colony on it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -118,12 +133,18 @@ class AcoConfig:
     objective: str = "weighted"  # or "makespan"
 
     def validate(self) -> None:
-        if min(self.alpha, self.beta) <= 0:
-            raise ValueError("alpha, beta must be > 0")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            # NaN fails the comparison; inf would turn the weights to NaN or inf
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not 0 < self.rho < 1:
             raise ValueError("rho must be in (0, 1)")
-        if self.ants < 1 or self.max_iters < 1:
-            raise ValueError("ants, max_iters must be >= 1")
+        for name in ("ants", "max_iters"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True is no count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.variant not in ("full", "lightweight"):
             raise ValueError(f"unknown variant: {self.variant}")
         if self.objective not in ("weighted", "makespan"):
@@ -333,6 +354,27 @@ def score_rows(problem: AssignmentProblem, assign: np.ndarray) -> tuple[np.ndarr
     )
 
 
+def score_makespans(problem: AssignmentProblem, assign: np.ndarray) -> np.ndarray:
+    """Each row's makespan alone, the bits of `score_rows`' first result:
+    `_node_loads` of the row's t_eff cells, with no delay, cost or loss."""
+    assigned = assign >= 0
+    nodes = np.where(assigned, assign, 0)
+    t_eff = problem.t_eff[nodes, np.arange(assign.shape[1])]
+    return _node_loads(nodes, assigned, t_eff, len(problem.node_ids))[1]
+
+
+def _node_loads(
+    nodes: np.ndarray, assigned: np.ndarray, t_eff: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one definition of a plan's makespan. For (ants, B) cells as
+    `score_cells` takes them, returns the (ants, n) node loads, each
+    node's total t_eff over its assigned tasks (`_row_sums`, in task
+    order from 0.0), and each row's makespan, its largest load, inf when
+    nothing is assigned."""
+    loads = _row_sums(nodes, np.where(assigned, t_eff, 0.0), n)
+    return loads, np.where(assigned.any(axis=1), loads.max(axis=1), np.inf)
+
+
 def score_cells(
     nodes: np.ndarray,
     assigned: np.ndarray,
@@ -342,20 +384,21 @@ def score_cells(
     src_idx: np.ndarray,
     loss_prob: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one definition of a plan's makespan, delay, cost and loss. Each
-    argument but `loss_prob` (n,) is (ants, B): task j of row a runs on
-    node nodes[a, j] when assigned[a, j], and the cell arrays hold that
-    cell's t_eff, xtra_delay, cost and src_idx (values at unassigned tasks
-    are ignored). Returns each row's makespan, the most loaded node's
-    total t_eff (inf when nothing is assigned), and its raw (delay, cost,
-    loss) as a (3, ants) array. Every total adds its terms in task order
-    from 0.0, as a task-by-task loop would: `_row_sums` for node loads, a
-    running `cumsum` for delay, cost and loss (`np.sum` adds pairwise and
-    moves last bits). Unassigned tasks add exact zeros, and loss is the
-    mean over assigned tasks."""
+    """The one definition of a plan's delay, cost and loss. Each argument
+    but `loss_prob` (n,) is (ants, B): task j of row a runs on node
+    nodes[a, j] when assigned[a, j], and the cell arrays hold that cell's
+    t_eff, xtra_delay, cost and src_idx (values at unassigned tasks are
+    ignored). Returns each row's makespan and its raw (delay, cost, loss)
+    as a (3, ants) array. The makespan and node loads are `_node_loads`',
+    the shared definition that the makespan objective's `score_makespans`
+    reads without the rest. Every total adds its terms in task order from
+    0.0, as a task-by-task loop would: `_row_sums` for node loads and
+    counts, a running `cumsum` for delay, cost and loss (`np.sum` adds
+    pairwise and moves last bits). Unassigned tasks add exact zeros, and
+    loss is the mean over assigned tasks."""
     ants, b = nodes.shape
     n = len(loss_prob)
-    loads = _row_sums(nodes, np.where(assigned, t_eff, 0.0), n)
+    loads, makespan = _node_loads(nodes, assigned, t_eff, n)
     counts = _row_sums(nodes, assigned, n)
     survive = 1.0 - loss_prob[nodes]
     survive = np.where(src_idx >= 0, survive * (1.0 - loss_prob[src_idx]), survive)
@@ -370,7 +413,6 @@ def score_cells(
     metrics[0] += (counts * loads).sum(axis=1)
     count = assigned.sum(axis=1)
     metrics[2] = np.where(count > 0, metrics[2] / np.maximum(count, 1), 0.0)
-    makespan = np.where(count > 0, loads.max(axis=1), np.inf)
     return makespan, metrics
 
 
@@ -583,44 +625,45 @@ def _refine_makespan(
     problem: AssignmentProblem, assign: np.ndarray, max_rounds: int = 64
 ) -> tuple[np.ndarray, int]:
     """Bounded hill climb on a complete node-index row: repeatedly move one
-    task off the most loaded node while that strictly lowers the makespan
-    and respects capacity. Returns the climbed row (a copy) and the number
-    of moves."""
+    task off the most loaded node (the first on a tie) while that strictly
+    lowers the makespan and respects capacity, taking the move of least
+    new makespan, the first in (task, node) order on a tie. Returns the
+    climbed row (a copy) and the number of moves. The loop adds and
+    compares Python floats, the float64 values numpy would."""
     n = len(problem.node_ids)
-    assign = assign.copy()
-    loads = np.zeros(n)
-    used = np.zeros(n)
-    for j, i in enumerate(assign):
-        loads[i] += problem.t_eff[i, j]
-        used[i] += problem.demand_mb[j]
+    t_eff = problem.t_eff.tolist()
+    demand = problem.demand_mb.tolist()
+    room = (problem.capacity_mb + CAPACITY_SLACK_MB).tolist()
+    row = assign.tolist()
+    loads = [0.0] * n
+    used = [0.0] * n
+    for j, i in enumerate(row):
+        loads[i] += t_eff[i][j]
+        used[i] += demand[j]
     moves = 0
     for _ in range(max_rounds):
-        src = int(np.argmax(loads))
+        src = loads.index(max(loads))
         best = None  # (new_makespan, j, dst)
-        others = np.partition(loads, -2)[-2] if n > 1 else 0.0
-        for j in np.where(assign == src)[0]:
+        others = sorted(loads)[-2] if n > 1 else 0.0
+        for j in [j for j, i in enumerate(row) if i == src]:
+            d = demand[j]
+            rest = loads[src] - t_eff[src][j]
             for dst in range(n):
-                if dst == src:
+                if dst == src or used[dst] + d > room[dst]:
                     continue
-                if used[dst] + problem.demand_mb[j] > problem.capacity_mb[dst] + CAPACITY_SLACK_MB:
-                    continue
-                new_mk = max(
-                    others,
-                    loads[src] - problem.t_eff[src, j],
-                    loads[dst] + problem.t_eff[dst, j],
-                )
+                new_mk = max(others, rest, loads[dst] + t_eff[dst][j])
                 if new_mk < loads[src] - 1e-12 and (best is None or new_mk < best[0]):
-                    best = (new_mk, int(j), dst)
+                    best = (new_mk, j, dst)
         if best is None:
             break
         _, j, dst = best
-        loads[src] -= problem.t_eff[src, j]
-        used[src] -= problem.demand_mb[j]
-        loads[dst] += problem.t_eff[dst, j]
-        used[dst] += problem.demand_mb[j]
-        assign[j] = dst
+        loads[src] -= t_eff[src][j]
+        used[src] -= demand[j]
+        loads[dst] += t_eff[dst][j]
+        used[dst] += demand[j]
+        row[j] = dst
         moves += 1
-    return assign, moves
+    return np.array(row, dtype=assign.dtype), moves
 
 
 def _weighted(metrics: np.ndarray, refs) -> np.ndarray:
@@ -715,26 +758,31 @@ def solve_problem(
             if elites:
                 assign = np.vstack([assign, *elites])
                 feasible = np.concatenate([feasible, np.ones(len(elites), dtype=bool)])
-        makespan, metrics = score_rows(problem, assign)
-        if by_makespan and feasible.any():
-            fi = np.flatnonzero(feasible)
-            refined, moves = _refine_makespan(problem, assign[fi[np.argmin(makespan[fi])]])
-            if moves:
-                refine_moves += moves
-                mk, m = score_rows(problem, refined[None])
-                assign = np.vstack([assign, refined])
-                feasible = np.append(feasible, True)
-                makespan = np.concatenate([makespan, mk])
-                metrics = np.concatenate([metrics, m], axis=1)
+        if by_makespan:
+            # the objective reads node loads alone; the winner is priced in
+            # full once, after the last iteration
+            makespan = score_makespans(problem, assign)
+            if feasible.any():
+                fi = np.flatnonzero(feasible)
+                refined, moves = _refine_makespan(problem, assign[fi[np.argmin(makespan[fi])]])
+                if moves:
+                    refine_moves += moves
+                    assign = np.vstack([assign, refined])
+                    feasible = np.append(feasible, True)
+                    makespan = np.append(makespan, score_makespans(problem, refined[None]))
+            obj = makespan
+        else:
+            makespan, metrics = score_rows(problem, assign)
+            if refs is None and feasible.any():
+                refs = [float(np.mean(m)) for m in metrics[:, feasible]]
+            # before the first feasible row, every row is dropped below
+            obj = makespan if refs is None else _weighted(metrics, refs)
         if not feasible.all():
             if not feasible.any():
                 stranded_assigned = int((assign[0] >= 0).sum())
-            assign, makespan, metrics = assign[feasible], makespan[feasible], metrics[:, feasible]
+            assign, makespan, obj = assign[feasible], makespan[feasible], obj[feasible]
         n_feas = len(assign)
         if n_feas:
-            if refs is None:
-                refs = [float(np.mean(m)) for m in metrics]
-            obj = makespan if by_makespan else _weighted(metrics, refs)
             # the first row of least (objective, makespan); a later
             # iteration replaces the best only with a strictly smaller one
             k = np.lexsort((makespan, obj))[0]

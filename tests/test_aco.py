@@ -26,6 +26,7 @@ from sccdso.aco import (
     greedy_local_row,
     iteration_weights,
     preallocation_row,
+    score_makespans,
     score_rows,
     selection_weights,
     solve_problem,
@@ -33,7 +34,7 @@ from sccdso.aco import (
     update_pheromones_full,
     write_trace_csv,
 )
-from sccdso.cluster import build_cluster, synthetic_cluster_config
+from sccdso.cluster import CAPACITY_SLACK_MB, build_cluster, synthetic_cluster_config
 from sccdso.experiment import brute_force_makespan, oracle_instance
 from sccdso.placement import place_rack_aware, place_random
 from sccdso.predictor import predict_table
@@ -750,6 +751,112 @@ def test_solve_counts_ants_and_refine_moves():
     assert any(moves)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ants=st.integers(1, 6),
+    n=st.integers(1, 9),
+    b=st.integers(0, 14),
+)
+def test_loads_only_makespans_equal_score_rows(seed, ants, n, b):
+    # the makespan objective's scorer reads the makespan that `score_rows`
+    # prices, bit for bit: random rows with unassigned (-1) tasks, t_eff
+    # over six orders of magnitude, and a last row with nothing assigned
+    rng = np.random.default_rng(seed)
+    problem = array_problem(rng.uniform(0.5, 2.0, (n, b)) * 10.0 ** rng.integers(-3, 3, (n, b)))
+    assign = rng.integers(-1, n, size=(ants, b))
+    assign[rng.random((ants, b)) < 0.2] = -1
+    assign = np.vstack([assign, np.full(b, -1)])
+    got = score_makespans(problem, assign)
+    want = score_rows(problem, assign)[0]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got[-1] == np.inf
+
+
+def reference_refine(problem, assign, max_rounds=64):
+    """`aco._refine_makespan` as numpy loops, the reference for the
+    Python-float climb: the same row and move count."""
+    n = len(problem.node_ids)
+    assign = assign.copy()
+    loads = np.zeros(n)
+    used = np.zeros(n)
+    for j, i in enumerate(assign):
+        loads[i] += problem.t_eff[i, j]
+        used[i] += problem.demand_mb[j]
+    moves = 0
+    for _ in range(max_rounds):
+        src = int(np.argmax(loads))
+        best = None  # (new_makespan, j, dst)
+        others = np.partition(loads, -2)[-2] if n > 1 else 0.0
+        for j in np.where(assign == src)[0]:
+            for dst in range(n):
+                if dst == src:
+                    continue
+                if used[dst] + problem.demand_mb[j] > problem.capacity_mb[dst] + CAPACITY_SLACK_MB:
+                    continue
+                new_mk = max(
+                    others,
+                    loads[src] - problem.t_eff[src, j],
+                    loads[dst] + problem.t_eff[dst, j],
+                )
+                if new_mk < loads[src] - 1e-12 and (best is None or new_mk < best[0]):
+                    best = (new_mk, int(j), dst)
+        if best is None:
+            break
+        _, j, dst = best
+        loads[src] -= problem.t_eff[src, j]
+        used[src] -= problem.demand_mb[j]
+        loads[dst] += problem.t_eff[dst, j]
+        used[dst] += problem.demand_mb[j]
+        assign[j] = dst
+        moves += 1
+    return assign, moves
+
+
+def test_refine_on_floats_equals_the_numpy_climb():
+    # random complete rows, on instances whose capacity binds (`slots`) or
+    # not, with t_eff rounded to multiples of 4 s so loads and moves tie
+    # exactly, and with budgets of 1, 3 and 64 rounds
+    hit_budget = capacity_bound = tied = 0
+    for seed in range(60):
+        n, b = 1 + seed % 7, 2 + 3 * (seed % 9)
+        problem = random_problem(seed, n, b, slots=(None, 2.0, 4.0)[seed % 3], ties=seed % 2 == 0)
+        row = np.random.default_rng(seed).integers(0, n, size=b)
+        free = replace(problem, capacity_mb=np.full(n, np.inf))
+        for max_rounds in (1, 3, 64):
+            want = reference_refine(problem, row, max_rounds)
+            got = aco._refine_makespan(problem, row, max_rounds)
+            assert got[0].dtype == row.dtype
+            assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1])
+            assert row.tolist() == np.random.default_rng(seed).integers(0, n, size=b).tolist()
+            hit_budget += got[1] == max_rounds
+            capacity_bound += got[0].tolist() != aco._refine_makespan(free, row, max_rounds)[0].tolist()
+        loads = aco._row_sums(row[None], problem.t_eff[row, np.arange(b)][None], n)[0]
+        tied += len(set(loads.tolist())) < n
+    assert hit_budget and capacity_bound and tied
+    # a climb that still improves when its budget runs out
+    problem = array_problem(np.ones((4, 20)))
+    row = np.zeros(20, dtype=int)
+    for max_rounds in (1, 5, 9):
+        want = reference_refine(problem, row, max_rounds)
+        got = aco._refine_makespan(problem, row, max_rounds)
+        assert (got[0].tolist(), got[1]) == (want[0].tolist(), max_rounds)
+
+
+@pytest.mark.parametrize("variant", ["full", "lightweight"])
+def test_makespan_winner_is_scored_in_full(variant):
+    # iterations score by loads alone under the makespan objective; the
+    # winner still carries `score_rows`' makespan and (delay, cost, loss)
+    cfg = AcoConfig.preset("table1", objective="makespan", variant=variant)
+    for s in range(24):
+        problem = oracle_instance(1000 + s)
+        best = solve_problem(problem, cfg, seed=s).best
+        makespan, metrics = score_rows(problem, best.node_index[None])
+        assert best.makespan == makespan[0] == best.objective
+        assert best.metrics == (metrics[0, 0], metrics[1, 0], metrics[2, 0])
+        assert type(best.metrics[2]) is type(metrics[2, 0])
+
+
 @pytest.mark.parametrize("first", ["ab", "ba"])
 def test_exact_ties_keep_the_earlier_row(first, monkeypatch):
     # twelve equal tasks on two nodes; rows a and b swap the nodes of t2 and
@@ -941,6 +1048,19 @@ def test_config_validation_and_presets():
     assert (s7.alpha, s7.beta, s7.rho) == (0.8, 1.2, 0.1)
     with pytest.raises(ValueError):
         AcoConfig(beta=0.0).validate()
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("alpha", float("nan")), ("beta", float("inf")), ("ants", 2.5), ("max_iters", True)],
+)
+def test_config_rejects_non_finite_weights_and_non_integer_counts(name, value):
+    # each used to reach the colony: NaN or inf selection weights, a float
+    # ant count failing inside numpy, True running one iteration
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        AcoConfig.preset("table1", objective="makespan", **{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        solve_problem(oracle_instance(1000), replace(AcoConfig(), **{name: value}), seed=0)
 
 
 def test_lightweight_preset_sets_the_ants_it_runs():
