@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Time one scc-dso schedule and its adaptive execution at a chosen size.
+"""Time one schedule and its execution at a chosen size.
 
 The input is the deep-queue-straggler profile scaled up: `--nodes` synthetic
 nodes, `--tasks` x 64 MB blocks at RF 2, and a `--stragglers` fraction of
-the nodes 4x slow after scheduling, all from `--seed`. Prints the seconds of
+the nodes 4x slow after scheduling, all from `--seed`, scheduled by
+`--scheduler` (default scc-dso, whose run migrates; rr is the
+transfer-heavy path without migration). Prints the seconds of
 `experiment.schedule` and of `experiment.execute` (one `sim.simulate`), the
 process's peak resident set in MB (`ru_maxrss`, which Linux reports in KiB),
 the run's `runtime_counts`, its completion time, and a sha256 of
@@ -11,6 +13,7 @@ the run's `runtime_counts`, its completion time, and a sha256 of
 
 Usage:
     python scripts/scale_probe.py [--nodes 1000] [--tasks 5000] [--stragglers 0.1] [--seed 7]
+                                  [--scheduler scc-dso]
 """
 
 import argparse
@@ -32,6 +35,7 @@ def main() -> int:
     parser.add_argument("--tasks", type=int, default=5000)
     parser.add_argument("--stragglers", type=float, default=0.1)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--scheduler", choices=experiment.SCHEDULERS, default="scc-dso")
     args = parser.parse_args()
 
     g = build_cluster(synthetic_cluster_config(args.nodes))
@@ -41,7 +45,7 @@ def main() -> int:
     view = sim.inject_stragglers(g, args.stragglers, 4.0, args.seed)
 
     t0 = time.perf_counter()
-    sched = experiment.schedule(g, w, "scc-dso", args.seed)
+    sched = experiment.schedule(g, w, args.scheduler, args.seed)
     t1 = time.perf_counter()
     trace = experiment.execute(sched, view, w)
     t2 = time.perf_counter()

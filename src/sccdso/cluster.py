@@ -14,12 +14,14 @@ fetching `mb` from node src to node dst takes `mb / bandwidth + extras_s`
 seconds, the route's bottleneck plus its link queue delays and tier
 latency, and costs `mb * cost_per_mb`. The colony, the steal rule and the
 simulator all read it, the first two through its cheapest-replica rule
-(`cheapest_fetch`); the simulator adds only per-link fair sharing.
+(`cheapest_fetch`); the simulator adds only per-link fair sharing, over
+the links of each node's `NodeRoute`, which the table builds from the same
+link specs.
 
 A built ClusterGraph is immutable; derive modified views (e.g. slowed-down
 nodes) by rebuilding rather than mutating. A view that changes links
-(`scale_bandwidth`) builds its own table; one that changes only node
-speeds (`sim.inject_stragglers`) keeps its parent's.
+(`scale_bandwidth`) builds its own table and routes; one that changes only
+node speeds (`sim.inject_stragglers`) keeps its parent's.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,6 +138,22 @@ class ClusterGraph:
         return PathTable.build(self)
 
 
+class NodeRoute(NamedTuple):
+    """One node's end of every route it is on: its rack's index, and its
+    uplink and its rack's core link, each as (link id, MB/s, queue delay
+    seconds). Link ids number the uplinks 0..n-1 in node order and the core
+    links n.. in rack order. An intra-rack route is the two uplinks; an
+    inter-rack route adds both core links."""
+
+    rack: int
+    up: int
+    up_mbps: float
+    up_delay_s: float
+    core: int
+    core_mbps: float
+    core_delay_s: float
+
+
 @dataclass(frozen=True, eq=False)
 class PathTable:
     """Fetch prices over (dst, src) node-index pairs, nodes in sorted-id
@@ -144,21 +163,35 @@ class PathTable:
     (`cheapest_fetch`) over the rows `replica_index` builds. A route sum
     adds the two uplinks' terms and, on an inter-rack route, the two core
     links' terms, each pair on its own, so (a, b) and (b, a) give the same
-    float. The (n, n) arrays are built in place: a large cluster
-    keeps its table for the graph's life, and few transients keep the
-    build's peak memory down."""
+    float: `extras_s` is `(up_dst + up_src) + intra` within a rack and
+    `((core_dst + core_src) + (up_dst + up_src)) + inter` across racks,
+    over the links' queue delays. The (n, n) arrays are built in place: a
+    large cluster keeps its table for the graph's life, and few transients
+    keep the build's peak memory down. `routes` holds each node's
+    `NodeRoute`, from the same link specs, for the simulator's per-link
+    fair sharing."""
 
     node_ids: tuple[str, ...]
     index: dict[str, int]
     bandwidth: np.ndarray  # (n, n) bottleneck MB/s of the route, inf on the diagonal
     extras_s: np.ndarray  # (n, n) link queue delays plus tier latency
     cost_per_mb: np.ndarray  # (n, n) summed link cost per MB
+    routes: dict[str, NodeRoute]  # node id -> its route data
+    link_count: int  # uplinks plus core links: the number of link ids
+    latency_s: tuple[float, float]  # (intra-rack, inter-rack) tier latency
 
     @classmethod
     def build(cls, g: ClusterGraph) -> PathTable:
         node_ids = tuple(sorted(g.nodes))
+        n = len(node_ids)
         rack_ix = {r: k for k, r in enumerate(g.racks)}
-        rack = np.array([rack_ix[g.nodes[nid].rack] for nid in node_ids])
+        routes = {}
+        for i, nid in enumerate(node_ids):
+            r = g.nodes[nid].rack
+            up, core = g.uplinks[nid], g.core_links[r]
+            routes[nid] = NodeRoute._make((rack_ix[r], i, up.bandwidth_mbps, up.base_queue_delay_s,
+                                           n + rack_ix[r], core.bandwidth_mbps, core.base_queue_delay_s))
+        rack = np.array([routes[nid].rack for nid in node_ids])
         same = rack[:, None] == rack[None, :]
 
         def hops(attr):
@@ -190,7 +223,10 @@ class PathTable:
         np.fill_diagonal(cost, 0.0)
         for table in (bandwidth, extras, cost):
             table.flags.writeable = False  # shared by every reader of the graph
-        return cls(node_ids, {nid: i for i, nid in enumerate(node_ids)}, bandwidth, extras, cost)
+        return cls(
+            node_ids, {nid: i for i, nid in enumerate(node_ids)}, bandwidth, extras, cost,
+            routes, n + len(g.racks), (g.intra_rack_latency_s, g.inter_rack_latency_s),
+        )
 
     def replica_index(self, replicas) -> np.ndarray:
         """(len(replicas), RF) indices of each entry's replica node ids,
@@ -222,8 +258,42 @@ class PathTable:
             least = np.minimum(least, price)
         return least, route - base
 
-    def extras(self, dst: str, src: str) -> float:
-        return float(self.extras_s[self.index[dst], self.index[src]])
+    def fair_share_fetch(
+        self, dst: str, replicas: tuple[str, ...], mb: float, flows: list[int]
+    ) -> tuple[float, str, tuple[int, ...]]:
+        """(seconds, src, route link ids) of the cheapest fetch of `mb` MB
+        to node `dst` from one of `replicas`, none of them on dst, while
+        `flows[k]` other fetches use link id k. A replica's rate is the
+        least over its route's links of the link's bandwidth shared by its
+        flows and this one, and its seconds are `mb` over that rate plus
+        the route's extras, summed as `build` sums `extras_s`, so with no
+        other flow they are the table's price. The least (seconds, replica
+        id) wins. One loop over the replicas, on Python floats."""
+        routes = self.routes
+        intra_s, inter_s = self.latency_s
+        rack_d, up_d, up_bw, up_q, core_d, core_bw, core_q = routes[dst]
+        up_rate = up_bw / (flows[up_d] + 1)
+        core_rate = core_bw / (flows[core_d] + 1)
+        best = best_src = best_links = None
+        for src in replicas:
+            rack_s, up_s, bw, q, core_s, cbw, cq = routes[src]
+            rate = bw / (flows[up_s] + 1)
+            if up_rate < rate:
+                rate = up_rate
+            if rack_s == rack_d:
+                seconds = mb / rate + ((up_q + q) + intra_s)
+                links = (up_d, up_s)
+            else:
+                if core_rate < rate:
+                    rate = core_rate
+                share = cbw / (flows[core_s] + 1)
+                if share < rate:
+                    rate = share
+                seconds = mb / rate + (((core_q + cq) + (up_q + q)) + inter_s)
+                links = (up_d, core_d, core_s, up_s)
+            if best is None or seconds < best or (seconds == best and src < best_src):
+                best, best_src, best_links = seconds, src, links
+        return best, best_src, best_links
 
     def seconds(self, dst: str, src: str, mb: float) -> float:
         """Uncontended seconds to fetch `mb` MB from `src` to `dst`."""

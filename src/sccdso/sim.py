@@ -5,9 +5,17 @@ Ground truth for a task on a node is `block/io + gcycles/cpu` seconds
 first, from the replica with the least contended fetch time. Fair sharing
 is snapshot-based: a transfer's rate is fixed when it starts, at `min over
 path links of bandwidth / (active demand flows + 1)`, and it adds the
-route's extras (link queue delays plus tier latency) from the cluster's
-path table. With no other flow on its links, a fetch costs exactly the
-table's price, the one the colony and the steal rule read.
+route's extras (link queue delays plus tier latency). The route data lives
+with the cluster's path table, built once per cluster: each node's uplink,
+its rack's core link and its rack (`cluster.NodeRoute`), shared by a
+straggler view and rebuilt by `scale_bandwidth`, so the colony's price and
+the simulator's contention read one owner of a route's links. A fetch is
+priced by one loop over the replicas (`PathTable.fair_share_fetch`): per
+replica, the rate is the least of bw / (flows + 1) over its route's links,
+the seconds are `mb / rate + extras`, the extras summed as the table sums
+them, and the least (seconds, replica id) wins. Active flows are counted
+per link id in a list. With no other flow on its links, a fetch costs
+exactly the table's price, the one the colony and the steal rule read.
 
 Runtime adaptivity is migration by work stealing (Blumofe & Leiserson,
 JACM 1999), off by default: idle capacity pulls queued work. After each
@@ -60,9 +68,11 @@ them, so the table is built on first read, in a steal round only, and a
 node's bootstrap rate on the round's first read of it: a run without
 migration, or whose rounds never find both a pending task and a free
 slot, predicts nothing.
-The rest of a run costs what its events cost: a fetch prices each replica
-once, on routes composed from per-node (uplink, rack core link) data built
-once per run.
+The rest of a run costs what its events cost. At t = 0 a node with queued
+work runs the start loop, in node-id order, and an idle node joins the
+free set without it; a run builds no per-node route or closure of its
+own, and an event record is a plain tuple made a `SimEvent` without
+NamedTuple's per-call argument handling.
 
 One run is strictly single-threaded and draws no random numbers;
 identical inputs give a bit-identical trace.
@@ -72,6 +82,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass, field, replace
@@ -103,13 +114,14 @@ class TrueTimeModel:
         return np.array([[true_service_time(n, t) for t in tasks] for n in nodes])
 
 
-def check_stragglers(fraction: float = 0.0, slowdown: float = math.inf) -> None:
-    """Raise unless `fraction` is in [0, 1) and `slowdown` is > 1; an
-    omitted argument passes."""
+def check_stragglers(fraction: float = 0.0, slowdown: float | None = None) -> None:
+    """Raise unless `fraction` is in [0, 1) and `slowdown` is finite and
+    > 1; an omitted argument passes. A NaN or infinite slowdown would give
+    the slowed nodes NaN or 0 GHz."""
     if not 0.0 <= fraction < 1.0:
         raise ValueError("fraction must be in [0, 1)")
-    if slowdown <= 1.0:
-        raise ValueError("slowdown must be > 1")
+    if slowdown is not None and not (slowdown > 1.0 and math.isfinite(slowdown)):
+        raise ValueError("slowdown must be > 1 and finite")
 
 
 def inject_stragglers(
@@ -147,8 +159,18 @@ class RuntimeConfig:
     replica_blackout: tuple[str, float] | None = None  # (node id, time)
 
     def validate(self) -> None:
-        if self.sync_delay_s < 0:
-            raise ValueError("sync_delay_s must be >= 0")
+        """Raise unless the sync delay is finite and >= 0 and a blackout is
+        a (node id, time) pair at a time that is not NaN; `simulate` also
+        checks that the node is the cluster's."""
+        if not (self.sync_delay_s >= 0 and math.isfinite(self.sync_delay_s)):
+            raise ValueError(f"sync_delay_s must be finite and >= 0, got {self.sync_delay_s!r}")
+        if self.replica_blackout is not None:
+            try:
+                _, when = self.replica_blackout
+            except (TypeError, ValueError):
+                raise ValueError("replica_blackout must be a (node id, time) pair") from None
+            if isinstance(when, bool) or not isinstance(when, (int, float)) or math.isnan(when):
+                raise ValueError(f"replica_blackout time must be a number, not NaN, got {when!r}")
 
 
 class SimEvent(NamedTuple):
@@ -186,6 +208,9 @@ class SimTrace:
         return asdict(self.metrics)
 
 
+# an event record without NamedTuple.__new__'s per-call argument handling:
+# _new_event(SimEvent, (time, kind, task id, node id, info)) is the same tuple
+_new_event = tuple.__new__
 _RUNNING_MB = operator.itemgetter(2)  # of a running entry (start, finish, MB)
 _BLOCK_MB = operator.attrgetter("block_mb")
 
@@ -193,8 +218,9 @@ _BLOCK_MB = operator.attrgetter("block_mb")
 class _NodeRt:
     """Mutable per-node runtime state inside one simulation, and the
     per-node quantities the migration rule reads from it: rate and
-    remaining time. `bootstrap` is a zero-argument callable giving the
-    predictor-derived rate; it is called at most once, on the first read
+    remaining time. `bootstrap` is a callable of the node's state giving
+    the predictor-derived rate, one shared by every node of a run; it is
+    called at most once per node, on the first read
     of the rate before any completion, so a run that never asks pays no
     prediction. The queue, the running set and the rate change only
     through `queue`, `take` (whose caller starts the task at once or queues
@@ -239,7 +265,7 @@ class _NodeRt:
         if observed > 0:
             return observed
         if self._bootstrap_rate is None:
-            self._bootstrap_rate = self._bootstrap()
+            self._bootstrap_rate = self._bootstrap(self)
         return self._bootstrap_rate
 
     def _drain_parts(self) -> tuple[float, float, float]:
@@ -328,17 +354,22 @@ def validate_schedule(
     workload's tasks, names only known nodes, and keeps every node's summed
     block data within its capacity."""
     tasks = {t.id: t for t in workload.tasks}
+    nodes = g.nodes
     used: dict[str, float] = {}
     for tid, nid in assignment.items():
-        if tid not in tasks:
+        task = tasks.get(tid)
+        if task is None:
             raise ValueError(f"schedule references unknown task {tid}")
-        g.node(nid)
-        used[nid] = used.get(nid, 0.0) + tasks[tid].block_mb
-    missing = [t for t in tasks if t not in assignment]
-    if missing:
+        if nid not in nodes:
+            g.node(nid)  # raises KeyError naming the node
+        used[nid] = used.get(nid, 0.0) + task.block_mb
+    # every assigned id is a task, so the assignment covers the tasks
+    # exactly when it has as many entries
+    if len(assignment) != len(tasks):
+        missing = [t for t in tasks if t not in assignment]
         raise ValueError(f"schedule does not cover tasks: {missing[:3]}")
     for nid, mb in used.items():
-        cap = g.node(nid).capacity_mb
+        cap = nodes[nid].capacity_mb
         if mb > cap + CAPACITY_SLACK_MB:
             raise ValueError(f"schedule puts {mb:g} MB on node {nid}, over its {cap:g} MB capacity")
 
@@ -363,6 +394,8 @@ def simulate(
     blackout_node, blackout_time = (None, math.inf)
     if config.replica_blackout is not None:
         blackout_node, blackout_time = config.replica_blackout
+        if blackout_node not in g.nodes:
+            raise ValueError(f"replica_blackout names unknown node {blackout_node!r}")
 
     def replicas_of(block_id: str, now: float) -> tuple[str, ...]:
         reps = plan.replicas(block_id)
@@ -371,8 +404,9 @@ def simulate(
         return reps
 
     # --- node state ------------------------------------------------------
-    node_ids = g.node_ids()
-    row = {nid: i for i, nid in enumerate(node_ids)}
+    paths = g.paths
+    node_ids = paths.node_ids
+    row = paths.index  # node id -> prediction table row
     col = {t.id: j for j, t in enumerate(workload.tasks)}
     table: np.ndarray | None = None
 
@@ -383,62 +417,34 @@ def simulate(
             table = predict_table(g, workload.tasks, predictor)
         return table
 
-    def bootstrap_rate(nid: str, assigned: list[TaskSpec]) -> float:
+    def bootstrap_rate(state: _NodeRt) -> float:
         """Mean block over mean predicted time of the node's tasks."""
+        nid = state.spec.id
+        assigned = by_node.get(nid, [])
         ts = float(np.mean(t_pred()[row[nid], [col[t.id] for t in assigned]])) if assigned else 0.0
         if ts > 0:
             return float(np.mean([t.block_mb for t in assigned])) / ts
-        return g.node(nid).io_mbps
+        return state.spec.io_mbps
 
     by_node: dict[str, list[TaskSpec]] = {}
     for tid, nid in schedule.items():
         by_node.setdefault(nid, []).append(tasks[tid])
-    rt = {
-        nid: _NodeRt(g.node(nid), lambda nid=nid: bootstrap_rate(nid, by_node.get(nid, [])))
-        for nid in node_ids
-    }
+    rt = {nid: _NodeRt(g.nodes[nid], bootstrap_rate) for nid in node_ids}
 
     # --- transfers under snapshot fair share -----------------------------
-    paths = g.paths
-    demand_flows: dict[tuple[str, str], int] = {}  # link endpoints -> active flows
-    # each node's (uplink, rack core link) as (endpoints, MB/s), and its rack:
-    # a route is the two uplinks, plus both core links between racks
-    hops = {}
-    for nid in node_ids:
-        rack = g.rack_of(nid)
-        up, core = g.uplinks[nid], g.core_links[rack]
-        hops[nid] = (up.endpoints, up.bandwidth_mbps), (core.endpoints, core.bandwidth_mbps), rack
-
-    def transfer(src: str, dst: str, mb: float) -> tuple[float, str, tuple]:
-        """(seconds, src, route links) to fetch `mb` MB from src to dst: the
-        bottleneck of each link's bandwidth shared by its active flows and
-        this one, plus the route's extras from `paths`; with no other flow,
-        the table's price."""
-        up_d, core_d, rack_d = hops[dst]
-        up_s, core_s, rack_s = hops[src]
-        links = (up_d, up_s) if rack_d == rack_s else (up_d, core_d, core_s, up_s)
-        rate = min(bw / (demand_flows.get(k, 0) + 1) for k, bw in links)
-        return mb / rate + paths.extras(dst, src), src, links
-
-    def release_flows(keys: list) -> None:
-        for k in keys:
-            demand_flows[k] -= 1
-            if demand_flows[k] <= 0:
-                del demand_flows[k]
+    fetch = paths.fair_share_fetch
+    flows = [0] * paths.link_count  # link id -> active demand flows
 
     # --- engine ----------------------------------------------------------
+    # (time, push order, kind, node id, task id): ties pop in push order
     heap: list[tuple[float, int, str, str, str]] = []
-    seq = 0
-
-    def push(time: float, kind: str, node_id: str, ref: str) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (time, seq, kind, node_id, ref))
-        seq += 1
+    seq = itertools.count()
+    push = heapq.heappush
 
     events: list[SimEvent] = []
     network_mb = 0.0
     local_exec = 0
-    pending_flow_keys: dict[str, list] = {}  # task id -> registered links
+    fetch_links: dict[str, tuple[int, ...]] = {}  # task id -> its fetch's link ids
     # every change to a queue or a running set ends in `try_start`, which
     # updates both sets, except a steal's on its victim, which the round
     # updates itself; a node with a free slot holds no pending task, since
@@ -446,15 +452,16 @@ def simulate(
     free: set[str] = set()  # nodes with a free slot: the thieves
     loaded: set[str] = set()  # nodes with a pending task: the victims
 
+    arrivals = workload.arrivals
     for nid, ts in by_node.items():
         state = rt[nid]
         # local tasks first, then remote ones, ties by task id
-        for t in sorted(ts, key=lambda t: (not plan.is_local(nid, t.block_id), t.id)):
-            arrival = workload.arrivals.get(t.id, 0.0)
+        for _, tid, t in sorted([(nid not in plan.replicas(t.block_id), t.id, t) for t in ts]):
+            arrival = arrivals.get(tid, 0.0)
             if arrival <= 0.0:
                 state.queue(t)
             else:
-                push(arrival, "arrival", nid, t.id)
+                push(heap, (arrival, next(seq), "arrival", nid, tid))
 
     # the steal rule's predicted times, built on the first pick and again
     # once the blackout changes which replicas are readable: (after the
@@ -475,43 +482,47 @@ def simulate(
             )
         return steal_times[1].gather(thieves, cols)
 
-    def begin_compute(nid: str, task: TaskSpec, now: float, remote: bool) -> None:
+    sync_delay_s = config.sync_delay_s
+
+    def begin_compute(
+        state: _NodeRt, nid: str, task: TaskSpec, start: float, now: float, remote: bool
+    ) -> None:
+        """Run `task`, started at `start`, from `now` on, its data at hand."""
         nonlocal local_exec
-        service = true_service_time(rt[nid].spec, task)
+        service = true_service_time(state.spec, task)
         if remote:
-            service += config.sync_delay_s
+            service += sync_delay_s
         else:
             local_exec += 1
-        start = rt[nid].running[task.id][0]
-        rt[nid].running[task.id] = (start, now + service, task.block_mb)
-        push(now + service, "task_done", nid, task.id)
+        state.running[task.id] = (start, now + service, task.block_mb)
+        push(heap, (now + service, next(seq), "task_done", nid, task.id))
 
     def try_start(nid: str, now: float) -> None:
         nonlocal network_mb
         state = rt[nid]
-        while state.pending and len(state.running) < state.spec.slots:
+        pending, running, slots = state.pending, state.running, state.spec.slots
+        while pending and len(running) < slots:
             task = state.take()
-            state.running[task.id] = (now, math.inf, task.block_mb)
-            events.append(SimEvent(now, "start", task.id, nid))
+            tid = task.id
+            events.append(_new_event(SimEvent, (now, "start", tid, nid, "")))
             reps = replicas_of(task.block_id, now)
             if nid in reps:
-                begin_compute(nid, task, now, remote=False)
+                begin_compute(state, nid, task, now, now, False)
             else:
-                # the least (seconds, replica id), each replica priced once
-                dur, src, links = min(transfer(r, nid, task.block_mb) for r in reps)
-                keys = [k for k, _ in links]
-                for k in keys:
-                    demand_flows[k] = demand_flows.get(k, 0) + 1
-                pending_flow_keys[task.id] = keys
+                running[tid] = (now, math.inf, task.block_mb)  # finish unknown until fetched
+                dur, src, links = fetch(nid, reps, task.block_mb, flows)
+                for k in links:
+                    flows[k] += 1
+                fetch_links[tid] = links
                 network_mb += task.block_mb
-                events.append(SimEvent(now, "transfer", task.id, nid, f"from={src}"))
-                push(now + dur, "xfer_done", nid, task.id)
-        if state.pending:
+                events.append(_new_event(SimEvent, (now, "transfer", tid, nid, f"from={src}")))
+                push(heap, (now + dur, next(seq), "xfer_done", nid, tid))
+        if pending:
             loaded.add(nid)
             free.discard(nid)
         else:
             loaded.discard(nid)
-            if len(state.running) < state.spec.slots:
+            if len(running) < slots:
                 free.add(nid)
             else:
                 free.discard(nid)
@@ -519,8 +530,6 @@ def simulate(
     counts = dict.fromkeys(("rounds", "picks", "candidates", "moves", "no_gain"), 0)
 
     def migration_round(now: float) -> None:
-        if not config.enable_migration:
-            return
         counts["rounds"] += 1
         if not loaded or not free:
             return  # no victim or no thief: read no node state
@@ -575,12 +584,17 @@ def simulate(
             rt[dst].queue(task)
             taken[dst] = taken.get(dst, 0) + 1
             counts["moves"] += 1
-            events.append(SimEvent(now, "migrate", task.id, dst, f"from={src}"))
+            events.append(_new_event(SimEvent, (now, "migrate", task.id, dst, f"from={src}")))
             try_start(dst, now)
 
+    # an idle node has a free slot and nothing to start
     for nid in node_ids:
-        try_start(nid, 0.0)
+        if rt[nid].pending:
+            try_start(nid, 0.0)
+        else:
+            free.add(nid)
 
+    migrate = config.enable_migration
     completion = 0.0
     finished: set[str] = set()
     while heap:
@@ -590,22 +604,24 @@ def simulate(
             state.queue(tasks[ref])
             try_start(nid, now)
         elif kind == "xfer_done":
-            release_flows(pending_flow_keys.pop(ref))
-            begin_compute(nid, tasks[ref], now, remote=True)
+            for k in fetch_links.pop(ref):
+                flows[k] -= 1
+            begin_compute(state, nid, tasks[ref], state.running[ref][0], now, True)
         elif kind == "task_done":
             state.finish(ref, now)
             if ref in finished:
                 raise RuntimeError(f"task {ref} finished twice")
             finished.add(ref)
-            events.append(SimEvent(now, "finish", ref, nid))
+            events.append(_new_event(SimEvent, (now, "finish", ref, nid, "")))
             completion = max(completion, now)
             try_start(nid, now)
-            migration_round(now)
+            if migrate:
+                migration_round(now)
 
     if len(finished) != len(tasks):
         raise RuntimeError("simulation ended with unfinished tasks")
 
-    total_mb = sum(t.block_mb for t in tasks.values())
+    total_mb = sum(map(_BLOCK_MB, tasks.values()))
     metrics = RunMetrics(
         completion_time_s=completion,
         locality_ratio=local_exec / len(tasks) if tasks else 0.0,

@@ -155,9 +155,10 @@ def test_tier_latency_is_one_of_three():
     )
     p = g.paths
     assert set(p.extras_s.ravel().tolist()) == {0.0, 0.005, 0.015}
-    assert p.extras("r1n1", "r1n1") == 0.0
-    assert p.extras("r1n1", "r1n2") == g.intra_rack_latency_s
-    assert p.extras("r1n1", "r2n1") == g.inter_rack_latency_s
+    i = p.index
+    assert p.extras_s[i["r1n1"], i["r1n1"]] == 0.0
+    assert p.extras_s[i["r1n1"], i["r1n2"]] == g.intra_rack_latency_s
+    assert p.extras_s[i["r1n1"], i["r2n1"]] == g.inter_rack_latency_s
 
 
 def test_scale_bandwidth_view(two_rack_cluster):

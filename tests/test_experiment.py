@@ -149,6 +149,17 @@ def test_emit_is_byte_stable(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("slowdown", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_a_non_finite_slowdown(tmp_path, capsys, slowdown):
+    # json reads NaN and Infinity, so a config could carry either; the
+    # slowed nodes would then run at NaN or 0 GHz
+    with pytest.raises(ValueError, match="straggler_slowdown: slowdown must be > 1 and finite"):
+        config_from_dict({"straggler_slowdown": slowdown})
+    path = write_config(tmp_path, straggler_slowdown=slowdown)
+    assert cli_main(["validate", "--config", path]) == 1
+    assert "straggler_slowdown: slowdown must be > 1 and finite" in capsys.readouterr().err
+
+
 def test_config_from_dict_validation():
     with pytest.raises(ValueError, match="unknown scheduler"):
         config_from_dict({"schedulers": ["warp-drive"]})

@@ -1,14 +1,16 @@
 import hashlib
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sccdso.aco import price_cells
+from sccdso.aco import baseline_rf_fd, baseline_round_robin, baseline_rsync, price_cells
 from sccdso.cluster import PathTable, build_cluster, scale_bandwidth, synthetic_cluster_config
+from sccdso.experiment import RSYNC_SYNC_DELAY_S
 from sccdso.placement import PlacementPlan, place_rack_aware, place_random
 from sccdso.sim import (
     THETA_MIG,
@@ -53,7 +55,7 @@ def node_rt(pending=(), running=None, rate=0.0, bootstrap=10.0):
     """The per-node runtime state that `migration_round` reads: blocks of
     `pending` MB queued, `running` = (start, finish, MB) of one running
     block, and `rate` > 0 observed over one completed task."""
-    state = _NodeRt(None, lambda: bootstrap)
+    state = _NodeRt(None, lambda _: bootstrap)
     state.pending = [TaskSpec(f"p{i}", f"b{i}", mb, 0.5, 1.0) for i, mb in enumerate(pending)]
     if running is not None:
         state.running["r"] = running
@@ -154,6 +156,103 @@ def test_colony_prices_a_fetch_as_the_simulator_charges_it(dst):
     gap = trace.metrics.completion_time_s - sent - true_service_time(g.node(dst), tasks[0])
     assert abs(price - gap) < 1e-12
     assert price == pytest.approx(0.517 if dst == "b" else 0.527)
+
+
+def reference_fetch(g, demand_flows, dst, reps, mb):
+    """The simulator's fetch rule as it was before the route data moved to
+    the path table: each replica priced by a generator over its route's
+    (endpoints, MB/s) links, the extras read from the table, and the least
+    (seconds, src, links) tuple taken."""
+    paths = g.paths
+    hops = {}
+    for nid in g.node_ids():
+        rack = g.rack_of(nid)
+        up, core = g.uplinks[nid], g.core_links[rack]
+        hops[nid] = (up.endpoints, up.bandwidth_mbps), (core.endpoints, core.bandwidth_mbps), rack
+
+    def transfer(src, dst, mb):
+        up_d, core_d, rack_d = hops[dst]
+        up_s, core_s, rack_s = hops[src]
+        links = (up_d, up_s) if rack_d == rack_s else (up_d, core_d, core_s, up_s)
+        rate = min(bw / (demand_flows.get(k, 0) + 1) for k, bw in links)
+        return mb / rate + float(paths.extras_s[paths.index[dst], paths.index[src]]), src, links
+
+    return min(transfer(r, dst, mb) for r in reps)
+
+
+def link_endpoints(g):
+    """Link id -> the (endpoints, MB/s) pair the reference names it by."""
+    out = {}
+    for nid, route in g.paths.routes.items():
+        up, core = g.uplinks[nid], g.core_links[g.rack_of(nid)]
+        out[route.up] = (up.endpoints, up.bandwidth_mbps)
+        out[route.core] = (core.endpoints, core.bandwidth_mbps)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_nodes=st.integers(2, 8),
+    n_racks=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_fair_share_fetch_equals_the_reference_rule(n_nodes, n_racks, seed, data):
+    # racks, per-node uplink and per-rack core overrides drawn from a few
+    # values, so that prices tie, per-link queue delays and tier latencies
+    # that round differently when summed in another order, active flows on
+    # any link, and replicas in any order: one loop over the replicas gives
+    # the reference's (seconds, source, links) bit for bit
+    rng = np.random.default_rng(seed)
+
+    def odd(*nice):
+        return float(rng.choice([*nice, rng.uniform(0.0, 0.01)]))
+
+    speeds = st.sampled_from([50.0, 125.0, 125.0, 250.0])
+    g = make_cluster(
+        [{"id": f"n{i}", "rack": f"r{i % n_racks}", "cpu_ghz": 2.0, "io_mbps": 200.0,
+          "uplink_mbps": data.draw(speeds)} for i in range(n_nodes)],
+        intra_ms=1e3 * odd(0.0, 0.001), inter_ms=1e3 * odd(0.0, 0.015),
+        rack_core_mbps={f"r{k}": data.draw(speeds) for k in range(n_racks)},
+    )
+    g = replace(
+        g,
+        uplinks={nid: replace(l, base_queue_delay_s=odd(0.0, 0.0005)) for nid, l in g.uplinks.items()},
+        core_links={r: replace(l, base_queue_delay_s=odd(0.0, 0.0005)) for r, l in g.core_links.items()},
+    )
+    endpoints = link_endpoints(g)
+    flows = [data.draw(st.sampled_from([0, 0, 1, 2, 5])) for _ in range(g.paths.link_count)]
+    demand_flows = {endpoints[k][0]: f for k, f in enumerate(flows) if f}
+    dst = data.draw(st.sampled_from(g.node_ids()))
+    others = [nid for nid in g.node_ids() if nid != dst]
+    reps = tuple(data.draw(st.permutations(others))[:data.draw(st.integers(1, min(3, len(others))))])
+    # a small block leaves the extras' last bits visible in the seconds
+    mb = data.draw(st.sampled_from([32.0, 64.0, 64.5, 1e-4]))
+
+    seconds, src, links = g.paths.fair_share_fetch(dst, reps, mb, flows)
+    assert (seconds, src, tuple(endpoints[k] for k in links)) == reference_fetch(
+        g, demand_flows, dst, reps, mb)
+    # uncontended, a fetch costs the path table's price, and an empty one
+    # its extras, bit for bit
+    idle = [0] * g.paths.link_count
+    p = g.paths
+    for r in others:
+        assert p.fair_share_fetch(dst, (r,), mb, idle)[0] == p.seconds(dst, r, mb)
+        assert p.fair_share_fetch(dst, (r,), 0.0, idle)[0] == p.extras_s[p.index[dst], p.index[r]]
+
+
+def test_fair_share_fetch_breaks_a_tie_by_replica_id():
+    # b and c share dst's rack and have equal uplinks: equal prices, and in
+    # either order the lower id serves
+    g = make_cluster([("a", "r0", 2.0, 200.0), ("b", "r0", 2.0, 200.0), ("c", "r0", 2.0, 200.0)],
+                     intra_ms=1.0)
+    flows = [0] * g.paths.link_count
+    for reps in (("b", "c"), ("c", "b")):
+        seconds, src, _ = g.paths.fair_share_fetch("a", reps, 64.0, flows)
+        assert src == "b" and seconds == g.paths.seconds("a", "c", 64.0)
+    # a flow on b's uplink halves its share: c now serves
+    flows[g.paths.routes["b"].up] = 1
+    assert g.paths.fair_share_fetch("a", ("b", "c"), 64.0, flows)[1] == "c"
 
 
 # --- queue estimates ------------------------------------------------------
@@ -350,6 +449,51 @@ def test_adaptive_trace_is_pinned(case, events_sha, metrics_sha, runtime_counts)
     check_steals(trace)
     assert (sha(trace.events), sha(trace.metrics)) == (events_sha, metrics_sha)
     assert trace.runtime_counts == runtime_counts
+
+
+def remote_heavy_case(baseline, sync_delay_s=0.0):
+    """Ten nodes in two racks with mixed uplinks, a slower core link on r1
+    and per-link queue delays; 40 tasks at RF 2 placed rack-aware from
+    client n0, so most fetches leave n0's rack and start together on
+    shared links: both the fair-share rate and the replica choice matter.
+    `baseline` assigns the tasks from ground-truth predictions; migration
+    is off."""
+    g = make_cluster(
+        [
+            {"id": f"n{i}", "rack": f"r{i % 2}", "cpu_ghz": 1.0 + 0.5 * (i % 3),
+             "io_mbps": 100.0 + 50.0 * (i % 4), "slots": 1 + i % 2,
+             "uplink_mbps": (50.0, 125.0, 250.0)[i % 3]}
+            for i in range(10)
+        ],
+        intra_ms=1.0,
+        inter_ms=5.0,
+        rack_core_mbps={"r1": 80.0},
+        link_queue_delay_ms=0.5,
+    )
+    app, blocks, tasks, w = build_workload(40 * 64, rf=2)
+    plan = place_rack_aware(g, blocks, "n0", rf=2)
+    sol = baseline(tasks, g, plan, TrueTimeModel())
+    return g, plan, sol.assignment, w, RuntimeConfig(sync_delay_s=sync_delay_s)
+
+
+@pytest.mark.parametrize(
+    "case, events_sha, metrics_sha",
+    [
+        (lambda: remote_heavy_case(baseline_round_robin), "675ee9dcdc6118d6", "5cdfe653eae64ccf"),
+        (lambda: remote_heavy_case(baseline_rf_fd), "e3eac203a60c54bb", "b1718b02e4ba9f05"),
+        (lambda: remote_heavy_case(baseline_rsync, RSYNC_SYNC_DELAY_S), "1829152da60ab9b7",
+         "0cde993cc6bb1f70"),
+    ],
+    ids=["rr", "rf-fd", "rsync"],
+)
+def test_remote_heavy_trace_is_pinned(case, events_sha, metrics_sha):
+    # the engine without migration, where most starts are contended remote
+    # fetches: pins each fetch's replica, rate and time as well as the
+    # rsync delay; recorded before the engine's fetch pricing was rewritten
+    trace = simulate(*case())
+    assert trace.metrics.locality_ratio < 0.5 and trace.metrics.migrations == 0
+    assert (sha(trace.events), sha(trace.metrics)) == (events_sha, metrics_sha)
+    assert trace.runtime_counts == dict.fromkeys(("rounds", "picks", "candidates", "moves", "no_gain"), 0)
 
 
 class CountingModel:
@@ -552,13 +696,25 @@ def test_straggler_view_keeps_its_parents_path_table():
     for name in ("bandwidth", "extras_s", "cost_per_mb"):
         assert getattr(fresh, name).tobytes() == getattr(g.paths, name).tobytes()
     assert scale_bandwidth(g, 0.5).paths is not g.paths
+    # the simulator's per-link route data lives with the table: the view
+    # shares it, and scaling the links rebuilds it at the new bandwidth
+    assert view.paths.routes is g.paths.routes
+    assert fresh.routes == g.paths.routes
+    scaled = scale_bandwidth(g, 0.5)
+    assert scaled.paths.routes is not g.paths.routes
+    for nid, route in g.paths.routes.items():
+        half = scaled.paths.routes[nid]
+        assert (half.up_mbps, half.core_mbps) == (route.up_mbps * 0.5, route.core_mbps * 0.5)
+        assert half._replace(up_mbps=0.0, core_mbps=0.0) == route._replace(up_mbps=0.0, core_mbps=0.0)
 
 
 def test_inject_stragglers_validation(two_rack_cluster):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fraction"):
         inject_stragglers(two_rack_cluster, 1.0, 2.0, seed=0)
-    with pytest.raises(ValueError):
-        inject_stragglers(two_rack_cluster, 0.5, 1.0, seed=0)
+    # a NaN or infinite slowdown would give the slowed nodes NaN or 0 GHz
+    for slowdown in (1.0, 0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="slowdown must be > 1 and finite"):
+            inject_stragglers(two_rack_cluster, 0.5, slowdown, seed=0)
 
 
 # --- trace invariants -------------------------------------------------------
@@ -738,6 +894,33 @@ def test_runtime_config_validation():
     RuntimeConfig(sync_delay_s=0.0).validate()
     with pytest.raises(ValueError, match="sync_delay_s"):
         RuntimeConfig(sync_delay_s=-0.1).validate()
+
+
+@pytest.mark.parametrize(
+    "runtime, message",
+    [
+        (RuntimeConfig(sync_delay_s=math.nan), "sync_delay_s must be finite and >= 0, got nan"),
+        (RuntimeConfig(sync_delay_s=math.inf), "sync_delay_s must be finite and >= 0, got inf"),
+        (RuntimeConfig(replica_blackout=("n999", 1.0)), "replica_blackout names unknown node 'n999'"),
+        (RuntimeConfig(replica_blackout=("n001", math.nan)), "replica_blackout time must be a number"),
+        (RuntimeConfig(replica_blackout=("n001", "1.0")), "replica_blackout time must be a number"),
+        (RuntimeConfig(replica_blackout=("n001",)), "replica_blackout must be a"),
+    ],
+    ids=["nan-sync-delay", "infinite-sync-delay", "unknown-blackout-node", "nan-blackout-time",
+         "string-blackout-time", "short-blackout"],
+)
+def test_simulate_rejects_runtime_settings_it_cannot_honour(runtime, message):
+    # a NaN delay used to shorten an rsync run, an infinite one never ended,
+    # and a blackout on an unknown node or at a NaN time was ignored
+    g = build_cluster(synthetic_cluster_config(6))
+    app, blocks, tasks, w = build_workload(12 * 64, rf=2)
+    plan = place_random(g, blocks, rf=2, seed=0)
+    sol = baseline_rsync(tasks, g, plan, TrueTimeModel())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate(g, plan, sol.assignment, w, runtime)
+    # the same run with a setting it can honour completes
+    fine = replace(runtime, sync_delay_s=RSYNC_SYNC_DELAY_S, replica_blackout=("n001", 1.0))
+    assert simulate(g, plan, sol.assignment, w, fine).metrics.tasks == len(tasks)
 
 
 def test_sync_delay_charged_per_remote_access():
