@@ -10,30 +10,42 @@ its cheapest replica at the price in the cluster's path table
 (`ClusterGraph.paths`), the price the simulator charges an uncontended
 transfer.
 
-An iteration works on its ants as one (ants, B) node-index matrix and
-reads only what its picks read. Pheromones change only between
-iterations, so `iteration_weights` evaluates `selection_weights` once per
-iteration, on each task's k = min(L_MAX, n) candidate cells (B x k
-cells, not n x B); a task's weights at all n nodes are computed only at
-a step where none of its candidates fits. `construct_colony` takes the
-iteration's task orders and draws in two generator calls, then every
-pick in one pass: each draw, scaled to its task's total candidate weight
-and kept below it, picks a candidate of positive weight. Those picks
-are the ones an ant walking its order one task at a time (`_ant_row`)
-makes from the same draws as long as no node comes near its capacity,
-so that every `fits` check the walk makes holds. When an ant's final
-loads leave no room for the largest demand, the iteration builds its
-rows with `_ant_row` from the same orders and draws.
+A solve builds one `Workspace` and drops it on return; nothing outlives
+the call. It holds what every iteration would otherwise rebuild: each
+task's candidate cells as flat (n, B) indices and their eta^beta (only
+the trail tau changes between iterations), the (ants, B) task-order
+template, the row offsets of the flat gathers and of `_row_sums`' bins,
+capacity + slack and the largest demand, and, built on first use, the
+replica holders and their t_eff for the two elite rows and the
+Python-float t_eff rows of the hill climb. It also holds one buffer for
+an iteration's rows (its ants, the first iteration's elite rows, the
+climbed row and the elitist depositor), so no iteration stacks arrays.
 
-What an iteration then computes from its rows (its ants, and in the
-first iteration the elite seed rows) depends on the objective:
+An iteration works on its ants as one (ants, B) node-index matrix and
+reads only what its picks read. `iteration_weights` evaluates
+`selection_weights` once per iteration, on each task's k = min(L_MAX,
+n) candidate cells (k x B cells, not n x B), and their running sums; a
+task's weights at all n nodes are computed only at a step where none of
+its candidates fits. `construct_colony` takes the iteration's task
+orders and draws in two generator calls, then every pick in one pass:
+each draw, scaled to its task's total candidate weight and kept below
+it, picks the candidate whose running sum first exceeds it, counted by
+k - 1 column comparisons. Those picks are the ones an ant walking its
+order one task at a time (`_ant_row`) makes from the same draws as long
+as no node comes near its capacity, so that every `fits` check the walk
+makes holds. When an ant's final loads leave no room for the largest
+demand, the iteration builds its rows with `_ant_row` from the same
+orders and draws.
+
+What an iteration then computes from its rows depends on the objective:
 
 * weighted — `score_rows` prices every row at once: it gathers each
   row's cells from the problem's tables and hands them to `score_cells`,
   the one definition of a plan's delay, cost and loss, in which each
   total keeps a task-by-task loop's order of addition (per-node totals by
-  `_row_sums`). The first iteration's feasible rows set the scale of each
-  metric in the objective.
+  `_row_sums`); unassigned cells are masked only when a row has one. The
+  first iteration's feasible rows set the scale of each metric in the
+  objective.
 * makespan — the objective reads node loads alone, so `score_makespans`
   gathers each row's t_eff cells only and computes no delay, cost or
   loss. Both scorers take a row's makespan from `_node_loads`, so it has
@@ -88,6 +100,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import chain, islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -293,136 +307,243 @@ def build_problem(
     )
 
 
-def selection_weights(
-    tau: np.ndarray, eta: np.ndarray, alpha: float, beta: float
-) -> np.ndarray:
+def selection_weights(tau: np.ndarray, eta_beta: np.ndarray, alpha: float) -> np.ndarray:
     """Unnormalized weights tau^alpha * eta^beta, elementwise over any
-    cells: one task's column, the (B, k) candidate cells or the whole
-    (n, B) matrix, each cell with the bits of the others; an ant picks
-    node i for task j with probability w[i, j] over the sum of w[:, j] on
-    j's eligible nodes."""
-    return np.power(tau, alpha) * np.power(eta, beta)
+    cells, from the cells' trail `tau` and their eta^beta (a solve raises
+    eta to beta once, as only tau changes between iterations): one task's
+    column, the (k, B) candidate cells or the whole (n, B) matrix, each
+    cell with the bits of the others. An ant picks node i for task j with
+    probability w[i, j] over the sum of w[:, j] on j's eligible nodes."""
+    return np.power(tau, alpha) * eta_beta
+
+
+class Workspace:
+    """What one `solve_problem` call builds once and every iteration
+    reads, and the buffers its iterations write; it lives for that call
+    alone. Built at the start: each task's candidate cells as flat (n, B)
+    indices, laid out (k, B) with task j's c-th candidate in row c, and
+    their eta^beta; the (ants, B) task-order template that `rng.permuted`
+    shuffles; the row offsets behind the flat gathers and scatters and the
+    bins of `_row_sums`; capacity + slack, the largest demand and the
+    demands as Python floats. Built on first use: each task's replica
+    holders and their t_eff (`holders`) for the elite rows, the Python-float
+    t_eff rows of `_refine_makespan` and the candidates' room for `_ant_row`.
+
+    `rows` holds an iteration's node-index rows, at most ants + 4: its
+    ants, the first iteration's two elite rows, the climbed row and the
+    elitist depositor, with `feasible` and `makespan` per row; `terms` is
+    the weighted scorer's (3, rows, B + 1) block, its first column 0.0."""
+
+    def __init__(self, problem: AssignmentProblem, config: AcoConfig):
+        n, b = problem.t_eff.shape
+        cand = problem.candidates
+        self.problem = problem
+        self.n, self.b = n, b
+        self.ants, self.alpha, self.beta = config.ants, config.alpha, config.beta
+        self.cols = np.arange(b)
+        self.cand_cells = cand.T * b + self.cols
+        # `problem.candidates` flat: task j's c-th candidate is at j * k + c
+        self.cand_offsets = self.cols * cand.shape[1]
+        self.eta_beta = np.power(problem.eta.take(self.cand_cells), config.beta)
+        self.orders = np.tile(self.cols, (config.ants, 1))
+        self.ant_cells = np.arange(config.ants)[:, None] * b
+        size = config.ants + 4
+        self.row_bins = np.arange(size)[:, None] * n
+        self.room = problem.capacity_mb + CAPACITY_SLACK_MB
+        self.room_list = self.room.tolist()
+        self.demand = problem.demand_mb.tolist()
+        self.max_demand = problem.demand_mb.max(initial=0.0)
+        self.rows = np.empty((size, b), dtype=int)
+        self.feasible = np.empty(size, dtype=bool)
+        self.makespan = np.empty(size)
+        self.terms = np.zeros((3, size, b + 1))
+
+    @cached_property
+    def cand_room(self) -> np.ndarray:
+        """(B, k) capacity + slack of each task's candidates."""
+        return self.room[self.problem.candidates]
+
+    @cached_property
+    def holders(self) -> list[list[tuple[int, float]]]:
+        """Each task's replica holders as (node index, t_eff) pairs, its
+        primary first."""
+        pos = {nid: i for i, nid in enumerate(self.problem.node_ids)}.__getitem__
+        plan = self.problem.plan
+        rows = [list(map(pos, plan.replicas(t.block_id))) for t in self.problem.tasks]
+        counts = list(map(len, rows))
+        nodes = list(chain.from_iterable(rows))
+        times = self.problem.t_eff[np.array(nodes, dtype=int), np.repeat(self.cols, counts)]
+        pairs = iter(zip(nodes, times.tolist()))
+        return [list(islice(pairs, c)) for c in counts]
+
+    @cached_property
+    def t_eff_rows(self) -> list[list[float]]:
+        """The (n, B) t_eff table as rows of Python floats."""
+        return self.problem.t_eff.tolist()
 
 
 class Weights(NamedTuple):
     """An iteration's selection weights, where its picks read them: `cand`
-    (B, k) holds task j's weights at its row of `problem.candidates`, and
-    `column(j)` gives task j's weights at all n nodes, called only at a
-    step where none of j's candidates fits."""
+    (k, B) holds task j's weights at its candidates in column j, in the
+    order of its row of `problem.candidates`; `cum` (k, B) is their running
+    sum down each column (`_cumulative_weights`); and `column(j)` gives
+    task j's weights at all n nodes, called only at a step where none of
+    j's candidates fits."""
 
     cand: np.ndarray
+    cum: np.ndarray
     column: Callable[[int], np.ndarray]
 
 
-def iteration_weights(
-    tau: np.ndarray, problem: AssignmentProblem, alpha: float, beta: float
-) -> Weights:
-    """`selection_weights` of the (n, B) trail `tau` and the problem's eta,
-    on the candidate cells gathered as (B, k), and lazily by column, from
-    `tau` as it is when the column is read, so before the iteration's
+def iteration_weights(tau: np.ndarray, ws: Workspace) -> Weights:
+    """`selection_weights` of the (n, B) trail `tau`, on the candidate cells
+    gathered as (k, B) with the workspace's eta^beta, and lazily by column,
+    from `tau` as it is when the column is read, so before the iteration's
     pheromone update; no (n, B) weight matrix is built."""
-    cand = problem.candidates
-    cols = np.arange(len(cand))[:, None]
-    eta = problem.eta
+    cand = selection_weights(tau.take(ws.cand_cells), ws.eta_beta, ws.alpha)
+    eta = ws.problem.eta
     return Weights(
-        selection_weights(tau[cand, cols], eta[cand, cols], alpha, beta),
-        lambda j: selection_weights(tau[:, j], eta[:, j], alpha, beta),
+        cand,
+        _cumulative_weights(cand),
+        lambda j: selection_weights(tau[:, j], np.power(eta[:, j], ws.beta), ws.alpha),
     )
 
 
-def _row_sums(nodes: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """(R, n) per-row node totals of (R, B) node indices and values: entry
-    [r, i] adds values[r, j] over the j with nodes[r, j] == i, in column
-    order from 0.0, the bits `np.add.at` leaves on zeros. One `np.bincount`
-    over r * n + node."""
-    r = len(nodes)
-    flat = (np.arange(r)[:, None] * n + nodes).ravel()
-    # an empty input comes back as int64 zeros
-    sums = np.bincount(flat, weights=values.ravel(), minlength=r * n)
+def _cumulative_weights(cand: np.ndarray) -> np.ndarray:
+    """(k, B): column j is task j's running sum of its candidates' weights
+    (`np.cumsum` adds in order), or 1..k where every weight underflowed to
+    0.0 (a uniform draw); the cumsum a pick reads when all of the task's
+    candidates fit."""
+    cum = np.cumsum(cand, axis=0)
+    zero = cum[-1] <= 0
+    if zero.any():
+        cum[:, zero] = np.arange(1.0, len(cum) + 1.0)[:, None]
+    return cum
+
+
+def _row_sums(bins: np.ndarray, values: np.ndarray | None, r: int, n: int) -> np.ndarray:
+    """(r, n) per-row node totals: `bins` holds row * n + node of each
+    cell, row-major, and `values` the cells' values in the same layout
+    (None: 1.0 each, so a count). Entry [r, i] adds the values of row r's
+    cells at node i in column order from 0.0, the bits `np.add.at` leaves
+    on zeros. One `np.bincount`."""
+    # an empty input, or a count, comes back as int64
+    weights = None if values is None else values.ravel()
+    sums = np.bincount(bins.ravel(), weights=weights, minlength=r * n)
     return sums.astype(float, copy=False).reshape(r, n)
 
 
-def score_rows(problem: AssignmentProblem, assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Price each row of an (ants, B) node-index matrix (-1: unassigned)
-    with `score_cells`, its cells gathered from the problem's tables."""
+def _assigned(assign: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(nodes, assigned) of an (R, B) node-index matrix as the scorers take
+    them: -1 (unassigned) read as node 0, and `assigned` the mask of
+    assigned cells, or None when a non-empty matrix assigns every cell, so
+    that nothing needs masking."""
     assigned = assign >= 0
-    nodes = np.where(assigned, assign, 0)
-    cols = np.arange(assign.shape[1])
+    if assign.size and assigned.all():
+        return assign, None
+    return np.where(assigned, assign, 0), assigned
+
+
+def score_rows(ws: Workspace, assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Price each row of an (R, B) node-index matrix (-1: unassigned), R at
+    most ants + 4, with `score_cells`, its cells gathered from the
+    problem's tables."""
+    nodes, assigned = _assigned(assign)
+    cells = nodes * ws.b + ws.cols
+    p = ws.problem
+    r = len(assign)
     return score_cells(
-        nodes, assigned, problem.t_eff[nodes, cols], problem.xtra_delay[nodes, cols],
-        problem.cost[nodes, cols], problem.src_idx[nodes, cols], problem.loss_prob,
+        nodes, assigned, p.t_eff.take(cells), p.xtra_delay.take(cells), p.cost.take(cells),
+        p.src_idx.take(cells), p.loss_prob, ws.row_bins[:r], ws.terms[:, :r],
     )
 
 
-def score_makespans(problem: AssignmentProblem, assign: np.ndarray) -> np.ndarray:
+def score_makespans(ws: Workspace, assign: np.ndarray) -> np.ndarray:
     """Each row's makespan alone, the bits of `score_rows`' first result:
     `_node_loads` of the row's t_eff cells, with no delay, cost or loss."""
-    assigned = assign >= 0
-    nodes = np.where(assigned, assign, 0)
-    t_eff = problem.t_eff[nodes, np.arange(assign.shape[1])]
-    return _node_loads(nodes, assigned, t_eff, len(problem.node_ids))[1]
+    nodes, assigned = _assigned(assign)
+    r = len(assign)
+    t_eff = ws.problem.t_eff.take(nodes * ws.b + ws.cols)
+    return _node_loads(ws.row_bins[:r] + nodes, assigned, t_eff, r, ws.n)[1]
 
 
 def _node_loads(
-    nodes: np.ndarray, assigned: np.ndarray, t_eff: np.ndarray, n: int
+    bins: np.ndarray, assigned: np.ndarray | None, t_eff: np.ndarray, r: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one definition of a plan's makespan. For (ants, B) cells as
-    `score_cells` takes them, returns the (ants, n) node loads, each
-    node's total t_eff over its assigned tasks (`_row_sums`, in task
+    """The one definition of a plan's makespan. For (r, B) cells as
+    `score_cells` takes them, with their `_row_sums` bins, returns the (r,
+    n) node loads, each node's total t_eff over its assigned tasks (in task
     order from 0.0), and each row's makespan, its largest load, inf when
     nothing is assigned."""
-    loads = _row_sums(nodes, np.where(assigned, t_eff, 0.0), n)
+    if assigned is None:
+        loads = _row_sums(bins, t_eff, r, n)
+        return loads, loads.max(axis=1)
+    loads = _row_sums(bins, np.where(assigned, t_eff, 0.0), r, n)
     return loads, np.where(assigned.any(axis=1), loads.max(axis=1), np.inf)
 
 
 def score_cells(
     nodes: np.ndarray,
-    assigned: np.ndarray,
+    assigned: np.ndarray | None,
     t_eff: np.ndarray,
     xtra_delay: np.ndarray,
     cost: np.ndarray,
     src_idx: np.ndarray,
     loss_prob: np.ndarray,
+    offsets: np.ndarray | int,
+    terms: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one definition of a plan's delay, cost and loss. Each argument
-    but `loss_prob` (n,) is (ants, B): task j of row a runs on node
-    nodes[a, j] when assigned[a, j], and the cell arrays hold that cell's
-    t_eff, xtra_delay, cost and src_idx (values at unassigned tasks are
-    ignored). Returns each row's makespan and its raw (delay, cost, loss)
-    as a (3, ants) array. The makespan and node loads are `_node_loads`',
-    the shared definition that the makespan objective's `score_makespans`
-    reads without the rest. Every total adds its terms in task order from
-    0.0, as a task-by-task loop would: `_row_sums` for node loads and
-    counts, a running `cumsum` for delay, cost and loss (`np.sum` adds
-    pairwise and moves last bits). Unassigned tasks add exact zeros, and
-    loss is the mean over assigned tasks."""
+    """The one definition of a plan's delay, cost and loss. `nodes`,
+    `assigned` and the cell arrays are (R, B): task j of row a runs on node
+    nodes[a, j] when assigned[a, j] (`assigned` None: every task is
+    assigned), and the cell arrays hold that cell's t_eff, xtra_delay, cost
+    and src_idx (values at unassigned tasks are ignored); `loss_prob` is
+    (n,). `offsets` holds each row's a * n, (R, 1), or 0 for one row, and
+    `terms` is a (3, R, B + 1) block whose first column is 0.0; its other
+    cells are overwritten. Returns each row's makespan and its raw (delay,
+    cost, loss) as a (3, R) array. The makespan and node loads are
+    `_node_loads`', the shared definition that the makespan objective's
+    `score_makespans` reads without the rest.
+    Every total adds its terms in task order from 0.0, as a task-by-task
+    loop would: `_row_sums` for node loads and counts, a running `cumsum`
+    for delay, cost and loss (`np.sum` adds pairwise and moves last bits).
+    Unassigned tasks add exact zeros, and loss is the mean over assigned
+    tasks."""
     ants, b = nodes.shape
     n = len(loss_prob)
-    loads, makespan = _node_loads(nodes, assigned, t_eff, n)
-    counts = _row_sums(nodes, assigned, n)
+    bins = nodes + offsets
+    loads, makespan = _node_loads(bins, assigned, t_eff, ants, n)
+    counts = _row_sums(bins, assigned, ants, n)
     survive = 1.0 - loss_prob[nodes]
     survive = np.where(src_idx >= 0, survive * (1.0 - loss_prob[src_idx]), survive)
-    # (delay, cost, loss) terms behind a column of 0.0, the loop's start
-    terms = np.zeros((3, ants, b + 1))
-    terms[:, :, 1:] = xtra_delay, cost, 1.0 - survive
-    terms[:, :, 1:][:, ~assigned] = 0.0
+    # (delay, cost, loss) terms behind the block's column of 0.0, the loop's start
+    cells = terms[:, :, 1:]
+    cells[0] = xtra_delay
+    cells[1] = cost
+    np.subtract(1.0, survive, out=cells[2])
+    if assigned is not None:
+        cells[:, ~assigned] = 0.0
     metrics = terms.cumsum(axis=2)[:, :, -1]
     # Each task's latency is dominated by its node's backlog (the workload
     # at the node over its capacity), so the plan delay sums every node's
     # drain time once per task served there, plus fetch-path extras.
     metrics[0] += (counts * loads).sum(axis=1)
-    count = assigned.sum(axis=1)
-    metrics[2] = np.where(count > 0, metrics[2] / np.maximum(count, 1), 0.0)
+    if assigned is None:
+        metrics[2] /= b
+    else:
+        count = assigned.sum(axis=1)
+        metrics[2] = np.where(count > 0, metrics[2] / np.maximum(count, 1), 0.0)
     return makespan, metrics
 
 
 def _solution_from_indices(
-    problem: AssignmentProblem, assign: np.ndarray, feasible: bool
+    ws: Workspace, assign: np.ndarray, feasible: bool
 ) -> list[AntSolution]:
     """One `AntSolution` per row of `score_rows`; a row is feasible when
     `feasible` holds and it assigns every task."""
-    makespan, metrics = score_rows(problem, assign)
-    return _solutions(problem.node_ids, problem.task_ids, assign, makespan, metrics, feasible)
+    makespan, metrics = score_rows(ws, assign)
+    p = ws.problem
+    return _solutions(p.node_ids, p.task_ids, assign, makespan, metrics, feasible)
 
 
 def _solutions(
@@ -448,38 +569,36 @@ def _solutions(
 
 
 def _ant_row(
-    weights: Weights, problem: AssignmentProblem, order: np.ndarray, draws: np.ndarray
+    weights: Weights, ws: Workspace, order: np.ndarray, draws: np.ndarray
 ) -> tuple[np.ndarray, bool]:
     """One ant: visit the tasks in `order`, and at step s pick a node for
     task order[s] with draw draws[s] in [0, 1), in proportion to this
     iteration's `weights` over capacity-feasible nodes, uniformly where all
     their weights underflow to 0.0. A step picks among the task's k
-    candidates with `weights.cand`, reading `construct_colony`'s
-    cumulative weights when all of them fit; only when none of them fits
-    does it weigh all n nodes with `weights.column`, so that the fan-out
-    cap does not manufacture infeasibility. Each pick is that of a cumsum
-    over all n nodes with the ineligible weights zeroed, since adding 0.0
-    is exact. The scaled draw is kept below the total, so the pick is an
-    eligible node of positive weight. Runs to completion even when
-    capacity strands a task; the row then holds -1 there and is flagged
-    infeasible instead of raising."""
-    cand = problem.candidates
-    cums = _cumulative_weights(weights.cand)
-    every = np.arange(len(problem.node_ids))
-    room = problem.capacity_mb + CAPACITY_SLACK_MB
-    cand_room = room[cand]
-    used = np.zeros(len(every))
-    assign = np.full(len(cand), -1, dtype=int)
+    candidates with `weights.cand`, reading `weights.cum` when all of them
+    fit; only when none of them fits does it weigh all n nodes with
+    `weights.column`, so that the fan-out cap does not manufacture
+    infeasibility. Each pick is that of a cumsum over all n nodes with the
+    ineligible weights zeroed, since adding 0.0 is exact. The scaled draw
+    is kept below the total, so the pick is an eligible node of positive
+    weight. Runs to completion even when capacity strands a task; the row
+    then holds -1 there and is flagged infeasible instead of raising."""
+    cand = ws.problem.candidates
+    cand_room = ws.cand_room
+    room = ws.room
+    demand = ws.demand
+    every = np.arange(ws.n)
+    used = np.zeros(ws.n)
+    assign = np.full(ws.b, -1, dtype=int)
     feasible = True
-    demand = problem.demand_mb.tolist()
     for j, u in zip(order.tolist(), draws.tolist()):
         nodes = cand[j]
         fits = used[nodes] + demand[j] <= cand_room[j]
         if fits.all():
-            cum = cums[j]
+            cum = weights.cum[:, j]
         else:
             if fits.any():
-                w = weights.cand[j]
+                w = weights.cand[:, j]
             else:
                 nodes = every
                 fits = used + demand[j] <= room
@@ -498,74 +617,72 @@ def _ant_row(
     return assign, feasible
 
 
-def _cumulative_weights(cand_weights: np.ndarray) -> np.ndarray:
-    """(B, k): row j is task j's running sum of its candidates' weights,
-    or 1..k where every weight underflowed to 0.0 (a uniform draw); the
-    cumsum a pick reads when all of the task's candidates fit."""
-    cum = np.cumsum(cand_weights, axis=1)
-    cum[cum[:, -1] <= 0] = np.arange(1, cand_weights.shape[1] + 1)
-    return cum
-
-
-def _draws(rng: np.random.Generator, ants: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """An iteration's (ants, B) task orders, one permutation per row, and
-    its (ants, B) draws in [0, 1), the draw of row a's step s in [a, s]."""
-    return rng.permuted(np.tile(np.arange(b), (ants, 1)), axis=1), rng.random((ants, b))
+def _draws(rng: np.random.Generator, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An iteration's task orders, each row of the (ants, B) template
+    `orders` (rows of 0..B-1) permuted, and its (ants, B) draws in [0, 1),
+    the draw of row a's step s in [a, s]."""
+    return rng.permuted(orders, axis=1), rng.random(orders.shape)
 
 
 def construct_solution(
     weights: Weights,
-    problem: AssignmentProblem,
+    ws: Workspace,
     rng: np.random.Generator,
 ) -> AntSolution:
     """One ant (`_ant_row`) as a scored solution, its order and draws
     taken as `construct_colony` takes a one-ant iteration's."""
-    orders, draws = _draws(rng, 1, len(problem.task_ids))
-    assign, feasible = _ant_row(weights, problem, orders[0], draws[0])
-    return _solution_from_indices(problem, assign[None], feasible)[0]
+    orders, draws = _draws(rng, ws.cols[None])
+    assign, feasible = _ant_row(weights, ws, orders[0], draws[0])
+    return _solution_from_indices(ws, assign[None], feasible)[0]
 
 
 def construct_colony(
     weights: Weights,
-    problem: AssignmentProblem,
+    ws: Workspace,
     rng: np.random.Generator,
-    ants: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One iteration's ants, all picks at once: the (ants, B) node-index
-    matrix and each ant's feasible flag. The orders and draws come from
-    `_draws`, and each draw becomes a pick over its task's row of
-    `problem.candidates` with the weights `weights.cand`, k = min(L_MAX,
-    n) nodes, not all n. Row a is `_ant_row` on row a of the orders and
-    draws whenever every `fits` check that walk makes holds: then every
+    """One iteration's ants, all picks at once, written to the first ants
+    rows of `ws.rows` and `ws.feasible`, which it returns: the (ants, B)
+    node-index matrix and each ant's feasible flag. The orders and draws
+    come from `_draws`, and each draw becomes a pick over its task's row of
+    `problem.candidates` with the weights `weights.cand`, k = min(L_MAX, n)
+    nodes, not all n. Row a is `_ant_row` on row a of the orders and draws
+    whenever every `fits` check that walk makes holds: then every
     candidate fits at each step, and a pick depends on the task's weights
     and the ant's draw, not on the order of steps.
     Loads only grow (a float sum of non-negative terms never falls), so
     the checks all held if each ant's final loads, summed in its step
     order as the walk sums them, still fit the largest demand. Otherwise
     the rows are built with `_ant_row` from the same orders and draws."""
-    cand = problem.candidates
-    b = len(cand)
-    orders, draws = _draws(rng, ants, b)
-    cum = _cumulative_weights(weights.cand)
-    total = cum[:, -1]
+    ants = ws.ants
+    orders, draws = _draws(rng, ws.orders)
+    cum = weights.cum
+    total = cum[-1]
     # x[a, j]: ant a's draw for task j, scaled to j's total and kept below
     # it. The count of cum <= x is searchsorted(cum, x, side="right"), as
-    # cum never decreases; it is below k
-    rows = np.arange(ants)[:, None]
-    x = np.empty((ants, b))
-    x[rows, orders] = draws
+    # cum never decreases down a column; below the total, it is below k,
+    # so the last row of cum need not be compared
+    steps = orders + ws.ant_cells
+    x = np.empty(orders.shape)
+    x.put(steps, draws)
     x *= total
     np.minimum(x, np.nextafter(total, 0.0), out=x)
-    assign = cand[np.arange(b), np.count_nonzero(cum <= x[..., None], axis=2)]
+    pick = np.zeros(orders.shape, dtype=int)
+    for row in cum[:-1]:
+        pick += row <= x
+    pick += ws.cand_offsets
+    assign, feasible = ws.rows[:ants], ws.feasible[:ants]
+    np.take(ws.problem.candidates, pick, out=assign)
+    # each ant's nodes and demands in its step order
     used = _row_sums(
-        np.take_along_axis(assign, orders, axis=1), problem.demand_mb[orders],
-        len(problem.node_ids),
+        ws.row_bins[:ants] + assign.take(steps), ws.problem.demand_mb.take(orders), ants, ws.n
     )
-    room = problem.capacity_mb + CAPACITY_SLACK_MB
-    if (used + problem.demand_mb.max(initial=0.0) <= room).all():
-        return assign, np.ones(ants, dtype=bool)
-    built, flags = zip(*(_ant_row(weights, problem, o, d) for o, d in zip(orders, draws)))
-    return np.array(built), np.array(flags)
+    if (used + ws.max_demand <= ws.room).all():
+        feasible[:] = True
+    else:
+        for a in range(ants):
+            assign[a], feasible[a] = _ant_row(weights, ws, orders[a], draws[a])
+    return assign, feasible
 
 
 def update_pheromones_full(
@@ -574,12 +691,13 @@ def update_pheromones_full(
     """Evaporate the (n, B) trail `tau` in place, then deposit Q/makespan
     along the edges of every row of `assign`, the (k, B) node-index rows of
     feasible plans, with their (k,) makespans, and floor it at TAU_FLOOR.
-    One `np.add.at` adds the deposits edge by edge in row order, as a loop
-    over the rows would."""
+    A row whose makespan is not > 0 deposits 0.0, which leaves every
+    (positive) entry as it is. One `np.add.at` on the flat trail adds the
+    deposits edge by edge in row order, as a loop over the rows would."""
     tau *= 1.0 - config.rho
-    keep = makespan > 0
-    cols = np.arange(tau.shape[1])
-    np.add.at(tau, (assign[keep], cols), (Q_CONST / makespan[keep])[:, None])
+    b = tau.shape[1]
+    deposit = np.divide(Q_CONST, makespan, out=np.zeros(len(makespan)), where=makespan > 0)
+    np.add.at(tau.reshape(-1), (assign * b + np.arange(b)).ravel(), deposit.repeat(b))
     np.maximum(tau, TAU_FLOOR, out=tau)
 
 
@@ -622,7 +740,7 @@ class SolveResult:
 
 
 def _refine_makespan(
-    problem: AssignmentProblem, assign: np.ndarray, max_rounds: int = 64
+    ws: Workspace, assign: np.ndarray, max_rounds: int = 64
 ) -> tuple[np.ndarray, int]:
     """Bounded hill climb on a complete node-index row: repeatedly move one
     task off the most loaded node (the first on a tie) while that strictly
@@ -630,10 +748,10 @@ def _refine_makespan(
     new makespan, the first in (task, node) order on a tie. Returns the
     climbed row (a copy) and the number of moves. The loop adds and
     compares Python floats, the float64 values numpy would."""
-    n = len(problem.node_ids)
-    t_eff = problem.t_eff.tolist()
-    demand = problem.demand_mb.tolist()
-    room = (problem.capacity_mb + CAPACITY_SLACK_MB).tolist()
+    n = ws.n
+    t_eff = ws.t_eff_rows
+    demand = ws.demand
+    room = ws.room_list
     row = assign.tolist()
     loads = [0.0] * n
     used = [0.0] * n
@@ -679,46 +797,47 @@ def _fits(assign: np.ndarray, demand_mb: np.ndarray, capacity_mb: np.ndarray) ->
     `demand_mb[j]` summed on its node within that node's `capacity_mb`."""
     if (assign < 0).any():
         return False
-    used = _row_sums(assign[None], demand_mb[None], len(capacity_mb))[0]
+    used = _row_sums(assign, demand_mb, 1, len(capacity_mb))[0]
     return bool(np.all(used <= capacity_mb + CAPACITY_SLACK_MB))
 
 
-def preallocation_row(problem: AssignmentProblem) -> np.ndarray:
+def preallocation_row(ws: Workspace) -> np.ndarray:
     """The balanced pre-allocation list: every task on its block's primary
     owner. Seeds the colony's first iteration."""
-    pos = {nid: i for i, nid in enumerate(problem.node_ids)}
-    return np.array([pos[problem.plan.primary(t.block_id)] for t in problem.tasks], dtype=int)
+    return np.array([h[0][0] for h in ws.holders], dtype=int)
 
 
-def greedy_local_row(problem: AssignmentProblem) -> np.ndarray:
+def greedy_local_row(ws: Workspace) -> np.ndarray:
     """Longest-task-first over replica holders: keep every task local while
-    leveling per-node load; fall back to the globally least-loaded node
-    only when a holder cannot take the data. Second colony seed; -1 from
-    the first task no node can take. A task's length is its least t_eff
-    over all nodes, ties in task order; the walk adds Python floats, the
-    float64 sums numpy would add."""
-    pos = {nid: i for i, nid in enumerate(problem.node_ids)}
-    n = len(problem.node_ids)
-    t_eff = problem.t_eff
-    demand = problem.demand_mb.tolist()
-    room = (problem.capacity_mb + CAPACITY_SLACK_MB).tolist()
+    leveling per-node load. A task goes to the holder that can take its
+    data with the least load + t_eff, the lower node index on a tie; only
+    when no holder can take it, to the node of least load + t_eff among
+    all nodes that can. Second colony seed; -1 from the first task no node
+    can take. A task's length is its least t_eff over all nodes, ties in
+    task order; the walk adds Python floats, the float64 sums numpy would
+    add."""
+    n = ws.n
+    t_eff = ws.problem.t_eff
+    holders = ws.holders
+    demand = ws.demand
+    room = ws.room_list
     loads = [0.0] * n
     used = [0.0] * n
-    assign = np.full(len(problem.tasks), -1, dtype=int)
-    shortest = t_eff.min(axis=0).tolist()
-    for j in sorted(range(len(problem.tasks)), key=lambda j: -shortest[j]):
+    assign = [-1] * ws.b
+    # a stable sort, so ties stay in task order
+    for j in np.argsort(-t_eff.min(axis=0), kind="stable").tolist():
         d = demand[j]
-        holders = [pos[r] for r in problem.plan.replicas(problem.tasks[j].block_id)]
-        fits = [i for i in holders if used[i] + d <= room[i]]
+        fits = [(loads[i] + t, i) for i, t in holders[j] if used[i] + d <= room[i]]
         if not fits:
-            fits = [i for i in range(n) if used[i] + d <= room[i]]
+            column = t_eff[:, j].tolist()
+            fits = [(loads[i] + column[i], i) for i in range(n) if used[i] + d <= room[i]]
         if not fits:
-            return assign  # infeasible
-        i = min(fits, key=lambda i: (loads[i] + t_eff.item(i, j), i))
+            break  # infeasible
+        load, i = min(fits)
         assign[j] = i
-        loads[i] += t_eff.item(i, j)
+        loads[i] = load
         used[i] += d
-    return assign
+    return np.array(assign, dtype=int)
 
 
 def solve_problem(
@@ -734,6 +853,8 @@ def solve_problem(
     """
     config.validate()
     by_makespan = config.objective == "makespan"
+    ws = Workspace(problem, config)
+    rows, feasible, makespan = ws.rows, ws.feasible, ws.makespan
     tau = np.full(problem.t_eff.shape, TAU0)
     rng = np.random.default_rng(seed)
 
@@ -749,46 +870,51 @@ def solve_problem(
 
     for it in range(1, config.max_iters + 1):
         # pheromones change only between iterations
-        weights = iteration_weights(tau, problem, config.alpha, config.beta)
-        assign, feasible = construct_colony(weights, problem, rng, config.ants)
-        feasible_ants += int(feasible.sum())
+        construct_colony(iteration_weights(tau, ws), ws, rng)
+        r = config.ants
+        feasible_ants += int(np.count_nonzero(feasible[:r]))
         if it == 1:
-            elites = [r for r in (preallocation_row(problem), greedy_local_row(problem))
-                      if _fits(r, problem.demand_mb, problem.capacity_mb)]
-            if elites:
-                assign = np.vstack([assign, *elites])
-                feasible = np.concatenate([feasible, np.ones(len(elites), dtype=bool)])
+            for elite in (preallocation_row(ws), greedy_local_row(ws)):
+                if _fits(elite, problem.demand_mb, problem.capacity_mb):
+                    rows[r], feasible[r] = elite, True
+                    r += 1
+        obj = None  # the makespan objective's value is the makespan
         if by_makespan:
             # the objective reads node loads alone; the winner is priced in
             # full once, after the last iteration
-            makespan = score_makespans(problem, assign)
-            if feasible.any():
-                fi = np.flatnonzero(feasible)
-                refined, moves = _refine_makespan(problem, assign[fi[np.argmin(makespan[fi])]])
+            makespan[:r] = score_makespans(ws, rows[:r])
+            if feasible[:r].any():
+                fi = np.flatnonzero(feasible[:r])
+                refined, moves = _refine_makespan(ws, rows[fi[np.argmin(makespan[fi])]])
                 if moves:
                     refine_moves += moves
-                    assign = np.vstack([assign, refined])
-                    feasible = np.append(feasible, True)
-                    makespan = np.append(makespan, score_makespans(problem, refined[None]))
-            obj = makespan
+                    rows[r], feasible[r] = refined, True
+                    makespan[r] = score_makespans(ws, rows[r : r + 1])[0]
+                    r += 1
         else:
-            makespan, metrics = score_rows(problem, assign)
-            if refs is None and feasible.any():
-                refs = [float(np.mean(m)) for m in metrics[:, feasible]]
+            makespan[:r], metrics = score_rows(ws, rows[:r])
+            if refs is None and feasible[:r].any():
+                refs = [float(np.mean(m)) for m in metrics[:, feasible[:r]]]
             # before the first feasible row, every row is dropped below
-            obj = makespan if refs is None else _weighted(metrics, refs)
-        if not feasible.all():
-            if not feasible.any():
-                stranded_assigned = int((assign[0] >= 0).sum())
-            assign, makespan, obj = assign[feasible], makespan[feasible], obj[feasible]
-        n_feas = len(assign)
+            if refs is not None:
+                obj = _weighted(metrics, refs)
+        n_feas = r
+        if not feasible[:r].all():
+            if not feasible[:r].any():
+                stranded_assigned = int((rows[0] >= 0).sum())
+            keep = np.flatnonzero(feasible[:r])
+            n_feas = len(keep)
+            rows[:n_feas], makespan[:n_feas] = rows[keep], makespan[keep]
+            obj = None if obj is None else obj[keep]
+        mk = makespan[:n_feas]
+        obj = mk if obj is None else obj
         if n_feas:
             # the first row of least (objective, makespan); a later
             # iteration replaces the best only with a strictly smaller one
-            k = np.lexsort((makespan, obj))[0]
-            key = (float(obj[k]), float(makespan[k]))
+            k = np.lexsort((mk, obj))[0]
+            key = (float(obj[k]), float(mk[k]))
             if key < (best_objective, best_makespan):
-                best_row = assign[k]
+                best_row = rows[k].copy()
                 best_objective, best_makespan = key
 
         trace.append(
@@ -796,7 +922,7 @@ def solve_problem(
                 iteration=it,
                 best_objective=best_objective,
                 best_makespan=best_makespan,
-                mean_makespan=float(np.mean(makespan)) if n_feas else float("inf"),
+                mean_makespan=float(np.mean(mk)) if n_feas else float("inf"),
                 feasible_ants=n_feas,
             )
         )
@@ -806,9 +932,9 @@ def solve_problem(
         else:
             if best_row is not None:
                 # best-ever rides along as an elitist depositor
-                assign = np.vstack([assign, best_row])
-                makespan = np.append(makespan, best_makespan)
-            update_pheromones_full(tau, assign, makespan, config)
+                rows[n_feas], makespan[n_feas] = best_row, best_makespan
+                n_feas += 1
+            update_pheromones_full(tau, rows[:n_feas], makespan[:n_feas], config)
 
         if best_row is not None:
             if np.isfinite(prev_val):
@@ -829,7 +955,7 @@ def solve_problem(
                 "total_capacity_mb": float(problem.capacity_mb.sum()),
             },
         )
-    best = _solution_from_indices(problem, best_row[None], True)[0]
+    best = _solution_from_indices(ws, best_row[None], True)[0]
     return SolveResult(
         best=replace(best, objective=best_objective),
         trace=tuple(trace),
@@ -869,9 +995,9 @@ def _plan_solution(
     access, xtra_delay, cost, src_idx = price_cells(g, plan, tasks, assign, cols)
     row = assign[None]
     makespan, metrics = score_cells(
-        row, np.ones(row.shape, dtype=bool), (t_pred[assign, cols] + access)[None],
+        *_assigned(row), (t_pred[assign, cols] + access)[None],
         xtra_delay[None], cost[None], src_idx[None],
-        np.array([nd.loss_prob for nd in nodes]),
+        np.array([nd.loss_prob for nd in nodes]), 0, np.zeros((3, 1, len(tasks) + 1)),
     )
     feasible = _fits(
         assign, np.array([t.block_mb for t in tasks], dtype=float),

@@ -60,9 +60,21 @@ def features_for(node: NodeSpec, task: TaskSpec) -> np.ndarray:
 def predict_table(g: ClusterGraph, tasks, model) -> np.ndarray:
     """`model`'s (n, B) table of execution seconds as a float array, rows
     the nodes of `g` in sorted-id order (the path table's), columns
-    `tasks` in order."""
+    `tasks` in order. Raises ValueError naming the first (node, task), in
+    that order, whose prediction is not finite and > 0: a NaN or
+    non-positive time would otherwise price plans at NaN, which compares
+    false everywhere, so a plan of makespan NaN passes as feasible."""
     nodes = [g.node(nid) for nid in g.node_ids()]
-    return np.asarray(model.predict_matrix(nodes, list(tasks)), dtype=float)
+    tasks = list(tasks)
+    table = np.asarray(model.predict_matrix(nodes, tasks), dtype=float)
+    # min and max propagate NaN, so two reductions check every cell
+    if table.size and not (table.min() > 0.0 and table.max() < np.inf):
+        i, j = np.argwhere(~((table > 0.0) & (table < np.inf)))[0]
+        raise ValueError(
+            f"predictor returned {table[i, j]!r} s for node {nodes[i].id}, "
+            f"task {tasks[j].id}; predictions must be finite and > 0"
+        )
+    return table
 
 
 def _distinct_rows_table(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sccdso.aco import AssignmentProblem
+from sccdso.aco import AcoConfig, AssignmentProblem, Workspace
 from sccdso.cluster import build_cluster
 from sccdso.workload import Application, partition, tasks_for
 
@@ -91,3 +91,9 @@ def array_problem(t_eff, xtra_delay=None, cost=None, src_idx=None, loss_prob=Non
         loss_prob=np.zeros(n) if loss_prob is None else np.asarray(loss_prob, float),
         candidates=np.tile(np.arange(n), (b, 1)),
     )
+
+
+def workspace(problem, **config):
+    """A colony solve's workspace on `problem` under `AcoConfig(**config)`,
+    for running the solve's steps one at a time."""
+    return Workspace(problem, AcoConfig(**config))

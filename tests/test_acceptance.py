@@ -17,7 +17,7 @@ from sccdso import aco, experiment, placement, predictor as pred, sim
 from sccdso.cli import main as cli_main
 from sccdso.cluster import build_cluster, load_cluster_config, synthetic_cluster_config
 
-from conftest import array_problem
+from conftest import array_problem, workspace
 
 CLUSTER_50 = os.path.join(os.path.dirname(__file__), "..", "configs", "cluster_50.json")
 CLUSTER_25 = os.path.join(os.path.dirname(__file__), "..", "configs", "cluster_25.json")
@@ -84,7 +84,8 @@ def test_03_analytic_qos_checks():
         src = rng.integers(-1, n, size=(n, b))  # -1: the task's data is local
         problem = array_problem(np.ones((n, b)), src_idx=src, loss_prob=p)
         assign = rng.integers(0, n, size=b)
-        loss = aco._solution_from_indices(problem, assign[None], True)[0].metrics[2]
+        ws = workspace(problem)
+        loss = aco._solution_from_indices(ws, assign[None], True)[0].metrics[2]
         chosen = src[assign, np.arange(b)]
         p_src = np.where(chosen >= 0, p[np.maximum(chosen, 0)], 0.0)
         closed_form = float(np.mean(1.0 - (1.0 - p[assign]) * (1.0 - p_src)))
@@ -101,9 +102,10 @@ def test_03_analytic_qos_checks():
         problem = array_problem(t_eff, xtra_delay=xtra, cost=cost)
         assign = r.integers(0, n, size=b)
         half = r.random(b) < 0.5
-        metrics = aco._solution_from_indices(problem, assign[None], True)[0].metrics
-        first = aco._solution_from_indices(problem, np.where(half, assign, -1)[None], True)[0]
-        second = aco._solution_from_indices(problem, np.where(half, -1, assign)[None], True)[0]
+        ws = workspace(problem)
+        metrics = aco._solution_from_indices(ws, assign[None], True)[0].metrics
+        first = aco._solution_from_indices(ws, np.where(half, assign, -1)[None], True)[0]
+        second = aco._solution_from_indices(ws, np.where(half, -1, assign)[None], True)[0]
         exact &= metrics[1] == first.metrics[1] + second.metrics[1]
         cols = np.arange(b)
         counts = np.bincount(assign, minlength=n)

@@ -41,7 +41,7 @@ from sccdso.predictor import predict_table
 from sccdso.sim import TrueTimeModel
 from sccdso.workload import Application, partition, tasks_for
 
-from conftest import FixedTimer, array_problem, make_app_tasks, make_cluster
+from conftest import FixedTimer, array_problem, make_app_tasks, make_cluster, workspace
 from test_solver_pin import pipeline_problem
 
 
@@ -59,10 +59,16 @@ def small_problem(n_nodes=3, n_tasks=4, rf=1, times=None, **cluster_kw):
     return g, plan, tasks, build_problem(g, plan, tasks, timer)
 
 
+def dense_weights(tau, eta, alpha, beta):
+    """Selection weights on whole cells of `tau` and `eta`, eta raised to
+    beta here, as a solve raises its candidate cells' once."""
+    return selection_weights(tau, np.power(eta, beta), alpha)
+
+
 def draw_probabilities(tau, eta, alpha, beta, mask):
     # construct_solution draws node i with probability w[i] / w.sum() over
     # the eligible nodes
-    w = np.where(mask, selection_weights(tau, eta, alpha, beta), 0.0)
+    w = np.where(mask, dense_weights(tau, eta, alpha, beta), 0.0)
     return w / w.sum()
 
 
@@ -83,34 +89,43 @@ def test_selection_weights_of_matrix_equal_its_columns():
     tau = rng.uniform(1e-3, 5.0, size=(37, 23))
     eta = 1.0 / rng.uniform(0.05, 40.0, size=(37, 23))
     for alpha, beta in ((0.8, 1.2), (1.5, 2.5)):
-        whole = selection_weights(tau, eta, alpha, beta)
+        whole = dense_weights(tau, eta, alpha, beta)
         for j in range(tau.shape[1]):
-            column = selection_weights(tau[:, j], eta[:, j], alpha, beta)
+            column = dense_weights(tau[:, j], eta[:, j], alpha, beta)
             assert whole[:, j].tobytes() == column.tobytes()
 
 
 def test_iteration_weights_equal_the_grid_at_every_cell():
-    # the colony's weights, gathered at the (B, k) candidate cells and
-    # taken column by column, carry the bits of the (n, B) grid's; unlike
-    # the solver pins this holds on any host, as np.power is elementwise
+    # the colony's weights, gathered at the (k, B) candidate cells with the
+    # workspace's eta^beta and taken column by column, carry the bits of
+    # the (n, B) grid's; unlike the solver pins this holds on any host, as
+    # np.power is elementwise
     for seed, (n, b) in enumerate([(37, 23), (12, 208), (200, 64), (3, 5)]):
         problem = random_problem(seed, n, b)
         tau = np.random.default_rng(seed).uniform(TAU_FLOOR, 5.0, size=(n, b))
-        cand, cols = problem.candidates, np.arange(b)[:, None]
+        cand = problem.candidates.T
         for alpha, beta in ((0.8, 1.2), (1.5, 2.5), (1.5, 120.0)):
-            whole = selection_weights(tau, problem.eta, alpha, beta)
-            weights = iteration_weights(tau, problem, alpha, beta)
-            assert weights.cand.shape == (b, min(L_MAX, n))
-            assert weights.cand.tobytes() == whole[cand, cols].tobytes()
+            whole = dense_weights(tau, problem.eta, alpha, beta)
+            weights = iteration_weights(tau, workspace(problem, alpha=alpha, beta=beta))
+            assert weights.cand.shape == weights.cum.shape == (min(L_MAX, n), b)
+            assert weights.cand.tobytes() == whole[cand, np.arange(b)].tobytes()
             for j in range(b):
                 assert weights.column(j).tobytes() == whole[:, j].tobytes()
 
 
 def grid(weights, problem):
     """An (n, B) weight matrix as an iteration hands it to the colony: its
-    cells at each task's candidates, and its columns."""
-    cand = problem.candidates
-    return aco.Weights(weights[cand, np.arange(len(cand))[:, None]], lambda j: weights[:, j])
+    (k, B) cells at each task's candidates, their running sums, and its
+    columns."""
+    cand = weights[problem.candidates.T, np.arange(len(problem.candidates))]
+    return aco.Weights(cand, aco._cumulative_weights(cand), lambda j: weights[:, j])
+
+
+def colony(weights, problem, rng, ants):
+    """`construct_colony` on a fresh workspace of `ants` ants: copies of
+    its rows and flags."""
+    assign, feasible = construct_colony(weights, workspace(problem, ants=ants), rng)
+    return assign.copy(), feasible.copy()
 
 
 def test_uniform_inputs_give_uniform_choice():
@@ -144,11 +159,12 @@ def test_high_beta_is_greedy_argmin():
         times=FixedTimer({"n0": 2.0, "n1": 0.5, "n2": 3.0}),
     )
     cfg = AcoConfig(beta=50.0, ants=1, max_iters=1)
-    weights = selection_weights(np.full((3, 1), TAU0), problem.eta, cfg.alpha, cfg.beta)
+    weights = dense_weights(np.full((3, 1), TAU0), problem.eta, cfg.alpha, cfg.beta)
     rng = np.random.default_rng(0)
+    ws = workspace(problem)
     argmin_node = problem.node_ids[int(np.argmin(problem.t_eff[:, 0]))]
     hits = sum(
-        construct_solution(grid(weights, problem), problem, rng).assignment[tasks[0].id]
+        construct_solution(grid(weights, problem), ws, rng).assignment[tasks[0].id]
         == argmin_node
         for _ in range(1000)
     )
@@ -266,30 +282,31 @@ def assert_colony_matches_scalar(weights, problem, seed, ants=10):
     Returns the colony's (rows, flags)."""
     cells = grid(weights, problem)
     batch_rng = np.random.default_rng(seed)
-    assign, feasible = construct_colony(cells, problem, batch_rng, ants)
+    ws = workspace(problem, ants=ants)
+    assign, feasible = construct_colony(cells, ws, batch_rng)
     twin, orders, draws = twin_draws(seed, ants, weights.shape[1])
     per_ant = [
-        _solution_from_indices(problem, row[None], ok)[0]
-        for row, ok in (aco._ant_row(cells, problem, o, d) for o, d in zip(orders, draws))
+        _solution_from_indices(ws, row[None], ok)[0]
+        for row, ok in (aco._ant_row(cells, ws, o, d) for o, d in zip(orders, draws))
     ]
     scalar = [scalar_ant(weights, problem, o, d) for o, d in zip(orders, draws)]
     assert assign.tolist() == [s.node_index.tolist() for s in per_ant]
     assert feasible.tolist() == [s.feasible for s in per_ant]
     assert per_ant == scalar
-    makespan, metrics = score_rows(problem, assign)
+    makespan, metrics = score_rows(ws, assign)
     for a, want in enumerate(scalar):
         assert [makespan[a], *metrics[:, a]] == [want.makespan, *want.metrics]
         assert [type(m) for m in per_ant[a].metrics] == [type(m) for m in want.metrics]
     assert batch_rng.bit_generator.state == twin.bit_generator.state
-    return assign, feasible
+    return assign.copy(), feasible.copy()
 
 
 def test_construct_solution_is_a_one_ant_colony():
     problem = random_problem(12, 40, 90, slots=3.0)
-    weights = selection_weights(np.full(problem.t_eff.shape, TAU0), problem.eta, 0.8, 1.2)
+    weights = dense_weights(np.full(problem.t_eff.shape, TAU0), problem.eta, 0.8, 1.2)
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        sol = construct_solution(grid(weights, problem), problem, rng)
+        sol = construct_solution(grid(weights, problem), workspace(problem), rng)
         assign, feasible = assert_colony_matches_scalar(weights, problem, seed, ants=1)
         assert sol.node_index.tolist() == assign[0].tolist() and sol.feasible == feasible[0]
         assert rng.bit_generator.state == twin_draws(seed, 1, 90)[0].bit_generator.state
@@ -314,7 +331,7 @@ def test_colony_equals_scalar_ants_on_random_instances():
             tied_columns += ties * ties_at_the_cap(problem)
             pheromone = np.full((n, b), TAU0) if ties else tau
             for alpha, beta in ((0.8, 1.2), (1.5, 2.5)):
-                weights = selection_weights(pheromone, problem.eta, alpha, beta)
+                weights = dense_weights(pheromone, problem.eta, alpha, beta)
                 assert_colony_matches_scalar(weights, problem, seed)
     assert tied_columns > 100
 
@@ -338,8 +355,9 @@ def test_a_draw_at_the_total_picks_the_last_candidate():
     t_eff = np.tile(np.arange(1.0, n + 1.0)[:, None], (1, b))  # node 0 fastest
     problem = replace(array_problem(t_eff), candidates=np.tile(np.arange(L_MAX), (b, 1)))
     weights = grid(np.full((n, b), np.nextafter(0.0, 1.0)), problem)
-    assign, feasible = construct_colony(weights, problem, EdgeDraws(), 3)
-    row, ok = aco._ant_row(weights, problem, np.arange(b), EdgeDraws().random(b))
+    ws = workspace(problem, ants=3)
+    assign, feasible = construct_colony(weights, ws, EdgeDraws())
+    row, ok = aco._ant_row(weights, ws, np.arange(b), EdgeDraws().random(b))
     assert (assign == L_MAX - 1).all() and feasible.all()
     assert (row == L_MAX - 1).all() and ok
 
@@ -358,8 +376,8 @@ def test_subnormal_totals_keep_picks_on_candidates_that_fit():
         demand_mb=np.full(b, 10.0), capacity_mb=capacity)
     weights = grid(np.full((n, b), 3 * np.nextafter(0.0, 1.0)), problem)
     rng = np.random.default_rng(19)
-    rows, flags = zip(*(construct_colony(weights, problem, rng, 10) for _ in range(5)))
-    ants = [construct_solution(weights, problem, rng) for _ in range(200)]
+    rows, flags = zip(*(colony(weights, problem, rng, 10) for _ in range(5)))
+    ants = [construct_solution(weights, workspace(problem), rng) for _ in range(200)]
     rows = np.vstack([*rows, *(s.node_index for s in ants)])
     flags = np.concatenate([*flags, [s.feasible for s in ants]])
     assert flags.all()
@@ -376,14 +394,14 @@ def test_colony_equals_scalar_ants_on_every_oracle_shape():
         seed += 1
     cfg = AcoConfig.preset("table1")
     for k, problem in enumerate(shapes.values()):
-        weights = selection_weights(
+        weights = dense_weights(
             np.full(problem.t_eff.shape, TAU0), problem.eta, cfg.alpha, cfg.beta)
         assert_colony_matches_scalar(weights, problem, k, ants=cfg.ants)
 
 
 def underflow_weights(problem):
     tau = np.full(problem.t_eff.shape, TAU_FLOOR)
-    return selection_weights(tau, problem.eta, 1.5, 120.0)
+    return dense_weights(tau, problem.eta, 1.5, 120.0)
 
 
 def test_colony_equals_scalar_ants_when_weights_underflow():
@@ -413,7 +431,7 @@ def test_colony_equals_scalar_ants_when_candidates_fill_up():
     # two mean-sized tasks per node: the top-L_MAX candidates fill long
     # before the last task, which then draws from every node that fits
     problem = random_problem(8, 40, 60, slots=2.6)
-    weights = selection_weights(np.full(problem.t_eff.shape, 0.05), problem.eta, 0.8, 1.2)
+    weights = dense_weights(np.full(problem.t_eff.shape, 0.05), problem.eta, 0.8, 1.2)
     assign, feasible = assert_colony_matches_scalar(weights, problem, 8)
     assert feasible.all()
     assert (~candidate_grid(problem)[assign, np.arange(assign.shape[1])]).any()
@@ -423,7 +441,7 @@ def test_colony_equals_scalar_ants_when_a_task_strands():
     # about one mean-sized task of room per node for 1.1 tasks per node:
     # ants strand tasks, and the iteration reruns ant by ant
     problem = random_problem(9, 30, 33, slots=1.0)
-    weights = selection_weights(np.full(problem.t_eff.shape, 0.05), problem.eta, 0.8, 1.2)
+    weights = dense_weights(np.full(problem.t_eff.shape, 0.05), problem.eta, 0.8, 1.2)
     assign, feasible = assert_colony_matches_scalar(weights, problem, 9)
     assert not feasible.all()
     assert ((assign < 0).any(axis=1) == ~feasible).all()
@@ -441,10 +459,10 @@ def test_ant_row_walks_k_candidates_like_the_full_width_loop():
     )
     for seed, (problem, weigh) in enumerate(cases):
         tau = np.full(problem.t_eff.shape, TAU0)
-        weights = weigh(problem) if weigh else selection_weights(tau, problem.eta, 0.8, 1.2)
+        weights = weigh(problem) if weigh else dense_weights(tau, problem.eta, 0.8, 1.2)
         _, orders, draws = twin_draws(seed, 10, weights.shape[1])
         for order, row_draws in zip(orders, draws):
-            row, ok = aco._ant_row(grid(weights, problem), problem, order, row_draws)
+            row, ok = aco._ant_row(grid(weights, problem), workspace(problem), order, row_draws)
             want = scalar_ant(weights, problem, order, row_draws, branches)
             assert row.tolist() == want.node_index.tolist() and ok == want.feasible
     assert branches == {"candidate", "fallback", "stranded", "uniform"}
@@ -468,8 +486,8 @@ def test_capacity_guard_boundary(monkeypatch):
     # here: the rows stay those of the uncapped colony)
     n, ants = 30, 10
     problem = random_problem(11, n, 120)
-    weights = selection_weights(np.full(problem.t_eff.shape, 0.05), problem.eta, 0.8, 1.2)
-    free, _ = construct_colony(grid(weights, problem), problem, np.random.default_rng(11), ants)
+    weights = dense_weights(np.full(problem.t_eff.shape, 0.05), problem.eta, 0.8, 1.2)
+    free, _ = colony(grid(weights, problem), problem, np.random.default_rng(11), ants)
     used = np.zeros((ants, n))
     np.add.at(used, (np.arange(ants)[:, None], free), problem.demand_mb)
     room = used.max() + problem.demand_mb.max()
@@ -477,7 +495,7 @@ def test_capacity_guard_boundary(monkeypatch):
         capped = replace(problem, capacity_mb=np.full(n, capacity))
         rng = np.random.default_rng(11)
         (assign, _), calls = rebuilt_ants(
-            monkeypatch, lambda: construct_colony(grid(weights, capped), capped, rng, ants))
+            monkeypatch, lambda: colony(grid(weights, capped), capped, rng, ants))
         assert calls == rebuilt
         assert assign.tolist() == free.tolist()
         assert_colony_matches_scalar(weights, capped, 11, ants)
@@ -505,38 +523,39 @@ def test_benchmark_shapes_take_every_pick_at_once(n_nodes, monkeypatch):
         result, calls = rebuilt_ants(monkeypatch, lambda: solve_problem(problem, cfg, n_nodes))
         assert calls == 0
         for tau in (np.full(problem.t_eff.shape, aco.TAU0), result.pheromones):
-            weights = iteration_weights(tau, problem, cfg.alpha, cfg.beta)
+            ws = aco.Workspace(problem, cfg)
+            weights = iteration_weights(tau, ws)
             rng = np.random.default_rng(ants)
-            _, calls = rebuilt_ants(monkeypatch, lambda: construct_colony(weights, problem, rng, ants))
+            _, calls = rebuilt_ants(monkeypatch, lambda: construct_colony(weights, ws, rng))
             assert calls == 0
-            whole = selection_weights(tau, problem.eta, cfg.alpha, cfg.beta)
+            whole = dense_weights(tau, problem.eta, cfg.alpha, cfg.beta)
             assert_colony_matches_scalar(whole, problem, ants, ants)
 
 
 def test_an_iteration_weighs_only_the_cells_its_picks_read(monkeypatch):
     # large-cluster's shape, where the capacity guard holds: each iteration
-    # weighs the (B, k) candidate cells once and never the (n, B) grid; on
+    # weighs the (k, B) candidate cells once and never the (n, B) grid; on
     # a tight problem, whose ants are rebuilt one by one, a step where no
     # candidate fits weighs its one (n,) column
     shapes = []
     weigh = aco.selection_weights
 
-    def spy(tau, eta, alpha, beta):
+    def spy(tau, eta_beta, alpha):
         shapes.append(np.shape(tau))
-        return weigh(tau, eta, alpha, beta)
+        return weigh(tau, eta_beta, alpha)
 
     monkeypatch.setattr(aco, "selection_weights", spy)
     problem = benchmark_problem(200)
     result, calls = rebuilt_ants(
         monkeypatch, lambda: solve_problem(problem, AcoConfig.preset("stage7"), 5))
     assert calls == 0
-    assert shapes == [(208, L_MAX)] * result.iterations
+    assert shapes == [(L_MAX, 208)] * result.iterations
     shapes.clear()
     tight = pipeline_problem(tight=True)
     n, b = tight.t_eff.shape
     _, calls = rebuilt_ants(monkeypatch, lambda: solve_problem(tight, AcoConfig.preset("stage7"), 0))
     assert calls > 0
-    assert (b, L_MAX) in shapes and (n,) in shapes and (n, b) not in shapes
+    assert (L_MAX, b) in shapes and (n,) in shapes and (n, b) not in shapes
 
 
 def deposit_reference(tau, rows, rho, makespan=None, t_eff=None):
@@ -557,8 +576,9 @@ def test_deposits_equal_per_edge_loops():
     problem = random_problem(10, 45, 150)
     rng = np.random.default_rng(10)
     tau = rng.uniform(TAU_FLOOR, 2.0, size=problem.t_eff.shape)
-    assign, _ = construct_colony(iteration_weights(tau, problem, 0.8, 1.2), problem, rng, 8)
-    makespan, _ = score_rows(problem, assign)
+    ws = workspace(problem, ants=8)
+    assign, _ = construct_colony(iteration_weights(tau, ws), ws, rng)
+    makespan, _ = score_rows(ws, assign)
     # best-ever rides along after the ants, so each of its edges takes a
     # second deposit; a row with makespan 0.0 deposits nothing
     k = int(np.argmin(makespan))
@@ -602,10 +622,11 @@ def test_row_sums_equal_add_at(rows, n, cells):
     pick = (np.arange(b) + np.arange(rows)[:, None]) % max(b, 1)
     assigned = assigned[pick]
     nodes = np.where(assigned, node[pick] % n, 0)
-    for values in (np.where(assigned, value[pick], 0.0), assigned):
+    bins = np.arange(rows)[:, None] * n + nodes
+    for values in (np.where(assigned, value[pick], 0.0), assigned, None):
         want = np.zeros((rows, n))
-        np.add.at(want, (np.arange(rows)[:, None], nodes), values)
-        got = aco._row_sums(nodes, values, n)
+        np.add.at(want, (np.arange(rows)[:, None], nodes), 1.0 if values is None else values)
+        got = aco._row_sums(bins, values, rows, n)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -767,8 +788,9 @@ def test_loads_only_makespans_equal_score_rows(seed, ants, n, b):
     assign = rng.integers(-1, n, size=(ants, b))
     assign[rng.random((ants, b)) < 0.2] = -1
     assign = np.vstack([assign, np.full(b, -1)])
-    got = score_makespans(problem, assign)
-    want = score_rows(problem, assign)[0]
+    ws = workspace(problem, ants=ants)
+    got = score_makespans(ws, assign)
+    want = score_rows(ws, assign)[0]
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert got[-1] == np.inf
 
@@ -825,13 +847,14 @@ def test_refine_on_floats_equals_the_numpy_climb():
         free = replace(problem, capacity_mb=np.full(n, np.inf))
         for max_rounds in (1, 3, 64):
             want = reference_refine(problem, row, max_rounds)
-            got = aco._refine_makespan(problem, row, max_rounds)
+            got = aco._refine_makespan(workspace(problem), row, max_rounds)
             assert got[0].dtype == row.dtype
             assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1])
             assert row.tolist() == np.random.default_rng(seed).integers(0, n, size=b).tolist()
             hit_budget += got[1] == max_rounds
-            capacity_bound += got[0].tolist() != aco._refine_makespan(free, row, max_rounds)[0].tolist()
-        loads = aco._row_sums(row[None], problem.t_eff[row, np.arange(b)][None], n)[0]
+            capacity_bound += (
+                got[0].tolist() != aco._refine_makespan(workspace(free), row, max_rounds)[0].tolist())
+        loads = aco._row_sums(row, problem.t_eff[row, np.arange(b)], 1, n)[0]
         tied += len(set(loads.tolist())) < n
     assert hit_budget and capacity_bound and tied
     # a climb that still improves when its budget runs out
@@ -839,7 +862,7 @@ def test_refine_on_floats_equals_the_numpy_climb():
     row = np.zeros(20, dtype=int)
     for max_rounds in (1, 5, 9):
         want = reference_refine(problem, row, max_rounds)
-        got = aco._refine_makespan(problem, row, max_rounds)
+        got = aco._refine_makespan(workspace(problem), row, max_rounds)
         assert (got[0].tolist(), got[1]) == (want[0].tolist(), max_rounds)
 
 
@@ -851,7 +874,7 @@ def test_makespan_winner_is_scored_in_full(variant):
     for s in range(24):
         problem = oracle_instance(1000 + s)
         best = solve_problem(problem, cfg, seed=s).best
-        makespan, metrics = score_rows(problem, best.node_index[None])
+        makespan, metrics = score_rows(workspace(problem), best.node_index[None])
         assert best.makespan == makespan[0] == best.objective
         assert best.metrics == (metrics[0, 0], metrics[1, 0], metrics[2, 0])
         assert type(best.metrics[2]) is type(metrics[2, 0])
@@ -860,10 +883,10 @@ def test_makespan_winner_is_scored_in_full(variant):
 @pytest.mark.parametrize("first", ["ab", "ba"])
 def test_exact_ties_keep_the_earlier_row(first, monkeypatch):
     # twelve equal tasks on two nodes; rows a and b swap the nodes of t2 and
-    # t10, so they tie on every metric. The first iteration's colony is the
-    # two rows in the order `first`, the second's the other row alone: the
-    # earlier row wins the first iteration, and the exact tie in the second
-    # keeps it. Both elite rows put every task on n0, which is worse.
+    # t10, so they tie on every metric. The first iteration's two ants are
+    # the two rows in the order `first`, the second's the other row twice:
+    # the earlier row wins the first iteration, and the exact tie in the
+    # second keeps it. Both elite rows put every task on n0, which is worse.
     problem = array_problem(np.ones((2, 12)), cost=np.ones((2, 12)))
     problem = replace(
         problem,
@@ -874,15 +897,15 @@ def test_exact_ties_keep_the_earlier_row(first, monkeypatch):
     b = a.copy()
     b[[2, 10]] = a[[10, 2]]
     rows = {"a": a, "b": b}
-    colonies = iter([np.array([rows[first[0]], rows[first[1]]]), rows[first[1]][None]])
+    colonies = iter([[rows[first[0]], rows[first[1]]], [rows[first[1]]] * 2])
 
-    def colony(weights, problem, rng, ants):
-        assign = next(colonies)
-        return assign, np.ones(len(assign), dtype=bool)
+    def two_ants(weights, ws, rng):
+        ws.rows[:2] = next(colonies)
+        ws.feasible[:2] = True
 
-    monkeypatch.setattr(aco, "construct_colony", colony)
-    res = solve_problem(problem, AcoConfig(max_iters=2), seed=0)
-    makespan, metrics = score_rows(problem, np.array([a, b]))
+    monkeypatch.setattr(aco, "construct_colony", two_ants)
+    res = solve_problem(problem, AcoConfig(ants=2, max_iters=2), seed=0)
+    makespan, metrics = score_rows(workspace(problem), np.array([a, b]))
     assert makespan[0] == makespan[1] and (metrics[:, 0] == metrics[:, 1]).all()
     assert res.iterations == 2
     assert res.best.node_index.tolist() == rows[first[0]].tolist()
@@ -891,8 +914,9 @@ def test_exact_ties_keep_the_earlier_row(first, monkeypatch):
 
 def test_elite_seeds_are_feasible_and_local():
     problem = oracle_instance(42, max_tasks=6, max_nodes=4)
-    pre = preallocation_row(problem)
-    greedy = greedy_local_row(problem)
+    ws = workspace(problem)
+    pre = preallocation_row(ws)
+    greedy = greedy_local_row(ws)
     for row in (pre, greedy):
         assert aco._fits(row, problem.demand_mb, problem.capacity_mb)
     for task, i in zip(problem.tasks, pre):

@@ -18,7 +18,7 @@ from sccdso.predictor import FeatureRegression, LinearModel
 from sccdso.sim import TrueTimeModel
 from sccdso.workload import Application, partition, tasks_for
 
-from conftest import make_cluster
+from conftest import make_cluster, workspace
 from test_build_problem import random_instance
 
 BASELINES = (aco.baseline_round_robin, aco.baseline_rsync, aco.baseline_rf_fd)
@@ -125,7 +125,7 @@ def test_baselines_equal_their_row_on_the_full_grid():
                 problem = aco.build_problem(g, plan, tasks, predictor)
                 row = got.node_index
                 want = aco._solution_from_indices(
-                    problem, row[None], aco._fits(row, problem.demand_mb, problem.capacity_mb))[0]
+                    workspace(problem), row[None], aco._fits(row, problem.demand_mb, problem.capacity_mb))[0]
                 assert record(got) == record(want)
                 assert row.dtype == want.node_index.dtype
 

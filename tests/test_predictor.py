@@ -262,3 +262,52 @@ def test_predict_is_one_cell_of_the_table():
             assert cells.tobytes() == table.tobytes()
             sub = model.predict_matrix([nodes[i] for i in sub_n], [tasks[j] for j in sub_t])
             assert sub.tobytes() == table[np.ix_(sub_n, sub_t)].tobytes()
+
+
+class BadCells:
+    """Predictor stub: 1.0 s on every cell but `bad`, a {(node id, task
+    index): seconds} map."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def predict_matrix(self, nodes, tasks):
+        return np.array([[self.bad.get((n.id, j), 1.0) for j in range(len(tasks))] for n in nodes])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_a_prediction_not_finite_and_positive_is_an_error(value):
+    # a NaN time used to price plans at NaN, which compares false, so a
+    # solve, rf-fd and round robin returned makespan nan marked feasible;
+    # the error names the first bad (node, task) in node-then-task order,
+    # wherever the table is read
+    from sccdso import aco
+    from sccdso.placement import place_heterogeneous, place_random
+    from sccdso.workload import Application, partition, tasks_for
+
+    g = build_cluster(synthetic_cluster_config(10))
+    app = Application(id="app0", input_mb=8 * 64, block_size_mb=64, replication_factor=2)
+    blocks = partition(app)
+    tasks = tasks_for(app, blocks)
+    plan = place_random(g, blocks, 2, seed=0)
+    ids = g.node_ids()
+    stub = BadCells({(ids[3], 2): value, (ids[3], 5): value, (ids[6], 0): value})
+    first = f"node {ids[3]}, task {tasks[2].id}"
+    with pytest.raises(ValueError, match=first):
+        predictor_mod.predict_table(g, tasks, stub)
+    with pytest.raises(ValueError, match=first):
+        aco.build_problem(g, plan, tasks, stub)
+    for baseline in (aco.baseline_rf_fd, aco.baseline_round_robin):
+        with pytest.raises(ValueError, match=first):
+            baseline(tasks, g, plan, stub)
+    # placement predicts one reference task per node
+    with pytest.raises(ValueError, match=f"node {ids[6]}, task __ref__"):
+        place_heterogeneous(g, blocks, BadCells({(ids[6], 0): value}), {"app0": 2})
+    # an all-NaN table names its first cell
+    everywhere = BadCells({(nid, j): value for nid in ids for j in range(len(tasks))})
+    with pytest.raises(ValueError, match=f"node {ids[0]}, task {tasks[0].id}"):
+        aco.build_problem(g, plan, tasks, everywhere)
+    # a table of positive finite times passes through as it is
+    good = BadCells({(ids[3], 2): 1e300, (ids[6], 0): 5e-324})
+    table = predictor_mod.predict_table(g, tasks, good)
+    assert table[3, 2] == 1e300 and table[6, 0] == 5e-324

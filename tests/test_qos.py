@@ -15,11 +15,12 @@ from sccdso import aco
 from sccdso.placement import place_rack_aware
 from sccdso.workload import Application, partition, tasks_for
 
-from conftest import FixedTimer, array_problem, make_cluster
+from conftest import FixedTimer, array_problem, make_cluster, workspace
 
 
 def metrics(problem, assign):
-    return aco._solution_from_indices(problem, np.array([assign], dtype=int), True)[0].metrics
+    return aco._solution_from_indices(
+        workspace(problem), np.array([assign], dtype=int), True)[0].metrics
 
 
 def one_block_problem(block_mb=64.0, node_kw=None, **cluster_kw):
