@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
-"""Solve one reference instance with both colony variants and dump their
-convergence traces as CSV.
+"""Solve one reference instance with the ant colony and dump its
+convergence trace as CSV.
+
+The instance is 26 x 64 MB blocks at RF 2, placed by the heterogeneous
+placement on `--nodes` synthetic nodes and priced with exact service times;
+the colony runs the stage7 preset.
 
 Usage:
     python scripts/convergence_demo.py [--nodes 25] [--seed 7] [--out traces]
@@ -12,7 +16,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from sccdso import aco, placement, predictor, sim, workload  # noqa: E402
+from sccdso import aco, placement, sim, workload  # noqa: E402
 from sccdso.cluster import build_cluster, synthetic_cluster_config  # noqa: E402
 
 
@@ -30,20 +34,16 @@ def main() -> int:
     w = workload.workload_from_apps([app])
     os.makedirs(args.out, exist_ok=True)
 
-    for variant, model in (
-        ("full", sim.TrueTimeModel()),
-        ("lightweight", predictor.LinearModel()),
-    ):
-        plan = placement.place_heterogeneous(g, list(w.blocks), model, {app.id: 2})
-        cfg = aco.AcoConfig.preset("stage7", variant=variant)
-        problem = aco.build_problem(g, plan, list(w.tasks), model)
-        res = aco.solve_problem(problem, cfg, seed=args.seed)
-        path = os.path.join(args.out, f"trace_{variant}.csv")
-        aco.write_trace_csv(res.trace, path)
-        print(
-            f"{variant}: makespan={res.best.makespan:.2f}s "
-            f"iterations={res.iterations} converged={res.converged_iteration} -> {path}"
-        )
+    model = sim.TrueTimeModel()
+    plan = placement.place_heterogeneous(g, list(w.blocks), model, {app.id: 2})
+    problem = aco.build_problem(g, plan, list(w.tasks), model)
+    res = aco.solve_problem(problem, aco.AcoConfig.preset("stage7"), seed=args.seed)
+    path = os.path.join(args.out, "trace.csv")
+    aco.write_trace_csv(res.trace, path)
+    print(
+        f"makespan={res.best.makespan:.2f}s "
+        f"iterations={res.iterations} converged={res.converged_iteration} -> {path}"
+    )
     return 0
 
 

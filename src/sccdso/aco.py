@@ -1,7 +1,25 @@
-"""Task-to-node assignment: ant colony search plus comparison baselines.
+"""Task-to-node assignment: the row rules the schedulers run, and an ant
+colony search.
 
-The solver minimizes either the weighted delay/cost/loss objective (with
-makespan as the tiebreak) or the pure min-max makespan. Ants build
+Row rules. Each scheduler of the pipeline assigns its tasks with one
+deterministic rule over its placement: scc-dso's `local_first` (each task
+on the first of its block's holders with room, so the primary row
+whenever that fits), and the baselines, reservation-first-fit with a
+linear-regression load estimate (locality-blind), sequential
+primary-affinity with a per-non-local-access synchronization delay, and
+plain round robin. A rule scores one plan, so it prices only that plan's
+B cells (`_plan_solution`): `price_cells`, the per-cell arithmetic `build_problem`
+runs on the full (n, B) grid, at (assign[j], j), then `score_cells`, the
+scorer behind `score_rows`. It never builds an `AssignmentProblem`. Its
+only (n, B) array is the predictor's table (`predictor.predict_table`,
+which `build_problem` reads too): reservation-first-fit reads all of it,
+the other rules their B cells. A remote cell's replica is
+`PathTable.cheapest_fetch`'s, as in the simulator's steal rule.
+
+The colony. The oracle suite measures it against the exact optimum; no
+scheduler of the pipeline runs it. It minimizes either the weighted
+delay/cost/loss objective (with makespan as the tiebreak) or the pure
+min-max makespan. Ants build
 complete assignments task by task, sampling nodes in proportion to
 pheromone^alpha * desirability^beta over the eligible set; desirability is
 the inverse of predicted execution time with the data-access cost folded
@@ -54,41 +72,23 @@ What an iteration then computes from its rows depends on the objective:
   on Python floats), and a climbed row that moved joins the rows.
 
 The objective, the trace, the best pick (the first row of least
-(objective, makespan)) and the full-regime deposit read those arrays;
-an `AntSolution`, with the full (delay, cost, loss) of `score_rows`, is
-built only for the winner and for the baselines.
-
-Two pheromone regimes:
-
-* full — every feasible ant deposits Q / makespan on the edges it used,
-  after global evaporation.
-* lightweight (EWMA) — only the best-so-far assignment is reinforced, at
-  rate rho toward 1/T per edge; everything else just evaporates. Its
-  presets set a reduced colony (`LIGHTWEIGHT_ANTS`, 5) for cheap
-  per-iteration work.
+(objective, makespan)) and the deposit read those arrays; an
+`AntSolution`, with the full (delay, cost, loss) of `score_rows`, is
+built only for the winner and for the row rules. After global
+evaporation, every feasible row deposits Q / makespan on the edges it
+used, and the best-so-far row deposits again as an elitist.
 
 `AcoConfig` holds the settings the presets and the oracle vary (alpha,
-beta, rho, ants, iterations, regime, objective); the rest of the tuning is
+beta, rho, ants, iterations, objective); the rest of the tuning is
 fixed in module constants. A floor (`TAU_FLOOR`) keeps every pheromone
 entry positive so no edge ever becomes unreachable. Candidate fan-out per
 task is capped (`L_MAX`) to prune low-desirability nodes on large
 clusters; capacity-feasible fallback keeps the cap from manufacturing
 infeasibility. The weighted objective scores (delay, cost, loss) with
 `WEIGHTS`, and the search stops early after `PATIENCE` iterations that
-each improve the best value by less than `TOL` (relatively).
-
-Baselines: reservation-first-fit with a linear-regression load estimate
-(locality-blind), sequential primary-affinity with a per-non-local-access
-synchronization delay, and plain round robin. A baseline scores one plan,
-so it prices only that plan's B cells: `price_cells`, the per-cell
-arithmetic `build_problem` runs on the full (n, B) grid, at (assign[j],
-j), then `score_cells`, the scorer behind `score_rows`. It never builds
-an `AssignmentProblem`. Its only (n, B) array is the predictor's table
-(`predictor.predict_table`, which `build_problem` reads too):
-reservation-first-fit reads all of it, rsync and round robin their B
-cells. A remote cell's replica is `PathTable.cheapest_fetch`'s, as in
-the simulator's steal rule. The trail is a plain (n, B) array, TAU0 at
-the start; `SolveResult.pheromones` is its final state.
+each improve the best value by less than `TOL` (relatively). The trail
+is a plain (n, B) array, TAU0 at the start; `SolveResult.pheromones` is
+its final state.
 
 A caller solves in two steps: `build_problem` prices the grid into an
 `AssignmentProblem` of the tables the solver reads, and `solve_problem`
@@ -111,7 +111,6 @@ from .placement import PlacementPlan
 from .predictor import predict_table
 from .workload import TaskSpec
 
-LIGHTWEIGHT_ANTS = 5
 # the AcoConfig fields each named preset sets
 PRESETS = {
     "table1": dict(alpha=1.5, beta=2.5, rho=0.2, ants=20, max_iters=50),
@@ -143,7 +142,6 @@ class AcoConfig:
     rho: float = 0.1
     ants: int = 10
     max_iters: int = 20
-    variant: str = "full"
     objective: str = "weighted"  # or "makespan"
 
     def validate(self) -> None:
@@ -159,22 +157,15 @@ class AcoConfig:
             # bool is an int subclass, but True is no count
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.variant not in ("full", "lightweight"):
-            raise ValueError(f"unknown variant: {self.variant}")
         if self.objective not in ("weighted", "makespan"):
             raise ValueError(f"unknown objective: {self.objective}")
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "AcoConfig":
-        """The named preset; the lightweight variant runs LIGHTWEIGHT_ANTS
-        ants unless `ants` is given."""
+        """The named preset, with `overrides` replacing its fields."""
         if name not in PRESETS:
             raise ValueError(f"unknown preset: {name}")
-        base = dict(PRESETS[name])
-        if overrides.get("variant") == "lightweight":
-            base["ants"] = LIGHTWEIGHT_ANTS
-        base.update(overrides)
-        cfg = cls(**base)
+        cfg = cls(**{**PRESETS[name], **overrides})
         cfg.validate()
         return cfg
 
@@ -225,7 +216,7 @@ def price_cells(
     j: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Price the cells (node i, task j) of two index arrays that broadcast
-    together; `build_problem` passes the full grid, a baseline the B cells
+    together; `build_problem` passes the full grid, a row rule the B cells
     of its plan. Returns each cell's (access, xtra_delay, cost, src_idx)
     in the broadcast shape. A task whose block has a replica on the node
     is local: compute cost only, and src_idx -1. Otherwise the task
@@ -701,23 +692,6 @@ def update_pheromones_full(
     np.maximum(tau, TAU_FLOOR, out=tau)
 
 
-def update_pheromones_ewma(
-    tau: np.ndarray, best: np.ndarray | None, t_eff: np.ndarray, config: AcoConfig
-) -> None:
-    """Evaporate the (n, B) trail `tau` in place everywhere; nudge only the
-    best plan's edges (`best`, its (B,) node-index row, None before any
-    feasible plan) toward 1/T at rate rho, T the edge's effective time in
-    `t_eff` (the problem's (n, B) table); floor it at TAU_FLOOR. Repeated
-    application with a fixed best converges each reinforced entry to
-    exactly 1/T."""
-    tau *= 1.0 - config.rho
-    if best is not None:
-        cols = np.arange(tau.shape[1])
-        delta = 1.0 / np.maximum(t_eff[best, cols], 1e-12)
-        tau[best, cols] += config.rho * delta
-    np.maximum(tau, TAU_FLOOR, out=tau)
-
-
 @dataclass(frozen=True)
 class TraceRow:
     iteration: int
@@ -927,14 +901,11 @@ def solve_problem(
             )
         )
 
-        if config.variant == "lightweight":
-            update_pheromones_ewma(tau, best_row, problem.t_eff, config)
-        else:
-            if best_row is not None:
-                # best-ever rides along as an elitist depositor
-                rows[n_feas], makespan[n_feas] = best_row, best_makespan
-                n_feas += 1
-            update_pheromones_full(tau, rows[:n_feas], makespan[:n_feas], config)
+        if best_row is not None:
+            # best-ever rides along as an elitist depositor
+            rows[n_feas], makespan[n_feas] = best_row, best_makespan
+            n_feas += 1
+        update_pheromones_full(tau, rows[:n_feas], makespan[:n_feas], config)
 
         if best_row is not None:
             if np.isfinite(prev_val):
@@ -985,8 +956,8 @@ def _plan_solution(
     t_pred: np.ndarray,
     assign: np.ndarray,
 ) -> AntSolution:
-    """A baseline's complete (B,) node-index row as a scored solution, priced at its
-    B cells alone: `price_cells` at (assign[j], j), t_pred read from the
+    """A row rule's complete (B,) node-index row as a scored solution, priced
+    at its B cells alone: `price_cells` at (assign[j], j), t_pred read from the
     predictor's (n, B) table, then `score_cells`. The bits are those of
     `_solution_from_indices` on the row of `build_problem`'s full grid,
     feasible when the row fits capacity."""
@@ -1006,6 +977,40 @@ def _plan_solution(
     return _solutions(
         g.paths.node_ids, tuple(t.id for t in tasks), row, makespan, metrics, feasible
     )[0]
+
+
+def local_first(
+    tasks: list[TaskSpec], g: ClusterGraph, plan: PlacementPlan, predictor
+) -> AntSolution:
+    """scc-dso's row: every task on the first holder of its block's replicas
+    (primary first) with room for it, so each task reads its block locally
+    where capacity allows. Tasks are visited by decreasing `block_mb`, equal
+    sizes in task order; a node has room when its summed MB plus the task's
+    is within `capacity_mb + CAPACITY_SLACK_MB`. A task no holder has room
+    for goes to the node with the most room left, the lowest index on a
+    tie, and raises InfeasibleScheduleError if even that node lacks room.
+    When the primary row fits capacity, this is the primary row."""
+    node_ids = g.paths.node_ids
+    index = g.paths.index
+    limit = [g.node(nid).capacity_mb + CAPACITY_SLACK_MB for nid in node_ids]
+    used = [0.0] * len(node_ids)
+    assign = np.full(len(tasks), -1, dtype=int)
+    # a stable sort, so equal sizes keep task order
+    for j in sorted(range(len(tasks)), key=lambda j: -tasks[j].block_mb):
+        task = tasks[j]
+        mb = task.block_mb
+        holders = (index[nid] for nid in plan.replicas(task.block_id))
+        i = next((i for i in holders if used[i] + mb <= limit[i]), None)
+        if i is None:
+            room = [cap - u for cap, u in zip(limit, used)]
+            i = room.index(max(room))
+            if used[i] + mb > limit[i]:
+                raise InfeasibleScheduleError(
+                    f"capacity exhausted while placing task {task.id}"
+                )
+        assign[j] = i
+        used[i] += mb
+    return _plan_solution(g, plan, tasks, predict_table(g, tasks, predictor), assign)
 
 
 def baseline_round_robin(

@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-    sccdso run --config experiment.json [--preset stage7] [--out results]
+    sccdso run --config experiment.json [--out results]
     sccdso validate --config experiment.json
     sccdso oracle --max-tasks 8 --max-nodes 4 --seeds 100
 
@@ -29,7 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the configured experiment sweeps")
     run.add_argument("--config", required=True)
-    run.add_argument("--preset", choices=tuple(aco.PRESETS))
     run.add_argument(
         "--schedulers",
         help="comma-separated subset of: " + ",".join(experiment.SCHEDULERS),
@@ -53,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: experiment.ExperimentConfig, args) -> experiment.ExperimentConfig:
     updates = {}
-    if args.preset:
-        updates["preset"] = args.preset
     if args.schedulers:
         updates["schedulers"] = tuple(s.strip() for s in args.schedulers.split(","))
     if args.out:

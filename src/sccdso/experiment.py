@@ -14,8 +14,9 @@ hashing the master seed with those coordinates, so adding a scheduler or a
 cell never perturbs any other cell's randomness. A failed cell is recorded
 as a failure row; the rest of the experiment proceeds.
 
-Scheduler pipelines. `schedule` places the blocks and assigns the tasks,
-returning a `Schedule` that also carries the scheduler's runtime settings;
+Scheduler pipelines. `schedule` places the blocks, assigns the tasks with
+the scheduler's row rule (`aco`) and prices that row, returning a
+`Schedule` that also carries the scheduler's runtime settings;
 `execute` simulates a `Schedule` on a cluster view, optionally overriding
 those settings. `run_pipeline` is one of each. Recovery latency executes
 the base run's `Schedule` again with a replica blackout, so placement and
@@ -26,10 +27,9 @@ fit's seed and the per-node hardware (cpu_ghz, mem_gb, io_mbps) it is
 trained on, so the cells that share a cluster's hardware share its kernel
 and regression, and both models of a cluster are fitted on one history.
 
-* scc-dso       kernel predictor + equalized placement + full colony +
-                runtime migration
-* scc-dso-lite  linear predictor + equalized placement + 5-ant EWMA colony
-                + the same runtime adaptivity
+* scc-dso       kernel predictor + equalized placement + its placement's
+                local-first row + runtime migration
+* scc-dso-lite  scc-dso with the linear predictor in place of the kernel
 * rf-fd         rack-aware placement + reservation first-fit over a linear
                 regression estimate
 * rsync         rack-aware placement + sequential primary affinity with a
@@ -80,7 +80,6 @@ class ExperimentConfig:
     scenarios: tuple[str, ...] = SCENARIOS
     seed: int = 42
     repetitions: int = 50
-    preset: str = "stage7"
     block_sizes_mb: tuple[float, ...] = (16.0,)
     file_sizes_mb: tuple[float, ...] = (20, 40, 60, 80, 100)
     cluster_sizes: tuple[int, ...] = (10, 20, 30, 40, 50)
@@ -113,8 +112,6 @@ class ExperimentConfig:
             raise ValueError("block sizes must be > 0")
         if self.format not in ("csv", "json", "md"):
             raise ValueError(f"unknown format: {self.format}")
-        if self.preset not in aco.PRESETS:
-            raise ValueError(f"unknown preset: {self.preset}")
 
         def check(key: str, build) -> None:
             try:
@@ -171,9 +168,8 @@ def config_from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     The `cluster` and `workload` paths are relative to `base_dir`, and a
     scalar `block_size_mb` stands for a one-element `block_sizes_mb`. A
     numeric field, or an element of a numeric list, must be a JSON number,
-    and a path or a name (`cluster`, `workload`, `out_dir`, `format`,
-    `preset`) a JSON string; the float lists keep their elements as
-    written."""
+    and a path or a name (`cluster`, `workload`, `out_dir`, `format`) a
+    JSON string; the float lists keep their elements as written."""
     if not isinstance(data, dict):
         raise ValueError("experiment config must be a mapping")
     hints = get_type_hints(ExperimentConfig)
@@ -311,53 +307,49 @@ def schedule(
     scheduler: str,
     seed: int,
     *,
-    preset: str = "stage7",
     cache: _PredictorCache | None = None,
 ) -> Schedule:
-    """Place the workload's blocks and assign its tasks under one scheduler."""
+    """Place the workload's blocks and assign its tasks under one scheduler:
+    the scheduler's placement, then its row rule priced into the schedule's
+    (delay, cost, loss), then its runtime settings."""
     cache = cache or _PredictorCache()
     tasks = list(workload.tasks)
     blocks = list(workload.blocks)
 
+    if scheduler == "scc-dso":
+        model, rule = cache.kernel("", g, seed=1), aco.local_first
+        runtime = sim.RuntimeConfig(enable_migration=True)
+    elif scheduler == "scc-dso-lite":
+        model, rule = pred.LinearModel(), aco.local_first
+        runtime = sim.RuntimeConfig(enable_migration=True)
+    elif scheduler == "rf-fd":
+        model, rule = cache.regression("", g, seed=1), aco.baseline_rf_fd
+        runtime = sim.RuntimeConfig()
+    elif scheduler == "rsync":
+        model, rule = cache.regression("", g, seed=1), aco.baseline_rsync
+        runtime = sim.RuntimeConfig(sync_delay_s=RSYNC_SYNC_DELAY_S)
+    elif scheduler == "rr":
+        model, rule = pred.LinearModel(), aco.baseline_round_robin
+        runtime = sim.RuntimeConfig()
+    else:
+        raise ValueError(f"unknown scheduler: {scheduler}")
+
     if scheduler in ("scc-dso", "scc-dso-lite"):
-        if scheduler == "scc-dso":
-            model = cache.kernel("", g, seed=1)
-            variant = "full"
-        else:
-            model = pred.LinearModel()
-            variant = "lightweight"
         plan = placement.place_heterogeneous(
             g, blocks, model, {app.id: app.replication_factor for app in workload.apps}
         )
-        cfg = aco.AcoConfig.preset(preset, variant=variant)
-        best = aco.solve_problem(aco.build_problem(g, plan, tasks, model), cfg, seed).best
-        return Schedule(
-            plan, best.assignment, model, best.metrics, sim.RuntimeConfig(enable_migration=True)
-        )
-
-    if scheduler == "rf-fd":
-        model = cache.regression("", g, seed=1)
-        baseline, runtime = aco.baseline_rf_fd, sim.RuntimeConfig()
-    elif scheduler == "rsync":
-        model = cache.regression("", g, seed=1)
-        baseline = aco.baseline_rsync
-        runtime = sim.RuntimeConfig(sync_delay_s=RSYNC_SYNC_DELAY_S)
-    elif scheduler == "rr":
-        model = pred.LinearModel()
-        baseline, runtime = aco.baseline_round_robin, sim.RuntimeConfig()
     else:
-        raise ValueError(f"unknown scheduler: {scheduler}")
-    # rack-aware placement, one independently seeded upload client per app
-    rng = np.random.default_rng(seed)
-    node_ids = sorted(g.nodes)
-    mapping: dict[str, tuple[str, ...]] = {}
-    for app in workload.apps:
-        client = node_ids[int(rng.integers(0, len(node_ids)))]
-        app_blocks = [b for b in blocks if b.app_id == app.id]
-        part = placement.place_rack_aware(g, app_blocks, client, rf=app.replication_factor)
-        mapping.update(part.block_to_nodes)
-    plan = placement.PlacementPlan(block_to_nodes=mapping, strategy="rack-aware")
-    sol = baseline(tasks, g, plan, model)
+        # rack-aware placement, one independently seeded upload client per app
+        rng = np.random.default_rng(seed)
+        node_ids = sorted(g.nodes)
+        mapping: dict[str, tuple[str, ...]] = {}
+        for app in workload.apps:
+            client = node_ids[int(rng.integers(0, len(node_ids)))]
+            app_blocks = [b for b in blocks if b.app_id == app.id]
+            part = placement.place_rack_aware(g, app_blocks, client, rf=app.replication_factor)
+            mapping.update(part.block_to_nodes)
+        plan = placement.PlacementPlan(block_to_nodes=mapping, strategy="rack-aware")
+    sol = rule(tasks, g, plan, model)
     return Schedule(plan, sol.assignment, model, sol.metrics, runtime)
 
 
@@ -382,12 +374,11 @@ def run_pipeline(
     scheduler: str,
     seed: int,
     *,
-    preset: str = "stage7",
     cache: _PredictorCache | None = None,
     sim_cluster: ClusterGraph | None = None,
 ) -> sim.SimTrace:
     """Schedule on `g`, then execute on `sim_cluster` (default `g`)."""
-    sched = schedule(g, workload, scheduler, seed, preset=preset, cache=cache)
+    sched = schedule(g, workload, scheduler, seed, cache=cache)
     return execute(sched, sim_cluster or g, workload)
 
 
@@ -551,7 +542,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                             workload,
                             scheduler,
                             seed,
-                            preset=cfg.preset,
                             cache=cache,
                             sim_cluster=sim_view,
                         )

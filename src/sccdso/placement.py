@@ -45,9 +45,6 @@ class PlacementPlan:
     def primary(self, block_id: str) -> str:
         return self.replicas(block_id)[0]
 
-    def is_local(self, node_id: str, block_id: str) -> bool:
-        return node_id in self.replicas(block_id)
-
 
 def _validate_placement(
     g: ClusterGraph, blocks: list[DataBlock], *rfs: int

@@ -285,23 +285,6 @@ def update_pheromones_full(
     np.maximum(tau, TAU_FLOOR, out=tau)
 
 
-def update_pheromones_ewma(
-    tau: np.ndarray, best: np.ndarray | None, t_eff: np.ndarray, config: AcoConfig
-) -> None:
-    """Evaporate the (n, B) trail `tau` in place everywhere; nudge only the
-    best plan's edges (`best`, its (B,) node-index row, None before any
-    feasible plan) toward 1/T at rate rho, T the edge's effective time in
-    `t_eff` (the problem's (n, B) table); floor it at TAU_FLOOR. Repeated
-    application with a fixed best converges each reinforced entry to
-    exactly 1/T."""
-    tau *= 1.0 - config.rho
-    if best is not None:
-        cols = np.arange(tau.shape[1])
-        delta = 1.0 / np.maximum(t_eff[best, cols], 1e-12)
-        tau[best, cols] += config.rho * delta
-    np.maximum(tau, TAU_FLOOR, out=tau)
-
-
 def _refine_makespan(
     problem: AssignmentProblem, assign: np.ndarray, max_rounds: int = 64
 ) -> tuple[np.ndarray, int]:
@@ -474,14 +457,11 @@ def solve_problem(
             )
         )
 
-        if config.variant == "lightweight":
-            update_pheromones_ewma(tau, best_row, problem.t_eff, config)
-        else:
-            if best_row is not None:
-                # best-ever rides along as an elitist depositor
-                assign = np.vstack([assign, best_row])
-                makespan = np.append(makespan, best_makespan)
-            update_pheromones_full(tau, assign, makespan, config)
+        if best_row is not None:
+            # best-ever rides along as an elitist depositor
+            assign = np.vstack([assign, best_row])
+            makespan = np.append(makespan, best_makespan)
+        update_pheromones_full(tau, assign, makespan, config)
 
         if best_row is not None:
             if np.isfinite(prev_val):

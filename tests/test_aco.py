@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from sccdso import aco
 from sccdso.aco import (
     L_MAX,
-    LIGHTWEIGHT_ANTS,
     AcoConfig,
     AntSolution,
     InfeasibleScheduleError,
@@ -25,21 +24,21 @@ from sccdso.aco import (
     construct_solution,
     greedy_local_row,
     iteration_weights,
+    local_first,
     preallocation_row,
     score_makespans,
     score_rows,
     selection_weights,
     solve_problem,
-    update_pheromones_ewma,
     update_pheromones_full,
     write_trace_csv,
 )
 from sccdso.cluster import CAPACITY_SLACK_MB, build_cluster, synthetic_cluster_config
 from sccdso.experiment import brute_force_makespan, oracle_instance
-from sccdso.placement import place_rack_aware, place_random
+from sccdso.placement import PlacementPlan, place_rack_aware, place_random
 from sccdso.predictor import predict_table
 from sccdso.sim import TrueTimeModel
-from sccdso.workload import Application, partition, tasks_for
+from sccdso.workload import Application, TaskSpec, partition, tasks_for
 
 from conftest import FixedTimer, array_problem, make_app_tasks, make_cluster, workspace
 from test_solver_pin import pipeline_problem
@@ -558,16 +557,13 @@ def test_an_iteration_weighs_only_the_cells_its_picks_read(monkeypatch):
     assert (L_MAX, b) in shapes and (n,) in shapes and (n, b) not in shapes
 
 
-def deposit_reference(tau, rows, rho, makespan=None, t_eff=None):
+def deposit_reference(tau, rows, rho, makespan):
     """Per-edge pheromone loop over the rows in order: Q / makespan on each
-    edge of a row with a positive makespan, or with `t_eff` the EWMA
-    deposit of 1/T at rate rho."""
+    edge of a row with a positive makespan."""
     tau = tau * (1.0 - rho)
     for k, row in enumerate(rows):
         for j, i in enumerate(row.tolist()):
-            if t_eff is not None:
-                tau[i, j] += rho * (1.0 / max(float(t_eff[i, j]), 1e-12))
-            elif makespan[k] > 0:
+            if makespan[k] > 0:
                 tau[i, j] += Q_CONST / makespan[k]
     return np.maximum(tau, TAU_FLOOR)
 
@@ -597,10 +593,6 @@ def test_deposits_equal_per_edge_loops():
         if mk > 0:
             sequential[row, np.arange(150)] += Q_CONST / mk
     assert ph.tobytes() == np.maximum(sequential, TAU_FLOOR).tobytes()
-    ph = tau.copy()
-    update_pheromones_ewma(ph, assign[3], problem.t_eff, cfg)
-    want = deposit_reference(tau, assign[3:4], cfg.rho, t_eff=problem.t_eff)
-    assert ph.tobytes() == want.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -650,22 +642,6 @@ def test_pheromone_floor_clamps():
     ph = np.array([[1.2 * TAU_FLOOR]])
     update_pheromones_full(ph, np.empty((0, 1), dtype=int), np.empty(0), cfg)
     assert ph[0, 0] == TAU_FLOOR
-
-
-def test_ewma_update_examples():
-    cfg = AcoConfig(rho=0.1)
-    ph = np.array([[1.0], [1.0]])
-    update_pheromones_ewma(ph, np.array([0]), np.array([[2.0], [2.0]]), cfg)
-    assert ph[0, 0] == pytest.approx(0.95)  # (1-rho) + rho/T
-    assert ph[1, 0] == pytest.approx(0.90)  # evaporation only
-
-
-def test_ewma_fixed_point_is_inverse_time():
-    cfg = AcoConfig(rho=0.1)
-    ph = np.array([[1.0]])
-    for _ in range(300):
-        update_pheromones_ewma(ph, np.array([0]), np.array([[2.0]]), cfg)
-    assert ph[0, 0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_solve_two_tasks_two_identical_nodes():
@@ -746,19 +722,10 @@ def test_oracle_brute_force_agreement_small():
     assert hits >= 19
 
 
-def test_lightweight_uses_five_ants_and_converges():
-    g, plan, tasks, _ = small_problem(n_nodes=4, n_tasks=8, rf=1)
-    timer = FixedTimer({f"n{i}": 1.0 + 0.3 * i for i in range(4)})
-    cfg = AcoConfig.preset("stage7", variant="lightweight", max_iters=30)
-    res = solve_problem(build_problem(g, plan, tasks, timer), cfg, seed=2)
-    assert res.best.feasible
-    assert res.converged_iteration is not None
-
-
 def test_solve_counts_ants_and_refine_moves():
     _, _, _, problem = small_problem(n_nodes=4, n_tasks=8, rf=1)
-    for variant, colony in (("lightweight", LIGHTWEIGHT_ANTS), ("full", 10)):
-        res = solve_problem(problem, AcoConfig.preset("stage7", variant=variant), seed=4)
+    for colony in (10, 7):
+        res = solve_problem(problem, AcoConfig.preset("stage7", ants=colony), seed=4)
         assert res.ants == res.iterations * colony
         assert res.feasible_ants == res.ants  # no capacity binds
         assert res.refine_moves == 0  # only the makespan objective climbs
@@ -866,11 +833,10 @@ def test_refine_on_floats_equals_the_numpy_climb():
         assert (got[0].tolist(), got[1]) == (want[0].tolist(), max_rounds)
 
 
-@pytest.mark.parametrize("variant", ["full", "lightweight"])
-def test_makespan_winner_is_scored_in_full(variant):
+def test_makespan_winner_is_scored_in_full():
     # iterations score by loads alone under the makespan objective; the
     # winner still carries `score_rows`' makespan and (delay, cost, loss)
-    cfg = AcoConfig.preset("table1", objective="makespan", variant=variant)
+    cfg = AcoConfig.preset("table1", objective="makespan")
     for s in range(24):
         problem = oracle_instance(1000 + s)
         best = solve_problem(problem, cfg, seed=s).best
@@ -923,6 +889,79 @@ def test_elite_seeds_are_feasible_and_local():
         assert problem.node_ids[i] == problem.plan.primary(task.block_id)
     for task, i in zip(problem.tasks, greedy):
         assert problem.node_ids[i] in problem.plan.replicas(task.block_id)
+
+
+def row_input(capacities, tasks):
+    """A cluster of one node per capacity (n0, n1, ...) and, per (MB,
+    replica node indices) pair, a task on its own block held there, primary
+    first; returns (cluster, plan, tasks)."""
+    g = make_cluster([
+        {"id": f"n{i}", "rack": "r1", "cpu_ghz": 2.0, "io_mbps": 200.0, "capacity_mb": cap}
+        for i, cap in enumerate(capacities)
+    ])
+    specs = [
+        TaskSpec(id=f"t{j}", block_id=f"b{j}", block_mb=mb, resource_demand=0.5,
+                 compute_gcycles=0.08 * mb)
+        for j, (mb, _) in enumerate(tasks)
+    ]
+    plan = PlacementPlan(
+        {f"b{j}": tuple(f"n{i}" for i in holders) for j, (_, holders) in enumerate(tasks)},
+        strategy="test",
+    )
+    return g, plan, specs
+
+
+def primary_row(g, plan, tasks):
+    return np.array([g.paths.index[plan.primary(t.block_id)] for t in tasks])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    sizes=st.lists(st.sampled_from([16.0, 32.0, 64.0]), min_size=1, max_size=16),
+    rf=st.integers(1, 3),
+    room=st.floats(0.5, 2.5),
+    seed=st.integers(0, 2**16),
+)
+def test_local_first_keeps_a_fitting_primary_row_and_respects_capacity(n, sizes, rf, room, seed):
+    # whole MB, so a node's total has the same bits in any order of addition
+    rng = np.random.default_rng(seed)
+    capacities = sum(sizes) / n * room * rng.uniform(0.5, 1.5, size=n)
+    tasks = [(mb, rng.choice(n, size=min(rf, n), replace=False).tolist()) for mb in sizes]
+    g, plan, tasks = row_input(capacities.tolist(), tasks)
+    primary = primary_row(g, plan, tasks)
+    demand = np.array(sizes)
+    primary_fits = aco._fits(primary, demand, capacities)
+    try:
+        sol = local_first(tasks, g, plan, FixedTimer({f"n{i}": 1.0 for i in range(n)}))
+    except InfeasibleScheduleError:
+        assert not primary_fits
+        return
+    assert sol.feasible and aco._fits(sol.node_index, demand, capacities)
+    if primary_fits:
+        assert sol.node_index.tolist() == primary.tolist()
+
+
+def test_local_first_fits_where_the_primary_row_overflows():
+    # every block's only replica is on n0, which holds two of the four
+    # tasks' data. Largest first, the 64 MB tasks t1 and t2 stay local, t3
+    # goes to n1, the node with most room, and t0 (32 MB) fills n1; in task
+    # order, t0 and t1 would fill n0 to 96 MB and t3 would find no room
+    g, plan, tasks = row_input([128.0, 96.0], [(32.0, [0]), (64.0, [0]), (64.0, [0]), (64.0, [0])])
+    timer = FixedTimer({"n0": 1.0, "n1": 1.0})
+    demand, capacity = np.array([32.0, 64.0, 64.0, 64.0]), np.array([128.0, 96.0])
+    assert not aco._fits(primary_row(g, plan, tasks), demand, capacity)
+    sol = local_first(tasks, g, plan, timer)
+    assert [sol.assignment[t.id] for t in tasks] == ["n1", "n0", "n0", "n1"]
+    assert sol.feasible
+
+
+def test_local_first_raises_when_the_roomiest_node_lacks_room():
+    # t0 fills n0 and t1 goes to n1, the node with most room; then no node
+    # has room for t2
+    g, plan, tasks = row_input([64.0, 64.0], [(64.0, [0]), (64.0, [0]), (64.0, [0])])
+    with pytest.raises(InfeasibleScheduleError, match="placing task t2$"):
+        local_first(tasks, g, plan, FixedTimer({"n0": 1.0, "n1": 1.0}))
 
 
 def test_round_robin_splits_evenly():
@@ -1064,14 +1103,18 @@ def test_config_validation_and_presets():
         AcoConfig(rho=0.0).validate()
     with pytest.raises(ValueError):
         AcoConfig(ants=0).validate()
-    with pytest.raises(ValueError):
-        AcoConfig(variant="turbo").validate()
+    with pytest.raises(ValueError, match="unknown objective"):
+        AcoConfig(objective="turbo").validate()
     t1 = AcoConfig.preset("table1")
     assert (t1.alpha, t1.beta, t1.rho, t1.ants, t1.max_iters) == (1.5, 2.5, 0.2, 20, 50)
     s7 = AcoConfig.preset("stage7")
     assert (s7.alpha, s7.beta, s7.rho) == (0.8, 1.2, 0.1)
+    assert AcoConfig.preset("table1", ants=7, objective="makespan") == replace(
+        t1, ants=7, objective="makespan")
     with pytest.raises(ValueError):
         AcoConfig(beta=0.0).validate()
+    with pytest.raises(ValueError, match="unknown preset"):
+        AcoConfig.preset("stage8")
 
 
 @pytest.mark.parametrize(
@@ -1085,17 +1128,6 @@ def test_config_rejects_non_finite_weights_and_non_integer_counts(name, value):
         AcoConfig.preset("table1", objective="makespan", **{name: value})
     with pytest.raises(ValueError, match=f"^{name} must be"):
         solve_problem(oracle_instance(1000), replace(AcoConfig(), **{name: value}), seed=0)
-
-
-def test_lightweight_preset_sets_the_ants_it_runs():
-    _, _, _, problem = small_problem(n_nodes=4, n_tasks=8, rf=1)
-    for overrides, colony in (({}, LIGHTWEIGHT_ANTS), ({"ants": 7}, 7)):
-        cfg = AcoConfig.preset("table1", variant="lightweight", **overrides)
-        assert cfg.ants == colony
-        res = solve_problem(problem, cfg, seed=4)
-        assert res.ants == res.iterations * colony
-    with pytest.raises(ValueError, match="unknown preset"):
-        AcoConfig.preset("stage8")
 
 
 def test_trace_csv_format(tmp_path):

@@ -147,14 +147,13 @@ def solve_cases():
     oracle = [oracle_instance(1000 + s) for s in range(6)]
     tight = pipeline_problem(tight=True)
     for objective in ("makespan", "weighted"):
-        for variant in ("full", "lightweight"):
-            table1 = AcoConfig.preset("table1", objective=objective, variant=variant)
-            stage7 = AcoConfig.preset("stage7", objective=objective, variant=variant)
-            yield from ((p, table1, s) for s, p in enumerate(oracle))
-            yield tight, stage7, 1
-            yield benchmark_problem(20), stage7, 2
-            yield benchmark_problem(200), stage7, 3
-            yield one_task_problem(), replace(stage7, ants=1, max_iters=4), 4
+        table1 = AcoConfig.preset("table1", objective=objective)
+        stage7 = AcoConfig.preset("stage7", objective=objective)
+        yield from ((p, table1, s) for s, p in enumerate(oracle))
+        yield tight, stage7, 1
+        yield benchmark_problem(20), stage7, 2
+        yield benchmark_problem(200), stage7, 3
+        yield one_task_problem(), replace(stage7, ants=1, max_iters=4), 4
 
 
 def one_task_problem():

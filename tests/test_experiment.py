@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sccdso
-from sccdso import aco, experiment, predictor as pred, workload as wl
+from sccdso import aco, experiment, predictor as pred, sim, workload as wl
 from sccdso.cli import main as cli_main
 from sccdso.cluster import build_cluster, load_cluster_config, synthetic_cluster_config
 from sccdso.experiment import (
@@ -23,6 +23,8 @@ from sccdso.experiment import (
     emit,
     run_experiment,
 )
+
+from conftest import workspace
 
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -200,12 +202,11 @@ def test_config_from_dict_validation():
         ({"cluster": 5}, "cluster must be a string, got 5"),
         ({"workload": ["a"]}, 'workload must be a string, got ["a"]'),
         ({"format": None}, "format must be a string, got null"),
-        ({"preset": True}, "preset must be a string, got true"),
     ],
     ids=["bool-float", "bool-load", "string-int", "string-fraction", "bool-in-list",
          "string-in-list", "fraction-in-int-list", "string-legacy-block", "bool-spec",
          "bool-in-uniform-spec", "string-in-choice-spec", "number-out-dir",
-         "number-cluster", "list-workload", "null-format", "bool-preset"],
+         "number-cluster", "list-workload", "null-format"],
 )
 def test_config_numbers_must_be_json_numbers(tmp_path, capsys, bad, message):
     # float() and int() would read true as 1.0 and "7" as 7, and a bool or
@@ -365,6 +366,61 @@ def test_schedule_is_reproducible_and_reused_for_recovery(scheduler):
     assert run["recovery_latency_s"] == max(0.0, blackout.metrics.completion_time_s - base)
 
 
+@pytest.mark.parametrize("scheduler", ["scc-dso", "scc-dso-lite"])
+def test_scc_dso_schedules_its_placements_primary_row(scheduler, monkeypatch):
+    # no colony runs: at default capacities every task stays on its block's
+    # primary, and the row's (delay, cost, loss) carry the bits the colony's
+    # scorer gives the same row on build_problem's grid
+    g = build_cluster(synthetic_cluster_config(25))
+    w = experiment._single_app_workload(1664.0, 64.0, 2, ExperimentConfig(), 3)
+    build_problem = aco.build_problem
+
+    def colony(*args, **kwargs):
+        raise AssertionError("schedule ran the colony")
+
+    monkeypatch.setattr(aco, "build_problem", colony)
+    monkeypatch.setattr(aco, "solve_problem", colony)
+    sched = experiment.schedule(g, w, scheduler, 3)
+    assert sched.assignment == {t.id: sched.plan.primary(t.block_id) for t in w.tasks}
+    problem = build_problem(g, sched.plan, list(w.tasks), sched.model)
+    row = np.array([problem.node_ids.index(sched.assignment[t]) for t in problem.task_ids])
+    [want] = aco._solution_from_indices(workspace(problem), row[None], True)
+    assert [float(m).hex() for m in sched.metrics] == [float(m).hex() for m in want.metrics]
+    assert [type(m) for m in sched.metrics] == [type(m) for m in want.metrics]
+
+
+def tight_input(seed):
+    """Three apps of 16, 32 and 64 MB blocks at RF 2 on eight synthetic
+    nodes, each with room for its share of the data times U(1, 1.6)."""
+    rng = np.random.default_rng(seed)
+    apps = [
+        wl.Application(id=f"app{a}", input_mb=6 * mb, block_size_mb=mb, replication_factor=2)
+        for a, mb in enumerate((16.0, 32.0, 64.0))
+    ]
+    w = wl.workload_from_apps(apps)
+    cfg = synthetic_cluster_config(8)
+    share = sum(t.block_mb for t in w.tasks) / 8
+    for node in cfg["nodes"]:
+        node["capacity_mb"] = share * float(rng.uniform(1.0, 1.6))
+    return build_cluster(cfg), w
+
+
+@pytest.mark.parametrize("scheduler", ["scc-dso", "scc-dso-lite"])
+def test_scc_dso_respects_tight_capacity(scheduler):
+    # the primary row overflows a node, and the schedule that executes
+    # still keeps every node within its capacity
+    cache = experiment._PredictorCache()
+    for seed in range(3):
+        g, w = tight_input(seed)
+        sched = experiment.schedule(g, w, scheduler, seed, cache=cache)
+        primary = {t.id: sched.plan.primary(t.block_id) for t in w.tasks}
+        with pytest.raises(ValueError, match="over its"):
+            sim.validate_schedule(g, w, primary)
+        sim.validate_schedule(g, w, sched.assignment)
+        trace = experiment.execute(sched, g, w)
+        assert trace.metrics.tasks == len(w.tasks)
+
+
 CLUSTER_50 = str(REPO / "configs" / "cluster_50.json")
 
 
@@ -483,8 +539,8 @@ def test_shipped_deep_queue_config_migrates():
 
 def test_runtime_table_matches_the_colonys_on_unslowed_nodes():
     # one prediction per (node, task): the table the simulator reads on the
-    # straggler view repeats the colony's rows, bitwise, for every node the
-    # view did not slow
+    # straggler view repeats the scheduling table's rows, bitwise, for every
+    # node the view did not slow
     path = REPO / "configs" / "experiment_deep_queue.json"
     cfg = experiment.load_experiment_config(str(path))
     cell, cluster_cfg, make_workload, straggle = next(
@@ -493,7 +549,7 @@ def test_runtime_table_matches_the_colonys_on_unslowed_nodes():
     g = build_cluster(cluster_cfg)
     seed = derive_seed(cfg.seed, "straggler-completion", cell, "scc-dso", 0)
     w = make_workload(seed)
-    sched = experiment.schedule(g, w, "scc-dso", seed, preset=cfg.preset)
+    sched = experiment.schedule(g, w, "scc-dso", seed)
     tables = []
 
     class Recording:

@@ -761,10 +761,8 @@ def test_conservation_of_transferred_bytes():
         remote = sum(
             t.block_mb
             for t in tasks
-            if not plan.is_local(
-                next(e.node_id for e in trace.events if e.kind == "finish" and e.task_id == t.id),
-                t.block_id,
-            )
+            if next(e.node_id for e in trace.events if e.kind == "finish" and e.task_id == t.id)
+            not in plan.replicas(t.block_id)
         )
         assert trace.metrics.network_mb == pytest.approx(remote)
 
