@@ -10,16 +10,20 @@ transfer-heavy path without migration). Prints the seconds of
 process's peak resident set in MB (`ru_maxrss`, which Linux reports in KiB),
 the run's `runtime_counts`, its completion time, and a sha256 of
 `repr((events, metrics))`, so two checkouts can be compared on the digest.
+With `--repeat N` the same schedule is executed N times: `simulate_s` is the
+median of the N runs, each of which is also listed, and the script exits 1
+when a rerun's digest or `runtime_counts` differs from the first run's.
 
 Usage:
     python scripts/scale_probe.py [--nodes 1000] [--tasks 5000] [--stragglers 0.1] [--seed 7]
-                                  [--scheduler scc-dso]
+                                  [--scheduler scc-dso] [--repeat 1]
 """
 
 import argparse
 import hashlib
 import os
 import resource
+import statistics
 import sys
 import time
 
@@ -36,7 +40,10 @@ def main() -> int:
     parser.add_argument("--stragglers", type=float, default=0.1)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--scheduler", choices=experiment.SCHEDULERS, default="scc-dso")
+    parser.add_argument("--repeat", type=int, default=1)
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
 
     g = build_cluster(synthetic_cluster_config(args.nodes))
     w = experiment._single_app_workload(
@@ -47,17 +54,29 @@ def main() -> int:
     t0 = time.perf_counter()
     sched = experiment.schedule(g, w, args.scheduler, args.seed)
     t1 = time.perf_counter()
-    trace = experiment.execute(sched, view, w)
-    t2 = time.perf_counter()
+    runs = []  # (seconds, digest, runtime counts) of each execution
+    for _ in range(args.repeat):
+        start = time.perf_counter()
+        trace = experiment.execute(sched, view, w)
+        seconds = time.perf_counter() - start
+        digest = hashlib.sha256(repr((trace.events, trace.metrics)).encode()).hexdigest()
+        runs.append((seconds, digest, trace.runtime_counts))
 
-    digest = hashlib.sha256(repr((trace.events, trace.metrics)).encode()).hexdigest()
+    _, digest, counts = runs[0]
     print(f"nodes {args.nodes}  tasks {len(w.tasks)}  stragglers {args.stragglers}  seed {args.seed}")
     print(f"schedule_s {t1 - t0:.3f}")
-    print(f"simulate_s {t2 - t1:.3f}")
+    print(f"simulate_s {statistics.median(r[0] for r in runs):.3f}")
+    if args.repeat > 1:
+        print("simulate_runs_s " + " ".join(f"{r[0]:.3f}" for r in runs))
     print(f"peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")
-    print("runtime_counts " + " ".join(f"{k}={v}" for k, v in trace.runtime_counts.items()))
+    print("runtime_counts " + " ".join(f"{k}={v}" for k, v in counts.items()))
     print(f"completion_s {trace.metrics.completion_time_s!r}")
     print(f"digest {digest}")
+    differ = [k for k, (_, d, c) in enumerate(runs) if (d, c) != (digest, counts)]
+    if differ:
+        print(f"error: runs {differ} differ from the first run's digest or runtime counts",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -232,7 +232,8 @@ class PathTable:
         """(len(replicas), RF) indices of each entry's replica node ids,
         ascending, RF the longest entry's count; a shorter entry repeats its
         first (least) index, a duplicate that changes no minimum."""
-        rows = [sorted(self.index[r] for r in reps) for reps in replicas]
+        index = self.index.__getitem__
+        rows = [sorted(map(index, reps)) for reps in replicas]
         rf = max(map(len, rows), default=1)
         return np.array([r + r[:1] * (rf - len(r)) for r in rows], dtype=int).reshape(len(rows), rf)
 

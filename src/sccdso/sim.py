@@ -41,25 +41,32 @@ candidates, the (task, thief) candidates scored, the moves, and
 migration on or off, the rsync delay per remote access, and the recovery
 blackout.
 
-A round costs what it decides. The engine keeps two sets up to date
+A round costs what it changes. The engine keeps two sets up to date
 wherever a queue or a running set changes: the nodes with a free slot and
 the nodes with a pending task. A round with either set empty returns at
-once and reads no node state; otherwise the thieves are read from the
-first set and the victims from the second. `now` is fixed within a round,
-so a victim's remaining time changes only when a steal takes from it. A
-victim enters the round's ranking at an upper bound on its remaining time
-(its running blocks counted whole) and is ranked by its exact time only
-once it reaches the top 3; the bound is never below the exact time, so
-the top 3 are those of an exact ranking. A pick scores every (candidate,
-thief) pair at once as one numpy array: the candidates sorted by task id
-are the rows, the thieves in node-id order the columns, and the move is
-the first largest positive gain in row-major order, which is the (task
-id, thief) tie order. A predicted time is gathered from one (node, task)
-array: the prediction table's cell plus the path table's cheapest fetch
-over the readable replicas (`PathTable.cheapest_fetch`, the rule the
-colony prices a remote cell by). A node's row is priced for every task at
-its first pick as a thief, and all rows are priced afresh once the
-blackout changes which replicas are readable.
+once and reads no node state; otherwise the thieves are the first set,
+sorted once per round, and the victims come from a heap kept across
+rounds (`_Victims`). The engine marks a node whose queue or running set
+changed (a finisher, an arrival's node, a steal's thief and victim), and
+only a marked node is pushed afresh, at an upper bound on its remaining
+time (its running blocks counted whole); stale entries are dropped when
+they surface. An entry is made exact once it reaches the top 3, and that
+exact time stays the node's key in later rounds while it is unmarked:
+for a fixed queue and running set the remaining time does not grow with
+`now`, nor when a fetch's finish becomes known. No key is below its
+node's exact time, so the top 3 are those of an exact ranking, ties by
+node id included. A pick scores every (candidate, thief) pair in one
+loop on Python floats (`pick_steal`): the candidates sorted by task id
+against the thieves in node-id order, each thief's predicted times read
+through a `memoryview` of its priced row, and the move is the first
+largest positive gain under a strict `>`, which is the (task id, thief)
+tie order. A predicted time is the prediction table's cell plus the path
+table's cheapest fetch over the readable replicas
+(`PathTable.cheapest_fetch`, the rule the colony prices a remote cell
+by). A node's row is priced for every task at its first pick as a
+thief, and all rows are priced afresh once the blackout changes which
+replicas are readable. A run without migration keeps no heap and marks
+no node.
 
 Every prediction a run reads, the bootstrap rates and the steal rule's
 predicted times, is a cell of one `predictor.predict_table` over the
@@ -80,7 +87,6 @@ identical inputs give a bit-identical trace.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -226,7 +232,11 @@ class _NodeRt:
     through `queue`, `take` (whose caller starts the task at once or queues
     it elsewhere) and `finish`, so the parts of the remaining time that
     depend on them alone are kept until one of these runs; a running
-    entry's finish time enters only the done share, read afresh."""
+    entry's finish time enters only the done share, read afresh. Between
+    two such changes `remaining(now)` does not grow with `now`, and a
+    fetch's entry (start, inf, MB) given its finish by the engine lowers
+    it or keeps it, so an exact time read earlier bounds every later one:
+    the steal rule's victim heap keeps it as the node's key."""
 
     __slots__ = ("spec", "pending", "running", "completed_count", "rate_sum", "_bootstrap",
                  "_bootstrap_rate", "_drain")
@@ -306,45 +316,111 @@ class _NodeRt:
         return rem
 
 
-def pick_steal(rem: np.ndarray, pred: np.ndarray) -> tuple[tuple[int, int] | None, int]:
-    """One steal pick. `pred[i, k]` is the predicted seconds of candidate
-    task i on thief k, rows in task-id order and columns in node-id order,
-    and `rem[i]` the remaining time of the node task i is queued on; a
-    cell's gain is `rem[i] - pred[i, k]`. Returns the (row, column) of the
-    largest positive gain, the first in row-major order on a tie, which is
-    the least (task id, thief); or None when no gain is positive. Also
-    returns the count of cells whose gain is not positive."""
-    gain = rem[:, None] - pred
-    np.fmax(gain, 0.0, out=gain)  # a gain that is not positive (or NaN) reads 0
-    positive = int(np.count_nonzero(gain))
-    if not positive:
-        return None, gain.size
-    return divmod(int(gain.argmax()), gain.shape[1]), gain.size - positive
+def pick_steal(rems, cols, rows) -> tuple[tuple[int, int] | None, int]:
+    """One steal pick, on Python floats. `rows[k][cols[i]]` is the
+    predicted seconds of candidate task i on thief k, candidates in task-id
+    order and thieves in node-id order, and `rems[i]` the remaining time of
+    the node task i is queued on; a cell's gain is `rems[i] - rows[k][cols[i]]`.
+    Returns the (candidate, thief) of the largest positive gain, the first
+    in (candidate, thief) order on a tie, which is the least (task id,
+    thief); or None when no gain is positive. Also returns the count of
+    cells whose gain is not positive (NaN included)."""
+    best, pick, no_gain = 0.0, None, 0
+    for i, (rem, c) in enumerate(zip(rems, cols)):
+        for k, r in enumerate(rows):
+            gain = rem - r[c]
+            if gain > best:  # strict: a tie keeps the first
+                best, pick = gain, (i, k)
+            elif not gain > 0:
+                no_gain += 1
+    return pick, no_gain
 
 
 class _StealTimes:
     """Predicted seconds of each task on each node as the steal rule reads
-    them, (node, task) in the prediction table's order: the table's
-    prediction plus the path table's cheapest fetch over the task's
-    readable replicas, a replica on the node itself costing 0. `replicas`
-    holds each task's row of `PathTable.replica_index` over its readable
-    replicas. A node's row is priced for every task at once, on its first
-    read."""
+    them: the prediction table's row plus the path table's cheapest fetch
+    over the task's readable replicas, a replica on the node itself
+    costing 0. `replicas` holds each task's row of `PathTable.replica_index`
+    over its readable replicas. A node's row is priced for every task at
+    once, on its first read, and read as a `memoryview`, whose items are
+    Python floats."""
 
     def __init__(self, table: np.ndarray, paths, replicas: np.ndarray, block_mb: np.ndarray):
         self.table, self.paths, self.replicas, self.block_mb = table, paths, replicas, block_mb
-        self.times = np.empty_like(table)
-        self.priced: set[int] = set()
+        self.rows: dict[str, memoryview] = {}
 
-    def gather(self, nodes: list[int], cols: np.ndarray) -> np.ndarray:
-        """(task, node) times of the tasks in columns `cols` on the nodes in
-        rows `nodes`."""
-        for i in nodes:
-            if i not in self.priced:
-                fetch, _ = self.paths.cheapest_fetch(i, self.replicas, self.block_mb)
-                self.times[i] = self.table[i] + fetch
-                self.priced.add(i)
-        return self.times[nodes, cols[:, None]]
+    def rows_of(self, nids: list[str]) -> list[memoryview]:
+        """The rows of the nodes `nids`, each indexed by table column."""
+        out = list(map(self.rows.get, nids))
+        if None in out:
+            for k, nid in enumerate(nids):
+                if out[k] is None:
+                    i = self.paths.index[nid]
+                    fetch, _ = self.paths.cheapest_fetch(i, self.replicas, self.block_mb)
+                    out[k] = self.rows[nid] = memoryview(self.table[i] + fetch)
+        return out
+
+
+class _Victims:
+    """The steal rule's victims, ranked across rounds: the nodes in `loaded`
+    (the engine's set of nodes with a pending task) by remaining time, most
+    first, ties by node id. One heap holds (-key, node id, round) entries.
+    An entry is current while it is the last pushed for its node and the
+    node is loaded; the others are dropped when they surface. The engine
+    marks a node whenever its queue or running set changes, and a node that
+    becomes loaded is always marked. `top` pushes each marked loaded node at
+    its `remaining_bound()`, then pops entries until it holds 3 keyed by the
+    exact `remaining(now)` of the current round, making exact each entry it
+    pops keyed otherwise. An exact key stays in the heap and serves later
+    rounds while its node is unmarked: for a fixed queue and running set,
+    the remaining time does not grow with `now`, nor when a fetch's unknown
+    finish becomes known. Every key is thus at least its node's exact time,
+    and the 3 exact entries popped first are the top 3 of an exact ranking,
+    ties by node id included."""
+
+    def __init__(self, rt: dict[str, _NodeRt], loaded: set[str]):
+        self.rt, self.loaded = rt, loaded
+        self.heap: list[tuple[float, str, int]] = []
+        self.current: dict[str, tuple[float, str, int]] = {}
+        self.marked: set[str] = set(loaded)
+        self.round = 0  # round 0 keys are bounds, never exact
+
+    def begin_round(self) -> None:
+        """Start a round: the exact keys of earlier rounds become bounds."""
+        self.round += 1
+
+    def top(self, now: float) -> list[tuple[float, str, int]]:
+        """The current entries (-remaining(now), node id, round) of the at
+        most 3 loaded nodes with the most remaining time, least first."""
+        heap, current, loaded, rt, rnd = self.heap, self.current, self.loaded, self.rt, self.round
+        for nid in self.marked:
+            if nid in loaded:
+                current[nid] = entry = (-rt[nid].remaining_bound(), nid, 0)
+                heapq.heappush(heap, entry)
+        self.marked.clear()
+        if len(heap) > 2 * len(loaded) + 16:  # drop stale entries
+            heap[:] = [e for e in heap if e[1] in loaded and current[e[1]] is e]
+            heapq.heapify(heap)
+        top = []
+        entry = None
+        while len(top) < 3:
+            if entry is None:
+                if not heap:
+                    break
+                entry = heapq.heappop(heap)
+            nid = entry[1]
+            if nid not in loaded or current[nid] is not entry:
+                entry = None
+            elif entry[2] == rnd:
+                top.append(entry)
+                entry = None
+            else:
+                # exact now; popped back at once when it still ranks first
+                current[nid] = entry = (-rt[nid].remaining(now), nid, rnd)
+                entry = heapq.heappushpop(heap, entry)
+        for entry in top:
+            heapq.heappush(heap, entry)
+        return top
 
 
 def validate_schedule(
@@ -463,14 +539,13 @@ def simulate(
             else:
                 push(heap, (arrival, next(seq), "arrival", nid, tid))
 
-    # the steal rule's predicted times, built on the first pick and again
-    # once the blackout changes which replicas are readable: (after the
-    # blackout, the times)
+    # the steal rule's predicted times, built on the first steal round and
+    # again once the blackout changes which replicas are readable: (after
+    # the blackout, the times)
     steal_times: tuple[bool, _StealTimes] | None = None
 
-    def predicted_times(thieves: list[int], cols: np.ndarray, now: float) -> np.ndarray:
-        """(candidate, thief) predicted seconds of the tasks in table columns
-        `cols` on the nodes in table rows `thieves`."""
+    def steal_rows(thieves: list[str], now: float) -> list[memoryview]:
+        """The predicted-time rows of `thieves`, indexed by table column."""
         nonlocal steal_times
         after = now >= blackout_time
         if steal_times is None or steal_times[0] != after:
@@ -480,7 +555,7 @@ def simulate(
                 paths.replica_index(replicas_of(t.block_id, now) for t in workload.tasks),
                 np.array([t.block_mb for t in workload.tasks]),
             )
-        return steal_times[1].gather(thieves, cols)
+        return steal_times[1].rows_of(thieves)
 
     sync_delay_s = config.sync_delay_s
 
@@ -533,59 +608,45 @@ def simulate(
         counts["rounds"] += 1
         if not loaded or not free:
             return  # no victim or no thief: read no node state
-        # thieves are never victims, and a stolen task starts at once. `now`
-        # is fixed for the round, so a victim's remaining time changes only
-        # when a steal takes from it. `ranked` holds (-remaining time, node,
-        # exact) for every victim, least first; an entry starts from the
-        # node's `remaining_bound` and is made exact once it reaches the top
-        # 3. A bound is never below the exact time, so the top 3 are those
-        # of a ranking by exact times, ties by node id included. A steal's
-        # victim is ranked again at the next pick if it still has pending
-        # tasks.
-        ranked = sorted((-rt[nid].remaining_bound(), nid, False) for nid in loaded)
+        # thieves are never victims, and a stolen task starts at once, so
+        # within a round only a steal's thief leaves the thieves and only
+        # its victim changes rank
+        victims.begin_round()
+        thieves = sorted(free)
+        rows = steal_rows(thieves, now)
         taken: dict[str, int] = {}
-        src = None
         for _ in range(4 * THETA_MIG):
-            thieves = sorted(nid for nid in free if taken.get(nid, 0) < THETA_MIG)
             if not thieves or not loaded:
                 break
-            if src in loaded:
-                bisect.insort(ranked, (-rt[src].remaining_bound(), src, False))
-            k = 0
-            while k < min(3, len(ranked)):
-                if ranked[k][2]:
-                    k += 1
-                else:
-                    nid = ranked.pop(k)[1]
-                    bisect.insort(ranked, (-rt[nid].remaining(now), nid, True))
             counts["picks"] += 1
-            # one row per candidate, the last 8 pending tasks of each of the 3
-            # victims, in task-id order: (task id, table column, victim's
-            # remaining time, victim, index in its queue)
+            # one row per candidate, the last 8 pending tasks of each of the
+            # 3 victims, in task-id order: (task id, index in its queue,
+            # victim, victim's remaining time)
             cands = []
-            for neg, nid, _ in ranked[:3]:
+            for neg, nid, _ in victims.top(now):
                 queue = rt[nid].pending
-                cands += [(queue[i].id, col[queue[i].id], -neg, nid, i)
-                          for i in range(max(0, len(queue) - 8), len(queue))]
+                cands += [(queue[i].id, i, nid, -neg) for i in range(max(0, len(queue) - 8), len(queue))]
             cands.sort()
-            _, cols, rems, _, _ = zip(*cands)
-            pred = predicted_times([row[nid] for nid in thieves], np.array(cols), now)
-            pick, no_gain = pick_steal(np.array(rems), pred)
-            counts["candidates"] += pred.size
+            pick, no_gain = pick_steal([c[3] for c in cands], [col[c[0]] for c in cands], rows)
+            counts["candidates"] += len(cands) * len(thieves)
             counts["no_gain"] += no_gain
             if pick is None:
                 break
-            _, _, rem_src, src, i = cands[pick[0]]
-            dst = thieves[pick[1]]
-            ranked.remove((-rem_src, src, True))
+            _, i, src, _ = cands[pick[0]]
+            k = pick[1]
+            dst = thieves[k]
             task = rt[src].take(i)
             if not rt[src].pending:
                 loaded.discard(src)
             rt[dst].queue(task)
+            mark(src)
+            mark(dst)
             taken[dst] = taken.get(dst, 0) + 1
             counts["moves"] += 1
             events.append(_new_event(SimEvent, (now, "migrate", task.id, dst, f"from={src}")))
             try_start(dst, now)
+            if dst not in free or taken[dst] == THETA_MIG:
+                del thieves[k], rows[k]
 
     # an idle node has a free slot and nothing to start
     for nid in node_ids:
@@ -595,6 +656,9 @@ def simulate(
             free.add(nid)
 
     migrate = config.enable_migration
+    if migrate:
+        victims = _Victims(rt, loaded)
+        mark = victims.marked.add
     completion = 0.0
     finished: set[str] = set()
     while heap:
@@ -603,6 +667,8 @@ def simulate(
         if kind == "arrival":
             state.queue(tasks[ref])
             try_start(nid, now)
+            if migrate:
+                mark(nid)
         elif kind == "xfer_done":
             for k in fetch_links.pop(ref):
                 flows[k] -= 1
@@ -616,6 +682,7 @@ def simulate(
             completion = max(completion, now)
             try_start(nid, now)
             if migrate:
+                mark(nid)
                 migration_round(now)
 
     if len(finished) != len(tasks):

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sccdso.aco import baseline_rf_fd, baseline_round_robin, baseline_rsync, price_cells
+from sccdso.aco import baseline_rf_fd, baseline_round_robin, baseline_rsync, local_first, price_cells
 from sccdso.cluster import PathTable, build_cluster, scale_bandwidth, synthetic_cluster_config
-from sccdso.experiment import RSYNC_SYNC_DELAY_S
-from sccdso.placement import PlacementPlan, place_rack_aware, place_random
+from sccdso.experiment import RSYNC_SYNC_DELAY_S, ExperimentConfig, _single_app_workload
+from sccdso.placement import PlacementPlan, place_heterogeneous, place_rack_aware, place_random
 from sccdso.sim import (
     THETA_MIG,
     RuntimeConfig,
     TrueTimeModel,
     _NodeRt,
+    _Victims,
     inject_stragglers,
     pick_steal,
     simulate,
@@ -295,6 +296,95 @@ def test_remaining_bound_is_never_below_the_remaining_time(running, pending, rat
     assert q.remaining(now) <= q.remaining_bound()
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    running=st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0) | st.just(math.inf),
+                               st.floats(0.0, 256.0), st.floats(0.0, 1.0), st.floats(1e-3, 10.0)),
+                     max_size=5),
+    pending=st.lists(st.floats(0.0, 256.0), max_size=10),
+    rate=st.floats(0.0, 500.0),
+    t1=st.floats(0.0, 20.0),
+    dt=st.floats(0.0, 20.0) | st.sampled_from([0.0, 1e-9]),
+)
+def test_an_exact_remaining_time_bounds_every_later_one(running, pending, rate, t1, dt):
+    # a victim ranked by its exact time at t1 keeps that key while its
+    # queue and running set are unchanged, so the key must hold in floats
+    # at every later `now`, also once a fetch (finish inf) turns into
+    # compute with a known finish, as `begin_compute` does; the sums are
+    # `sum()`, compensated from Python 3.12, so this is not obvious there
+    t2 = t1 + dt
+    q = node_rt(pending=pending, rate=rate)
+    fetched = {}
+    for k, (start, span, mb, at, service) in enumerate(running):
+        start = min(start, t1)
+        q.running[f"r{k}"] = (start, start + span, mb)
+        if span == math.inf:
+            fetched[f"r{k}"] = min(max(start, t1 + at * dt), t2) + service
+    exact = q.remaining(t1)
+    assert exact <= q.remaining_bound()
+    assert q.remaining(t2) <= exact
+    for tid, finish in fetched.items():
+        start, _, mb = q.running[tid]
+        q.running[tid] = (start, finish, mb)
+    assert q.remaining(t2) <= exact <= q.remaining_bound()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_victim_ranking_matches_brute_force(data):
+    # random queue, start, fetch, finish and take operations on a few nodes
+    # with equal rates and two block sizes (so remaining times tie), one
+    # with no rate (so its remaining time is infinite); each answer must
+    # be the first 3 of an exact ranking of every loaded node, ties by id
+    ids = [f"n{i}" for i in range(data.draw(st.integers(1, 7)))]
+    nodes = {nid: _NodeRt(None, (lambda r: lambda _: r)(data.draw(st.sampled_from([0.0, 16.0, 16.0, 32.0]))))
+             for nid in ids}
+    loaded: set[str] = set()
+    victims = _Victims(nodes, loaded)
+    serial = itertools.count()
+    now, stale = 0.0, True  # stale: an unmarked change or a new `now` since the last round
+
+    def settle(nid):
+        (loaded.add if nodes[nid].pending else loaded.discard)(nid)
+        victims.marked.add(nid)
+
+    for _ in range(data.draw(st.integers(1, 40))):
+        op = data.draw(st.sampled_from(["queue", "start", "fetched", "finish", "take", "advance", "ask"]))
+        nid = data.draw(st.sampled_from(ids))
+        state = nodes[nid]
+        if op == "queue":
+            mb = data.draw(st.sampled_from([32.0, 64.0]))
+            state.queue(TaskSpec(f"t{next(serial)}", "b", mb, 0.5, 1.0))
+            settle(nid)
+        elif op == "start" and state.pending:
+            task = state.take()
+            span = data.draw(st.sampled_from([1.0, 2.0, math.inf]))
+            state.running[task.id] = (now, now + span, task.block_mb)
+            settle(nid)
+        elif op == "fetched" and state.running:
+            # a fetch's finish becomes known: no mark, as in `begin_compute`
+            tid = data.draw(st.sampled_from(sorted(state.running)))
+            start, finish, mb = state.running[tid]
+            if finish == math.inf:
+                state.running[tid] = (start, now + data.draw(st.sampled_from([0.5, 1.0])), mb)
+                stale = True
+        elif op == "finish" and state.running:
+            state.finish(data.draw(st.sampled_from(sorted(state.running))), now)
+            settle(nid)
+        elif op == "take" and state.pending:
+            state.take(data.draw(st.integers(0, len(state.pending) - 1)))
+            settle(nid)
+        elif op == "advance":
+            now += data.draw(st.sampled_from([0.0, 0.25, 1.0, 3.0]))
+            stale = True
+        elif op == "ask":
+            if stale or data.draw(st.booleans()):
+                victims.begin_round()
+                stale = False
+            expected = sorted((-nodes[n].remaining(now), n) for n in loaded)[:3]
+            assert [entry[:2] for entry in victims.top(now)] == expected
+
+
 # --- the steal pick ------------------------------------------------------
 
 
@@ -408,6 +498,21 @@ def arrivals_blackout_case():
     return view, plan, schedule, w, RuntimeConfig(enable_migration=True, replica_blackout=("n3", 5.0))
 
 
+def ranking_heavy_case():
+    """The scale probe's input at 60 nodes x 300 tasks, seed 7: 64 MB
+    blocks at RF 2 placed by earliest-finish primaries, each task on its
+    block's primary, and 10% of the nodes 4x slow after scheduling. Many
+    loaded nodes hold similar queues, so a round ranks most of them by
+    their exact remaining times before it knows its top 3."""
+    g = build_cluster(synthetic_cluster_config(60))
+    w = _single_app_workload(300 * 64.0, 64.0, 2, ExperimentConfig(), 7)
+    model = TrueTimeModel()
+    plan = place_heterogeneous(g, list(w.blocks), model, {app.id: app.replication_factor for app in w.apps})
+    schedule = local_first(list(w.tasks), g, plan, model).assignment
+    view = inject_stragglers(g, 0.1, 4.0, 7)
+    return view, plan, schedule, w, RuntimeConfig(enable_migration=True)
+
+
 def test_migration_cap_per_round_enforced():
     # a six-slot thief beside a deep slow queue has the slots to take more,
     # so the per-thief cap is what stops it
@@ -437,8 +542,10 @@ def sha(obj) -> str:
          {"rounds": 60, "picks": 6, "candidates": 22, "moves": 6, "no_gain": 0}),
         (arrivals_blackout_case, "dc6e5640e4e6e193", "e501f7bc19f332d4",
          {"rounds": 48, "picks": 27, "candidates": 188, "moves": 26, "no_gain": 9}),
+        (ranking_heavy_case, "8f3b151336b9863b", "c11c099d1b96c2ff",
+         {"rounds": 300, "picks": 84, "candidates": 776, "moves": 58, "no_gain": 452}),
     ],
-    ids=["deep_queue_case", "arrivals_blackout_case"],
+    ids=["deep_queue_case", "arrivals_blackout_case", "ranking_heavy_case"],
 )
 def test_adaptive_trace_is_pinned(case, events_sha, metrics_sha, runtime_counts):
     # the ground-truth model is pure-Python arithmetic, so these hashes do
@@ -567,6 +674,18 @@ def test_prediction_table_built_at_most_once_per_run(seed, migration):
     assert trace == simulate(g, plan, schedule, w, cfg)
 
 
+def test_run_without_migration_keeps_no_victim_ranking(monkeypatch):
+    # the victim heap and its marks are the steal rule's: a run with
+    # migration off must not build them
+    def refuse(*_):
+        raise AssertionError("a run without migration built a victim ranking")
+
+    monkeypatch.setattr(_Victims, "__init__", refuse)
+    for case in (deep_queue_case, arrivals_blackout_case, ranking_heavy_case):
+        view, plan, schedule, w, _ = case()
+        assert simulate(view, plan, schedule, w, RuntimeConfig()).metrics.migrations == 0
+
+
 def test_round_without_pending_tasks_reads_no_node_state(monkeypatch):
     # one task per one-slot node: no task ever waits, so every round must
     # stop at its pending check before scanning any node's remaining time
@@ -637,10 +756,13 @@ def test_pick_steal_matches_a_scalar_loop(data):
                 [next(ids) for _ in range(size)]) for k, size in enumerate(queues)]
     pred = {(tid, thief): data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
             for _, _, task_ids in victims for tid in task_ids for thief in thieves}
+    # the priced rows as the simulator reads them: one memoryview per
+    # thief over every task, app0/t{j} in table column j
     rows = sorted((tid, rem, victim) for rem, victim, task_ids in victims for tid in task_ids)
+    priced = [memoryview(np.array([pred.get((f"app0/t{j}", thief), 0.0) for j in range(24)]))
+              for thief in thieves]
     pick, no_gain = pick_steal(
-        np.array([rem for _, rem, _ in rows]),
-        np.array([[pred[tid, thief] for thief in thieves] for tid, _, _ in rows]),
+        [rem for _, rem, _ in rows], [int(tid.split("/t")[1]) for tid, _, _ in rows], priced
     )
     best, expected_no_gain = scalar_pick(victims, thieves, pred)
     assert no_gain == expected_no_gain
