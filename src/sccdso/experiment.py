@@ -4,8 +4,8 @@ Four standard sweeps mirror the evaluation protocol:
 
 * completion-by-file-size   — single-copy job completion time per scheduler
 * locality-by-cluster-size  — locality ratio across cluster scales (RF=2)
-* throughput-by-replication — cluster throughput and recovery latency
-                              across replication factors
+* throughput-by-replication — cluster throughput across replication
+                              factors
 * straggler-completion      — completion under injected slow nodes across
                               cluster sizes
 
@@ -18,9 +18,7 @@ Scheduler pipelines. `schedule` places the blocks, assigns the tasks with
 the scheduler's row rule (`aco`) and prices that row, returning a
 `Schedule` that also carries the scheduler's runtime settings;
 `execute` simulates a `Schedule` on a cluster view, optionally overriding
-those settings. `run_pipeline` is one of each. Recovery latency executes
-the base run's `Schedule` again with a replica blackout, so placement and
-assignment run once per repetition.
+those settings. `run_pipeline` is one of each, run once per repetition.
 
 Fitted predictors are cached for one `run_experiment` call, keyed by the
 fit's seed and the per-node hardware (cpu_ghz, mem_gb, io_mbps) it is
@@ -106,6 +104,14 @@ class ExperimentConfig:
         for s in self.scenarios:
             if s not in SCENARIOS:
                 raise ValueError(f"unknown scenario: {s}")
+        # a repeated entry would run, and write, its rows twice
+        for key in ("schedulers", "scenarios", "block_sizes_mb", "file_sizes_mb",
+                    "cluster_sizes", "replication_factors", "straggler_node_counts"):
+            seen = set()
+            for v in getattr(self, key):
+                if v in seen:
+                    raise ValueError(f"{key} lists {v!r} more than once")
+                seen.add(v)
         if not self.block_sizes_mb or any(b <= 0 for b in self.block_sizes_mb):
             raise ValueError("block sizes must be > 0")
         if self.locality_block_mb <= 0:
@@ -463,7 +469,6 @@ _METRIC_KEYS = (
     "throughput_mbps",
     "network_mb",
     "migrations",
-    "recovery_latency_s",
 )
 
 
@@ -546,16 +551,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                             sim_cluster=sim_view,
                         )
                         metrics = trace.metrics
-                        if scenario == "throughput-by-replication":
-                            rf = workload.apps[0].replication_factor
-                            if rf >= 2:
-                                metrics = replace(
-                                    metrics,
-                                    recovery_latency_s=_recovery_latency(
-                                        g, workload, trace.schedule,
-                                        metrics.completion_time_s,
-                                    ),
-                                )
                         runs.append(metrics)
                         delay, cost, loss = trace.schedule.metrics
                         result.runs.append(
@@ -582,16 +577,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                         }
                     )
     return result
-
-
-def _recovery_latency(g, workload, sched, base_completion) -> float:
-    """Extra completion time when one node's replicas vanish mid-run, on the
-    same schedule the base run executed."""
-    victim = sorted(g.nodes)[0]
-    trace = execute(
-        sched, g, workload, replica_blackout=(victim, base_completion / 2.0)
-    )
-    return max(0.0, trace.metrics.completion_time_s - base_completion)
 
 
 # --- emission -------------------------------------------------------------

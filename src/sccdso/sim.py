@@ -38,8 +38,7 @@ then makes one pass over the running set, with no intermediate list.
 candidates, the (task, thief) candidates scored, the moves, and
 `no_gain`, the pairs whose gain was not positive.
 `RuntimeConfig` holds only what differs between schedulers and runs:
-migration on or off, the rsync delay per remote access, and the recovery
-blackout.
+migration on or off, and the rsync delay per remote access.
 
 A round costs what it changes. The engine keeps two sets up to date
 wherever a queue or a running set changes: the nodes with a free slot and
@@ -61,12 +60,10 @@ against the thieves in node-id order, each thief's predicted times read
 through a `memoryview` of its priced row, and the move is the first
 largest positive gain under a strict `>`, which is the (task id, thief)
 tie order. A predicted time is the prediction table's cell plus the path
-table's cheapest fetch over the readable replicas
+table's cheapest fetch over the block's replicas
 (`PathTable.cheapest_fetch`, the rule the colony prices a remote cell
 by). A node's row is priced for every task at its first pick as a
-thief, and all rows are priced afresh once the blackout changes which
-replicas are readable. A run without migration keeps no heap and marks
-no node.
+thief. A run without migration keeps no heap and marks no node.
 
 Every prediction a run reads, the bootstrap rates and the steal rule's
 predicted times, is a cell of one `predictor.predict_table` over the
@@ -162,21 +159,11 @@ THETA_MIG = 3  # tasks each thief may take per round
 class RuntimeConfig:
     enable_migration: bool = False
     sync_delay_s: float = 0.0  # per non-local access (sequential-sync emulation)
-    replica_blackout: tuple[str, float] | None = None  # (node id, time)
 
     def validate(self) -> None:
-        """Raise unless the sync delay is finite and >= 0 and a blackout is
-        a (node id, time) pair at a time that is not NaN; `simulate` also
-        checks that the node is the cluster's."""
+        """Raise unless the sync delay is finite and >= 0."""
         if not (self.sync_delay_s >= 0 and math.isfinite(self.sync_delay_s)):
             raise ValueError(f"sync_delay_s must be finite and >= 0, got {self.sync_delay_s!r}")
-        if self.replica_blackout is not None:
-            try:
-                _, when = self.replica_blackout
-            except (TypeError, ValueError):
-                raise ValueError("replica_blackout must be a (node id, time) pair") from None
-            if isinstance(when, bool) or not isinstance(when, (int, float)) or math.isnan(when):
-                raise ValueError(f"replica_blackout time must be a number, not NaN, got {when!r}")
 
 
 class SimEvent(NamedTuple):
@@ -196,7 +183,6 @@ class RunMetrics:
     migrations: int
     prefetches: int  # always 0: runs.csv and the benchmark still read the column
     tasks: int
-    recovery_latency_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -339,11 +325,10 @@ def pick_steal(rems, cols, rows) -> tuple[tuple[int, int] | None, int]:
 class _StealTimes:
     """Predicted seconds of each task on each node as the steal rule reads
     them: the prediction table's row plus the path table's cheapest fetch
-    over the task's readable replicas, a replica on the node itself
-    costing 0. `replicas` holds each task's row of `PathTable.replica_index`
-    over its readable replicas. A node's row is priced for every task at
-    once, on its first read, and read as a `memoryview`, whose items are
-    Python floats."""
+    over the task's replicas, a replica on the node itself costing 0.
+    `replicas` holds each task's row of `PathTable.replica_index`. A node's
+    row is priced for every task at once, on its first read, and read as a
+    `memoryview`, whose items are Python floats."""
 
     def __init__(self, table: np.ndarray, paths, replicas: np.ndarray, block_mb: np.ndarray):
         self.table, self.paths, self.replicas, self.block_mb = table, paths, replicas, block_mb
@@ -467,18 +452,6 @@ def simulate(
     predictor = predictor or TrueTimeModel()
     tasks = {t.id: t for t in workload.tasks}
 
-    blackout_node, blackout_time = (None, math.inf)
-    if config.replica_blackout is not None:
-        blackout_node, blackout_time = config.replica_blackout
-        if blackout_node not in g.nodes:
-            raise ValueError(f"replica_blackout names unknown node {blackout_node!r}")
-
-    def replicas_of(block_id: str, now: float) -> tuple[str, ...]:
-        reps = plan.replicas(block_id)
-        if now >= blackout_time and blackout_node in reps and len(reps) > 1:
-            reps = tuple(r for r in reps if r != blackout_node)
-        return reps
-
     # --- node state ------------------------------------------------------
     paths = g.paths
     node_ids = paths.node_ids
@@ -539,23 +512,20 @@ def simulate(
             else:
                 push(heap, (arrival, next(seq), "arrival", nid, tid))
 
-    # the steal rule's predicted times, built on the first steal round and
-    # again once the blackout changes which replicas are readable: (after
-    # the blackout, the times)
-    steal_times: tuple[bool, _StealTimes] | None = None
+    # the steal rule's predicted times, built on the first steal round
+    steal_times: _StealTimes | None = None
 
-    def steal_rows(thieves: list[str], now: float) -> list[memoryview]:
+    def steal_rows(thieves: list[str]) -> list[memoryview]:
         """The predicted-time rows of `thieves`, indexed by table column."""
         nonlocal steal_times
-        after = now >= blackout_time
-        if steal_times is None or steal_times[0] != after:
-            steal_times = after, _StealTimes(
+        if steal_times is None:
+            steal_times = _StealTimes(
                 t_pred(),
                 paths,
-                paths.replica_index(replicas_of(t.block_id, now) for t in workload.tasks),
+                paths.replica_index(plan.replicas(t.block_id) for t in workload.tasks),
                 np.array([t.block_mb for t in workload.tasks]),
             )
-        return steal_times[1].rows_of(thieves)
+        return steal_times.rows_of(thieves)
 
     sync_delay_s = config.sync_delay_s
 
@@ -580,7 +550,7 @@ def simulate(
             task = state.take()
             tid = task.id
             events.append(_new_event(SimEvent, (now, "start", tid, nid, "")))
-            reps = replicas_of(task.block_id, now)
+            reps = plan.replicas(task.block_id)
             if nid in reps:
                 begin_compute(state, nid, task, now, now, False)
             else:
@@ -613,7 +583,7 @@ def simulate(
         # its victim changes rank
         victims.begin_round()
         thieves = sorted(free)
-        rows = steal_rows(thieves, now)
+        rows = steal_rows(thieves)
         taken: dict[str, int] = {}
         for _ in range(4 * THETA_MIG):
             if not thieves or not loaded:

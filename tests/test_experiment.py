@@ -223,6 +223,46 @@ def test_config_numbers_must_be_json_numbers(tmp_path, capsys, bad, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("schedulers", "rr"), ("scenarios", "straggler-completion"), ("block_sizes_mb", 16),
+     ("file_sizes_mb", 20), ("cluster_sizes", 10), ("replication_factors", 2),
+     ("straggler_node_counts", 60)],
+)
+def test_config_rejects_a_repeated_sweep_entry(tmp_path, capsys, key, value):
+    # a repeated entry ran its cell, or its scheduler, twice: every run row
+    # was written twice and its aggregate rows stood twice for one cell
+    message = f"{key} lists {value!r} more than once"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config_from_dict({key: [value, value]})
+    path = write_config(tmp_path, **{key: [value, value]})
+    assert cli_main(["validate", "--config", path]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_cli_run_rejects_a_repeated_scheduler(tmp_path, capsys):
+    path = REPO / "configs" / "experiment_deep_queue.json"
+    out = tmp_path / "out"
+    code = cli_main(["run", "--config", str(path), "--schedulers", "rr,rr", "--reps", "1",
+                     "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: schedulers lists 'rr' more than once")
+    assert not out.exists()
+
+
+def test_every_aggregated_metric_reads_above_zero_in_the_default_sweep():
+    # a metric that is 0 in every run of the shipped sweep measures nothing:
+    # recovery latency read 0 in all of them, since its blackout came after
+    # every task had picked its replica
+    path = REPO / "configs" / "experiment_default.json"
+    cfg = replace(experiment.load_experiment_config(str(path)), repetitions=1,
+                  schedulers=experiment.SCHEDULERS)
+    result = run_experiment(cfg)
+    assert not result.failures
+    dead = [k for k in experiment._METRIC_KEYS if not any(r[k] for r in result.runs)]
+    assert dead == []
+
+
 @pytest.mark.parametrize("name", ["experiment_default", "experiment_deep_queue", "experiment_jobs"])
 def test_shipped_configs_validate(name, capsys):
     path = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
@@ -321,27 +361,8 @@ def test_block_size_sweep_labels():
     assert cells == {"20MB/b16", "20MB/b32"}
 
 
-def test_recovery_latency_recorded_for_multicopy(tmp_path):
-    cfg = tiny_config(
-        scenarios=("throughput-by-replication",),
-        replication_factors=(1, 2),
-        repetitions=1,
-        schedulers=("rr",),
-        cluster_path=None,
-    )
-    result = run_experiment(cfg)
-    assert not result.failures
-    rec = {
-        r.cell: r.mean
-        for r in result.aggregates
-        if r.metric == "recovery_latency_s" and r.scheduler == "rr"
-    }
-    assert rec["RF1"] == 0.0
-    assert rec["RF2"] >= 0.0
-
-
 @pytest.mark.parametrize("scheduler", experiment.SCHEDULERS)
-def test_schedule_is_reproducible_and_reused_for_recovery(scheduler):
+def test_schedule_is_reproducible(scheduler):
     cfg = tiny_config(
         scenarios=("throughput-by-replication",),
         replication_factors=(2,),
@@ -359,11 +380,8 @@ def test_schedule_is_reproducible_and_reused_for_recovery(scheduler):
     assert a.assignment == b.assignment
     assert a.plan.block_to_nodes == b.plan.block_to_nodes
     assert a.metrics == b.metrics == (run["sched_delay"], run["sched_cost"], run["sched_loss"])
-    # recovery latency is the base run's schedule executed with a blackout
-    base = experiment.execute(a, g, w).metrics.completion_time_s
-    assert base == run["completion_time_s"]
-    blackout = experiment.execute(a, g, w, replica_blackout=(sorted(g.nodes)[0], base / 2.0))
-    assert run["recovery_latency_s"] == max(0.0, blackout.metrics.completion_time_s - base)
+    # the run executed that same schedule
+    assert experiment.execute(a, g, w).metrics.completion_time_s == run["completion_time_s"]
 
 
 @pytest.mark.parametrize("scheduler", ["scc-dso", "scc-dso-lite"])

@@ -475,10 +475,10 @@ def deep_queue_case():
     return view, plan, schedule, w, RuntimeConfig(enable_migration=True)
 
 
-def arrivals_blackout_case():
+def arrivals_case():
     """Eight nodes in two racks with one or two slots, 48 tasks at RF 2
-    arriving as a Poisson stream at 4 per second, a quarter of the nodes 4x
-    slow, and node n3's replicas lost at t = 5 s."""
+    arriving as a Poisson stream at 4 per second, and a quarter of the
+    nodes 4x slow."""
     g = make_cluster(
         [
             {"id": f"n{i}", "rack": f"r{i % 2}", "cpu_ghz": 1.0 + 0.5 * (i % 3),
@@ -495,7 +495,7 @@ def arrivals_blackout_case():
     plan = place_random(g, blocks, rf=2, seed=3)
     schedule = {t.id: f"n{(3 * k) % 8 // 2}" for k, t in enumerate(tasks)}
     view = inject_stragglers(g, 0.25, 4.0, seed=2)
-    return view, plan, schedule, w, RuntimeConfig(enable_migration=True, replica_blackout=("n3", 5.0))
+    return view, plan, schedule, w, RuntimeConfig(enable_migration=True)
 
 
 def ranking_heavy_case():
@@ -538,14 +538,14 @@ def sha(obj) -> str:
 @pytest.mark.parametrize(
     "case, events_sha, metrics_sha, runtime_counts",
     [
-        (deep_queue_case, "528c5a876bf4f306", "d84f3d5b3c68a545",
+        (deep_queue_case, "528c5a876bf4f306", "82240845223bb3d8",
          {"rounds": 60, "picks": 6, "candidates": 22, "moves": 6, "no_gain": 0}),
-        (arrivals_blackout_case, "dc6e5640e4e6e193", "e501f7bc19f332d4",
-         {"rounds": 48, "picks": 27, "candidates": 188, "moves": 26, "no_gain": 9}),
-        (ranking_heavy_case, "8f3b151336b9863b", "c11c099d1b96c2ff",
+        (arrivals_case, "2556127ee2650733", "caa993ffab304214",
+         {"rounds": 48, "picks": 28, "candidates": 190, "moves": 26, "no_gain": 11}),
+        (ranking_heavy_case, "8f3b151336b9863b", "8862c88b97094c54",
          {"rounds": 300, "picks": 84, "candidates": 776, "moves": 58, "no_gain": 452}),
     ],
-    ids=["deep_queue_case", "arrivals_blackout_case", "ranking_heavy_case"],
+    ids=["deep_queue_case", "arrivals_case", "ranking_heavy_case"],
 )
 def test_adaptive_trace_is_pinned(case, events_sha, metrics_sha, runtime_counts):
     # the ground-truth model is pure-Python arithmetic, so these hashes do
@@ -586,10 +586,10 @@ def remote_heavy_case(baseline, sync_delay_s=0.0):
 @pytest.mark.parametrize(
     "case, events_sha, metrics_sha",
     [
-        (lambda: remote_heavy_case(baseline_round_robin), "675ee9dcdc6118d6", "5cdfe653eae64ccf"),
-        (lambda: remote_heavy_case(baseline_rf_fd), "e3eac203a60c54bb", "b1718b02e4ba9f05"),
+        (lambda: remote_heavy_case(baseline_round_robin), "675ee9dcdc6118d6", "3ef52c461e7eed24"),
+        (lambda: remote_heavy_case(baseline_rf_fd), "e3eac203a60c54bb", "7d94e20542e5347e"),
         (lambda: remote_heavy_case(baseline_rsync, RSYNC_SYNC_DELAY_S), "1829152da60ab9b7",
-         "0cde993cc6bb1f70"),
+         "850509dd5841f210"),
     ],
     ids=["rr", "rf-fd", "rsync"],
 )
@@ -619,7 +619,7 @@ class CountingModel:
         return self.model.predict_matrix(nodes, tasks)
 
 
-@pytest.mark.parametrize("case", [deep_queue_case, arrivals_blackout_case])
+@pytest.mark.parametrize("case", [deep_queue_case, arrivals_case])
 def test_simulate_reads_one_prediction_table(case):
     # the bootstrap rates and every steal's predicted time read one table
     counted = CountingModel(TrueTimeModel())
@@ -633,7 +633,7 @@ def test_prediction_table_is_built_only_for_a_steal_round():
     # the table and the bootstrap rates are read only by a steal round: a
     # run without migration, or whose rounds never find a pending task,
     # asks for no prediction
-    for case in (deep_queue_case, arrivals_blackout_case):
+    for case in (deep_queue_case, arrivals_case):
         view, plan, schedule, w, _ = case()
         off = CountingModel(TrueTimeModel())
         trace = simulate(view, plan, schedule, w, RuntimeConfig(), predictor=off)
@@ -681,7 +681,7 @@ def test_run_without_migration_keeps_no_victim_ranking(monkeypatch):
         raise AssertionError("a run without migration built a victim ranking")
 
     monkeypatch.setattr(_Victims, "__init__", refuse)
-    for case in (deep_queue_case, arrivals_blackout_case, ranking_heavy_case):
+    for case in (deep_queue_case, arrivals_case, ranking_heavy_case):
         view, plan, schedule, w, _ = case()
         assert simulate(view, plan, schedule, w, RuntimeConfig()).metrics.migrations == 0
 
@@ -907,10 +907,10 @@ def test_bitwise_determinism():
     seed=st.integers(0, 2**16),
 )
 def test_simulate_fuzz_invariants(n_nodes, n_racks, n_tasks, rf, arrival_rate, slow_frac, seed):
-    # two-tier cluster, Poisson arrivals, a replica blackout, stragglers and
-    # migration on: every task finishes once, no task starts before it
-    # arrives, time never runs backwards, fetched bytes add up, and every
-    # steal starts its task on the thief at once, which was idle
+    # two-tier cluster, Poisson arrivals, stragglers and migration on:
+    # every task finishes once, no task starts before it arrives, time never
+    # runs backwards, fetched bytes add up, and every steal starts its task
+    # on the thief at once, which was idle
     rng = np.random.default_rng(seed)
     g = make_cluster(
         [
@@ -934,9 +934,7 @@ def test_simulate_fuzz_invariants(n_nodes, n_racks, n_tasks, rf, arrival_rate, s
     ids = sorted(g.nodes)
     schedule = {t.id: ids[int(rng.integers(0, n_nodes))] for t in tasks}
     view = inject_stragglers(g, slow_frac, 4.0, seed)
-    blackout = (ids[int(rng.integers(0, n_nodes))], float(rng.uniform(0.0, n_tasks)))
-    cfg = RuntimeConfig(enable_migration=True, replica_blackout=blackout)
-    trace = simulate(view, plan, schedule, w, cfg)
+    trace = simulate(view, plan, schedule, w, RuntimeConfig(enable_migration=True))
 
     finishes = [e.task_id for e in trace.events if e.kind == "finish"]
     assert sorted(finishes) == sorted(t.id for t in tasks)
@@ -1021,17 +1019,11 @@ def test_runtime_config_validation():
     [
         (RuntimeConfig(sync_delay_s=math.nan), "sync_delay_s must be finite and >= 0, got nan"),
         (RuntimeConfig(sync_delay_s=math.inf), "sync_delay_s must be finite and >= 0, got inf"),
-        (RuntimeConfig(replica_blackout=("n999", 1.0)), "replica_blackout names unknown node 'n999'"),
-        (RuntimeConfig(replica_blackout=("n001", math.nan)), "replica_blackout time must be a number"),
-        (RuntimeConfig(replica_blackout=("n001", "1.0")), "replica_blackout time must be a number"),
-        (RuntimeConfig(replica_blackout=("n001",)), "replica_blackout must be a"),
     ],
-    ids=["nan-sync-delay", "infinite-sync-delay", "unknown-blackout-node", "nan-blackout-time",
-         "string-blackout-time", "short-blackout"],
+    ids=["nan-sync-delay", "infinite-sync-delay"],
 )
 def test_simulate_rejects_runtime_settings_it_cannot_honour(runtime, message):
-    # a NaN delay used to shorten an rsync run, an infinite one never ended,
-    # and a blackout on an unknown node or at a NaN time was ignored
+    # a NaN delay used to shorten an rsync run, and an infinite one never ended
     g = build_cluster(synthetic_cluster_config(6))
     app, blocks, tasks, w = build_workload(12 * 64, rf=2)
     plan = place_random(g, blocks, rf=2, seed=0)
@@ -1039,7 +1031,7 @@ def test_simulate_rejects_runtime_settings_it_cannot_honour(runtime, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         simulate(g, plan, sol.assignment, w, runtime)
     # the same run with a setting it can honour completes
-    fine = replace(runtime, sync_delay_s=RSYNC_SYNC_DELAY_S, replica_blackout=("n001", 1.0))
+    fine = replace(runtime, sync_delay_s=RSYNC_SYNC_DELAY_S)
     assert simulate(g, plan, sol.assignment, w, fine).metrics.tasks == len(tasks)
 
 
@@ -1059,20 +1051,3 @@ def test_sync_delay_charged_per_remote_access():
     assert synced.metrics.completion_time_s == pytest.approx(
         plain.metrics.completion_time_s + 0.25
     )
-
-
-def test_replica_blackout_forces_remote_reads():
-    g = make_cluster(
-        [
-            {"id": "a", "rack": "r1", "cpu_ghz": 1.0, "io_mbps": 64.0, "slots": 1},
-            {"id": "b", "rack": "r1", "cpu_ghz": 1.0, "io_mbps": 64.0, "slots": 1},
-        ]
-    )
-    app, blocks, tasks, w = build_workload(256, rf=2, gcycles_per_mb=1.0 / 64)
-    plan = place_rack_aware(g, blocks, "a", rf=2)
-    schedule = {t.id: "a" for t in tasks}
-    base = simulate(g, plan, schedule, w, RuntimeConfig())
-    cfg = RuntimeConfig(replica_blackout=("a", base.metrics.completion_time_s / 2))
-    hit = simulate(g, plan, schedule, w, cfg)
-    assert hit.metrics.completion_time_s >= base.metrics.completion_time_s
-    assert hit.metrics.network_mb > 0  # late tasks must fetch from b
