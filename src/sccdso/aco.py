@@ -97,6 +97,7 @@ runs the colony on it.
 
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -1030,33 +1031,88 @@ def baseline_rf_fd(
 ) -> AntSolution:
     """Reservation first-fit: walk nodes in id order and take the first one
     whose capacity fits and whose estimated load stays under the
-    reservation threshold (mean fair-share load times the headroom).
-    Estimated loads feed back into later picks. Locality-blind."""
+    reservation threshold (mean fair-share load times the headroom), else
+    the least loaded node that fits, the lowest index on a tie. Estimated
+    loads feed back into later picks. Locality-blind.
+
+    Neither pick scans every node for every task. Predictions are > 0 and
+    block sizes >= 0, so a node's load and used MB only grow, and float
+    addition rounds monotonically. So a node whose `used + d_min` exceeds
+    its limit (`d_min` the least block size of the tasks) never fits a
+    task again, and one whose `load + t_min` exceeds the threshold
+    (`t_min` its least predicted time over the tasks) never passes the
+    threshold again. The first-fit walk drops such a node from its list
+    of open nodes for good, so it skips only nodes the full scan would
+    reject. The fallback pops a lazy heap of (load, index): an entry whose
+    load is no longer its node's is stale and dropped, a node without room
+    for this task is held aside and pushed back, and the first entry that
+    fits is the least load at the lowest index, the full scan's pick."""
     t_est = predict_table(g, tasks, predictor)  # regression estimate, no locality signal
     n = len(t_est)
-    demand_mb = np.array([t.block_mb for t in tasks], dtype=float)
-    capacity_mb = np.array([g.node(nid).capacity_mb for nid in g.paths.node_ids])
     fair = float(t_est.mean(axis=0).sum()) / n
     threshold = fair * reservation_headroom
-    loads = np.zeros(n)
-    used = np.zeros(n)
+    # Python floats in the loop: the same sums and tests as float64 arrays
+    t = memoryview(t_est)  # t[i, j] reads the (n, B) table in place
+    demand_mb = [task.block_mb for task in tasks]
+    limit = [g.node(nid).capacity_mb + CAPACITY_SLACK_MB for nid in g.paths.node_ids]
+    d_min = min(demand_mb, default=0.0)
+    t_min = t_est.min(axis=1, initial=np.inf).tolist()
+    loads = [0.0] * n
+    used = [0.0] * n
+    open_nodes = list(range(n))  # the nodes that may still pass first-fit
+    heap = [(0.0, i) for i in range(n)]  # sorted, so already a heap
     assign = np.full(len(tasks), -1, dtype=int)
-    for j in range(len(tasks)):
-        fits = used + demand_mb[j] <= capacity_mb + CAPACITY_SLACK_MB
-        ok = fits & (loads + t_est[:, j] <= threshold)
-        first = int(ok.argmax())  # the first True, when there is one
-        if ok[first]:
-            assign[j] = first
-        else:
-            room = np.flatnonzero(fits)
-            if len(room) == 0:
+    for j, d in enumerate(demand_mb):
+        pick = -1
+        k = 0
+        while k < len(open_nodes):
+            i = open_nodes[k]
+            if used[i] + d_min > limit[i] or loads[i] + t_min[i] > threshold:
+                del open_nodes[k]
+            elif used[i] + d <= limit[i] and loads[i] + t[i, j] <= threshold:
+                pick = i
+                break
+            else:
+                k += 1
+        if pick < 0:
+            pick = _least_loaded_fit(heap, loads, used, limit, d, d_min)
+            if pick < 0:
                 raise InfeasibleScheduleError(
                     f"capacity exhausted while placing task {tasks[j].id}"
                 )
-            assign[j] = int(room[np.argmin(loads[room])])
-        loads[assign[j]] += t_est[assign[j], j]
-        used[assign[j]] += demand_mb[j]
+        assign[j] = pick
+        loads[pick] += t[pick, j]
+        used[pick] += d
+        heapq.heappush(heap, (loads[pick], pick))
     return _plan_solution(g, plan, tasks, t_est, assign)
+
+
+def _least_loaded_fit(
+    heap: list[tuple[float, int]],
+    loads: list[float],
+    used: list[float],
+    limit: list[float],
+    d: float,
+    d_min: float,
+) -> int:
+    """The least loaded node with room for `d` MB, the lowest index on a
+    tie, or -1: `baseline_rf_fd`'s fallback on its lazy (load, index) heap.
+    Pops stale entries, drops nodes that can never fit `d_min` again, and
+    pushes back the valid entries of nodes without room for `d`."""
+    held = []
+    pick = -1
+    while heap:
+        load, i = heapq.heappop(heap)
+        if load != loads[i]:
+            continue
+        if used[i] + d <= limit[i]:
+            pick = i
+            break
+        if used[i] + d_min <= limit[i]:
+            held.append((load, i))
+    for entry in held:
+        heapq.heappush(heap, entry)
+    return pick
 
 
 def baseline_rsync(

@@ -359,17 +359,14 @@ def schedule(
     return Schedule(plan, sol.assignment, model, sol.metrics, runtime)
 
 
-def execute(
-    sched: Schedule, view: ClusterGraph, workload: wl.Workload, **runtime
-) -> sim.SimTrace:
-    """Simulate `sched` on the runtime view `view` (which may differ from
-    the scheduling view, e.g. stragglers injected after scheduling).
-    Keyword arguments override fields of the schedule's RuntimeConfig."""
+def execute(sched: Schedule, view: ClusterGraph, workload: wl.Workload) -> sim.SimTrace:
+    """Simulate `sched` under its RuntimeConfig on the runtime view `view`
+    (which may differ from the scheduling view, e.g. stragglers injected
+    after scheduling)."""
     if workload.network_load > 0:
         view = scale_bandwidth(view, 1.0 - workload.network_load)
     trace = sim.simulate(
-        view, sched.plan, sched.assignment, workload,
-        replace(sched.runtime, **runtime), predictor=sched.model,
+        view, sched.plan, sched.assignment, workload, sched.runtime, predictor=sched.model,
     )
     return replace(trace, schedule=sched)
 

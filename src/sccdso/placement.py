@@ -16,6 +16,17 @@ Two strategies place replicas:
   "Scheduling identical jobs on uniform parallel machines", 1990).
   Secondary replicas fall back to rack-aware tiers relative to the
   primary, at each block's own app's replication factor.
+
+Both strategies pick each tier's node as the least (replica count, node
+id) of its candidates, counting the replicas placed so far, the block's
+own only after the block. No pick scans the candidates: one placement
+keeps a heap of (count, node id) per rack (`_RackLoads`), and every
+chosen replica, the primary included, pushes its new count. An entry
+whose count is no longer its node's is stale and dropped when it
+surfaces. The same-rack pick is the least entry of the primary's rack
+that is not already chosen, and the other-rack and remaining picks the
+least over the racks' tops. Counts only grow, so each pick is the one
+the scan over the candidates would make.
 """
 
 from __future__ import annotations
@@ -58,12 +69,6 @@ def _validate_placement(
         raise ValueError("no blocks to place")
 
 
-def _pick_lowest_load(
-    candidates: list[str], load: dict[str, int]
-) -> str:
-    return min(candidates, key=lambda n: (load[n], n))
-
-
 def place_rack_aware(
     g: ClusterGraph, blocks: list[DataBlock], client_node: str, rf: int
 ) -> PlacementPlan:
@@ -73,8 +78,8 @@ def place_rack_aware(
     if rf >= 3 and len(g.racks) < 2:
         raise ValueError("replication factor 3 needs at least 2 racks")
 
-    load: dict[str, int] = {n: 0 for n in g.nodes}
-    mapping = {block.id: _rack_aware_tiers(g, client.id, rf, load) for block in blocks}
+    loads = _RackLoads(g)
+    mapping = {block.id: _rack_aware_tiers(g, client.id, rf, loads) for block in blocks}
     return PlacementPlan(block_to_nodes=mapping, strategy="rack-aware")
 
 
@@ -92,30 +97,57 @@ def place_random(
     return PlacementPlan(block_to_nodes=mapping, strategy="random")
 
 
+class _RackLoads:
+    """Replica counts per node over one placement, with one heap of
+    (count, node id) per rack. A count only grows, and each change pushes
+    a new entry, so an entry whose count is not its node's is stale; it is
+    dropped when it surfaces."""
+
+    def __init__(self, g: ClusterGraph):
+        self.count = {n: 0 for n in g.nodes}
+        self.rack = {n: node.rack for n, node in g.nodes.items()}
+        self.heaps = {r: sorted((0, n) for n in nodes) for r, nodes in g.racks.items()}
+
+    def least(self, racks, chosen: list[str]) -> tuple[int, str] | None:
+        """The least (count, node id) over the nodes of `racks` not in
+        `chosen`, or None when there is none. Entries of `chosen` are
+        dropped too: the block's `add` counts those nodes, which makes
+        their entries stale."""
+        best = None
+        for r in racks:
+            heap = self.heaps[r]
+            while heap and (heap[0][0] != self.count[heap[0][1]] or heap[0][1] in chosen):
+                heapq.heappop(heap)
+            if heap and (best is None or heap[0] < best):
+                best = heap[0]
+        return best
+
+    def add(self, nodes) -> None:
+        for n in nodes:
+            self.count[n] += 1
+            heapq.heappush(self.heaps[self.rack[n]], (self.count[n], n))
+
+
 def _rack_aware_tiers(
-    g: ClusterGraph, primary: str, rf: int, load: dict[str, int]
+    g: ClusterGraph, primary: str, rf: int, loads: _RackLoads
 ) -> tuple[str, ...]:
     """`primary`, then a node in its rack, then one in another rack, then
-    the least loaded of the rest, up to `rf` replicas; counts each chosen
-    node in `load`."""
+    the least loaded of the rest, up to `rf` replicas, each pick the least
+    (count, node id) of its candidates; counts each chosen node in
+    `loads`. A rack with the primary alone falls back to all nodes."""
     chosen = [primary]
+    home = g.rack_of(primary)
     if rf >= 2:
-        same_rack = [n for n in g.racks[g.rack_of(primary)] if n not in chosen]
-        if not same_rack:
-            same_rack = [n for n in g.nodes if n not in chosen]
-        chosen.append(_pick_lowest_load(same_rack, load))
+        pick = loads.least([home], chosen) or loads.least(g.racks, chosen)
+        chosen.append(pick[1])
     if rf >= 3:
-        other_rack = [
-            n for n in g.nodes if g.rack_of(n) != g.rack_of(primary) and n not in chosen
-        ]
-        if not other_rack:
+        pick = loads.least([r for r in g.racks if r != home], chosen)
+        if pick is None:
             raise ValueError("replication factor 3 needs at least 2 racks")
-        chosen.append(_pick_lowest_load(other_rack, load))
+        chosen.append(pick[1])
     while len(chosen) < rf:
-        rest = [n for n in g.nodes if n not in chosen]
-        chosen.append(_pick_lowest_load(rest, load))
-    for n in chosen:
-        load[n] += 1
+        chosen.append(loads.least(g.racks, chosen)[1])
+    loads.add(chosen)
     return tuple(chosen)
 
 
@@ -148,12 +180,12 @@ def place_heterogeneous(
     ]
     quotas = _earliest_finish_quotas(times, caps, len(blocks))
 
-    load: dict[str, int] = {n: 0 for n in g.nodes}
+    loads = _RackLoads(g)
     owner_seq: list[str] = []
     for nid, q in zip(node_ids, quotas):
         owner_seq.extend([nid] * q)
     mapping = {
-        block.id: _rack_aware_tiers(g, primary, block_rf, load)
+        block.id: _rack_aware_tiers(g, primary, block_rf, loads)
         for block, primary, block_rf in zip(blocks, owner_seq, rfs)
     }
     return PlacementPlan(block_to_nodes=mapping, strategy="heterogeneous")

@@ -9,6 +9,7 @@ sweep dominate).
 import json
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,8 +287,9 @@ def test_09_adaptive_runtime_monotonicity():
         seed = experiment.derive_seed(42, "monotonic", "25", "rr", rep)
         w = experiment._single_app_workload(8320, 64, 2, cfg, seed)  # deep queues
         sched = experiment.schedule(g, w, "rr", seed, cache=cache)
-        on = experiment.execute(sched, g, w, enable_migration=True)
-        off = experiment.execute(sched, g, w, enable_migration=False)
+        on_rt, off_rt = (replace(sched.runtime, enable_migration=m) for m in (True, False))
+        on = experiment.execute(replace(sched, runtime=on_rt), g, w)
+        off = experiment.execute(replace(sched, runtime=off_rt), g, w)
         if on.metrics.completion_time_s > off.metrics.completion_time_s + 1e-9:
             regressions += 1
         if on.metrics.migrations > 0:

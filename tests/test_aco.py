@@ -1080,6 +1080,61 @@ def test_rf_fd_equals_scalar_first_fit_when_capacity_binds():
         baseline_rf_fd(tasks, g, plan, model)
 
 
+class TableTimer:
+    """Predictor stub: a fixed (n, B) table of seconds, rows the nodes in
+    id order, columns the tasks in order."""
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=float)
+
+    def predict_matrix(self, nodes, tasks):
+        return self.table
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    b=st.integers(1, 60),
+    ties=st.booleans(),
+    headroom=st.sampled_from([0.5, 1.0, 1.25, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rf_fd_equals_scalar_first_fit_on_random_instances(n, b, ties, headroom, seed):
+    # mixed 16/32/64 MB blocks, times that vary per task (from a few values
+    # when `ties`, so loads tie) and capacities of the total MB over n
+    # times U(0.9, 1.6): the walk drops nodes, the fallback holds nodes
+    # aside, and some draws have no room for a task
+    rng = np.random.default_rng(seed)
+    sizes = rng.choice([16.0, 32.0, 64.0], size=b)
+    if ties:
+        table = rng.choice([0.5, 1.0, 1.5, 2.0], size=(n, b))
+    else:
+        table = rng.uniform(0.01, 10.0, size=(n, b))
+    share = sizes.sum() / n
+    g = make_cluster([
+        {"id": f"n{i:02d}", "rack": "r1", "cpu_ghz": 2.0, "io_mbps": 200.0,
+         "capacity_mb": share * rng.uniform(0.9, 1.6)}
+        for i in range(n)
+    ])
+    tasks = [
+        TaskSpec(id=f"t{j}", block_id=f"b{j}", block_mb=float(mb), resource_demand=0.5,
+                 compute_gcycles=1.0)
+        for j, mb in enumerate(sizes)
+    ]
+    plan = PlacementPlan({f"b{j}": ("n00",) for j in range(b)}, "test")
+    timer = TableTimer(table)
+    try:
+        want, _ = reference_rf_fd(g, tasks, timer, headroom)
+    except InfeasibleScheduleError as err:
+        with pytest.raises(InfeasibleScheduleError) as got:
+            baseline_rf_fd(tasks, g, plan, timer, reservation_headroom=headroom)
+        # the reference names the task by index, the baseline by id
+        assert str(got.value) == str(err).replace("task ", "task t")
+        return
+    sol = baseline_rf_fd(tasks, g, plan, timer, reservation_headroom=headroom)
+    assert sol.node_index.tolist() == want.tolist()
+
+
 def test_rsync_equals_rf_fd_on_single_node():
     g, plan, tasks, _ = small_problem(n_nodes=1, n_tasks=3, rf=1)
     timer = FixedTimer({"n0": 2.0})

@@ -179,3 +179,94 @@ def test_heterogeneous_slow_node_owns_a_block_only_when_it_finishes_first():
         _, blocks, _ = make_app_tasks(input_mb=n_blocks * 64, rf=1)
         plan = place_heterogeneous(g, blocks, timer, rf={"app0": 1})
         assert primaries(plan) == expected
+
+
+def reference_tiers(g, primaries_rfs):
+    """The rack-aware tiers as a scan over candidate lists: for each
+    (primary, rf) in block order, the primary, then the least (count, node
+    id) in its rack (all nodes when it is alone there), then in another
+    rack, then of the rest; counts added after each block. Raises
+    ValueError as `placement` does when no other rack has a node."""
+    load = {n: 0 for n in g.nodes}
+
+    def pick(candidates):
+        return min(candidates, key=lambda n: (load[n], n))
+
+    out = []
+    for primary, rf in primaries_rfs:
+        chosen = [primary]
+        if rf >= 2:
+            same_rack = [n for n in g.racks[g.rack_of(primary)] if n not in chosen]
+            chosen.append(pick(same_rack or [n for n in g.nodes if n not in chosen]))
+        if rf >= 3:
+            other_rack = [
+                n for n in g.nodes if g.rack_of(n) != g.rack_of(primary) and n not in chosen
+            ]
+            if not other_rack:
+                raise ValueError("replication factor 3 needs at least 2 racks")
+            chosen.append(pick(other_rack))
+        while len(chosen) < rf:
+            chosen.append(pick([n for n in g.nodes if n not in chosen]))
+        for n in chosen:
+            load[n] += 1
+        out.append(tuple(chosen))
+    return out
+
+
+@st.composite
+def rack_clusters(draw):
+    """1-4 racks of 1-4 nodes, node ids shuffled across racks so the id
+    tie-break does not follow rack order."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    ids = draw(st.permutations([f"n{k:02d}" for k in range(sum(sizes))]))
+    racks = [f"r{r}" for r, size in enumerate(sizes) for _ in range(size)]
+    nodes = [(nid, rack, 2.0, 200.0) for nid, rack in zip(ids, racks)]
+    return make_cluster(nodes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rack_clusters(), st.data())
+def test_rack_aware_tiers_equal_the_scan(g, data):
+    rf = data.draw(st.integers(1, min(4, len(g.nodes))), label="rf")
+    client = data.draw(st.sampled_from(sorted(g.nodes)), label="client")
+    n_blocks = data.draw(st.integers(1, 20), label="blocks")
+    _, blocks, _ = make_app_tasks(input_mb=n_blocks * 64, rf=rf)
+    try:
+        want = reference_tiers(g, [(client, rf)] * len(blocks))
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            place_rack_aware(g, blocks, client, rf=rf)
+        assert str(got.value) == str(err)
+        return
+    plan = place_rack_aware(g, blocks, client, rf=rf)
+    assert [plan.replicas(b.id) for b in blocks] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(rack_clusters(), st.data())
+def test_heterogeneous_tiers_equal_the_scan(g, data):
+    # several apps, each at its own RF, in one placement: the counts carry
+    # from one app's blocks to the next
+    ids = sorted(g.nodes)
+    rf = {
+        f"app{k}": data.draw(st.integers(1, min(4, len(ids))))
+        for k in range(data.draw(st.integers(1, 3), label="apps"))
+    }
+    blocks = [
+        block
+        for app_id in rf
+        for block in partition(Application(
+            id=app_id, input_mb=data.draw(st.integers(1, 8)) * 64.0,
+            block_size_mb=data.draw(st.sampled_from([16.0, 64.0])),
+            replication_factor=rf[app_id],
+        ))
+    ]
+    times = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=len(ids), max_size=len(ids)))
+    timer = FixedTimer(dict(zip(ids, times)))
+    if len(g.racks) == 1 and max(rf.values()) >= 3:
+        with pytest.raises(ValueError, match="^replication factor 3 needs at least 2 racks$"):
+            place_heterogeneous(g, blocks, timer, rf=rf)
+        return
+    plan = place_heterogeneous(g, blocks, timer, rf=rf)
+    want = reference_tiers(g, [(plan.primary(b.id), rf[b.app_id]) for b in blocks])
+    assert [plan.replicas(b.id) for b in blocks] == want
