@@ -1046,7 +1046,9 @@ def baseline_rf_fd(
     reject. The fallback pops a lazy heap of (load, index): an entry whose
     load is no longer its node's is stale and dropped, a node without room
     for this task is held aside and pushed back, and the first entry that
-    fits is the least load at the lowest index, the full scan's pick."""
+    fits is the least load at the lowest index, the full scan's pick. The
+    fallback is common: at about one task per node a task's time is most
+    of the threshold, so once each node holds a task the rest fall back."""
     t_est = predict_table(g, tasks, predictor)  # regression estimate, no locality signal
     n = len(t_est)
     fair = float(t_est.mean(axis=0).sum()) / n
