@@ -24,6 +24,8 @@ Fitted predictors are cached for one `run_experiment` call, keyed by the
 fit's seed and the per-node hardware (cpu_ghz, mem_gb, io_mbps) it is
 trained on, so the cells that share a cluster's hardware share its kernel
 and regression, and both models of a cluster are fitted on one history.
+Within one call, cells with equal cluster configs also share one built
+`ClusterGraph`.
 
 * scc-dso       kernel predictor + equalized placement + its placement's
                 local-first row + runtime migration
@@ -237,24 +239,30 @@ def derive_seed(master: int, scenario: str, cell: str, scheduler: str, rep: int)
 
 def _history(g: ClusterGraph, seed: int, n: int = HISTORY_RECORDS) -> list[pred.ExecRecord]:
     """Synthetic execution history: observed times for random (node, task)
-    pairs with small measurement noise."""
+    pairs with small measurement noise.
+
+    Each record draws, in this order, a node (uniform over the sorted ids),
+    a block size in [4, 64) MB, a resource demand in [0.2, 0.9) that the
+    time does not read, a compute intensity in [0.06, 0.1) gigacycles per
+    MB and a noise factor. The demand is still drawn, as the one double
+    `rng.random()` takes (the draw `rng.uniform` scales), so every later
+    draw stays where it was. The time is `sim.true_service_time` written
+    out on those numbers (block / io + gigacycles / cpu), so no task object
+    is built."""
     rng = np.random.default_rng(seed)
-    ids = sorted(g.nodes)
+    nodes = [g.nodes[nid] for nid in sorted(g.nodes)]
     records = []
     for _ in range(n):
-        node = g.node(ids[int(rng.integers(0, len(ids)))])
+        node = nodes[int(rng.integers(0, len(nodes)))]
         mb = float(rng.uniform(4.0, 64.0))
-        task = wl.TaskSpec(
-            id="h",
-            block_id="h",
-            block_mb=mb,
-            resource_demand=float(rng.uniform(0.2, 0.9)),
-            compute_gcycles=mb * float(rng.uniform(0.06, 0.1)),
+        rng.random()  # the unread resource demand
+        gcycles = mb * float(rng.uniform(0.06, 0.1))
+        t = (mb / node.io_mbps + gcycles / node.cpu_ghz) * float(
+            1.0 + 0.03 * rng.standard_normal()
         )
-        t = sim.true_service_time(node, task) * float(1.0 + 0.03 * rng.standard_normal())
         records.append(
             pred.ExecRecord(
-                features=(task.block_mb, node.cpu_ghz, node.mem_gb, node.io_mbps),
+                features=(mb, node.cpu_ghz, node.mem_gb, node.io_mbps),
                 observed_time_s=max(t, 1e-3),
             )
         )
@@ -526,53 +534,70 @@ def _cells_for(cfg: ExperimentConfig, scenario: str):
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run every (scenario, cell, scheduler, repetition) of `cfg`.
+
+    Cells whose cluster configs are equal share one `ClusterGraph`, path
+    table included: a graph is frozen, and a straggler view shares its
+    paths, so a run cannot tell a shared graph from its own. Each graph is
+    built at the first cell that uses it and dropped after the last, so no
+    more graphs stay alive than the cells between those two need. Fitted
+    models are shared through one `_PredictorCache` for the call. A cell
+    whose runs raise is recorded as a failure row, and the cells after it
+    still run."""
     cfg.validate()
     result = ExperimentResult()
     cache = _PredictorCache()
-    for scenario in cfg.scenarios:
-        for cell, cluster_cfg, make_workload, straggle in _cells_for(cfg, scenario):
-            g = build_cluster(cluster_cfg)
-            for scheduler in cfg.schedulers:
-                runs: list[sim.RunMetrics] = []
-                try:
-                    for rep in range(cfg.repetitions):
-                        seed = derive_seed(cfg.seed, scenario, cell, scheduler, rep)
-                        workload = make_workload(seed)
-                        sim_view = straggle(g, seed) if straggle else None
-                        trace = run_pipeline(
-                            g,
-                            workload,
-                            scheduler,
-                            seed,
-                            cache=cache,
-                            sim_cluster=sim_view,
-                        )
-                        metrics = trace.metrics
-                        runs.append(metrics)
-                        delay, cost, loss = trace.schedule.metrics
-                        result.runs.append(
-                            {
-                                "scenario": scenario,
-                                "cell": cell,
-                                "scheduler": scheduler,
-                                "rep": rep,
-                                "seed": seed,
-                                **asdict(metrics),
-                                "sched_delay": delay,
-                                "sched_cost": cost,
-                                "sched_loss": loss,
-                            }
-                        )
-                    result.aggregates.extend(_rows_for(scenario, cell, scheduler, runs))
-                except Exception as exc:  # noqa: BLE001 - cell isolation
-                    result.failures.append(
+    cells = [(scenario, *cell) for scenario in cfg.scenarios for cell in _cells_for(cfg, scenario)]
+    configs = [cluster_cfg for _, _, cluster_cfg, _, _ in cells]
+    first = [configs.index(c) for c in configs]  # the first cell with an equal config
+    last = {k: i for i, k in enumerate(first)}
+    graphs: dict[int, ClusterGraph] = {}
+    for i, (scenario, cell, cluster_cfg, make_workload, straggle) in enumerate(cells):
+        k = first[i]
+        if k not in graphs:
+            graphs[k] = build_cluster(cluster_cfg)
+        g = graphs[k] if last[k] > i else graphs.pop(k)
+        for scheduler in cfg.schedulers:
+            runs: list[sim.RunMetrics] = []
+            try:
+                for rep in range(cfg.repetitions):
+                    seed = derive_seed(cfg.seed, scenario, cell, scheduler, rep)
+                    workload = make_workload(seed)
+                    sim_view = straggle(g, seed) if straggle else None
+                    trace = run_pipeline(
+                        g,
+                        workload,
+                        scheduler,
+                        seed,
+                        cache=cache,
+                        sim_cluster=sim_view,
+                    )
+                    metrics = trace.metrics
+                    runs.append(metrics)
+                    delay, cost, loss = trace.schedule.metrics
+                    result.runs.append(
                         {
                             "scenario": scenario,
                             "cell": cell,
                             "scheduler": scheduler,
-                            "error": f"{type(exc).__name__}: {exc}",
+                            "rep": rep,
+                            "seed": seed,
+                            **asdict(metrics),
+                            "sched_delay": delay,
+                            "sched_cost": cost,
+                            "sched_loss": loss,
                         }
                     )
+                result.aggregates.extend(_rows_for(scenario, cell, scheduler, runs))
+            except Exception as exc:  # noqa: BLE001 - cell isolation
+                result.failures.append(
+                    {
+                        "scenario": scenario,
+                        "cell": cell,
+                        "scheduler": scheduler,
+                        "error": f"{type(exc).__name__}: {exc}",
+                    }
+                )
     return result
 
 

@@ -28,6 +28,7 @@ its position in the batch and on the thread count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,12 @@ class ExecRecord:
     observed_time_s: float
 
     def validate(self) -> None:
-        if any((not np.isfinite(f)) or f < 0 for f in self.features):
-            raise ValueError("features must be finite and non-negative")
-        if self.observed_time_s <= 0:
-            raise ValueError("observed_time_s must be > 0")
+        # a NaN fails every comparison, so each chain also rejects NaN
+        for f in self.features:
+            if not 0.0 <= f < math.inf:
+                raise ValueError("features must be finite and non-negative")
+        if not 0.0 < self.observed_time_s < math.inf:
+            raise ValueError("observed_time_s must be finite and > 0")
 
 
 def features_for(node: NodeSpec, task: TaskSpec) -> np.ndarray:
@@ -96,30 +99,43 @@ def _distinct_rows_table(
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     """exp(-||a - b||^2 / (2 sigma^2)) for row-wise inputs; returns the
-    (len(a), len(b)) Gram block, each row a function of its row of `a`."""
+    (len(a), len(b)) Gram block, each row a function of its row of `a`.
+
+    The squared distance is `(|a|^2 - 2 a.b) + |b|^2`, clamped at 0, then
+    divided by `-2 sigma^2`, which rounds as `-(sq / (2 sigma^2))` does;
+    every step after the product writes into the product's own array."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        - 2.0 * np.einsum("ik,jk->ij", a, b)
-        + np.sum(b * b, axis=1)[None, :]
-    )
+    sq = np.einsum("ik,jk->ij", a, b)
+    sq *= 2.0
+    np.subtract(np.sum(a * a, axis=1)[:, None], sq, out=sq)
+    sq += np.sum(b * b, axis=1)[None, :]
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * sigma * sigma))
+    sq /= -(2.0 * sigma * sigma)
+    return np.exp(sq, out=sq)
 
 
 def loss_and_gradient(
     coeffs: np.ndarray, bias: float, gram: np.ndarray, targets: np.ndarray
 ) -> tuple[float, np.ndarray, float]:
     """Mean squared error of gram @ coeffs + bias against targets, with its
-    analytic gradient. Kept as a pure function so it can be checked against
-    finite differences."""
-    pred = gram @ coeffs + bias
-    err = pred - targets
+    analytic gradient. Kept as a pure function (it allocates its results and
+    changes no argument) so it can be checked against finite differences;
+    `fit_kernel` runs it once per epoch.
+
+    `np.mean(x)` is `np.add.reduce(x)` divided by the count, and `np.sum(x)`
+    is `np.add.reduce(x)`: calling the reduction directly gives the same
+    bits without the wrappers' per-call cost, which matters at 300 epochs
+    of a 240-point fit. `err` is built in place in the same order of
+    roundings as `(gram @ coeffs + bias) - targets`."""
+    err = gram @ coeffs
+    err += bias
+    err -= targets
     n = len(targets)
-    loss = float(np.mean(err * err))
-    grad_w = (2.0 / n) * (gram.T @ err)
-    grad_b = float((2.0 / n) * np.sum(err))
+    loss = float(np.add.reduce(err * err)) / n
+    grad_w = gram.T @ err
+    grad_w *= 2.0 / n
+    grad_b = float((2.0 / n) * np.add.reduce(err))
     return loss, grad_w, grad_b
 
 
@@ -155,6 +171,10 @@ class KernelModel:
         return _distinct_rows_table(self.predict_features, nodes, tasks)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def fit_kernel(
     records: list[ExecRecord],
     sigma: float = 1.0,
@@ -168,13 +188,28 @@ def fit_kernel(
     Records beyond `s_max` are thinned by reservoir sampling so prediction
     cost stays bounded. Degenerate inputs (all-identical features) collapse
     to a bias-only model flagged `degenerate`.
+
+    Each epoch costs two matrix-vector products over the (S, S) Gram
+    matrix, both inside `loss_and_gradient`. The step scales the gradient
+    by `learning_rate` and subtracts it from the coefficients in place: the
+    same two roundings as `coeffs - learning_rate * grad_w`, as `grad_w`
+    arrives already scaled by `2 / n`.
+
+    Raises ValueError, naming the argument, for fewer than 2 records, a
+    `sigma` that is not finite and > 0, a `learning_rate` outside
+    [0.01, 0.1], an `epochs` that is not a non-negative integer, an `s_max`
+    that is not an integer >= 2, or a record `ExecRecord.validate` rejects.
     """
     if len(records) < 2:
         raise ValueError("need at least 2 records to fit")
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
     if not 0.01 <= learning_rate <= 0.1:
         raise ValueError("learning_rate must be in [0.01, 0.1]")
+    if not (_is_int(epochs) and epochs >= 0):
+        raise ValueError(f"epochs must be a non-negative integer, got {epochs!r}")
+    if not (_is_int(s_max) and s_max >= 2):
+        raise ValueError(f"s_max must be an integer >= 2, got {s_max!r}")
     for r in records:
         r.validate()
 
@@ -214,7 +249,8 @@ def fit_kernel(
     for _ in range(epochs):
         loss, grad_w, grad_b = loss_and_gradient(coeffs, bias, gram, targets)
         history.append(loss)
-        coeffs = coeffs - learning_rate * grad_w
+        grad_w *= learning_rate
+        coeffs -= grad_w
         bias = bias - learning_rate * grad_b
     history.append(loss_and_gradient(coeffs, bias, gram, targets)[0])
 
@@ -266,8 +302,12 @@ class FeatureRegression:
 
 
 def fit_feature_regression(records: list[ExecRecord]) -> FeatureRegression:
+    """Least-squares fit of `FeatureRegression` on at least 2 records, each
+    checked by `ExecRecord.validate`."""
     if len(records) < 2:
         raise ValueError("need at least 2 records to fit")
+    for r in records:
+        r.validate()
     feats = np.array([r.features for r in records], dtype=float)
     targets = np.array([r.observed_time_s for r in records], dtype=float)
     design = np.column_stack([np.ones(len(records)), feats])

@@ -533,6 +533,82 @@ def test_run_experiment_fits_once_per_distinct_hardware(monkeypatch):
     assert fits == {"kernel": 2, "linreg": 2}
 
 
+def run_with_spies(monkeypatch, cfg, fail_cell=None):
+    """`run_experiment(cfg)` with spies on the attributes the run looks up,
+    as the benchmark's tracer wraps them. Returns the result, every config
+    `build_cluster` got, and the graph each (scenario, cell) ran on, one per
+    cell; the runs of the (scenario, cell) `fail_cell` raise."""
+    built, graph_of_seed = [], {}
+    build, run = experiment.build_cluster, experiment.run_pipeline
+    failing = {
+        derive_seed(cfg.seed, *fail_cell, scheduler, rep)
+        for scheduler in cfg.schedulers
+        for rep in range(cfg.repetitions)
+    } if fail_cell else set()
+
+    def build_spy(config):
+        built.append(config)
+        return build(config)
+
+    def run_spy(g, workload, scheduler, seed, **kw):
+        if seed in failing:
+            raise RuntimeError("boom")
+        graph_of_seed[seed] = g
+        return run(g, workload, scheduler, seed, **kw)
+
+    monkeypatch.setattr(experiment, "build_cluster", build_spy)
+    monkeypatch.setattr(experiment, "run_pipeline", run_spy)
+    result = run_experiment(cfg)
+    graphs = {}
+    for r in result.runs:
+        graphs.setdefault((r["scenario"], r["cell"]), set()).add(id(graph_of_seed[r["seed"]]))
+    assert all(len(ids) == 1 for ids in graphs.values())
+    return result, built, {cell: ids.pop() for cell, ids in graphs.items()}
+
+
+def test_run_experiment_builds_one_cluster_per_distinct_config(monkeypatch):
+    path = REPO / "configs" / "experiment_default.json"
+    cfg = replace(experiment.load_experiment_config(str(path)), repetitions=1)
+    result, built, graphs = run_with_spies(monkeypatch, cfg)
+    assert not result.failures
+    assert len(graphs) == 19
+    # the shipped 50-node file equals the generated 50-node cluster, so the
+    # 19 cells run on ten configs: that one, cluster sizes 10-40 and
+    # straggler node counts 60-100, each built once
+    assert len(built) == 10
+    assert all(a != b for i, a in enumerate(built) for b in built[:i])
+    fifty = {cell: g for cell, g in graphs.items()
+             if cell[0] in ("completion-by-file-size", "throughput-by-replication")
+             or cell == ("locality-by-cluster-size", "50")}
+    assert len(fifty) == 10 and len(set(fifty.values())) == 1
+    assert len(set(graphs.values())) == 10
+
+
+def test_a_failing_cell_leaves_the_shared_cluster_to_the_cells_after_it(monkeypatch):
+    cfg = tiny_config(
+        cluster_path=CLUSTER_50,
+        scenarios=("completion-by-file-size", "throughput-by-replication"),
+        repetitions=1,
+        file_sizes_mb=(20, 40, 60),
+        replication_factors=(1, 2),
+    )
+    result, built, graphs = run_with_spies(
+        monkeypatch, cfg, fail_cell=("completion-by-file-size", "40MB")
+    )
+    assert len(built) == 1
+    assert {(f["scenario"], f["cell"]) for f in result.failures} == {
+        ("completion-by-file-size", "40MB")
+    }
+    assert len(result.failures) == len(cfg.schedulers)
+    assert sorted(graphs) == [
+        ("completion-by-file-size", "20MB"),
+        ("completion-by-file-size", "60MB"),
+        ("throughput-by-replication", "RF1"),
+        ("throughput-by-replication", "RF2"),
+    ]
+    assert len(set(graphs.values())) == 1
+
+
 def test_cached_kernel_equals_a_fresh_fit():
     g = build_cluster(load_cluster_config(CLUSTER_50))
     cached = experiment._PredictorCache().kernel("", g, seed=1)

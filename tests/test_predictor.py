@@ -63,6 +63,23 @@ def test_kernel_symmetric_and_bounded(a, b, sigma):
     assert 0.0 < k_ab <= 1.0
 
 
+def test_kernel_equals_its_out_of_place_formula_bitwise():
+    # rbf_kernel scales the product in place; this is the same arithmetic
+    # written with temporaries, step for step
+    rng = np.random.default_rng(11)
+    for trial in range(120):
+        a = rng.standard_normal((int(rng.integers(1, 40)), 4)) * rng.uniform(0.1, 5.0)
+        b = a if trial % 3 == 0 else rng.standard_normal((int(rng.integers(1, 250)), 4))
+        sigma = 1.0 if trial % 2 else float(rng.uniform(0.2, 3.0))
+        sq = (
+            np.sum(a * a, axis=1)[:, None]
+            - 2.0 * np.einsum("ik,jk->ij", a, b)
+            + np.sum(b * b, axis=1)[None, :]
+        )
+        want = np.exp(-np.maximum(sq, 0.0) / (2.0 * sigma * sigma))
+        assert rbf_kernel(a, b, sigma).tobytes() == want.tobytes()
+
+
 def test_gradient_matches_central_differences():
     rng = np.random.default_rng(3)
     records = synth_records(rng, 8, lambda m, c, me, io: 0.5 * m / io)
@@ -175,6 +192,54 @@ def test_fit_input_validation():
         fit_kernel(records, learning_rate=0.5)
     with pytest.raises(ValueError):
         fit_kernel(records, sigma=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(sigma=float("nan")), "sigma"),
+        (dict(sigma=float("inf")), "sigma"),
+        (dict(epochs=-5), "epochs"),
+        (dict(epochs=2.5), "epochs"),
+        (dict(s_max=0), "s_max"),
+        (dict(s_max=1), "s_max"),
+        (dict(s_max=2.5), "s_max"),
+    ],
+    ids=["sigma-nan", "sigma-inf", "epochs-negative", "epochs-float",
+         "s_max-0", "s_max-1", "s_max-float"],
+)
+def test_fit_kernel_rejects_a_bad_argument_by_name(kwargs, name):
+    # unchecked, sigma=nan fits a model that predicts NaN, sigma=inf and
+    # epochs=-5 pass silently, s_max=0 or 2.5 fails inside numpy or range()
+    # and s_max=1 fits a degenerate model
+    records = synth_records(np.random.default_rng(7), 10, lambda m, c, me, io: 0.5 * m / io)
+    with pytest.raises(ValueError, match=name):
+        fit_kernel(records, **kwargs)
+
+
+@pytest.mark.parametrize("fit", [fit_kernel, fit_feature_regression])
+@pytest.mark.parametrize(
+    "features, time_s, message",
+    [
+        ((32.0, 2.0, 8.0, 200.0), float("nan"), "observed_time_s"),
+        ((32.0, 2.0, 8.0, 200.0), float("inf"), "observed_time_s"),
+        ((32.0, 2.0, 8.0, 200.0), 0.0, "observed_time_s"),
+        ((float("nan"), 2.0, 8.0, 200.0), 1.0, "features"),
+        ((32.0, float("inf"), 8.0, 200.0), 1.0, "features"),
+        ((32.0, 2.0, -8.0, 200.0), 1.0, "features"),
+    ],
+    ids=["time-nan", "time-inf", "time-zero", "feature-nan", "feature-inf", "feature-negative"],
+)
+def test_both_fits_reject_a_bad_record(fit, features, time_s, message):
+    # one check, ExecRecord.validate, for both fits: a NaN or infinite time
+    # must not pass it, and an unchecked NaN feature reaches LAPACK in the
+    # regression as "SVD did not converge"
+    records = synth_records(np.random.default_rng(7), 10, lambda m, c, me, io: 0.5 * m / io)
+    bad = ExecRecord(features, time_s)
+    with pytest.raises(ValueError, match=message):
+        bad.validate()
+    with pytest.raises(ValueError, match=message):
+        fit(records[:5] + [bad] + records[5:])
 
 
 def test_feature_regression_recovers_linear_map():
