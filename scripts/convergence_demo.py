@@ -4,7 +4,10 @@ convergence trace as CSV.
 
 The instance is 26 x 64 MB blocks at RF 2, placed by the heterogeneous
 placement on `--nodes` synthetic nodes and priced with exact service times;
-the colony runs the stage7 preset.
+the colony runs the stage7 preset, minimizing the makespan and
+hill-climbing each iteration's best row. The CSV has one row per
+iteration, with the columns iter, best_makespan, mean_makespan and
+feasible_ants.
 
 Usage:
     python scripts/convergence_demo.py [--nodes 25] [--seed 7] [--out traces]

@@ -17,9 +17,8 @@ the other rules their B cells. A remote cell's replica is
 `PathTable.cheapest_fetch`'s, as in the simulator's steal rule.
 
 The colony. The oracle suite measures it against the exact optimum; no
-scheduler of the pipeline runs it. It minimizes either the weighted
-delay/cost/loss objective (with makespan as the tiebreak) or the pure
-min-max makespan. Ants build
+scheduler of the pipeline runs it. It balances load: it minimizes the
+makespan, the largest node load. Ants build
 complete assignments task by task, sampling nodes in proportion to
 pheromone^alpha * desirability^beta over the eligible set; desirability is
 the inverse of predicted execution time with the data-access cost folded
@@ -55,38 +54,27 @@ makes holds. When an ant's final loads leave no room for the largest
 demand, the iteration builds its rows with `_ant_row` from the same
 orders and draws.
 
-What an iteration then computes from its rows depends on the objective:
-
-* weighted — `score_rows` prices every row at once: it gathers each
-  row's cells from the problem's tables and hands them to `score_cells`,
-  the one definition of a plan's delay, cost and loss, in which each
-  total keeps a task-by-task loop's order of addition (per-node totals by
-  `_row_sums`); unassigned cells are masked only when a row has one. The
-  first iteration's feasible rows set the scale of each metric in the
-  objective.
-* makespan — the objective reads node loads alone, so `score_makespans`
-  gathers each row's t_eff cells only and computes no delay, cost or
-  loss. Both scorers take a row's makespan from `_node_loads`, so it has
-  one definition and the same bits under either objective. The
-  iteration's best feasible row is then hill-climbed (`_refine_makespan`,
-  on Python floats), and a climbed row that moved joins the rows.
-
-The objective, the trace, the best pick (the first row of least
-(objective, makespan)) and the deposit read those arrays; an
-`AntSolution`, with the full (delay, cost, loss) of `score_rows`, is
-built only for the winner and for the row rules. After global
+An iteration then scores its rows by node loads alone: `score_makespans`
+gathers each row's t_eff cells and takes each row's makespan from
+`_node_loads`, the one definition of a plan's makespan. The iteration's
+best feasible row is hill-climbed (`_refine_makespan`, on Python floats),
+and a climbed row that moved joins the rows. The trace, the best pick
+(the first row of least makespan) and the deposit read those arrays; an
+`AntSolution`, with the plan's (delay, cost, loss) from `score_cells`,
+is built only for the winner and for the row rules. `score_cells` is the
+one definition of those three metrics: each total keeps a task-by-task
+loop's order of addition (per-node totals by `_row_sums`). After global
 evaporation, every feasible row deposits Q / makespan on the edges it
 used, and the best-so-far row deposits again as an elitist.
 
 `AcoConfig` holds the settings the presets and the oracle vary (alpha,
-beta, rho, ants, iterations, objective); the rest of the tuning is
-fixed in module constants. A floor (`TAU_FLOOR`) keeps every pheromone
+beta, rho, ants, iterations); the rest of the tuning is fixed in module
+constants. A floor (`TAU_FLOOR`) keeps every pheromone
 entry positive so no edge ever becomes unreachable. Candidate fan-out per
 task is capped (`L_MAX`) to prune low-desirability nodes on large
 clusters; capacity-feasible fallback keeps the cap from manufacturing
-infeasibility. The weighted objective scores (delay, cost, loss) with
-`WEIGHTS`, and the search stops early after `PATIENCE` iterations that
-each improve the best value by less than `TOL` (relatively). The trail
+infeasibility. The search stops early after `PATIENCE` iterations that
+each improve the best makespan by less than `TOL` (relatively). The trail
 is a plain (n, B) array, TAU0 at the start; `SolveResult.pheromones` is
 its final state.
 
@@ -100,7 +88,7 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
 from typing import Callable, NamedTuple
@@ -133,7 +121,6 @@ Q_CONST = 100.0  # full-regime deposit is Q_CONST / makespan
 TOL = 5e-3  # relative improvement that resets the stall count
 PATIENCE = 5  # stalled iterations before the early stop
 L_MAX = 10  # candidate nodes per task
-WEIGHTS = (0.5, 0.3, 0.2)  # (delay, cost, loss) in the weighted objective
 
 
 @dataclass(frozen=True)
@@ -143,7 +130,9 @@ class AcoConfig:
     rho: float = 0.1
     ants: int = 10
     max_iters: int = 20
-    objective: str = "weighted"  # or "makespan"
+    # makespan is the only objective; the field stays because perfbench/
+    # passes it, until ROADMAP direction 5's benchmark change deletes it
+    objective: str = "makespan"
 
     def validate(self) -> None:
         for name in ("alpha", "beta"):
@@ -158,7 +147,7 @@ class AcoConfig:
             # bool is an int subclass, but True is no count
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.objective not in ("weighted", "makespan"):
+        if self.objective != "makespan":
             raise ValueError(f"unknown objective: {self.objective}")
 
     @classmethod
@@ -180,7 +169,6 @@ class AntSolution:
     # (B,) index into the problem's node_ids per task, -1 when unassigned;
     # the same plan as `assignment`, which equality compares
     node_index: np.ndarray = field(compare=False, repr=False)
-    objective: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -323,8 +311,7 @@ class Workspace:
 
     `rows` holds an iteration's node-index rows, at most ants + 4: its
     ants, the first iteration's two elite rows, the climbed row and the
-    elitist depositor, with `feasible` and `makespan` per row; `terms` is
-    the weighted scorer's (3, rows, B + 1) block, its first column 0.0."""
+    elitist depositor, with `feasible` and `makespan` per row."""
 
     def __init__(self, problem: AssignmentProblem, config: AcoConfig):
         n, b = problem.t_eff.shape
@@ -348,7 +335,6 @@ class Workspace:
         self.rows = np.empty((size, b), dtype=int)
         self.feasible = np.empty(size, dtype=bool)
         self.makespan = np.empty(size)
-        self.terms = np.zeros((3, size, b + 1))
 
     @cached_property
     def cand_room(self) -> np.ndarray:
@@ -426,9 +412,9 @@ def _row_sums(bins: np.ndarray, values: np.ndarray | None, r: int, n: int) -> np
 
 
 def _assigned(assign: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(nodes, assigned) of an (R, B) node-index matrix as the scorers take
+    """(nodes, assigned) of a node-index row or matrix as the scorers take
     them: -1 (unassigned) read as node 0, and `assigned` the mask of
-    assigned cells, or None when a non-empty matrix assigns every cell, so
+    assigned cells, or None when a non-empty input assigns every cell, so
     that nothing needs masking."""
     assigned = assign >= 0
     if assign.size and assigned.all():
@@ -437,17 +423,21 @@ def _assigned(assign: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def score_rows(ws: Workspace, assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Price each row of an (R, B) node-index matrix (-1: unassigned), R at
-    most ants + 4, with `score_cells`, its cells gathered from the
-    problem's tables."""
-    nodes, assigned = _assigned(assign)
-    cells = nodes * ws.b + ws.cols
+    """Price each row of an (R, B) node-index matrix (-1: unassigned) with
+    `score_cells`, one row at a time, its cells gathered from the problem's
+    tables. Returns the (R,) makespans and the (3, R) raw (delay, cost,
+    loss)."""
     p = ws.problem
-    r = len(assign)
-    return score_cells(
-        nodes, assigned, p.t_eff.take(cells), p.xtra_delay.take(cells), p.cost.take(cells),
-        p.src_idx.take(cells), p.loss_prob, ws.row_bins[:r], ws.terms[:, :r],
-    )
+    makespan = np.empty(len(assign))
+    metrics = np.empty((3, len(assign)))
+    for a, row in enumerate(assign):
+        nodes, assigned = _assigned(row)
+        cells = nodes * ws.b + ws.cols
+        makespan[a], metrics[:, a] = score_cells(
+            nodes, assigned, p.t_eff.take(cells), p.xtra_delay.take(cells),
+            p.cost.take(cells), p.src_idx.take(cells), p.loss_prob,
+        )
+    return makespan, metrics
 
 
 def score_makespans(ws: Workspace, assign: np.ndarray) -> np.ndarray:
@@ -462,11 +452,11 @@ def score_makespans(ws: Workspace, assign: np.ndarray) -> np.ndarray:
 def _node_loads(
     bins: np.ndarray, assigned: np.ndarray | None, t_eff: np.ndarray, r: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one definition of a plan's makespan. For (r, B) cells as
-    `score_cells` takes them, with their `_row_sums` bins, returns the (r,
-    n) node loads, each node's total t_eff over its assigned tasks (in task
-    order from 0.0), and each row's makespan, its largest load, inf when
-    nothing is assigned."""
+    """The one definition of a plan's makespan. For r rows of (B,) cells,
+    (r, B) arrays with their `_row_sums` bins and the mask of assigned
+    cells (None: all), returns the (r, n) node loads, each node's total
+    t_eff over its assigned tasks (in task order from 0.0), and each row's
+    makespan, its largest load, inf when nothing is assigned."""
     if assigned is None:
         loads = _row_sums(bins, t_eff, r, n)
         return loads, loads.max(axis=1)
@@ -482,50 +472,38 @@ def score_cells(
     cost: np.ndarray,
     src_idx: np.ndarray,
     loss_prob: np.ndarray,
-    offsets: np.ndarray | int,
-    terms: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """The one definition of a plan's delay, cost and loss. `nodes`,
-    `assigned` and the cell arrays are (R, B): task j of row a runs on node
-    nodes[a, j] when assigned[a, j] (`assigned` None: every task is
-    assigned), and the cell arrays hold that cell's t_eff, xtra_delay, cost
-    and src_idx (values at unassigned tasks are ignored); `loss_prob` is
-    (n,). `offsets` holds each row's a * n, (R, 1), or 0 for one row, and
-    `terms` is a (3, R, B + 1) block whose first column is 0.0; its other
-    cells are overwritten. Returns each row's makespan and its raw (delay,
-    cost, loss) as a (3, R) array. The makespan and node loads are
-    `_node_loads`', the shared definition that the makespan objective's
-    `score_makespans` reads without the rest.
-    Every total adds its terms in task order from 0.0, as a task-by-task
-    loop would: `_row_sums` for node loads and counts, a running `cumsum`
-    for delay, cost and loss (`np.sum` adds pairwise and moves last bits).
-    Unassigned tasks add exact zeros, and loss is the mean over assigned
-    tasks."""
-    ants, b = nodes.shape
+    `assigned` and the cell arrays are (B,): task j runs on node nodes[j]
+    when assigned[j] (`assigned` None: every task is assigned), and the
+    cell arrays hold that cell's t_eff, xtra_delay, cost and src_idx
+    (values at unassigned tasks are ignored); `loss_prob` is (n,). Returns
+    the plan's makespan, `_node_loads`', and its raw (delay, cost, loss) as
+    a (3,) array. Every total adds its terms in task order from 0.0, as a
+    task-by-task loop would: `_row_sums` for node loads and counts, a
+    running `cumsum` for delay, cost and loss (`np.sum` adds pairwise and
+    moves last bits). Unassigned tasks add exact zeros, and loss is the
+    mean over assigned tasks."""
+    b = len(nodes)
     n = len(loss_prob)
-    bins = nodes + offsets
-    loads, makespan = _node_loads(bins, assigned, t_eff, ants, n)
-    counts = _row_sums(bins, assigned, ants, n)
+    mask = None if assigned is None else assigned[None]
+    loads, makespan = _node_loads(nodes[None], mask, t_eff[None], 1, n)
+    counts = _row_sums(nodes, assigned, 1, n)
     survive = 1.0 - loss_prob[nodes]
     survive = np.where(src_idx >= 0, survive * (1.0 - loss_prob[src_idx]), survive)
-    # (delay, cost, loss) terms behind the block's column of 0.0, the loop's start
-    cells = terms[:, :, 1:]
-    cells[0] = xtra_delay
-    cells[1] = cost
-    np.subtract(1.0, survive, out=cells[2])
+    # (delay, cost, loss) terms behind a column of 0.0, the loop's start
+    terms = np.zeros((3, b + 1))
+    terms[:, 1:] = xtra_delay, cost, 1.0 - survive
     if assigned is not None:
-        cells[:, ~assigned] = 0.0
-    metrics = terms.cumsum(axis=2)[:, :, -1]
+        terms[:, 1:][:, ~assigned] = 0.0
+    metrics = terms.cumsum(axis=1)[:, -1]
     # Each task's latency is dominated by its node's backlog (the workload
     # at the node over its capacity), so the plan delay sums every node's
     # drain time once per task served there, plus fetch-path extras.
-    metrics[0] += (counts * loads).sum(axis=1)
-    if assigned is None:
-        metrics[2] /= b
-    else:
-        count = assigned.sum(axis=1)
-        metrics[2] = np.where(count > 0, metrics[2] / np.maximum(count, 1), 0.0)
-    return makespan, metrics
+    metrics[0] += (counts[0] * loads[0]).sum()
+    count = b if assigned is None else int(assigned.sum())
+    metrics[2] = metrics[2] / count if count else 0.0
+    return makespan[0], metrics
 
 
 def _solution_from_indices(
@@ -535,29 +513,32 @@ def _solution_from_indices(
     `feasible` holds and it assigns every task."""
     makespan, metrics = score_rows(ws, assign)
     p = ws.problem
-    return _solutions(p.node_ids, p.task_ids, assign, makespan, metrics, feasible)
+    return [
+        _solution(p.node_ids, p.task_ids, row, mk, m, feasible)
+        for row, mk, m in zip(assign, makespan, metrics.T)
+    ]
 
 
-def _solutions(
+def _solution(
     node_ids: tuple[str, ...],
     task_ids: tuple[str, ...],
-    assign: np.ndarray,
-    makespan: np.ndarray,
+    row: np.ndarray,
+    makespan: float,
     metrics: np.ndarray,
     feasible: bool,
-) -> list[AntSolution]:
-    sols = []
+) -> AntSolution:
+    """A scored (B,) node-index row as an `AntSolution`, feasible when
+    `feasible` holds and the row assigns every task."""
+    nodes = row.tolist()
+    js = [j for j, i in enumerate(nodes) if i >= 0]
     # loss stays a numpy float, as run rows repr the scheduler's metrics
-    for a, row in enumerate(assign.tolist()):
-        js = [j for j, i in enumerate(row) if i >= 0]
-        sols.append(AntSolution(
-            assignment={task_ids[j]: node_ids[row[j]] for j in js},
-            makespan=float(makespan[a]),
-            metrics=(float(metrics[0, a]), float(metrics[1, a]), metrics[2, a] if js else 0.0),
-            feasible=feasible and len(js) == len(row),
-            node_index=assign[a].copy(),
-        ))
-    return sols
+    return AntSolution(
+        assignment={task_ids[j]: node_ids[nodes[j]] for j in js},
+        makespan=float(makespan),
+        metrics=(float(metrics[0]), float(metrics[1]), metrics[2] if js else 0.0),
+        feasible=feasible and len(js) == len(nodes),
+        node_index=row.copy(),
+    )
 
 
 def _ant_row(
@@ -696,7 +677,6 @@ def update_pheromones_full(
 @dataclass(frozen=True)
 class TraceRow:
     iteration: int
-    best_objective: float
     best_makespan: float
     mean_makespan: float
     feasible_ants: int
@@ -759,14 +739,6 @@ def _refine_makespan(
     return np.array(row, dtype=assign.dtype), moves
 
 
-def _weighted(metrics: np.ndarray, refs) -> np.ndarray:
-    # Scale by the first iteration's mean per metric: each term is measured
-    # in relative units, so a near-constant metric cannot hijack the sum
-    # the way a min-max span close to zero would.
-    parts = [m / ref if ref > 0 else np.zeros_like(m) for m, ref in zip(metrics, refs)]
-    return WEIGHTS[0] * parts[0] + WEIGHTS[1] * parts[1] + WEIGHTS[2] * parts[2]
-
-
 def _fits(assign: np.ndarray, demand_mb: np.ndarray, capacity_mb: np.ndarray) -> bool:
     """Whether a (B,) node-index row assigns every task, task j's
     `demand_mb[j]` summed on its node within that node's `capacity_mb`."""
@@ -821,21 +793,19 @@ def solve_problem(
     """Run the colony on `problem`; returns the best-ever feasible solution
     and the per-iteration convergence trace.
 
-    Early-stops once the best value improves by less than `TOL`
+    Early-stops once the best makespan improves by less than `TOL`
     (relatively) for `PATIENCE` consecutive iterations. Raises
     InfeasibleScheduleError when no ant ever produced a feasible
     assignment.
     """
     config.validate()
-    by_makespan = config.objective == "makespan"
     ws = Workspace(problem, config)
     rows, feasible, makespan = ws.rows, ws.feasible, ws.makespan
     tau = np.full(problem.t_eff.shape, TAU0)
     rng = np.random.default_rng(seed)
 
     best_row: np.ndarray | None = None
-    best_makespan = best_objective = float("inf")
-    refs = None
+    best_makespan = float("inf")
     trace: list[TraceRow] = []
     prev_val = float("inf")
     stall = 0
@@ -853,26 +823,17 @@ def solve_problem(
                 if _fits(elite, problem.demand_mb, problem.capacity_mb):
                     rows[r], feasible[r] = elite, True
                     r += 1
-        obj = None  # the makespan objective's value is the makespan
-        if by_makespan:
-            # the objective reads node loads alone; the winner is priced in
-            # full once, after the last iteration
-            makespan[:r] = score_makespans(ws, rows[:r])
-            if feasible[:r].any():
-                fi = np.flatnonzero(feasible[:r])
-                refined, moves = _refine_makespan(ws, rows[fi[np.argmin(makespan[fi])]])
-                if moves:
-                    refine_moves += moves
-                    rows[r], feasible[r] = refined, True
-                    makespan[r] = score_makespans(ws, rows[r : r + 1])[0]
-                    r += 1
-        else:
-            makespan[:r], metrics = score_rows(ws, rows[:r])
-            if refs is None and feasible[:r].any():
-                refs = [float(np.mean(m)) for m in metrics[:, feasible[:r]]]
-            # before the first feasible row, every row is dropped below
-            if refs is not None:
-                obj = _weighted(metrics, refs)
+        # the makespan reads node loads alone; the winner is priced in full
+        # once, after the last iteration
+        makespan[:r] = score_makespans(ws, rows[:r])
+        if feasible[:r].any():
+            fi = np.flatnonzero(feasible[:r])
+            refined, moves = _refine_makespan(ws, rows[fi[np.argmin(makespan[fi])]])
+            if moves:
+                refine_moves += moves
+                rows[r], feasible[r] = refined, True
+                makespan[r] = score_makespans(ws, rows[r : r + 1])[0]
+                r += 1
         n_feas = r
         if not feasible[:r].all():
             if not feasible[:r].any():
@@ -880,22 +841,18 @@ def solve_problem(
             keep = np.flatnonzero(feasible[:r])
             n_feas = len(keep)
             rows[:n_feas], makespan[:n_feas] = rows[keep], makespan[keep]
-            obj = None if obj is None else obj[keep]
         mk = makespan[:n_feas]
-        obj = mk if obj is None else obj
         if n_feas:
-            # the first row of least (objective, makespan); a later
-            # iteration replaces the best only with a strictly smaller one
-            k = np.lexsort((mk, obj))[0]
-            key = (float(obj[k]), float(mk[k]))
-            if key < (best_objective, best_makespan):
+            # the first row of least makespan; a later iteration replaces
+            # the best only with a strictly smaller one
+            k = int(np.argmin(mk))
+            if mk[k] < best_makespan:
                 best_row = rows[k].copy()
-                best_objective, best_makespan = key
+                best_makespan = float(mk[k])
 
         trace.append(
             TraceRow(
                 iteration=it,
-                best_objective=best_objective,
                 best_makespan=best_makespan,
                 mean_makespan=float(np.mean(mk)) if n_feas else float("inf"),
                 feasible_ants=n_feas,
@@ -910,9 +867,9 @@ def solve_problem(
 
         if best_row is not None:
             if np.isfinite(prev_val):
-                improvement = (prev_val - best_objective) / max(abs(prev_val), 1e-12)
+                improvement = (prev_val - best_makespan) / max(abs(prev_val), 1e-12)
                 stall = stall + 1 if improvement < TOL else 0
-            prev_val = best_objective
+            prev_val = best_makespan
             if stall >= PATIENCE:
                 converged = it
                 break
@@ -927,9 +884,8 @@ def solve_problem(
                 "total_capacity_mb": float(problem.capacity_mb.sum()),
             },
         )
-    best = _solution_from_indices(ws, best_row[None], True)[0]
     return SolveResult(
-        best=replace(best, objective=best_objective),
+        best=_solution_from_indices(ws, best_row[None], True)[0],
         trace=tuple(trace),
         iterations=len(trace),
         converged_iteration=converged,
@@ -942,10 +898,10 @@ def solve_problem(
 
 def write_trace_csv(trace: tuple[TraceRow, ...], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("iter,best_objective,best_makespan,mean_makespan,feasible_ants\n")
+        fh.write("iter,best_makespan,mean_makespan,feasible_ants\n")
         for row in trace:
             fh.write(
-                f"{row.iteration},{row.best_objective:.9g},{row.best_makespan:.9g},"
+                f"{row.iteration},{row.best_makespan:.9g},"
                 f"{row.mean_makespan:.9g},{row.feasible_ants}\n"
             )
 
@@ -965,19 +921,17 @@ def _plan_solution(
     nodes = [g.node(nid) for nid in g.paths.node_ids]
     cols = np.arange(len(tasks))
     access, xtra_delay, cost, src_idx = price_cells(g, plan, tasks, assign, cols)
-    row = assign[None]
     makespan, metrics = score_cells(
-        *_assigned(row), (t_pred[assign, cols] + access)[None],
-        xtra_delay[None], cost[None], src_idx[None],
-        np.array([nd.loss_prob for nd in nodes]), 0, np.zeros((3, 1, len(tasks) + 1)),
+        *_assigned(assign), t_pred[assign, cols] + access, xtra_delay, cost, src_idx,
+        np.array([nd.loss_prob for nd in nodes]),
     )
     feasible = _fits(
         assign, np.array([t.block_mb for t in tasks], dtype=float),
         np.array([nd.capacity_mb for nd in nodes]),
     )
-    return _solutions(
-        g.paths.node_ids, tuple(t.id for t in tasks), row, makespan, metrics, feasible
-    )[0]
+    return _solution(
+        g.paths.node_ids, tuple(t.id for t in tasks), assign, makespan, metrics, feasible
+    )
 
 
 def local_first(

@@ -182,7 +182,7 @@ class PathTable:
 
     @classmethod
     def build(cls, g: ClusterGraph) -> PathTable:
-        node_ids = tuple(sorted(g.nodes))
+        node_ids = tuple(g.node_ids())
         n = len(node_ids)
         rack_ix = {r: k for k, r in enumerate(g.racks)}
         routes = {}

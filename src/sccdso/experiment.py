@@ -250,7 +250,7 @@ def _history(g: ClusterGraph, seed: int, n: int = HISTORY_RECORDS) -> list[pred.
     out on those numbers (block / io + gigacycles / cpu), so no task object
     is built."""
     rng = np.random.default_rng(seed)
-    nodes = [g.nodes[nid] for nid in sorted(g.nodes)]
+    nodes = [g.nodes[nid] for nid in g.node_ids()]
     records = []
     for _ in range(n):
         node = nodes[int(rng.integers(0, len(nodes)))]
@@ -285,7 +285,8 @@ class _PredictorCache:
         self._histories = {}
 
     def _model(self, kind: str, g: ClusterGraph, seed: int, fit):
-        hardware = tuple((n.cpu_ghz, n.mem_gb, n.io_mbps) for _, n in sorted(g.nodes.items()))
+        nodes = [g.nodes[nid] for nid in g.node_ids()]
+        hardware = tuple((n.cpu_ghz, n.mem_gb, n.io_mbps) for n in nodes)
         key = (kind, seed, hardware)
         if key not in self._models:
             if (seed, hardware) not in self._histories:
@@ -355,7 +356,7 @@ def schedule(
     else:
         # rack-aware placement, one independently seeded upload client per app
         rng = np.random.default_rng(seed)
-        node_ids = sorted(g.nodes)
+        node_ids = g.node_ids()
         mapping: dict[str, tuple[str, ...]] = {}
         for app in workload.apps:
             client = node_ids[int(rng.integers(0, len(node_ids)))]
@@ -687,10 +688,11 @@ _PRIMARY_METRIC = {
 
 def _markdown_table(scenario: str, rows: list[AggregateRow]) -> str:
     """Pivot to one row per cell, one column per scheduler (mean ± sd of
-    the scenario's primary metric)."""
+    the scenario's primary metric). Cells keep their order of first
+    appearance, the config order the CSV and JSON tables list them in."""
     metric = _PRIMARY_METRIC.get(scenario, "completion_time_s")
     picked = [r for r in rows if r.metric == metric]
-    cells = sorted({r.cell for r in picked}, key=_cell_sort_key)
+    cells = list(dict.fromkeys(r.cell for r in picked))
     schedulers = sorted({r.scheduler for r in picked})
     lines = [f"### {scenario} ({metric})", ""]
     lines.append("| cell | " + " | ".join(schedulers) + " |")
@@ -704,14 +706,6 @@ def _markdown_table(scenario: str, rows: list[AggregateRow]) -> str:
             vals.append(f"{r.mean * scale:.1f} ± {r.sd * scale:.1f}" if r else "—")
         lines.append(f"| {cell} | " + " | ".join(vals) + " |")
     return "\n".join(lines) + "\n"
-
-
-def _cell_sort_key(cell: str):
-    digits = "".join(ch for ch in cell if ch.isdigit() or ch == ".")
-    try:
-        return (0, float(digits))
-    except ValueError:
-        return (1, cell)
 
 
 # --- brute-force oracle suite ----------------------------------------------
@@ -839,7 +833,7 @@ def run_oracle_suite(
         raise ValueError("max_nodes must be >= 2")
     if not (math.isfinite(ratio_bound) and ratio_bound >= 1.0):
         raise ValueError("ratio_bound must be a finite number >= 1")
-    cfg = aco.AcoConfig.preset(preset, objective="makespan")
+    cfg = aco.AcoConfig.preset(preset)
     hits = 0
     below = 0
     worst = 0.0

@@ -89,7 +89,7 @@ def place_random(
     """Uniform random distinct-node placement; comparison baseline."""
     _validate_placement(g, blocks, rf)
     rng = np.random.default_rng(seed)
-    ids = sorted(g.nodes)
+    ids = g.node_ids()
     mapping = {}
     for block in blocks:
         picks = rng.choice(len(ids), size=rf, replace=False)
@@ -164,7 +164,7 @@ def place_heterogeneous(
     rfs = [rf[block.app_id] for block in blocks]
     _validate_placement(g, blocks, *set(rfs))
 
-    node_ids = sorted(g.nodes)
+    node_ids = g.node_ids()
     ref_mb = float(np.mean([b.size_mb for b in blocks]))
     ref_task = TaskSpec(
         id="__ref__",

@@ -133,7 +133,7 @@ def inject_stragglers(
     """Return a cluster view where a seeded node subset runs `slowdown`
     times slower on both compute and I/O."""
     check_stragglers(fraction, slowdown)
-    ids = sorted(g.nodes)
+    ids = g.node_ids()
     count = int(round(fraction * len(ids)))
     if count == 0:
         return g

@@ -8,7 +8,6 @@ with the package's."""
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -25,8 +24,7 @@ from sccdso.aco import (
     InfeasibleScheduleError,
     SolveResult,
     TraceRow,
-    _solutions,
-    _weighted,
+    _solution,
 )
 from sccdso.cluster import CAPACITY_SLACK_MB
 
@@ -126,7 +124,7 @@ def score_cells(
     t_eff, xtra_delay, cost and src_idx (values at unassigned tasks are
     ignored). Returns each row's makespan and its raw (delay, cost, loss)
     as a (3, ants) array. The makespan and node loads are `_node_loads`',
-    the shared definition that the makespan objective's `score_makespans`
+    the shared definition that the colony's `score_makespans`
     reads without the rest. Every total adds its terms in task order from
     0.0, as a task-by-task loop would: `_row_sums` for node loads and
     counts, a running `cumsum` for delay, cost and loss (`np.sum` adds
@@ -158,7 +156,10 @@ def _solution_from_indices(
     """One `AntSolution` per row of `score_rows`; a row is feasible when
     `feasible` holds and it assigns every task."""
     makespan, metrics = score_rows(problem, assign)
-    return _solutions(problem.node_ids, problem.task_ids, assign, makespan, metrics, feasible)
+    return [
+        _solution(problem.node_ids, problem.task_ids, row, mk, m, feasible)
+        for row, mk, m in zip(assign, makespan, metrics.T)
+    ]
 
 
 def _ant_row(
@@ -383,19 +384,17 @@ def solve_problem(
     """Run the colony on `problem`; returns the best-ever feasible solution
     and the per-iteration convergence trace.
 
-    Early-stops once the best value improves by less than `TOL`
+    Early-stops once the best makespan improves by less than `TOL`
     (relatively) for `PATIENCE` consecutive iterations. Raises
     InfeasibleScheduleError when no ant ever produced a feasible
     assignment.
     """
     config.validate()
-    by_makespan = config.objective == "makespan"
     tau = np.full(problem.t_eff.shape, TAU0)
     rng = np.random.default_rng(seed)
 
     best_row: np.ndarray | None = None
-    best_makespan = best_objective = float("inf")
-    refs = None
+    best_makespan = float("inf")
     trace: list[TraceRow] = []
     prev_val = float("inf")
     stall = 0
@@ -414,43 +413,33 @@ def solve_problem(
             if elites:
                 assign = np.vstack([assign, *elites])
                 feasible = np.concatenate([feasible, np.ones(len(elites), dtype=bool)])
-        if by_makespan:
-            # the objective reads node loads alone; the winner is priced in
-            # full once, after the last iteration
-            makespan = score_makespans(problem, assign)
-            if feasible.any():
-                fi = np.flatnonzero(feasible)
-                refined, moves = _refine_makespan(problem, assign[fi[np.argmin(makespan[fi])]])
-                if moves:
-                    refine_moves += moves
-                    assign = np.vstack([assign, refined])
-                    feasible = np.append(feasible, True)
-                    makespan = np.append(makespan, score_makespans(problem, refined[None]))
-            obj = makespan
-        else:
-            makespan, metrics = score_rows(problem, assign)
-            if refs is None and feasible.any():
-                refs = [float(np.mean(m)) for m in metrics[:, feasible]]
-            # before the first feasible row, every row is dropped below
-            obj = makespan if refs is None else _weighted(metrics, refs)
+        # the makespan reads node loads alone; the winner is priced in full
+        # once, after the last iteration
+        makespan = score_makespans(problem, assign)
+        if feasible.any():
+            fi = np.flatnonzero(feasible)
+            refined, moves = _refine_makespan(problem, assign[fi[np.argmin(makespan[fi])]])
+            if moves:
+                refine_moves += moves
+                assign = np.vstack([assign, refined])
+                feasible = np.append(feasible, True)
+                makespan = np.append(makespan, score_makespans(problem, refined[None]))
         if not feasible.all():
             if not feasible.any():
                 stranded_assigned = int((assign[0] >= 0).sum())
-            assign, makespan, obj = assign[feasible], makespan[feasible], obj[feasible]
+            assign, makespan = assign[feasible], makespan[feasible]
         n_feas = len(assign)
         if n_feas:
-            # the first row of least (objective, makespan); a later
-            # iteration replaces the best only with a strictly smaller one
-            k = np.lexsort((makespan, obj))[0]
-            key = (float(obj[k]), float(makespan[k]))
-            if key < (best_objective, best_makespan):
+            # the first row of least makespan; a later iteration replaces
+            # the best only with a strictly smaller one
+            k = int(np.argmin(makespan))
+            if makespan[k] < best_makespan:
                 best_row = assign[k]
-                best_objective, best_makespan = key
+                best_makespan = float(makespan[k])
 
         trace.append(
             TraceRow(
                 iteration=it,
-                best_objective=best_objective,
                 best_makespan=best_makespan,
                 mean_makespan=float(np.mean(makespan)) if n_feas else float("inf"),
                 feasible_ants=n_feas,
@@ -465,9 +454,9 @@ def solve_problem(
 
         if best_row is not None:
             if np.isfinite(prev_val):
-                improvement = (prev_val - best_objective) / max(abs(prev_val), 1e-12)
+                improvement = (prev_val - best_makespan) / max(abs(prev_val), 1e-12)
                 stall = stall + 1 if improvement < TOL else 0
-            prev_val = best_objective
+            prev_val = best_makespan
             if stall >= PATIENCE:
                 converged = it
                 break
@@ -482,9 +471,8 @@ def solve_problem(
                 "total_capacity_mb": float(problem.capacity_mb.sum()),
             },
         )
-    best = _solution_from_indices(problem, best_row[None], True)[0]
     return SolveResult(
-        best=replace(best, objective=best_objective),
+        best=_solution_from_indices(problem, best_row[None], True)[0],
         trace=tuple(trace),
         iterations=len(trace),
         converged_iteration=converged,

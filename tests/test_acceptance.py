@@ -17,8 +17,10 @@ import pytest
 from sccdso import aco, experiment, predictor as pred, sim
 from sccdso.cli import main as cli_main
 from sccdso.cluster import build_cluster, load_cluster_config, synthetic_cluster_config
+from sccdso.placement import PlacementPlan
+from sccdso.workload import TaskSpec
 
-from conftest import array_problem, workspace
+from conftest import array_problem, make_cluster, workspace
 
 CLUSTER_50 = os.path.join(os.path.dirname(__file__), "..", "configs", "cluster_50.json")
 CLUSTER_25 = os.path.join(os.path.dirname(__file__), "..", "configs", "cluster_25.json")
@@ -92,6 +94,35 @@ def test_03_analytic_qos_checks():
         closed_form = float(np.mean(1.0 - (1.0 - p[assign]) * (1.0 - p_src)))
         worst_loss_err = max(worst_loss_err, abs(loss - closed_form))
 
+    # the same closed form on a row rule's plan (`_plan_solution`), each
+    # remote task reading the replica that `price_cells` picks
+    for s in range(200):
+        r = np.random.default_rng(10_000 + s)
+        n, b = int(r.integers(2, 6)), int(r.integers(1, 9))
+        p = r.uniform(0, 1, size=n)
+        g = make_cluster([
+            {"id": f"n{i}", "rack": f"r{i % 2}", "cpu_ghz": 2.0, "io_mbps": 200.0,
+             "loss_prob": p[i]}
+            for i in range(n)
+        ])
+        tasks = [
+            TaskSpec(id=f"t{j}", block_id=f"b{j}", block_mb=16.0, resource_demand=0.5,
+                     compute_gcycles=1.0)
+            for j in range(b)
+        ]
+        holders = {
+            f"b{j}": tuple(f"n{i}" for i in r.choice(n, size=int(r.integers(1, n + 1)),
+                                                    replace=False))
+            for j in range(b)
+        }
+        plan = PlacementPlan(holders, strategy="test")
+        assign = r.integers(0, n, size=b)
+        loss = aco._plan_solution(g, plan, tasks, np.ones((n, b)), assign).metrics[2]
+        chosen = aco.price_cells(g, plan, tasks, assign, np.arange(b))[3]
+        p_src = np.where(chosen >= 0, p[np.maximum(chosen, 0)], 0.0)
+        closed_form = float(np.mean(1.0 - (1.0 - p[assign]) * (1.0 - p_src)))
+        worst_loss_err = max(worst_loss_err, abs(loss - closed_form))
+
     # dyadic magnitudes make float sums associativity-exact, so additivity
     # over disjoint halves and the delay closed form are asserted with
     # equality, not tolerance
@@ -115,7 +146,8 @@ def test_03_analytic_qos_checks():
     report(
         3,
         worst_loss_err <= 1e-12 and exact,
-        f"solver loss within {worst_loss_err:.1e} of the closed form on 1000 plans; "
+        f"solver loss within {worst_loss_err:.1e} of the closed form on 1000 plans "
+        f"and 200 row-rule plans; "
         f"cost additivity over disjoint halves and the delay closed form exact "
         f"on 500 dyadic plans",
     )

@@ -15,7 +15,6 @@ from sccdso.aco import (
     TAU0,
     TAU_FLOOR,
     _solution_from_indices,
-    _weighted,
     baseline_rf_fd,
     baseline_round_robin,
     baseline_rsync,
@@ -37,8 +36,8 @@ from sccdso.cluster import CAPACITY_SLACK_MB, build_cluster, synthetic_cluster_c
 from sccdso.experiment import brute_force_makespan, oracle_instance
 from sccdso.placement import PlacementPlan, place_rack_aware, place_random
 from sccdso.predictor import predict_table
-from sccdso.sim import TrueTimeModel
-from sccdso.workload import Application, TaskSpec, partition, tasks_for
+from sccdso.sim import TrueTimeModel, validate_schedule
+from sccdso.workload import Application, TaskSpec, Workload, partition, tasks_for
 
 from conftest import FixedTimer, array_problem, make_app_tasks, make_cluster, workspace
 from test_solver_pin import pipeline_problem
@@ -647,7 +646,7 @@ def test_pheromone_floor_clamps():
 def test_solve_two_tasks_two_identical_nodes():
     g, plan, tasks, _ = small_problem(n_nodes=2, n_tasks=2, rf=2)
     timer = FixedTimer({"n0": 1.5, "n1": 1.5})
-    cfg = AcoConfig.preset("stage7", objective="makespan")
+    cfg = AcoConfig.preset("stage7")
     res = solve_problem(build_problem(g, plan, tasks, timer), cfg, seed=0)
     assert res.best.makespan == pytest.approx(1.5)  # one task per node
     assert set(res.best.assignment.values()) == {"n0", "n1"}
@@ -667,9 +666,8 @@ def test_trace_best_objective_monotone():
     problem = oracle_instance(5, max_tasks=8, max_nodes=4)
     cfg = AcoConfig.preset("table1")
     res = solve_problem(problem, cfg, seed=3)
-    objs = [r.best_objective for r in res.trace]
-    assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
     mks = [r.best_makespan for r in res.trace]
+    assert all(b <= a for a, b in zip(mks, mks[1:]))
     assert all(np.isfinite(m) for m in mks)
 
 
@@ -711,7 +709,7 @@ def test_solve_infeasible_raises_with_diagnosis():
 def test_oracle_brute_force_agreement_small():
     # ACO within 5% of exhaustive optimum on a small sample (full sweep in
     # the acceptance suite)
-    cfg = AcoConfig.preset("table1", objective="makespan")
+    cfg = AcoConfig.preset("table1")
     hits = 0
     for s in range(20):
         problem = oracle_instance(2000 + s, max_tasks=6, max_nodes=3)
@@ -728,13 +726,12 @@ def test_solve_counts_ants_and_refine_moves():
         res = solve_problem(problem, AcoConfig.preset("stage7", ants=colony), seed=4)
         assert res.ants == res.iterations * colony
         assert res.feasible_ants == res.ants  # no capacity binds
-        assert res.refine_moves == 0  # only the makespan objective climbs
     # ants strand on a capacity-tight instance; the trace also counts elites
     res = solve_problem(pipeline_problem(tight=True), AcoConfig.preset("stage7"), seed=0)
     assert res.ants == res.iterations * 10
     assert 0 < res.feasible_ants < res.ants
     assert res.feasible_ants <= sum(r.feasible_ants for r in res.trace)
-    cfg = AcoConfig.preset("table1", objective="makespan")
+    cfg = AcoConfig.preset("table1")
     moves = [solve_problem(oracle_instance(1000 + s), cfg, seed=s).refine_moves for s in range(10)]
     assert any(moves)
 
@@ -747,7 +744,7 @@ def test_solve_counts_ants_and_refine_moves():
     b=st.integers(0, 14),
 )
 def test_loads_only_makespans_equal_score_rows(seed, ants, n, b):
-    # the makespan objective's scorer reads the makespan that `score_rows`
+    # the colony's scorer reads the makespan that `score_rows`
     # prices, bit for bit: random rows with unassigned (-1) tasks, t_eff
     # over six orders of magnitude, and a last row with nothing assigned
     rng = np.random.default_rng(seed)
@@ -834,14 +831,14 @@ def test_refine_on_floats_equals_the_numpy_climb():
 
 
 def test_makespan_winner_is_scored_in_full():
-    # iterations score by loads alone under the makespan objective; the
-    # winner still carries `score_rows`' makespan and (delay, cost, loss)
-    cfg = AcoConfig.preset("table1", objective="makespan")
+    # iterations score by loads alone; the winner still carries
+    # `score_rows`' makespan and (delay, cost, loss)
+    cfg = AcoConfig.preset("table1")
     for s in range(24):
         problem = oracle_instance(1000 + s)
         best = solve_problem(problem, cfg, seed=s).best
         makespan, metrics = score_rows(workspace(problem), best.node_index[None])
-        assert best.makespan == makespan[0] == best.objective
+        assert best.makespan == makespan[0]
         assert best.metrics == (metrics[0, 0], metrics[1, 0], metrics[2, 0])
         assert type(best.metrics[2]) is type(metrics[2, 0])
 
@@ -875,7 +872,7 @@ def test_exact_ties_keep_the_earlier_row(first, monkeypatch):
     assert makespan[0] == makespan[1] and (metrics[:, 0] == metrics[:, 1]).all()
     assert res.iterations == 2
     assert res.best.node_index.tolist() == rows[first[0]].tolist()
-    assert res.trace[0].best_objective == res.trace[1].best_objective
+    assert res.trace[0].best_makespan == res.trace[1].best_makespan
 
 
 def test_elite_seeds_are_feasible_and_local():
@@ -891,13 +888,16 @@ def test_elite_seeds_are_feasible_and_local():
         assert problem.node_ids[i] in problem.plan.replicas(task.block_id)
 
 
-def row_input(capacities, tasks):
-    """A cluster of one node per capacity (n0, n1, ...) and, per (MB,
-    replica node indices) pair, a task on its own block held there, primary
-    first; returns (cluster, plan, tasks)."""
+def row_input(capacities, tasks, loss=None):
+    """A cluster of one node per capacity (n0, n1, ...), node i losing a
+    task with probability loss[i] (default 0), and, per (MB, replica node
+    indices) pair, a task on its own block held there, primary first;
+    returns (cluster, plan, tasks)."""
+    loss = [0.0] * len(capacities) if loss is None else loss
     g = make_cluster([
-        {"id": f"n{i}", "rack": "r1", "cpu_ghz": 2.0, "io_mbps": 200.0, "capacity_mb": cap}
-        for i, cap in enumerate(capacities)
+        {"id": f"n{i}", "rack": "r1", "cpu_ghz": 2.0, "io_mbps": 200.0, "capacity_mb": cap,
+         "loss_prob": p}
+        for i, (cap, p) in enumerate(zip(capacities, loss))
     ])
     specs = [
         TaskSpec(id=f"t{j}", block_id=f"b{j}", block_mb=mb, resource_demand=0.5,
@@ -940,6 +940,56 @@ def test_local_first_keeps_a_fitting_primary_row_and_respects_capacity(n, sizes,
     assert sol.feasible and aco._fits(sol.node_index, demand, capacities)
     if primary_fits:
         assert sol.node_index.tolist() == primary.tolist()
+
+
+ROW_RULES = {
+    "local_first": local_first,
+    "rf-fd": baseline_rf_fd,
+    "rsync": baseline_rsync,
+    "rr": baseline_round_robin,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    sizes=st.lists(st.sampled_from([16.0, 32.0, 64.0]), min_size=1, max_size=16),
+    rf=st.integers(1, 3),
+    room=st.floats(0.5, 2.5),
+    seed=st.integers(0, 2**16),
+)
+def test_row_rules_cover_every_task_and_agree_on_capacity(n, sizes, rf, room, seed):
+    # the four rules the pipeline runs, on random capacities, replica sets,
+    # node speeds and loss probabilities; whole MB, so a node's total has
+    # the same bits in any order of addition. rr ignores capacity, so its
+    # rows are where `_fits` and the simulator's schedule check must agree
+    # on a rejection
+    rng = np.random.default_rng(seed)
+    capacities = sum(sizes) / n * room * rng.uniform(0.5, 1.5, size=n)
+    tasks = [(mb, rng.choice(n, size=min(rf, n), replace=False).tolist()) for mb in sizes]
+    g, plan, tasks = row_input(capacities.tolist(), tasks, rng.uniform(0.0, 0.5, n).tolist())
+    timer = FixedTimer({f"n{i}": t for i, t in enumerate(rng.uniform(0.5, 2.0, n).tolist())})
+    demand = np.array(sizes)
+    capacity = np.array([g.node(nid).capacity_mb for nid in g.paths.node_ids])
+    workload = Workload(apps=(), blocks=(), tasks=tuple(tasks))
+    for name, rule in ROW_RULES.items():
+        try:
+            sol = rule(tasks, g, plan, timer)
+        except InfeasibleScheduleError:
+            assert name != "rr"
+            continue
+        row = sol.node_index
+        assert (row >= 0).all() and set(sol.assignment) == {t.id for t in tasks}
+        fits = aco._fits(row, demand, capacity)
+        assert fits or name == "rr"
+        assert sol.feasible == fits
+        try:
+            validate_schedule(g, workload, sol.assignment)
+        except ValueError:
+            assert not fits
+        else:
+            assert fits
+        assert np.isfinite([sol.makespan, *sol.metrics]).all()
 
 
 def test_local_first_fits_where_the_primary_row_overflows():
@@ -1158,14 +1208,14 @@ def test_config_validation_and_presets():
         AcoConfig(rho=0.0).validate()
     with pytest.raises(ValueError):
         AcoConfig(ants=0).validate()
-    with pytest.raises(ValueError, match="unknown objective"):
-        AcoConfig(objective="turbo").validate()
+    for objective in ("turbo", "weighted"):
+        with pytest.raises(ValueError, match="unknown objective"):
+            AcoConfig(objective=objective).validate()
     t1 = AcoConfig.preset("table1")
     assert (t1.alpha, t1.beta, t1.rho, t1.ants, t1.max_iters) == (1.5, 2.5, 0.2, 20, 50)
     s7 = AcoConfig.preset("stage7")
     assert (s7.alpha, s7.beta, s7.rho) == (0.8, 1.2, 0.1)
-    assert AcoConfig.preset("table1", ants=7, objective="makespan") == replace(
-        t1, ants=7, objective="makespan")
+    assert AcoConfig.preset("table1", ants=7) == replace(t1, ants=7)
     with pytest.raises(ValueError):
         AcoConfig(beta=0.0).validate()
     with pytest.raises(ValueError, match="unknown preset"):
@@ -1180,7 +1230,7 @@ def test_config_rejects_non_finite_weights_and_non_integer_counts(name, value):
     # each used to reach the colony: NaN or inf selection weights, a float
     # ant count failing inside numpy, True running one iteration
     with pytest.raises(ValueError, match=f"^{name} must be"):
-        AcoConfig.preset("table1", objective="makespan", **{name: value})
+        AcoConfig.preset("table1", **{name: value})
     with pytest.raises(ValueError, match=f"^{name} must be"):
         solve_problem(oracle_instance(1000), replace(AcoConfig(), **{name: value}), seed=0)
 
@@ -1191,5 +1241,5 @@ def test_trace_csv_format(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(res.trace, str(path))
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iter,best_objective,best_makespan,mean_makespan,feasible_ants"
+    assert lines[0] == "iter,best_makespan,mean_makespan,feasible_ants"
     assert len(lines) == 1 + len(res.trace)

@@ -136,7 +136,7 @@ def record(result):
     best = result.best
     return (
         best.assignment, best.node_index.tolist(), best.feasible,
-        [float(x).hex() for x in (best.makespan, *best.metrics, best.objective)],
+        [float(x).hex() for x in (best.makespan, *best.metrics)],
         [type(m) for m in best.metrics],
         result.trace, result.iterations, result.converged_iteration, result.ants,
         result.feasible_ants, result.refine_moves, result.pheromones.tobytes(),
@@ -146,14 +146,13 @@ def record(result):
 def solve_cases():
     oracle = [oracle_instance(1000 + s) for s in range(6)]
     tight = pipeline_problem(tight=True)
-    for objective in ("makespan", "weighted"):
-        table1 = AcoConfig.preset("table1", objective=objective)
-        stage7 = AcoConfig.preset("stage7", objective=objective)
-        yield from ((p, table1, s) for s, p in enumerate(oracle))
-        yield tight, stage7, 1
-        yield benchmark_problem(20), stage7, 2
-        yield benchmark_problem(200), stage7, 3
-        yield one_task_problem(), replace(stage7, ants=1, max_iters=4), 4
+    table1 = AcoConfig.preset("table1")
+    stage7 = AcoConfig.preset("stage7")
+    yield from ((p, table1, s) for s, p in enumerate(oracle))
+    yield tight, stage7, 1
+    yield benchmark_problem(20), stage7, 2
+    yield benchmark_problem(200), stage7, 3
+    yield one_task_problem(), replace(stage7, ants=1, max_iters=4), 4
 
 
 def one_task_problem():

@@ -141,6 +141,24 @@ def test_emit_formats(tmp_path):
             assert text.splitlines()[0].startswith("cell,scheduler,metric,mean")
 
 
+def test_markdown_table_lists_cells_in_run_order(tmp_path):
+    # a block-size sweep runs each block size's file sizes in turn; the
+    # markdown table keeps that order, as the CSV does
+    cfg = tiny_config(repetitions=1, schedulers=("rr",), block_sizes_mb=(16, 32),
+                      file_sizes_mb=(20, 100))
+    result = run_experiment(cfg)
+    order = ["20MB/b16", "100MB/b16", "20MB/b32", "100MB/b32"]
+    tables = {}
+    for fmt in ("csv", "md"):
+        paths = emit(result, str(tmp_path / fmt), fmt=fmt)
+        table = [p for p in paths if "completion-by-file-size" in p][0]
+        tables[fmt] = open(table, encoding="utf-8").read().splitlines()
+    csv_cells = [line.split(",")[0] for line in tables["csv"][1:]]
+    assert list(dict.fromkeys(csv_cells)) == order
+    md_cells = [line.split(" | ")[0][2:] for line in tables["md"][4:]]
+    assert md_cells == order
+
+
 def test_emit_is_byte_stable(tmp_path):
     cfg = tiny_config(repetitions=1, file_sizes_mb=(20,))
     blobs = []

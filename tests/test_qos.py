@@ -1,10 +1,11 @@
-"""The QoS terms the colony minimises.
+"""The plan metrics that the row rules report as `sched_delay`,
+`sched_cost` and `sched_loss`.
 
 `aco.build_problem` prices every (node, task) cell: fetch-path extras
 (queueing plus tier latency), link plus compute cost, and the replica
 source the task reads from. `aco._solution_from_indices` turns each
-assignment row into the plan's raw (delay, cost, loss), and `aco._weighted`
-blends them into the weighted objective.
+assignment row into the plan's raw (delay, cost, loss) with
+`aco.score_cells`, the scorer a row rule's plan goes through.
 """
 
 import numpy as np
@@ -147,14 +148,3 @@ def test_delay_and_cost_additive_under_concat(spec_a, spec_b):
     b = metrics(problem, [-1] * na + [1] * nb)
     assert joined[0] == pytest.approx(a[0] + b[0])
     assert joined[1] == pytest.approx(a[1] + b[1])
-
-
-def test_objective_convexity_points():
-    assert aco._weighted((1.0, 1.0, 1.0), (1, 1, 1)) == pytest.approx(1.0)
-    assert aco._weighted((0.0, 0.0, 0.0), (1, 1, 1)) == 0.0
-
-
-def test_objective_monotone_in_each_metric():
-    base = aco._weighted((0.4, 0.4, 0.4), (1, 1, 1))
-    for bump in ((0.5, 0.4, 0.4), (0.4, 0.5, 0.4), (0.4, 0.4, 0.5)):
-        assert aco._weighted(bump, (1, 1, 1)) > base
